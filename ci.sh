@@ -25,8 +25,8 @@
 #                    overload tail latency + shed rate) from the
 #                    criterion benches (slow; perf-sensitive PRs)
 #                    + serve (tradeoff-server smoke: canned queries over
-#                    HTTP byte-match the CLI, /stats proves memoisation,
-#                    clean shutdown)
+#                    HTTP byte-match the CLI, /stats proves memoisation
+#                    and timeline byte accounting, clean shutdown)
 #   ./ci.sh manifest run only the manifest staleness check
 #   ./ci.sh faults   run only the fault-injection degradation check
 #   ./ci.sh stream   run only the streaming smoke
@@ -115,22 +115,33 @@ stream_check() {
     cargo run --release -q -p bench --bin stream_smoke --         --instructions 1000000 --rss-limit-mb 64
 }
 
-serve_check() {
-    echo "==> serve: tradeoff-server smoke (byte parity, memoisation, shutdown)"
-    local tmp addr req local_out remote_out server_pid
-    tmp="$(mktemp -d)"
+# Starts a two-worker tradeoff-server in the background (extra server
+# flags after the first two arguments) and waits until it has bound.
+# $1 names it in failure messages, $2 receives its stderr. Uses the
+# caller's $tmp; sets the caller's $server_pid and $addr.
+spawn_server() {
+    local name="$1" log="$2"
+    shift 2
+    rm -f "$tmp/addr"
     cargo run --release -q --bin tradeoff-server -- \
-        --addr 127.0.0.1:0 --threads 2 --addr-file "$tmp/addr" \
-        2> "$tmp/server.log" &
+        --addr 127.0.0.1:0 --threads 2 --addr-file "$tmp/addr" "$@" \
+        2> "$log" &
     server_pid=$!
     for _ in $(seq 1 100); do
         [[ -s "$tmp/addr" ]] && break
         kill -0 "$server_pid" 2>/dev/null \
-            || { echo "FAIL: server died on startup"; cat "$tmp/server.log"; exit 1; }
+            || { echo "FAIL: $name died on startup"; cat "$log"; exit 1; }
         sleep 0.1
     done
-    [[ -s "$tmp/addr" ]] || { echo "FAIL: server never bound"; exit 1; }
+    [[ -s "$tmp/addr" ]] || { echo "FAIL: $name never bound"; exit 1; }
     addr="$(cat "$tmp/addr")"
+}
+
+serve_check() {
+    echo "==> serve: tradeoff-server smoke (byte parity, memoisation, shutdown)"
+    local tmp addr req local_out remote_out server_pid
+    tmp="$(mktemp -d)"
+    spawn_server server "$tmp/server.log"
     req='{"query":"simulate","program":"ear","instructions":50000,"stall":"bnl3"}'
     # The same request locally and over HTTP must be byte-identical —
     # both are one tradeoff::api::dispatch call. Asking twice proves the
@@ -148,10 +159,12 @@ serve_check() {
         || { echo "FAIL: expected one extraction, got $(cat "$tmp/stats.json")"; exit 1; }
     grep -q '"timeline_hits":1' "$tmp/stats.json" \
         || { echo "FAIL: repeat query missed the memo: $(cat "$tmp/stats.json")"; exit 1; }
+    grep -Eq '"timeline_bytes":[1-9]' "$tmp/stats.json" \
+        || { echo "FAIL: memoised timeline not byte-accounted: $(cat "$tmp/stats.json")"; exit 1; }
     cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --shutdown > /dev/null
     wait "$server_pid" \
         || { echo "FAIL: server exited nonzero after graceful shutdown"; exit 1; }
-    echo "    serve smoke: byte parity, 1 miss + 1 hit, clean shutdown"
+    echo "    serve smoke: byte parity, 1 miss + 1 hit, timeline bytes accounted, clean shutdown"
     rm -rf "$tmp"
 }
 
@@ -162,41 +175,18 @@ chaos_check() {
     req='{"query":"simulate","program":"ear","instructions":50000,"stall":"bnl3"}'
 
     # Reference answer: the canned query on a clean, fault-free server.
-    cargo run --release -q --bin tradeoff-server -- \
-        --addr 127.0.0.1:0 --threads 2 --addr-file "$tmp/addr" \
-        2> "$tmp/clean.log" &
-    server_pid=$!
-    for _ in $(seq 1 100); do
-        [[ -s "$tmp/addr" ]] && break
-        kill -0 "$server_pid" 2>/dev/null \
-            || { echo "FAIL: clean server died on startup"; cat "$tmp/clean.log"; exit 1; }
-        sleep 0.1
-    done
-    [[ -s "$tmp/addr" ]] || { echo "FAIL: clean server never bound"; exit 1; }
-    addr="$(cat "$tmp/addr")"
+    spawn_server "clean server" "$tmp/clean.log"
     clean_out="$(cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --json "$req")"
     cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --shutdown > /dev/null
     wait "$server_pid" || { echo "FAIL: clean server exited nonzero"; exit 1; }
-    rm -f "$tmp/addr"
 
     # Chaos server: the plan arms two forced accept sheds, one slow
     # first read, one dispatch panic and one dispatch hang, in that
     # order; the overload flood below needs no fault at all, just a
     # tight queue watermark on two workers.
     REPRO_FAULTS="accept:serve:io:2,read:serve:delay400:1,dispatch:serve:panic:1,dispatch:serve:delay60000:1" \
-    cargo run --release -q --bin tradeoff-server -- \
-        --addr 127.0.0.1:0 --threads 2 --queue 2 \
-        --request-timeout 1 --idle-timeout 2 --addr-file "$tmp/addr" \
-        2> "$tmp/chaos.log" &
-    server_pid=$!
-    for _ in $(seq 1 100); do
-        [[ -s "$tmp/addr" ]] && break
-        kill -0 "$server_pid" 2>/dev/null \
-            || { echo "FAIL: chaos server died on startup"; cat "$tmp/chaos.log"; exit 1; }
-        sleep 0.1
-    done
-    [[ -s "$tmp/addr" ]] || { echo "FAIL: chaos server never bound"; exit 1; }
-    addr="$(cat "$tmp/addr")"
+        spawn_server "chaos server" "$tmp/chaos.log" \
+        --queue 2 --request-timeout 1 --idle-timeout 2
 
     # 1. Client retries ride out both forced accept sheds (503 +
     #    Retry-After), then the slow read burns 400 ms of the 1 s
@@ -308,54 +298,14 @@ workloads_check() {
     echo "    $(ls workloads/*.json | wc -l) specs valid, 6 builtin ids pinned"
 }
 
-if [[ "${1:-}" == "manifest" ]]; then
-    cargo build --release
-    manifest_check
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "faults" ]]; then
-    cargo build --release
-    faults_check
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "stream" ]]; then
-    cargo build --release
-    stream_check
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "analytic" ]]; then
-    cargo build --release
-    analytic_check
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "serve" ]]; then
-    cargo build --release
-    serve_check
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "chaos" ]]; then
-    cargo build --release
-    chaos_check
-    echo "CI green."
-    exit 0
-fi
-
-if [[ "${1:-}" == "workloads" ]]; then
-    cargo build --release
-    workloads_check
-    echo "CI green."
-    exit 0
-fi
+case "${1:-}" in
+    manifest|faults|stream|analytic|serve|chaos|workloads)
+        cargo build --release
+        "${1}_check"
+        echo "CI green."
+        exit 0
+        ;;
+esac
 
 echo "==> tier-1: cargo build --release"
 cargo build --release

@@ -19,6 +19,7 @@ use simcache::CacheConfig;
 use simcpu::{Cpu, CpuConfig, SimResult};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::spec92::Spec92Program;
+use simtrace::workload::builtin_spec;
 
 /// The three variants per workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,30 +50,21 @@ fn simulate(program: Spec92Program, shared: bool, slow_writes: bool, n: usize) -
     // The I-cache makes timing cache-history-dependent, so this
     // experiment keeps the full simulator — but the trace itself is
     // materialised once per program and shared by the three variants.
-    let trace = tracestore::spec_trace(program, 0xA55E, n);
+    let trace = tracestore::workload_trace(builtin_spec(program), 0xA55E, n);
     Cpu::new(cfg).run(trace.iter().copied())
 }
 
-/// Runs the audit for every proxy: the 18 (program × variant) full
-/// simulations fan out over the [`crate::exec`] pool.
+/// Runs the audit for every proxy: one [`crate::exec`] pool job per
+/// program runs its three variants in order, so the first materialises
+/// the shared trace and the other two hit it — no two jobs ever want
+/// the same cold trace at once.
 pub fn run(instructions: usize) -> Vec<AssumptionRow> {
-    let jobs: Vec<(Spec92Program, bool, bool)> = Spec92Program::ALL
-        .into_iter()
-        .flat_map(|p| [(p, false, false), (p, true, false), (p, false, true)])
-        .collect();
-    let results = crate::exec::parallel_map(&jobs, |&(program, shared, slow)| {
-        simulate(program, shared, slow, instructions)
-    });
-    Spec92Program::ALL
-        .into_iter()
-        .zip(results.chunks(3))
-        .map(|(program, chunk)| AssumptionRow {
-            program,
-            baseline: chunk[0],
-            shared_bus: chunk[1],
-            slow_writes: chunk[2],
-        })
-        .collect()
+    crate::exec::parallel_map(&Spec92Program::ALL, |&program| AssumptionRow {
+        program,
+        baseline: simulate(program, false, false, instructions),
+        shared_bus: simulate(program, true, false, instructions),
+        slow_writes: simulate(program, false, true, instructions),
+    })
 }
 
 /// Renders the audit table.

@@ -52,7 +52,11 @@ fn main() -> ExitCode {
             instructions,
             warmup,
         );
-        let trace = bench::tracestore::spec_trace(program, bench::sweep::SWEEP_SEED, instructions);
+        let trace = bench::tracestore::workload_trace(
+            simtrace::workload::builtin_spec(program),
+            bench::sweep::SWEEP_SEED,
+            instructions,
+        );
         for (line_bytes, lines) in [(16u64, 8u32), (32, 64), (64, 256)] {
             let cfg = CacheConfig::new(line_bytes * u64::from(lines), line_bytes, lines)
                 .expect("valid fully-associative geometry");

@@ -4,6 +4,7 @@ use simcache::CacheConfig;
 use simcpu::{Cpu, CpuConfig, MissTimeline, SimResult, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::spec92::Spec92Program;
+use simtrace::workload::builtin_spec;
 use std::path::PathBuf;
 
 use crate::tracestore::{self, SPEC_SEED};
@@ -55,7 +56,8 @@ pub fn run_spec(
     instructions: usize,
 ) -> SimResult {
     let cfg = spec_config(stall, line_bytes, bus_bytes, beta_m);
-    let timeline = tracestore::spec_timeline(program, SPEC_SEED, instructions, &cfg.dcache);
+    let timeline =
+        tracestore::workload_timeline(builtin_spec(program), SPEC_SEED, instructions, &cfg.dcache);
     match TimelineCpu::new(&timeline, cfg) {
         Ok(replay) => replay.run(),
         Err(_) => run_spec_oracle(program, stall, line_bytes, bus_bytes, beta_m, instructions),
@@ -74,7 +76,7 @@ pub fn run_spec_oracle(
     instructions: usize,
 ) -> SimResult {
     let cfg = spec_config(stall, line_bytes, bus_bytes, beta_m);
-    let trace = tracestore::spec_trace(program, SPEC_SEED, instructions);
+    let trace = tracestore::workload_trace(builtin_spec(program), SPEC_SEED, instructions);
     Cpu::new(cfg).run(trace.iter().copied())
 }
 
@@ -96,7 +98,7 @@ pub fn phi_matrix(
     let cache = figure1_cache(line_bytes);
     // One cache pass per program (memoised across calls), in parallel.
     let timelines = crate::exec::parallel_map(&Spec92Program::ALL, |&p| {
-        tracestore::spec_timeline(p, SPEC_SEED, instructions, &cache)
+        tracestore::workload_timeline(builtin_spec(p), SPEC_SEED, instructions, &cache)
     });
     let jobs: Vec<(usize, Spec92Program, std::sync::Arc<MissTimeline>)> = points
         .iter()
@@ -147,7 +149,9 @@ pub fn average_phi(
 pub fn average_alpha(line_bytes: u64, _bus_bytes: u64, _beta_m: u64, instructions: usize) -> f64 {
     let cache = figure1_cache(line_bytes);
     let alphas = crate::exec::parallel_map(&Spec92Program::ALL, |&p| {
-        let stats = *tracestore::spec_timeline(p, SPEC_SEED, instructions, &cache).stats();
+        let stats =
+            *tracestore::workload_timeline(builtin_spec(p), SPEC_SEED, instructions, &cache)
+                .stats();
         stats.flush_ratio()
     });
     alphas.iter().sum::<f64>() / alphas.len() as f64
@@ -230,7 +234,12 @@ mod tests {
         )
         .alpha();
         let cache = figure1_cache(32);
-        let timeline = tracestore::spec_timeline(Spec92Program::Swm256, SPEC_SEED, 10_000, &cache);
+        let timeline = tracestore::workload_timeline(
+            builtin_spec(Spec92Program::Swm256),
+            SPEC_SEED,
+            10_000,
+            &cache,
+        );
         assert_eq!(timeline.stats().flush_ratio(), direct);
     }
 }

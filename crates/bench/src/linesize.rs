@@ -58,7 +58,11 @@ pub fn simulated_selection(
     let lines = [8u64, 16, 32, 64, 128];
     // The trace comes from the shared store at the sweep seed, so this
     // experiment and the design-space sweep share one materialisation.
-    let trace = crate::tracestore::spec_trace(program, crate::sweep::SWEEP_SEED, instructions);
+    let trace = crate::tracestore::workload_trace(
+        simtrace::workload::builtin_spec(program),
+        crate::sweep::SWEEP_SEED,
+        instructions,
+    );
     let points = hit_ratio_grid(
         &[cache_bytes],
         &lines,

@@ -108,8 +108,8 @@ mod tests {
             HIST_DISTANCE_CAP,
             warmup,
         );
-        let via_suite = tracestore::spec_histograms(
-            Spec92Program::Doduc,
+        let via_suite = tracestore::workload_histograms(
+            builtin_spec(Spec92Program::Doduc),
             SWEEP_SEED,
             instructions,
             8,

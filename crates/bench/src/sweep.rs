@@ -115,15 +115,12 @@ pub fn run_sweep(
                     .expect("valid grid line size")
                 })
                 .collect();
-            match crate::tracestore::resident_trace(program, SWEEP_SEED, instructions) {
+            let spec = simtrace::workload::builtin_spec(program);
+            match crate::tracestore::resident_workload_trace(spec, SWEEP_SEED, instructions) {
                 Some(trace) => stream::fold_slice(trace.instrs(), chunk, sinks),
-                None => stream::broadcast(
-                    simtrace::workload::builtin_spec(program)
-                        .compile(SWEEP_SEED)
-                        .take(instructions),
-                    chunk,
-                    sinks,
-                ),
+                None => {
+                    stream::broadcast(spec.compile(SWEEP_SEED).take(instructions), chunk, sinks)
+                }
             }
         })
         .collect();

@@ -1,45 +1,44 @@
-//! Process-wide memoised traces and miss timelines.
+//! Process-wide memoised traces, miss timelines and reuse histograms.
 //!
 //! Every φ/α experiment used to regenerate its SPEC92 proxy trace — and
 //! re-simulate the cache — once *per timing point* (168 times for
 //! Figure 1 alone), even though both depend only on (program, seed,
 //! length) and (…, cache geometry) respectively. This store materialises
 //! each trace once into a shared allocation and memoises each extracted
-//! [`MissTimeline`], so a β-sweep costs one trace generation plus one
-//! cache pass, after which every point is an `O(misses)` replay.
+//! [`MissTimeline`] and [`ReuseHistograms`] fold, so a β-sweep costs one
+//! trace generation plus one cache pass, after which every point is an
+//! `O(misses)` replay.
 //!
-//! Workload identity is the declarative spec hash: every store keys on
-//! `(`[`WorkloadId`]`, seed, …)`, so a built-in proxy and an inline
-//! spec with the same canonical form share one entry. The legacy
-//! `spec_*` entry points remain as thin wrappers over the built-in
-//! specs ([`simtrace::workload::builtin_spec`]).
+//! Workload identity is the declarative spec hash: every tier keys on
+//! `(`[`WorkloadId`]`, seed, …)`, so a built-in proxy
+//! ([`simtrace::workload::builtin_spec`]) and an inline spec with the
+//! same canonical form share one entry.
+//!
+//! The three tiers are one generic [`Memo`] each. A lookup probes the
+//! map, and a miss claims its key (concurrent misses on the same key
+//! wait for the claimer instead of duplicating the work), then builds
+//! the value outside the map lock. Every tier is byte-accounted and
+//! LRU-evicted under one shared cap: set `REPRO_TRACE_BUDGET` (bytes,
+//! with optional `k`/`m`/`g` suffix) to bound the sum of all three.
 //!
 //! Traces of different lengths share one backing: the generators are
 //! deterministic lazy streams, so the `n`-instruction trace is a
-//! prefix of the `m ≥ n` one (asserted in the tests below). The store
-//! keeps the longest materialisation per (workload, seed) and hands
-//! out prefix views.
+//! prefix of the `m ≥ n` one (asserted in the tests below). The trace
+//! tier keeps the longest materialisation per (workload, seed) and
+//! hands out prefix views.
 //!
-//! Timelines are extracted *streamingly*: a cold lookup folds the
-//! chunked generator straight into a [`simcpu::MissTimelineBuilder`]
-//! without ever materialising the trace, so fold-only experiments keep
-//! at most one chunk of instructions resident (`REPRO_STREAM_CHUNK`,
-//! see `DESIGN.md` §12). Only [`spec_trace`] pins full traces, and
-//! those materialisations are byte-accounted ([`bytes_resident`]) and
-//! capped: set `REPRO_TRACE_BUDGET` (bytes, with optional `k`/`m`/`g`
-//! suffix) to evict least-recently-used traces above the cap.
-//!
-//! Set `REPRO_TRACE_CACHE=0` to disable memoisation (every call then
-//! regenerates from scratch — useful for memory-constrained runs and for
-//! A/B-testing the cache itself).
+//! Timelines and histograms are folded *streamingly*: a cold lookup
+//! feeds the chunked generator straight into the fold without ever
+//! materialising the trace, so fold-only experiments keep at most one
+//! chunk of instructions resident (`REPRO_STREAM_CHUNK`, see
+//! `DESIGN.md` §12). Only [`workload_trace`] pins full traces.
 
 use crate::error::lock_recovering;
 use crate::fault::{self, Site};
 use crate::stream;
 use simcache::CacheConfig;
 use simcpu::{MissTimeline, MissTimelineBuilder};
-use simtrace::spec92::Spec92Program;
-use simtrace::workload::{builtin_spec, WorkloadId, WorkloadSpec};
+use simtrace::workload::{WorkloadId, WorkloadSpec};
 use simtrace::{Instr, ReuseHistograms, INSTR_BYTES};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -49,34 +48,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 /// Seed used by every `run_spec`-style experiment.
 pub const SPEC_SEED: u64 = 0xDEAD_BEEF;
 
-static TRACE_HITS: AtomicU64 = AtomicU64::new(0);
-static TRACE_MISSES: AtomicU64 = AtomicU64::new(0);
-static TIMELINE_HITS: AtomicU64 = AtomicU64::new(0);
-static TIMELINE_MISSES: AtomicU64 = AtomicU64::new(0);
-static HIST_HITS: AtomicU64 = AtomicU64::new(0);
-static HIST_MISSES: AtomicU64 = AtomicU64::new(0);
-static POISON_RECOVERIES: AtomicU64 = AtomicU64::new(0);
-static TRACE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static HIST_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static COALESCED_WAITS: AtomicU64 = AtomicU64::new(0);
-
 /// How many times a store lock was recovered from poison (a worker
 /// panicked — or was fault-injected — while holding it).
 pub fn poison_recoveries() -> u64 {
-    POISON_RECOVERIES.load(Ordering::Relaxed)
-}
-
-/// Locks a store map, recovering from poison: a holder that died
-/// mid-insert may have left a half-written entry, so the recovered map
-/// is cleared and every entry recomputed on demand — one panicked
-/// worker must never wedge later experiments.
-fn lock_store<K, V>(m: &Mutex<HashMap<K, V>>) -> MutexGuard<'_, HashMap<K, V>> {
-    let (mut guard, recovered) = lock_recovering(m);
-    if recovered {
-        guard.clear();
-        POISON_RECOVERIES.fetch_add(1, Ordering::Relaxed);
-    }
-    guard
+    let s = store();
+    s.traces.recoveries() + s.timelines.recoveries() + s.hists.recoveries()
 }
 
 /// A snapshot of the store's hit/miss counters — the scheduler's first
@@ -128,13 +104,14 @@ impl StoreCounts {
 
 /// The current process-wide counter values.
 pub fn counters() -> StoreCounts {
+    let s = store();
     StoreCounts {
-        trace_hits: TRACE_HITS.load(Ordering::Relaxed),
-        trace_misses: TRACE_MISSES.load(Ordering::Relaxed),
-        timeline_hits: TIMELINE_HITS.load(Ordering::Relaxed),
-        timeline_misses: TIMELINE_MISSES.load(Ordering::Relaxed),
-        hist_hits: HIST_HITS.load(Ordering::Relaxed),
-        hist_misses: HIST_MISSES.load(Ordering::Relaxed),
+        trace_hits: s.traces.hits.load(Ordering::Relaxed),
+        trace_misses: s.traces.misses.load(Ordering::Relaxed),
+        timeline_hits: s.timelines.hits.load(Ordering::Relaxed),
+        timeline_misses: s.timelines.misses.load(Ordering::Relaxed),
+        hist_hits: s.hists.hits.load(Ordering::Relaxed),
+        hist_misses: s.hists.misses.load(Ordering::Relaxed),
     }
 }
 
@@ -150,8 +127,8 @@ pub struct Stats {
     pub trace_evictions: u64,
     /// Memoised histograms evicted by the budget cap.
     pub hist_evictions: u64,
-    /// Lookups that blocked on another thread's in-flight extraction
-    /// of the same key instead of duplicating the work.
+    /// Lookups (any tier) that blocked on another thread's in-flight
+    /// build of the same key instead of duplicating the work.
     pub coalesced_waits: u64,
     /// Bytes of trace data currently materialised.
     pub trace_bytes: u64,
@@ -159,49 +136,68 @@ pub struct Stats {
     pub hist_bytes: u64,
     /// Store locks recovered from poison (see [`poison_recoveries`]).
     pub poison_recoveries: u64,
+    /// Memoised timelines evicted by the budget cap.
+    pub timeline_evictions: u64,
+    /// Bytes of miss-timeline state currently memoised.
+    pub timeline_bytes: u64,
 }
 
 impl Stats {
     /// One-line human summary for the scheduler footer.
     pub fn summary(&self) -> String {
         format!(
-            "{}; evictions {} trace / {} hist, coalesced waits {}, resident {} B traces + {} B hists, poison recoveries {}",
+            "{}; evictions {} trace / {} hist, coalesced waits {}, resident {} B traces + {} B hists + {} B timelines, poison recoveries {}, timeline evictions {}",
             self.counts.summary(),
             self.trace_evictions,
             self.hist_evictions,
             self.coalesced_waits,
             self.trace_bytes,
             self.hist_bytes,
-            self.poison_recoveries
+            self.timeline_bytes,
+            self.poison_recoveries,
+            self.timeline_evictions
         )
     }
 }
 
 /// The current process-wide [`Stats`] snapshot. Counter fields are
-/// monotonic; the residency byte fields reflect this instant.
+/// monotonic; the residency byte fields reflect this instant. Takes no
+/// map lock, so it answers even while a cold build is running.
 pub fn stats() -> Stats {
+    let s = store();
     Stats {
         counts: counters(),
-        trace_evictions: TRACE_EVICTIONS.load(Ordering::Relaxed),
-        hist_evictions: HIST_EVICTIONS.load(Ordering::Relaxed),
-        coalesced_waits: COALESCED_WAITS.load(Ordering::Relaxed),
-        trace_bytes: bytes_resident(),
-        hist_bytes: hist_bytes_resident(),
+        trace_evictions: s.traces.evictions.load(Ordering::Relaxed),
+        hist_evictions: s.hists.evictions.load(Ordering::Relaxed),
+        coalesced_waits: s.traces.waits.load(Ordering::Relaxed)
+            + s.timelines.waits.load(Ordering::Relaxed)
+            + s.hists.waits.load(Ordering::Relaxed),
+        trace_bytes: s.traces.bytes(),
+        hist_bytes: s.hists.bytes(),
         poison_recoveries: poison_recoveries(),
+        timeline_evictions: s.timelines.evictions.load(Ordering::Relaxed),
+        timeline_bytes: s.timelines.bytes(),
     }
+}
+
+/// A materialised trace plus the workload label the footer lists.
+#[derive(Debug)]
+struct Materialised {
+    instrs: Vec<Instr>,
+    label: String,
 }
 
 /// A shared trace prefix: cheap to clone, derefs to the instructions.
 #[derive(Debug, Clone)]
 pub struct TraceHandle {
-    data: Arc<Vec<Instr>>,
+    data: Arc<Materialised>,
     len: usize,
 }
 
 impl TraceHandle {
     /// The instructions of this prefix.
     pub fn instrs(&self) -> &[Instr] {
-        &self.data[..self.len]
+        &self.data.instrs[..self.len]
     }
 }
 
@@ -210,10 +206,6 @@ impl std::ops::Deref for TraceHandle {
     fn deref(&self) -> &[Instr] {
         self.instrs()
     }
-}
-
-fn memoise() -> bool {
-    std::env::var("REPRO_TRACE_CACHE").map_or(true, |v| v != "0")
 }
 
 /// Parses a byte count with an optional `k`/`m`/`g` (×1024) suffix,
@@ -234,105 +226,60 @@ fn parse_bytes(s: &str) -> Option<u64> {
     digits.trim().parse::<u64>().ok()?.checked_mul(mult)
 }
 
-/// The `REPRO_TRACE_BUDGET` cap on materialised trace bytes, if set.
-fn trace_budget() -> Option<u64> {
-    parse_bytes(&std::env::var("REPRO_TRACE_BUDGET").ok()?)
+/// What one tier may hold under the `REPRO_TRACE_BUDGET` cap (unset =
+/// no cap): the cap minus the `others` bytes the other tiers hold.
+fn room(others: u64) -> Option<u64> {
+    let budget = parse_bytes(&std::env::var("REPRO_TRACE_BUDGET").ok()?)?;
+    Some(budget.saturating_sub(others))
 }
 
-type TraceKey = (WorkloadId, u64);
-type TimelineKey = (WorkloadId, u64, usize, CacheConfig);
-/// (workload, seed, len, min line, max line, max distance, warm-up).
-type HistKey = (WorkloadId, u64, usize, u64, u64, usize, u64);
-
-/// A materialised trace plus its label and LRU stamp for the resident
-/// listing and budget eviction.
-struct TraceEntry {
-    data: Arc<Vec<Instr>>,
-    label: String,
-    last_use: u64,
+/// Resident bytes of a memoised value — what the budget cap counts.
+trait Footprint {
+    fn footprint(&self) -> u64;
 }
 
-impl TraceEntry {
-    fn bytes(&self) -> u64 {
-        (self.data.len() * INSTR_BYTES) as u64
+impl Footprint for Materialised {
+    fn footprint(&self) -> u64 {
+        (self.instrs.len() * INSTR_BYTES) as u64
     }
 }
 
-/// Monotonic use counter stamping [`TraceEntry::last_use`].
-static TICK: AtomicU64 = AtomicU64::new(0);
-
-fn tick() -> u64 {
-    TICK.fetch_add(1, Ordering::Relaxed) + 1
-}
-
-fn traces() -> &'static Mutex<HashMap<TraceKey, TraceEntry>> {
-    static STORE: OnceLock<Mutex<HashMap<TraceKey, TraceEntry>>> = OnceLock::new();
-    STORE.get_or_init(Mutex::default)
-}
-
-fn timelines() -> &'static Mutex<HashMap<TimelineKey, Arc<MissTimeline>>> {
-    static STORE: OnceLock<Mutex<HashMap<TimelineKey, Arc<MissTimeline>>>> = OnceLock::new();
-    STORE.get_or_init(Mutex::default)
-}
-
-/// Memoised reuse-distance histograms plus the LRU stamp for budget
-/// eviction.
-struct HistEntry {
-    data: Arc<ReuseHistograms>,
-    last_use: u64,
-}
-
-impl HistEntry {
-    fn bytes(&self) -> u64 {
-        self.data.bytes() as u64
+impl Footprint for MissTimeline {
+    fn footprint(&self) -> u64 {
+        self.bytes() as u64
     }
 }
 
-fn hists() -> &'static Mutex<HashMap<HistKey, HistEntry>> {
-    static STORE: OnceLock<Mutex<HashMap<HistKey, HistEntry>>> = OnceLock::new();
-    STORE.get_or_init(Mutex::default)
-}
-
-fn generate(spec: &WorkloadSpec, seed: u64, len: usize) -> Arc<Vec<Instr>> {
-    Arc::new(spec.compile(seed).take(len).collect())
+impl Footprint for ReuseHistograms {
+    fn footprint(&self) -> u64 {
+        self.bytes() as u64
+    }
 }
 
 /// Coalesces concurrent misses on one memo key — the warm-key
 /// discipline `sched` applies between experiments, generalised to any
 /// lookup path (the query server's concurrent requests in particular).
 ///
-/// The first thread to miss claims the key and pays the extraction;
-/// every other thread arriving before the claim is released blocks on
-/// the condvar instead of duplicating the pass, then re-probes the
-/// memo. The claim is released by an RAII guard, so a claimer that
-/// unwinds (fault injection panics mid-extract) can never wedge its
-/// waiters — they wake, find the memo still cold, and one of them
-/// claims in turn.
+/// The first thread to miss claims the key and pays the build; every
+/// other thread arriving before the claim is released blocks on the
+/// condvar instead of duplicating the pass, then re-probes the memo.
+/// The claim is released by an RAII guard, so a claimer that unwinds
+/// (fault injection panics mid-extract) can never wedge its waiters —
+/// they wake, find the memo still cold, and one of them claims in turn.
 struct KeyGate<K> {
     in_flight: Mutex<HashSet<K>>,
     released: Condvar,
 }
 
 impl<K: Eq + Hash + Clone> KeyGate<K> {
-    fn new() -> Self {
-        KeyGate {
-            in_flight: Mutex::new(HashSet::new()),
-            released: Condvar::new(),
-        }
-    }
-
     /// Claims `key` for this thread, or blocks until the current
     /// holder releases it and returns `None` (the caller re-probes the
     /// memo before trying again).
     fn claim(&self, key: K) -> Option<KeyClaim<'_, K>> {
-        let mut set = self
-            .in_flight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (mut set, _) = lock_recovering(&self.in_flight);
         if set.insert(key.clone()) {
             return Some(KeyClaim { gate: self, key });
         }
-        COALESCED_WAITS.fetch_add(1, Ordering::Relaxed);
         while set.contains(&key) {
             set = self
                 .released
@@ -352,110 +299,202 @@ struct KeyClaim<'a, K: Eq + Hash> {
 
 impl<K: Eq + Hash> Drop for KeyClaim<'_, K> {
     fn drop(&mut self) {
-        let mut set = self
-            .gate
-            .in_flight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (mut set, _) = lock_recovering(&self.gate.in_flight);
         set.remove(&self.key);
         self.gate.released.notify_all();
     }
 }
 
-fn timeline_gate() -> &'static KeyGate<TimelineKey> {
-    static GATE: OnceLock<KeyGate<TimelineKey>> = OnceLock::new();
-    GATE.get_or_init(KeyGate::new)
+/// One memoised value plus its LRU stamp.
+struct Slot<V> {
+    value: Arc<V>,
+    last_use: u64,
 }
 
-fn hist_gate() -> &'static KeyGate<HistKey> {
-    static GATE: OnceLock<KeyGate<HistKey>> = OnceLock::new();
-    GATE.get_or_init(KeyGate::new)
+/// One bounded, coalescing memo tier: a map from key to shared value,
+/// a [`KeyGate`] so each cold key is built once, LRU stamps and a
+/// running byte total for budget eviction, and the tier's counters.
+///
+/// The byte total only changes under the map lock, but is read
+/// lock-free — by [`stats`] and by the other tiers' budget checks.
+struct Memo<K, V> {
+    map: Mutex<HashMap<K, Slot<V>>>,
+    gate: KeyGate<K>,
+    tick: AtomicU64,
+    bytes: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+    waits: AtomicU64,
+    recoveries: AtomicU64,
 }
 
-/// Evicts least-recently-used entries (other than `keep`, which the
-/// caller is handing out right now) until the store's byte total fits
-/// `budget`. Outstanding `Arc` handles keep evicted allocations alive;
-/// eviction only drops the store's reference.
-fn evict_lru<K: Eq + std::hash::Hash + Copy, V>(
-    store: &mut HashMap<K, V>,
-    keep: K,
-    budget: Option<u64>,
-    bytes: impl Fn(&V) -> u64,
-    last_use: impl Fn(&V) -> u64,
-    evictions: &AtomicU64,
-) {
-    let Some(budget) = budget else { return };
-    let mut total: u64 = store.values().map(&bytes).sum();
-    while total > budget {
-        let victim = store
-            .iter()
-            .filter(|(k, _)| **k != keep)
-            .min_by_key(|(_, e)| last_use(e))
-            .map(|(k, _)| *k);
-        let Some(victim) = victim else { break };
-        if let Some(evicted) = store.remove(&victim) {
-            total -= bytes(&evicted);
-            evictions.fetch_add(1, Ordering::Relaxed);
+impl<K: Eq + Hash + Clone, V: Footprint> Memo<K, V> {
+    fn new() -> Self {
+        Memo {
+            map: Mutex::default(),
+            gate: KeyGate {
+                in_flight: Mutex::default(),
+                released: Condvar::new(),
+            },
+            tick: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            waits: AtomicU64::new(0),
+            recoveries: AtomicU64::new(0),
         }
+    }
+
+    /// Bytes this tier holds right now.
+    fn bytes(&self) -> u64 {
+        self.bytes.load(Ordering::Relaxed)
+    }
+
+    fn recoveries(&self) -> u64 {
+        self.recoveries.load(Ordering::Relaxed)
+    }
+
+    /// Locks the map, recovering from poison: a holder that died
+    /// mid-insert may have left a half-written entry, so the recovered
+    /// map is cleared (and its byte total reset) and every entry is
+    /// rebuilt on demand — one panicked worker must never wedge later
+    /// lookups.
+    fn lock(&self) -> MutexGuard<'_, HashMap<K, Slot<V>>> {
+        let (mut map, recovered) = lock_recovering(&self.map);
+        if recovered {
+            map.clear();
+            self.bytes.store(0, Ordering::Relaxed);
+            self.recoveries.fetch_add(1, Ordering::Relaxed);
+        }
+        map
+    }
+
+    /// The value under `key` if one is memoised and `fits`, counted as
+    /// a hit with its LRU stamp refreshed.
+    fn hit(
+        &self,
+        map: &mut HashMap<K, Slot<V>>,
+        key: &K,
+        fits: impl Fn(&V) -> bool,
+    ) -> Option<Arc<V>> {
+        let slot = map.get_mut(key).filter(|s| fits(&s.value))?;
+        slot.last_use = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(&slot.value))
+    }
+
+    /// [`Memo::hit`] under a fresh lock: a probe that never builds.
+    fn probe(&self, key: &K, fits: impl Fn(&V) -> bool) -> Option<Arc<V>> {
+        self.hit(&mut self.lock(), key, fits)
+    }
+
+    /// The value under `key` if it `fits`; otherwise exactly one of the
+    /// concurrent callers runs `build` (outside the map lock) and
+    /// memoises its result, which every waiter then shares. `room` is
+    /// the tier's byte allowance, read at insert time.
+    fn get(
+        &self,
+        key: K,
+        fits: impl Fn(&V) -> bool,
+        build: impl FnOnce() -> V,
+        room: impl Fn() -> Option<u64>,
+    ) -> Arc<V> {
+        let _claim = loop {
+            {
+                let mut map = self.lock();
+                // Fires with the lock held: an injected fault here
+                // poisons it, exercising the recovery in `lock`.
+                fault::check_or_unwind(Site::Lock);
+                if let Some(value) = self.hit(&mut map, &key, &fits) {
+                    return value;
+                }
+            }
+            if let Some(claim) = self.gate.claim(key.clone()) {
+                break claim;
+            }
+            self.waits.fetch_add(1, Ordering::Relaxed);
+        };
+        // The claim may postdate another holder's insert — re-check.
+        if let Some(value) = self.probe(&key, &fits) {
+            return value;
+        }
+        fault::check_or_unwind(Site::Extract);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = Arc::new(build());
+        self.insert(key, Arc::clone(&value), room);
+        value
+    }
+
+    /// Memoises `value` under `key` (replacing a shorter trace prefix),
+    /// then evicts this tier's least-recently-used entries — never `key`
+    /// itself, which the caller is handing out — until its byte total
+    /// fits `room()`. Outstanding `Arc` handles keep evicted values
+    /// alive; eviction only drops the memo's reference.
+    fn insert(&self, key: K, value: Arc<V>, room: impl Fn() -> Option<u64>) {
+        let mut map = self.lock();
+        let added = value.footprint();
+        let last_use = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(old) = map.insert(key.clone(), Slot { value, last_use }) {
+            self.bytes
+                .fetch_sub(old.value.footprint(), Ordering::Relaxed);
+        }
+        self.bytes.fetch_add(added, Ordering::Relaxed);
+        let Some(room) = room() else { return };
+        while self.bytes() > room {
+            let victim = map
+                .iter()
+                .filter(|(k, _)| **k != key)
+                .min_by_key(|(_, s)| s.last_use)
+                .map(|(k, _)| k.clone());
+            let Some(evicted) = victim.and_then(|k| map.remove(&k)) else {
+                break;
+            };
+            self.bytes
+                .fetch_sub(evicted.value.footprint(), Ordering::Relaxed);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// `f` of every memoised entry, in map order.
+    fn entries<T>(&self, f: impl Fn(&K, &V) -> T) -> Vec<T> {
+        self.lock().iter().map(|(k, s)| f(k, &s.value)).collect()
     }
 }
 
-/// The `REPRO_TRACE_BUDGET` cap spans traces AND histograms: each
-/// store's slice is the cap minus what the other store already holds.
-fn enforce_budget(store: &mut HashMap<TraceKey, TraceEntry>, keep: TraceKey) {
-    let budget = trace_budget().map(|b| b.saturating_sub(hist_bytes_resident()));
-    enforce_budget_with(store, keep, budget);
+type TraceKey = (WorkloadId, u64);
+type TimelineKey = (WorkloadId, u64, usize, CacheConfig);
+/// (workload, seed, len, min line, max line, max distance, warm-up).
+type HistKey = (WorkloadId, u64, usize, u64, u64, usize, u64);
+
+/// The three memo tiers under one process-wide owner.
+struct Store {
+    traces: Memo<TraceKey, Materialised>,
+    timelines: Memo<TimelineKey, MissTimeline>,
+    hists: Memo<HistKey, ReuseHistograms>,
 }
 
-fn enforce_budget_with(
-    store: &mut HashMap<TraceKey, TraceEntry>,
-    keep: TraceKey,
-    budget: Option<u64>,
-) {
-    evict_lru(
-        store,
-        keep,
-        budget,
-        TraceEntry::bytes,
-        |e| e.last_use,
-        &TRACE_EVICTIONS,
-    );
-}
-
-fn enforce_hist_budget_with(
-    store: &mut HashMap<HistKey, HistEntry>,
-    keep: HistKey,
-    budget: Option<u64>,
-) {
-    evict_lru(
-        store,
-        keep,
-        budget,
-        HistEntry::bytes,
-        |e| e.last_use,
-        &HIST_EVICTIONS,
-    );
+fn store() -> &'static Store {
+    static STORE: OnceLock<Store> = OnceLock::new();
+    STORE.get_or_init(|| Store {
+        traces: Memo::new(),
+        timelines: Memo::new(),
+        hists: Memo::new(),
+    })
 }
 
 /// Bytes of trace data currently materialised in the store.
 pub fn bytes_resident() -> u64 {
-    lock_store(traces()).values().map(TraceEntry::bytes).sum()
-}
-
-/// Bytes of reuse-distance histogram state currently memoised.
-pub fn hist_bytes_resident() -> u64 {
-    lock_store(hists()).values().map(HistEntry::bytes).sum()
+    store().traces.bytes()
 }
 
 /// The materialised traces — `(workload label, seed, bytes)` in
 /// deterministic (label, seed) order — for the scheduler footer.
 pub fn resident_entries() -> Vec<(String, u64, u64)> {
-    let store = lock_store(traces());
-    let mut entries: Vec<_> = store
-        .iter()
-        .map(|((_, seed), e)| (e.label.clone(), *seed, e.bytes()))
-        .collect();
-    drop(store);
+    let mut entries = store()
+        .traces
+        .entries(|(_, seed), t| (t.label.clone(), *seed, t.footprint()));
     entries.sort_unstable();
     entries
 }
@@ -465,88 +504,50 @@ pub fn resident_entries() -> Vec<(String, u64, u64)> {
 /// before regenerating. Counts a trace hit (and refreshes the LRU
 /// stamp) only when it returns a handle.
 pub fn resident_workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> Option<TraceHandle> {
-    if !memoise() {
-        return None;
-    }
-    let mut store = lock_store(traces());
-    let entry = store
-        .get_mut(&(spec.id(), seed))
-        .filter(|e| e.data.len() >= len)?;
-    entry.last_use = tick();
-    TRACE_HITS.fetch_add(1, Ordering::Relaxed);
-    Some(TraceHandle {
-        data: Arc::clone(&entry.data),
-        len,
-    })
-}
-
-/// Legacy probe for a SPEC92 proxy — [`resident_workload_trace`] of the
-/// built-in spec.
-pub fn resident_trace(program: Spec92Program, seed: u64, len: usize) -> Option<TraceHandle> {
-    resident_workload_trace(builtin_spec(program), seed, len)
+    let data = store()
+        .traces
+        .probe(&(spec.id(), seed), |t| t.instrs.len() >= len)?;
+    Some(TraceHandle { data, len })
 }
 
 /// The first `len` instructions of a workload, materialised at most
 /// once per (workload identity, seed) process-wide.
 pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle {
-    if !memoise() {
-        fault::check_or_unwind(Site::Extract);
-        TRACE_MISSES.fetch_add(1, Ordering::Relaxed);
-        return TraceHandle {
-            data: generate(spec, seed, len),
-            len,
-        };
-    }
-    let mut store = lock_store(traces());
-    fault::check_or_unwind(Site::Lock);
-    let key = (spec.id(), seed);
-    let entry = store.entry(key).or_insert_with(|| TraceEntry {
-        data: Arc::new(Vec::new()),
-        label: spec.label(),
-        last_use: 0,
-    });
-    if entry.data.len() < len {
-        fault::check_or_unwind(Site::Extract);
-        entry.data = generate(spec, seed, len);
-        TRACE_MISSES.fetch_add(1, Ordering::Relaxed);
-    } else {
-        TRACE_HITS.fetch_add(1, Ordering::Relaxed);
-    }
-    entry.last_use = tick();
-    let handle = TraceHandle {
-        data: Arc::clone(&entry.data),
-        len,
-    };
-    enforce_budget(&mut store, key);
-    handle
+    let s = store();
+    let data = s.traces.get(
+        (spec.id(), seed),
+        |t| t.instrs.len() >= len,
+        || Materialised {
+            instrs: spec.compile(seed).take(len).collect(),
+            label: spec.label(),
+        },
+        || room(s.timelines.bytes() + s.hists.bytes()),
+    );
+    TraceHandle { data, len }
 }
 
-/// Legacy entry point for a SPEC92 proxy — [`workload_trace`] of the
-/// built-in spec (bit-identical to the old constructors).
-pub fn spec_trace(program: Spec92Program, seed: u64, len: usize) -> TraceHandle {
-    workload_trace(builtin_spec(program), seed, len)
+/// Feeds the workload's first `len` instructions to `fold` without
+/// pinning them: an already-materialised trace is folded in place, a
+/// cold one is generated chunk by chunk (at most one
+/// `REPRO_STREAM_CHUNK` block resident at a time).
+fn stream_prefix(spec: &WorkloadSpec, seed: u64, len: usize, fold: impl FnMut(&[Instr])) {
+    let chunk = stream::chunk_instructions();
+    match resident_workload_trace(spec, seed, len) {
+        Some(trace) => trace.chunks(chunk).for_each(fold),
+        None => spec.chunks(seed, len, chunk).for_each_chunk(fold),
+    }
 }
 
-/// Streams the workload's trace through a timeline builder without
-/// pinning it: an already-materialised trace is folded in place, a cold
-/// one is generated chunk by chunk (at most one `REPRO_STREAM_CHUNK`
-/// block resident at a time).
+/// Streams the workload's trace through a timeline builder
+/// ([`stream_prefix`]).
 fn extract_streaming(
     spec: &WorkloadSpec,
     seed: u64,
     len: usize,
     cache: &CacheConfig,
 ) -> MissTimeline {
-    let chunk = stream::chunk_instructions();
     let mut builder = MissTimelineBuilder::new(*cache);
-    if let Some(trace) = resident_workload_trace(spec, seed, len) {
-        for block in trace.chunks(chunk) {
-            builder.process_slice(block);
-        }
-    } else {
-        spec.chunks(seed, len, chunk)
-            .for_each_chunk(|block| builder.process_slice(block));
-    }
+    stream_prefix(spec, seed, len, |block| builder.process_slice(block));
     builder.finish()
 }
 
@@ -560,82 +561,19 @@ pub fn workload_timeline(
     len: usize,
     cache: &CacheConfig,
 ) -> Arc<MissTimeline> {
-    if !memoise() {
-        fault::check_or_unwind(Site::Extract);
-        TIMELINE_MISSES.fetch_add(1, Ordering::Relaxed);
-        return Arc::new(extract_streaming(spec, seed, len, cache));
-    }
-    let key = (spec.id(), seed, len, *cache);
-    loop {
-        {
-            let store = lock_store(timelines());
-            fault::check_or_unwind(Site::Lock);
-            if let Some(tl) = store.get(&key) {
-                TIMELINE_HITS.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(tl);
-            }
-        }
-        // Coalesce: exactly one thread extracts a cold key; everyone
-        // else blocks on the gate, then re-probes the memo.
-        let Some(_claim) = timeline_gate().claim(key) else {
-            continue;
-        };
-        // The claim may postdate another holder's insert — re-check.
-        if let Some(tl) = lock_store(timelines()).get(&key) {
-            TIMELINE_HITS.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(tl);
-        }
-        fault::check_or_unwind(Site::Extract);
-        TIMELINE_MISSES.fetch_add(1, Ordering::Relaxed);
-        // Extract outside the store lock so hits never serialise
-        // behind the pass; the key gate already excludes duplicates.
-        let tl = Arc::new(extract_streaming(spec, seed, len, cache));
-        return Arc::clone(lock_store(timelines()).entry(key).or_insert(tl));
-    }
-}
-
-/// Legacy entry point for a SPEC92 proxy — [`workload_timeline`] of the
-/// built-in spec.
-pub fn spec_timeline(
-    program: Spec92Program,
-    seed: u64,
-    len: usize,
-    cache: &CacheConfig,
-) -> Arc<MissTimeline> {
-    workload_timeline(builtin_spec(program), seed, len, cache)
-}
-
-/// Streams the workload's trace through a multi-granularity
-/// reuse-distance fold without pinning it (same residency contract as
-/// [`extract_streaming`]).
-fn fold_histograms(
-    spec: &WorkloadSpec,
-    seed: u64,
-    len: usize,
-    min_line: u64,
-    max_line: u64,
-    max_distance: usize,
-    warmup: u64,
-) -> ReuseHistograms {
-    let chunk = stream::chunk_instructions();
-    let mut hists = ReuseHistograms::new(min_line, max_line, max_distance, warmup);
-    if let Some(trace) = resident_workload_trace(spec, seed, len) {
-        for block in trace.chunks(chunk) {
-            hists.process_slice(block);
-        }
-    } else {
-        spec.chunks(seed, len, chunk)
-            .for_each_chunk(|block| hists.process_slice(block));
-    }
-    hists
+    let s = store();
+    s.timelines.get(
+        (spec.id(), seed, len, *cache),
+        |_| true,
+        || extract_streaming(spec, seed, len, cache),
+        || room(s.traces.bytes() + s.hists.bytes()),
+    )
 }
 
 /// The [`ReuseHistograms`] of a workload prefix, folded at most once
 /// per (workload identity, seed, length, line range, distance cap,
-/// warm-up) process-wide. The fold streams the trace chunk by chunk — a
-/// histogram lookup never materialises instructions — and the memoised
-/// state is byte-accounted under the same `REPRO_TRACE_BUDGET` cap as
-/// the traces (least-recently-used histograms are evicted first).
+/// warm-up) process-wide. The fold streams the trace ([`stream_prefix`])
+/// — a histogram lookup never materialises instructions.
 #[allow(clippy::too_many_arguments)]
 pub fn workload_histograms(
     spec: &WorkloadSpec,
@@ -646,19 +584,7 @@ pub fn workload_histograms(
     max_distance: usize,
     warmup: u64,
 ) -> Arc<ReuseHistograms> {
-    if !memoise() {
-        fault::check_or_unwind(Site::Extract);
-        HIST_MISSES.fetch_add(1, Ordering::Relaxed);
-        return Arc::new(fold_histograms(
-            spec,
-            seed,
-            len,
-            min_line,
-            max_line,
-            max_distance,
-            warmup,
-        ));
-    }
+    let s = store();
     let key = (
         spec.id(),
         seed,
@@ -668,77 +594,15 @@ pub fn workload_histograms(
         max_distance,
         warmup,
     );
-    loop {
-        {
-            let mut store = lock_store(hists());
-            fault::check_or_unwind(Site::Lock);
-            if let Some(entry) = store.get_mut(&key) {
-                entry.last_use = tick();
-                HIST_HITS.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.data);
-            }
-        }
-        // Coalesce cold folds exactly like timelines: one claimer
-        // pays, waiters re-probe the memo once it releases.
-        let Some(_claim) = hist_gate().claim(key) else {
-            continue;
-        };
-        {
-            let mut store = lock_store(hists());
-            if let Some(entry) = store.get_mut(&key) {
-                entry.last_use = tick();
-                HIST_HITS.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.data);
-            }
-        }
-        fault::check_or_unwind(Site::Extract);
-        HIST_MISSES.fetch_add(1, Ordering::Relaxed);
-        // Fold outside the store lock, and read the trace store's byte
-        // total before re-locking: the lock order is always traces →
-        // histograms, never the reverse.
-        let folded = Arc::new(fold_histograms(
-            spec,
-            seed,
-            len,
-            min_line,
-            max_line,
-            max_distance,
-            warmup,
-        ));
-        let trace_bytes = bytes_resident();
-        let mut store = lock_store(hists());
-        let entry = store.entry(key).or_insert_with(|| HistEntry {
-            data: Arc::clone(&folded),
-            last_use: 0,
-        });
-        entry.last_use = tick();
-        let handle = Arc::clone(&entry.data);
-        let budget = trace_budget().map(|b| b.saturating_sub(trace_bytes));
-        enforce_hist_budget_with(&mut store, key, budget);
-        return handle;
-    }
-}
-
-/// Legacy entry point for a SPEC92 proxy — [`workload_histograms`] of
-/// the built-in spec.
-#[allow(clippy::too_many_arguments)]
-pub fn spec_histograms(
-    program: Spec92Program,
-    seed: u64,
-    len: usize,
-    min_line: u64,
-    max_line: u64,
-    max_distance: usize,
-    warmup: u64,
-) -> Arc<ReuseHistograms> {
-    workload_histograms(
-        builtin_spec(program),
-        seed,
-        len,
-        min_line,
-        max_line,
-        max_distance,
-        warmup,
+    s.hists.get(
+        key,
+        |_| true,
+        || {
+            let mut hists = ReuseHistograms::new(min_line, max_line, max_distance, warmup);
+            stream_prefix(spec, seed, len, |block| hists.process_slice(block));
+            hists
+        },
+        || room(s.traces.bytes() + s.timelines.bytes()),
     )
 }
 
@@ -746,7 +610,8 @@ pub fn spec_histograms(
 mod tests {
     use super::*;
     use crate::common::figure1_cache;
-    use simtrace::spec92::spec92_trace;
+    use simtrace::spec92::{spec92_trace, Spec92Program};
+    use simtrace::workload::builtin_spec;
 
     fn id_of(program: Spec92Program) -> WorkloadId {
         builtin_spec(program).id()
@@ -765,9 +630,10 @@ mod tests {
 
     #[test]
     fn store_shares_one_backing_across_lengths() {
-        let a = spec_trace(Spec92Program::Nasa7, 99, 1_000);
-        let b = spec_trace(Spec92Program::Nasa7, 99, 3_000);
-        let c = spec_trace(Spec92Program::Nasa7, 99, 2_000);
+        let nasa7 = builtin_spec(Spec92Program::Nasa7);
+        let a = workload_trace(nasa7, 99, 1_000);
+        let b = workload_trace(nasa7, 99, 3_000);
+        let c = workload_trace(nasa7, 99, 2_000);
         assert_eq!(a.instrs(), &b.instrs()[..1_000]);
         assert_eq!(c.instrs(), &b.instrs()[..2_000]);
         // After the 3 000-instruction materialisation, shorter requests
@@ -779,14 +645,16 @@ mod tests {
     #[test]
     fn timelines_are_memoised_and_match_direct_extraction() {
         let cache = figure1_cache(32);
-        let first = spec_timeline(Spec92Program::Ear, 42, 4_000, &cache);
-        let second = spec_timeline(Spec92Program::Ear, 42, 4_000, &cache);
+        let ear = builtin_spec(Spec92Program::Ear);
+        let first = workload_timeline(ear, 42, 4_000, &cache);
+        let second = workload_timeline(ear, 42, 4_000, &cache);
         assert!(
             Arc::ptr_eq(&first, &second),
             "second lookup must hit the memo"
         );
         let direct = MissTimeline::extract(cache, spec92_trace(Spec92Program::Ear, 42).take(4_000));
         assert_eq!(*first, direct);
+        assert!(stats().timeline_bytes >= first.footprint());
     }
 
     #[test]
@@ -800,55 +668,120 @@ mod tests {
         assert_eq!(parse_bytes("k"), None);
     }
 
-    fn entry(n_instrs: usize, last_use: u64) -> TraceEntry {
-        TraceEntry {
-            data: Arc::new(vec![Instr::plain(0u64); n_instrs]),
+    fn trace_of(n_instrs: usize) -> Materialised {
+        Materialised {
+            instrs: vec![Instr::plain(0u64); n_instrs],
             label: "test".to_string(),
-            last_use,
         }
     }
 
     #[test]
-    fn budget_evicts_least_recently_used_first() {
-        let a = (id_of(Spec92Program::Nasa7), 1);
-        let b = (id_of(Spec92Program::Ear), 2);
-        let c = (id_of(Spec92Program::Doduc), 3);
-        let mut store = HashMap::new();
-        store.insert(a, entry(100, 5)); // 2400 B, most recent
-        store.insert(b, entry(100, 1)); // 2400 B, oldest
-        store.insert(c, entry(100, 3)); // 2400 B
-                                        // Budget for two entries: the oldest (b) goes first.
-        enforce_budget_with(&mut store, a, Some(4_800));
-        assert!(store.contains_key(&a) && store.contains_key(&c));
-        assert!(!store.contains_key(&b));
-        // Unset budget never evicts.
-        enforce_budget_with(&mut store, a, None);
-        assert_eq!(store.len(), 2);
+    fn memo_budget_evicts_least_recently_used_first() {
+        let key = |seed| (id_of(Spec92Program::Nasa7), seed);
+        let memo = Memo::new();
+        let one = trace_of(100).footprint(); // 2400 B
+        for seed in 1..=3 {
+            memo.insert(key(seed), Arc::new(trace_of(100)), || None);
+        }
+        assert_eq!(memo.lock().len(), 3, "an unset budget never evicts");
+        assert_eq!(memo.bytes(), 3 * one);
+        // A hit refreshes the stamp: 1 becomes the most recent, 2 the
+        // oldest.
+        assert!(memo.probe(&key(1), |_| true).is_some());
+        // Budget for two entries: the inserted 4 plus the most recent
+        // other (1) stay; the oldest two (2, then 3) go first.
+        memo.insert(key(4), Arc::new(trace_of(100)), || Some(2 * one));
+        let map = memo.lock();
+        assert!(map.contains_key(&key(1)) && map.contains_key(&key(4)));
+        assert!(!map.contains_key(&key(2)) && !map.contains_key(&key(3)));
+        drop(map);
+        assert_eq!(memo.evictions.load(Ordering::Relaxed), 2);
+        assert_eq!(memo.bytes(), 2 * one);
+        // Unset budget still never evicts.
+        memo.insert(key(5), Arc::new(trace_of(100)), || None);
+        assert_eq!(memo.lock().len(), 3);
     }
 
     #[test]
-    fn budget_never_evicts_the_trace_being_handed_out() {
-        let a = (id_of(Spec92Program::Nasa7), 1);
-        let b = (id_of(Spec92Program::Ear), 2);
-        let mut store = HashMap::new();
-        store.insert(a, entry(1_000, 1)); // oldest AND just-used
-        store.insert(b, entry(1_000, 2));
-        // Budget fits nothing: everything but `keep` is evicted.
-        enforce_budget_with(&mut store, a, Some(0));
-        assert!(store.contains_key(&a), "the handed-out trace must survive");
-        assert_eq!(store.len(), 1);
+    fn memo_budget_never_evicts_the_entry_being_handed_out() {
+        let key = |seed| (id_of(Spec92Program::Ear), seed);
+        let memo = Memo::new();
+        memo.insert(key(1), Arc::new(trace_of(1_000)), || None);
+        let held = memo.probe(&key(1), |_| true).expect("memoised");
+        // A budget that fits nothing: everything but the inserted key is
+        // evicted, and outstanding handles keep their backing alive.
+        let kept = Arc::new(trace_of(1_000));
+        memo.insert(key(2), Arc::clone(&kept), || Some(0));
+        let map = memo.lock();
+        assert!(map.contains_key(&key(2)), "the handed-out entry survives");
+        assert_eq!(map.len(), 1);
+        drop(map);
+        assert_eq!(memo.bytes(), kept.footprint());
+        assert_eq!(held.instrs.len(), 1_000);
+    }
+
+    #[test]
+    fn memo_budget_bounds_timelines() {
+        let cache = figure1_cache(32);
+        let key = |seed| (id_of(Spec92Program::Ear), seed, 4_000, cache);
+        let extract =
+            |seed| MissTimeline::extract(cache, spec92_trace(Spec92Program::Ear, seed).take(4_000));
+        let (first, second) = (extract(1), extract(2));
+        let fits_one = first.footprint().max(second.footprint());
+        assert!(fits_one < first.footprint() + second.footprint());
+        let memo = Memo::new();
+        memo.insert(key(1), Arc::new(first), || Some(fits_one));
+        memo.insert(key(2), Arc::new(second), || Some(fits_one));
+        let map = memo.lock();
+        assert!(!map.contains_key(&key(1)) && map.contains_key(&key(2)));
+        drop(map);
+        assert_eq!(memo.evictions.load(Ordering::Relaxed), 1);
+        assert!(memo.bytes() <= fits_one);
+    }
+
+    #[test]
+    fn memo_replaces_a_value_that_does_not_fit() {
+        let memo: Memo<u64, Materialised> = Memo::new();
+        let at_least = |n: usize| move |t: &Materialised| t.instrs.len() >= n;
+        memo.get(7, at_least(10), || trace_of(10), || None);
+        let longer = memo.get(7, at_least(20), || trace_of(20), || None);
+        let shorter = memo.get(7, at_least(15), || unreachable!("fits"), || None);
+        assert!(Arc::ptr_eq(&longer, &shorter), "shorter requests alias it");
+        assert_eq!(memo.misses.load(Ordering::Relaxed), 2);
+        assert_eq!(memo.hits.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            memo.bytes(),
+            longer.footprint(),
+            "the replaced value's bytes are released"
+        );
+    }
+
+    #[test]
+    fn memo_poison_recovery_clears_the_map_and_its_bytes() {
+        let memo: Memo<u64, Materialised> = Memo::new();
+        memo.insert(1, Arc::new(trace_of(10)), || None);
+        let _ = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _map = memo.lock();
+                panic!("holder dies mid-insert");
+            })
+            .join()
+        });
+        assert!(memo.lock().is_empty());
+        assert_eq!(memo.bytes(), 0);
+        assert_eq!(memo.recoveries(), 1);
     }
 
     #[test]
     fn resident_probe_sees_only_materialised_prefixes() {
         let seed = 0x5EED_0001; // unique to this test: no cross-test interference
-        let program = Spec92Program::Wave5;
-        assert!(resident_trace(program, seed, 100).is_none());
-        let full = spec_trace(program, seed, 2_000);
-        let probe = resident_trace(program, seed, 1_500).expect("prefix is resident");
+        let wave5 = builtin_spec(Spec92Program::Wave5);
+        assert!(resident_workload_trace(wave5, seed, 100).is_none());
+        let full = workload_trace(wave5, seed, 2_000);
+        let probe = resident_workload_trace(wave5, seed, 1_500).expect("prefix is resident");
         assert_eq!(&full.instrs()[..1_500], probe.instrs());
         assert!(
-            resident_trace(program, seed, 3_000).is_none(),
+            resident_workload_trace(wave5, seed, 3_000).is_none(),
             "longer than materialised must miss"
         );
     }
@@ -857,7 +790,7 @@ mod tests {
     fn byte_accounting_tracks_materialisations() {
         let seed = 0x5EED_0002;
         let before = bytes_resident();
-        let _t = spec_trace(Spec92Program::Hydro2d, seed, 1_000);
+        let _t = workload_trace(builtin_spec(Spec92Program::Hydro2d), seed, 1_000);
         let after = bytes_resident();
         assert_eq!(after - before, (1_000 * INSTR_BYTES) as u64);
         assert!(resident_entries()
@@ -870,8 +803,9 @@ mod tests {
     #[test]
     fn histograms_are_memoised_and_match_a_direct_fold() {
         let seed = 0x5EED_0004;
-        let first = spec_histograms(Spec92Program::Ear, seed, 4_000, 8, 64, 512, 800);
-        let second = spec_histograms(Spec92Program::Ear, seed, 4_000, 8, 64, 512, 800);
+        let ear = builtin_spec(Spec92Program::Ear);
+        let first = workload_histograms(ear, seed, 4_000, 8, 64, 512, 800);
+        let second = workload_histograms(ear, seed, 4_000, 8, 64, 512, 800);
         assert!(
             Arc::ptr_eq(&first, &second),
             "second lookup must hit the memo"
@@ -882,44 +816,7 @@ mod tests {
         for line in [8, 16, 32, 64] {
             assert_eq!(first.profile(line), direct.profile(line), "line={line}");
         }
-        assert!(hist_bytes_resident() > 0);
-    }
-
-    #[test]
-    fn hist_budget_evicts_least_recently_used_first() {
-        fn entry(last_use: u64) -> HistEntry {
-            HistEntry {
-                data: Arc::new(ReuseHistograms::new(32, 32, 64, 0)),
-                last_use,
-            }
-        }
-        let key = |seed| {
-            (
-                id_of(Spec92Program::Nasa7),
-                seed,
-                100,
-                32u64,
-                32u64,
-                64usize,
-                0u64,
-            )
-        };
-        let mut store = HashMap::new();
-        store.insert(key(1), entry(5)); // most recent
-        store.insert(key(2), entry(1)); // oldest
-        store.insert(key(3), entry(3));
-        let one = store[&key(1)].bytes();
-        // Budget for two entries: the oldest goes first.
-        enforce_hist_budget_with(&mut store, key(1), Some(2 * one));
-        assert!(store.contains_key(&key(1)) && store.contains_key(&key(3)));
-        assert!(!store.contains_key(&key(2)));
-        // A zero budget evicts everything but `keep`.
-        enforce_hist_budget_with(&mut store, key(1), Some(0));
-        assert!(store.contains_key(&key(1)), "the handed-out entry survives");
-        assert_eq!(store.len(), 1);
-        // Unset budget never evicts.
-        enforce_hist_budget_with(&mut store, key(1), None);
-        assert_eq!(store.len(), 1);
+        assert!(stats().hist_bytes > 0);
     }
 
     #[test]
@@ -933,7 +830,7 @@ mod tests {
             MissTimeline::extract(cache, spec92_trace(Spec92Program::Swm256, seed).take(6_000));
         assert_eq!(cold, direct);
         // Warm path: folds the resident slice instead.
-        let _pin = spec_trace(Spec92Program::Swm256, seed, 6_000);
+        let _pin = workload_trace(spec, seed, 6_000);
         let warm = extract_streaming(spec, seed, 6_000, &cache);
         assert_eq!(warm, direct);
     }

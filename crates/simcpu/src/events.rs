@@ -274,6 +274,17 @@ impl MissTimeline {
         self.stats.accesses()
     }
 
+    /// Approximate heap footprint, for the trace-store byte budget.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.events.len() * size_of::<MissEvent>()
+            + self.echo_instrs.len() * size_of::<u64>()
+            + self.echo_addrs.len() * size_of::<Addr>()
+            + self.echo_stores.len() * size_of::<bool>()
+            + self.prelude.len() * size_of::<Echo>()
+            + size_of::<Self>()
+    }
+
     /// Whether [`TimelineCpu`] reproduces `Cpu::run` bit-identically for
     /// this configuration; callers must fall back to the full simulator
     /// when this is `false`.
@@ -968,5 +979,21 @@ mod tests {
         assert_eq!(tl.event_count(), 1);
         let r = tl.replay(&cfg);
         assert_eq!(r, Cpu::new(cfg).run(warm.iter().copied()));
+    }
+
+    #[test]
+    fn byte_footprint_counts_events_and_echoes() {
+        let empty = MissTimeline::extract(cache(), std::iter::empty());
+        use std::mem::size_of;
+        assert_eq!(empty.bytes(), size_of::<MissTimeline>());
+        let tl = MissTimeline::extract(cache(), trace(Spec92Program::Ear));
+        let echoes = tl.echo_instrs.len();
+        assert!(tl.event_count() > 0 && echoes > 0);
+        assert_eq!(
+            tl.bytes() - empty.bytes(),
+            tl.event_count() * size_of::<MissEvent>()
+                + echoes * (size_of::<u64>() + size_of::<Addr>() + size_of::<bool>())
+                + tl.prelude.len() * size_of::<Echo>()
+        );
     }
 }

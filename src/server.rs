@@ -339,6 +339,11 @@ impl ServerStats {
                     ("trace_bytes", Json::num(st.trace_bytes as f64)),
                     ("hist_bytes", Json::num(st.hist_bytes as f64)),
                     ("poison_recoveries", Json::num(st.poison_recoveries as f64)),
+                    (
+                        "timeline_evictions",
+                        Json::num(st.timeline_evictions as f64),
+                    ),
+                    ("timeline_bytes", Json::num(st.timeline_bytes as f64)),
                 ]),
             ),
         ])

@@ -62,7 +62,12 @@ fn streaming_timeline_matches_whole_trace_extraction() {
     let whole: Vec<Instr> = spec92_trace(Spec92Program::Ear, seed).take(N).collect();
     let oracle = MissTimeline::extract(cache, whole.iter().copied());
     // Cold store lookup streams chunk by chunk — identical timeline.
-    let streamed = bench::tracestore::spec_timeline(Spec92Program::Ear, seed, N, &cache);
+    let streamed = bench::tracestore::workload_timeline(
+        simtrace::workload::builtin_spec(Spec92Program::Ear),
+        seed,
+        N,
+        &cache,
+    );
     assert_eq!(*streamed, oracle);
     // A mixed one-pass pipeline folds the same timeline again.
     let out = stream::broadcast(
