@@ -2,13 +2,19 @@
 # CI gate: tier-1 verification plus lint, exactly what a PR must pass.
 #
 #   ./ci.sh          tier-1 (release build + full test suite) + fmt +
-#                    clippy + manifest (committed results/ hash-verified
-#                    against a fresh parallel suite run) + faults (canned
-#                    fault plan degrades the suite instead of killing it)
+#                    clippy + perfbench (the benchmark package builds
+#                    against the crates with its committed lock file and
+#                    its unit tests pass) + manifest (committed results/
+#                    hash-verified against a fresh parallel suite run) +
+#                    faults (canned fault plan degrades the suite instead
+#                    of killing it)
 #                    + stream (1 M-instruction streaming smoke with an
 #                    RSS ceiling and a materialised oracle comparison)
 #                    + analytic (closed-form backend bit-exact on FA LRU,
 #                    within tolerance on the comparison grid)
+#                    + serve (tradeoff-server smoke: canned queries over
+#                    HTTP byte-match the CLI, /stats proves memoisation
+#                    and timeline byte accounting, clean shutdown)
 #                    + chaos (armed serve-path fault plan: sheds are
 #                    deterministic and survivable, no worker dies, and
 #                    the post-chaos canned answer is byte-identical to
@@ -16,17 +22,11 @@
 #                    + workloads (every example spec validates, builtin
 #                    specs keep their pinned content hashes and stay
 #                    bit-identical to the legacy constructors)
-#   ./ci.sh bench    additionally regenerate BENCH_sweep.json (figure-6
-#                    grid), BENCH_phi.json (figure-1 timeline engine),
-#                    BENCH_stream.json (5 M-instruction chunked
-#                    pipeline), BENCH_analytic.json (closed-form
-#                    miss-ratio backend) and BENCH_serve.json (query
-#                    serving path: hot/cold qps, keep-alive speedup,
-#                    overload tail latency + shed rate) from the
-#                    criterion benches (slow; perf-sensitive PRs)
-#                    + serve (tradeoff-server smoke: canned queries over
-#                    HTTP byte-match the CLI, /stats proves memoisation
-#                    and timeline byte accounting, clean shutdown)
+#   ./ci.sh bench    additionally run perfbench/ on its three workloads
+#                    with the per-layer ledger (suite, serve_hot,
+#                    plan_cold; see perfbench/README.md), then the
+#                    stream and analytic gates at 5 M instructions
+#                    (slow; perf-sensitive PRs)
 #   ./ci.sh manifest run only the manifest staleness check
 #   ./ci.sh faults   run only the fault-injection degradation check
 #   ./ci.sh stream   run only the streaming smoke
@@ -96,23 +96,26 @@ faults_check() {
 }
 
 analytic_check() {
-    echo "==> analytic: closed-form backend exactness and tolerance gates"
+    local n="${1:-120000}"
+    echo "==> analytic: closed-form backend exactness and tolerance gates ($n instructions)"
     # Gate 1: fully-associative LRU answers must be bit-equal to live
     # Cache replay (Mattson inclusion is exact, not approximate).
     # Gate 2: the binomial set-conflict model must stay within the
     # pinned tolerance of the stack-distance sweeps across the whole
     # comparison grid, all six proxies. The binary exits nonzero on any
     # violation.
-    cargo run --release -q -p bench --bin analytic_check
+    cargo run --release -q -p bench --bin analytic_check -- --instructions "$n"
 }
 
 stream_check() {
-    echo "==> stream: 1 M-instruction chunked pipeline, bounded RSS + oracle"
+    local n="${1:-1000000}"
+    echo "==> stream: $n-instruction chunked pipeline, bounded RSS + oracle"
     # The streamed folds must stay byte-identical to the materialise-
-    # then-scan oracle, and peak RSS must stay far below the 24 MB a
-    # materialised 1 M-instruction trace would pin (the binary checks
-    # VmHWM before its oracle pass materialises anything).
-    cargo run --release -q -p bench --bin stream_smoke --         --instructions 1000000 --rss-limit-mb 64
+    # then-scan oracle, and peak RSS must stay far below what the
+    # materialised trace would pin (24 MB at 1 M instructions; the
+    # binary checks VmHWM before its oracle pass materialises anything).
+    cargo run --release -q -p bench --bin stream_smoke -- \
+        --instructions "$n" --rss-limit-mb 64
 }
 
 # Starts a two-worker tradeoff-server in the background (extra server
@@ -319,6 +322,9 @@ cargo fmt --check
 echo "==> lint: cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> perfbench: builds with its committed lock file, unit tests pass"
+CARGO_TARGET_DIR=.bench_build cargo test --offline --locked --manifest-path perfbench/Cargo.toml
+
 manifest_check
 faults_check
 stream_check
@@ -328,21 +334,12 @@ chaos_check
 workloads_check
 
 if [[ "${1:-}" == "bench" ]]; then
-    echo "==> perf: figure-6 grid sweep benchmark (writes BENCH_sweep.json)"
-    cargo bench -p bench --bench sweep
-    cat BENCH_sweep.json
-    echo "==> perf: figure-1 timeline-engine benchmark (writes BENCH_phi.json)"
-    cargo bench -p bench --bench phi
-    cat BENCH_phi.json
-    echo "==> perf: streaming chunked-pipeline benchmark (writes BENCH_stream.json)"
-    cargo bench -p bench --bench stream
-    cat BENCH_stream.json
-    echo "==> perf: closed-form miss-ratio backend benchmark (writes BENCH_analytic.json)"
-    cargo bench -p bench --bench analytic
-    cat BENCH_analytic.json
-    echo "==> perf: query-server serving-path benchmark (writes BENCH_serve.json)"
-    cargo bench --bench serve
-    cat BENCH_serve.json
+    for workload in suite serve_hot plan_cold; do
+        echo "==> perf: perfbench --workload $workload (ledger, then record)"
+        bash perfbench/run.sh --workload "$workload" --trace 1
+    done
+    stream_check 5000000
+    analytic_check 5000000
 fi
 
 echo "CI green."

@@ -105,7 +105,11 @@ fn main() {
         None | Some("list") => list(args.get(1).map_or("", String::as_str)),
         Some("run") => run(&args[1..]),
         Some(id) => match registry::find(id) {
-            Some(exp) => println!("{}", registry::main_report(exp)),
+            Some(exp) => {
+                let report = exp.run(&RunCtx::standard());
+                registry::write_artifacts_warn(&bench::common::results_dir(), &report.artifacts);
+                println!("{}", report.section);
+            }
             None => {
                 eprintln!("error: no experiment with id {id:?} (try `exp list`)");
                 std::process::exit(2);

@@ -65,8 +65,8 @@ pub fn run_spec(
 }
 
 /// Runs one SPEC92 proxy point through the full CPU simulation — the
-/// oracle path [`run_spec`] is asserted against, kept public for the
-/// `phi` criterion bench and any configuration the timeline rejects.
+/// oracle path [`run_spec`] is asserted against, and the fallback for
+/// any configuration the timeline rejects.
 pub fn run_spec_oracle(
     program: Spec92Program,
     stall: StallFeature,

@@ -118,12 +118,6 @@ impl Experiment for Exp {
     }
 }
 
-/// Entry point shared by the binary and the suite driver (runs at
-/// the standard context and writes artifacts to the results dir).
-pub fn main_report() -> String {
-    crate::registry::main_report(&Exp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,7 +163,7 @@ mod tests {
 
     #[test]
     fn render_mentions_both_cases() {
-        let text = main_report();
+        let text = Exp.run(&RunCtx::standard()).section;
         assert!(text.contains("Case 1") && text.contains("Case 2"));
     }
 }

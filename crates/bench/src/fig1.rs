@@ -109,60 +109,6 @@ impl Experiment for Exp {
     }
 }
 
-/// Entry point shared by the binary and the suite driver.
-pub fn main_report() -> String {
-    crate::registry::main_report(&Exp)
-}
-
-/// Wall-clock record of the Figure-1 sweep through the miss-event
-/// timeline engine versus per-point full simulation, written to
-/// `BENCH_phi.json` by `cargo bench -p bench --bench phi`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhiBenchResult {
-    /// (feature × β_m × program) points measured.
-    pub points: usize,
-    /// Trace length in instructions.
-    pub instructions: usize,
-    /// Wall-clock seconds for per-point full simulation.
-    pub full_secs: f64,
-    /// Wall-clock seconds for extract-once + replay-per-point.
-    pub timeline_secs: f64,
-}
-
-impl PhiBenchResult {
-    /// Full-simulation time over timeline time.
-    pub fn speedup(&self) -> f64 {
-        self.full_secs / self.timeline_secs
-    }
-
-    /// Timing points per second through the timeline engine.
-    pub fn points_per_sec(&self) -> f64 {
-        self.points as f64 / self.timeline_secs
-    }
-
-    /// Serialises the record as a small JSON document.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"benchmark\": \"figure1_phi\",\n  \"points\": {},\n  \"instructions\": {},\n  \"full_secs\": {:.6},\n  \"timeline_secs\": {:.6},\n  \"speedup\": {:.2},\n  \"points_per_sec\": {:.1}\n}}\n",
-            self.points,
-            self.instructions,
-            self.full_secs,
-            self.timeline_secs,
-            self.speedup(),
-            self.points_per_sec(),
-        )
-    }
-
-    /// Writes the JSON record to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error on failure.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -260,90 +260,6 @@ pub fn dense_render(
     )
 }
 
-/// Timing comparison between the sweep simulator and the closed-form
-/// analytic backend, as recorded in `BENCH_analytic.json` by the
-/// `analytic` benchmark.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnalyticBenchResult {
-    /// Trace length in instructions.
-    pub instructions: usize,
-    /// Workloads measured.
-    pub workloads: usize,
-    /// Figure-6 grid points answered by both backends (total across
-    /// workloads).
-    pub fig6_points: usize,
-    /// Wall-clock seconds for the simulated backend to answer the
-    /// Figure-6 grid (sweep folds plus point reads).
-    pub sim_fig6_secs: f64,
-    /// Wall-clock seconds for the analytic backend to answer the same
-    /// grid from memoised histograms (closed form, no simulation).
-    pub analytic_fig6_secs: f64,
-    /// One-time cost of the streaming reuse-distance folds the
-    /// analytic answers amortise (disclosed separately: the trace
-    /// store memoises it across every grid the suite asks for).
-    pub hist_pass_secs: f64,
-    /// Largest |ΔHR| between the backends over the Figure-6 grid.
-    pub max_delta_hr: f64,
-    /// The pinned [`SET_CONFLICT_TOLERANCE`] the divergence is held to.
-    pub tolerance: f64,
-    /// Dense analytic-only grid points answered (total across
-    /// workloads).
-    pub dense_points: usize,
-    /// Wall-clock seconds to answer the dense grid from warm
-    /// histograms.
-    pub dense_eval_secs: f64,
-}
-
-impl AnalyticBenchResult {
-    /// Figure-6 points per second, simulated backend.
-    pub fn sim_points_per_sec(&self) -> f64 {
-        self.fig6_points as f64 / self.sim_fig6_secs
-    }
-
-    /// Figure-6 points per second, analytic backend.
-    pub fn analytic_points_per_sec(&self) -> f64 {
-        self.fig6_points as f64 / self.analytic_fig6_secs
-    }
-
-    /// Points-per-second ratio of the backends on the Figure-6 grid.
-    pub fn fig6_speedup(&self) -> f64 {
-        self.sim_fig6_secs / self.analytic_fig6_secs
-    }
-
-    /// Dense-grid points per second through the analytic backend.
-    pub fn dense_points_per_sec(&self) -> f64 {
-        self.dense_points as f64 / self.dense_eval_secs
-    }
-
-    /// Serialises the record as a small JSON document.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"benchmark\": \"analytic_backend\",\n  \"instructions\": {},\n  \"workloads\": {},\n  \"fig6_points\": {},\n  \"sim_fig6_secs\": {:.6},\n  \"analytic_fig6_secs\": {:.6},\n  \"fig6_speedup\": {:.1},\n  \"hist_pass_secs\": {:.6},\n  \"max_delta_hr\": {:.6},\n  \"tolerance\": {},\n  \"dense_points\": {},\n  \"dense_eval_secs\": {:.6},\n  \"dense_points_per_sec\": {:.1}\n}}\n",
-            self.instructions,
-            self.workloads,
-            self.fig6_points,
-            self.sim_fig6_secs,
-            self.analytic_fig6_secs,
-            self.fig6_speedup(),
-            self.hist_pass_secs,
-            self.max_delta_hr,
-            self.tolerance,
-            self.dense_points,
-            self.dense_eval_secs,
-            self.dense_points_per_sec(),
-        )
-    }
-
-    /// Writes the JSON record to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error on failure.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
 /// Registry entry for this experiment.
 pub struct Exp;
 
@@ -390,11 +306,6 @@ impl Experiment for Exp {
             artifacts: vec![artifact(&results)],
         }
     }
-}
-
-/// Entry point shared by the binary and the `run_all` driver.
-pub fn main_report() -> String {
-    crate::registry::main_report(&Exp)
 }
 
 #[cfg(test)]
@@ -475,36 +386,5 @@ mod tests {
         let std = DenseGrid::standard();
         assert_eq!(std.points(), 166_720);
         assert!(std.points() * 6 >= 1_000_000, "six proxies cross 1M points");
-    }
-
-    #[test]
-    fn analytic_bench_json_carries_the_claim_fields() {
-        let r = AnalyticBenchResult {
-            instructions: 5_000_000,
-            workloads: 6,
-            fig6_points: 210,
-            sim_fig6_secs: 12.0,
-            analytic_fig6_secs: 0.12,
-            hist_pass_secs: 20.0,
-            max_delta_hr: 0.17,
-            tolerance: SET_CONFLICT_TOLERANCE,
-            dense_points: 1_000_320,
-            dense_eval_secs: 6.0,
-        };
-        assert!((r.fig6_speedup() - 100.0).abs() < 1e-9);
-        assert!((r.dense_points_per_sec() - 166_720.0).abs() < 1e-6);
-        assert!((r.sim_points_per_sec() - 17.5).abs() < 1e-9);
-        assert!((r.analytic_points_per_sec() - 1750.0).abs() < 1e-9);
-        let json = r.to_json();
-        for key in [
-            "\"benchmark\": \"analytic_backend\"",
-            "\"fig6_speedup\": 100.0",
-            "\"max_delta_hr\": 0.170000",
-            "\"tolerance\": 0.2",
-            "\"dense_points\": 1000320",
-            "\"dense_points_per_sec\": 166720.0",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
     }
 }

@@ -173,15 +173,6 @@ impl Experiment for Exp {
     }
 }
 
-/// Entry point shared by the binary and the `run_all` driver.
-///
-/// # Panics
-///
-/// Panics if the canonical parameters were invalid (they are not).
-pub fn main_report() -> String {
-    crate::registry::main_report(&Exp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,7 +22,6 @@ use simcache::stackdist::StackDistSweep;
 use simcpu::{MissTimeline, MissTimelineBuilder};
 use simtrace::chunk::{ChunkedTrace, DEFAULT_CHUNK_INSTRUCTIONS};
 use simtrace::{Instr, ReuseHistograms};
-use std::path::Path;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -87,7 +86,7 @@ impl ChunkSink for ReuseHistograms {
 }
 
 /// A heterogeneous sink for pipelines folding sweeps and timelines out
-/// of one generation pass (the `stream_smoke` / `BENCH_stream` shape).
+/// of one generation pass (the `stream_smoke` shape).
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum FoldSink {
@@ -272,91 +271,6 @@ pub fn fold_slice<S: ChunkSink>(data: &[Instr], chunk_len: usize, sinks: Vec<S>)
     })
 }
 
-/// Timing comparison between the materialise-then-scan baseline and the
-/// streaming chunked pipeline at a paper-scale trace length, as
-/// recorded in `BENCH_stream.json` by the `stream` benchmark.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamBenchResult {
-    /// Figure-6 grid points measured.
-    pub grid_points: usize,
-    /// Figure-1 φ timing points measured.
-    pub phi_points: usize,
-    /// Trace length in instructions.
-    pub instructions: usize,
-    /// Instructions per streamed chunk.
-    pub chunk_instructions: usize,
-    /// Wall-clock seconds for the materialise-then-scan baseline
-    /// (collect the trace, replay it per grid config, full-simulate it
-    /// per φ point).
-    pub baseline_secs: f64,
-    /// Wall-clock seconds for the streaming pipeline (chunked
-    /// generation folded into sweeps + a timeline, then O(misses)
-    /// replays).
-    pub streaming_secs: f64,
-    /// Trace length of the long streaming-only run (the baseline
-    /// cannot materialise this many instructions in bounded memory).
-    pub large_instructions: usize,
-    /// Wall-clock seconds for the long streaming-only run.
-    pub large_streaming_secs: f64,
-}
-
-impl StreamBenchResult {
-    /// Total design points measured per pass.
-    pub fn points(&self) -> usize {
-        self.grid_points + self.phi_points
-    }
-
-    /// Baseline time over streaming time — equivalently the
-    /// points-per-second ratio, since both paths answer the same
-    /// points.
-    pub fn speedup(&self) -> f64 {
-        self.baseline_secs / self.streaming_secs
-    }
-
-    /// Design points per second through the streaming pipeline.
-    pub fn points_per_sec(&self) -> f64 {
-        self.points() as f64 / self.streaming_secs
-    }
-
-    /// Design points per second through the baseline.
-    pub fn baseline_points_per_sec(&self) -> f64 {
-        self.points() as f64 / self.baseline_secs
-    }
-
-    /// Instructions per second through the long streaming-only run.
-    pub fn large_instr_per_sec(&self) -> f64 {
-        self.large_instructions as f64 / self.large_streaming_secs
-    }
-
-    /// Serialises the record as a small JSON document.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"benchmark\": \"streaming_pipeline\",\n  \"grid_points\": {},\n  \"phi_points\": {},\n  \"instructions\": {},\n  \"chunk_instructions\": {},\n  \"baseline_secs\": {:.6},\n  \"streaming_secs\": {:.6},\n  \"baseline_points_per_sec\": {:.1},\n  \"points_per_sec\": {:.1},\n  \"speedup\": {:.2},\n  \"large_instructions\": {},\n  \"large_streaming_secs\": {:.6},\n  \"large_instr_per_sec\": {:.1}\n}}\n",
-            self.grid_points,
-            self.phi_points,
-            self.instructions,
-            self.chunk_instructions,
-            self.baseline_secs,
-            self.streaming_secs,
-            self.baseline_points_per_sec(),
-            self.points_per_sec(),
-            self.speedup(),
-            self.large_instructions,
-            self.large_streaming_secs,
-            self.large_instr_per_sec(),
-        )
-    }
-
-    /// Writes the JSON record to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error on failure.
-    pub fn write_json(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,40 +350,6 @@ mod tests {
         let via_stream = broadcast(source(), 999, vec![sweep_sink()]);
         for k in 0..=6 {
             assert_eq!(via_slice[0].stats(k, 2), via_stream[0].stats(k, 2));
-        }
-    }
-
-    #[test]
-    fn bench_record_round_trips_the_numbers() {
-        let r = StreamBenchResult {
-            grid_points: 35,
-            phi_points: 12,
-            instructions: 5_000_000,
-            chunk_instructions: 65_536,
-            baseline_secs: 10.0,
-            streaming_secs: 2.0,
-            large_instructions: 50_000_000,
-            large_streaming_secs: 25.0,
-        };
-        assert_eq!(r.points(), 47);
-        assert!((r.speedup() - 5.0).abs() < 1e-12);
-        assert!((r.points_per_sec() - 23.5).abs() < 1e-9);
-        assert!((r.large_instr_per_sec() - 2_000_000.0).abs() < 1e-6);
-        let json = r.to_json();
-        for key in [
-            "streaming_pipeline",
-            "grid_points",
-            "phi_points",
-            "chunk_instructions",
-            "baseline_secs",
-            "streaming_secs",
-            "points_per_sec",
-            "speedup",
-            "large_instructions",
-            "large_streaming_secs",
-            "large_instr_per_sec",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
         }
     }
 

@@ -16,7 +16,6 @@ use simcache::explore::HitRatioPoint;
 use simcache::stackdist::StackDistSweep;
 use simtrace::spec92::Spec92Program;
 use smithval::TableModel;
-use std::path::Path;
 
 /// Trace seed shared with the line-size experiment, so the sweep's
 /// numbers are directly comparable to `linesize.csv`.
@@ -294,60 +293,6 @@ impl Experiment for Exp {
     }
 }
 
-/// Entry point shared by the binary and the `run_all` driver.
-pub fn main_report() -> String {
-    crate::registry::main_report(&Exp)
-}
-
-/// Timing comparison between the per-configuration replay and the
-/// single-pass sweep on the same grid, as recorded in
-/// `BENCH_sweep.json` by the `sweep` benchmark.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepBenchResult {
-    /// Grid points measured.
-    pub grid_points: usize,
-    /// Trace length in instructions.
-    pub instructions: usize,
-    /// Wall-clock seconds for the per-configuration replay grid.
-    pub replay_secs: f64,
-    /// Wall-clock seconds for the single-pass sweep grid.
-    pub sweep_secs: f64,
-}
-
-impl SweepBenchResult {
-    /// Replay time over sweep time.
-    pub fn speedup(&self) -> f64 {
-        self.replay_secs / self.sweep_secs
-    }
-
-    /// Grid points per second through the sweep engine.
-    pub fn points_per_sec(&self) -> f64 {
-        self.grid_points as f64 / self.sweep_secs
-    }
-
-    /// Serialises the record as a small JSON document.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"benchmark\": \"figure6_grid\",\n  \"grid_points\": {},\n  \"instructions\": {},\n  \"replay_secs\": {:.6},\n  \"sweep_secs\": {:.6},\n  \"speedup\": {:.2},\n  \"points_per_sec\": {:.1}\n}}\n",
-            self.grid_points,
-            self.instructions,
-            self.replay_secs,
-            self.sweep_secs,
-            self.speedup(),
-            self.points_per_sec(),
-        )
-    }
-
-    /// Writes the JSON record to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error on failure.
-    pub fn write_json(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,28 +352,6 @@ mod tests {
         match &a.kind {
             report::ArtifactKind::Csv { rows, .. } => assert_eq!(rows.len(), grid.points()),
             other => panic!("expected CSV artifact, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn bench_record_round_trips_the_numbers() {
-        let r = SweepBenchResult {
-            grid_points: 35,
-            instructions: 60_000,
-            replay_secs: 7.0,
-            sweep_secs: 0.5,
-        };
-        assert!((r.speedup() - 14.0).abs() < 1e-12);
-        assert!((r.points_per_sec() - 70.0).abs() < 1e-9);
-        let json = r.to_json();
-        for key in [
-            "grid_points",
-            "replay_secs",
-            "sweep_secs",
-            "speedup",
-            "points_per_sec",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
         }
     }
 

@@ -129,12 +129,6 @@ impl Experiment for Exp {
     }
 }
 
-/// Entry point shared by the binary and the suite driver (runs at
-/// the standard context and writes artifacts to the results dir).
-pub fn main_report() -> String {
-    crate::registry::main_report(&Exp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,8 +167,8 @@ mod tests {
     }
 
     #[test]
-    fn main_report_renders_both_tables() {
-        let text = main_report();
+    fn report_renders_both_tables() {
+        let text = Exp.run(&RunCtx::standard()).section;
         assert!(text.contains("Table 2"));
         assert!(text.contains("Table 3"));
         assert!(text.contains("β_p = β + q(L/D − 1)"));

@@ -36,7 +36,7 @@
 //! additional geometry costs `O(window)` floats (exact) or `O(assoc)`
 //! per point on the log-bucketed path ([`Resolution::Bucketed`]) — a
 //! million-point design grid evaluates in less time than the simulated
-//! backend needs for the 35-point Figure-6 grid (`BENCH_analytic.json`).
+//! backend needs for the 35-point Figure-6 grid.
 
 use crate::config::CacheConfig;
 use crate::stackdist::StackDistSweep;

@@ -1189,8 +1189,7 @@ pub fn http_call(
 }
 
 /// A persistent (keep-alive) HTTP/1.1 client connection: many calls,
-/// one TCP stream. Used by the keep-alive tests and `benches/serve.rs`
-/// to measure reuse against connection-per-request.
+/// one TCP stream. Used by the keep-alive tests.
 #[derive(Debug)]
 pub struct HttpClient {
     stream: TcpStream,
