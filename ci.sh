@@ -35,9 +35,10 @@
 #   ./ci.sh chaos    run only the query-server chaos gate (armed
 #                    REPRO_FAULTS plan: forced accept sheds ridden out
 #                    by client retries, a slow read inside the budget, a
-#                    contained dispatch panic, a watchdog-abandoned
-#                    hang, and a 6x overload flood — the pool must keep
-#                    its size and a post-chaos canned query must be
+#                    contained dispatch panic, a hang cancelled at its
+#                    deadline, and a 6x overload flood — the pool must
+#                    keep its size, no cancelled request may leave a
+#                    thread behind, and a post-chaos canned query must be
 #                    byte-identical to a clean server's answer)
 #   ./ci.sh workloads run only the workload-spec gate (every example
 #                    spec in workloads/ validates; the six builtin
@@ -72,7 +73,7 @@ faults_check() {
     echo "==> faults: canned fault plan must degrade, not abort, the suite"
     local tmp out status
     tmp="$(mktemp -d)"
-    # One panic (fig2) and one hang caught by the watchdog (victim): the
+    # One panic (fig2) and one hang cancelled at its deadline (victim): the
     # keep-going parallel run must complete the other 26 experiments,
     # record per-experiment statuses in the manifest, and exit nonzero.
     set +e
@@ -140,6 +141,24 @@ spawn_server() {
     addr="$(cat "$tmp/addr")"
 }
 
+# The OS thread count of the caller's $server_pid (Linux /proc).
+server_threads() {
+    awk '/^Threads:/ {print $2}' "/proc/$server_pid/status"
+}
+
+# Waits up to 1 s for server_threads to return to the baseline $2;
+# fails naming the step $1 otherwise.
+expect_threads() {
+    local step="$1" want="$2" now
+    for _ in $(seq 1 10); do
+        now="$(server_threads)"
+        [[ "$now" -eq "$want" ]] && return 0
+        sleep 0.1
+    done
+    echo "FAIL: $step left $now server threads running, $want at baseline"
+    exit 1
+}
+
 serve_check() {
     echo "==> serve: tradeoff-server smoke (byte parity, memoisation, shutdown)"
     local tmp addr req local_out remote_out server_pid
@@ -173,7 +192,7 @@ serve_check() {
 
 chaos_check() {
     echo "==> chaos: armed faults must shed, contain, and recover (4 = worker death, 5 = policy drift)"
-    local tmp addr req clean_out post_out server_pid out status started elapsed sheds served p
+    local tmp addr req clean_out post_out server_pid out status started elapsed sheds served p baseline
     tmp="$(mktemp -d)"
     req='{"query":"simulate","program":"ear","instructions":50000,"stall":"bnl3"}'
 
@@ -199,8 +218,9 @@ chaos_check() {
         || { echo "FAIL: retries did not ride out the accept sheds"; exit 1; }
     grep -q '"sheds_accept":2' <<< "$out" \
         || { echo "FAIL: expected 2 accept sheds before the first answer: $out"; exit 5; }
+    baseline="$(server_threads)"
 
-    # 2. A poisoned query unwinds inside the dispatch thread: a typed
+    # 2. A poisoned query unwinds inside its contained dispatch: a typed
     #    500, and the worker pool is untouched (checked in step 5).
     set +e
     out="$(cargo run --release -q --bin tradeoff-cli -- \
@@ -211,8 +231,9 @@ chaos_check() {
     grep -q 'panicked' <<< "$out" \
         || { echo "FAIL: expected a contained panic, got: $out"; exit 1; }
 
-    # 3. A hung handler is abandoned by the watchdog at the 1 s
-    #    deadline: 504 in seconds, not the 60 s the hang would take.
+    # 3. A hung handler's sleep is cancelled at the 1 s deadline: 504
+    #    in seconds, not the 60 s the hang would take, and no thread
+    #    is left sleeping it out.
     started=$SECONDS
     set +e
     out="$(cargo run --release -q --bin tradeoff-cli -- \
@@ -224,7 +245,8 @@ chaos_check() {
     grep -q 'deadline-exceeded' <<< "$out" \
         || { echo "FAIL: expected deadline-exceeded, got: $out"; exit 1; }
     [[ "$elapsed" -le 15 ]] \
-        || { echo "FAIL: watchdog took ${elapsed}s against a 1 s deadline"; exit 1; }
+        || { echo "FAIL: the hang took ${elapsed}s against a 1 s deadline"; exit 1; }
+    expect_threads "the cancelled hang" "$baseline"
 
     # 4. Overload flood: 12 concurrent heavy simulates on 2 workers
     #    with a queue watermark of 2. The shed policy must act (503
@@ -245,6 +267,7 @@ chaos_check() {
         || { echo "FAIL: 6x overload flood shed nothing (served $served/12)"; exit 5; }
     [[ "$served" -ge 1 ]] \
         || { echo "FAIL: overload flood served nothing"; cat "$tmp"/flood.*.err; exit 5; }
+    expect_threads "the overload flood" "$baseline"
 
     # 5. /stats invariants: nobody died, and every armed fault left a
     #    mark on the policy counters.
@@ -254,7 +277,7 @@ chaos_check() {
     grep -q '"panics_contained":1' <<< "$out" \
         || { echo "FAIL: panic not contained or not counted: $out"; exit 5; }
     grep -Eq '"deadline_timeouts":[1-9]' <<< "$out" \
-        || { echo "FAIL: watchdog timeout not counted: $out"; exit 5; }
+        || { echo "FAIL: deadline timeout not counted: $out"; exit 5; }
     grep -q '"sheds_accept":2' <<< "$out" \
         || { echo "FAIL: accept-shed count drifted: $out"; exit 5; }
     grep -Eq '"sheds_dispatch":[1-9]' <<< "$out" \
@@ -269,7 +292,7 @@ chaos_check() {
     cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --shutdown > /dev/null
     wait "$server_pid" \
         || { echo "FAIL: chaos server exited nonzero after graceful shutdown"; exit 1; }
-    echo "    chaos: 2 sheds ridden out, panic + hang contained, $sheds/12 flood sheds, pool intact, byte-identical recovery"
+    echo "    chaos: 2 sheds ridden out, panic + hang contained, $sheds/12 flood sheds, pool intact, $baseline threads after each cancellation, byte-identical recovery"
     rm -rf "$tmp"
 }
 

@@ -14,7 +14,7 @@
 //! With `--keep-going`, a panicking, hung or persistently failing
 //! experiment is recorded as a typed failure and the rest of the suite
 //! still runs; the manifest then carries a per-experiment status
-//! section. `REPRO_EXP_TIMEOUT=secs` arms the per-experiment watchdog
+//! section. `REPRO_EXP_TIMEOUT=secs` arms the per-experiment deadline
 //! and `REPRO_FAULTS=site:exp:kind[:times],...` arms deterministic
 //! fault injection (see `DESIGN.md` §11).
 //!

@@ -3,7 +3,7 @@
 //! Three layers, from innermost out:
 //!
 //! * [`ExpFailure`] — one experiment went wrong (panicked, overran its
-//!   watchdog deadline, or exhausted its transient-error retries). The
+//!   per-experiment deadline, or exhausted its transient-error retries). The
 //!   scheduler turns these into per-experiment outcomes instead of
 //!   letting them abort the pool; `--keep-going` runs collect them.
 //! * [`Error`] — a whole [`crate::sched::drive`] call could not produce
@@ -26,7 +26,7 @@ use std::time::Duration;
 pub enum FailureKind {
     /// The experiment's `run` (or an extraction it triggered) panicked.
     Panicked,
-    /// The experiment overran the per-experiment watchdog deadline.
+    /// The experiment overran its per-experiment deadline.
     TimedOut {
         /// The configured deadline it overran.
         limit: Duration,

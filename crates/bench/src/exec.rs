@@ -40,34 +40,39 @@ pub fn worker_count(jobs: usize) -> usize {
 ///
 /// Propagates a panic from any job after the pool drains, preserving
 /// the original payload — so the scheduler's panic containment still
-/// sees a typed [`fault::TransientUnwind`] raised inside a worker.
+/// sees a typed [`fault::TransientUnwind`] or [`fault::DeadlineExceeded`]
+/// raised inside a worker. Every job is a cancellation point.
 pub fn parallel_map<I, O, F>(items: &[I], f: F) -> Vec<O>
 where
     I: Sync,
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
+    let job = |item: &I| {
+        fault::check_deadline();
+        f(item)
+    };
     let workers = worker_count(items.len());
     if workers <= 1 {
-        return items.iter().map(f).collect();
+        return items.iter().map(job).collect();
     }
     let cursor = AtomicUsize::new(0);
-    // Workers inherit the spawner's current-experiment so targeted
-    // fault injection reaches extractions that fan out over the pool.
-    let exp = fault::current();
+    // Workers inherit the spawner's experiment and deadline so targeted
+    // fault injection and cancellation reach jobs on the pool.
+    let inherited = fault::scope();
     let parts: Vec<Vec<(usize, O)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let cursor = &cursor;
-                let f = &f;
-                let exp = exp.clone();
+                let job = &job;
+                let inherited = inherited.clone();
                 scope.spawn(move || {
-                    let _scope = fault::enter_shared(exp);
+                    let _scope = fault::enter_shared(inherited);
                     let mut local = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(item) = items.get(i) else { break };
-                        local.push((i, f(item)));
+                        local.push((i, job(item)));
                     }
                     local
                 })

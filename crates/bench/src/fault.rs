@@ -37,15 +37,23 @@
 //! shed connections with `503`, `read:serve:delay…` simulates a slow
 //! peer eating the request deadline, `dispatch:serve:panic` poisons a
 //! handler to exercise per-request panic containment, and
-//! `dispatch:serve:delay…` hangs one so the watchdog answers `504`.
-//! `./ci.sh chaos` floods a server under such a plan.
+//! `dispatch:serve:delay…` hangs one until its deadline cancels it
+//! with a `504`. `./ci.sh chaos` floods a server under such a plan.
+//!
+//! The scope also carries an optional deadline (the server's request
+//! budget, the scheduler's `REPRO_EXP_TIMEOUT`). Cancellation is
+//! cooperative: the work calls [`check_deadline`] at each streamed
+//! trace chunk, each [`crate::exec`] job and in a `delay` fault's
+//! sleep, which past the deadline unwinds with [`DeadlineExceeded`].
+//! Cancelled work overruns by at most one 64 K-instruction chunk or one
+//! pool job, and no thread outlives it.
 
 use crate::error::lock_recovering;
 use std::cell::RefCell;
 use std::io;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Environment variable holding the fault plan.
 pub const ENV_PLAN: &str = "REPRO_FAULTS";
@@ -69,7 +77,7 @@ pub enum Site {
     /// peer (eats the request deadline), `io` a mid-body disconnect.
     Read,
     /// Request dispatch on a server worker: `panic` exercises
-    /// per-request containment, `delay` the `504` watchdog.
+    /// per-request containment, `delay` the `504` deadline.
     Dispatch,
 }
 
@@ -109,8 +117,8 @@ pub enum FaultKind {
     /// Raise an injected I/O error (a *transient* failure: retried
     /// under the scheduler's bounded-backoff policy).
     Io,
-    /// Sleep for the given duration (combined with `REPRO_EXP_TIMEOUT`
-    /// this exercises the watchdog).
+    /// Sleep for the given duration, cut short by the scope's deadline
+    /// (with `REPRO_EXP_TIMEOUT` this exercises cancellation).
     Delay(Duration),
 }
 
@@ -229,7 +237,12 @@ impl FaultPlan {
                         site.name()
                     )))
                 }
-                FaultKind::Delay(d) => std::thread::sleep(d),
+                FaultKind::Delay(d) => {
+                    let end = Instant::now() + d;
+                    let until = deadline().map_or(end, |dl| dl.min(end));
+                    std::thread::sleep(until.saturating_duration_since(Instant::now()));
+                    check_deadline();
+                }
             }
         }
         Ok(())
@@ -242,38 +255,93 @@ impl FaultPlan {
 #[derive(Debug)]
 pub struct TransientUnwind(pub String);
 
-thread_local! {
-    static CURRENT_EXP: RefCell<Option<Arc<str>>> = const { RefCell::new(None) };
+/// The message of a caught panic payload: the `&str` or `String` a
+/// `panic!` carries, or a placeholder for any other payload type.
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Scope guard restoring the previous current-experiment on drop.
+/// Unwind payload of [`check_deadline`]: the scope's deadline passed
+/// and the work stopped. The server answers it `504`, the scheduler
+/// records `timed-out`.
+#[derive(Debug)]
+pub struct DeadlineExceeded;
+
+/// A thread's fault scope: the experiment it runs for and the deadline
+/// its work must meet. Cloned into pool workers so both follow the
+/// work across threads.
+#[derive(Debug, Clone, Default)]
+pub struct Scope {
+    exp: Option<Arc<str>>,
+    deadline: Option<Instant>,
+}
+
+thread_local! {
+    static CURRENT: RefCell<Scope> = RefCell::default();
+}
+
+/// Scope guard restoring the previous scope on drop.
 #[derive(Debug)]
 pub struct ExpScope {
-    prev: Option<Arc<str>>,
+    prev: Scope,
 }
 
 impl Drop for ExpScope {
     fn drop(&mut self) {
-        CURRENT_EXP.with(|c| *c.borrow_mut() = self.prev.take());
+        CURRENT.with(|c| *c.borrow_mut() = std::mem::take(&mut self.prev));
     }
 }
 
-/// Marks this thread as running experiment `id` until the guard drops.
+/// Marks this thread as running experiment `id` until the guard drops,
+/// keeping the enclosing deadline.
 pub fn enter(id: &str) -> ExpScope {
-    enter_shared(Some(Arc::from(id)))
+    enter_until(id, deadline())
 }
 
-/// [`enter`] with an already-shared id (or `None` to clear) — how
-/// [`crate::exec`] workers inherit their spawner's experiment.
-pub fn enter_shared(id: Option<Arc<str>>) -> ExpScope {
+/// [`enter`] with its own `deadline` (`None` lifts any enclosing one).
+pub fn enter_until(id: &str, deadline: Option<Instant>) -> ExpScope {
+    enter_shared(Scope {
+        exp: Some(Arc::from(id)),
+        deadline,
+    })
+}
+
+/// Enters a scope taken from another thread with [`scope`] — how
+/// [`crate::exec`] and [`crate::stream`] workers inherit their
+/// spawner's experiment and deadline.
+pub fn enter_shared(scope: Scope) -> ExpScope {
     ExpScope {
-        prev: CURRENT_EXP.with(|c| c.replace(id)),
+        prev: CURRENT.with(|c| c.replace(scope)),
     }
+}
+
+/// This thread's scope, for a spawned worker to [`enter_shared`].
+pub fn scope() -> Scope {
+    CURRENT.with(|c| c.borrow().clone())
 }
 
 /// The experiment this thread is currently running for, if any.
 pub fn current() -> Option<Arc<str>> {
-    CURRENT_EXP.with(|c| c.borrow().clone())
+    CURRENT.with(|c| c.borrow().exp.clone())
+}
+
+/// The deadline this thread's work must meet, if any.
+fn deadline() -> Option<Instant> {
+    CURRENT.with(|c| c.borrow().deadline)
+}
+
+/// The cancellation point: unwinds with [`DeadlineExceeded`] once this
+/// thread's scope deadline has passed, a no-op otherwise (and without
+/// reading the clock when no deadline is set). The unwind goes through
+/// [`std::panic::resume_unwind`], so the panic hook prints nothing.
+pub fn check_deadline() {
+    if deadline().is_some_and(|d| Instant::now() >= d) {
+        std::panic::resume_unwind(Box::new(DeadlineExceeded));
+    }
 }
 
 fn armed() -> &'static Mutex<Option<Arc<FaultPlan>>> {
@@ -444,6 +512,34 @@ mod tests {
         assert_eq!(current().as_deref(), Some("outer"));
         drop(outer);
         assert!(current().is_none());
+    }
+
+    #[test]
+    fn a_passed_deadline_unwinds_and_cuts_a_delay_short() {
+        let _armed = arm(FaultPlan::new().with(
+            Site::Run,
+            "slow",
+            FaultKind::Delay(Duration::from_secs(60)),
+            1,
+        ));
+        check_deadline(); // no deadline: a no-op
+        let started = Instant::now();
+        let payload = std::panic::catch_unwind(|| {
+            let _scope = enter_until("slow", Some(started + Duration::from_millis(50)));
+            {
+                let _nested = enter("nested");
+                assert!(deadline().is_some(), "enter keeps the deadline");
+            }
+            let _ = check(Site::Run);
+        })
+        .unwrap_err();
+        assert!(payload.is::<DeadlineExceeded>());
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "sleep cut short"
+        );
+        assert!(current().is_none(), "scope restored by the unwind");
+        check_deadline(); // and the deadline went with it
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 //!
 //! The pipeline is fault-isolated: experiments run under panic
-//! containment with optional watchdog deadlines and bounded retries
+//! containment with optional cooperative deadlines and bounded retries
 //! ([`sched`]), every failure path is exercisable deterministically via
 //! [`fault`] injection (`REPRO_FAULTS`), and degraded suites record
 //! per-experiment statuses in the manifest. See `DESIGN.md` §11.

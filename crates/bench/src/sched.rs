@@ -13,9 +13,11 @@
 //!
 //! Every experiment executes *contained*: a panic is caught and becomes
 //! a typed [`ExpFailure`] outcome instead of tearing down the pool, an
-//! optional per-experiment watchdog (`REPRO_EXP_TIMEOUT` seconds, off
+//! optional per-experiment deadline (`REPRO_EXP_TIMEOUT` seconds, off
 //! by default) turns hangs into `timed-out` outcomes, and transient
 //! (injected or I/O) errors are retried under a bounded backoff policy.
+//! The deadline is cooperative (see [`fault`]): the experiment stops at
+//! its next trace chunk or pool job past it and leaves no thread behind.
 //! A strict run stops scheduling at the first failure; `keep_going`
 //! completes every runnable experiment and records per-experiment
 //! statuses in the manifest. With no faults armed and no experiment
@@ -36,10 +38,10 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Environment variable holding the per-experiment watchdog deadline in
+/// Environment variable holding the per-experiment deadline in
 /// (possibly fractional) seconds. Unset or non-positive disables it.
 pub const ENV_TIMEOUT: &str = "REPRO_EXP_TIMEOUT";
 
@@ -91,7 +93,7 @@ pub struct SuiteOptions {
     /// Complete all runnable experiments instead of stopping the suite
     /// at the first failure (`--keep-going`).
     pub keep_going: bool,
-    /// Per-experiment watchdog deadline (default: [`ENV_TIMEOUT`]).
+    /// Per-experiment deadline (default: [`ENV_TIMEOUT`]).
     pub timeout: Option<Duration>,
     /// Transient-failure retry policy.
     pub retry: RetryPolicy,
@@ -99,7 +101,7 @@ pub struct SuiteOptions {
 
 impl SuiteOptions {
     /// `jobs`-way execution at context `ctx`, strict (not keep-going),
-    /// watchdog from [`ENV_TIMEOUT`], default retry policy.
+    /// deadline from [`ENV_TIMEOUT`], default retry policy.
     pub fn new(jobs: usize, ctx: RunCtx) -> SuiteOptions {
         SuiteOptions {
             jobs,
@@ -122,7 +124,7 @@ impl SuiteOptions {
         self
     }
 
-    /// Sets the watchdog deadline (builder style).
+    /// Sets the per-experiment deadline (builder style).
     #[must_use]
     pub fn with_timeout(mut self, timeout: Option<Duration>) -> SuiteOptions {
         self.timeout = timeout;
@@ -325,64 +327,38 @@ enum AttemptError {
     Transient(String),
     /// Fatal: the experiment (or an extraction it ran) panicked.
     Panicked(String),
-    /// Fatal: the watchdog deadline passed.
+    /// Fatal: the deadline passed and cancelled the attempt.
     TimedOut(Duration),
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
 /// One contained attempt on the current thread: marks the experiment
-/// for fault targeting, fires the `run` injection site, and catches any
-/// unwind — a [`fault::TransientUnwind`] (injected I/O raised inside an
-/// infallible call chain) stays retryable, anything else is a panic.
+/// for fault targeting (under the `opts.timeout` deadline), fires the
+/// `run` injection site, and catches any unwind — a
+/// [`fault::TransientUnwind`] (injected I/O raised inside an infallible
+/// call chain) stays retryable, a [`fault::DeadlineExceeded`] is a
+/// timeout, anything else is a panic.
 fn attempt_contained(
     exp: &'static dyn Experiment,
-    ctx: &RunCtx,
+    opts: &SuiteOptions,
 ) -> Result<ExpReport, AttemptError> {
-    let _scope = fault::enter(exp.id());
+    let deadline = opts.timeout.map(|limit| Instant::now() + limit);
+    let _scope = fault::enter_until(exp.id(), deadline);
     catch_unwind(AssertUnwindSafe(|| {
         // Inside the containment boundary: a panic-kind fault at the
         // run site must be caught like any experiment panic, and an
         // I/O-kind one unwinds as a retryable TransientUnwind.
         fault::check_or_unwind(Site::Run);
-        exp.run(ctx)
+        exp.run(&opts.ctx)
     }))
     .map_err(
-        |payload| match payload.downcast_ref::<fault::TransientUnwind>() {
-            Some(transient) => AttemptError::Transient(transient.0.clone()),
-            None => AttemptError::Panicked(panic_text(payload.as_ref())),
+        |payload| match payload.downcast::<fault::TransientUnwind>() {
+            Ok(transient) => AttemptError::Transient(transient.0),
+            Err(p) if p.is::<fault::DeadlineExceeded>() => {
+                AttemptError::TimedOut(opts.timeout.unwrap_or_default())
+            }
+            Err(p) => AttemptError::Panicked(fault::panic_text(p.as_ref())),
         },
     )
-}
-
-/// One attempt, under the watchdog when a deadline is configured: the
-/// experiment runs on a dedicated thread and the scheduler waits at
-/// most `limit`; on expiry the runaway thread is abandoned (it parks no
-/// pool worker and its late result is dropped with the channel).
-fn attempt(exp: &'static dyn Experiment, opts: &SuiteOptions) -> Result<ExpReport, AttemptError> {
-    let Some(limit) = opts.timeout else {
-        return attempt_contained(exp, &opts.ctx);
-    };
-    let (tx, rx) = mpsc::channel();
-    let ctx = opts.ctx.clone();
-    let spawned = std::thread::Builder::new()
-        .name(format!("exp-{}", exp.id()))
-        .spawn(move || {
-            let _ = tx.send(attempt_contained(exp, &ctx));
-        });
-    if let Err(e) = spawned {
-        return Err(AttemptError::Transient(format!(
-            "could not spawn watchdogged worker: {e}"
-        )));
-    }
-    rx.recv_timeout(limit)
-        .unwrap_or(Err(AttemptError::TimedOut(limit)))
 }
 
 fn run_one(exp: &'static dyn Experiment, opts: &SuiteOptions) -> ExpOutcome {
@@ -390,7 +366,7 @@ fn run_one(exp: &'static dyn Experiment, opts: &SuiteOptions) -> ExpOutcome {
     let start = Instant::now();
     let mut retries = 0u32;
     let result = loop {
-        match attempt(exp, opts) {
+        match attempt_contained(exp, opts) {
             Ok(report) => {
                 break Ok(ExpOutput {
                     section: report.section,
@@ -840,12 +816,20 @@ mod tests {
             FaultKind::Delay(Duration::from_secs(60)),
             1,
         ));
+        let started = Instant::now();
         let run = run_suite(
             &fakes(),
             &SuiteOptions {
                 timeout: Some(Duration::from_millis(100)),
                 ..opts(2).keep_going(true)
             },
+        );
+        // The deadline cancels the 60 s sleep itself: run_suite returns
+        // with no thread left sleeping it out.
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the hang was not cut short: {:?}",
+            started.elapsed()
         );
         assert_eq!(run.outcomes[2].status(), "timed-out");
         assert_eq!(

@@ -180,6 +180,7 @@ impl ChunkSink for FoldSink {
 /// # Panics
 ///
 /// Propagates a panic from any sink, and panics if `chunk_len` is 0.
+/// Each chunk is a cancellation point ([`fault::check_deadline`]).
 pub fn broadcast<I, S>(source: I, chunk_len: usize, sinks: Vec<S>) -> Vec<S::Out>
 where
     I: Iterator<Item = Instr>,
@@ -190,6 +191,7 @@ where
         let mut sinks = sinks;
         let mut buf = Vec::with_capacity(chunk_len);
         while chunks.next_chunk_into(&mut buf) {
+            fault::check_deadline();
             for sink in &mut sinks {
                 sink.consume(&buf);
             }
@@ -197,9 +199,9 @@ where
         return sinks.into_iter().map(ChunkSink::finish).collect();
     }
 
-    // Consumers inherit the spawner's current-experiment so targeted
-    // fault injection reaches folds that fan out over the pipeline.
-    let exp = fault::current();
+    // Consumers inherit the spawner's fault scope (experiment and
+    // deadline) so faults and cancellation reach every fold.
+    let inherited = fault::scope();
     std::thread::scope(|scope| {
         let mut senders = Vec::with_capacity(sinks.len());
         let handles: Vec<_> = sinks
@@ -207,9 +209,9 @@ where
             .map(|mut sink| {
                 let (tx, rx) = mpsc::sync_channel::<Arc<Vec<Instr>>>(IN_FLIGHT_CHUNKS);
                 senders.push(tx);
-                let exp = exp.clone();
+                let inherited = inherited.clone();
                 scope.spawn(move || {
-                    let _scope = fault::enter_shared(exp);
+                    let _scope = fault::enter_shared(inherited);
                     while let Ok(chunk) = rx.recv() {
                         sink.consume(&chunk);
                     }
@@ -219,6 +221,7 @@ where
             .collect();
         let mut buf = Vec::with_capacity(chunk_len);
         while chunks.next_chunk_into(&mut buf) {
+            fault::check_deadline();
             let shared = Arc::new(std::mem::replace(&mut buf, Vec::with_capacity(chunk_len)));
             for tx in &senders {
                 // A closed channel means that consumer panicked; keep
@@ -237,27 +240,30 @@ where
 /// Folds an already-materialised trace through every sink in
 /// `chunk_len` blocks — the warm-store fast path: no copy, no
 /// generation, same chunk boundaries (hence bit-identical folds) as
-/// [`broadcast`] over the equivalent generator.
+/// [`broadcast`] over the equivalent generator, and the same per-chunk
+/// cancellation point.
 pub fn fold_slice<S: ChunkSink>(data: &[Instr], chunk_len: usize, sinks: Vec<S>) -> Vec<S::Out> {
     assert!(chunk_len > 0, "chunk length must be at least 1");
     if exec::worker_count(sinks.len()) <= 1 || sinks.len() <= 1 {
         let mut sinks = sinks;
         for chunk in data.chunks(chunk_len) {
+            fault::check_deadline();
             for sink in &mut sinks {
                 sink.consume(chunk);
             }
         }
         return sinks.into_iter().map(ChunkSink::finish).collect();
     }
-    let exp = fault::current();
+    let inherited = fault::scope();
     std::thread::scope(|scope| {
         let handles: Vec<_> = sinks
             .into_iter()
             .map(|mut sink| {
-                let exp = exp.clone();
+                let inherited = inherited.clone();
                 scope.spawn(move || {
-                    let _scope = fault::enter_shared(exp);
+                    let _scope = fault::enter_shared(inherited);
                     for chunk in data.chunks(chunk_len) {
+                        fault::check_deadline();
                         sink.consume(chunk);
                     }
                     sink.finish()

@@ -511,15 +511,20 @@ pub fn resident_workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> Op
 }
 
 /// The first `len` instructions of a workload, materialised at most
-/// once per (workload identity, seed) process-wide.
+/// once per (workload identity, seed) process-wide, chunk by chunk
+/// through [`stream_prefix`] (so each chunk is a cancellation point).
 pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle {
     let s = store();
     let data = s.traces.get(
         (spec.id(), seed),
         |t| t.instrs.len() >= len,
-        || Materialised {
-            instrs: spec.compile(seed).take(len).collect(),
-            label: spec.label(),
+        || {
+            let mut instrs = Vec::with_capacity(len);
+            stream_prefix(spec, seed, len, |block| instrs.extend_from_slice(block));
+            Materialised {
+                instrs,
+                label: spec.label(),
+            }
         },
         || room(s.timelines.bytes() + s.hists.bytes()),
     );
@@ -529,12 +534,17 @@ pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle
 /// Feeds the workload's first `len` instructions to `fold` without
 /// pinning them: an already-materialised trace is folded in place, a
 /// cold one is generated chunk by chunk (at most one
-/// `REPRO_STREAM_CHUNK` block resident at a time).
-fn stream_prefix(spec: &WorkloadSpec, seed: u64, len: usize, fold: impl FnMut(&[Instr])) {
+/// `REPRO_STREAM_CHUNK` block resident at a time). Each chunk is a
+/// cancellation point ([`fault::check_deadline`]).
+fn stream_prefix(spec: &WorkloadSpec, seed: u64, len: usize, mut fold: impl FnMut(&[Instr])) {
     let chunk = stream::chunk_instructions();
+    let mut checked = |block: &[Instr]| {
+        fault::check_deadline();
+        fold(block);
+    };
     match resident_workload_trace(spec, seed, len) {
-        Some(trace) => trace.chunks(chunk).for_each(fold),
-        None => spec.chunks(seed, len, chunk).for_each_chunk(fold),
+        Some(trace) => trace.chunks(chunk).for_each(checked),
+        None => spec.chunks(seed, len, chunk).for_each_chunk(&mut checked),
     }
 }
 
@@ -770,6 +780,51 @@ mod tests {
         assert!(memo.lock().is_empty());
         assert_eq!(memo.bytes(), 0);
         assert_eq!(memo.recoveries(), 1);
+    }
+
+    #[test]
+    fn memo_a_cancelled_claimant_releases_its_key() {
+        let cache = figure1_cache(32);
+        let ear = builtin_spec(Spec92Program::Ear);
+        let (seed, len) = (0x5EED_0006, 20_000);
+        let key = (ear.id(), seed, len, cache);
+        let memo = Memo::new();
+        let (claimed, on_claim) = std::sync::mpsc::channel();
+        let waited = std::thread::scope(|s| {
+            let claimant = s.spawn(|| {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_millis(50);
+                let _scope = fault::enter_until("cancelled", Some(deadline));
+                memo.get(
+                    key,
+                    |_| true,
+                    || {
+                        claimed.send(()).unwrap();
+                        // Outlast the deadline: the build's first chunk
+                        // is then its cancellation point.
+                        std::thread::sleep(std::time::Duration::from_millis(100));
+                        extract_streaming(ear, seed, len, &cache)
+                    },
+                    || None,
+                )
+            });
+            on_claim.recv().unwrap();
+            // Blocks on the claimant's key until the unwind releases it.
+            let waiter = s.spawn(|| {
+                memo.get(
+                    key,
+                    |_| true,
+                    || extract_streaming(ear, seed, len, &cache),
+                    || None,
+                )
+            });
+            let payload = claimant.join().unwrap_err();
+            assert!(payload.is::<fault::DeadlineExceeded>());
+            waiter.join().unwrap()
+        });
+        let direct = MissTimeline::extract(cache, spec92_trace(Spec92Program::Ear, seed).take(len));
+        assert_eq!(*waited, direct);
+        assert_eq!(memo.recoveries(), 0, "a cancelled build poisons nothing");
+        assert_eq!(memo.misses.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -34,8 +34,10 @@
 //!   server stays observable under load.
 //! * **Deadlines.** Every request gets a budget (`--request-timeout`,
 //!   overridable *downward* per request via `X-Request-Timeout-Ms`)
-//!   measured from its first byte. A stuck handler is abandoned by a
-//!   watchdog and answered `504 deadline-exceeded`; the worker survives.
+//!   measured from its first byte, and is the [`bench::fault`] deadline
+//!   of the inline dispatch: the query's work stops at its next trace
+//!   chunk or pool job past it and answers `504 deadline-exceeded`, so
+//!   no work outlives its answer or escapes `--max-inflight`.
 //! * **Panic containment.** Dispatch runs under `catch_unwind`: a
 //!   panicking query answers `500 internal` and the pool keeps its
 //!   size — an invariant `/stats` exposes as `pool.size`/`pool.alive`.
@@ -564,17 +566,6 @@ fn recv_request(
     }
 }
 
-/// The request's remaining deadline at a decision point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Deadline {
-    /// No budget configured and none requested.
-    Unbounded,
-    /// This much budget left.
-    Within(Duration),
-    /// The budget is already gone: answer 504 without dispatching.
-    Expired,
-}
-
 /// Combines the server budget with the client's header override —
 /// downward only: the header can shorten the budget, never extend it.
 fn effective_budget(server: Duration, header_ms: Option<u64>) -> Option<Duration> {
@@ -712,79 +703,49 @@ impl Outcome {
     }
 }
 
-/// Downcasts a panic payload to something printable.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-text panic payload".to_string()
+/// Runs `dispatch` inline under `catch_unwind`, with the request's
+/// deadline as the fault scope's: past it the work cancels itself at
+/// its next trace chunk or pool job and unwinds with
+/// [`fault::DeadlineExceeded`], answered `504 deadline-exceeded`. Any
+/// other panic answers `500 internal`, and the pool keeps its size. A
+/// budget already spent answers `504` without dispatching. The
+/// `dispatch` fault site fires inside the guarded region.
+fn dispatch_guarded(
+    req: &QueryRequest,
+    deadline: Option<Instant>,
+    stats: &ServerStats,
+) -> (u16, String) {
+    let timed_out = |when: &str| {
+        stats.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
+        let message = format!("request deadline expired {when} dispatch");
+        (504, wire_error("deadline-exceeded", &message))
+    };
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return timed_out("before");
     }
-}
-
-/// Runs `dispatch` with PR 4's containment discipline: on a spawned
-/// watchdog thread (`recv_timeout` abandons a stuck handler and answers
-/// `504 deadline-exceeded`) and under `catch_unwind` (a panicking query
-/// answers `500 internal`; the pool keeps its size). The `dispatch`
-/// fault site fires inside the guarded region.
-fn dispatch_guarded(req: QueryRequest, deadline: Deadline, stats: &ServerStats) -> (u16, String) {
-    let answer = |r: Result<tradeoff::api::QueryResponse, ApiError>| match r {
-        Ok(resp) => (200, format!("{}\n", resp.to_json_string())),
-        Err(err) => (
-            err.kind.http_status(),
-            format!("{}\n", err.to_json().render()),
-        ),
-    };
-    let limit = match deadline {
-        Deadline::Unbounded => None,
-        Deadline::Within(remaining) => Some(remaining),
-        Deadline::Expired => unreachable!("expired deadlines are answered before dispatch"),
-    };
-    let (tx, rx) = mpsc::channel();
-    let spawned = std::thread::Builder::new()
-        .name("tradeoff-serve-dispatch".to_string())
-        .spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let _scope = fault::enter("serve");
-                fault::check(Site::Dispatch)
-                    .map_err(|e| ApiError::internal(format!("injected dispatch fault: {e}")))
-                    .and_then(|()| dispatch(&req, &StoreWorkloads))
-            }));
-            // The watchdog may have given up on us: a dead receiver is
-            // fine, the answer is simply discarded.
-            let _ = tx.send(result);
-        });
-    if spawned.is_err() {
-        return answer(Err(ApiError::internal("spawning the dispatch watchdog")));
-    }
-    let received = match limit {
-        Some(limit) => rx.recv_timeout(limit).map_err(|_| ()),
-        None => rx.recv().map_err(|_| ()),
-    };
-    match received {
-        Ok(Ok(result)) => answer(result),
-        Ok(Err(payload)) => {
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let _scope = fault::enter_until("serve", deadline);
+        fault::check(Site::Dispatch)
+            .map_err(|e| ApiError::internal(format!("injected dispatch fault: {e}")))
+            .and_then(|()| dispatch(req, &StoreWorkloads))
+    }));
+    let err = match result {
+        Ok(Ok(resp)) => return (200, format!("{}\n", resp.to_json_string())),
+        Ok(Err(err)) => err,
+        Err(payload) if payload.is::<fault::DeadlineExceeded>() => return timed_out("during"),
+        Err(payload) => {
             // The handler panicked; the worker survives it.
             stats.panics_contained.fetch_add(1, Ordering::Relaxed);
-            answer(Err(ApiError::internal(format!(
+            ApiError::internal(format!(
                 "query handler panicked: {}",
-                panic_text(payload.as_ref())
-            ))))
+                fault::panic_text(payload.as_ref())
+            ))
         }
-        Err(()) => {
-            // Deadline blown (or the dispatch thread died without
-            // answering): abandon it, the worker moves on.
-            stats.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
-            (
-                504,
-                wire_error(
-                    "deadline-exceeded",
-                    "request deadline expired during dispatch",
-                ),
-            )
-        }
-    }
+    };
+    (
+        err.kind.http_status(),
+        format!("{}\n", err.to_json().render()),
+    )
 }
 
 /// Routes one request under the overload and deadline policy.
@@ -793,7 +754,7 @@ fn route(
     peer: Option<&SocketAddr>,
     token: Option<&str>,
     overloaded: bool,
-    deadline: Deadline,
+    deadline: Option<Instant>,
     stats: &ServerStats,
 ) -> Outcome {
     match (req.method.as_str(), req.path.as_str()) {
@@ -821,33 +782,11 @@ fn route(
                     retry_after: Some(1),
                 };
             }
-            if deadline == Deadline::Expired {
-                stats.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
-                return Outcome::plain(
-                    504,
-                    wire_error(
-                        "deadline-exceeded",
-                        "request deadline expired before dispatch",
-                    ),
-                    "query",
-                );
-            }
-            let (status, body) = dispatch_guarded(query, deadline, stats);
+            let (status, body) = dispatch_guarded(&query, deadline, stats);
             Outcome::plain(status, body, "query")
         }
         ("GET", "/experiments") => {
-            if deadline == Deadline::Expired {
-                stats.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
-                return Outcome::plain(
-                    504,
-                    wire_error(
-                        "deadline-exceeded",
-                        "request deadline expired before dispatch",
-                    ),
-                    "experiments",
-                );
-            }
-            let (status, body) = dispatch_guarded(QueryRequest::Experiments, deadline, stats);
+            let (status, body) = dispatch_guarded(&QueryRequest::Experiments, deadline, stats);
             Outcome::plain(status, body, "experiments")
         }
         // Body filled by the caller so the response counts itself.
@@ -921,13 +860,8 @@ fn handle_connection(
                     path: head.path.clone(),
                     body,
                 };
-                let deadline = match effective_budget(cfg.request_timeout, head.timeout_ms) {
-                    None => Deadline::Unbounded,
-                    Some(budget) => match budget.checked_sub(started.elapsed()) {
-                        Some(remaining) if !remaining.is_zero() => Deadline::Within(remaining),
-                        _ => Deadline::Expired,
-                    },
-                };
+                let deadline = effective_budget(cfg.request_timeout, head.timeout_ms)
+                    .map(|budget| started + budget);
                 let overloaded = gauges.queued.load(Ordering::SeqCst) > cfg.queue as u64;
                 let mut out = route(
                     &req,
@@ -1386,7 +1320,7 @@ mod tests {
             path: "/query".to_string(),
             body: r#"{"query":"price","hr":0.95}"#.to_string(),
         };
-        let out = route(&cheap, None, None, true, Deadline::Unbounded, &stats);
+        let out = route(&cheap, None, None, true, None, &stats);
         assert_eq!(out.status, 200, "cheap queries ride through overload");
 
         let sim = Request {
@@ -1394,14 +1328,14 @@ mod tests {
             path: "/query".to_string(),
             body: r#"{"query":"simulate","program":"ear","instructions":1000}"#.to_string(),
         };
-        let out = route(&sim, None, None, true, Deadline::Unbounded, &stats);
+        let out = route(&sim, None, None, true, None, &stats);
         assert_eq!(out.status, 503);
         assert_eq!(out.retry_after, Some(1), "sheds carry Retry-After");
         assert!(out.body.contains("overloaded"), "{}", out.body);
         assert_eq!(stats.sheds_dispatch.load(Ordering::Relaxed), 1);
 
         // Unloaded, the same expensive query dispatches.
-        let out = route(&sim, None, None, false, Deadline::Unbounded, &stats);
+        let out = route(&sim, None, None, false, None, &stats);
         assert_eq!(out.status, 200, "{}", out.body);
     }
 
@@ -1413,7 +1347,7 @@ mod tests {
             path: "/query".to_string(),
             body: r#"{"query":"price","hr":0.95}"#.to_string(),
         };
-        let out = route(&req, None, None, false, Deadline::Expired, &stats);
+        let out = route(&req, None, None, false, Some(Instant::now()), &stats);
         assert_eq!(out.status, 504);
         assert!(out.body.contains("deadline-exceeded"), "{}", out.body);
         assert_eq!(stats.deadline_timeouts.load(Ordering::Relaxed), 1);
@@ -1424,7 +1358,7 @@ mod tests {
             path: "/stats".to_string(),
             body: String::new(),
         };
-        let out = route(&req, None, None, false, Deadline::Expired, &stats);
+        let out = route(&req, None, None, false, Some(Instant::now()), &stats);
         assert_eq!(out.status, 200);
     }
 
@@ -1437,7 +1371,7 @@ mod tests {
             body: body.to_string(),
         };
         let route_plain = |req: &Request, peer: Option<&SocketAddr>, token: Option<&str>| {
-            route(req, peer, token, false, Deadline::Unbounded, &stats)
+            route(req, peer, token, false, None, &stats)
         };
         let local: SocketAddr = "127.0.0.1:50000".parse().unwrap();
         let remote: SocketAddr = "192.0.2.7:50000".parse().unwrap();

@@ -335,8 +335,9 @@ fn a_poisoned_query_answers_500_and_leaves_the_pool_intact() {
 
 #[test]
 fn a_hung_handler_answers_504_deadline_exceeded() {
-    // One armed 60 s hang against a 500 ms request budget: the watchdog
-    // abandons the handler and answers 504 instead of wedging a worker.
+    // One armed 60 s hang against a 500 ms request budget: the deadline
+    // cuts the handler's sleep short and it answers 504 instead of
+    // wedging a worker.
     let server = spawn_server_env(
         "hang",
         &["--threads", "2", "--request-timeout", "0.5"],
@@ -364,6 +365,56 @@ fn a_hung_handler_answers_504_deadline_exceeded() {
         pool.get("alive").unwrap().as_u64(),
         pool.get("size").unwrap().as_u64()
     );
+}
+
+/// The server child's OS thread count (`Threads:` in its
+/// `/proc/<pid>/status`).
+#[cfg(target_os = "linux")]
+fn server_threads(server: &ServerGuard) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{}/status", server.child.id()))
+        .expect("server status readable");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("Threads: line")
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn cancelled_work_frees_its_thread() {
+    let server = spawn_server_with("cancel", &["--threads", "2"]);
+    let addr = server.addr.clone();
+    let (status, _) = http_call(&addr, "POST", "/query", Some(PRICE)).unwrap();
+    assert_eq!(status, 200);
+    let idle = server_threads(&server);
+
+    // A cold 50 M-instruction extraction takes seconds; its budget is
+    // 100 ms. Cancellation must stop the work itself, not just answer.
+    let heavy = r#"{"query":"simulate","program":"ear","instructions":50000000}"#;
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let reply = client
+        .call_with_headers(
+            "POST",
+            "/query",
+            Some(heavy),
+            "X-Request-Timeout-Ms: 100\r\n",
+        )
+        .unwrap();
+    assert_eq!(reply.status, 504, "{}", reply.body);
+    assert!(reply.body.contains("deadline-exceeded"), "{}", reply.body);
+    let answered = Instant::now();
+    while server_threads(&server) != idle {
+        assert!(
+            answered.elapsed() < Duration::from_secs(1),
+            "{} threads a second after the 504, {idle} when idle",
+            server_threads(&server)
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let (status, body) = http_call(&addr, "POST", "/query", Some(SIMULATE)).unwrap();
+    assert_eq!(status, 200, "{body}");
 }
 
 #[test]
