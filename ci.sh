@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 verification plus lint, exactly what a PR must pass.
 #
-#   ./ci.sh          tier-1 (release build + full test suite) + fmt +
-#                    clippy + perfbench (the benchmark package builds
-#                    against the crates with its committed lock file and
-#                    its unit tests pass) + manifest (committed results/
-#                    hash-verified against a fresh parallel suite run) +
-#                    faults (canned fault plan degrades the suite instead
-#                    of killing it)
+#   ./ci.sh          tier-1 (release build + full test suite) + every
+#                    workspace crate's own tests + fmt + clippy over
+#                    the whole workspace + perfbench (the benchmark
+#                    package builds against the crates with its
+#                    committed lock file and its unit tests pass) +
+#                    manifest (committed results/ hash-verified
+#                    against a fresh parallel suite run) + faults
+#                    (canned fault plan degrades the suite instead of
+#                    killing it)
 #                    + stream (1 M-instruction streaming smoke with an
 #                    RSS ceiling and a materialised oracle comparison)
 #                    + analytic (closed-form backend bit-exact on FA LRU,
@@ -339,11 +341,14 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> crates: cargo test -q --workspace --exclude unified-tradeoff"
+cargo test -q --workspace --exclude unified-tradeoff
+
 echo "==> lint: cargo fmt --check"
 cargo fmt --check
 
-echo "==> lint: cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> perfbench: builds with its committed lock file, unit tests pass"
 CARGO_TARGET_DIR=.bench_build cargo test --offline --locked --manifest-path perfbench/Cargo.toml

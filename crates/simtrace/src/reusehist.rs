@@ -4,12 +4,17 @@
 //! `O(distinct lines)` per reference (`Vec::remove` on the LRU stack).
 //! This module replaces the stack with Mattson's classic tree
 //! formulation: every line's *last-access time* occupies a slot on a
-//! timeline, a Fenwick tree counts live slots, and the reuse distance
-//! of an access is simply the number of live slots **after** the line's
-//! previous slot — one prefix query and two point updates, all
-//! `O(log n)`. Slots are recycled by periodic compaction (amortised
-//! `O(log n)` per access), so the structure never grows beyond
-//! `2 × distinct lines`.
+//! timeline, and the reuse distance of an access is simply the number
+//! of live slots **after** the line's previous slot. The timeline keeps
+//! its hot state in cache: live slots are bits of a bitmap, and a
+//! Fenwick tree counts marks per 64-slot word, so a distance is one
+//! word-tree prefix plus one masked popcount, and a move is two bit
+//! flips plus (only when the two slots sit in different words) two
+//! word-tree updates. Slots are recycled by periodic compaction, which
+//! needs no sort: a live slot's new rank is the prefix popcount of the
+//! bitmap up to it. Capacity stays at least eight times the live lines,
+//! so compactions are rare and the amortised cost stays `O(log n)` per
+//! access.
 //!
 //! [`ReuseHistograms`] runs one [`ReuseDistCounter`] per power-of-two
 //! line granularity over a single pass of the trace — the halving of a
@@ -54,35 +59,18 @@ impl LineMap {
         ((h ^ (h >> 29)) as usize) & (self.keys.len() - 1)
     }
 
-    /// Returns the slot of `line`, or `None` if unseen.
+    /// Points `line` at `slot` and returns the slot it pointed at
+    /// before, or `None` if `line` was unseen — one probe for the
+    /// lookup and the update.
     #[inline]
-    fn get(&self, line: u64) -> Option<u32> {
+    fn replace(&mut self, line: u64, slot: u32) -> Option<u32> {
         let key = line + 1;
         let mask = self.keys.len() - 1;
         let mut i = self.bucket(key);
         loop {
             let k = self.keys[i];
             if k == key {
-                return Some(self.vals[i]);
-            }
-            if k == 0 {
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Inserts or updates `line → slot`.
-    #[inline]
-    fn set(&mut self, line: u64, slot: u32) {
-        let key = line + 1;
-        let mask = self.keys.len() - 1;
-        let mut i = self.bucket(key);
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                self.vals[i] = slot;
-                return;
+                return Some(std::mem::replace(&mut self.vals[i], slot));
             }
             if k == 0 {
                 self.keys[i] = key;
@@ -91,7 +79,7 @@ impl LineMap {
                 if self.len * 4 > self.keys.len() * 3 {
                     self.grow();
                 }
-                return;
+                return None;
             }
             i = (i + 1) & mask;
         }
@@ -105,16 +93,7 @@ impl LineMap {
         self.len = 0;
         for (k, v) in old_keys.into_iter().zip(old_vals) {
             if k != 0 {
-                self.set(k - 1, v);
-            }
-        }
-    }
-
-    /// Visits every `(line, slot)` pair in arbitrary order.
-    fn for_each(&self, mut f: impl FnMut(u64, u32)) {
-        for (k, v) in self.keys.iter().zip(&self.vals) {
-            if *k != 0 {
-                f(*k - 1, *v);
+                self.replace(k - 1, v);
             }
         }
     }
@@ -133,12 +112,128 @@ impl LineMap {
     }
 }
 
+/// The slot timeline: which slots hold some line's most recent access.
+///
+/// Slot `s` is bit `s % 64` of `marks[s / 64]`; `words` is a Fenwick
+/// tree, 1-indexed, over the mark count of each bitmap word. Capacity
+/// is `64 × marks.len()` slots.
+#[derive(Debug, Clone)]
+struct Timeline {
+    marks: Vec<u64>,
+    words: Vec<u32>,
+}
+
+impl Timeline {
+    /// An unmarked timeline of `cap` slots (a multiple of 64).
+    fn new(cap: usize) -> Self {
+        let mut t = Timeline {
+            marks: Vec::new(),
+            words: Vec::new(),
+        };
+        t.refill(0, cap);
+        t
+    }
+
+    fn cap(&self) -> usize {
+        self.marks.len() * 64
+    }
+
+    /// Resizes to `cap` slots with exactly slots `0..live` marked.
+    fn refill(&mut self, live: usize, cap: usize) {
+        let n = cap / 64;
+        self.marks.clear();
+        self.marks.resize(n, 0);
+        self.marks[..live / 64].fill(u64::MAX);
+        if !live.is_multiple_of(64) {
+            self.marks[live / 64] = (1u64 << (live % 64)) - 1;
+        }
+        // Node i covers words (i - lowbit(i), i], i.e. slots
+        // [64 (i - lowbit), 64 i): its count is the part of `0..live`
+        // inside that range.
+        self.words.clear();
+        self.words.extend((0..=n).map(|i| {
+            let from = 64 * (i - (i & i.wrapping_neg()));
+            live.min(64 * i).saturating_sub(from) as u32
+        }));
+    }
+
+    #[inline]
+    fn word_add(&mut self, word: usize, delta: i32) {
+        let mut i = word + 1;
+        while i < self.words.len() {
+            self.words[i] = self.words[i].wrapping_add(delta as u32);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Marks in slots `0..=slot`.
+    #[inline]
+    fn marks_through(&self, slot: usize) -> usize {
+        let word = slot / 64;
+        let mut i = word;
+        let mut sum = 0u32;
+        while i > 0 {
+            sum += self.words[i];
+            i -= i & i.wrapping_neg();
+        }
+        let below = self.marks[word] & (u64::MAX >> (63 - slot % 64));
+        sum as usize + below.count_ones() as usize
+    }
+
+    /// Marks the unmarked `slot`.
+    #[inline]
+    fn mark(&mut self, slot: usize) {
+        self.marks[slot / 64] |= 1 << (slot % 64);
+        self.word_add(slot / 64, 1);
+    }
+
+    /// Moves the mark at `from` to the unmarked slot `to`; the word
+    /// tree only changes when the two slots sit in different words.
+    #[inline]
+    fn shift(&mut self, from: usize, to: usize) {
+        self.marks[from / 64] &= !(1 << (from % 64));
+        self.marks[to / 64] |= 1 << (to % 64);
+        if from / 64 != to / 64 {
+            self.word_add(from / 64, -1);
+            self.word_add(to / 64, 1);
+        }
+    }
+
+    /// Maps each marked slot to its rank among the marks — its slot
+    /// after a compaction: the marks in the words before its own, plus
+    /// those below it in its word.
+    fn ranks(&self) -> impl Fn(u32) -> u32 + '_ {
+        let before: Vec<u32> = self
+            .marks
+            .iter()
+            .scan(0u32, |seen, w| {
+                let base = *seen;
+                *seen += w.count_ones();
+                Some(base)
+            })
+            .collect();
+        move |slot| {
+            let (word, bit) = (slot as usize / 64, slot % 64);
+            before[word] + (self.marks[word] & ((1u64 << bit) - 1)).count_ones()
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.marks.len() * std::mem::size_of::<u64>()
+            + self.words.len() * std::mem::size_of::<u32>()
+    }
+}
+
 /// An exact single-granularity Mattson reuse-distance counter,
 /// `O(log distinct-lines)` amortised per reference.
 ///
 /// Feed it line numbers in trace order via [`ReuseDistCounter::access`];
-/// the histogram, cold-miss and total counters match
-/// [`crate::reuse::ReuseProfile::from_trace`] bit for bit.
+/// the histogram and cold-miss counters are those of a naive unbounded
+/// LRU stack, bit for bit.
+///
+/// Slots and mark counts are `u32`, so the timeline holds at most
+/// 2^31 slots; with capacity kept at eight slots per live line, one
+/// counter handles up to 2^28 distinct lines and panics beyond that.
 #[derive(Debug, Clone)]
 pub struct ReuseDistCounter {
     /// `hist[d]` = references at distance exactly `d`; last bucket open.
@@ -162,19 +257,16 @@ pub struct ReuseDistCounter {
     /// count lets a few hot lines masquerade as heavy aliasing.
     set_mass: Vec<u64>,
     map: LineMap,
-    /// Fenwick tree over time slots, 1-indexed; `bit[i]` covers leaf
-    /// marks where a mark means "some line's most recent access lives
+    /// Live slots: a mark means "some line's most recent access lives
     /// in this slot".
-    bit: Vec<u32>,
-    /// Slot capacity (power of two, `bit.len() - 1`).
-    cap: usize,
+    timeline: Timeline,
     /// Next unassigned slot; slots `0..next_slot` have been issued.
     next_slot: usize,
     /// Marked (live) slots — equals the number of distinct lines seen.
     live: usize,
     /// Most recently accessed line (`u64::MAX` before the first access)
     /// — repeated touches of the top-of-stack line are distance 0 and
-    /// skip the tree entirely.
+    /// skip the timeline entirely.
     last_line: u64,
 }
 
@@ -185,6 +277,10 @@ pub const SET_CLASS_LOG2: u32 = 14;
 
 impl ReuseDistCounter {
     const INITIAL_SLOTS: usize = 1024;
+    /// Compaction keeps at least this many slots per live line.
+    const SLACK: usize = 8;
+    /// Slots and mark counts are `u32`.
+    const MAX_SLOTS: usize = 1 << 31;
 
     /// A counter whose histogram caps at `max_distance` (larger
     /// distances land in the final, open bucket).
@@ -202,43 +298,26 @@ impl ReuseDistCounter {
             seq: 0,
             set_mass: vec![0; 1 << SET_CLASS_LOG2],
             map: LineMap::new(),
-            bit: vec![0; Self::INITIAL_SLOTS + 1],
-            cap: Self::INITIAL_SLOTS,
+            timeline: Timeline::new(Self::INITIAL_SLOTS),
             next_slot: 0,
             live: 0,
             last_line: u64::MAX,
         }
     }
 
-    #[inline]
-    fn bit_add(&mut self, slot: usize, delta: i32) {
-        let mut i = slot + 1;
-        while i <= self.cap {
-            self.bit[i] = self.bit[i].wrapping_add(delta as u32);
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Live marks in slots `0..=slot`.
-    #[inline]
-    fn bit_prefix(&self, slot: usize) -> u32 {
-        let mut i = slot + 1;
-        let mut sum = 0u32;
-        while i > 0 {
-            sum += self.bit[i];
-            i -= i & i.wrapping_neg();
-        }
-        sum
-    }
-
     /// Records one reference to `line`, updating the histogram.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counter would need more than 2^31 slots (more than
+    /// 2^28 distinct lines).
     #[inline]
     pub fn access(&mut self, line: u64) {
         self.total += 1;
         if line == self.last_line {
             // Top-of-stack touch: distance 0 by definition, and the
-            // line's slot is already the most recent mark, so the tree
-            // needs no update.
+            // line's slot is already the most recent mark, so the
+            // timeline needs no update.
             self.hist[0] += 1;
             return;
         }
@@ -248,26 +327,24 @@ impl ReuseDistCounter {
         }
         self.last_line = line;
         // Allocate before touching any mark: compaction (inside
-        // `alloc_slot`) rebuilds the tree from the map, so the map must
-        // still describe exactly the live marks when it runs — and it
-        // may remap the line's slot, so the lookup comes after.
+        // `alloc_slot`) ranks exactly the marked slots and rewrites the
+        // map through those ranks, so the marks must still describe
+        // every live line when it runs — and it may remap the line's
+        // slot, so the lookup comes after.
         let fresh = self.alloc_slot();
-        match self.map.get(line) {
+        match self.map.replace(line, fresh as u32) {
             Some(slot) => {
                 // Every mark after the line's previous slot is a line
                 // touched since — the reuse distance.
-                let distance = self.live - self.bit_prefix(slot as usize) as usize;
+                let distance = self.live - self.timeline.marks_through(slot as usize);
                 let last = self.hist.len() - 1;
                 self.hist[distance.min(last)] += 1;
-                self.bit_add(slot as usize, -1);
-                self.bit_add(fresh, 1);
-                self.map.set(line, fresh as u32);
+                self.timeline.shift(slot as usize, fresh);
             }
             None => {
                 self.cold += 1;
                 self.set_mass[(line & ((1 << SET_CLASS_LOG2) - 1)) as usize] += 1;
-                self.bit_add(fresh, 1);
-                self.map.set(line, fresh as u32);
+                self.timeline.mark(fresh);
                 self.live += 1;
             }
         }
@@ -275,7 +352,7 @@ impl ReuseDistCounter {
 
     #[inline]
     fn alloc_slot(&mut self) -> usize {
-        if self.next_slot == self.cap {
+        if self.next_slot == self.timeline.cap() {
             self.compact();
         }
         let slot = self.next_slot;
@@ -284,34 +361,23 @@ impl ReuseDistCounter {
     }
 
     /// Reassigns the `live` marked slots to `0..live` (preserving
-    /// order) and rebuilds the tree. Runs when the timeline is
-    /// exhausted; capacity doubles whenever more than half the slots
-    /// are live, so at least `cap / 2` accesses separate compactions
-    /// and the amortised cost stays `O(log n)` per access.
+    /// order) and refills the timeline. Runs when the timeline is
+    /// exhausted; capacity doubles until it holds `SLACK` slots per
+    /// live line, so at least `7/8` of the slots are free after a
+    /// compaction and the amortised cost stays `O(log n)` per access.
     fn compact(&mut self) {
-        if self.live * 2 > self.cap {
-            self.cap *= 2;
+        let mut cap = self.timeline.cap();
+        while self.live * Self::SLACK > cap {
+            cap *= 2;
         }
-        let mut entries: Vec<(u32, u64)> = Vec::with_capacity(self.live);
-        self.map.for_each(|line, slot| entries.push((slot, line)));
-        entries.sort_unstable();
-        let mut order = vec![0u32; self.next_slot];
-        for (rank, &(slot, line)) in entries.iter().enumerate() {
-            order[slot as usize] = rank as u32;
-            let _ = line;
-        }
-        self.map.remap(|slot| order[slot as usize]);
-        // All of `0..live` is marked: a Fenwick tree over an all-ones
-        // array is `bit[i] = lowbit(i)` for i ≤ live, clipped to the
-        // range each node covers.
-        self.bit = vec![0; self.cap + 1];
-        for i in 1..=self.cap {
-            let low = i & i.wrapping_neg();
-            let covered_from = i - low; // node i covers (i-low, i]
-            if covered_from < self.live {
-                self.bit[i] = (self.live.min(i) - covered_from) as u32;
-            }
-        }
+        assert!(
+            cap <= Self::MAX_SLOTS,
+            "reuse timeline needs {cap} slots, past the 2^31 that u32 slots and mark \
+             counts allow ({} distinct lines; at most 2^28 fit)",
+            self.live
+        );
+        self.map.remap(self.timeline.ranks());
+        self.timeline.refill(self.live, cap);
         self.next_slot = self.live;
     }
 
@@ -352,11 +418,13 @@ impl ReuseDistCounter {
         &self.hist
     }
 
-    /// Approximate heap footprint, for cache-budget accounting.
+    /// Approximate heap footprint, for cache-budget accounting: the
+    /// histogram, the residue counts, the line map, the bitmap and the
+    /// word tree.
     pub fn bytes(&self) -> usize {
         (self.hist.len() + self.set_mass.len()) * std::mem::size_of::<u64>()
-            + self.bit.len() * std::mem::size_of::<u32>()
             + self.map.bytes()
+            + self.timeline.bytes()
     }
 }
 
@@ -425,16 +493,7 @@ impl ReuseHistograms {
     /// Feeds one instruction (the scalar mirror of
     /// [`ReuseHistograms::process_slice`]).
     pub fn process(&mut self, instr: Instr) {
-        if let Some(m) = instr.mem {
-            let base = m.addr.raw() >> self.min_line_shift;
-            for (i, counter) in self.counters.iter_mut().enumerate() {
-                counter.access(base >> i);
-            }
-        }
-        self.instrs += 1;
-        if self.instrs == self.warmup {
-            self.snapshot();
-        }
+        self.process_slice(std::slice::from_ref(&instr));
     }
 
     /// Feeds a block of instructions, bit-identical to per-instruction
@@ -482,6 +541,18 @@ impl ReuseHistograms {
         );
     }
 
+    /// The counter index folding `line_bytes`, or `None` for a
+    /// granularity outside the folded range.
+    fn index(&self, line_bytes: u64) -> Option<usize> {
+        if !line_bytes.is_power_of_two() {
+            return None;
+        }
+        let idx = line_bytes
+            .trailing_zeros()
+            .checked_sub(self.min_line_shift)? as usize;
+        (idx < self.counters.len()).then_some(idx)
+    }
+
     /// Instructions folded so far.
     pub fn instructions(&self) -> u64 {
         self.instrs
@@ -509,15 +580,8 @@ impl ReuseHistograms {
     /// `StackDistSweep::stats`: the warm-up snapshot (when one was
     /// taken) is subtracted from the totals.
     pub fn profile(&self, line_bytes: u64) -> Option<crate::reuse::ReuseProfile> {
-        if !line_bytes.is_power_of_two() {
-            return None;
-        }
-        let shift = line_bytes.trailing_zeros();
-        if shift < self.min_line_shift {
-            return None;
-        }
-        let idx = (shift - self.min_line_shift) as usize;
-        let counter = self.counters.get(idx)?;
+        let idx = self.index(line_bytes)?;
+        let counter = &self.counters[idx];
         let (hist, cold, total) = match self.warm_base.as_ref().map(|b| &b[idx]) {
             Some(base) => {
                 let hist = counter
@@ -541,15 +605,8 @@ impl ReuseHistograms {
     /// backend uses this to weigh deterministic round-robin set
     /// spreading against random placement.
     pub fn seq_fraction(&self, line_bytes: u64) -> Option<f64> {
-        if !line_bytes.is_power_of_two() {
-            return None;
-        }
-        let shift = line_bytes.trailing_zeros();
-        if shift < self.min_line_shift {
-            return None;
-        }
-        let idx = (shift - self.min_line_shift) as usize;
-        let counter = self.counters.get(idx)?;
+        let idx = self.index(line_bytes)?;
+        let counter = &self.counters[idx];
         let (moves, seq) = match self.warm_base.as_ref().map(|b| &b[idx]) {
             Some(base) => (counter.moves - base.moves, counter.seq - base.seq),
             None => (counter.moves, counter.seq),
@@ -567,15 +624,7 @@ impl ReuseHistograms {
     /// first touched during warm-up still occupy sets afterwards, so
     /// the set-conflict model wants the whole footprint.
     pub fn set_mass(&self, line_bytes: u64) -> Option<&[u64]> {
-        if !line_bytes.is_power_of_two() {
-            return None;
-        }
-        let shift = line_bytes.trailing_zeros();
-        if shift < self.min_line_shift {
-            return None;
-        }
-        let idx = (shift - self.min_line_shift) as usize;
-        Some(self.counters.get(idx)?.set_mass())
+        Some(self.counters[self.index(line_bytes)?].set_mass())
     }
 
     /// Approximate heap footprint across all granularities, for the
@@ -624,53 +673,66 @@ mod tests {
         assert_eq!(c.distinct_lines(), 3);
     }
 
+    /// A naive unbounded LRU stack: the reuse distance of a reference
+    /// is the depth of its line in the stack. Returns the histogram
+    /// (capped at `cap`, last bucket open) and the cold count — the
+    /// independent oracle for the counter (`ReuseProfile::from_trace`
+    /// wraps the counter, so it cannot be one).
+    fn naive_stack(lines: impl IntoIterator<Item = u64>, cap: usize) -> (Vec<u64>, u64) {
+        let mut stack: Vec<u64> = Vec::new();
+        let mut hist = vec![0u64; cap + 1];
+        let mut cold = 0u64;
+        for l in lines {
+            match stack.iter().position(|&x| x == l) {
+                Some(pos) => {
+                    hist[pos.min(cap)] += 1;
+                    stack.remove(pos);
+                }
+                None => cold += 1,
+            }
+            stack.insert(0, l);
+        }
+        (hist, cold)
+    }
+
+    /// The data-reference lines of `trace` at `line_bytes`.
+    fn lines(trace: &[Instr], line_bytes: u64) -> Vec<u64> {
+        trace
+            .iter()
+            .filter_map(|i| i.mem)
+            .map(|m| m.addr.line(line_bytes).raw())
+            .collect()
+    }
+
     #[test]
     fn counter_survives_compaction() {
-        // Enough slot churn to force several compactions at the
-        // initial 1024-slot capacity, against a brute-force stack.
-        let addrs: Vec<u64> = (0..40_000u64).map(|i| (i * 2654435761) % 4096).collect();
+        // Enough slot churn to force several compactions and growth
+        // past the initial 1024 slots, against a naive stack.
+        let lines: Vec<u64> = (0..40_000u64).map(|i| (i * 2654435761) % 4096).collect();
         let mut c = ReuseDistCounter::new(512);
-        for &a in &addrs {
-            c.access(a);
+        for &l in &lines {
+            c.access(l);
         }
-        let brute = ReuseProfile::from_trace(
-            loads(&addrs.iter().map(|a| a * 64).collect::<Vec<_>>()),
-            64,
-            512,
-        );
-        assert_eq!(c.histogram(), brute.histogram());
-        assert_eq!(c.cold(), brute.cold());
-        assert_eq!(c.total(), brute.total());
+        let (hist, cold) = naive_stack(lines.iter().copied(), 512);
+        assert_eq!(c.histogram(), &hist[..]);
+        assert_eq!(c.cold(), cold);
+        assert_eq!(c.total(), lines.len() as u64);
+        assert!(c.timeline.cap() > ReuseDistCounter::INITIAL_SLOTS);
     }
 
     #[test]
     fn compaction_during_a_reuse_access_keeps_distances_exact() {
         // nasa7's strided doubles force compactions while reuses are in
-        // flight; a naive unbounded LRU stack is the independent oracle
-        // (`from_trace` delegates to the counter, so it cannot be one).
-        // Regression: compaction once rebuilt the tree from a map entry
-        // whose mark had already been retired, resurrecting the stale
-        // mark and silently shifting every later distance down by one.
+        // flight. Regression: compaction once rebuilt the tree from a
+        // map entry whose mark had already been retired, resurrecting
+        // the stale mark and silently shifting every later distance
+        // down by one.
         let trace: Vec<Instr> = spec92_trace(Spec92Program::Nasa7, 7).take(20_000).collect();
         let cap = 1 << 14;
         let mut fold = ReuseHistograms::new(8, 128, cap, 0);
         fold.process_slice(&trace);
         for line in [8u64, 16, 64] {
-            let mut stack: Vec<u64> = Vec::new();
-            let mut hist = vec![0u64; cap + 1];
-            let mut cold = 0u64;
-            for i in &trace {
-                let Some(m) = i.mem else { continue };
-                let l = m.addr.line(line).raw();
-                match stack.iter().position(|&x| x == l) {
-                    Some(pos) => {
-                        hist[pos.min(cap)] += 1;
-                        stack.remove(pos);
-                    }
-                    None => cold += 1,
-                }
-                stack.insert(0, l);
-            }
+            let (hist, cold) = naive_stack(lines(&trace, line), cap);
             let p = fold.profile(line).unwrap();
             assert_eq!(p.histogram(), &hist[..], "line={line}");
             assert_eq!(p.cold(), cold, "line={line}");
@@ -678,18 +740,23 @@ mod tests {
     }
 
     #[test]
-    fn fold_matches_per_granularity_from_trace() {
+    fn fold_matches_per_granularity_naive_stacks() {
         let trace: Vec<Instr> = spec92_trace(Spec92Program::Ear, 99).take(8_000).collect();
         let mut fold = ReuseHistograms::new(8, 128, 256, 0);
         fold.process_slice(&trace);
         for line in [8u64, 16, 32, 64, 128] {
             let got = fold.profile(line).expect("granularity folded");
-            let want = ReuseProfile::from_trace(trace.iter().copied(), line, 256);
+            let lines = lines(&trace, line);
+            let total = lines.len() as u64;
+            let (hist, cold) = naive_stack(lines, 256);
+            let want = ReuseProfile::from_parts(line, hist, cold, total);
             assert_eq!(got, want, "line={line}");
         }
         assert_eq!(fold.profile(4), None);
         assert_eq!(fold.profile(256), None);
         assert_eq!(fold.profile(48), None, "non-power-of-two");
+        assert_eq!(fold.seq_fraction(4), None);
+        assert_eq!(fold.set_mass(256), None);
     }
 
     #[test]
@@ -756,6 +823,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "past the 2^31 that u32 slots and mark counts allow")]
+    fn timeline_growth_past_the_u32_slot_domain_panics() {
+        // One live line more than 2^28 needs 2^32 slots at eight per
+        // line; the map stays empty, so the check runs without the
+        // memory such a footprint would take.
+        let mut c = ReuseDistCounter::new(8);
+        c.live = (1 << 28) + 1;
+        c.compact();
+    }
+
+    #[test]
     fn bytes_accounts_for_growth() {
         let mut fold = ReuseHistograms::new(8, 64, 1024, 0);
         let before = fold.bytes();
@@ -763,5 +841,28 @@ mod tests {
         fold.process_slice(&trace);
         assert!(fold.bytes() >= before);
         assert!(fold.bytes() > 4 * 1025 * 8, "histograms alone exceed this");
+    }
+
+    #[test]
+    fn bytes_counts_the_grown_bitmap_and_word_tree() {
+        let mut c = ReuseDistCounter::new(64);
+        let fresh = c.bytes();
+        for i in 0..40_000u64 {
+            c.access(i % 5_000 * 3);
+        }
+        let cap = c.timeline.cap();
+        assert!(cap >= ReuseDistCounter::SLACK * c.distinct_lines());
+        assert!(
+            cap > ReuseDistCounter::INITIAL_SLOTS,
+            "the fold grew the timeline"
+        );
+        // One bit per slot, plus one `u32` word-tree node per 64 slots
+        // and the tree's unused node 0.
+        let timeline = |slots: usize| slots / 8 + (slots / 64 + 1) * 4;
+        let map_growth = c.map.bytes() - LineMap::new().bytes();
+        assert_eq!(
+            c.bytes() - fresh,
+            timeline(cap) - timeline(ReuseDistCounter::INITIAL_SLOTS) + map_growth
+        );
     }
 }

@@ -1241,7 +1241,7 @@ mod tests {
             assert_eq!(reparsed.name, None, "the canonical form drops the label");
             // And the full form keeps it.
             let named = WorkloadSpec::from_json(&spec.to_json()).unwrap();
-            assert_eq!(named, **&spec);
+            assert_eq!(named, *spec);
         }
     }
 
