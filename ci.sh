@@ -21,9 +21,11 @@
 #                    deterministic and survivable, no worker dies, and
 #                    the post-chaos canned answer is byte-identical to
 #                    a clean server's)
-#                    + workloads (every example spec validates, builtin
-#                    specs keep their pinned content hashes and stay
-#                    bit-identical to the legacy constructors)
+#                    + workloads (every example spec validates, every
+#                    builtin the registry serves has its spec file,
+#                    builtin specs keep their pinned content hashes and
+#                    stay bit-identical to the reference constructors
+#                    in tests/workloads.rs)
 #   ./ci.sh bench    additionally run perfbench/ on its three workloads
 #                    with the per-layer ledger (suite, serve_hot,
 #                    plan_cold; see perfbench/README.md), then the
@@ -43,10 +45,11 @@
 #                    thread behind, and a post-chaos canned query must be
 #                    byte-identical to a clean server's answer)
 #   ./ci.sh workloads run only the workload-spec gate (every example
-#                    spec in workloads/ validates; the six builtin
-#                    example files hash to the ids the registry serves;
-#                    builtins stay bit-identical to the legacy
-#                    spec92_trace constructors)
+#                    spec in workloads/ validates; every builtin the
+#                    registry lists has its workloads/<name>.json, which
+#                    hashes to the id the registry serves; builtins stay
+#                    bit-identical to the reference constructors in
+#                    tests/workloads.rs)
 #
 # Exit codes: 0 green, 1 failure, 2 usage, 3 manifest drift,
 # 4 chaos worker death (the pool shrank), 5 chaos shed-policy drift
@@ -300,30 +303,34 @@ chaos_check() {
 
 workloads_check() {
     echo "==> workloads: example specs validate, builtin ids pinned"
-    local out id listing
+    local out id f name want builtins
     # Every committed example spec must parse, validate and hash.
-    listing="$(cargo run --release -q --bin tradeoff-cli -- workloads list)"
     for f in workloads/*.json; do
         out="$(cargo run --release -q --bin tradeoff-cli -- workloads validate --file "$f")" \
             || { echo "FAIL: invalid spec $f"; exit 1; }
         id="$(sed -nE 's/^valid: .*\(([0-9a-f]{64})\)$/\1/p' <<< "$out")"
         [[ -n "$id" ]] || { echo "FAIL: no content hash for $f: $out"; exit 1; }
-        # The six builtin example files are identity-critical: each must
-        # hash to the exact id the registry serves for that name, or the
-        # committed example has drifted from the memo keys in use.
-        case "$f" in
-            workloads/nasa7.json|workloads/swm256.json|workloads/wave5.json| \
-            workloads/ear.json|workloads/doduc.json|workloads/hydro2d.json)
-                grep -q "$id" <<< "$listing" \
-                    || { echo "FAIL: $f hash $id not served by the registry"; exit 1; }
-                ;;
-        esac
     done
-    # Builtin specs must compile bit-identically to the legacy
-    # spec92_trace constructors, and their content hashes stay pinned.
+    # The builtins are identity-critical: every name the registry lists
+    # must have its committed spec file, hashing to the exact id the
+    # registry serves, or the file has drifted from the memo keys in use.
+    builtins="$(cargo run --release -q --bin tradeoff-cli -- workloads list \
+        | sed -nE 's/^\| ([^ |]+) +\| ([0-9a-f]{64}) \|$/\1 \2/p')"
+    [[ -n "$builtins" ]] || { echo "FAIL: the registry lists no builtins"; exit 1; }
+    while read -r name want; do
+        f="workloads/$name.json"
+        [[ -f "$f" ]] || { echo "FAIL: builtin $name has no $f"; exit 1; }
+        out="$(cargo run --release -q --bin tradeoff-cli -- workloads validate --file "$f")"
+        id="$(sed -nE 's/^valid: .*\(([0-9a-f]{64})\)$/\1/p' <<< "$out")"
+        [[ "$id" == "$want" ]] \
+            || { echo "FAIL: $f hashes to $id, the registry serves $name as $want"; exit 1; }
+    done <<< "$builtins"
+    # Builtin specs must compile bit-identically to the reference
+    # constructors in tests/workloads.rs, and their content hashes stay
+    # pinned.
     cargo test --release -q --test workloads \
         || { echo "FAIL: workload contract tests"; exit 1; }
-    echo "    $(ls workloads/*.json | wc -l) specs valid, 6 builtin ids pinned"
+    echo "    $(ls workloads/*.json | wc -l) specs valid, $(wc -l <<< "$builtins") builtin ids pinned"
 }
 
 case "${1:-}" in

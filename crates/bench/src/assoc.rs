@@ -10,11 +10,11 @@
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::Table;
 use simcache::{Cache, CacheConfig, Replacement};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtins, WorkloadSpec};
 
 /// Hit ratio of one (associativity, policy) point on one workload.
 pub fn hit_ratio(
-    program: Spec92Program,
+    workload: &WorkloadSpec,
     assoc: u32,
     replacement: Replacement,
     instructions: usize,
@@ -23,7 +23,7 @@ pub fn hit_ratio(
         .expect("valid cache")
         .with_replacement(replacement);
     let mut cache = Cache::new(cfg);
-    for instr in spec92_trace(program, 0xA550).take(instructions) {
+    for instr in workload.compile(0xA550).take(instructions) {
         if let Some(m) = instr.mem {
             cache.access(m.op, m.addr);
         }
@@ -32,10 +32,10 @@ pub fn hit_ratio(
 }
 
 /// The associativity ladder per workload (LRU).
-pub fn assoc_ladder(instructions: usize) -> Vec<(Spec92Program, Vec<f64>)> {
-    Spec92Program::ALL
+pub fn assoc_ladder(instructions: usize) -> Vec<(&'static WorkloadSpec, Vec<f64>)> {
+    builtins()
         .iter()
-        .map(|&p| {
+        .map(|p| {
             let hrs = [1u32, 2, 4, 8]
                 .iter()
                 .map(|&a| hit_ratio(p, a, Replacement::Lru, instructions))
@@ -46,16 +46,16 @@ pub fn assoc_ladder(instructions: usize) -> Vec<(Spec92Program, Vec<f64>)> {
 }
 
 /// The replacement-policy spread at 2-way, per workload.
-pub fn policy_spread(instructions: usize) -> Vec<(Spec92Program, Vec<(Replacement, f64)>)> {
+pub fn policy_spread(instructions: usize) -> Vec<(&'static WorkloadSpec, Vec<(Replacement, f64)>)> {
     let policies = [
         Replacement::Lru,
         Replacement::Fifo,
         Replacement::Random,
         Replacement::TreePlru,
     ];
-    Spec92Program::ALL
+    builtins()
         .iter()
-        .map(|&p| {
+        .map(|p| {
             let hrs = policies
                 .iter()
                 .map(|&r| (r, hit_ratio(p, 2, r, instructions)))
@@ -67,13 +67,13 @@ pub fn policy_spread(instructions: usize) -> Vec<(Spec92Program, Vec<(Replacemen
 
 /// Renders both tables.
 pub fn render(
-    ladder: &[(Spec92Program, Vec<f64>)],
-    spread: &[(Spec92Program, Vec<(Replacement, f64)>)],
+    ladder: &[(&WorkloadSpec, Vec<f64>)],
+    spread: &[(&WorkloadSpec, Vec<(Replacement, f64)>)],
 ) -> String {
     let mut a = Table::new(["program", "1-way", "2-way", "4-way", "8-way", "ΔHR 1→2-way"]);
     for (p, hrs) in ladder {
         a.row([
-            p.to_string(),
+            p.label(),
             format!("{:.2}%", 100.0 * hrs[0]),
             format!("{:.2}%", 100.0 * hrs[1]),
             format!("{:.2}%", 100.0 * hrs[2]),
@@ -83,7 +83,7 @@ pub fn render(
     }
     let mut b = Table::new(["program", "LRU", "FIFO", "random", "tree-PLRU"]);
     for (p, hrs) in spread {
-        let mut row = vec![p.to_string()];
+        let mut row = vec![p.label()];
         row.extend(hrs.iter().map(|(_, h)| format!("{:.2}%", 100.0 * h)));
         b.row(row);
     }
@@ -123,6 +123,7 @@ impl Experiment for Exp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simtrace::workload::builtin;
 
     #[test]
     fn associativity_mostly_helps_modulo_lru_cyclic_thrash() {
@@ -134,27 +135,29 @@ mod tests {
         for (p, hrs) in assoc_ladder(30_000) {
             assert!(
                 hrs[1] >= hrs[0] - 0.005,
-                "{p}: 2-way must not lose to 1-way: {hrs:?}"
+                "{}: 2-way must not lose to 1-way: {hrs:?}",
+                p.label()
             );
             for w in hrs.windows(2) {
-                assert!(w[1] >= w[0] - 0.03, "{p}: {hrs:?}");
+                assert!(w[1] >= w[0] - 0.03, "{}: {hrs:?}", p.label());
             }
         }
     }
 
     #[test]
     fn lru_beats_random_on_reuse_heavy_code() {
-        let lru = hit_ratio(Spec92Program::Ear, 2, Replacement::Lru, 30_000);
-        let rand = hit_ratio(Spec92Program::Ear, 2, Replacement::Random, 30_000);
+        let ear = builtin("ear").unwrap();
+        let lru = hit_ratio(ear, 2, Replacement::Lru, 30_000);
+        let rand = hit_ratio(ear, 2, Replacement::Random, 30_000);
         assert!(lru >= rand - 0.005, "LRU {lru} vs random {rand}");
     }
 
     #[test]
     fn plru_tracks_lru_closely_at_two_way() {
         // Tree-PLRU with two ways *is* LRU.
-        for p in [Spec92Program::Nasa7, Spec92Program::Doduc] {
-            let lru = hit_ratio(p, 2, Replacement::Lru, 20_000);
-            let plru = hit_ratio(p, 2, Replacement::TreePlru, 20_000);
+        for p in ["nasa7", "doduc"] {
+            let lru = hit_ratio(builtin(p).unwrap(), 2, Replacement::Lru, 20_000);
+            let plru = hit_ratio(builtin(p).unwrap(), 2, Replacement::TreePlru, 20_000);
             assert!((lru - plru).abs() < 1e-12, "{p}: {lru} vs {plru}");
         }
     }

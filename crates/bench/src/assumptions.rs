@@ -18,14 +18,13 @@ use report::Table;
 use simcache::CacheConfig;
 use simcpu::{Cpu, CpuConfig, SimResult};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::Spec92Program;
-use simtrace::workload::builtin_spec;
+use simtrace::workload::{builtins, WorkloadSpec};
 
 /// The three variants per workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssumptionRow {
     /// Workload.
-    pub program: Spec92Program,
+    pub workload: &'static WorkloadSpec,
     /// The paper's assumptions hold.
     pub baseline: SimResult,
     /// Assumption 1 relaxed: one shared external bus.
@@ -34,7 +33,7 @@ pub struct AssumptionRow {
     pub slow_writes: SimResult,
 }
 
-fn simulate(program: Spec92Program, shared: bool, slow_writes: bool, n: usize) -> SimResult {
+fn simulate(workload: &WorkloadSpec, shared: bool, slow_writes: bool, n: usize) -> SimResult {
     let mut timing = MemoryTiming::new(BusWidth::new(4).expect("valid bus"), 8);
     if slow_writes {
         timing = timing.with_write_beta(16);
@@ -50,7 +49,7 @@ fn simulate(program: Spec92Program, shared: bool, slow_writes: bool, n: usize) -
     // The I-cache makes timing cache-history-dependent, so this
     // experiment keeps the full simulator — but the trace itself is
     // materialised once per program and shared by the three variants.
-    let trace = tracestore::workload_trace(builtin_spec(program), 0xA55E, n);
+    let trace = tracestore::workload_trace(workload, 0xA55E, n);
     Cpu::new(cfg).run(trace.iter().copied())
 }
 
@@ -59,11 +58,12 @@ fn simulate(program: Spec92Program, shared: bool, slow_writes: bool, n: usize) -
 /// the shared trace and the other two hit it — no two jobs ever want
 /// the same cold trace at once.
 pub fn run(instructions: usize) -> Vec<AssumptionRow> {
-    crate::exec::parallel_map(&Spec92Program::ALL, |&program| AssumptionRow {
-        program,
-        baseline: simulate(program, false, false, instructions),
-        shared_bus: simulate(program, true, false, instructions),
-        slow_writes: simulate(program, false, true, instructions),
+    let workloads: Vec<&'static WorkloadSpec> = builtins().iter().collect();
+    crate::exec::parallel_map(&workloads, |&workload| AssumptionRow {
+        workload,
+        baseline: simulate(workload, false, false, instructions),
+        shared_bus: simulate(workload, true, false, instructions),
+        slow_writes: simulate(workload, false, true, instructions),
     })
 }
 
@@ -79,7 +79,7 @@ pub fn render(rows: &[AssumptionRow]) -> String {
         let base = r.baseline.cpi();
         let pct = |x: f64| 100.0 * (x - base) / base;
         t.row([
-            r.program.to_string(),
+            r.workload.label(),
             format!("{base:.3}"),
             format!(
                 "{:.3} ({:+.1}%)",
@@ -130,24 +130,32 @@ mod tests {
     #[test]
     fn relaxing_assumptions_never_speeds_things_up() {
         for r in run(25_000) {
-            assert!(r.shared_bus.cycles >= r.baseline.cycles, "{}", r.program);
-            assert!(r.slow_writes.cycles >= r.baseline.cycles, "{}", r.program);
+            assert!(
+                r.shared_bus.cycles >= r.baseline.cycles,
+                "{}",
+                r.workload.label()
+            );
+            assert!(
+                r.slow_writes.cycles >= r.baseline.cycles,
+                "{}",
+                r.workload.label()
+            );
         }
     }
 
     #[test]
     fn slow_writes_cost_scales_with_flush_ratio() {
         let rows = run(30_000);
-        let inflation = |p: Spec92Program| {
-            let r = rows.iter().find(|r| r.program == p).unwrap();
+        let inflation = |p: &str| {
+            let r = rows.iter().find(|r| r.workload.label() == p).unwrap();
             r.slow_writes.cycles as f64 / r.baseline.cycles as f64
         };
         // ear flushes nearly every fill (α ≈ 0.9); doduc barely (α ≈ 0.3).
         assert!(
-            inflation(Spec92Program::Ear) > inflation(Spec92Program::Doduc),
+            inflation("ear") > inflation("doduc"),
             "ear {} vs doduc {}",
-            inflation(Spec92Program::Ear),
-            inflation(Spec92Program::Doduc)
+            inflation("ear"),
+            inflation("doduc")
         );
     }
 
@@ -155,7 +163,7 @@ mod tests {
     fn identity_survives_relaxed_assumptions() {
         for r in run(15_000) {
             for v in [&r.baseline, &r.shared_bus, &r.slow_writes] {
-                assert!(simcpu::validation_error(v) < 1e-9, "{}", r.program);
+                assert!(simcpu::validation_error(v) < 1e-9, "{}", r.workload.label());
             }
         }
     }

@@ -22,7 +22,7 @@ use bench::grid::{self, GridSpec};
 use simcache::explore::measure_dcache;
 use simcache::hitratio::SET_CONFLICT_TOLERANCE;
 use simcache::CacheConfig;
-use simtrace::spec92::Spec92Program;
+use simtrace::workload::builtins;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -46,17 +46,10 @@ fn main() -> ExitCode {
     let mut failed = false;
 
     // Gate 1: FA LRU bit-exactness against Cache replay.
-    for &program in &Spec92Program::ALL {
-        let analytic = grid::build_analytic(
-            simtrace::workload::builtin_spec(program),
-            instructions,
-            warmup,
-        );
-        let trace = bench::tracestore::workload_trace(
-            simtrace::workload::builtin_spec(program),
-            bench::sweep::SWEEP_SEED,
-            instructions,
-        );
+    for workload in builtins() {
+        let analytic = grid::build_analytic(workload, instructions, warmup);
+        let trace =
+            bench::tracestore::workload_trace(workload, bench::sweep::SWEEP_SEED, instructions);
         for (line_bytes, lines) in [(16u64, 8u32), (32, 64), (64, 256)] {
             let cfg = CacheConfig::new(line_bytes * u64::from(lines), line_bytes, lines)
                 .expect("valid fully-associative geometry");
@@ -66,8 +59,9 @@ fn main() -> ExitCode {
                 .expect("folded line size");
             if closed != measured {
                 eprintln!(
-                    "analytic_check: FAIL: {program} FA L={line_bytes} cap={lines}: \
-                     analytic {closed} != replay {measured} (must be bit-equal)"
+                    "analytic_check: FAIL: {} FA L={line_bytes} cap={lines}: \
+                     analytic {closed} != replay {measured} (must be bit-equal)",
+                    workload.label()
                 );
                 failed = true;
             }
@@ -75,19 +69,20 @@ fn main() -> ExitCode {
     }
     println!(
         "analytic_check: FA LRU bit-exact vs Cache replay across {} proxies",
-        Spec92Program::ALL.len()
+        builtins().len()
     );
 
     // Gate 2: set-conflict model within tolerance on the comparison grid.
     let spec = GridSpec::comparison(warmup);
-    let results = grid::compare(&Spec92Program::ALL, &spec, instructions);
+    let workloads: Vec<_> = builtins().iter().collect();
+    let results = grid::compare(&workloads, &spec, instructions);
     let mut global_max = 0.0f64;
     for wg in &results {
         let max = wg.max_delta();
         global_max = global_max.max(max);
         println!(
             "analytic_check: {:<8} max |ΔHR| {:.4} mean {:.4} over {} points",
-            wg.program.to_string(),
+            wg.workload.label(),
             max,
             wg.mean_delta(),
             wg.points.len()
@@ -95,7 +90,9 @@ fn main() -> ExitCode {
         if max > SET_CONFLICT_TOLERANCE {
             eprintln!(
                 "analytic_check: FAIL: {} max |ΔHR| {:.4} exceeds tolerance {}",
-                wg.program, max, SET_CONFLICT_TOLERANCE
+                wg.workload.label(),
+                max,
+                SET_CONFLICT_TOLERANCE
             );
             failed = true;
         }

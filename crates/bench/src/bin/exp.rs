@@ -19,8 +19,8 @@
 //! fault injection (see `DESIGN.md` §11).
 //!
 //! Exit codes: `0` success, `1` one or more experiments failed, `2` bad
-//! usage (including a filter that matches nothing), `3` an artifact
-//! could not be written.
+//! usage (including a filter that matches nothing or a malformed
+//! `REPRO_INSTRUCTIONS`), `3` an artifact could not be written.
 
 use bench::registry::{self, RunCtx};
 use bench::sched::{drive, SuiteOptions};
@@ -33,6 +33,16 @@ fn usage() -> ! {
          exit codes: 0 ok, 1 experiment failure, 2 bad usage, 3 artifact write failure"
     );
     std::process::exit(2);
+}
+
+/// The run context from `REPRO_INSTRUCTIONS`; a malformed value is bad
+/// usage.
+fn run_ctx() -> RunCtx {
+    let instructions = bench::common::instructions_per_run().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    RunCtx::with_instructions(instructions)
 }
 
 fn list(filter: &str) {
@@ -77,7 +87,7 @@ fn run(args: &[String]) {
             _ => usage(),
         }
     }
-    let opts = SuiteOptions::new(jobs, RunCtx::standard()).keep_going(keep_going);
+    let opts = SuiteOptions::new(jobs, run_ctx()).keep_going(keep_going);
     let dir = results_dir.unwrap_or_else(bench::common::results_dir);
     match drive(&filter, &opts, &dir) {
         Ok(outcome) => {
@@ -106,7 +116,7 @@ fn main() {
         Some("run") => run(&args[1..]),
         Some(id) => match registry::find(id) {
             Some(exp) => {
-                let report = exp.run(&RunCtx::standard());
+                let report = exp.run(&run_ctx());
                 registry::write_artifacts_warn(&bench::common::results_dir(), &report.artifacts);
                 println!("{}", report.section);
             }

@@ -6,15 +6,15 @@ use report::Table;
 use simcache::CacheConfig;
 use simcpu::{Cpu, CpuConfig, StallFeature};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtins, WorkloadSpec};
 
-fn measure(program: Spec92Program, cache_bytes: u64, instructions: usize) -> simcpu::SimResult {
+fn measure(workload: &WorkloadSpec, cache_bytes: u64, instructions: usize) -> simcpu::SimResult {
     let cfg = CpuConfig::baseline(
         CacheConfig::new(cache_bytes, 32, 2).expect("valid cache"),
         MemoryTiming::new(BusWidth::new(4).expect("valid bus"), 8),
     )
     .with_stall(StallFeature::FullStall);
-    Cpu::new(cfg).run(spec92_trace(program, 0xDEAD_BEEF).take(instructions))
+    Cpu::new(cfg).run(workload.compile(0xDEAD_BEEF).take(instructions))
 }
 
 fn main() {
@@ -25,12 +25,12 @@ fn main() {
     let mut t = Table::new([
         "program", "HR @8K", "HR @32K", "HR @128K", "α @8K", "mem frac",
     ]);
-    for p in Spec92Program::ALL {
+    for p in builtins() {
         let r8 = measure(p, 8 * 1024, n);
         let r32 = measure(p, 32 * 1024, n);
         let r128 = measure(p, 128 * 1024, n);
         t.row([
-            p.to_string(),
+            p.label(),
             format!("{:.2}%", 100.0 * r8.dcache.hit_ratio()),
             format!("{:.2}%", 100.0 * r32.dcache.hit_ratio()),
             format!("{:.2}%", 100.0 * r128.dcache.hit_ratio()),

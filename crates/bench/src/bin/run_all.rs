@@ -9,8 +9,8 @@
 //! stopping at the first failure. The per-experiment wall-clock and
 //! trace-store footer goes to stderr so stdout stays deterministic.
 //!
-//! Exit codes: `0` success, `1` one or more experiments failed, `3` an
-//! artifact could not be written.
+//! Exit codes: `0` success, `1` one or more experiments failed, `2` a
+//! malformed `REPRO_INSTRUCTIONS`, `3` an artifact could not be written.
 
 use bench::registry::RunCtx;
 use bench::sched::{drive, SuiteOptions};
@@ -22,7 +22,12 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
     let keep_going = std::env::var("REPRO_KEEP_GOING").is_ok_and(|v| v == "1");
-    let opts = SuiteOptions::new(jobs, RunCtx::standard()).keep_going(keep_going);
+    let instructions = bench::common::instructions_per_run().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    let opts =
+        SuiteOptions::new(jobs, RunCtx::with_instructions(instructions)).keep_going(keep_going);
     match drive("all", &opts, &bench::common::results_dir()) {
         Ok(outcome) => {
             print!("{}", outcome.run.document());

@@ -20,15 +20,19 @@ use simcache::explore::{hit_ratio_grid_replay, HitRatioPoint};
 use simcache::stackdist::StackDistSweep;
 use simcpu::{Cpu, CpuConfig, MissTimeline, MissTimelineBuilder, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtin, CompiledTrace};
 use simtrace::{Instr, INSTR_BYTES};
 use std::process::ExitCode;
 
 const SEED: u64 = 7;
-const PROGRAM: Spec92Program = Spec92Program::Nasa7;
 const LINES: [u64; 5] = [8, 16, 32, 64, 128];
 const ASSOC: u32 = 2;
 const BETAS: [u64; 3] = [4, 22, 50];
+
+/// The streamed workload: the nasa7 proxy at the smoke's seed.
+fn nasa7() -> CompiledTrace {
+    builtin("nasa7").expect("nasa7 is a builtin").compile(SEED)
+}
 
 fn usage() -> ExitCode {
     eprintln!("usage: stream_smoke [--instructions N] [--rss-limit-mb MB]");
@@ -117,7 +121,7 @@ fn streamed(n: usize, sizes: &[u64], chunk: usize) -> (Vec<HitRatioPoint>, Vec<f
         })
         .collect();
     sinks.push(FoldSink::Timeline(MissTimelineBuilder::new(phi_cache())));
-    let mut out = stream::broadcast(spec92_trace(PROGRAM, SEED).take(n), chunk, sinks);
+    let mut out = stream::broadcast(nasa7().take(n), chunk, sinks);
     let timeline: MissTimeline = out.pop().expect("timeline sink").into_timeline();
     let sweeps: Vec<StackDistSweep> = out.into_iter().map(FoldOut::into_sweep).collect();
     let phis = phi_points()
@@ -182,7 +186,7 @@ fn main() -> ExitCode {
     }
 
     // Oracle gate: materialise-then-scan must agree byte for byte.
-    let whole: Vec<Instr> = spec92_trace(PROGRAM, SEED).take(instructions).collect();
+    let whole: Vec<Instr> = nasa7().take(instructions).collect();
     let oracle_grid = hit_ratio_grid_replay(
         &sizes,
         &LINES,

@@ -3,8 +3,7 @@
 use simcache::CacheConfig;
 use simcpu::{Cpu, CpuConfig, MissTimeline, SimResult, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::Spec92Program;
-use simtrace::workload::builtin_spec;
+use simtrace::workload::{builtins, WorkloadSpec};
 use std::path::PathBuf;
 
 use crate::tracestore::{self, SPEC_SEED};
@@ -17,11 +16,18 @@ pub fn results_dir() -> PathBuf {
 /// Instructions per SPEC92 proxy run. The paper used 50 M per program;
 /// the proxies converge much faster, and the `REPRO_INSTRUCTIONS`
 /// environment variable can raise this for high-fidelity runs.
-pub fn instructions_per_run() -> usize {
-    std::env::var("REPRO_INSTRUCTIONS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(120_000)
+///
+/// # Errors
+///
+/// A set but malformed `REPRO_INSTRUCTIONS` is an error naming the
+/// variable, never a silent fallback to the default length.
+pub fn instructions_per_run() -> Result<usize, String> {
+    match std::env::var("REPRO_INSTRUCTIONS") {
+        Err(_) => Ok(120_000),
+        Ok(v) => v.parse().map_err(|_| {
+            format!("REPRO_INSTRUCTIONS={v:?} is not an instruction count (a non-negative integer)")
+        }),
+    }
 }
 
 /// The paper's Figure 1 cache: 8 KB, two-way, write-allocate.
@@ -48,7 +54,7 @@ fn spec_config(stall: StallFeature, line_bytes: u64, bus_bytes: u64, beta_m: u64
 /// Falls back to [`run_spec_oracle`] for configurations the timeline
 /// cannot replay exactly.
 pub fn run_spec(
-    program: Spec92Program,
+    workload: &WorkloadSpec,
     stall: StallFeature,
     line_bytes: u64,
     bus_bytes: u64,
@@ -56,11 +62,10 @@ pub fn run_spec(
     instructions: usize,
 ) -> SimResult {
     let cfg = spec_config(stall, line_bytes, bus_bytes, beta_m);
-    let timeline =
-        tracestore::workload_timeline(builtin_spec(program), SPEC_SEED, instructions, &cfg.dcache);
+    let timeline = tracestore::workload_timeline(workload, SPEC_SEED, instructions, &cfg.dcache);
     match TimelineCpu::new(&timeline, cfg) {
         Ok(replay) => replay.run(),
-        Err(_) => run_spec_oracle(program, stall, line_bytes, bus_bytes, beta_m, instructions),
+        Err(_) => run_spec_oracle(workload, stall, line_bytes, bus_bytes, beta_m, instructions),
     }
 }
 
@@ -68,7 +73,7 @@ pub fn run_spec(
 /// oracle path [`run_spec`] is asserted against, and the fallback for
 /// any configuration the timeline rejects.
 pub fn run_spec_oracle(
-    program: Spec92Program,
+    workload: &WorkloadSpec,
     stall: StallFeature,
     line_bytes: u64,
     bus_bytes: u64,
@@ -76,7 +81,7 @@ pub fn run_spec_oracle(
     instructions: usize,
 ) -> SimResult {
     let cfg = spec_config(stall, line_bytes, bus_bytes, beta_m);
-    let trace = tracestore::workload_trace(builtin_spec(program), SPEC_SEED, instructions);
+    let trace = tracestore::workload_trace(workload, SPEC_SEED, instructions);
     Cpu::new(cfg).run(trace.iter().copied())
 }
 
@@ -97,30 +102,30 @@ pub fn phi_matrix(
 ) -> Vec<f64> {
     let cache = figure1_cache(line_bytes);
     // One cache pass per program (memoised across calls), in parallel.
-    let timelines = crate::exec::parallel_map(&Spec92Program::ALL, |&p| {
-        tracestore::workload_timeline(builtin_spec(p), SPEC_SEED, instructions, &cache)
+    let timelines = crate::exec::parallel_map(builtins(), |spec| {
+        tracestore::workload_timeline(spec, SPEC_SEED, instructions, &cache)
     });
-    let jobs: Vec<(usize, Spec92Program, std::sync::Arc<MissTimeline>)> = points
+    let jobs: Vec<(usize, &WorkloadSpec, std::sync::Arc<MissTimeline>)> = points
         .iter()
         .enumerate()
         .flat_map(|(i, _)| {
-            Spec92Program::ALL
+            builtins()
                 .iter()
                 .zip(&timelines)
-                .map(move |(&p, tl)| (i, p, std::sync::Arc::clone(tl)))
+                .map(move |(spec, tl)| (i, spec, std::sync::Arc::clone(tl)))
         })
         .collect();
-    let phis = crate::exec::parallel_map(&jobs, |(i, program, timeline)| {
+    let phis = crate::exec::parallel_map(&jobs, |(i, spec, timeline)| {
         let (stall, beta_m) = points[*i];
         let cfg = spec_config(stall, line_bytes, bus_bytes, beta_m);
         match TimelineCpu::new(timeline, cfg) {
             Ok(replay) => replay.run().phi(),
             Err(_) => {
-                run_spec_oracle(*program, stall, line_bytes, bus_bytes, beta_m, instructions).phi()
+                run_spec_oracle(spec, stall, line_bytes, bus_bytes, beta_m, instructions).phi()
             }
         }
     });
-    let per_point = Spec92Program::ALL.len();
+    let per_point = builtins().len();
     phis.chunks(per_point)
         .map(|chunk| chunk.iter().sum::<f64>() / per_point as f64)
         .collect()
@@ -140,31 +145,15 @@ pub fn average_phi(
     phi_matrix(&[(stall, beta_m)], line_bytes, bus_bytes, instructions)[0]
 }
 
-/// Measures the SPEC92-average flush ratio `α` at the Figure 1 cache.
-///
-/// `α = writebacks / fills` is a property of the cache's event sequence
-/// alone, so it reads straight off the memoised timelines — the timing
-/// parameters only select which (identical) event stream would have been
-/// simulated.
-pub fn average_alpha(line_bytes: u64, _bus_bytes: u64, _beta_m: u64, instructions: usize) -> f64 {
-    let cache = figure1_cache(line_bytes);
-    let alphas = crate::exec::parallel_map(&Spec92Program::ALL, |&p| {
-        let stats =
-            *tracestore::workload_timeline(builtin_spec(p), SPEC_SEED, instructions, &cache)
-                .stats();
-        stats.flush_ratio()
-    });
-    alphas.iter().sum::<f64>() / alphas.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simtrace::workload::builtin;
 
     #[test]
     fn run_spec_produces_activity() {
         let r = run_spec(
-            Spec92Program::Ear,
+            builtin("ear").unwrap(),
             StallFeature::FullStall,
             32,
             4,
@@ -182,8 +171,9 @@ mod tests {
             StallFeature::BusLocked,
             StallFeature::NonBlocking { mshrs: 4 },
         ] {
-            let fast = run_spec(Spec92Program::Doduc, stall, 32, 4, 15, 8_000);
-            let slow = run_spec_oracle(Spec92Program::Doduc, stall, 32, 4, 15, 8_000);
+            let doduc = builtin("doduc").unwrap();
+            let fast = run_spec(doduc, stall, 32, 4, 15, 8_000);
+            let slow = run_spec_oracle(doduc, stall, 32, 4, 15, 8_000);
             assert_eq!(fast, slow, "{stall}");
         }
     }
@@ -217,29 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn average_alpha_is_a_fraction() {
-        let a = average_alpha(32, 4, 8, 10_000);
-        assert!((0.0..=1.0).contains(&a), "α = {a}");
-    }
-
-    #[test]
-    fn average_alpha_matches_full_simulation() {
-        let direct = run_spec_oracle(
-            Spec92Program::Swm256,
-            StallFeature::FullStall,
-            32,
-            4,
-            8,
-            10_000,
-        )
-        .alpha();
+    fn timeline_flush_ratio_matches_full_simulation() {
+        let swm256 = builtin("swm256").unwrap();
+        let direct = run_spec_oracle(swm256, StallFeature::FullStall, 32, 4, 8, 10_000).alpha();
         let cache = figure1_cache(32);
-        let timeline = tracestore::workload_timeline(
-            builtin_spec(Spec92Program::Swm256),
-            SPEC_SEED,
-            10_000,
-            &cache,
-        );
+        let timeline = tracestore::workload_timeline(swm256, SPEC_SEED, 10_000, &cache);
         assert_eq!(timeline.stats().flush_ratio(), direct);
     }
 }

@@ -12,20 +12,20 @@
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::Table;
 use simcache::{Cache, CacheConfig};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtins, WorkloadSpec};
 use tradeoff::equiv::hit_gain_equivalent;
 use tradeoff::{HitRatio, Machine, SystemConfig, TradeoffError};
 
 /// Hit ratio with caches flushed every `switch_interval` instructions
 /// (`None` = no switching).
 pub fn hit_ratio_with_switches(
-    program: Spec92Program,
+    workload: &WorkloadSpec,
     switch_interval: Option<u64>,
     instructions: usize,
 ) -> f64 {
     let mut cache = Cache::new(CacheConfig::new(8 * 1024, 32, 2).expect("valid cache"));
     let mut since_switch = 0u64;
-    for instr in spec92_trace(program, 0xC0DE).take(instructions) {
+    for instr in workload.compile(0xC0DE).take(instructions) {
         since_switch += 1;
         if let Some(interval) = switch_interval {
             if since_switch >= interval {
@@ -44,7 +44,7 @@ pub fn hit_ratio_with_switches(
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwitchRow {
     /// Workload.
-    pub program: Spec92Program,
+    pub workload: &'static WorkloadSpec,
     /// Hit ratio without switching.
     pub base_hr: f64,
     /// Hit ratios at each switch interval.
@@ -56,14 +56,14 @@ pub const INTERVALS: [u64; 3] = [100_000, 20_000, 5_000];
 
 /// Runs the study over all proxies.
 pub fn run(instructions: usize) -> Vec<SwitchRow> {
-    Spec92Program::ALL
+    builtins()
         .iter()
-        .map(|&program| SwitchRow {
-            program,
-            base_hr: hit_ratio_with_switches(program, None, instructions),
+        .map(|workload| SwitchRow {
+            workload,
+            base_hr: hit_ratio_with_switches(workload, None, instructions),
             switched_hr: INTERVALS
                 .iter()
-                .map(|&i| (i, hit_ratio_with_switches(program, Some(i), instructions)))
+                .map(|&i| (i, hit_ratio_with_switches(workload, Some(i), instructions)))
                 .collect(),
         })
         .collect()
@@ -88,7 +88,7 @@ pub fn report(instructions: usize) -> Result<String, TradeoffError> {
     for r in &rows {
         let lost = r.base_hr - r.switched_hr.last().expect("intervals non-empty").1;
         worst_loss = worst_loss.max(lost);
-        let mut row = vec![r.program.to_string(), format!("{:.2}%", 100.0 * r.base_hr)];
+        let mut row = vec![r.workload.label(), format!("{:.2}%", 100.0 * r.base_hr)];
         row.extend(
             r.switched_hr
                 .iter()
@@ -151,7 +151,7 @@ mod tests {
                 assert!(
                     hr <= prev + 0.005,
                     "{}: interval {interval} raised HR",
-                    r.program
+                    r.workload.label()
                 );
                 prev = hr;
             }
@@ -161,15 +161,12 @@ mod tests {
     #[test]
     fn frequent_switching_hurts_reuse_heavy_code_most() {
         let rows = run(40_000);
-        let loss = |p: Spec92Program| {
-            let r = rows.iter().find(|r| r.program == p).unwrap();
+        let loss = |p: &str| {
+            let r = rows.iter().find(|r| r.workload.label() == p).unwrap();
             r.base_hr - r.switched_hr.last().unwrap().1
         };
         // ear lives on temporal reuse; the streaming sweeps barely care.
-        assert!(
-            loss(Spec92Program::Ear) > loss(Spec92Program::Swm256),
-            "{rows:?}"
-        );
+        assert!(loss("ear") > loss("swm256"), "{rows:?}");
     }
 
     #[test]

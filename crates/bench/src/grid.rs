@@ -25,8 +25,7 @@ use report::{Artifact, Table};
 use simcache::hitratio::SET_CONFLICT_TOLERANCE;
 use simcache::stackdist::StackDistSweep;
 use simcache::{Analytic, HitRatioBackend, Simulated};
-use simtrace::spec92::Spec92Program;
-use simtrace::workload::{builtin_spec, WorkloadSpec};
+use simtrace::workload::{builtins, WorkloadSpec};
 
 // The grid shapes (and the dense-grid search) are owned by the typed
 // query API so the CLI, the query server and this experiment provably
@@ -110,7 +109,7 @@ impl GridPoint {
 #[derive(Debug, Clone)]
 pub struct WorkloadGrid {
     /// The workload.
-    pub program: Spec92Program,
+    pub workload: &'static WorkloadSpec,
     /// Points answered by both backends.
     pub points: Vec<GridPoint>,
 }
@@ -136,14 +135,13 @@ impl WorkloadGrid {
 ///
 /// Panics if a grid combination is outside either backend's coverage.
 pub fn compare(
-    programs: &[Spec92Program],
+    workloads: &[&'static WorkloadSpec],
     spec: &GridSpec,
     instructions: usize,
 ) -> Vec<WorkloadGrid> {
-    programs
+    workloads
         .iter()
-        .map(|&program| {
-            let workload = builtin_spec(program);
+        .map(|&workload| {
             let sim = build_simulated(workload, spec, instructions);
             let analytic = build_analytic(workload, instructions, spec.warmup);
             let mut points = Vec::with_capacity(spec.points());
@@ -166,7 +164,7 @@ pub fn compare(
                     }
                 }
             }
-            WorkloadGrid { program, points }
+            WorkloadGrid { workload, points }
         })
         .collect()
 }
@@ -177,7 +175,7 @@ pub fn render(results: &[WorkloadGrid], spec: &GridSpec) -> String {
     let mut t = Table::new(["program", "max |ΔHR|", "mean |ΔHR|", "within tolerance"]);
     for wg in results {
         t.row([
-            wg.program.to_string(),
+            wg.workload.label(),
             format!("{:.4}", wg.max_delta()),
             format!("{:.4}", wg.mean_delta()),
             (wg.max_delta() <= SET_CONFLICT_TOLERANCE).to_string(),
@@ -197,7 +195,7 @@ pub fn artifact(results: &[WorkloadGrid]) -> Artifact {
     for wg in results {
         for p in &wg.points {
             rows.push(vec![
-                wg.program.to_string(),
+                wg.workload.label(),
                 p.cache_bytes.to_string(),
                 p.line_bytes.to_string(),
                 p.assoc.to_string(),
@@ -225,24 +223,24 @@ pub fn artifact(results: &[WorkloadGrid]) -> Artifact {
 /// Renders the dense-grid capacity-planning table: per workload, the
 /// cheapest geometry reaching `target_hr`.
 pub fn dense_render(
-    programs: &[Spec92Program],
+    workloads: &[&WorkloadSpec],
     grid: &DenseGrid,
     instructions: usize,
     warmup: u64,
     target_hr: f64,
 ) -> String {
     let mut t = Table::new(["program", "cache", "geometry", "hit ratio"]);
-    for &program in programs {
-        let analytic = build_analytic(builtin_spec(program), instructions, warmup);
+    for &workload in workloads {
+        let analytic = build_analytic(workload, instructions, warmup);
         let row = match dense_best(&analytic, grid, target_hr) {
             Some(b) => [
-                program.to_string(),
+                workload.label(),
                 format!("{} B", b.cache_bytes),
                 format!("{} sets × {} B × {}-way", b.sets, b.line_bytes, b.assoc),
                 format!("{:.4}", b.hit_ratio),
             ],
             None => [
-                program.to_string(),
+                workload.label(),
                 "-".to_string(),
                 "unreachable".to_string(),
                 "-".to_string(),
@@ -254,7 +252,7 @@ pub fn dense_render(
         "\nCheapest geometry reaching HR ≥ {target_hr} on the dense analytic grid \
          ({} points/workload, {} total — set counts 1..={}, closed form, no simulation):\n{}",
         grid.points(),
-        grid.points() * programs.len(),
+        grid.points() * workloads.len(),
         grid.max_sets,
         t.render()
     )
@@ -283,7 +281,8 @@ impl Experiment for Exp {
         let instructions = ctx.instructions;
         let warmup = instructions as u64 / 5;
         let spec = GridSpec::comparison(warmup);
-        let results = compare(&Spec92Program::ALL, &spec, instructions);
+        let workloads: Vec<_> = builtins().iter().collect();
+        let results = compare(&workloads, &spec, instructions);
         let mut out = render(&results, &spec);
         // The dense sweep's cost is trace-length independent; what the
         // short (CI fault/registry) suites need to bound is the
@@ -294,13 +293,7 @@ impl Experiment for Exp {
         } else {
             DenseGrid::small()
         };
-        out.push_str(&dense_render(
-            &Spec92Program::ALL,
-            &dense,
-            instructions,
-            warmup,
-            0.9,
-        ));
+        out.push_str(&dense_render(&workloads, &dense, instructions, warmup, 0.9));
         ExpReport {
             section: out,
             artifacts: vec![artifact(&results)],
@@ -311,6 +304,7 @@ impl Experiment for Exp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simtrace::workload::builtin;
 
     fn small_spec() -> GridSpec {
         GridSpec {
@@ -334,7 +328,7 @@ mod tests {
     #[test]
     fn both_backends_answer_every_point_within_tolerance() {
         let spec = small_spec();
-        let results = compare(&[Spec92Program::Ear], &spec, 6_000);
+        let results = compare(&[builtin("ear").unwrap()], &spec, 6_000);
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].points.len(), spec.points());
         for p in &results[0].points {
@@ -352,7 +346,7 @@ mod tests {
     #[test]
     fn render_and_artifact_cover_the_grid() {
         let spec = small_spec();
-        let results = compare(&[Spec92Program::Ear], &spec, 4_000);
+        let results = compare(&[builtin("ear").unwrap()], &spec, 4_000);
         let text = render(&results, &spec);
         assert!(text.contains("ear"));
         assert!(text.contains("tolerance"));
@@ -366,7 +360,7 @@ mod tests {
 
     #[test]
     fn dense_best_finds_a_minimal_geometry() {
-        let analytic = build_analytic(builtin_spec(Spec92Program::Ear), 6_000, 1_000);
+        let analytic = build_analytic(builtin("ear").unwrap(), 6_000, 1_000);
         let grid = DenseGrid::small();
         let best = dense_best(&analytic, &grid, 0.5).expect("ear reaches 50% somewhere");
         assert!(best.hit_ratio >= 0.5);
@@ -376,7 +370,7 @@ mod tests {
         );
         // An impossible target is reported as unreachable, not panicked.
         assert!(dense_best(&analytic, &grid, 1.1).is_none());
-        let text = dense_render(&[Spec92Program::Ear], &grid, 6_000, 1_000, 0.5);
+        let text = dense_render(&[builtin("ear").unwrap()], &grid, 6_000, 1_000, 0.5);
         assert!(text.contains("ear"));
         assert!(text.contains("sets ×"));
     }

@@ -16,7 +16,7 @@ use report::Table;
 use simcache::CacheConfig;
 use simcpu::{Cpu, CpuConfig, L2Config, SimResult};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtins, WorkloadSpec};
 use tradeoff::crossover::pipelined_vs_double_bus;
 use tradeoff::{HitRatio, Machine, SystemConfig, TradeoffError};
 
@@ -24,7 +24,7 @@ use tradeoff::{HitRatio, Machine, SystemConfig, TradeoffError};
 #[derive(Debug, Clone, PartialEq)]
 pub struct L2Worth {
     /// Workload.
-    pub program: Spec92Program,
+    pub workload: &'static WorkloadSpec,
     /// Cycles without an L2.
     pub cycles_flat: u64,
     /// Cycles with the L2.
@@ -38,7 +38,7 @@ pub struct L2Worth {
     pub l2_hit_ratio: f64,
 }
 
-fn simulate(program: Spec92Program, l2: Option<L2Config>, beta: u64, n: usize) -> SimResult {
+fn simulate(workload: &WorkloadSpec, l2: Option<L2Config>, beta: u64, n: usize) -> SimResult {
     let mut cfg = CpuConfig::baseline(
         figure1_cache(32),
         MemoryTiming::new(BusWidth::new(4).expect("valid bus"), beta),
@@ -46,7 +46,7 @@ fn simulate(program: Spec92Program, l2: Option<L2Config>, beta: u64, n: usize) -
     if let Some(l2) = l2 {
         cfg = cfg.with_l2(l2);
     }
-    Cpu::new(cfg).run(spec92_trace(program, 0x12E2).take(n))
+    Cpu::new(cfg).run(workload.compile(0x12E2).take(n))
 }
 
 /// The canonical L2 of the experiment: 128 KB 4-way at β = 2.
@@ -69,13 +69,13 @@ fn beta_eff(r: &SimResult) -> f64 {
 
 /// Runs the comparison for all proxies.
 pub fn run(beta: u64, instructions: usize) -> Vec<L2Worth> {
-    Spec92Program::ALL
+    builtins()
         .iter()
-        .map(|&program| {
-            let flat = simulate(program, None, beta, instructions);
-            let l2 = simulate(program, Some(canonical_l2()), beta, instructions);
+        .map(|workload| {
+            let flat = simulate(workload, None, beta, instructions);
+            let l2 = simulate(workload, Some(canonical_l2()), beta, instructions);
             L2Worth {
-                program,
+                workload,
                 cycles_flat: flat.cycles,
                 cycles_l2: l2.cycles,
                 beta_eff_flat: beta_eff(&flat),
@@ -105,7 +105,7 @@ pub fn report(beta: u64, instructions: usize) -> Result<String, TradeoffError> {
     for r in &rows {
         avg_eff += r.beta_eff_l2;
         t.row([
-            r.program.to_string(),
+            r.workload.label(),
             r.cycles_flat.to_string(),
             r.cycles_l2.to_string(),
             format!("{:.2}", r.beta_eff_flat),

@@ -11,7 +11,7 @@
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::{Artifact, Table};
 use simcache::explore::hit_ratio_grid;
-use simtrace::spec92::Spec92Program;
+use simtrace::workload::{builtin, WorkloadSpec};
 use tradeoff::linesize::{
     miss_count_ratio, optimal_line_eq19, optimal_line_smith, required_hit_gain, FillTiming,
     LineCandidate,
@@ -50,7 +50,7 @@ pub fn required_gain_table(hr0: f64, beta: f64, cs: &[f64]) -> Result<String, Tr
 ///
 /// Propagates cache-configuration and model errors (stringified).
 pub fn simulated_selection(
-    program: Spec92Program,
+    workload: &WorkloadSpec,
     cache_bytes: u64,
     instructions: usize,
     timing: &FillTiming,
@@ -58,11 +58,7 @@ pub fn simulated_selection(
     let lines = [8u64, 16, 32, 64, 128];
     // The trace comes from the shared store at the sweep seed, so this
     // experiment and the design-space sweep share one materialisation.
-    let trace = crate::tracestore::workload_trace(
-        simtrace::workload::builtin_spec(program),
-        crate::sweep::SWEEP_SEED,
-        instructions,
-    );
+    let trace = crate::tracestore::workload_trace(workload, crate::sweep::SWEEP_SEED, instructions);
     let points = hit_ratio_grid(
         &[cache_bytes],
         &lines,
@@ -102,12 +98,9 @@ pub fn report(instructions: usize) -> ExpReport {
     let timing = FillTiming::new(7.0, 1.0).expect("valid timing");
     let mut t = Table::new(["program", "measured HR by line", "Smith pick", "Eq.19 pick"]);
     let mut rows_csv = Vec::new();
-    for p in [
-        Spec92Program::Nasa7,
-        Spec92Program::Doduc,
-        Spec92Program::Ear,
-    ] {
-        match simulated_selection(p, 8 * 1024, instructions, &timing) {
+    for p in ["nasa7", "doduc", "ear"] {
+        let workload = builtin(p).expect("a builtin proxy");
+        match simulated_selection(workload, 8 * 1024, instructions, &timing) {
             Ok((cands, smith, ours)) => {
                 let hrs: Vec<String> = cands
                     .iter()
@@ -197,7 +190,7 @@ mod tests {
         for (c, beta) in [(3.0, 0.5), (7.0, 1.0), (15.0, 2.0)] {
             let timing = FillTiming::new(c, beta).unwrap();
             let (_, smith, ours) =
-                simulated_selection(Spec92Program::Nasa7, 8 * 1024, 40_000, &timing).unwrap();
+                simulated_selection(builtin("nasa7").unwrap(), 8 * 1024, 40_000, &timing).unwrap();
             assert_eq!(smith, ours, "selectors disagree at c={c} β={beta}");
         }
     }
@@ -206,7 +199,7 @@ mod tests {
     fn strided_program_prefers_large_lines_when_bus_is_fast() {
         let timing = FillTiming::new(20.0, 0.5).unwrap();
         let (_, smith, _) =
-            simulated_selection(Spec92Program::Swm256, 8 * 1024, 40_000, &timing).unwrap();
+            simulated_selection(builtin("swm256").unwrap(), 8 * 1024, 40_000, &timing).unwrap();
         assert!(
             smith >= 32.0,
             "sequential code with cheap transfer wants big lines: {smith}"

@@ -14,7 +14,7 @@ use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::Table;
 use simcpu::{predict_cycles_multiissue, Cpu, CpuConfig};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtin, WorkloadSpec};
 use tradeoff::multiissue::{miss_traffic_ratio_limit, traded_hit_ratio_w};
 use tradeoff::{HitRatio, Machine, SystemConfig, TradeoffError};
 
@@ -63,7 +63,7 @@ pub struct WidthValidation {
 
 /// Simulates one proxy across issue widths and checks the generalised
 /// model.
-pub fn simulate_widths(program: Spec92Program, instructions: usize) -> Vec<WidthValidation> {
+pub fn simulate_widths(workload: &WorkloadSpec, instructions: usize) -> Vec<WidthValidation> {
     [1u32, 2, 4, 8]
         .into_iter()
         .map(|width| {
@@ -72,7 +72,7 @@ pub fn simulate_widths(program: Spec92Program, instructions: usize) -> Vec<Width
                 MemoryTiming::new(BusWidth::new(4).expect("valid bus"), 8),
             )
             .with_issue_width(width);
-            let r = Cpu::new(cfg).run(spec92_trace(program, 0xD0D0).take(instructions));
+            let r = Cpu::new(cfg).run(workload.compile(0xD0D0).take(instructions));
             let predicted = predict_cycles_multiissue(&r, width);
             WidthValidation {
                 width,
@@ -107,10 +107,11 @@ impl Experiment for Exp {
         out.push('\n');
 
         let mut t = Table::new(["program", "w", "simulated", "Eq.2(w) predicted", "rel err"]);
-        for p in [Spec92Program::Ear, Spec92Program::Swm256] {
+        for p in ["ear", "swm256"] {
             // The width ladder replays the trace once per w; the clamp
             // keeps the suite's wall-clock in check.
-            for v in simulate_widths(p, ctx.instructions.min(60_000)) {
+            let workload = builtin(p).expect("a builtin proxy");
+            for v in simulate_widths(workload, ctx.instructions.min(60_000)) {
                 t.row([
                     p.to_string(),
                     v.width.to_string(),
@@ -139,14 +140,14 @@ mod tests {
 
     #[test]
     fn generalized_model_tracks_simulation_within_issue_rounding() {
-        for v in simulate_widths(Spec92Program::Ear, 20_000) {
+        for v in simulate_widths(builtin("ear").unwrap(), 20_000) {
             assert!(v.rel_error < 0.05, "w={}: err {}", v.width, v.rel_error);
         }
     }
 
     #[test]
     fn wider_issue_means_fewer_cycles_and_higher_memory_share() {
-        let vs = simulate_widths(Spec92Program::Swm256, 20_000);
+        let vs = simulate_widths(builtin("swm256").unwrap(), 20_000);
         for pair in vs.windows(2) {
             assert!(pair[1].simulated <= pair[0].simulated);
         }

@@ -16,13 +16,13 @@ use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::Table;
 use simcpu::{Cpu, CpuConfig, SimResult, StallFeature};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtins, WorkloadSpec};
 
 /// Per-program distance profile and stalling factor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistanceProfile {
     /// Workload.
-    pub program: Spec92Program,
+    pub workload: &'static WorkloadSpec,
     /// The power-of-two histogram (see `SimResult::miss_distance_hist`).
     pub hist: [u64; 20],
     /// Median inter-miss distance in instructions.
@@ -31,13 +31,13 @@ pub struct DistanceProfile {
     pub phi_bl: f64,
 }
 
-fn simulate(program: Spec92Program, stall: StallFeature, beta: u64, n: usize) -> SimResult {
+fn simulate(workload: &WorkloadSpec, stall: StallFeature, beta: u64, n: usize) -> SimResult {
     let cfg = CpuConfig::baseline(
         figure1_cache(32),
         MemoryTiming::new(BusWidth::new(4).expect("valid bus"), beta),
     )
     .with_stall(stall);
-    Cpu::new(cfg).run(spec92_trace(program, 0x0D15).take(n))
+    Cpu::new(cfg).run(workload.compile(0x0D15).take(n))
 }
 
 /// Weighted mean of the histogram's bucket midpoints — a tie-free
@@ -56,13 +56,13 @@ pub fn mean_distance(hist: &[u64; 20]) -> f64 {
 
 /// Measures the profile for every proxy.
 pub fn run(beta: u64, instructions: usize) -> Vec<DistanceProfile> {
-    Spec92Program::ALL
+    builtins()
         .iter()
-        .map(|&program| {
-            let fs = simulate(program, StallFeature::FullStall, beta, instructions);
-            let bl = simulate(program, StallFeature::BusLocked, beta, instructions);
+        .map(|workload| {
+            let fs = simulate(workload, StallFeature::FullStall, beta, instructions);
+            let bl = simulate(workload, StallFeature::BusLocked, beta, instructions);
             DistanceProfile {
-                program,
+                workload,
                 hist: fs.miss_distance_hist,
                 median: fs.median_miss_distance(),
                 phi_bl: bl.phi(),
@@ -82,7 +82,7 @@ pub fn render(rows: &[DistanceProfile]) -> String {
     for r in rows {
         let spark = report::chart::sparkline(&r.hist);
         t.row([
-            r.program.to_string(),
+            r.workload.label(),
             format!("[{spark}]"),
             r.median.map_or("—".to_string(), |m| format!("{m:.0}")),
             format!("{:.2}", r.phi_bl),
@@ -120,10 +120,11 @@ impl Experiment for Exp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simtrace::workload::builtin;
 
     #[test]
     fn histogram_counts_fills_minus_one() {
-        let fs = simulate(Spec92Program::Ear, StallFeature::FullStall, 8, 20_000);
+        let fs = simulate(builtin("ear").unwrap(), StallFeature::FullStall, 8, 20_000);
         let total: u64 = fs.miss_distance_hist.iter().sum();
         assert_eq!(total, fs.dcache.fills - 1);
     }
@@ -132,10 +133,10 @@ mod tests {
     fn streaming_programs_have_short_distances() {
         let rows = run(8, 30_000);
         let mean =
-            |p: Spec92Program| mean_distance(&rows.iter().find(|r| r.program == p).unwrap().hist);
+            |p: &str| mean_distance(&rows.iter().find(|r| r.workload.label() == p).unwrap().hist);
         // Stencil sweeps miss every line → shorter distances than the
         // loop-nest code.
-        assert!(mean(Spec92Program::Swm256) < mean(Spec92Program::Ear));
+        assert!(mean("swm256") < mean("ear"));
     }
 
     #[test]
@@ -156,10 +157,10 @@ mod tests {
         assert!(
             shortest.phi_bl >= longest.phi_bl,
             "{}(ΔC={:.1}, φ={}) vs {}(ΔC={:.1}, φ={})",
-            shortest.program,
+            shortest.workload.label(),
             key(shortest),
             shortest.phi_bl,
-            longest.program,
+            longest.workload.label(),
             key(longest),
             longest.phi_bl
         );

@@ -18,7 +18,7 @@ use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::Table;
 use simcpu::{Cpu, CpuConfig, Prefetch, SimResult};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtins, WorkloadSpec};
 use tradeoff::equiv::traded_hit_ratio;
 use tradeoff::{HitRatio, Machine, SystemConfig, TradeoffError};
 
@@ -26,7 +26,7 @@ use tradeoff::{HitRatio, Machine, SystemConfig, TradeoffError};
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrefetchWorth {
     /// Workload.
-    pub program: Spec92Program,
+    pub workload: &'static WorkloadSpec,
     /// Cycles without prefetching.
     pub cycles_plain: u64,
     /// Cycles with next-line prefetching.
@@ -39,13 +39,13 @@ pub struct PrefetchWorth {
     pub traffic_factor: f64,
 }
 
-fn simulate(program: Spec92Program, prefetch: Prefetch, beta: u64, n: usize) -> SimResult {
+fn simulate(workload: &WorkloadSpec, prefetch: Prefetch, beta: u64, n: usize) -> SimResult {
     let cfg = CpuConfig::baseline(
         figure1_cache(32),
         MemoryTiming::new(BusWidth::new(4).expect("valid bus"), beta),
     )
     .with_prefetch(prefetch);
-    Cpu::new(cfg).run(spec92_trace(program, 0xFE7C).take(n))
+    Cpu::new(cfg).run(workload.compile(0xFE7C).take(n))
 }
 
 /// Measures the worth of next-line prefetching per program.
@@ -55,9 +55,9 @@ fn simulate(program: Spec92Program, prefetch: Prefetch, beta: u64, n: usize) -> 
 /// Propagates model-validation errors (degenerate measured α).
 pub fn run(beta: u64, instructions: usize) -> Result<Vec<PrefetchWorth>, TradeoffError> {
     let mut out = Vec::new();
-    for program in Spec92Program::ALL {
-        let plain = simulate(program, Prefetch::None, beta, instructions);
-        let pf = simulate(program, Prefetch::NextLine, beta, instructions);
+    for workload in builtins() {
+        let plain = simulate(workload, Prefetch::None, beta, instructions);
+        let pf = simulate(workload, Prefetch::NextLine, beta, instructions);
         let machine = Machine::new(4.0, 32.0, beta as f64)?;
         let base = SystemConfig::full_stalling(plain.alpha().clamp(0.0, 1.0));
         let g = base.delay_per_missed_line(&machine)?;
@@ -66,7 +66,7 @@ pub fn run(beta: u64, instructions: usize) -> Result<Vec<PrefetchWorth>, Tradeof
         let traffic_factor =
             (pf.dcache.fills + pf.dcache.prefetch_fills) as f64 / plain.dcache.fills.max(1) as f64;
         out.push(PrefetchWorth {
-            program,
+            workload,
             cycles_plain: plain.cycles,
             cycles_prefetch: pf.cycles,
             hit_ratio_worth,
@@ -98,7 +98,7 @@ pub fn report(beta: u64, instructions: usize) -> Result<String, TradeoffError> {
     ]);
     for r in &rows {
         t.row([
-            r.program.to_string(),
+            r.workload.label(),
             r.cycles_plain.to_string(),
             r.cycles_prefetch.to_string(),
             format!("{:+.2}%", 100.0 * r.hit_ratio_worth),
@@ -142,14 +142,10 @@ mod tests {
     #[test]
     fn prefetch_helps_streaming_programs() {
         let rows = run(8, 40_000).unwrap();
-        let by = |p: Spec92Program| rows.iter().find(|r| r.program == p).unwrap();
+        let by = |p: &str| rows.iter().find(|r| r.workload.label() == p).unwrap();
         // swm256/hydro2d are stride-dominated: prefetching must pay.
-        assert!(
-            by(Spec92Program::Swm256).hit_ratio_worth > 0.0,
-            "{:?}",
-            by(Spec92Program::Swm256)
-        );
-        assert!(by(Spec92Program::Hydro2d).hit_ratio_worth > 0.0);
+        assert!(by("swm256").hit_ratio_worth > 0.0, "{:?}", by("swm256"));
+        assert!(by("hydro2d").hit_ratio_worth > 0.0);
     }
 
     #[test]

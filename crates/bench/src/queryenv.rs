@@ -82,8 +82,7 @@ impl Workloads for StoreWorkloads {
 mod tests {
     use super::*;
     use crate::sweep::SWEEP_SEED;
-    use simtrace::spec92::Spec92Program;
-    use simtrace::workload::builtin_spec;
+    use simtrace::workload::builtin;
     use tradeoff::api::{self, GRID_SEED, HIST_DISTANCE_CAP, HIST_LINE_RANGE};
 
     #[test]
@@ -100,7 +99,7 @@ mod tests {
         let instructions = 5_000;
         let warmup = instructions as u64 / 5;
         let via_api = StoreWorkloads.histograms(
-            builtin_spec(Spec92Program::Doduc),
+            builtin("doduc").unwrap(),
             GRID_SEED,
             instructions,
             HIST_LINE_RANGE.0,
@@ -109,7 +108,7 @@ mod tests {
             warmup,
         );
         let via_suite = tracestore::workload_histograms(
-            builtin_spec(Spec92Program::Doduc),
+            builtin("doduc").unwrap(),
             SWEEP_SEED,
             instructions,
             8,

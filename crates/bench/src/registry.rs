@@ -27,9 +27,16 @@ pub struct RunCtx {
 impl RunCtx {
     /// The canonical context: `REPRO_INSTRUCTIONS` or the 120 000
     /// default, exactly what the committed `results/` artifacts use.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the variable's name if `REPRO_INSTRUCTIONS` is set
+    /// but malformed; binaries check
+    /// [`instructions_per_run`](crate::common::instructions_per_run)
+    /// first and exit with a usage error instead.
     pub fn standard() -> RunCtx {
         RunCtx {
-            instructions: crate::common::instructions_per_run(),
+            instructions: crate::common::instructions_per_run().unwrap_or_else(|e| panic!("{e}")),
         }
     }
 

@@ -9,7 +9,7 @@
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::{chart::sparkline, Table};
 use simtrace::reuse::ReuseProfile;
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtins, WorkloadSpec};
 
 /// Distances are bucketed logarithmically for display.
 fn log_buckets(hist: &[u64]) -> Vec<u64> {
@@ -25,19 +25,19 @@ fn log_buckets(hist: &[u64]) -> Vec<u64> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReuseRow {
     /// Workload.
-    pub program: Spec92Program,
+    pub workload: &'static WorkloadSpec,
     /// The profile (line granularity 32 B, distances capped at 4096).
     pub profile: ReuseProfile,
 }
 
 /// Profiles every proxy.
 pub fn run(instructions: usize) -> Vec<ReuseRow> {
-    Spec92Program::ALL
+    builtins()
         .iter()
-        .map(|&program| ReuseRow {
-            program,
+        .map(|workload| ReuseRow {
+            workload,
             profile: ReuseProfile::from_trace(
-                spec92_trace(program, 0x2E05E).take(instructions),
+                workload.compile(0x2E05E).take(instructions),
                 32,
                 4096,
             ),
@@ -61,7 +61,7 @@ pub fn render(rows: &[ReuseRow]) -> String {
                 .map_or("—".to_string(), |k| k.to_string())
         };
         t.row([
-            r.program.to_string(),
+            r.workload.label(),
             format!("[{}]", sparkline(&log_buckets(r.profile.histogram()))),
             fmt_cap(0.90),
             fmt_cap(0.95),
@@ -105,22 +105,22 @@ mod tests {
     fn profiles_cover_all_references() {
         for r in run(10_000) {
             let total = r.profile.cold() + r.profile.histogram().iter().sum::<u64>();
-            assert_eq!(total, r.profile.total(), "{}", r.program);
+            assert_eq!(total, r.profile.total(), "{}", r.workload.label());
         }
     }
 
     #[test]
     fn reuse_heavy_ear_needs_fewer_lines_than_streaming_swm() {
         let rows = run(20_000);
-        let cap = |p: Spec92Program| {
+        let cap = |p: &str| {
             rows.iter()
-                .find(|r| r.program == p)
+                .find(|r| r.workload.label() == p)
                 .unwrap()
                 .profile
                 .capacity_for(0.90)
                 .unwrap_or(usize::MAX)
         };
-        assert!(cap(Spec92Program::Ear) < cap(Spec92Program::Swm256));
+        assert!(cap("ear") < cap("swm256"));
     }
 
     #[test]
@@ -134,7 +134,7 @@ mod tests {
         use simcache::{Cache, CacheConfig};
         for r in run(15_000) {
             let mut cache = Cache::new(CacheConfig::new(8 * 1024, 32, 2).unwrap());
-            for i in spec92_trace(r.program, 0x2E05E).take(15_000) {
+            for i in r.workload.compile(0x2E05E).take(15_000) {
                 if let Some(m) = i.mem {
                     cache.access(m.op, m.addr);
                 }
@@ -144,7 +144,7 @@ mod tests {
             assert!(
                 (measured - mattson).abs() < 0.12,
                 "{}: Mattson {mattson} far from measured {measured}",
-                r.program
+                r.workload.label()
             );
         }
     }

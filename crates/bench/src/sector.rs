@@ -12,7 +12,7 @@
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::Table;
 use simcache::{Cache, CacheConfig, SectorCache, SectorConfig};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtin, WorkloadSpec};
 use tradeoff::cost::CacheAreaModel;
 use tradeoff::TradeoffError;
 
@@ -55,12 +55,12 @@ fn conventional(
     name: &str,
     cache_bytes: u64,
     line_bytes: u64,
-    program: Spec92Program,
+    workload: &WorkloadSpec,
     n: usize,
     tech: SectorTech,
 ) -> Result<OrgResult, TradeoffError> {
     let mut cache = Cache::new(CacheConfig::new(cache_bytes, line_bytes, 2).expect("valid"));
-    for instr in spec92_trace(program, 0x5EC7).take(n) {
+    for instr in workload.compile(0x5EC7).take(n) {
         if let Some(m) = instr.mem {
             cache.access(m.op, m.addr);
         }
@@ -85,13 +85,13 @@ fn sector(
     cache_bytes: u64,
     block: u64,
     sub: u64,
-    program: Spec92Program,
+    workload: &WorkloadSpec,
     n: usize,
     tech: SectorTech,
 ) -> Result<OrgResult, TradeoffError> {
     let cfg = SectorConfig::new(cache_bytes, block, sub, 2).expect("valid sector");
     let mut cache = SectorCache::new(cfg);
-    for instr in spec92_trace(program, 0x5EC7).take(n) {
+    for instr in workload.compile(0x5EC7).take(n) {
         if let Some(m) = instr.mem {
             cache.access(m.op, m.addr);
         }
@@ -122,16 +122,16 @@ fn sector(
 /// # Errors
 ///
 /// Propagates cost-model errors.
-pub fn run(program: Spec92Program, n: usize) -> Result<Vec<OrgResult>, TradeoffError> {
+pub fn run(workload: &WorkloadSpec, n: usize) -> Result<Vec<OrgResult>, TradeoffError> {
     let tech = SectorTech {
         c: 7.0,
         beta: 2.0,
         bus_bytes: 8.0,
     };
     Ok(vec![
-        conventional("conventional 8B lines", 8 * 1024, 8, program, n, tech)?,
-        conventional("conventional 64B lines", 8 * 1024, 64, program, n, tech)?,
-        sector(8 * 1024, 64, 8, program, n, tech)?,
+        conventional("conventional 8B lines", 8 * 1024, 8, workload, n, tech)?,
+        conventional("conventional 64B lines", 8 * 1024, 64, workload, n, tech)?,
+        sector(8 * 1024, 64, 8, workload, n, tech)?,
     ])
 }
 
@@ -142,8 +142,8 @@ pub fn run(program: Spec92Program, n: usize) -> Result<Vec<OrgResult>, TradeoffE
 /// Propagates cost-model errors.
 pub fn report(n: usize) -> Result<String, TradeoffError> {
     let mut out = String::new();
-    for program in [Spec92Program::Nasa7, Spec92Program::Doduc] {
-        let rows = run(program, n)?;
+    for program in ["nasa7", "doduc"] {
+        let rows = run(builtin(program).expect("a builtin proxy"), n)?;
         let mut t = Table::new([
             "organisation",
             "HR",
@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn sector_has_large_line_tag_budget() {
-        let rows = run(Spec92Program::Nasa7, 20_000).unwrap();
+        let rows = run(builtin("nasa7").unwrap(), 20_000).unwrap();
         let small = by(&rows, "conventional 8B");
         let large = by(&rows, "conventional 64B");
         let sect = by(&rows, "sector");
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn sector_traffic_well_below_large_lines_on_irregular_code() {
-        let rows = run(Spec92Program::Doduc, 30_000).unwrap();
+        let rows = run(builtin("doduc").unwrap(), 30_000).unwrap();
         let large = by(&rows, "conventional 64B");
         let sect = by(&rows, "sector");
         assert!(
@@ -234,8 +234,8 @@ mod tests {
 
     #[test]
     fn mean_access_times_are_sane() {
-        for program in [Spec92Program::Nasa7, Spec92Program::Ear] {
-            for r in run(program, 20_000).unwrap() {
+        for program in ["nasa7", "ear"] {
+            for r in run(builtin(program).unwrap(), 20_000).unwrap() {
                 assert!(r.mean_access >= 1.0, "{}: {}", r.name, r.mean_access);
                 assert!(r.mean_access < 20.0, "{}: {}", r.name, r.mean_access);
             }

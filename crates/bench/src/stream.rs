@@ -280,12 +280,12 @@ pub fn fold_slice<S: ChunkSink>(data: &[Instr], chunk_len: usize, sinks: Vec<S>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simtrace::spec92::{spec92_trace, Spec92Program};
+    use simtrace::workload::builtin;
 
     const N: usize = 12_000;
 
     fn source() -> impl Iterator<Item = Instr> {
-        spec92_trace(Spec92Program::Swm256, 7).take(N)
+        builtin("swm256").unwrap().compile(7).take(N)
     }
 
     fn sweep_sink() -> StackDistSweep {

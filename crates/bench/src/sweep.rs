@@ -14,7 +14,7 @@ use crate::stream;
 use report::{Artifact, Table};
 use simcache::explore::HitRatioPoint;
 use simcache::stackdist::StackDistSweep;
-use simtrace::spec92::Spec92Program;
+use simtrace::workload::{builtins, WorkloadSpec};
 use smithval::TableModel;
 
 /// Trace seed shared with the line-size experiment, so the sweep's
@@ -75,7 +75,7 @@ impl SweepGrid {
 #[derive(Debug, Clone)]
 pub struct WorkloadSweep {
     /// The workload.
-    pub program: Spec92Program,
+    pub workload: &'static WorkloadSpec,
     /// Measured grid points.
     pub points: Vec<HitRatioPoint>,
 }
@@ -92,14 +92,14 @@ pub struct WorkloadSweep {
 ///
 /// Panics if a grid combination is not a valid cache geometry.
 pub fn run_sweep(
-    programs: &[Spec92Program],
+    workloads: &[&'static WorkloadSpec],
     grid: &SweepGrid,
     instructions: usize,
 ) -> Vec<WorkloadSweep> {
     let chunk = stream::chunk_instructions();
-    let sweeps: Vec<Vec<StackDistSweep>> = programs
+    let sweeps: Vec<Vec<StackDistSweep>> = workloads
         .iter()
-        .map(|&program| {
+        .map(|&spec| {
             let sinks: Vec<StackDistSweep> = grid
                 .line_sizes
                 .iter()
@@ -114,7 +114,6 @@ pub fn run_sweep(
                     .expect("valid grid line size")
                 })
                 .collect();
-            let spec = simtrace::workload::builtin_spec(program);
             match crate::tracestore::resident_workload_trace(spec, SWEEP_SEED, instructions) {
                 Some(trace) => stream::fold_slice(trace.instrs(), chunk, sinks),
                 None => {
@@ -124,10 +123,10 @@ pub fn run_sweep(
         })
         .collect();
 
-    programs
+    workloads
         .iter()
         .enumerate()
-        .map(|(pi, &program)| {
+        .map(|(pi, &workload)| {
             let mut points = Vec::with_capacity(grid.points());
             for &cache_bytes in &grid.cache_sizes {
                 for (li, &line_bytes) in grid.line_sizes.iter().enumerate() {
@@ -142,7 +141,7 @@ pub fn run_sweep(
                     });
                 }
             }
-            WorkloadSweep { program, points }
+            WorkloadSweep { workload, points }
         })
         .collect()
 }
@@ -187,7 +186,7 @@ pub fn render(results: &[WorkloadSweep], grid: &SweepGrid) -> String {
     );
     let mut t = Table::new(header);
     for ws in results {
-        let mut row = vec![ws.program.to_string()];
+        let mut row = vec![ws.workload.label()];
         for &c in &grid.cache_sizes {
             row.push(match best_line(ws, c) {
                 Some(l) => format!("{l} B"),
@@ -209,7 +208,7 @@ pub fn artifact(results: &[WorkloadSweep]) -> Artifact {
     for ws in results {
         for p in &ws.points {
             rows.push(vec![
-                ws.program.to_string(),
+                ws.workload.label(),
                 p.cache_bytes.to_string(),
                 p.line_bytes.to_string(),
                 format!("{:.6}", p.hit_ratio),
@@ -248,7 +247,7 @@ pub fn measured_validation(results: &[WorkloadSweep]) -> String {
         // Panel (a) is the canonical 16 KB configuration.
         for v in validations.iter().filter(|v| v.panel.starts_with("(a)")) {
             t.row([
-                ws.program.to_string(),
+                ws.workload.label(),
                 format!("{} B", v.smith_line),
                 format!("{} B", v.eq19_line),
                 v.selectors_agree.to_string(),
@@ -283,7 +282,8 @@ impl Experiment for Exp {
     fn run(&self, ctx: &RunCtx) -> ExpReport {
         let instructions = ctx.instructions;
         let grid = SweepGrid::figure6(instructions as u64 / 5);
-        let results = run_sweep(&Spec92Program::ALL, &grid, instructions);
+        let workloads: Vec<_> = builtins().iter().collect();
+        let results = run_sweep(&workloads, &grid, instructions);
         let mut out = render(&results, &grid);
         out.push_str(&measured_validation(&results));
         ExpReport {
@@ -297,7 +297,7 @@ impl Experiment for Exp {
 mod tests {
     use super::*;
     use simcache::explore::hit_ratio_grid_replay;
-    use simtrace::spec92::spec92_trace;
+    use simtrace::workload::builtin;
 
     fn small_grid() -> SweepGrid {
         SweepGrid {
@@ -311,26 +311,26 @@ mod tests {
     #[test]
     fn sweep_matches_per_config_replay_exactly() {
         let grid = small_grid();
-        let programs = [Spec92Program::Ear, Spec92Program::Nasa7];
+        let workloads = [builtin("ear").unwrap(), builtin("nasa7").unwrap()];
         let n = 8_000;
-        let results = run_sweep(&programs, &grid, n);
+        let results = run_sweep(&workloads, &grid, n);
         for ws in &results {
             let replay = hit_ratio_grid_replay(
                 &grid.cache_sizes,
                 &grid.line_sizes,
                 grid.assoc,
-                || spec92_trace(ws.program, SWEEP_SEED).take(n),
+                || ws.workload.compile(SWEEP_SEED).take(n),
                 grid.warmup,
             )
             .unwrap();
-            assert_eq!(ws.points, replay, "{}", ws.program);
+            assert_eq!(ws.points, replay, "{}", ws.workload.label());
         }
     }
 
     #[test]
     fn grid_points_and_order() {
         let grid = small_grid();
-        let results = run_sweep(&[Spec92Program::Ear], &grid, 2_000);
+        let results = run_sweep(&[builtin("ear").unwrap()], &grid, 2_000);
         assert_eq!(results.len(), 1);
         let points = &results[0].points;
         assert_eq!(points.len(), grid.points());
@@ -343,7 +343,7 @@ mod tests {
     #[test]
     fn render_lists_programs_and_artifact_covers_grid() {
         let grid = small_grid();
-        let results = run_sweep(&[Spec92Program::Ear], &grid, 2_000);
+        let results = run_sweep(&[builtin("ear").unwrap()], &grid, 2_000);
         let text = render(&results, &grid);
         assert!(text.contains("ear"));
         assert!(text.contains("best L @ 1K"));
@@ -359,7 +359,7 @@ mod tests {
     fn measured_model_bridges_into_smithval() {
         use smithval::MissRatioModel;
         let grid = SweepGrid::figure6(500);
-        let results = run_sweep(&[Spec92Program::Ear], &grid, 4_000);
+        let results = run_sweep(&[builtin("ear").unwrap()], &grid, 4_000);
         let model = measured_model(&results[0], 16 * 1024).expect("16 KB row exists");
         assert_eq!(model.points().len(), grid.line_sizes.len());
         for p in &results[0].points {

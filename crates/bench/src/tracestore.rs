@@ -11,7 +11,7 @@
 //!
 //! Workload identity is the declarative spec hash: every tier keys on
 //! `(`[`WorkloadId`]`, seed, …)`, so a built-in proxy
-//! ([`simtrace::workload::builtin_spec`]) and an inline spec with the
+//! ([`simtrace::workload::builtin`]) and an inline spec with the
 //! same canonical form share one entry.
 //!
 //! The three tiers are one generic [`Memo`] each. A lookup probes the
@@ -620,17 +620,16 @@ pub fn workload_histograms(
 mod tests {
     use super::*;
     use crate::common::figure1_cache;
-    use simtrace::spec92::{spec92_trace, Spec92Program};
-    use simtrace::workload::builtin_spec;
+    use simtrace::workload::builtin;
 
-    fn id_of(program: Spec92Program) -> WorkloadId {
-        builtin_spec(program).id()
+    fn id_of(name: &str) -> WorkloadId {
+        builtin(name).unwrap().id()
     }
 
     #[test]
     fn longer_traces_extend_shorter_ones() {
-        let short: Vec<Instr> = spec92_trace(Spec92Program::Ear, 7).take(2_000).collect();
-        let long: Vec<Instr> = spec92_trace(Spec92Program::Ear, 7).take(5_000).collect();
+        let short: Vec<Instr> = builtin("ear").unwrap().compile(7).take(2_000).collect();
+        let long: Vec<Instr> = builtin("ear").unwrap().compile(7).take(5_000).collect();
         assert_eq!(
             short[..],
             long[..2_000],
@@ -640,7 +639,7 @@ mod tests {
 
     #[test]
     fn store_shares_one_backing_across_lengths() {
-        let nasa7 = builtin_spec(Spec92Program::Nasa7);
+        let nasa7 = builtin("nasa7").unwrap();
         let a = workload_trace(nasa7, 99, 1_000);
         let b = workload_trace(nasa7, 99, 3_000);
         let c = workload_trace(nasa7, 99, 2_000);
@@ -655,14 +654,14 @@ mod tests {
     #[test]
     fn timelines_are_memoised_and_match_direct_extraction() {
         let cache = figure1_cache(32);
-        let ear = builtin_spec(Spec92Program::Ear);
+        let ear = builtin("ear").unwrap();
         let first = workload_timeline(ear, 42, 4_000, &cache);
         let second = workload_timeline(ear, 42, 4_000, &cache);
         assert!(
             Arc::ptr_eq(&first, &second),
             "second lookup must hit the memo"
         );
-        let direct = MissTimeline::extract(cache, spec92_trace(Spec92Program::Ear, 42).take(4_000));
+        let direct = MissTimeline::extract(cache, builtin("ear").unwrap().compile(42).take(4_000));
         assert_eq!(*first, direct);
         assert!(stats().timeline_bytes >= first.footprint());
     }
@@ -687,7 +686,7 @@ mod tests {
 
     #[test]
     fn memo_budget_evicts_least_recently_used_first() {
-        let key = |seed| (id_of(Spec92Program::Nasa7), seed);
+        let key = |seed| (id_of("nasa7"), seed);
         let memo = Memo::new();
         let one = trace_of(100).footprint(); // 2400 B
         for seed in 1..=3 {
@@ -714,7 +713,7 @@ mod tests {
 
     #[test]
     fn memo_budget_never_evicts_the_entry_being_handed_out() {
-        let key = |seed| (id_of(Spec92Program::Ear), seed);
+        let key = |seed| (id_of("ear"), seed);
         let memo = Memo::new();
         memo.insert(key(1), Arc::new(trace_of(1_000)), || None);
         let held = memo.probe(&key(1), |_| true).expect("memoised");
@@ -733,9 +732,9 @@ mod tests {
     #[test]
     fn memo_budget_bounds_timelines() {
         let cache = figure1_cache(32);
-        let key = |seed| (id_of(Spec92Program::Ear), seed, 4_000, cache);
+        let key = |seed| (id_of("ear"), seed, 4_000, cache);
         let extract =
-            |seed| MissTimeline::extract(cache, spec92_trace(Spec92Program::Ear, seed).take(4_000));
+            |seed| MissTimeline::extract(cache, builtin("ear").unwrap().compile(seed).take(4_000));
         let (first, second) = (extract(1), extract(2));
         let fits_one = first.footprint().max(second.footprint());
         assert!(fits_one < first.footprint() + second.footprint());
@@ -785,7 +784,7 @@ mod tests {
     #[test]
     fn memo_a_cancelled_claimant_releases_its_key() {
         let cache = figure1_cache(32);
-        let ear = builtin_spec(Spec92Program::Ear);
+        let ear = builtin("ear").unwrap();
         let (seed, len) = (0x5EED_0006, 20_000);
         let key = (ear.id(), seed, len, cache);
         let memo = Memo::new();
@@ -821,7 +820,7 @@ mod tests {
             assert!(payload.is::<fault::DeadlineExceeded>());
             waiter.join().unwrap()
         });
-        let direct = MissTimeline::extract(cache, spec92_trace(Spec92Program::Ear, seed).take(len));
+        let direct = MissTimeline::extract(cache, builtin("ear").unwrap().compile(seed).take(len));
         assert_eq!(*waited, direct);
         assert_eq!(memo.recoveries(), 0, "a cancelled build poisons nothing");
         assert_eq!(memo.misses.load(Ordering::Relaxed), 2);
@@ -830,7 +829,7 @@ mod tests {
     #[test]
     fn resident_probe_sees_only_materialised_prefixes() {
         let seed = 0x5EED_0001; // unique to this test: no cross-test interference
-        let wave5 = builtin_spec(Spec92Program::Wave5);
+        let wave5 = builtin("wave5").unwrap();
         assert!(resident_workload_trace(wave5, seed, 100).is_none());
         let full = workload_trace(wave5, seed, 2_000);
         let probe = resident_workload_trace(wave5, seed, 1_500).expect("prefix is resident");
@@ -845,7 +844,7 @@ mod tests {
     fn byte_accounting_tracks_materialisations() {
         let seed = 0x5EED_0002;
         let before = bytes_resident();
-        let _t = workload_trace(builtin_spec(Spec92Program::Hydro2d), seed, 1_000);
+        let _t = workload_trace(builtin("hydro2d").unwrap(), seed, 1_000);
         let after = bytes_resident();
         assert_eq!(after - before, (1_000 * INSTR_BYTES) as u64);
         assert!(resident_entries()
@@ -858,7 +857,7 @@ mod tests {
     #[test]
     fn histograms_are_memoised_and_match_a_direct_fold() {
         let seed = 0x5EED_0004;
-        let ear = builtin_spec(Spec92Program::Ear);
+        let ear = builtin("ear").unwrap();
         let first = workload_histograms(ear, seed, 4_000, 8, 64, 512, 800);
         let second = workload_histograms(ear, seed, 4_000, 8, 64, 512, 800);
         assert!(
@@ -866,7 +865,7 @@ mod tests {
             "second lookup must hit the memo"
         );
         let mut direct = ReuseHistograms::new(8, 64, 512, 800);
-        let trace: Vec<Instr> = spec92_trace(Spec92Program::Ear, seed).take(4_000).collect();
+        let trace: Vec<Instr> = builtin("ear").unwrap().compile(seed).take(4_000).collect();
         direct.process_slice(&trace);
         for line in [8, 16, 32, 64] {
             assert_eq!(first.profile(line), direct.profile(line), "line={line}");
@@ -878,11 +877,11 @@ mod tests {
     fn streaming_extraction_matches_whole_trace_extraction() {
         let cache = figure1_cache(32);
         let seed = 0x5EED_0003;
-        let spec = builtin_spec(Spec92Program::Swm256);
+        let spec = builtin("swm256").unwrap();
         // Cold path: nothing resident, generation is chunked.
         let cold = extract_streaming(spec, seed, 6_000, &cache);
         let direct =
-            MissTimeline::extract(cache, spec92_trace(Spec92Program::Swm256, seed).take(6_000));
+            MissTimeline::extract(cache, builtin("swm256").unwrap().compile(seed).take(6_000));
         assert_eq!(cold, direct);
         // Warm path: folds the resident slice instead.
         let _pin = workload_trace(spec, seed, 6_000);
@@ -893,7 +892,7 @@ mod tests {
     #[test]
     fn inline_specs_share_entries_with_the_builtin_of_equal_identity() {
         let seed = 0x5EED_0005;
-        let named = builtin_spec(Spec92Program::Doduc);
+        let named = builtin("doduc").unwrap();
         let mut anon = named.clone();
         anon.name = None; // a different label, the same canonical form
         let a = workload_trace(named, seed, 1_500);

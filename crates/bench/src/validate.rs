@@ -6,13 +6,13 @@ use crate::common::run_spec;
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::Table;
 use simcpu::{predict_cycles, validation_error, StallFeature};
-use simtrace::spec92::Spec92Program;
+use simtrace::workload::{builtins, WorkloadSpec};
 
 /// One validation row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValidationRow {
     /// Workload.
-    pub program: Spec92Program,
+    pub workload: &'static WorkloadSpec,
     /// Stalling feature simulated.
     pub stall: StallFeature,
     /// Simulated cycles.
@@ -27,8 +27,8 @@ pub struct ValidationRow {
 /// over the [`crate::exec`] pool, with each program's timeline shared by
 /// its four feature replays via the trace store.
 pub fn run(instructions: usize) -> Vec<ValidationRow> {
-    let grid: Vec<(Spec92Program, StallFeature)> = Spec92Program::ALL
-        .into_iter()
+    let grid: Vec<(&'static WorkloadSpec, StallFeature)> = builtins()
+        .iter()
         .flat_map(|p| {
             [
                 StallFeature::FullStall,
@@ -40,10 +40,10 @@ pub fn run(instructions: usize) -> Vec<ValidationRow> {
             .map(move |stall| (p, stall))
         })
         .collect();
-    crate::exec::parallel_map(&grid, |&(program, stall)| {
-        let r = run_spec(program, stall, 32, 4, 8, instructions);
+    crate::exec::parallel_map(&grid, |&(workload, stall)| {
+        let r = run_spec(workload, stall, 32, 4, 8, instructions);
         ValidationRow {
-            program,
+            workload,
             stall,
             simulated: r.cycles,
             predicted: predict_cycles(&r),
@@ -63,7 +63,7 @@ pub fn render(rows: &[ValidationRow]) -> String {
     ]);
     for r in rows {
         t.row([
-            r.program.to_string(),
+            r.workload.label(),
             r.stall.to_string(),
             r.simulated.to_string(),
             format!("{:.0}", r.predicted),
@@ -110,7 +110,7 @@ mod tests {
             assert!(
                 r.rel_error < 1e-9,
                 "{} {}: err {}",
-                r.program,
+                r.workload.label(),
                 r.stall,
                 r.rel_error
             );

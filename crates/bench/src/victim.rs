@@ -9,13 +9,13 @@
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use report::Table;
 use simcache::{Cache, CacheConfig, VictimCache};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtins, WorkloadSpec};
 
 /// One workload's comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VictimRow {
     /// Workload.
-    pub program: Spec92Program,
+    pub workload: &'static WorkloadSpec,
     /// Hit ratio of the plain direct-mapped cache.
     pub dm_hr: f64,
     /// Effective hit ratio with a 4-line victim buffer.
@@ -28,14 +28,14 @@ pub struct VictimRow {
 
 /// Runs the comparison at one cache size.
 pub fn run(cache_bytes: u64, victim_lines: usize, instructions: usize) -> Vec<VictimRow> {
-    Spec92Program::ALL
+    builtins()
         .iter()
-        .map(|&program| {
+        .map(|workload| {
             let dm_cfg = CacheConfig::new(cache_bytes, 32, 1).expect("valid");
             let mut dm = Cache::new(dm_cfg);
             let mut vc = VictimCache::new(dm_cfg, victim_lines);
             let mut two_way = Cache::new(CacheConfig::new(cache_bytes, 32, 2).expect("valid"));
-            for instr in spec92_trace(program, 0x71C7).take(instructions) {
+            for instr in workload.compile(0x71C7).take(instructions) {
                 if let Some(m) = instr.mem {
                     dm.access(m.op, m.addr);
                     vc.access(m.op, m.addr);
@@ -43,7 +43,7 @@ pub fn run(cache_bytes: u64, victim_lines: usize, instructions: usize) -> Vec<Vi
                 }
             }
             VictimRow {
-                program,
+                workload,
                 dm_hr: dm.stats().hit_ratio(),
                 victim_hr: vc.effective_hit_ratio(),
                 two_way_hr: two_way.stats().hit_ratio(),
@@ -64,7 +64,7 @@ pub fn render(rows: &[VictimRow]) -> String {
     ]);
     for r in rows {
         t.row([
-            r.program.to_string(),
+            r.workload.label(),
             format!("{:.2}%", 100.0 * r.dm_hr),
             format!("{:.2}%", 100.0 * r.victim_hr),
             format!("{:.2}%", 100.0 * r.two_way_hr),
@@ -142,8 +142,8 @@ mod tests {
     #[test]
     fn render_lists_all_programs() {
         let text = render(&run(8 * 1024, 4, 10_000));
-        for p in Spec92Program::ALL {
-            assert!(text.contains(p.name()));
+        for p in builtins() {
+            assert!(text.contains(&p.label()));
         }
     }
 }

@@ -15,13 +15,13 @@ use report::Table;
 use simcache::WriteMiss;
 use simcpu::{validation_error, Cpu, CpuConfig, SimResult};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::{builtins, WorkloadSpec};
 
 /// The two policies, measured on one workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyComparison {
     /// Workload.
-    pub program: Spec92Program,
+    pub workload: &'static WorkloadSpec,
     /// Write-allocate run.
     pub allocate: SimResult,
     /// Write-around run.
@@ -39,22 +39,22 @@ impl PolicyComparison {
     }
 }
 
-fn simulate(program: Spec92Program, policy: WriteMiss, beta: u64, n: usize) -> SimResult {
+fn simulate(workload: &WorkloadSpec, policy: WriteMiss, beta: u64, n: usize) -> SimResult {
     let cfg = CpuConfig::baseline(
         figure1_cache(32).with_write_miss(policy),
         MemoryTiming::new(BusWidth::new(4).expect("valid bus"), beta),
     );
-    Cpu::new(cfg).run(spec92_trace(program, 0x3A3A).take(n))
+    Cpu::new(cfg).run(workload.compile(0x3A3A).take(n))
 }
 
 /// Runs the comparison over all proxies.
 pub fn run(beta: u64, instructions: usize) -> Vec<PolicyComparison> {
-    Spec92Program::ALL
+    builtins()
         .iter()
-        .map(|&program| PolicyComparison {
-            program,
-            allocate: simulate(program, WriteMiss::Allocate, beta, instructions),
-            around: simulate(program, WriteMiss::Around, beta, instructions),
+        .map(|workload| PolicyComparison {
+            workload,
+            allocate: simulate(workload, WriteMiss::Allocate, beta, instructions),
+            around: simulate(workload, WriteMiss::Around, beta, instructions),
         })
         .collect()
 }
@@ -72,7 +72,7 @@ pub fn render(rows: &[PolicyComparison]) -> String {
     for r in rows {
         let err = validation_error(&r.allocate).max(validation_error(&r.around));
         t.row([
-            r.program.to_string(),
+            r.workload.label(),
             r.allocate.cycles.to_string(),
             r.around.cycles.to_string(),
             r.winner().to_string(),
@@ -114,16 +114,20 @@ mod tests {
     #[test]
     fn model_exact_under_both_policies() {
         for r in run(8, 20_000) {
-            assert!(validation_error(&r.allocate) < 1e-9, "{}", r.program);
-            assert!(validation_error(&r.around) < 1e-9, "{}", r.program);
+            assert!(
+                validation_error(&r.allocate) < 1e-9,
+                "{}",
+                r.workload.label()
+            );
+            assert!(validation_error(&r.around) < 1e-9, "{}", r.workload.label());
         }
     }
 
     #[test]
     fn around_produces_w_term_allocate_does_not() {
         for r in run(8, 20_000) {
-            assert_eq!(r.allocate.dcache.write_arounds, 0, "{}", r.program);
-            assert!(r.around.dcache.write_arounds > 0, "{}", r.program);
+            assert_eq!(r.allocate.dcache.write_arounds, 0, "{}", r.workload.label());
+            assert!(r.around.dcache.write_arounds > 0, "{}", r.workload.label());
         }
     }
 
@@ -133,16 +137,16 @@ mod tests {
         // win there. Hydro2d's margin is thin (~0.05%), so give the
         // comparison enough instructions to converge.
         let rows = run(8, 80_000);
-        let by = |p: Spec92Program| rows.iter().find(|r| r.program == p).unwrap();
-        assert_eq!(by(Spec92Program::Swm256).winner(), "allocate");
-        assert_eq!(by(Spec92Program::Hydro2d).winner(), "allocate");
+        let by = |p: &str| rows.iter().find(|r| r.workload.label() == p).unwrap();
+        assert_eq!(by("swm256").winner(), "allocate");
+        assert_eq!(by("hydro2d").winner(), "allocate");
     }
 
     #[test]
     fn render_lists_all_programs() {
         let text = render(&run(8, 5_000));
-        for p in Spec92Program::ALL {
-            assert!(text.contains(p.name()));
+        for p in builtins() {
+            assert!(text.contains(&p.label()));
         }
     }
 }

@@ -9,8 +9,7 @@
 
 use bench::tracestore::{self, StoreCounts};
 use simcache::CacheConfig;
-use simtrace::spec92::Spec92Program;
-use simtrace::workload::builtin_spec;
+use simtrace::workload::builtin;
 use std::sync::{Arc, Barrier};
 
 const THREADS: usize = 8;
@@ -37,7 +36,7 @@ fn race<T: Send>(lookup: impl Fn() -> T + Sync) -> (Vec<T>, StoreCounts) {
 #[test]
 fn concurrent_same_key_lookups_extract_once() {
     let cache = CacheConfig::new(8 * 1024, 32, 2).expect("valid cache");
-    let ear = builtin_spec(Spec92Program::Ear);
+    let ear = builtin("ear").unwrap();
     let seed = 0xC0A1_E5CE; // unique to this binary: counters are all ours
     let hits = (THREADS - 1) as u64;
 

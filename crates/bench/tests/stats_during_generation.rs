@@ -7,8 +7,7 @@
 
 use bench::fault::{self, FaultKind, FaultPlan, Site};
 use bench::tracestore;
-use simtrace::spec92::Spec92Program;
-use simtrace::workload::builtin_spec;
+use simtrace::workload::builtin;
 use std::time::{Duration, Instant};
 
 const LEN: usize = 10_000;
@@ -20,7 +19,7 @@ fn stats_answer_during_a_cold_generation() {
             let _scope = fault::enter("probe");
             let slow = FaultKind::Delay(Duration::from_millis(1_500));
             let _armed = fault::arm(FaultPlan::new().with(Site::Extract, "probe", slow, 1));
-            tracestore::workload_trace(builtin_spec(Spec92Program::Ear), 0x57A7, LEN).len()
+            tracestore::workload_trace(builtin("ear").unwrap(), 0x57A7, LEN).len()
         });
         // Let the generator reach its (delayed) build.
         std::thread::sleep(Duration::from_millis(200));

@@ -575,11 +575,11 @@ impl HitRatioBackend for Analytic {
 mod tests {
     use super::*;
     use crate::explore::measure_dcache;
-    use simtrace::spec92::{spec92_trace, Spec92Program};
+    use simtrace::workload::builtin;
     use simtrace::{Instr, ReuseHistograms};
 
     fn trace(n: usize) -> Vec<Instr> {
-        spec92_trace(Spec92Program::Ear, 11).take(n).collect()
+        builtin("ear").unwrap().compile(11).take(n).collect()
     }
 
     fn analytic(trace: &[Instr], warmup: u64) -> Analytic {

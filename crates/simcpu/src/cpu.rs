@@ -746,10 +746,10 @@ mod tests {
 
     #[test]
     fn ordering_fs_ge_bl_ge_bnl1_ge_bnl3_ge_nb() {
-        use simtrace::spec92::{spec92_trace, Spec92Program};
+        use simtrace::workload::builtin;
         let run = |stall| {
             Cpu::new(config(stall))
-                .run(spec92_trace(Spec92Program::Swm256, 42).take(30_000))
+                .run(builtin("swm256").unwrap().compile(42).take(30_000))
                 .cycles
         };
         let fs = run(StallFeature::FullStall);
@@ -870,8 +870,7 @@ mod tests {
 
     #[test]
     fn identity_holds_on_spec_proxies() {
-        use simtrace::spec92::{spec92_trace, Spec92Program};
-        for p in Spec92Program::ALL {
+        for p in simtrace::workload::builtins() {
             for stall in [
                 StallFeature::FullStall,
                 StallFeature::BusLocked,
@@ -880,12 +879,13 @@ mod tests {
                 StallFeature::BusNotLocked3,
                 StallFeature::NonBlocking { mshrs: 4 },
             ] {
-                let r = Cpu::new(config(stall)).run(spec92_trace(p, 3).take(20_000));
+                let r = Cpu::new(config(stall)).run(p.compile(3).take(20_000));
                 eq2_identity(&r);
                 let hi = (LINE / 4) as f64 + 1e-9;
                 assert!(
                     r.phi() >= 0.0 && r.phi() <= hi,
-                    "{p} {stall}: φ={} out of range",
+                    "{} {stall}: φ={} out of range",
+                    p.label(),
                     r.phi()
                 );
             }
@@ -894,10 +894,10 @@ mod tests {
 
     #[test]
     fn phi_bounds_per_feature() {
-        use simtrace::spec92::{spec92_trace, Spec92Program};
+        use simtrace::workload::builtin;
         let run = |stall| {
             Cpu::new(config(stall))
-                .run(spec92_trace(Spec92Program::Hydro2d, 9).take(30_000))
+                .run(builtin("hydro2d").unwrap().compile(9).take(30_000))
                 .phi()
         };
         let ld = (LINE / 4) as f64;
@@ -1006,11 +1006,11 @@ mod tests {
     #[test]
     fn prefetch_identity_on_spec_proxies() {
         use crate::config::Prefetch;
-        use simtrace::spec92::{spec92_trace, Spec92Program};
-        for p in [Spec92Program::Swm256, Spec92Program::Doduc] {
+        use simtrace::workload::builtin;
+        for p in ["swm256", "doduc"] {
             for stall in [StallFeature::FullStall, StallFeature::BusNotLocked3] {
                 let r = Cpu::new(config(stall).with_prefetch(Prefetch::NextLine))
-                    .run(spec92_trace(p, 3).take(20_000));
+                    .run(builtin(p).unwrap().compile(3).take(20_000));
                 eq2_identity(&r);
             }
         }
@@ -1043,7 +1043,7 @@ mod tests {
     #[test]
     fn l2_reduces_cycles_on_spec_proxies() {
         use crate::config::L2Config;
-        use simtrace::spec92::{spec92_trace, Spec92Program};
+        use simtrace::workload::builtin;
         let run = |with_l2: bool| {
             let mut cfg = config(StallFeature::FullStall);
             if with_l2 {
@@ -1052,7 +1052,7 @@ mod tests {
                     2,
                 ));
             }
-            Cpu::new(cfg).run(spec92_trace(Spec92Program::Doduc, 5).take(30_000))
+            Cpu::new(cfg).run(builtin("doduc").unwrap().compile(5).take(30_000))
         };
         let without = run(false);
         let with = run(true);
@@ -1068,7 +1068,7 @@ mod tests {
     #[test]
     fn l2_identity_across_features_and_options() {
         use crate::config::{L2Config, Prefetch};
-        use simtrace::spec92::{spec92_trace, Spec92Program};
+        use simtrace::workload::builtin;
         for stall in [StallFeature::FullStall, StallFeature::BusNotLocked3] {
             for pf in [Prefetch::None, Prefetch::NextLine] {
                 let cfg = config(stall)
@@ -1078,7 +1078,7 @@ mod tests {
                     ))
                     .with_prefetch(pf)
                     .with_write_buffer(WriteBufferConfig::default());
-                let r = Cpu::new(cfg).run(spec92_trace(Spec92Program::Wave5, 6).take(15_000));
+                let r = Cpu::new(cfg).run(builtin("wave5").unwrap().compile(6).take(15_000));
                 eq2_identity(&r);
             }
         }
@@ -1132,7 +1132,7 @@ mod tests {
 
     #[test]
     fn longer_memory_cycle_increases_bl_stalling_factor() {
-        use simtrace::spec92::{spec92_trace, Spec92Program};
+        use simtrace::workload::builtin;
         let run = |beta| {
             let cfg = CpuConfig::baseline(
                 CacheConfig::new(8 * 1024, LINE, 2).unwrap(),
@@ -1140,7 +1140,7 @@ mod tests {
             )
             .with_stall(StallFeature::BusLocked);
             Cpu::new(cfg)
-                .run(spec92_trace(Spec92Program::Swm256, 5).take(30_000))
+                .run(builtin("swm256").unwrap().compile(5).take(30_000))
                 .phi()
         };
         // More memory latency → more overlap conflicts → higher φ

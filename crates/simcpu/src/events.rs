@@ -778,7 +778,7 @@ mod tests {
     use crate::config::WriteBufferConfig;
     use crate::Cpu;
     use simmem::{BusWidth, BypassMode};
-    use simtrace::spec92::{spec92_trace, Spec92Program};
+    use simtrace::workload::builtin;
 
     const N: usize = 12_000;
 
@@ -798,13 +798,17 @@ mod tests {
         ]
     }
 
-    fn trace(p: Spec92Program) -> Vec<Instr> {
-        spec92_trace(p, 0xDEAD_BEEF).take(N).collect()
+    fn trace(name: &str) -> Vec<Instr> {
+        builtin(name)
+            .unwrap()
+            .compile(0xDEAD_BEEF)
+            .take(N)
+            .collect()
     }
 
     #[test]
     fn replay_is_bit_identical_across_features_and_betas() {
-        let tl = MissTimeline::extract(cache(), trace(Spec92Program::Ear));
+        let tl = MissTimeline::extract(cache(), trace("ear"));
         for stall in all_stalls() {
             for beta in [2u64, 8, 30] {
                 let cfg = CpuConfig::baseline(
@@ -814,7 +818,7 @@ mod tests {
                 .with_stall(stall);
                 assert!(tl.supports(&cfg));
                 let fast = tl.replay(&cfg);
-                let slow = Cpu::new(cfg).run(trace(Spec92Program::Ear));
+                let slow = Cpu::new(cfg).run(trace("ear"));
                 assert_eq!(fast, slow, "{stall} β={beta}");
             }
         }
@@ -822,7 +826,7 @@ mod tests {
 
     #[test]
     fn replay_matches_across_bus_widths_and_pipelining() {
-        let tl = MissTimeline::extract(cache(), trace(Spec92Program::Swm256));
+        let tl = MissTimeline::extract(cache(), trace("swm256"));
         for bus in [4u64, 8, 16] {
             for q in [None, Some(2)] {
                 let mut timing = MemoryTiming::new(BusWidth::new(bus).unwrap(), 8);
@@ -832,7 +836,7 @@ mod tests {
                 let cfg =
                     CpuConfig::baseline(cache(), timing).with_stall(StallFeature::BusNotLocked3);
                 let fast = tl.replay(&cfg);
-                let slow = Cpu::new(cfg).run(trace(Spec92Program::Swm256));
+                let slow = Cpu::new(cfg).run(trace("swm256"));
                 assert_eq!(fast, slow, "bus={bus} q={q:?}");
             }
         }
@@ -840,7 +844,7 @@ mod tests {
 
     #[test]
     fn replay_matches_with_write_buffers_and_write_beta() {
-        let tl = MissTimeline::extract(cache(), trace(Spec92Program::Hydro2d));
+        let tl = MissTimeline::extract(cache(), trace("hydro2d"));
         for mode in [BypassMode::Ideal, BypassMode::ChunkGranular] {
             for capacity in [1usize, 4] {
                 let timing = MemoryTiming::new(BusWidth::new(4).unwrap(), 8).with_write_beta(16);
@@ -848,7 +852,7 @@ mod tests {
                     .with_stall(StallFeature::BusLocked)
                     .with_write_buffer(WriteBufferConfig { capacity, mode });
                 let fast = tl.replay(&cfg);
-                let slow = Cpu::new(cfg).run(trace(Spec92Program::Hydro2d));
+                let slow = Cpu::new(cfg).run(trace("hydro2d"));
                 assert_eq!(fast, slow, "{mode:?} cap={capacity}");
             }
         }
@@ -857,7 +861,7 @@ mod tests {
     #[test]
     fn one_timeline_serves_every_timing_point() {
         // The whole point: extract once, replay 6 features × 3 β.
-        let tl = MissTimeline::extract(cache(), trace(Spec92Program::Doduc));
+        let tl = MissTimeline::extract(cache(), trace("doduc"));
         let mut distinct = std::collections::HashSet::new();
         for stall in all_stalls() {
             for beta in [4u64, 15, 40] {
@@ -877,7 +881,7 @@ mod tests {
 
     #[test]
     fn batched_replay_is_bit_identical_to_per_config_replay() {
-        let tl = MissTimeline::extract(cache(), trace(Spec92Program::Nasa7));
+        let tl = MissTimeline::extract(cache(), trace("nasa7"));
         let mut cfgs = Vec::new();
         for stall in all_stalls() {
             for beta in [2u64, 8, 30] {
@@ -901,7 +905,7 @@ mod tests {
 
     #[test]
     fn batched_replay_rejects_unsupported_configs_wholesale() {
-        let tl = MissTimeline::extract(cache(), trace(Spec92Program::Ear));
+        let tl = MissTimeline::extract(cache(), trace("ear"));
         let good = CpuConfig::baseline(cache(), MemoryTiming::new(BusWidth::new(4).unwrap(), 8));
         let bad = good.with_issue_width(2);
         assert!(tl.replay_batch(&[good, bad]).is_err());
@@ -910,7 +914,7 @@ mod tests {
 
     #[test]
     fn unsupported_configurations_are_rejected() {
-        let tl = MissTimeline::extract(cache(), trace(Spec92Program::Ear));
+        let tl = MissTimeline::extract(cache(), trace("ear"));
         let base = CpuConfig::baseline(cache(), MemoryTiming::new(BusWidth::new(4).unwrap(), 8));
         assert!(tl.supports(&base));
         assert!(!tl.supports(&base.with_icache(CacheConfig::new(4096, 32, 1).unwrap())));
@@ -936,7 +940,7 @@ mod tests {
 
     #[test]
     fn marks_reproduce_cpu_snapshots() {
-        let trace = trace(Spec92Program::Wave5);
+        let trace = trace("wave5");
         let tl = MissTimeline::extract(cache(), trace.iter().copied());
         let cfg = CpuConfig::baseline(cache(), MemoryTiming::new(BusWidth::new(4).unwrap(), 8))
             .with_stall(StallFeature::BusLocked);
@@ -986,7 +990,7 @@ mod tests {
         let empty = MissTimeline::extract(cache(), std::iter::empty());
         use std::mem::size_of;
         assert_eq!(empty.bytes(), size_of::<MissTimeline>());
-        let tl = MissTimeline::extract(cache(), trace(Spec92Program::Ear));
+        let tl = MissTimeline::extract(cache(), trace("ear"));
         let echoes = tl.echo_instrs.len();
         assert!(tl.event_count() > 0 && echoes > 0);
         assert_eq!(

@@ -21,14 +21,14 @@
 //! use simcache::CacheConfig;
 //! use simcpu::{Cpu, CpuConfig, StallFeature};
 //! use simmem::{BusWidth, MemoryTiming};
-//! use simtrace::spec92::{spec92_trace, Spec92Program};
+//! use simtrace::workload;
 //!
 //! let cfg = CpuConfig::baseline(
 //!     CacheConfig::new(8 * 1024, 32, 2)?,
 //!     MemoryTiming::new(BusWidth::new(4).map_err(|e| e.to_string())?, 8),
 //! )
 //! .with_stall(StallFeature::FullStall);
-//! let result = Cpu::new(cfg).run(spec92_trace(Spec92Program::Ear, 1).take(50_000));
+//! let result = Cpu::new(cfg).run(workload::builtin("ear").unwrap().compile(1).take(50_000));
 //! assert!(result.cycles >= result.instructions);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

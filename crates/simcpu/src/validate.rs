@@ -66,7 +66,7 @@ mod tests {
     use crate::cpu::Cpu;
     use simcache::{CacheConfig, WriteMiss};
     use simmem::{BusWidth, MemoryTiming};
-    use simtrace::spec92::{spec92_trace, Spec92Program};
+    use simtrace::workload::builtin;
 
     use super::*;
 
@@ -81,7 +81,7 @@ mod tests {
         if wb {
             cfg = cfg.with_write_buffer(WriteBufferConfig::default());
         }
-        Cpu::new(cfg).run(spec92_trace(Spec92Program::Wave5, 11).take(25_000))
+        Cpu::new(cfg).run(builtin("wave5").unwrap().compile(11).take(25_000))
     }
 
     #[test]
@@ -128,7 +128,7 @@ mod tests {
                 MemoryTiming::new(BusWidth::new(4).unwrap(), 8),
             )
             .with_issue_width(width);
-            let r = Cpu::new(cfg).run(spec92_trace(Spec92Program::Ear, 4).take(30_000));
+            let r = Cpu::new(cfg).run(builtin("ear").unwrap().compile(4).take(30_000));
             // The exact identity (measured base) holds for every width...
             assert!(validation_error(&r) < 1e-9, "width {width}");
             // ...and the analytic base term is within issue-rounding.
@@ -148,7 +148,7 @@ mod tests {
                 MemoryTiming::new(BusWidth::new(4).unwrap(), 8),
             )
             .with_issue_width(width);
-            Cpu::new(cfg).run(spec92_trace(Spec92Program::Nasa7, 4).take(30_000))
+            Cpu::new(cfg).run(builtin("nasa7").unwrap().compile(4).take(30_000))
         };
         let w1 = run(1);
         let w4 = run(4);

@@ -17,9 +17,10 @@
 //! Two consequences, both asserted by `tests/chunk_properties.rs`:
 //!
 //! * **Bit-identity**: concatenating the chunks of
-//!   [`spec92_chunks`](crate::chunk::spec92_chunks) reproduces the
-//!   monolithic `spec92_trace(p, seed).take(n)` stream exactly, for any
-//!   chunk size — and the chunk size may change between chunks.
+//!   [`WorkloadSpec::chunks`](crate::workload::WorkloadSpec::chunks)
+//!   reproduces the monolithic `spec.compile(seed).take(n)` stream
+//!   exactly, for any chunk size — and the chunk size may change
+//!   between chunks.
 //! * **Derivable resume points**: because the stream is prefix-stable,
 //!   the state before chunk `i` (of fixed size `c`) is derivable from
 //!   `(seed, chunk_index)` by fast-forwarding `i · c` instructions
@@ -33,8 +34,6 @@
 //! monolithic path (see `bench::stream`).
 
 use crate::instr::Instr;
-use crate::mix::MixtureTrace;
-use crate::spec92::{spec92_trace, Spec92Program};
 
 /// Default instructions per chunk: 64 Ki instructions ≈ 1.5 MB of
 /// buffered trace — large enough to amortise per-chunk overhead, small
@@ -51,10 +50,11 @@ pub const DEFAULT_CHUNK_INSTRUCTIONS: usize = 64 * 1024;
 ///
 /// ```
 /// use simtrace::chunk::ChunkedTrace;
-/// use simtrace::spec92::{spec92_trace, Spec92Program};
+/// use simtrace::workload::builtin;
 ///
-/// let mono: Vec<_> = spec92_trace(Spec92Program::Ear, 7).take(10_000).collect();
-/// let mut chunks = ChunkedTrace::new(spec92_trace(Spec92Program::Ear, 7).take(10_000), 4096);
+/// let ear = builtin("ear").unwrap();
+/// let mono: Vec<_> = ear.compile(7).take(10_000).collect();
+/// let mut chunks = ChunkedTrace::new(ear.compile(7).take(10_000), 4096);
 /// let mut streamed = Vec::new();
 /// let mut buf = Vec::new();
 /// while chunks.next_chunk_into(&mut buf) {
@@ -141,24 +141,17 @@ impl<I: Iterator<Item = Instr>> ChunkedTrace<I> {
     }
 }
 
-/// The chunk source every streaming consumer of a SPEC92 proxy uses:
-/// `len` instructions of `spec92_trace(program, seed)` in `chunk_len`
-/// blocks, bit-identical to the materialised trace.
-pub fn spec92_chunks(
-    program: Spec92Program,
-    seed: u64,
-    len: usize,
-    chunk_len: usize,
-) -> ChunkedTrace<std::iter::Take<crate::gen::PatternTrace<MixtureTrace>>> {
-    ChunkedTrace::new(spec92_trace(program, seed).take(len), chunk_len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::{builtin, WorkloadSpec};
+
+    fn spec(name: &str) -> &'static WorkloadSpec {
+        builtin(name).expect("a builtin proxy")
+    }
 
     fn mono(n: usize) -> Vec<Instr> {
-        spec92_trace(Spec92Program::Nasa7, 42).take(n).collect()
+        spec("nasa7").compile(42).take(n).collect()
     }
 
     #[test]
@@ -166,7 +159,8 @@ mod tests {
         let want = mono(10_000);
         for chunk_len in [1, 7, 1024, 10_000, 65_536] {
             let mut got = Vec::new();
-            spec92_chunks(Spec92Program::Nasa7, 42, 10_000, chunk_len)
+            spec("nasa7")
+                .chunks(42, 10_000, chunk_len)
                 .for_each_chunk(|c| got.extend_from_slice(c));
             assert_eq!(got, want, "chunk_len={chunk_len}");
         }
@@ -174,7 +168,7 @@ mod tests {
 
     #[test]
     fn produced_counts_every_instruction() {
-        let mut chunks = spec92_chunks(Spec92Program::Ear, 1, 5_000, 999);
+        let mut chunks = spec("ear").chunks(1, 5_000, 999);
         let mut buf = Vec::new();
         let mut n = 0usize;
         while chunks.next_chunk_into(&mut buf) {
@@ -189,11 +183,7 @@ mod tests {
     #[test]
     fn start_at_matches_a_drained_prefix() {
         let want = mono(6_000);
-        let mut resumed = ChunkedTrace::start_at(
-            spec92_trace(Spec92Program::Nasa7, 42).take(6_000),
-            512,
-            2_048,
-        );
+        let mut resumed = ChunkedTrace::start_at(spec("nasa7").compile(42).take(6_000), 512, 2_048);
         let mut buf = Vec::new();
         let mut got = Vec::new();
         while resumed.next_chunk_into(&mut buf) {
@@ -205,7 +195,7 @@ mod tests {
     #[test]
     fn chunk_size_may_change_mid_stream() {
         let want = mono(4_000);
-        let mut chunks = spec92_chunks(Spec92Program::Nasa7, 42, 4_000, 100);
+        let mut chunks = spec("nasa7").chunks(42, 4_000, 100);
         let mut buf = Vec::new();
         let mut got = Vec::new();
         assert!(chunks.next_chunk_into(&mut buf));

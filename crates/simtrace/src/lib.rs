@@ -11,19 +11,19 @@
 //!
 //! * a compact instruction/reference representation ([`Instr`], [`MemRef`]),
 //! * composable, deterministic generators ([`gen`]),
-//! * six SPEC92 *proxy* workloads ([`spec92`]) mirroring the programs the
-//!   paper simulated (nasa7, swm256, wave5, ear, doduc, hydro2d),
 //! * declarative workload specs ([`workload`]): JSON-described generator
-//!   trees with a stable content hash, compiling to the same streams,
+//!   trees with a stable content hash, among them the six built-in SPEC92
+//!   *proxy* workloads mirroring the programs the paper simulated
+//!   (nasa7, swm256, wave5, ear, doduc, hydro2d),
 //! * streaming statistics ([`stats`]) and a compact binary trace encoding
 //!   ([`encode`]) for recording and replaying traces.
 //!
 //! # Example
 //!
 //! ```
-//! use simtrace::spec92::{spec92_trace, Spec92Program};
+//! use simtrace::workload;
 //!
-//! let trace = spec92_trace(Spec92Program::Nasa7, 0xC0FFEE).take(10_000);
+//! let trace = workload::builtin("ear").unwrap().compile(0xC0FFEE).take(10_000);
 //! let stats = simtrace::stats::TraceStats::from_trace(trace);
 //! assert_eq!(stats.instructions, 10_000);
 //! assert!(stats.data_refs() > 0);
@@ -42,7 +42,6 @@ pub mod mix;
 pub mod phases;
 pub mod reuse;
 pub mod reusehist;
-pub mod spec92;
 pub mod stats;
 pub mod workload;
 
@@ -53,7 +52,6 @@ pub use mix::{MixtureBuilder, MixtureTrace};
 pub use phases::{Phase, PhasedPattern};
 pub use reuse::ReuseProfile;
 pub use reusehist::{ReuseDistCounter, ReuseHistograms};
-pub use spec92::{spec92_trace, Spec92Program};
 pub use stats::TraceStats;
 pub use workload::{WorkloadId, WorkloadSpec};
 

@@ -649,7 +649,7 @@ mod tests {
     use super::*;
     use crate::instr::MemRef;
     use crate::reuse::ReuseProfile;
-    use crate::spec92::{spec92_trace, Spec92Program};
+    use crate::workload::builtin;
 
     fn loads(addrs: &[u64]) -> Vec<Instr> {
         addrs
@@ -727,7 +727,7 @@ mod tests {
         // map entry whose mark had already been retired, resurrecting
         // the stale mark and silently shifting every later distance
         // down by one.
-        let trace: Vec<Instr> = spec92_trace(Spec92Program::Nasa7, 7).take(20_000).collect();
+        let trace: Vec<Instr> = builtin("nasa7").unwrap().compile(7).take(20_000).collect();
         let cap = 1 << 14;
         let mut fold = ReuseHistograms::new(8, 128, cap, 0);
         fold.process_slice(&trace);
@@ -741,7 +741,7 @@ mod tests {
 
     #[test]
     fn fold_matches_per_granularity_naive_stacks() {
-        let trace: Vec<Instr> = spec92_trace(Spec92Program::Ear, 99).take(8_000).collect();
+        let trace: Vec<Instr> = builtin("ear").unwrap().compile(99).take(8_000).collect();
         let mut fold = ReuseHistograms::new(8, 128, 256, 0);
         fold.process_slice(&trace);
         for line in [8u64, 16, 32, 64, 128] {
@@ -761,7 +761,7 @@ mod tests {
 
     #[test]
     fn chunked_fold_is_bit_identical() {
-        let trace: Vec<Instr> = spec92_trace(Spec92Program::Wave5, 3).take(6_000).collect();
+        let trace: Vec<Instr> = builtin("wave5").unwrap().compile(3).take(6_000).collect();
         let mut whole = ReuseHistograms::new(16, 64, 128, 2_000);
         whole.process_slice(&trace);
         for chunk_len in [1usize, 7, 333, 1999, 2000, 2001, 6_000] {
@@ -837,7 +837,7 @@ mod tests {
     fn bytes_accounts_for_growth() {
         let mut fold = ReuseHistograms::new(8, 64, 1024, 0);
         let before = fold.bytes();
-        let trace: Vec<Instr> = spec92_trace(Spec92Program::Nasa7, 5).take(20_000).collect();
+        let trace: Vec<Instr> = builtin("nasa7").unwrap().compile(5).take(20_000).collect();
         fold.process_slice(&trace);
         assert!(fold.bytes() >= before);
         assert!(fold.bytes() > 4 * 1025 * 8, "histograms alone exceed this");

@@ -1,13 +1,11 @@
 //! Declarative workload specs: first-class workload identity.
 //!
-//! The rest of the stack used to name workloads with the closed
-//! [`Spec92Program`] enum. This module replaces that with a
-//! [`WorkloadSpec`]: a declarative, composable generator tree over the
-//! primitives in [`crate::gen`], [`crate::mix`] and [`crate::phases`],
-//! parsed from and rendered to JSON via the dependency-free
-//! `report::Json` codec (the workspace vendors no TOML parser, so JSON
-//! is the one spec syntax; the schema is documented in `DESIGN.md`
-//! §15). A spec:
+//! A [`WorkloadSpec`] is a declarative, composable generator tree over
+//! the primitives in [`crate::gen`], [`crate::mix`] and
+//! [`crate::phases`], parsed from and rendered to JSON via the
+//! dependency-free `report::Json` codec (the workspace vendors no TOML
+//! parser, so JSON is the one spec syntax; the schema is documented in
+//! `DESIGN.md` §15). A spec:
 //!
 //! * **validates** fallibly ([`WorkloadSpec::from_json`] mirrors every
 //!   constructor panic in [`crate::gen`], so a parsed spec never panics
@@ -21,10 +19,12 @@
 //!   ([`WorkloadSpec::id`]) — the identity the `bench` trace store keys
 //!   traces, timelines and histograms on.
 //!
-//! The six SPEC92 proxies are re-expressed as built-in named specs
-//! ([`builtin_spec`]); their compiled streams are pinned bit-identical
-//! to the legacy [`crate::spec92::spec92_trace`] constructors, so every
-//! oracle test and committed artifact survives the re-keying unchanged.
+//! The six SPEC92 proxies the paper averages over are the built-in
+//! named specs ([`builtins`], [`builtin`]). Each one is defined only by
+//! its committed spec file, `workloads/<name>.json`, compiled into the
+//! crate and parsed once per process. `tests/workloads.rs` pins their
+//! content hashes and their streams, bit-identical to the hand-written
+//! constructors the proxies were first defined with.
 //!
 //! # Example
 //!
@@ -48,7 +48,6 @@ use crate::gen::{
 };
 use crate::mix::MixtureBuilder;
 use crate::phases::{Phase, PhasedPattern};
-use crate::spec92::Spec92Program;
 use report::{sha256_hex, Json};
 use std::fmt;
 use std::sync::OnceLock;
@@ -66,11 +65,6 @@ pub const MAX_TABLE_SLOTS: u32 = 1 << 24;
 /// spec fields must stay below it so parse → render round-trips are
 /// lossless (64-bit seeds use hex strings instead).
 const MAX_EXACT: u64 = 1 << 53;
-
-/// The seed decorrelation constant the legacy SPEC92 constructors mix
-/// the program discriminant with — reused verbatim by the built-in
-/// specs so their streams stay bit-identical.
-const SEED_GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Stable content identity of a workload spec: the SHA-256 of its
 /// canonical JSON rendering.
@@ -226,8 +220,7 @@ pub struct WorkloadSpec {
     /// Optional human-facing name (builtins: the SPEC92 program name).
     pub name: Option<String>,
     /// XORed into every compile seed, decorrelating specs driven with
-    /// the same experiment seed (the role `spec92_trace`'s discriminant
-    /// mix played).
+    /// the same experiment seed.
     pub seed_mix: u64,
     /// How the reference pattern is lifted into an instruction stream.
     pub shape: TraceShape,
@@ -982,8 +975,7 @@ impl WorkloadSpec {
 
     /// Compiles the spec into its infinite instruction stream,
     /// deterministic in `seed` (which is XORed with
-    /// [`seed_mix`](WorkloadSpec::seed_mix), exactly as the legacy
-    /// SPEC92 constructors mixed their discriminant).
+    /// [`seed_mix`](WorkloadSpec::seed_mix)).
     ///
     /// # Panics
     ///
@@ -1017,183 +1009,36 @@ impl WorkloadSpec {
 // Built-in named specs: the six SPEC92 proxies
 // ---------------------------------------------------------------------
 
-fn strided(
-    base: u64,
-    region_bytes: u64,
-    stride: u64,
-    elem_size: u8,
-    store_period: u32,
-) -> StridedParams {
-    StridedParams {
-        base,
-        region_bytes,
-        stride,
-        elem_size,
-        store_period,
-    }
-}
+/// The committed spec files of the six SPEC92 proxies, in the order the
+/// paper lists the programs.
+const BUILTIN_FILES: [(&str, &str); 6] = [
+    ("nasa7", include_str!("../../../workloads/nasa7.json")),
+    ("swm256", include_str!("../../../workloads/swm256.json")),
+    ("wave5", include_str!("../../../workloads/wave5.json")),
+    ("ear", include_str!("../../../workloads/ear.json")),
+    ("doduc", include_str!("../../../workloads/doduc.json")),
+    ("hydro2d", include_str!("../../../workloads/hydro2d.json")),
+];
 
-fn working_set(base: u64, bytes: u64, store_fraction: f64, elem_size: u8) -> WorkingSetParams {
-    WorkingSetParams {
-        base,
-        bytes,
-        store_fraction,
-        elem_size,
-    }
-}
-
-/// Declares `program` as a spec tree — component structure, order and
-/// parameters mirror `spec92_trace` exactly, which is what makes the
-/// compiled streams bit-identical (pinned by test).
-fn builtin_tree(program: Spec92Program) -> (PatternNode, TraceShape) {
-    use PatternNode::{LoopNest, Mixture, Strided, WorkingSet, Zipf};
-    let mib = 1u64 << 20;
-    match program {
-        Spec92Program::Nasa7 => (
-            Mixture(vec![
-                (0.16, Strided(strided(0x10_0000, 2 * mib, 8, 8, 5))),
-                (
-                    0.42,
-                    LoopNest {
-                        arrays: vec![
-                            strided(0x60_0000, 3 * 1024, 8, 8, 0),
-                            strided(0x60_0C00, 3 * 1024, 8, 8, 3),
-                        ],
-                        burst: 384,
-                    },
-                ),
-                (
-                    0.18,
-                    Zipf {
-                        base: 0x68_0000,
-                        slots: 16 * 1024,
-                        elem_size: 8,
-                        s: 1.2,
-                        store_fraction: 0.1,
-                    },
-                ),
-                (0.24, WorkingSet(working_set(0x7F_0000, 2048, 0.4, 8))),
-            ]),
-            TraceShape {
-                mem_fraction: 0.34,
-                branch_fraction: 0.02,
-                code_bytes: 32 * 1024,
-            },
-        ),
-        Spec92Program::Swm256 => (
-            Mixture(vec![
-                (0.22, Strided(strided(0x100_0000, 4 * mib, 8, 8, 3))),
-                (0.14, Strided(strided(0x200_0000, 4 * mib, 8, 8, 3))),
-                (0.18, Strided(strided(0x100_0000, 12 * 1024, 8, 8, 0))),
-                (0.46, WorkingSet(working_set(0x7F_0000, 3 * 1024, 0.5, 8))),
-            ]),
-            TraceShape {
-                mem_fraction: 0.40,
-                branch_fraction: 0.01,
-                code_bytes: 16 * 1024,
-            },
-        ),
-        Spec92Program::Wave5 => (
-            Mixture(vec![
-                (
-                    0.32,
-                    Zipf {
-                        base: 0x300_0000,
-                        slots: 96 * 1024,
-                        elem_size: 8,
-                        s: 1.3,
-                        store_fraction: 0.35,
-                    },
-                ),
-                (0.24, Strided(strided(0x400_0000, mib, 8, 8, 4))),
-                (0.44, WorkingSet(working_set(0x7E_0000, 4 * 1024, 0.2, 8))),
-            ]),
-            TraceShape {
-                mem_fraction: 0.32,
-                branch_fraction: 0.04,
-                code_bytes: 96 * 1024,
-            },
-        ),
-        Spec92Program::Ear => (
-            Mixture(vec![
-                (
-                    0.78,
-                    LoopNest {
-                        arrays: vec![
-                            strided(0x50_0000, 2 * 1024, 4, 4, 4),
-                            strided(0x50_0800, 2 * 1024, 4, 4, 0),
-                            strided(0x50_1000, 2 * 1024, 4, 4, 2),
-                        ],
-                        burst: 256,
-                    },
-                ),
-                (0.06, Strided(strided(0x58_0000, mib / 2, 8, 8, 3))),
-                (0.16, WorkingSet(working_set(0x7D_0000, 2048, 0.3, 4))),
-            ]),
-            TraceShape {
-                mem_fraction: 0.28,
-                branch_fraction: 0.03,
-                code_bytes: 24 * 1024,
-            },
-        ),
-        Spec92Program::Doduc => (
-            Mixture(vec![
-                (
-                    0.48,
-                    Zipf {
-                        base: 0x500_0000,
-                        slots: 64 * 1024,
-                        elem_size: 8,
-                        s: 1.2,
-                        store_fraction: 0.08,
-                    },
-                ),
-                (0.46, WorkingSet(working_set(0x40_0000, 3 * 1024, 0.15, 8))),
-                (0.06, Strided(strided(0x600_0000, 4 * mib, 8, 8, 2))),
-            ]),
-            TraceShape {
-                mem_fraction: 0.25,
-                branch_fraction: 0.08,
-                code_bytes: 192 * 1024,
-            },
-        ),
-        Spec92Program::Hydro2d => (
-            Mixture(vec![
-                (0.20, Strided(strided(0x800_0000, 2 * mib, 8, 8, 2))),
-                (0.14, Strided(strided(0x900_0000, 2 * mib, 8, 8, 2))),
-                (0.16, Strided(strided(0x800_0000, 10 * 1024, 8, 8, 0))),
-                (0.50, WorkingSet(working_set(0x7C_0000, 2048, 0.5, 8))),
-            ]),
-            TraceShape {
-                mem_fraction: 0.38,
-                branch_fraction: 0.015,
-                code_bytes: 20 * 1024,
-            },
-        ),
-    }
-}
-
-fn make_builtin(program: Spec92Program) -> WorkloadSpec {
-    let (root, shape) = builtin_tree(program);
-    WorkloadSpec {
-        name: Some(program.name().to_string()),
-        // The same discriminant mix `spec92_trace` applies, so
-        // `compile(seed)` seeds the trace RNG with the identical value.
-        seed_mix: (program as u64).wrapping_mul(SEED_GOLDEN),
-        shape,
-        root,
-    }
-}
-
-/// All six built-in named specs, in [`Spec92Program::ALL`] order.
+/// All six built-in named specs, in the paper's program order
+/// (nasa7, swm256, wave5, ear, doduc, hydro2d). The spec files are
+/// parsed on first use.
+///
+/// # Panics
+///
+/// Panics if a committed spec file fails to parse (a build-time bug,
+/// caught by every test that touches a builtin).
 pub fn builtins() -> &'static [WorkloadSpec] {
     static BUILTINS: OnceLock<Vec<WorkloadSpec>> = OnceLock::new();
-    BUILTINS.get_or_init(|| Spec92Program::ALL.into_iter().map(make_builtin).collect())
-}
-
-/// The built-in spec for one SPEC92 proxy program.
-pub fn builtin_spec(program: Spec92Program) -> &'static WorkloadSpec {
-    &builtins()[program as usize]
+    BUILTINS.get_or_init(|| {
+        BUILTIN_FILES
+            .iter()
+            .map(|(file, text)| {
+                WorkloadSpec::from_json_str(text)
+                    .unwrap_or_else(|e| panic!("workloads/{file}.json: {e}"))
+            })
+            .collect()
+    })
 }
 
 /// Looks up a built-in spec by its lowercase name (`"ear"`, …).
@@ -1204,23 +1049,61 @@ pub fn builtin(name: &str) -> Option<&'static WorkloadSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec92::spec92_trace;
+    use crate::stats::TraceStats;
+
+    fn named(name: &str) -> &'static WorkloadSpec {
+        builtin(name).expect("a builtin proxy")
+    }
 
     #[test]
-    fn builtins_are_bit_identical_to_the_legacy_constructors() {
-        for program in Spec92Program::ALL {
-            let spec = builtin_spec(program);
-            for seed in [0, 7, 0xDEAD_BEEF] {
-                let legacy: Vec<_> = spec92_trace(program, seed).take(4_000).collect();
-                let compiled: Vec<_> = spec.compile(seed).take(4_000).collect();
-                assert_eq!(legacy, compiled, "{program} diverges at seed {seed}");
-            }
+    fn every_proxy_emits_loads_and_stores() {
+        for spec in builtins() {
+            let stats = TraceStats::from_trace(spec.compile(7).take(20_000));
+            assert_eq!(stats.instructions, 20_000, "{}", spec.label());
+            assert!(stats.loads > 0, "{} produced no loads", spec.label());
+            assert!(stats.stores > 0, "{} produced no stores", spec.label());
         }
     }
 
     #[test]
+    fn proxies_are_deterministic_in_seed() {
+        for spec in builtins() {
+            let a: Vec<_> = spec.compile(99).take(500).collect();
+            let b: Vec<_> = spec.compile(99).take(500).collect();
+            assert_eq!(a, b, "{} not reproducible", spec.label());
+        }
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let a: Vec<_> = named("nasa7").compile(1).take(500).collect();
+        let b: Vec<_> = named("nasa7").compile(2).take(500).collect();
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn proxies_are_decorrelated_under_one_seed() {
+        let a: Vec<_> = named("nasa7").compile(1).take(500).collect();
+        let b: Vec<_> = named("swm256").compile(1).take(500).collect();
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn mem_fractions_differ_across_proxies() {
+        let frac = |name| {
+            let s = TraceStats::from_trace(named(name).compile(7).take(50_000));
+            s.data_refs() as f64 / s.instructions as f64
+        };
+        let (swm, doduc) = (frac("swm256"), frac("doduc"));
+        assert!(
+            swm > doduc + 0.05,
+            "swm256 ({swm}) should reference memory more than doduc ({doduc})"
+        );
+    }
+
+    #[test]
     fn chunking_never_changes_the_stream() {
-        let spec = builtin_spec(Spec92Program::Ear);
+        let spec = named("ear");
         let whole: Vec<_> = spec.compile(7).take(10_000).collect();
         for chunk_len in [1, 613, 4_096, 10_000, 20_000] {
             let mut streamed = Vec::new();
@@ -1247,18 +1130,15 @@ mod tests {
 
     #[test]
     fn name_does_not_enter_the_hash() {
-        let mut anon = builtin_spec(Spec92Program::Nasa7).clone();
+        let mut anon = named("nasa7").clone();
         anon.name = None;
-        assert_eq!(anon.id(), builtin_spec(Spec92Program::Nasa7).id());
-        assert_ne!(
-            builtin_spec(Spec92Program::Nasa7).id(),
-            builtin_spec(Spec92Program::Swm256).id()
-        );
+        assert_eq!(anon.id(), named("nasa7").id());
+        assert_ne!(named("nasa7").id(), named("swm256").id());
     }
 
     #[test]
     fn seeds_survive_the_hex_string_codec() {
-        let spec = builtin_spec(Spec92Program::Hydro2d);
+        let spec = named("hydro2d");
         assert!(
             spec.seed_mix > MAX_EXACT,
             "the interesting case: a seed JSON numbers cannot hold"

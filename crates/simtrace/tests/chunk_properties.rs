@@ -1,21 +1,21 @@
 //! Property tests for the chunked-generation determinism contract
-//! (`simtrace::chunk` module docs): for every SPEC92 proxy program,
+//! (`simtrace::chunk` module docs): for every built-in SPEC92 proxy,
 //! arbitrary chunk sizes and arbitrary resume points, the chunked
 //! stream is bit-identical to the monolithic one. The streaming
 //! pipeline (`bench::stream`) and the `REPRO_STREAM_CHUNK` knob lean on
 //! exactly these properties.
 
 use proptest::prelude::*;
-use simtrace::chunk::{spec92_chunks, ChunkedTrace};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::chunk::ChunkedTrace;
+use simtrace::workload::{builtins, WorkloadSpec};
 use simtrace::Instr;
 
-fn program() -> impl Strategy<Value = Spec92Program> {
-    (0..Spec92Program::ALL.len()).prop_map(|i| Spec92Program::ALL[i])
+fn program() -> impl Strategy<Value = &'static WorkloadSpec> {
+    (0..builtins().len()).prop_map(|i| &builtins()[i])
 }
 
-fn mono(program: Spec92Program, seed: u64, len: usize) -> Vec<Instr> {
-    spec92_trace(program, seed).take(len).collect()
+fn mono(program: &WorkloadSpec, seed: u64, len: usize) -> Vec<Instr> {
+    program.compile(seed).take(len).collect()
 }
 
 proptest! {
@@ -32,7 +32,7 @@ proptest! {
     ) {
         let want = mono(program, seed, len);
         let mut got = Vec::with_capacity(len);
-        spec92_chunks(program, seed, len, chunk_len)
+        program.chunks(seed, len, chunk_len)
             .for_each_chunk(|c| got.extend_from_slice(c));
         prop_assert_eq!(got, want);
     }
@@ -46,7 +46,7 @@ proptest! {
         len in 1usize..3_000,
         chunk_len in 1usize..512,
     ) {
-        let mut chunks = spec92_chunks(program, seed, len, chunk_len);
+        let mut chunks = program.chunks(seed, len, chunk_len);
         let mut buf = Vec::new();
         let mut sizes = Vec::new();
         while chunks.next_chunk_into(&mut buf) {
@@ -73,7 +73,7 @@ proptest! {
         let skip = ((len as f64 * skip_frac) as u64).min(len as u64 - 1);
         let want = mono(program, seed, len);
         let mut resumed = ChunkedTrace::start_at(
-            spec92_trace(program, seed).take(len),
+            program.compile(seed).take(len),
             chunk_len,
             skip,
         );
@@ -96,7 +96,7 @@ proptest! {
         second_len in 1usize..512,
     ) {
         let want = mono(program, seed, len);
-        let mut chunks = spec92_chunks(program, seed, len, first_len);
+        let mut chunks = program.chunks(seed, len, first_len);
         let mut got = Vec::new();
         let mut buf = Vec::new();
         if chunks.next_chunk_into(&mut buf) {

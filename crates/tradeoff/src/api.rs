@@ -31,7 +31,6 @@ use report::Json;
 use simcache::{Analytic, CacheConfig, HitRatioBackend, Resolution, Simulated, StackDistSweep};
 use simcpu::{CpuConfig, MissTimeline, StallFeature};
 use simmem::{BusWidth, MemoryTiming};
-use simtrace::spec92::Spec92Program;
 use simtrace::workload::{self, WorkloadSpec};
 use simtrace::ReuseHistograms;
 use std::sync::Arc;
@@ -1492,18 +1491,6 @@ pub fn parse_stall(name: &str) -> Result<StallFeature, ApiError> {
     })
 }
 
-/// Parses a SPEC92 proxy name.
-///
-/// # Errors
-///
-/// [`ApiErrorKind::BadRequest`] for unknown programs.
-pub fn parse_program(name: &str) -> Result<Spec92Program, ApiError> {
-    Spec92Program::ALL
-        .into_iter()
-        .find(|p| p.name() == name)
-        .ok_or_else(|| ApiError::bad_request(format!("unknown program {name:?}")))
-}
-
 /// Resolves a grid query's workload set: named built-ins plus inline
 /// specs; both empty means all six built-in proxies.
 fn resolve_workloads<'a>(
@@ -2102,7 +2089,7 @@ mod tests {
     fn dense_best_matches_field_arithmetic() {
         let env = Uncached;
         let hists = env.histograms(
-            workload::builtin_spec(Spec92Program::Ear),
+            workload::builtin("ear").unwrap(),
             GRID_SEED,
             6_000,
             8,

@@ -17,13 +17,13 @@ use unified_tradeoff::prelude::*;
 const CACHE_BYTES: u64 = 16 * 1024;
 const INSTRUCTIONS: usize = 120_000;
 
-fn measured_candidates(program: Spec92Program) -> Vec<LineCandidate> {
+fn measured_candidates(program: &WorkloadSpec) -> Vec<LineCandidate> {
     let lines = [8u64, 16, 32, 64, 128];
     simcache::explore::hit_ratio_grid(
         &[CACHE_BYTES],
         &lines,
         2,
-        || spec92_trace(program, 0xBEEF).take(INSTRUCTIONS),
+        || program.compile(0xBEEF).take(INSTRUCTIONS),
         INSTRUCTIONS as u64 / 5,
     )
     .expect("valid geometry")
@@ -36,10 +36,10 @@ fn measured_candidates(program: Spec92Program) -> Vec<LineCandidate> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let program = Spec92Program::Nasa7;
+    let program = builtin("nasa7").expect("a builtin proxy");
     let candidates = measured_candidates(program);
 
-    println!("Measured hit ratios for {program} (16K two-way):");
+    println!("Measured hit ratios for {} (16K two-way):", program.label());
     let mut t = Table::new(["line", "hit ratio"]);
     for c in &candidates {
         t.row([format!("{} B", c.line_bytes), format!("{}", c.hit_ratio)]);

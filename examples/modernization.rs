@@ -54,7 +54,7 @@ const VARIANTS: [Variant; 5] = [
     },
 ];
 
-fn simulate(program: Spec92Program, v: Variant) -> SimResult {
+fn simulate(program: &WorkloadSpec, v: Variant) -> SimResult {
     let mut cfg = CpuConfig::baseline(
         CacheConfig::new(8 * 1024, 32, 2).expect("valid L1"),
         MemoryTiming::new(BusWidth::new(4).expect("valid bus"), BETA),
@@ -67,20 +67,18 @@ fn simulate(program: Spec92Program, v: Variant) -> SimResult {
             2,
         ));
     }
-    Cpu::new(cfg).run(spec92_trace(program, 0x1994).take(INSTRUCTIONS))
+    Cpu::new(cfg).run(program.compile(0x1994).take(INSTRUCTIONS))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Per-variant CPI across the proxies.
     let mut t = Table::new(["variant", "nasa7", "swm256", "ear", "doduc", "geomean CPI"]);
     for v in VARIANTS {
-        let programs = [
-            Spec92Program::Nasa7,
-            Spec92Program::Swm256,
-            Spec92Program::Ear,
-            Spec92Program::Doduc,
-        ];
-        let cpis: Vec<f64> = programs.iter().map(|&p| simulate(p, v).cpi()).collect();
+        let programs = ["nasa7", "swm256", "ear", "doduc"];
+        let cpis: Vec<f64> = programs
+            .iter()
+            .map(|p| simulate(builtin(p).expect("a builtin proxy"), v).cpi())
+            .collect();
         let geomean = cpis.iter().map(|c| c.ln()).sum::<f64>() / cpis.len() as f64;
         t.row([
             v.name.to_string(),

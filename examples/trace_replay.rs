@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Record the workload once.
     let dir = std::env::temp_dir().join("unified-tradeoff-replay");
     let path = dir.join("wave5.utt");
-    let buf = TraceBuffer::encode(spec92_trace(Spec92Program::Wave5, 0x7EA5).take(INSTRUCTIONS));
+    let buf = TraceBuffer::encode(builtin("wave5").unwrap().compile(0x7EA5).take(INSTRUCTIONS));
     buf.save(&path)?;
     println!(
         "recorded {} instructions into {} ({} bytes, {:.2} B/instr)\n",

@@ -25,18 +25,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     let mut ranking_table = Table::new(["program", "best feature", "2nd", "3rd"]);
 
-    for program in Spec92Program::ALL {
+    for program in builtins() {
         // Measure the full profile under three stalling features.
         let run = |stall: StallFeature| {
             Cpu::new(CpuConfig::baseline(dcache, timing).with_stall(stall))
-                .run(spec92_trace(program, 0xFEED).take(INSTRUCTIONS))
+                .run(program.compile(0xFEED).take(INSTRUCTIONS))
         };
         let fs = run(StallFeature::FullStall);
         let bnl1 = run(StallFeature::BusNotLocked1);
         let bnl3 = run(StallFeature::BusNotLocked3);
 
         profile_table.row([
-            program.to_string(),
+            program.label(),
             format!("{:.2}%", 100.0 * fs.dcache.hit_ratio()),
             format!("{:.3}", fs.alpha()),
             format!("{:.2}", bnl1.phi()),
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             tradeoff::ranking::paper_candidates(&base, bnl1.phi().clamp(1.0, 8.0), 2.0);
         let ranked = tradeoff::ranking::rank_features(&machine, &base, hr, &candidates)?;
         ranking_table.row([
-            program.to_string(),
+            program.label(),
             format!("{}", ranked[0]),
             format!("{}", ranked[1]),
             format!("{}", ranked[2]),

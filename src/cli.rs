@@ -813,9 +813,12 @@ fn experiments(cmd: &ExperimentsCmd) -> Result<String, CliError> {
             let dir = results_dir
                 .clone()
                 .unwrap_or_else(bench::common::results_dir);
-            let sched_opts =
-                bench::sched::SuiteOptions::new(*jobs, bench::registry::RunCtx::standard())
-                    .keep_going(*keep_going);
+            let instructions = bench::common::instructions_per_run().map_err(CliError::Usage)?;
+            let sched_opts = bench::sched::SuiteOptions::new(
+                *jobs,
+                bench::registry::RunCtx::with_instructions(instructions),
+            )
+            .keep_going(*keep_going);
             let outcome = bench::sched::drive(filter, &sched_opts, &dir).map_err(from_bench)?;
             eprintln!("{}", outcome.run.footer());
             if outcome.run.has_failures() {

@@ -12,7 +12,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`tradeoff`] | the paper's model: Eq. 2 execution time, the `ΔHR = (r − 1)(1 − HR)` equivalence, line-size selection, crossovers, ranking |
-//! | [`simtrace`] | synthetic SPEC92-proxy workload generators |
+//! | [`simtrace`] | declarative workload specs and trace generators; the six SPEC92 proxies are built-in specs |
 //! | [`simcache`] | set-associative cache simulator (LRU/FIFO/random/PLRU, write policies) |
 //! | [`simmem`] | bus/memory timing, pipelined fills, read-bypassing write buffers |
 //! | [`simcpu`] | in-order CPU timing simulator measuring stalling factors `φ` |
@@ -48,7 +48,7 @@
 //!     MemoryTiming::new(BusWidth::new(4).map_err(|e| e.to_string())?, 8),
 //! ).with_stall(StallFeature::BusNotLocked3);
 //! let result = Cpu::new(cfg).run(
-//!     simtrace::spec92::spec92_trace(Spec92Program::Ear, 7).take(20_000));
+//!     simtrace::workload::builtin("ear").unwrap().compile(7).take(20_000));
 //! println!("HR {:.3}, α {:.3}, φ {:.2}", result.dcache.hit_ratio(),
 //!          result.alpha(), result.phi());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -83,7 +83,7 @@ pub mod prelude {
         WriteBufferConfig,
     };
     pub use simmem::{BusWidth, FillSchedule, MemoryTiming, WriteBuffer};
-    pub use simtrace::spec92::{spec92_trace, Spec92Program};
+    pub use simtrace::workload::{builtin, builtins, WorkloadSpec};
     pub use simtrace::{Addr, Instr, MemOp, MemRef};
     pub use smithval::{DesignTargetModel, MissRatioModel, TableModel};
     pub use tradeoff::{
@@ -107,7 +107,7 @@ mod tests {
             CacheConfig::new(4096, 32, 2).unwrap(),
             MemoryTiming::new(BusWidth::new(4).unwrap(), 4),
         );
-        let r = Cpu::new(cfg).run(spec92_trace(Spec92Program::Doduc, 1).take(2_000));
+        let r = Cpu::new(cfg).run(builtin("doduc").unwrap().compile(1).take(2_000));
         assert_eq!(r.instructions, 2_000);
     }
 }

@@ -14,7 +14,7 @@ use simcache::stackdist::StackDistSweep;
 use simcache::CacheConfig;
 use simtrace::instr::MemRef;
 use simtrace::reusehist::ReuseHistograms;
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::builtin;
 use simtrace::Instr;
 
 /// A random reference stream over a bounded address space — small
@@ -91,13 +91,8 @@ proptest! {
 fn set_conflict_model_tracks_the_sweep_within_tolerance() {
     const N: usize = 6_000;
     const WARMUP: u64 = 1_200;
-    for (program, seed) in [
-        (Spec92Program::Nasa7, 7u64),
-        (Spec92Program::Ear, 11),
-        (Spec92Program::Swm256, 3),
-        (Spec92Program::Hydro2d, 31),
-    ] {
-        let trace: Vec<Instr> = spec92_trace(program, seed).take(N).collect();
+    for (program, seed) in [("nasa7", 7u64), ("ear", 11), ("swm256", 3), ("hydro2d", 31)] {
+        let trace: Vec<Instr> = builtin(program).unwrap().compile(seed).take(N).collect();
         let mut fold = ReuseHistograms::new(16, 64, 1 << 14, WARMUP);
         fold.process_slice(&trace);
         let analytic = Analytic::from_histograms(&fold);
@@ -139,7 +134,7 @@ fn set_conflict_model_tracks_the_sweep_within_tolerance() {
 #[test]
 fn chunked_histogram_folds_are_bit_identical_to_whole_trace() {
     const N: usize = 9_000;
-    let trace: Vec<Instr> = spec92_trace(Spec92Program::Doduc, 13).take(N).collect();
+    let trace: Vec<Instr> = builtin("doduc").unwrap().compile(13).take(N).collect();
     let mut whole = ReuseHistograms::new(8, 128, 4_096, 2_000);
     whole.process_slice(&trace);
     let reference = Analytic::from_histograms(&whole);

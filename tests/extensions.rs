@@ -6,7 +6,7 @@ use unified_tradeoff::simcpu::{validation_error, L2Config, Prefetch};
 
 const N: usize = 40_000;
 
-fn run(l2: bool, prefetch: Prefetch, width: u32, program: Spec92Program) -> SimResult {
+fn run(l2: bool, prefetch: Prefetch, width: u32, program: &WorkloadSpec) -> SimResult {
     let mut cfg = CpuConfig::baseline(
         CacheConfig::new(8 * 1024, 32, 2).expect("valid L1"),
         MemoryTiming::new(BusWidth::new(4).expect("valid bus"), 8),
@@ -19,7 +19,7 @@ fn run(l2: bool, prefetch: Prefetch, width: u32, program: Spec92Program) -> SimR
             2,
         ));
     }
-    Cpu::new(cfg).run(spec92_trace(program, 0xE7E7).take(N))
+    Cpu::new(cfg).run(program.compile(0xE7E7).take(N))
 }
 
 #[test]
@@ -27,7 +27,7 @@ fn every_extension_combination_keeps_the_model_identity() {
     for l2 in [false, true] {
         for prefetch in [Prefetch::None, Prefetch::NextLine] {
             for width in [1u32, 2, 4] {
-                let r = run(l2, prefetch, width, Spec92Program::Wave5);
+                let r = run(l2, prefetch, width, builtin("wave5").unwrap());
                 assert!(
                     validation_error(&r) < 1e-9,
                     "l2={l2} pf={prefetch:?} w={width}: error {}",
@@ -42,18 +42,22 @@ fn every_extension_combination_keeps_the_model_identity() {
 fn extensions_compose_monotonically_on_average() {
     // Adding the L2 must help every proxy; the full stack must beat the
     // baseline on every proxy.
-    for p in Spec92Program::ALL {
+    for p in builtins() {
         let baseline = run(false, Prefetch::None, 1, p);
         let with_l2 = run(true, Prefetch::None, 1, p);
         let full = run(true, Prefetch::NextLine, 4, p);
-        assert!(with_l2.cycles <= baseline.cycles, "{p}: L2 hurt");
-        assert!(full.cycles < baseline.cycles, "{p}: full stack hurt");
+        assert!(with_l2.cycles <= baseline.cycles, "{}: L2 hurt", p.label());
+        assert!(
+            full.cycles < baseline.cycles,
+            "{}: full stack hurt",
+            p.label()
+        );
     }
 }
 
 #[test]
 fn l2_filters_memory_traffic() {
-    let r = run(true, Prefetch::None, 1, Spec92Program::Doduc);
+    let r = run(true, Prefetch::None, 1, builtin("doduc").unwrap());
     let l2 = r.l2.expect("l2 stats present");
     // Every L1 fill probes the L2; a decent fraction must hit there.
     assert_eq!(l2.accesses(), r.dcache.fills + r.dcache.writebacks);
@@ -66,7 +70,7 @@ fn l2_filters_memory_traffic() {
 
 #[test]
 fn issue_width_speedup_is_bounded_by_width_and_memory() {
-    let p = Spec92Program::Ear;
+    let p = builtin("ear").unwrap();
     let w1 = run(false, Prefetch::None, 1, p);
     let w4 = run(false, Prefetch::None, 4, p);
     let speedup = w1.cycles as f64 / w4.cycles as f64;

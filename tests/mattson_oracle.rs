@@ -7,7 +7,7 @@
 use simcache::explore::measure_dcache;
 use simtrace::gen::{PatternTrace, StridedSweep, TraceShape, ZipfWorkingSet};
 use simtrace::reuse::ReuseProfile;
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::builtin;
 use unified_tradeoff::prelude::*;
 
 fn fa_lru(lines: u64) -> Cache {
@@ -62,7 +62,7 @@ fn mattson_predicts_the_simulator_on_strided_sweeps() {
 
 #[test]
 fn mattson_predicts_the_simulator_on_a_spec_proxy() {
-    let trace: Vec<Instr> = spec92_trace(Spec92Program::Ear, 11).take(15_000).collect();
+    let trace: Vec<Instr> = builtin("ear").unwrap().compile(11).take(15_000).collect();
     check_exact(&trace, &[8, 64, 256]);
 }
 
@@ -114,8 +114,12 @@ fn sweep_matches_replay_on_strided_sweeps() {
 
 #[test]
 fn sweep_matches_replay_on_spec_proxies() {
-    for (program, seed) in [(Spec92Program::Ear, 29), (Spec92Program::Hydro2d, 31)] {
-        let trace: Vec<Instr> = spec92_trace(program, seed).take(15_000).collect();
+    for (program, seed) in [("ear", 29), ("hydro2d", 31)] {
+        let trace: Vec<Instr> = builtin(program)
+            .unwrap()
+            .compile(seed)
+            .take(15_000)
+            .collect();
         // Both with and without a warm-up window.
         check_sweep_exact(&trace, 32, 3_000);
         check_sweep_exact(&trace, 32, 0);
@@ -126,9 +130,7 @@ fn sweep_matches_replay_on_spec_proxies() {
 fn set_associativity_only_loses_against_full_associativity() {
     // A set-associative cache of the same capacity can only do worse
     // than the Mattson bound (conflict misses), never better.
-    let trace: Vec<Instr> = spec92_trace(Spec92Program::Doduc, 13)
-        .take(20_000)
-        .collect();
+    let trace: Vec<Instr> = builtin("doduc").unwrap().compile(13).take(20_000).collect();
     let profile = ReuseProfile::from_trace(trace.iter().copied(), 32, 512);
     for (lines, assoc) in [(64u64, 2u32), (256, 2), (256, 4)] {
         let mut cache = Cache::new(CacheConfig::new(lines * 32, 32, assoc).expect("valid"));

@@ -154,18 +154,17 @@ fn claim_example_1() {
 /// memory cycle time of less than 15 clock cycles."
 #[test]
 fn claim_bnl3_reduction_band() {
-    use simtrace::spec92::{spec92_trace, Spec92Program};
     let mut reductions = Vec::new();
     for beta in [8u64, 12] {
         let run = |stall: StallFeature| -> f64 {
             let mut total = 0.0;
-            for p in Spec92Program::ALL {
+            for p in simtrace::workload::builtins() {
                 let cfg = CpuConfig::baseline(
                     CacheConfig::new(8 * 1024, 32, 2).unwrap(),
                     MemoryTiming::new(BusWidth::new(4).unwrap(), beta),
                 )
                 .with_stall(stall);
-                total += Cpu::new(cfg).run(spec92_trace(p, 2).take(40_000)).phi();
+                total += Cpu::new(cfg).run(p.compile(2).take(40_000)).phi();
             }
             total / 6.0
         };

@@ -98,6 +98,16 @@ fn binary_exit_codes_follow_the_documented_scheme() {
         cli_code(&["experiments", "run", "--filter", "no-such-tag"]),
         2
     );
+    // A malformed trace length is rejected by name, not replaced by the
+    // default length.
+    let out = Command::new(env!("CARGO_BIN_EXE_tradeoff-cli"))
+        .args(["experiments", "run", "--filter", "xover", "--results-dir"])
+        .arg(std::env::temp_dir().join("repro-malformed-instructions"))
+        .env("REPRO_INSTRUCTIONS", "12x")
+        .output()
+        .expect("cli binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("REPRO_INSTRUCTIONS=\"12x\""));
     // 1: failure class — client mode against a dead port.
     assert_eq!(
         cli_code(&["query", "--server", "127.0.0.1:9", "--get", "stats"]),

@@ -13,7 +13,7 @@ use bench::sweep::{artifact, run_sweep, SweepGrid, SWEEP_SEED};
 use simcache::explore::hit_ratio_grid_replay;
 use simcache::stackdist::StackDistSweep;
 use simcpu::{MissTimeline, MissTimelineBuilder};
-use simtrace::spec92::{spec92_trace, Spec92Program};
+use simtrace::workload::builtin;
 use simtrace::Instr;
 use std::time::Duration;
 
@@ -41,17 +41,17 @@ fn streaming_sweep_matches_per_config_replay() {
         assoc: 2,
         warmup: 1_000,
     };
-    let programs = [Spec92Program::Swm256, Spec92Program::Doduc];
-    for ws in run_sweep(&programs, &grid, N) {
+    let workloads = [builtin("swm256").unwrap(), builtin("doduc").unwrap()];
+    for ws in run_sweep(&workloads, &grid, N) {
         let replay = hit_ratio_grid_replay(
             &grid.cache_sizes,
             &grid.line_sizes,
             grid.assoc,
-            || spec92_trace(ws.program, SWEEP_SEED).take(N),
+            || ws.workload.compile(SWEEP_SEED).take(N),
             grid.warmup,
         )
         .unwrap();
-        assert_eq!(ws.points, replay, "{}", ws.program);
+        assert_eq!(ws.points, replay, "{}", ws.workload.label());
     }
 }
 
@@ -59,11 +59,11 @@ fn streaming_sweep_matches_per_config_replay() {
 fn streaming_timeline_matches_whole_trace_extraction() {
     let cache = bench::common::figure1_cache(32);
     let seed = 0x04AC1E;
-    let whole: Vec<Instr> = spec92_trace(Spec92Program::Ear, seed).take(N).collect();
+    let whole: Vec<Instr> = builtin("ear").unwrap().compile(seed).take(N).collect();
     let oracle = MissTimeline::extract(cache, whole.iter().copied());
     // Cold store lookup streams chunk by chunk — identical timeline.
     let streamed = bench::tracestore::workload_timeline(
-        simtrace::workload::builtin_spec(Spec92Program::Ear),
+        simtrace::workload::builtin("ear").unwrap(),
         seed,
         N,
         &cache,
@@ -71,7 +71,7 @@ fn streaming_timeline_matches_whole_trace_extraction() {
     assert_eq!(*streamed, oracle);
     // A mixed one-pass pipeline folds the same timeline again.
     let out = stream::broadcast(
-        spec92_trace(Spec92Program::Ear, seed).take(N),
+        builtin("ear").unwrap().compile(seed).take(N),
         1_024,
         vec![
             FoldSink::Timeline(MissTimelineBuilder::new(cache)),
@@ -145,7 +145,9 @@ fn folds_and_artifacts_are_chunk_size_invariant() {
     // several chunk sizes against the whole-trace oracle. Env vars are
     // process-global, so the sizes are driven through the pipeline
     // directly rather than by mutating the environment.
-    let whole: Vec<Instr> = spec92_trace(Spec92Program::Nasa7, SWEEP_SEED)
+    let whole: Vec<Instr> = builtin("nasa7")
+        .unwrap()
+        .compile(SWEEP_SEED)
         .take(N)
         .collect();
     let mut oracle = StackDistSweep::new_range(32, 4, 7, 2, 500).unwrap();
@@ -154,7 +156,7 @@ fn folds_and_artifacts_are_chunk_size_invariant() {
     }
     for chunk in [64, 977, N + 1] {
         let folded = stream::broadcast(
-            spec92_trace(Spec92Program::Nasa7, SWEEP_SEED).take(N),
+            builtin("nasa7").unwrap().compile(SWEEP_SEED).take(N),
             chunk,
             vec![StackDistSweep::new_range(32, 4, 7, 2, 500).unwrap()],
         );
@@ -174,7 +176,7 @@ fn folds_and_artifacts_are_chunk_size_invariant() {
         assoc: 2,
         warmup: 500,
     };
-    let reference = artifact(&run_sweep(&[Spec92Program::Nasa7], &grid, N));
-    let again = artifact(&run_sweep(&[Spec92Program::Nasa7], &grid, N));
+    let reference = artifact(&run_sweep(&[builtin("nasa7").unwrap()], &grid, N));
+    let again = artifact(&run_sweep(&[builtin("nasa7").unwrap()], &grid, N));
     assert_eq!(format!("{reference:?}"), format!("{again:?}"));
 }
