@@ -7,7 +7,10 @@
 #                    package builds against the crates with its
 #                    committed lock file and its unit tests pass) +
 #                    manifest (committed results/ hash-verified
-#                    against a fresh parallel suite run) + faults
+#                    against a fresh parallel suite run, whose stderr
+#                    footer must show the pinned trace-store totals,
+#                    12/9 traces, 240/12 timelines, 6/6 histograms
+#                    hit/miss, and 0 coalesced waits) + faults
 #                    (canned fault plan degrades the suite instead of
 #                    killing it)
 #                    + stream (1 M-instruction streaming smoke with an
@@ -68,9 +71,19 @@ manifest_check() {
     # fresh manifest. Any drift — stale committed artifact or lost
     # determinism — fails the build.
     REPRO_RESULTS_DIR="$tmp" REPRO_JOBS=4 \
-        cargo run --release -q -p bench --bin run_all > /dev/null
+        cargo run --release -q -p bench --bin run_all > /dev/null 2> "$tmp/footer.txt" \
+        || { cat "$tmp/footer.txt"; echo "FAIL: run_all"; exit 1; }
     cargo run --release -q --bin tradeoff-cli -- experiments verify \
         --results-dir results --manifest "$tmp/manifest.json"
+    # The suite's trace-store call sequence is pinned too: which folds
+    # hit the memo and which regenerate must not move, and no lookup
+    # may block on another's build.
+    grep -q 'trace store: traces 12 hit / 9 miss, timelines 240 hit / 12 miss, histograms 6 hit / 6 miss$' \
+        "$tmp/footer.txt" \
+        || { echo "FAIL: suite store totals drifted:"; head -1 "$tmp/footer.txt"; exit 1; }
+    grep -q 'coalesced waits 0,' "$tmp/footer.txt" \
+        || { echo "FAIL: suite lookups coalesced:"; grep 'store stats' "$tmp/footer.txt"; exit 1; }
+    echo "    store totals: $(head -1 "$tmp/footer.txt" | sed 's/.*trace store: //'), coalesced waits 0"
     rm -rf "$tmp"
 }
 

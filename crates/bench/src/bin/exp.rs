@@ -20,7 +20,8 @@
 //!
 //! Exit codes: `0` success, `1` one or more experiments failed, `2` bad
 //! usage (including a filter that matches nothing or a malformed
-//! `REPRO_INSTRUCTIONS`), `3` an artifact could not be written.
+//! `REPRO_INSTRUCTIONS`, `REPRO_STREAM_CHUNK` or `REPRO_TRACE_BUDGET`),
+//! `3` an artifact could not be written.
 
 use bench::registry::{self, RunCtx};
 use bench::sched::{drive, SuiteOptions};
@@ -110,6 +111,10 @@ fn run(args: &[String]) {
 }
 
 fn main() {
+    if let Err(e) = bench::common::check_settings() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         None | Some("list") => list(args.get(1).map_or("", String::as_str)),

@@ -10,7 +10,8 @@
 //! trace-store footer goes to stderr so stdout stays deterministic.
 //!
 //! Exit codes: `0` success, `1` one or more experiments failed, `2` a
-//! malformed `REPRO_INSTRUCTIONS`, `3` an artifact could not be written.
+//! malformed `REPRO_INSTRUCTIONS`, `REPRO_STREAM_CHUNK` or
+//! `REPRO_TRACE_BUDGET`, `3` an artifact could not be written.
 
 use bench::registry::RunCtx;
 use bench::sched::{drive, SuiteOptions};
@@ -22,10 +23,12 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
     let keep_going = std::env::var("REPRO_KEEP_GOING").is_ok_and(|v| v == "1");
-    let instructions = bench::common::instructions_per_run().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let instructions = bench::common::check_settings()
+        .and_then(|()| bench::common::instructions_per_run())
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
     let opts =
         SuiteOptions::new(jobs, RunCtx::with_instructions(instructions)).keep_going(keep_going);
     match drive("all", &opts, &bench::common::results_dir()) {

@@ -15,9 +15,9 @@
 //!
 //! Wired into tier-1 as `./ci.sh stream`.
 
-use bench::stream::{self, FoldOut, FoldSink};
-use simcache::explore::{hit_ratio_grid_replay, HitRatioPoint};
-use simcache::stackdist::StackDistSweep;
+use bench::stream::{self, ChunkSink, Source};
+use simcache::explore::{hit_ratio_grid_replay, GridSpec, HitRatioPoint};
+use simcache::Simulated;
 use simcpu::{Cpu, CpuConfig, MissTimeline, MissTimelineBuilder, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::workload::{builtin, CompiledTrace};
@@ -47,10 +47,6 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-fn sizes() -> Vec<u64> {
-    (0..=6).map(|i| 1024u64 << i).collect()
-}
-
 fn phi_points() -> Vec<(StallFeature, u64)> {
     StallFeature::MEASURED
         .iter()
@@ -70,60 +66,26 @@ fn config(stall: StallFeature, beta: u64) -> CpuConfig {
     .with_stall(stall)
 }
 
-fn grid_from_sweeps(sweeps: &[StackDistSweep], sizes: &[u64]) -> Vec<HitRatioPoint> {
-    let mut points = Vec::with_capacity(sizes.len() * LINES.len());
-    for &cache_bytes in sizes {
-        for (li, &line_bytes) in LINES.iter().enumerate() {
-            let sets = cache_bytes / (line_bytes * u64::from(ASSOC));
-            let stats = sweeps[li].stats(sets.trailing_zeros(), ASSOC);
-            points.push(HitRatioPoint {
-                cache_bytes,
-                line_bytes,
-                hit_ratio: stats.hit_ratio(),
-                flush_ratio: stats.flush_ratio(),
-            });
-        }
+/// The smoke's Figure-6 grid: two-way, 20 % warm-up.
+fn grid(n: usize) -> GridSpec {
+    GridSpec {
+        cache_sizes: (0..=6).map(|i| 1024u64 << i).collect(),
+        line_sizes: LINES.to_vec(),
+        assocs: vec![ASSOC],
+        warmup: n as u64 / 5,
     }
-    points
 }
 
 /// One streamed pass: grid points from five sweep sinks, φ values from
 /// a timeline sink's `O(misses)` replays.
-fn streamed(n: usize, sizes: &[u64], chunk: usize) -> (Vec<HitRatioPoint>, Vec<f64>) {
-    let warmup = n as u64 / 5;
-    let min_sets = |l: u64| {
-        sizes
-            .iter()
-            .map(|&c| c / (l * u64::from(ASSOC)))
-            .min()
-            .unwrap()
-    };
-    let max_sets = |l: u64| {
-        sizes
-            .iter()
-            .map(|&c| c / (l * u64::from(ASSOC)))
-            .max()
-            .unwrap()
-    };
-    let mut sinks: Vec<FoldSink> = LINES
-        .iter()
-        .map(|&l| {
-            FoldSink::Sweep(
-                StackDistSweep::new_range(
-                    l,
-                    min_sets(l).trailing_zeros(),
-                    max_sets(l).trailing_zeros(),
-                    ASSOC,
-                    warmup,
-                )
-                .expect("valid sweep"),
-            )
-        })
-        .collect();
-    sinks.push(FoldSink::Timeline(MissTimelineBuilder::new(phi_cache())));
-    let mut out = stream::broadcast(nasa7().take(n), chunk, sinks);
-    let timeline: MissTimeline = out.pop().expect("timeline sink").into_timeline();
-    let sweeps: Vec<StackDistSweep> = out.into_iter().map(FoldOut::into_sweep).collect();
+fn streamed(grid: &GridSpec, n: usize, chunk: usize) -> (Vec<HitRatioPoint>, Vec<f64>) {
+    let mut sweeps = grid.sweeps().expect("valid grid");
+    let mut timeline = MissTimelineBuilder::new(phi_cache());
+    let mut sinks: Vec<&mut dyn ChunkSink> =
+        sweeps.iter_mut().map(|s| s as &mut dyn ChunkSink).collect();
+    sinks.push(&mut timeline);
+    stream::fold(Source::Generated(nasa7().take(n)), chunk, &mut sinks);
+    let timeline: MissTimeline = timeline.finish();
     let phis = phi_points()
         .iter()
         .map(|&(stall, beta)| {
@@ -133,7 +95,10 @@ fn streamed(n: usize, sizes: &[u64], chunk: usize) -> (Vec<HitRatioPoint>, Vec<f
                 .phi()
         })
         .collect();
-    (grid_from_sweeps(&sweeps, sizes), phis)
+    let points = Simulated::from_sweeps(sweeps)
+        .points(grid)
+        .expect("grid covered by its sweeps");
+    (points, phis)
 }
 
 fn main() -> ExitCode {
@@ -155,9 +120,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let sizes = sizes();
+    let grid = grid(instructions);
     let chunk = stream::chunk_instructions();
-    let (grid, phis) = streamed(instructions, &sizes, chunk);
+    let (points, phis) = streamed(&grid, instructions, chunk);
 
     // RSS gate first: the oracle pass below materialises the whole
     // trace on purpose and would swamp the high-water mark.
@@ -170,7 +135,7 @@ fn main() -> ExitCode {
                 instructions,
                 chunk,
                 chunk * INSTR_BYTES / 1024,
-                grid.len(),
+                points.len(),
                 phis.len(),
                 bytes as f64 / (1024.0 * 1024.0),
                 rss_limit_mb,
@@ -187,15 +152,8 @@ fn main() -> ExitCode {
 
     // Oracle gate: materialise-then-scan must agree byte for byte.
     let whole: Vec<Instr> = nasa7().take(instructions).collect();
-    let oracle_grid = hit_ratio_grid_replay(
-        &sizes,
-        &LINES,
-        ASSOC,
-        || whole.iter().copied(),
-        instructions as u64 / 5,
-    )
-    .expect("valid grid");
-    if grid != oracle_grid {
+    let oracle_grid = hit_ratio_grid_replay(&grid, || whole.iter().copied()).expect("valid grid");
+    if points != oracle_grid {
         eprintln!("stream_smoke: FAIL: streamed grid diverged from the replay oracle");
         return ExitCode::FAILURE;
     }

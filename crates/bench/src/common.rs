@@ -30,6 +30,20 @@ pub fn instructions_per_run() -> Result<usize, String> {
     }
 }
 
+/// Validates the settings the library reads lazily,
+/// `REPRO_STREAM_CHUNK` and `REPRO_TRACE_BUDGET`, so a binary can
+/// reject a malformed value at startup as a usage error naming the
+/// variable instead of panicking mid-run.
+///
+/// # Errors
+///
+/// The first malformed setting, by name.
+pub fn check_settings() -> Result<(), String> {
+    crate::stream::chunk_setting()?;
+    crate::tracestore::budget_setting()?;
+    Ok(())
+}
+
 /// The paper's Figure 1 cache: 8 KB, two-way, write-allocate.
 ///
 /// # Panics

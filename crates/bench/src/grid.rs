@@ -20,10 +20,9 @@
 
 use crate::registry::{ExpReport, Experiment, RunCtx};
 use crate::sweep::SWEEP_SEED;
-use crate::{stream, tracestore};
+use crate::tracestore;
 use report::{Artifact, Table};
 use simcache::hitratio::SET_CONFLICT_TOLERANCE;
-use simcache::stackdist::StackDistSweep;
 use simcache::{Analytic, HitRatioBackend, Simulated};
 use simtrace::workload::{builtins, WorkloadSpec};
 
@@ -33,36 +32,18 @@ use simtrace::workload::{builtins, WorkloadSpec};
 // historical paths.
 pub use tradeoff::api::{dense_best, DenseBest, DenseGrid, GridSpec, HIST_DISTANCE_CAP};
 
-/// Builds the simulated backend for one workload: one
-/// [`StackDistSweep`] per line size covering the grid's full set range,
-/// fed by the chunked [`stream`] pipeline (resident traces fold in
-/// place, cold ones stream without pinning).
+/// Builds the simulated backend for one workload: the grid's sweeps
+/// ([`GridSpec::sweeps`]), folded from the store's resident trace when
+/// it holds one and from the chunked generator otherwise
+/// ([`tracestore::fold_workload`]).
+///
+/// # Panics
+///
+/// Panics if a grid combination is not a valid sweep geometry.
 pub fn build_simulated(workload: &WorkloadSpec, spec: &GridSpec, instructions: usize) -> Simulated {
-    let chunk = stream::chunk_instructions();
-    let amax = *spec.assocs.iter().max().expect("grid has assocs");
-    let sinks: Vec<StackDistSweep> = spec
-        .line_sizes
-        .iter()
-        .map(|&line_bytes| {
-            StackDistSweep::new_range(
-                line_bytes,
-                spec.min_sets(line_bytes).trailing_zeros(),
-                spec.max_sets(line_bytes).trailing_zeros(),
-                amax,
-                spec.warmup,
-            )
-            .expect("valid grid line size")
-        })
-        .collect();
-    let folded = match tracestore::resident_workload_trace(workload, SWEEP_SEED, instructions) {
-        Some(trace) => stream::fold_slice(trace.instrs(), chunk, sinks),
-        None => stream::broadcast(
-            workload.compile(SWEEP_SEED).take(instructions),
-            chunk,
-            sinks,
-        ),
-    };
-    Simulated::from_sweeps(folded)
+    let mut sweeps = spec.sweeps().expect("valid grid");
+    tracestore::fold_workload(workload, SWEEP_SEED, instructions, &mut sweeps);
+    Simulated::from_sweeps(sweeps)
 }
 
 /// Builds the analytic backend for one workload from the memoised
@@ -142,28 +123,22 @@ pub fn compare(
     workloads
         .iter()
         .map(|&workload| {
-            let sim = build_simulated(workload, spec, instructions);
+            let sim = build_simulated(workload, spec, instructions)
+                .points(spec)
+                .expect("comparison grid covered by sweeps");
             let analytic = build_analytic(workload, instructions, spec.warmup);
-            let mut points = Vec::with_capacity(spec.points());
-            for &cache_bytes in &spec.cache_sizes {
-                for &line_bytes in &spec.line_sizes {
-                    for &assoc in &spec.assocs {
-                        let s = sim
-                            .hit_ratio(cache_bytes, line_bytes, assoc)
-                            .expect("comparison grid covered by sweeps");
-                        let a = analytic
-                            .hit_ratio(cache_bytes, line_bytes, assoc)
-                            .expect("comparison grid covered by histograms");
-                        points.push(GridPoint {
-                            cache_bytes,
-                            line_bytes,
-                            assoc,
-                            sim: s,
-                            analytic: a,
-                        });
-                    }
-                }
-            }
+            let points = sim
+                .into_iter()
+                .map(|p| GridPoint {
+                    cache_bytes: p.cache_bytes,
+                    line_bytes: p.line_bytes,
+                    assoc: p.assoc,
+                    sim: p.hit_ratio,
+                    analytic: analytic
+                        .hit_ratio(p.cache_bytes, p.line_bytes, p.assoc)
+                        .expect("comparison grid covered by histograms"),
+                })
+                .collect();
             WorkloadGrid { workload, points }
         })
         .collect()
@@ -313,16 +288,6 @@ mod tests {
             assocs: vec![1, 2],
             warmup: 500,
         }
-    }
-
-    #[test]
-    fn comparison_grid_shape_and_coverage() {
-        let spec = GridSpec::comparison(0);
-        assert_eq!(spec.points(), 7 * 5 * 3);
-        // Smallest geometry: 1 KB of 128 B lines 4-way = 2 sets;
-        // largest: 64 KB of 8 B lines direct-mapped = 8192 sets.
-        assert_eq!(spec.min_sets(128), 2);
-        assert_eq!(spec.max_sets(8), 8192);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //!    substrate and model.
 
 use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::stream::{self, Source};
 use report::{Artifact, Table};
-use simcache::explore::hit_ratio_grid;
+use simcache::explore::GridSpec;
+use simcache::Simulated;
 use simtrace::workload::{builtin, WorkloadSpec};
 use tradeoff::linesize::{
     miss_count_ratio, optimal_line_eq19, optimal_line_smith, required_hit_gain, FillTiming,
@@ -55,18 +57,24 @@ pub fn simulated_selection(
     instructions: usize,
     timing: &FillTiming,
 ) -> Result<(Vec<LineCandidate>, f64, f64), String> {
-    let lines = [8u64, 16, 32, 64, 128];
+    let grid = GridSpec {
+        cache_sizes: vec![cache_bytes],
+        line_sizes: vec![8, 16, 32, 64, 128],
+        assocs: vec![2],
+        warmup: instructions as u64 / 5,
+    };
     // The trace comes from the shared store at the sweep seed, so this
     // experiment and the design-space sweep share one materialisation.
     let trace = crate::tracestore::workload_trace(workload, crate::sweep::SWEEP_SEED, instructions);
-    let points = hit_ratio_grid(
-        &[cache_bytes],
-        &lines,
-        2,
-        || trace.iter().copied(),
-        instructions as u64 / 5,
-    )
-    .map_err(|e| e.to_string())?;
+    let mut sweeps = grid.sweeps().map_err(|e| e.to_string())?;
+    stream::fold(
+        Source::resident(&trace),
+        stream::chunk_instructions(),
+        &mut sweeps,
+    );
+    let points = Simulated::from_sweeps(sweeps)
+        .points(&grid)
+        .map_err(|e| e.to_string())?;
     let candidates: Vec<LineCandidate> = points
         .iter()
         .map(|p| {

@@ -3,17 +3,17 @@
 //! The Figure-6-style question — "how does the hit ratio move across
 //! the whole (cache size × line size) grid for each workload?" — used
 //! to cost one full trace replay per grid point. The sweep engine
-//! answers it with one [`StackDistSweep`] pass per line size
-//! (`O(|lines| · N)` instead of `O(|sizes| · |lines| · N)`), fed by the
-//! chunked [`stream`] pipeline: the trace is generated (or folded from
-//! the store) in bounded blocks and broadcast to every line-size sink,
-//! so the sweep runs paper-scale traces without paper-scale memory.
+//! answers it with one [`StackDistSweep`](simcache::StackDistSweep)
+//! pass per line size (`O(|lines| · N)` instead of
+//! `O(|sizes| · |lines| · N)`): the grid is a [`GridSpec`], folded by
+//! [`grid::build_simulated`] through the chunked [`stream`](crate::stream)
+//! driver, so the sweep runs paper-scale traces without paper-scale
+//! memory.
 
+use crate::grid::{self, GridSpec};
 use crate::registry::{ExpReport, Experiment, RunCtx};
-use crate::stream;
 use report::{Artifact, Table};
 use simcache::explore::HitRatioPoint;
-use simcache::stackdist::StackDistSweep;
 use simtrace::workload::{builtins, WorkloadSpec};
 use smithval::TableModel;
 
@@ -21,57 +21,17 @@ use smithval::TableModel;
 /// numbers are directly comparable to `linesize.csv`.
 pub const SWEEP_SEED: u64 = 7;
 
-/// The (cache size × line size) grid one sweep covers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepGrid {
-    /// Cache capacities in bytes (powers of two).
-    pub cache_sizes: Vec<u64>,
-    /// Line sizes in bytes (powers of two).
-    pub line_sizes: Vec<u64>,
-    /// Fixed associativity.
-    pub assoc: u32,
-    /// Instructions excluded from statistics.
-    pub warmup: u64,
-}
-
-impl SweepGrid {
-    /// The Figure-6-flavoured default grid: 1 KB – 64 KB, 8 B – 128 B
-    /// lines, two-way.
-    pub fn figure6(warmup: u64) -> Self {
-        SweepGrid {
-            cache_sizes: (0..=6).map(|i| 1024u64 << i).collect(),
-            line_sizes: vec![8, 16, 32, 64, 128],
-            assoc: 2,
-            warmup,
-        }
-    }
-
-    /// Grid points per workload.
-    pub fn points(&self) -> usize {
-        self.cache_sizes.len() * self.line_sizes.len()
-    }
-
-    /// Smallest set count any configuration of this grid needs at `line_bytes`.
-    fn min_sets(&self, line_bytes: u64) -> u64 {
-        self.cache_sizes
-            .iter()
-            .map(|&c| c / (line_bytes * u64::from(self.assoc)))
-            .min()
-            .expect("grid has cache sizes")
-    }
-
-    /// Largest set count any configuration of this grid needs at `line_bytes`.
-    fn max_sets(&self, line_bytes: u64) -> u64 {
-        self.cache_sizes
-            .iter()
-            .map(|&c| c / (line_bytes * u64::from(self.assoc)))
-            .max()
-            .expect("grid has cache sizes")
+/// The Figure-6-flavoured grid: 1 KB – 64 KB, 8 B – 128 B lines,
+/// two-way.
+pub fn figure6(warmup: u64) -> GridSpec {
+    GridSpec {
+        assocs: vec![2],
+        ..GridSpec::comparison(warmup)
     }
 }
 
 /// One workload's measured grid, points in (cache size, line size)
-/// order like [`simcache::explore::hit_ratio_grid`].
+/// order.
 #[derive(Debug, Clone)]
 pub struct WorkloadSweep {
     /// The workload.
@@ -80,68 +40,27 @@ pub struct WorkloadSweep {
     pub points: Vec<HitRatioPoint>,
 }
 
-/// Sweeps the grid for every workload, streaming: each workload's trace
-/// is chunked ([`stream`]) into one [`StackDistSweep`] sink per line
-/// size — already-materialised traces are folded in place
-/// ([`stream::fold_slice`]), cold ones run the generate→fold pipeline
-/// ([`stream::broadcast`]) without ever pinning the full trace, so peak
+/// Sweeps the grid for every workload ([`grid::build_simulated`]):
+/// resident traces fold in place, cold ones stream through the
+/// generate→fold driver without ever pinning the full trace, so peak
 /// trace-resident memory is a few `REPRO_STREAM_CHUNK` blocks no matter
 /// how long the trace is.
 ///
 /// # Panics
 ///
-/// Panics if a grid combination is not a valid cache geometry.
+/// Panics if a grid combination is not a valid sweep geometry.
 pub fn run_sweep(
     workloads: &[&'static WorkloadSpec],
-    grid: &SweepGrid,
+    grid: &GridSpec,
     instructions: usize,
 ) -> Vec<WorkloadSweep> {
-    let chunk = stream::chunk_instructions();
-    let sweeps: Vec<Vec<StackDistSweep>> = workloads
-        .iter()
-        .map(|&spec| {
-            let sinks: Vec<StackDistSweep> = grid
-                .line_sizes
-                .iter()
-                .map(|&line_bytes| {
-                    StackDistSweep::new_range(
-                        line_bytes,
-                        grid.min_sets(line_bytes).trailing_zeros(),
-                        grid.max_sets(line_bytes).trailing_zeros(),
-                        grid.assoc,
-                        grid.warmup,
-                    )
-                    .expect("valid grid line size")
-                })
-                .collect();
-            match crate::tracestore::resident_workload_trace(spec, SWEEP_SEED, instructions) {
-                Some(trace) => stream::fold_slice(trace.instrs(), chunk, sinks),
-                None => {
-                    stream::broadcast(spec.compile(SWEEP_SEED).take(instructions), chunk, sinks)
-                }
-            }
-        })
-        .collect();
-
     workloads
         .iter()
-        .enumerate()
-        .map(|(pi, &workload)| {
-            let mut points = Vec::with_capacity(grid.points());
-            for &cache_bytes in &grid.cache_sizes {
-                for (li, &line_bytes) in grid.line_sizes.iter().enumerate() {
-                    let sweep = &sweeps[pi][li];
-                    let sets = cache_bytes / (line_bytes * u64::from(grid.assoc));
-                    let stats = sweep.stats(sets.trailing_zeros(), grid.assoc);
-                    points.push(HitRatioPoint {
-                        cache_bytes,
-                        line_bytes,
-                        hit_ratio: stats.hit_ratio(),
-                        flush_ratio: stats.flush_ratio(),
-                    });
-                }
-            }
-            WorkloadSweep { workload, points }
+        .map(|&workload| WorkloadSweep {
+            workload,
+            points: grid::build_simulated(workload, grid, instructions)
+                .points(grid)
+                .expect("grid covered by its sweeps"),
         })
         .collect()
 }
@@ -177,7 +96,7 @@ pub fn best_line(sweep: &WorkloadSweep, cache_bytes: u64) -> Option<u64> {
 }
 
 /// Renders the sweep as a best-line-per-capacity table.
-pub fn render(results: &[WorkloadSweep], grid: &SweepGrid) -> String {
+pub fn render(results: &[WorkloadSweep], grid: &GridSpec) -> String {
     let mut header = vec!["program".to_string()];
     header.extend(
         grid.cache_sizes
@@ -281,7 +200,7 @@ impl Experiment for Exp {
     }
     fn run(&self, ctx: &RunCtx) -> ExpReport {
         let instructions = ctx.instructions;
-        let grid = SweepGrid::figure6(instructions as u64 / 5);
+        let grid = figure6(instructions as u64 / 5);
         let workloads: Vec<_> = builtins().iter().collect();
         let results = run_sweep(&workloads, &grid, instructions);
         let mut out = render(&results, &grid);
@@ -299,11 +218,11 @@ mod tests {
     use simcache::explore::hit_ratio_grid_replay;
     use simtrace::workload::builtin;
 
-    fn small_grid() -> SweepGrid {
-        SweepGrid {
+    fn small_grid() -> GridSpec {
+        GridSpec {
             cache_sizes: vec![1024, 4096],
             line_sizes: vec![16, 32],
-            assoc: 2,
+            assocs: vec![2],
             warmup: 1_000,
         }
     }
@@ -315,14 +234,8 @@ mod tests {
         let n = 8_000;
         let results = run_sweep(&workloads, &grid, n);
         for ws in &results {
-            let replay = hit_ratio_grid_replay(
-                &grid.cache_sizes,
-                &grid.line_sizes,
-                grid.assoc,
-                || ws.workload.compile(SWEEP_SEED).take(n),
-                grid.warmup,
-            )
-            .unwrap();
+            let replay =
+                hit_ratio_grid_replay(&grid, || ws.workload.compile(SWEEP_SEED).take(n)).unwrap();
             assert_eq!(ws.points, replay, "{}", ws.workload.label());
         }
     }
@@ -358,7 +271,7 @@ mod tests {
     #[test]
     fn measured_model_bridges_into_smithval() {
         use smithval::MissRatioModel;
-        let grid = SweepGrid::figure6(500);
+        let grid = figure6(500);
         let results = run_sweep(&[builtin("ear").unwrap()], &grid, 4_000);
         let model = measured_model(&results[0], 16 * 1024).expect("16 KB row exists");
         assert_eq!(model.points().len(), grid.line_sizes.len());
@@ -386,7 +299,8 @@ mod tests {
 
     #[test]
     fn figure6_grid_shape() {
-        let g = SweepGrid::figure6(0);
+        let g = figure6(0);
+        assert_eq!(g.assocs, [2]);
         assert_eq!(g.cache_sizes.first(), Some(&1024));
         assert_eq!(g.cache_sizes.last(), Some(&(64 * 1024)));
         assert_eq!(g.points(), 35);

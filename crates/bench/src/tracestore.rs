@@ -19,7 +19,8 @@
 //! wait for the claimer instead of duplicating the work), then builds
 //! the value outside the map lock. Every tier is byte-accounted and
 //! LRU-evicted under one shared cap: set `REPRO_TRACE_BUDGET` (bytes,
-//! with optional `k`/`m`/`g` suffix) to bound the sum of all three.
+//! with optional `k`/`m`/`g` suffix; anything else is rejected by
+//! [`budget_setting`]) to bound the sum of all three.
 //!
 //! Traces of different lengths share one backing: the generators are
 //! deterministic lazy streams, so the `n`-instruction trace is a
@@ -27,15 +28,16 @@
 //! tier keeps the longest materialisation per (workload, seed) and
 //! hands out prefix views.
 //!
-//! Timelines and histograms are folded *streamingly*: a cold lookup
-//! feeds the chunked generator straight into the fold without ever
-//! materialising the trace, so fold-only experiments keep at most one
-//! chunk of instructions resident (`REPRO_STREAM_CHUNK`, see
-//! `DESIGN.md` §12). Only [`workload_trace`] pins full traces.
+//! Timelines, histograms and sweeps are folded *streamingly* through
+//! [`fold_workload`], the one place that chooses between folding the
+//! resident trace in place and feeding the chunked generator straight
+//! into the fold, so fold-only experiments keep a few chunks of
+//! instructions resident (`REPRO_STREAM_CHUNK`, see `DESIGN.md` §12).
+//! Only [`workload_trace`] pins full traces.
 
 use crate::error::lock_recovering;
 use crate::fault::{self, Site};
-use crate::stream;
+use crate::stream::{self, ChunkSink, Source};
 use simcache::CacheConfig;
 use simcpu::{MissTimeline, MissTimelineBuilder};
 use simtrace::workload::{WorkloadId, WorkloadSpec};
@@ -226,10 +228,32 @@ fn parse_bytes(s: &str) -> Option<u64> {
     digits.trim().parse::<u64>().ok()?.checked_mul(mult)
 }
 
+/// The `REPRO_TRACE_BUDGET` byte cap over all three tiers, `None` when
+/// unset.
+///
+/// # Errors
+///
+/// A set but malformed value is an error naming the variable, never a
+/// silent "no cap".
+pub fn budget_setting() -> Result<Option<u64>, String> {
+    match std::env::var("REPRO_TRACE_BUDGET") {
+        Err(_) => Ok(None),
+        Ok(v) => parse_bytes(&v).map(Some).ok_or_else(|| {
+            format!("REPRO_TRACE_BUDGET={v:?} is not a byte count (digits with an optional k/m/g suffix)")
+        }),
+    }
+}
+
 /// What one tier may hold under the `REPRO_TRACE_BUDGET` cap (unset =
 /// no cap): the cap minus the `others` bytes the other tiers hold.
+///
+/// # Panics
+///
+/// Panics naming the variable if it is malformed; binaries run
+/// [`crate::common::check_settings`] at startup and exit with a usage
+/// error instead.
 fn room(others: u64) -> Option<u64> {
-    let budget = parse_bytes(&std::env::var("REPRO_TRACE_BUDGET").ok()?)?;
+    let budget = budget_setting().unwrap_or_else(|e| panic!("{e}"))?;
     Some(budget.saturating_sub(others))
 }
 
@@ -433,6 +457,9 @@ impl<K: Eq + Hash + Clone, V: Footprint> Memo<K, V> {
     /// fits `room()`. Outstanding `Arc` handles keep evicted values
     /// alive; eviction only drops the memo's reference.
     fn insert(&self, key: K, value: Arc<V>, room: impl Fn() -> Option<u64>) {
+        // Read before locking, so a malformed budget panics without
+        // poisoning the map; `room` counts only the other tiers' bytes.
+        let room = room();
         let mut map = self.lock();
         let added = value.footprint();
         let last_use = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
@@ -441,7 +468,7 @@ impl<K: Eq + Hash + Clone, V: Footprint> Memo<K, V> {
                 .fetch_sub(old.value.footprint(), Ordering::Relaxed);
         }
         self.bytes.fetch_add(added, Ordering::Relaxed);
-        let Some(room) = room() else { return };
+        let Some(room) = room else { return };
         while self.bytes() > room {
             let victim = map
                 .iter()
@@ -511,8 +538,9 @@ pub fn resident_workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> Op
 }
 
 /// The first `len` instructions of a workload, materialised at most
-/// once per (workload identity, seed) process-wide, chunk by chunk
-/// through [`stream_prefix`] (so each chunk is a cancellation point).
+/// once per (workload identity, seed) process-wide, generated chunk by
+/// chunk through [`stream::fold`] (so each chunk is a cancellation
+/// point).
 pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle {
     let s = store();
     let data = s.traces.get(
@@ -520,7 +548,11 @@ pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle
         |t| t.instrs.len() >= len,
         || {
             let mut instrs = Vec::with_capacity(len);
-            stream_prefix(spec, seed, len, |block| instrs.extend_from_slice(block));
+            stream::fold(
+                Source::Generated(spec.compile(seed).take(len)),
+                stream::chunk_instructions(),
+                &mut [&mut instrs],
+            );
             Materialised {
                 instrs,
                 label: spec.label(),
@@ -531,40 +563,24 @@ pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle
     TraceHandle { data, len }
 }
 
-/// Feeds the workload's first `len` instructions to `fold` without
-/// pinning them: an already-materialised trace is folded in place, a
-/// cold one is generated chunk by chunk (at most one
-/// `REPRO_STREAM_CHUNK` block resident at a time). Each chunk is a
-/// cancellation point ([`fault::check_deadline`]).
-fn stream_prefix(spec: &WorkloadSpec, seed: u64, len: usize, mut fold: impl FnMut(&[Instr])) {
-    let chunk = stream::chunk_instructions();
-    let mut checked = |block: &[Instr]| {
-        fault::check_deadline();
-        fold(block);
+/// Folds the workload's first `len` instructions through `sinks`
+/// ([`stream::fold`]) without pinning them: an already-materialised
+/// trace is folded in place (one [`resident_workload_trace`] probe), a
+/// cold one is generated chunk by chunk (a few `REPRO_STREAM_CHUNK`
+/// blocks resident at a time).
+pub fn fold_workload<S: ChunkSink>(spec: &WorkloadSpec, seed: u64, len: usize, sinks: &mut [S]) {
+    let resident = resident_workload_trace(spec, seed, len);
+    let source = match &resident {
+        Some(trace) => Source::Resident(trace.instrs()),
+        None => Source::Generated(spec.compile(seed).take(len)),
     };
-    match resident_workload_trace(spec, seed, len) {
-        Some(trace) => trace.chunks(chunk).for_each(checked),
-        None => spec.chunks(seed, len, chunk).for_each_chunk(&mut checked),
-    }
-}
-
-/// Streams the workload's trace through a timeline builder
-/// ([`stream_prefix`]).
-fn extract_streaming(
-    spec: &WorkloadSpec,
-    seed: u64,
-    len: usize,
-    cache: &CacheConfig,
-) -> MissTimeline {
-    let mut builder = MissTimelineBuilder::new(*cache);
-    stream_prefix(spec, seed, len, |block| builder.process_slice(block));
-    builder.finish()
+    stream::fold(source, stream::chunk_instructions(), sinks);
 }
 
 /// The [`MissTimeline`] of a workload prefix under `cache`, extracted
 /// at most once per (workload identity, seed, length, cache geometry)
-/// process-wide. Extraction streams the trace ([`extract_streaming`]) —
-/// a timeline lookup never materialises instructions.
+/// process-wide. Extraction streams the trace ([`fold_workload`]) — a
+/// timeline lookup never materialises instructions.
 pub fn workload_timeline(
     spec: &WorkloadSpec,
     seed: u64,
@@ -575,14 +591,18 @@ pub fn workload_timeline(
     s.timelines.get(
         (spec.id(), seed, len, *cache),
         |_| true,
-        || extract_streaming(spec, seed, len, cache),
+        || {
+            let mut builder = MissTimelineBuilder::new(*cache);
+            fold_workload(spec, seed, len, &mut [&mut builder]);
+            builder.finish()
+        },
         || room(s.traces.bytes() + s.hists.bytes()),
     )
 }
 
 /// The [`ReuseHistograms`] of a workload prefix, folded at most once
 /// per (workload identity, seed, length, line range, distance cap,
-/// warm-up) process-wide. The fold streams the trace ([`stream_prefix`])
+/// warm-up) process-wide. The fold streams the trace ([`fold_workload`])
 /// — a histogram lookup never materialises instructions.
 #[allow(clippy::too_many_arguments)]
 pub fn workload_histograms(
@@ -609,7 +629,7 @@ pub fn workload_histograms(
         |_| true,
         || {
             let mut hists = ReuseHistograms::new(min_line, max_line, max_distance, warmup);
-            stream_prefix(spec, seed, len, |block| hists.process_slice(block));
+            fold_workload(spec, seed, len, &mut [&mut hists]);
             hists
         },
         || room(s.traces.bytes() + s.timelines.bytes()),
@@ -624,6 +644,13 @@ mod tests {
 
     fn id_of(name: &str) -> WorkloadId {
         builtin(name).unwrap().id()
+    }
+
+    /// A timeline folded through [`fold_workload`], outside the memo.
+    fn extract(spec: &WorkloadSpec, seed: u64, len: usize, cache: &CacheConfig) -> MissTimeline {
+        let mut builder = MissTimelineBuilder::new(*cache);
+        fold_workload(spec, seed, len, &mut [&mut builder]);
+        builder.finish()
     }
 
     #[test]
@@ -801,21 +828,15 @@ mod tests {
                         // Outlast the deadline: the build's first chunk
                         // is then its cancellation point.
                         std::thread::sleep(std::time::Duration::from_millis(100));
-                        extract_streaming(ear, seed, len, &cache)
+                        extract(ear, seed, len, &cache)
                     },
                     || None,
                 )
             });
             on_claim.recv().unwrap();
             // Blocks on the claimant's key until the unwind releases it.
-            let waiter = s.spawn(|| {
-                memo.get(
-                    key,
-                    |_| true,
-                    || extract_streaming(ear, seed, len, &cache),
-                    || None,
-                )
-            });
+            let waiter =
+                s.spawn(|| memo.get(key, |_| true, || extract(ear, seed, len, &cache), || None));
             let payload = claimant.join().unwrap_err();
             assert!(payload.is::<fault::DeadlineExceeded>());
             waiter.join().unwrap()
@@ -879,13 +900,13 @@ mod tests {
         let seed = 0x5EED_0003;
         let spec = builtin("swm256").unwrap();
         // Cold path: nothing resident, generation is chunked.
-        let cold = extract_streaming(spec, seed, 6_000, &cache);
+        let cold = extract(spec, seed, 6_000, &cache);
         let direct =
             MissTimeline::extract(cache, builtin("swm256").unwrap().compile(seed).take(6_000));
         assert_eq!(cold, direct);
         // Warm path: folds the resident slice instead.
         let _pin = workload_trace(spec, seed, 6_000);
-        let warm = extract_streaming(spec, seed, 6_000, &cache);
+        let warm = extract(spec, seed, 6_000, &cache);
         assert_eq!(warm, direct);
     }
 

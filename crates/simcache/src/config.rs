@@ -84,6 +84,14 @@ pub enum ConfigError {
         /// Cache capacity of a single way in bytes.
         way_bytes: u64,
     },
+    /// A single-pass sweep cannot track this associativity: it needs
+    /// at least one way, and its clean thresholds are 16-bit.
+    AssocOutOfRange {
+        /// Requested associativity.
+        assoc: u32,
+        /// Widest associativity a sweep tracks.
+        max: u32,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -97,6 +105,9 @@ impl fmt::Display for ConfigError {
                 way_bytes,
             } => {
                 write!(f, "line size {line_bytes} exceeds way capacity {way_bytes}")
+            }
+            ConfigError::AssocOutOfRange { assoc, max } => {
+                write!(f, "a sweep tracks 1..={max} ways, got {assoc}")
             }
         }
     }

@@ -39,6 +39,7 @@
 //! backend needs for the 35-point Figure-6 grid.
 
 use crate::config::CacheConfig;
+use crate::explore::{GridSpec, HitRatioPoint};
 use crate::stackdist::StackDistSweep;
 use crate::stats::CacheStats;
 use simtrace::{ReuseHistograms, ReuseProfile};
@@ -157,6 +158,24 @@ impl Simulated {
         sweep.stats_for(cfg).map_err(|e| BackendError::Geometry {
             reason: e.to_string(),
         })
+    }
+
+    /// Every point of `grid`, in (cache, line, assoc) order — the
+    /// order [`hit_ratio_grid_replay`](crate::explore::hit_ratio_grid_replay)
+    /// measures them in.
+    ///
+    /// # Errors
+    ///
+    /// [`BackendError`] when a point is malformed or no sweep covers it.
+    pub fn points(&self, grid: &GridSpec) -> Result<Vec<HitRatioPoint>, BackendError> {
+        grid.configs()
+            .map(|cfg| {
+                let cfg = cfg.map_err(|e| BackendError::Geometry {
+                    reason: e.to_string(),
+                })?;
+                Ok(HitRatioPoint::new(&cfg, &self.stats(&cfg)?))
+            })
+            .collect()
     }
 }
 
@@ -340,12 +359,6 @@ impl Analytic {
             })
             .collect();
         Self::from_footprint_profiles(pairs)
-    }
-
-    /// Builds the backend from standalone reuse profiles with the pure
-    /// uniform-placement binomial model (`κ = 1`, no footprint data).
-    pub fn from_profiles(profiles: Vec<ReuseProfile>) -> Self {
-        Self::from_footprint_profiles(profiles.into_iter().map(|p| (p, Vec::new())).collect())
     }
 
     /// Builds the backend from `(profile, footprint)` pairs, where the

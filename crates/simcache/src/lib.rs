@@ -11,7 +11,10 @@
 //! * write-allocate and write-around miss handling (both modes appear in
 //!   the paper's equations — write-around contributes the `W` term, while
 //!   write-allocate folds write misses into `R`),
-//! * split instruction/data configurations.
+//! * split instruction/data configurations,
+//! * single-pass hit-ratio grids: an [`explore::GridSpec`] builds one
+//!   [`StackDistSweep`] per line size, and one fold of the trace
+//!   answers every (size × line × assoc) point exactly.
 //!
 //! # Example
 //!

@@ -81,6 +81,10 @@ use std::fmt;
 /// are capped at `max_assoc ≤ 65534`, so the value cannot collide.
 const EMPTY_M: u16 = u16::MAX;
 
+/// The widest associativity a sweep tracks: live clean thresholds must
+/// stay below the 16-bit empty-slot sentinel.
+pub const MAX_SWEEP_ASSOC: u32 = EMPTY_M as u32 - 1;
+
 /// Why a sweep cannot answer for a particular configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepQueryError {
@@ -221,12 +225,14 @@ impl StackDistSweep {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::NotPowerOfTwo`] for an invalid line size.
+    /// Returns [`ConfigError::NotPowerOfTwo`] for an invalid line size
+    /// and [`ConfigError::AssocOutOfRange`] when `max_assoc` is zero or
+    /// above [`MAX_SWEEP_ASSOC`] (the clean-threshold storage is
+    /// 16-bit).
     ///
     /// # Panics
     ///
-    /// Panics if `max_assoc` is zero or ≥ 65535 (the clean-threshold
-    /// storage is 16-bit), or `max_sets_log2` exceeds 63.
+    /// Panics if `max_sets_log2` exceeds 63.
     pub fn new(
         line_bytes: u64,
         max_sets_log2: u32,
@@ -242,7 +248,7 @@ impl StackDistSweep {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::NotPowerOfTwo`] for an invalid line size.
+    /// The same as [`StackDistSweep::new`].
     ///
     /// # Panics
     ///
@@ -261,11 +267,12 @@ impl StackDistSweep {
                 value: line_bytes,
             });
         }
-        assert!(max_assoc > 0, "max_assoc must be at least 1");
-        assert!(
-            max_assoc < u32::from(EMPTY_M),
-            "max_assoc must fit 16-bit thresholds"
-        );
+        if !(1..=MAX_SWEEP_ASSOC).contains(&max_assoc) {
+            return Err(ConfigError::AssocOutOfRange {
+                assoc: max_assoc,
+                max: MAX_SWEEP_ASSOC,
+            });
+        }
         assert!(max_sets_log2 < 64, "set count must fit an u64");
         assert!(min_sets_log2 <= max_sets_log2, "empty set-count range");
         let levels = (max_sets_log2 - min_sets_log2 + 1) as usize;
@@ -772,6 +779,15 @@ mod tests {
             StackDistSweep::new(24, 3, 2, 0),
             Err(ConfigError::NotPowerOfTwo { .. })
         ));
+        for assoc in [0, MAX_SWEEP_ASSOC + 1] {
+            assert_eq!(
+                StackDistSweep::new(32, 0, assoc, 0).err(),
+                Some(ConfigError::AssocOutOfRange {
+                    assoc,
+                    max: MAX_SWEEP_ASSOC
+                })
+            );
+        }
         let sweep = StackDistSweep::new(32, 3, 2, 0).unwrap();
         let other_line = CacheConfig::new(1024, 16, 2).unwrap();
         assert!(matches!(

@@ -29,8 +29,8 @@
 //! a write-back write-allocate data cache (so every miss allocates and
 //! hits stay hits regardless of timing). [`MissTimeline::supports`]
 //! gates exactly that subset; callers keep `Cpu::run` as the oracle and
-//! fall back to it otherwise — mirroring the
-//! `hit_ratio_grid` / `hit_ratio_grid_replay` split in `simcache`.
+//! fall back to it otherwise, as `simcache::explore::hit_ratio_grid_replay`
+//! is the oracle of the stack-distance sweeps.
 
 use crate::config::{CpuConfig, Prefetch, StallFeature};
 use crate::result::SimResult;

@@ -14,18 +14,11 @@
 //! The proxy generators are stateful lazy streams seeded once, so a
 //! chunk's content is a function of the *carried resume state* — the
 //! generator after the previous chunk — not of the chunk index alone.
-//! Two consequences, both asserted by `tests/chunk_properties.rs`:
-//!
-//! * **Bit-identity**: concatenating the chunks of
-//!   [`WorkloadSpec::chunks`](crate::workload::WorkloadSpec::chunks)
-//!   reproduces the monolithic `spec.compile(seed).take(n)` stream
-//!   exactly, for any chunk size — and the chunk size may change
-//!   between chunks.
-//! * **Derivable resume points**: because the stream is prefix-stable,
-//!   the state before chunk `i` (of fixed size `c`) is derivable from
-//!   `(seed, chunk_index)` by fast-forwarding `i · c` instructions
-//!   ([`ChunkedTrace::start_at`]); carrying the live iterator forward
-//!   is the `O(1)` way to resume and produces the same bytes.
+//! Concatenating the chunks of
+//! [`WorkloadSpec::chunks`](crate::workload::WorkloadSpec::chunks)
+//! reproduces the monolithic `spec.compile(seed).take(n)` stream
+//! exactly, for any chunk size (asserted by
+//! `tests/chunk_properties.rs`).
 //!
 //! Consumers fold chunks in order (`StackDistSweep::process_slice`,
 //! `MissTimelineBuilder::process_slice`, or any slice loop); because
@@ -45,8 +38,7 @@ pub const DEFAULT_CHUNK_INSTRUCTIONS: usize = 64 * 1024;
 ///
 /// The wrapped iterator *is* the resume state: after `next_chunk_into`
 /// returns, the `ChunkedTrace` is positioned exactly after the chunk it
-/// produced, so continuing (with the same or a different chunk size)
-/// extends the stream without gaps or repeats.
+/// produced, so continuing extends the stream without gaps or repeats.
 ///
 /// ```
 /// use simtrace::chunk::ChunkedTrace;
@@ -84,37 +76,6 @@ impl<I: Iterator<Item = Instr>> ChunkedTrace<I> {
             chunk_len,
             produced: 0,
         }
-    }
-
-    /// Wraps `source` positioned `skip` instructions in: the resume
-    /// state of chunk `skip / chunk_len` when `skip` is a multiple of
-    /// the chunk size. Fast-forwarding costs `O(skip)` generation (the
-    /// streams are sequential by construction); callers resuming a live
-    /// pipeline should carry the `ChunkedTrace` itself instead.
-    pub fn start_at(source: I, chunk_len: usize, skip: u64) -> Self {
-        let mut chunked = Self::new(source, chunk_len);
-        for _ in 0..skip {
-            if chunked.source.next().is_none() {
-                break;
-            }
-        }
-        chunked
-    }
-
-    /// The configured chunk length.
-    pub fn chunk_len(&self) -> usize {
-        self.chunk_len
-    }
-
-    /// Changes the chunk length for subsequent chunks. The produced
-    /// stream is unaffected — only its partitioning changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_len` is zero.
-    pub fn set_chunk_len(&mut self, chunk_len: usize) {
-        assert!(chunk_len > 0, "chunk length must be at least 1");
-        self.chunk_len = chunk_len;
     }
 
     /// Instructions emitted across all chunks so far.
@@ -178,33 +139,6 @@ mod tests {
         assert_eq!(n, 5_000);
         assert_eq!(chunks.produced(), 5_000);
         assert!(!chunks.next_chunk_into(&mut buf), "stream stays exhausted");
-    }
-
-    #[test]
-    fn start_at_matches_a_drained_prefix() {
-        let want = mono(6_000);
-        let mut resumed = ChunkedTrace::start_at(spec("nasa7").compile(42).take(6_000), 512, 2_048);
-        let mut buf = Vec::new();
-        let mut got = Vec::new();
-        while resumed.next_chunk_into(&mut buf) {
-            got.extend_from_slice(&buf);
-        }
-        assert_eq!(got, want[2_048..]);
-    }
-
-    #[test]
-    fn chunk_size_may_change_mid_stream() {
-        let want = mono(4_000);
-        let mut chunks = spec("nasa7").chunks(42, 4_000, 100);
-        let mut buf = Vec::new();
-        let mut got = Vec::new();
-        assert!(chunks.next_chunk_into(&mut buf));
-        got.extend_from_slice(&buf);
-        chunks.set_chunk_len(1_733);
-        while chunks.next_chunk_into(&mut buf) {
-            got.extend_from_slice(&buf);
-        }
-        assert_eq!(got, want);
     }
 
     #[test]

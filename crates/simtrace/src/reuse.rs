@@ -120,26 +120,6 @@ impl ReuseProfile {
         hits as f64 / self.total as f64
     }
 
-    /// Hit ratios for every fully-associative LRU capacity
-    /// `1..=max_lines` in one prefix-sum scan — the bulk form of
-    /// [`ReuseProfile::lru_hit_ratio`], `O(max_lines)` total instead of
-    /// `O(max_lines²)` repeated summing.
-    pub fn lru_hit_ratios(&self, max_lines: usize) -> Vec<f64> {
-        let mut ratios = Vec::with_capacity(max_lines);
-        if self.total == 0 {
-            ratios.resize(max_lines, 0.0);
-            return ratios;
-        }
-        let mut hits = 0u64;
-        for k in 1..=max_lines {
-            if let Some(&h) = self.histogram.get(k - 1) {
-                hits += h;
-            }
-            ratios.push(hits as f64 / self.total as f64);
-        }
-        ratios
-    }
-
     /// The smallest fully-associative LRU capacity (in lines) reaching
     /// `target` hit ratio, or `None` if even an infinite cache (bounded
     /// by compulsory misses) cannot. A single prefix-sum scan of the
@@ -218,21 +198,6 @@ mod tests {
             None,
             "compulsory misses bound the ceiling"
         );
-    }
-
-    #[test]
-    fn lru_hit_ratios_matches_the_scalar_accessor() {
-        let addrs: Vec<u64> = (0..500u64).map(|i| (i * 7919) % 2048).collect();
-        let p = ReuseProfile::from_trace(loads(&addrs), 32, 128);
-        let bulk = p.lru_hit_ratios(140);
-        assert_eq!(bulk.len(), 140);
-        for (k, &hr) in bulk.iter().enumerate() {
-            assert_eq!(hr, p.lru_hit_ratio(k + 1), "k={}", k + 1);
-        }
-        assert!(ReuseProfile::from_trace(loads(&[]), 32, 4)
-            .lru_hit_ratios(3)
-            .iter()
-            .all(|&hr| hr == 0.0));
     }
 
     #[test]

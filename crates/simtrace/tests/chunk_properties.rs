@@ -1,12 +1,11 @@
 //! Property tests for the chunked-generation determinism contract
-//! (`simtrace::chunk` module docs): for every built-in SPEC92 proxy,
-//! arbitrary chunk sizes and arbitrary resume points, the chunked
-//! stream is bit-identical to the monolithic one. The streaming
+//! (`simtrace::chunk` module docs): for every built-in SPEC92 proxy
+//! and arbitrary chunk sizes, the chunked stream is bit-identical to
+//! the monolithic one. The streaming
 //! pipeline (`bench::stream`) and the `REPRO_STREAM_CHUNK` knob lean on
 //! exactly these properties.
 
 use proptest::prelude::*;
-use simtrace::chunk::ChunkedTrace;
 use simtrace::workload::{builtins, WorkloadSpec};
 use simtrace::Instr;
 
@@ -57,55 +56,5 @@ proptest! {
         let (last, full) = sizes.split_last().expect("len >= 1 gives a chunk");
         prop_assert!(full.iter().all(|&s| s == chunk_len), "only the last chunk may be short");
         prop_assert!(*last >= 1 && *last <= chunk_len);
-    }
-
-    /// A resume point is derivable from `(seed, skip)`: `start_at`
-    /// continues with exactly the instructions a drained prefix would
-    /// have been followed by.
-    #[test]
-    fn resume_points_are_derivable(
-        program in program(),
-        seed in any::<u64>(),
-        len in 2usize..3_000,
-        chunk_len in 1usize..512,
-        skip_frac in 0.0f64..1.0,
-    ) {
-        let skip = ((len as f64 * skip_frac) as u64).min(len as u64 - 1);
-        let want = mono(program, seed, len);
-        let mut resumed = ChunkedTrace::start_at(
-            program.compile(seed).take(len),
-            chunk_len,
-            skip,
-        );
-        let mut got = Vec::new();
-        let mut buf = Vec::new();
-        while resumed.next_chunk_into(&mut buf) {
-            got.extend_from_slice(&buf);
-        }
-        prop_assert_eq!(&got[..], &want[skip as usize..]);
-    }
-
-    /// Changing the chunk size between chunks never changes the stream,
-    /// only its partitioning.
-    #[test]
-    fn repartitioning_mid_stream_is_invisible(
-        program in program(),
-        seed in any::<u64>(),
-        len in 1usize..3_000,
-        first_len in 1usize..512,
-        second_len in 1usize..512,
-    ) {
-        let want = mono(program, seed, len);
-        let mut chunks = program.chunks(seed, len, first_len);
-        let mut got = Vec::new();
-        let mut buf = Vec::new();
-        if chunks.next_chunk_into(&mut buf) {
-            got.extend_from_slice(&buf);
-        }
-        chunks.set_chunk_len(second_len);
-        while chunks.next_chunk_into(&mut buf) {
-            got.extend_from_slice(&buf);
-        }
-        prop_assert_eq!(got, want);
     }
 }

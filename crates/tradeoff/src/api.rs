@@ -28,7 +28,7 @@ use crate::cost::PinModel;
 use crate::linesize::{optimal_line_eq19, optimal_line_smith, FillTiming, LineCandidate};
 use crate::{mean_access_time, HitRatio, Machine, SystemConfig};
 use report::Json;
-use simcache::{Analytic, CacheConfig, HitRatioBackend, Resolution, Simulated, StackDistSweep};
+use simcache::{Analytic, CacheConfig, Resolution, Simulated};
 use simcpu::{CpuConfig, MissTimeline, StallFeature};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::workload::{self, WorkloadSpec};
@@ -162,56 +162,8 @@ fn bad<T>(message: impl Into<String>) -> Result<T, ApiError> {
 // ---------------------------------------------------------------------------
 
 /// The (cache size × line size × associativity) grid the simulated
-/// backend answers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GridSpec {
-    /// Cache capacities in bytes (powers of two).
-    pub cache_sizes: Vec<u64>,
-    /// Line sizes in bytes (powers of two).
-    pub line_sizes: Vec<u64>,
-    /// Associativities.
-    pub assocs: Vec<u32>,
-    /// Instructions excluded from statistics.
-    pub warmup: u64,
-}
-
-impl GridSpec {
-    /// The comparison grid: Figure-6 capacities and line sizes crossed
-    /// with associativity 1/2/4 — 105 points per workload.
-    pub fn comparison(warmup: u64) -> Self {
-        GridSpec {
-            cache_sizes: (0..=6).map(|i| 1024u64 << i).collect(),
-            line_sizes: vec![8, 16, 32, 64, 128],
-            assocs: vec![1, 2, 4],
-            warmup,
-        }
-    }
-
-    /// Grid points per workload.
-    pub fn points(&self) -> usize {
-        self.cache_sizes.len() * self.line_sizes.len() * self.assocs.len()
-    }
-
-    /// Smallest set count any configuration needs at `line_bytes`.
-    pub fn min_sets(&self, line_bytes: u64) -> u64 {
-        let amax = u64::from(*self.assocs.iter().max().expect("grid has assocs"));
-        self.cache_sizes
-            .iter()
-            .map(|&c| c / (line_bytes * amax))
-            .min()
-            .expect("grid has cache sizes")
-    }
-
-    /// Largest set count any configuration needs at `line_bytes`.
-    pub fn max_sets(&self, line_bytes: u64) -> u64 {
-        let amin = u64::from(*self.assocs.iter().min().expect("grid has assocs"));
-        self.cache_sizes
-            .iter()
-            .map(|&c| c / (line_bytes * amin))
-            .max()
-            .expect("grid has cache sizes")
-    }
-}
+/// backend answers, defined next to the sweeps it builds.
+pub use simcache::explore::GridSpec;
 
 /// The dense analytic-only grid: every set count `1..=max_sets` (most
 /// are not powers of two — geometries trace replay cannot even
@@ -402,26 +354,8 @@ impl Workloads for Uncached {
         grid: &GridSpec,
         instructions: usize,
     ) -> Simulated {
-        let amax = *grid.assocs.iter().max().expect("grid has assocs");
-        let mut sinks: Vec<StackDistSweep> = grid
-            .line_sizes
-            .iter()
-            .map(|&line_bytes| {
-                StackDistSweep::new_range(
-                    line_bytes,
-                    grid.min_sets(line_bytes).trailing_zeros(),
-                    grid.max_sets(line_bytes).trailing_zeros(),
-                    amax,
-                    grid.warmup,
-                )
-                .expect("valid grid line size")
-            })
-            .collect();
         let trace: Vec<simtrace::Instr> = spec.compile(GRID_SEED).take(instructions).collect();
-        for sink in &mut sinks {
-            sink.process_slice(&trace);
-        }
-        Simulated::from_sweeps(sinks)
+        grid.simulate(&trace).expect("valid grid")
     }
 
     fn timeline(
@@ -1728,27 +1662,21 @@ fn grid(q: &GridQuery, env: &dyn Workloads) -> Result<QueryResponse, ApiError> {
             let grid = GridSpec::comparison(warmup);
             let mut rows = Vec::with_capacity(specs.len());
             for &spec in &specs {
-                let sim = env.simulated_grid(spec, &grid, q.instructions);
-                let mut best: Option<(f64, u64, u64, u32)> = None;
-                for &cache in &grid.cache_sizes {
-                    for &line in &grid.line_sizes {
-                        for &assoc in &grid.assocs {
-                            let hr = sim
-                                .hit_ratio(cache, line, assoc)
-                                .map_err(|e| ApiError::internal(e.to_string()))?;
-                            if best.is_none_or(|b| hr > b.0) {
-                                best = Some((hr, cache, line, assoc));
-                            }
-                        }
-                    }
-                }
-                let (hr, cache, line, assoc) = best.expect("comparison grid is nonempty");
+                let points = env
+                    .simulated_grid(spec, &grid, q.instructions)
+                    .points(&grid)
+                    .map_err(|e| ApiError::internal(e.to_string()))?;
+                // The first point of the highest hit ratio, in grid order.
+                let best = points
+                    .iter()
+                    .reduce(|b, p| if p.hit_ratio > b.hit_ratio { p } else { b })
+                    .expect("comparison grid is nonempty");
                 rows.push(SimGridRow {
                     program: spec.label(),
-                    best_hit_ratio: hr,
-                    cache_bytes: cache,
-                    line_bytes: line,
-                    assoc,
+                    best_hit_ratio: best.hit_ratio,
+                    cache_bytes: best.cache_bytes,
+                    line_bytes: best.line_bytes,
+                    assoc: best.assoc,
                 });
             }
             Ok(QueryResponse::Grid(GridResponse {
@@ -2106,14 +2034,5 @@ mod tests {
             best.sets * best.line_bytes * u64::from(best.assoc)
         );
         assert!(dense_best(&analytic, &grid, 1.1).is_none());
-    }
-
-    #[test]
-    fn comparison_spec_matches_the_bench_grid() {
-        let spec = GridSpec::comparison(0);
-        assert_eq!(spec.points(), 7 * 5 * 3);
-        assert_eq!(spec.min_sets(128), 2);
-        assert_eq!(spec.max_sets(8), 8192);
-        assert_eq!(DenseGrid::standard().points(), 166_720);
     }
 }

@@ -9,6 +9,8 @@
 //!
 //! Run with `cargo run --release --example line_size_advisor`.
 
+use bench::stream::{self, Source};
+use simcache::explore::GridSpec;
 use tradeoff::linesize::{
     beneficial_bus_speeds, optimal_line_eq19, optimal_line_smith, FillTiming, LineCandidate,
 };
@@ -18,21 +20,28 @@ const CACHE_BYTES: u64 = 16 * 1024;
 const INSTRUCTIONS: usize = 120_000;
 
 fn measured_candidates(program: &WorkloadSpec) -> Vec<LineCandidate> {
-    let lines = [8u64, 16, 32, 64, 128];
-    simcache::explore::hit_ratio_grid(
-        &[CACHE_BYTES],
-        &lines,
-        2,
-        || program.compile(0xBEEF).take(INSTRUCTIONS),
-        INSTRUCTIONS as u64 / 5,
-    )
-    .expect("valid geometry")
-    .into_iter()
-    .map(|p| LineCandidate {
-        line_bytes: p.line_bytes as f64,
-        hit_ratio: HitRatio::new(p.hit_ratio).expect("simulator returns a valid ratio"),
-    })
-    .collect()
+    let grid = GridSpec {
+        cache_sizes: vec![CACHE_BYTES],
+        line_sizes: vec![8, 16, 32, 64, 128],
+        assocs: vec![2],
+        warmup: INSTRUCTIONS as u64 / 5,
+    };
+    // One streamed pass of the generated trace answers every line size.
+    let mut sweeps = grid.sweeps().expect("valid geometry");
+    stream::fold(
+        Source::Generated(program.compile(0xBEEF).take(INSTRUCTIONS)),
+        stream::chunk_instructions(),
+        &mut sweeps,
+    );
+    simcache::Simulated::from_sweeps(sweeps)
+        .points(&grid)
+        .expect("grid covered by its sweeps")
+        .into_iter()
+        .map(|p| LineCandidate {
+            line_bytes: p.line_bytes as f64,
+            hit_ratio: HitRatio::new(p.hit_ratio).expect("simulator returns a valid ratio"),
+        })
+        .collect()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

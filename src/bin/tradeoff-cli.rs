@@ -3,10 +3,15 @@
 //!
 //! See `tradeoff-cli help` for usage. Exit codes: `0` success, `1` one
 //! or more experiments failed (a `--keep-going` run still prints the
-//! partial suite document first), `2` bad usage, `3` manifest drift or
+//! partial suite document first), `2` bad usage (including a malformed
+//! `REPRO_STREAM_CHUNK` or `REPRO_TRACE_BUDGET`), `3` manifest drift or
 //! artifact write failure.
 
 fn main() {
+    if let Err(e) = bench::common::check_settings() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     match unified_tradeoff::cli::run_cli(&args) {
         Ok(report) => println!("{report}"),

@@ -17,7 +17,8 @@
 //! bounds each request (header-overridable downward), `--idle-timeout`
 //! reaps idle and slow-loris connections, `--max-requests` caps one
 //! keep-alive connection. Exit codes: `0` after a graceful shutdown,
-//! `1` on bind or I/O failure, `2` on bad usage.
+//! `1` on bind or I/O failure, `2` on bad usage (including a malformed
+//! `REPRO_STREAM_CHUNK` or `REPRO_TRACE_BUDGET`).
 
 use std::time::Duration;
 use unified_tradeoff::server::{serve, ServerConfig};
@@ -110,7 +111,7 @@ fn parse(args: &[String]) -> Result<ServerConfig, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = match parse(&args) {
+    let cfg = match bench::common::check_settings().and_then(|()| parse(&args)) {
         Ok(cfg) => cfg,
         Err(message) => {
             eprintln!("{message}");

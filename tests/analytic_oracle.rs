@@ -6,7 +6,7 @@
 //! [`StackDistSweep`] simulator for set-associative geometries, and be
 //! invariant to how the trace was chunked on its way in.
 
-use bench::stream::{self, FoldSink};
+use bench::stream::{self, Source};
 use proptest::prelude::*;
 use simcache::explore::measure_dcache;
 use simcache::hitratio::{Analytic, HitRatioBackend, Simulated, SET_CONFLICT_TOLERANCE};
@@ -128,8 +128,8 @@ fn set_conflict_model_tracks_the_sweep_within_tolerance() {
 }
 
 /// The histogram fold is chunk-invariant end to end through the
-/// streaming pipeline: any `REPRO_STREAM_CHUNK`-style partition, fed
-/// through either `fold_slice` or `broadcast`, yields bit-identical
+/// streaming driver: any `REPRO_STREAM_CHUNK`-style partition, folded
+/// from the resident slice or from the generator, yields bit-identical
 /// profiles — and therefore a bit-identical analytic backend.
 #[test]
 fn chunked_histogram_folds_are_bit_identical_to_whole_trace() {
@@ -140,20 +140,14 @@ fn chunked_histogram_folds_are_bit_identical_to_whole_trace() {
     let reference = Analytic::from_histograms(&whole);
 
     for chunk in [1usize, 117, 2_000, 4_096, N + 1] {
-        let sliced = stream::fold_slice(
-            &trace,
+        let mut sliced = ReuseHistograms::new(8, 128, 4_096, 2_000);
+        stream::fold(Source::resident(&trace), chunk, &mut [&mut sliced]);
+        let mut streamed = ReuseHistograms::new(8, 128, 4_096, 2_000);
+        stream::fold(
+            Source::Generated(trace.iter().copied()),
             chunk,
-            vec![FoldSink::Hist(ReuseHistograms::new(8, 128, 4_096, 2_000))],
+            &mut [&mut streamed],
         );
-        let [sliced]: [_; 1] = sliced.try_into().expect("one fold");
-        let sliced = sliced.into_histograms();
-        let streamed = stream::broadcast(
-            trace.iter().copied(),
-            chunk,
-            vec![FoldSink::Hist(ReuseHistograms::new(8, 128, 4_096, 2_000))],
-        );
-        let [streamed]: [_; 1] = streamed.try_into().expect("one fold");
-        let streamed = streamed.into_histograms();
         for line in whole.line_sizes() {
             assert_eq!(sliced.profile(line), whole.profile(line), "chunk={chunk}");
             assert_eq!(streamed.profile(line), whole.profile(line), "chunk={chunk}");

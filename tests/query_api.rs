@@ -108,6 +108,36 @@ fn binary_exit_codes_follow_the_documented_scheme() {
         .expect("cli binary runs");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("REPRO_INSTRUCTIONS=\"12x\""));
+    // So are a malformed chunk length and trace budget, at startup and
+    // in both binaries, instead of a silent default or "no cap".
+    for (var, value) in [
+        ("REPRO_STREAM_CHUNK", "64k"),
+        ("REPRO_STREAM_CHUNK", "0"),
+        ("REPRO_TRACE_BUDGET", "8MB"),
+    ] {
+        for (bin, args) in [
+            (
+                env!("CARGO_BIN_EXE_tradeoff-cli"),
+                &["crossover", "--chunks", "8"][..],
+            ),
+            (
+                env!("CARGO_BIN_EXE_tradeoff-server"),
+                &["--addr", "127.0.0.1:0"][..],
+            ),
+        ] {
+            let out = Command::new(bin)
+                .args(args)
+                .env(var, value)
+                .output()
+                .expect("binary runs");
+            assert_eq!(out.status.code(), Some(2), "{bin} {var}={value}");
+            let named = format!("{var}={value:?}");
+            assert!(
+                String::from_utf8_lossy(&out.stderr).contains(&named),
+                "{bin}: stderr must name {named}"
+            );
+        }
+    }
     // 1: failure class — client mode against a dead port.
     assert_eq!(
         cli_code(&["query", "--server", "127.0.0.1:9", "--get", "stats"]),

@@ -8,12 +8,13 @@
 use bench::fault::{self, FaultKind, FaultPlan, Site};
 use bench::registry::RunCtx;
 use bench::sched::{run_suite, RetryPolicy, SuiteOptions};
-use bench::stream::{self, FoldOut, FoldSink};
-use bench::sweep::{artifact, run_sweep, SweepGrid, SWEEP_SEED};
-use simcache::explore::hit_ratio_grid_replay;
+use bench::stream::{self, ChunkSink, Source};
+use bench::sweep::{artifact, run_sweep, SWEEP_SEED};
+use simcache::explore::{hit_ratio_grid_replay, GridSpec};
 use simcache::stackdist::StackDistSweep;
+use simcache::Simulated;
 use simcpu::{MissTimeline, MissTimelineBuilder};
-use simtrace::workload::builtin;
+use simtrace::workload::{builtin, WorkloadSpec};
 use simtrace::Instr;
 use std::time::Duration;
 
@@ -30,28 +31,76 @@ fn opts(jobs: usize) -> SuiteOptions {
     o
 }
 
+/// Folds the first `N` instructions of `spec` through `sinks`, from
+/// the materialised `trace` or from the generator.
+fn fold_n<S: ChunkSink>(
+    resident: bool,
+    trace: &[Instr],
+    spec: &WorkloadSpec,
+    chunk: usize,
+    sinks: &mut [S],
+) {
+    let source = if resident {
+        Source::Resident(trace)
+    } else {
+        Source::Generated(spec.compile(SWEEP_SEED).take(N))
+    };
+    stream::fold(source, chunk, sinks);
+}
+
 #[test]
 fn streaming_sweep_matches_per_config_replay() {
-    // The whole-trace oracle is the independent per-configuration
-    // replay, not another sweep: agreement here checks the chunked
-    // fold end to end, not merely that two code paths share bugs.
-    let grid = SweepGrid {
+    // The whole-trace oracles are the independent per-configuration
+    // replay and the monolithic timeline extraction, not another fold:
+    // agreement here checks the chunked driver end to end, not merely
+    // that two code paths share bugs.
+    let grid = GridSpec {
         cache_sizes: vec![1024, 4096, 16 * 1024],
         line_sizes: vec![16, 32, 64],
-        assoc: 2,
+        assocs: vec![1, 2],
         warmup: 1_000,
     };
+    let cache = bench::common::figure1_cache(32);
     let workloads = [builtin("swm256").unwrap(), builtin("doduc").unwrap()];
-    for ws in run_sweep(&workloads, &grid, N) {
-        let replay = hit_ratio_grid_replay(
-            &grid.cache_sizes,
-            &grid.line_sizes,
-            grid.assoc,
-            || ws.workload.compile(SWEEP_SEED).take(N),
-            grid.warmup,
-        )
-        .unwrap();
-        assert_eq!(ws.points, replay, "{}", ws.workload.label());
+    let two_way = GridSpec {
+        assocs: vec![2],
+        ..grid.clone()
+    };
+    for ws in run_sweep(&workloads, &two_way, N) {
+        let replay = hit_ratio_grid_replay(&two_way, || ws.workload.compile(SWEEP_SEED).take(N));
+        assert_eq!(ws.points, replay.unwrap(), "{}", ws.workload.label());
+    }
+    // The driver's matrix: resident slice or generator; one sink (the
+    // serial loop) or several (the parallel loop, given two CPUs); chunk
+    // sizes from one instruction to the whole trace.
+    for spec in workloads {
+        let trace: Vec<Instr> = spec.compile(SWEEP_SEED).take(N).collect();
+        let replay = hit_ratio_grid_replay(&grid, || trace.iter().copied()).unwrap();
+        let timeline = MissTimeline::extract(cache, trace.iter().copied());
+        for chunk in [1, 257, 4_096, N] {
+            for resident in [true, false] {
+                let at = format!("{} chunk={chunk} resident={resident}", spec.label());
+                let mut sweeps = grid.sweeps().unwrap();
+                let mut builder = MissTimelineBuilder::new(cache);
+                let mut sinks: Vec<&mut dyn ChunkSink> =
+                    sweeps.iter_mut().map(|s| s as &mut dyn ChunkSink).collect();
+                sinks.push(&mut builder);
+                fold_n(resident, &trace, spec, chunk, &mut sinks);
+                let points = Simulated::from_sweeps(sweeps).points(&grid).unwrap();
+                assert_eq!(points, replay, "{at}, several sinks");
+                assert_eq!(builder.finish(), timeline, "{at}, several sinks");
+
+                let mut sweeps = grid.sweeps().unwrap();
+                for sweep in &mut sweeps {
+                    fold_n(resident, &trace, spec, chunk, std::slice::from_mut(sweep));
+                }
+                let points = Simulated::from_sweeps(sweeps).points(&grid).unwrap();
+                assert_eq!(points, replay, "{at}, one sink");
+                let mut builder = MissTimelineBuilder::new(cache);
+                fold_n(resident, &trace, spec, chunk, &mut [&mut builder]);
+                assert_eq!(builder.finish(), timeline, "{at}, one sink");
+            }
+        }
     }
 }
 
@@ -69,19 +118,15 @@ fn streaming_timeline_matches_whole_trace_extraction() {
         &cache,
     );
     assert_eq!(*streamed, oracle);
-    // A mixed one-pass pipeline folds the same timeline again.
-    let out = stream::broadcast(
-        builtin("ear").unwrap().compile(seed).take(N),
+    // A mixed one-pass fold extracts the same timeline again.
+    let mut builder = MissTimelineBuilder::new(cache);
+    let mut sweep = StackDistSweep::new(32, 5, 2, 1_000).unwrap();
+    stream::fold(
+        Source::Generated(builtin("ear").unwrap().compile(seed).take(N)),
         1_024,
-        vec![
-            FoldSink::Timeline(MissTimelineBuilder::new(cache)),
-            FoldSink::Sweep(StackDistSweep::new(32, 5, 2, 1_000).unwrap()),
-        ],
+        &mut [&mut builder as &mut dyn ChunkSink, &mut sweep],
     );
-    match &out[0] {
-        FoldOut::Timeline(t) => assert_eq!(*t, oracle),
-        _ => panic!("sink order preserved"),
-    }
+    assert_eq!(builder.finish(), oracle);
 }
 
 #[test]
@@ -141,7 +186,7 @@ fn streamed_suite_survives_an_armed_fault_plan_byte_identically() {
 #[test]
 fn folds_and_artifacts_are_chunk_size_invariant() {
     // Chunk partitioning (the REPRO_STREAM_CHUNK knob) must be
-    // invisible in every folded stat: compare broadcast folds at
+    // invisible in every folded stat: compare streamed folds at
     // several chunk sizes against the whole-trace oracle. Env vars are
     // process-global, so the sizes are driven through the pipeline
     // directly rather than by mutating the environment.
@@ -155,10 +200,11 @@ fn folds_and_artifacts_are_chunk_size_invariant() {
         oracle.process(*instr);
     }
     for chunk in [64, 977, N + 1] {
-        let folded = stream::broadcast(
-            builtin("nasa7").unwrap().compile(SWEEP_SEED).take(N),
+        let mut folded = [StackDistSweep::new_range(32, 4, 7, 2, 500).unwrap()];
+        stream::fold(
+            Source::Generated(builtin("nasa7").unwrap().compile(SWEEP_SEED).take(N)),
             chunk,
-            vec![StackDistSweep::new_range(32, 4, 7, 2, 500).unwrap()],
+            &mut folded,
         );
         for k in 4..=7 {
             assert_eq!(
@@ -170,10 +216,10 @@ fn folds_and_artifacts_are_chunk_size_invariant() {
     }
     // And the rendered CSV artifact (what the manifest hashes) is
     // stable across repeated streamed runs.
-    let grid = SweepGrid {
+    let grid = GridSpec {
         cache_sizes: vec![1024, 4096],
         line_sizes: vec![16, 32],
-        assoc: 2,
+        assocs: vec![2],
         warmup: 500,
     };
     let reference = artifact(&run_sweep(&[builtin("nasa7").unwrap()], &grid, N));
