@@ -53,6 +53,9 @@
 #                    hashes to the id the registry serves; builtins stay
 #                    bit-identical to the reference constructors in
 #                    tests/workloads.rs)
+#   ./ci.sh loc      print the tracked Rust line count outside
+#                    perfbench/ (no build), the figure each change
+#                    reports its net line delta against
 #
 # Exit codes: 0 green, 1 failure, 2 usage, 3 manifest drift,
 # 4 chaos worker death (the pool shrank), 5 chaos shed-policy drift
@@ -347,6 +350,10 @@ workloads_check() {
 }
 
 case "${1:-}" in
+    loc)
+        git ls-files -z '*.rs' ':!perfbench' | xargs -0 cat | wc -l
+        exit 0
+        ;;
     manifest|faults|stream|analytic|serve|chaos|workloads)
         cargo build --release
         "${1}_check"

@@ -20,8 +20,8 @@
 //!
 //! Exit codes: `0` success, `1` one or more experiments failed, `2` bad
 //! usage (including a filter that matches nothing or a malformed
-//! `REPRO_INSTRUCTIONS`, `REPRO_STREAM_CHUNK` or `REPRO_TRACE_BUDGET`),
-//! `3` an artifact could not be written.
+//! `REPRO_INSTRUCTIONS` or any setting `bench::common::check_settings`
+//! validates), `3` an artifact could not be written.
 
 use bench::registry::{self, RunCtx};
 use bench::sched::{drive, SuiteOptions};

@@ -30,10 +30,12 @@ pub fn instructions_per_run() -> Result<usize, String> {
     }
 }
 
-/// Validates the settings the library reads lazily,
-/// `REPRO_STREAM_CHUNK` and `REPRO_TRACE_BUDGET`, so a binary can
-/// reject a malformed value at startup as a usage error naming the
-/// variable instead of panicking mid-run.
+/// Validates the settings the library reads lazily —
+/// `REPRO_STREAM_CHUNK`, `REPRO_TRACE_BUDGET`, `REPRO_THREADS` and
+/// `REPRO_EXP_TIMEOUT` — and `run_all`'s `REPRO_JOBS` and
+/// `REPRO_KEEP_GOING`, so a binary can reject a malformed value at
+/// startup as a usage error naming the variable instead of panicking
+/// mid-run or silently using a default.
 ///
 /// # Errors
 ///
@@ -41,6 +43,10 @@ pub fn instructions_per_run() -> Result<usize, String> {
 pub fn check_settings() -> Result<(), String> {
     crate::stream::chunk_setting()?;
     crate::tracestore::budget_setting()?;
+    crate::exec::threads_setting()?;
+    crate::sched::timeout_setting()?;
+    crate::sched::jobs_setting()?;
+    crate::sched::keep_going_setting()?;
     Ok(())
 }
 
@@ -65,8 +71,10 @@ fn spec_config(stall: StallFeature, line_bytes: u64, bus_bytes: u64, beta_m: u64
 /// the memoised trace is generated once, the cache is simulated once per
 /// (program, line size), and each timing point is an `O(misses)` replay
 /// bit-identical to the full simulation (`tests/timeline_oracle.rs`).
-/// Falls back to [`run_spec_oracle`] for configurations the timeline
-/// cannot replay exactly.
+///
+/// # Panics
+///
+/// Panics on an invalid timing configuration, as `Cpu::new` would.
 pub fn run_spec(
     workload: &WorkloadSpec,
     stall: StallFeature,
@@ -77,15 +85,13 @@ pub fn run_spec(
 ) -> SimResult {
     let cfg = spec_config(stall, line_bytes, bus_bytes, beta_m);
     let timeline = tracestore::workload_timeline(workload, SPEC_SEED, instructions, &cfg.dcache);
-    match TimelineCpu::new(&timeline, cfg) {
-        Ok(replay) => replay.run(),
-        Err(_) => run_spec_oracle(workload, stall, line_bytes, bus_bytes, beta_m, instructions),
-    }
+    TimelineCpu::new(&timeline, cfg)
+        .expect("a Figure-1 baseline replays exactly")
+        .run()
 }
 
 /// Runs one SPEC92 proxy point through the full CPU simulation — the
-/// oracle path [`run_spec`] is asserted against, and the fallback for
-/// any configuration the timeline rejects.
+/// oracle path [`run_spec`] is asserted against.
 pub fn run_spec_oracle(
     workload: &WorkloadSpec,
     stall: StallFeature,
@@ -119,25 +125,16 @@ pub fn phi_matrix(
     let timelines = crate::exec::parallel_map(builtins(), |spec| {
         tracestore::workload_timeline(spec, SPEC_SEED, instructions, &cache)
     });
-    let jobs: Vec<(usize, &WorkloadSpec, std::sync::Arc<MissTimeline>)> = points
+    let jobs: Vec<(PhiPoint, &MissTimeline)> = points
         .iter()
-        .enumerate()
-        .flat_map(|(i, _)| {
-            builtins()
-                .iter()
-                .zip(&timelines)
-                .map(move |(spec, tl)| (i, spec, std::sync::Arc::clone(tl)))
-        })
+        .flat_map(|&point| timelines.iter().map(move |tl| (point, &**tl)))
         .collect();
-    let phis = crate::exec::parallel_map(&jobs, |(i, spec, timeline)| {
-        let (stall, beta_m) = points[*i];
+    let phis = crate::exec::parallel_map(&jobs, |&((stall, beta_m), timeline)| {
         let cfg = spec_config(stall, line_bytes, bus_bytes, beta_m);
-        match TimelineCpu::new(timeline, cfg) {
-            Ok(replay) => replay.run().phi(),
-            Err(_) => {
-                run_spec_oracle(spec, stall, line_bytes, bus_bytes, beta_m, instructions).phi()
-            }
-        }
+        TimelineCpu::new(timeline, cfg)
+            .expect("a Figure-1 baseline replays exactly")
+            .run()
+            .phi()
     });
     let per_point = builtins().len();
     phis.chunks(per_point)

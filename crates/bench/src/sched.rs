@@ -45,6 +45,55 @@ use std::time::{Duration, Instant};
 /// (possibly fractional) seconds. Unset or non-positive disables it.
 pub const ENV_TIMEOUT: &str = "REPRO_EXP_TIMEOUT";
 
+/// The per-experiment deadline, [`ENV_TIMEOUT`]: `None` when unset or
+/// non-positive.
+///
+/// # Errors
+///
+/// A set value that is not a number of seconds (`5s`, `NaN`, `inf`)
+/// is an error naming the variable, never a silent "no deadline".
+pub fn timeout_setting() -> Result<Option<Duration>, String> {
+    let Ok(v) = std::env::var(ENV_TIMEOUT) else {
+        return Ok(None);
+    };
+    match v.parse::<f64>() {
+        Ok(secs) if secs <= 0.0 => Some(None),
+        Ok(secs) => Duration::try_from_secs_f64(secs).ok().map(Some),
+        Err(_) => None,
+    }
+    .ok_or_else(|| format!("{ENV_TIMEOUT}={v:?} is not a deadline (seconds, fractional allowed)"))
+}
+
+/// `run_all`'s concurrent experiments, `REPRO_JOBS`: `1` when unset,
+/// and `0` or `1` both mean serial.
+///
+/// # Errors
+///
+/// A set value that is not a non-negative integer is an error naming
+/// the variable.
+pub fn jobs_setting() -> Result<usize, String> {
+    match std::env::var("REPRO_JOBS") {
+        Err(_) => Ok(1),
+        Ok(v) => v
+            .parse()
+            .map_err(|_| format!("REPRO_JOBS={v:?} is not a job count (a non-negative integer)")),
+    }
+}
+
+/// `run_all`'s keep-going switch, `REPRO_KEEP_GOING`: `0` or unset is
+/// off, `1` is on.
+///
+/// # Errors
+///
+/// Any other value is an error naming the variable.
+pub fn keep_going_setting() -> Result<bool, String> {
+    match std::env::var("REPRO_KEEP_GOING").as_deref() {
+        Err(_) | Ok("0") => Ok(false),
+        Ok("1") => Ok(true),
+        Ok(v) => Err(format!("REPRO_KEEP_GOING={v:?} is not 0 or 1")),
+    }
+}
+
 /// Bounded retry-with-backoff for transient failures (injected I/O
 /// faults, artifact write errors). Attempt `n`'s pause is `n × backoff`
 /// — linear, bounded, and long enough for the transient cause (a busy
@@ -102,12 +151,18 @@ pub struct SuiteOptions {
 impl SuiteOptions {
     /// `jobs`-way execution at context `ctx`, strict (not keep-going),
     /// deadline from [`ENV_TIMEOUT`], default retry policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the variable if [`ENV_TIMEOUT`] is malformed;
+    /// binaries run [`crate::common::check_settings`] at startup and
+    /// exit with a usage error instead.
     pub fn new(jobs: usize, ctx: RunCtx) -> SuiteOptions {
         SuiteOptions {
             jobs,
             ctx,
             keep_going: false,
-            timeout: timeout_from_env(),
+            timeout: timeout_setting().unwrap_or_else(|e| panic!("{e}")),
             retry: RetryPolicy::default(),
         }
     }
@@ -130,14 +185,6 @@ impl SuiteOptions {
         self.timeout = timeout;
         self
     }
-}
-
-fn timeout_from_env() -> Option<Duration> {
-    std::env::var(ENV_TIMEOUT)
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|&secs| secs > 0.0)
-        .map(Duration::from_secs_f64)
 }
 
 /// A contained experiment's successful product.

@@ -1,6 +1,6 @@
-//! The suite runners reject a malformed `REPRO_STREAM_CHUNK` or
-//! `REPRO_TRACE_BUDGET` at startup as bad usage (exit 2), naming the
-//! variable, before running or writing anything.
+//! The suite runners reject a malformed setting at startup as bad
+//! usage (exit 2), naming the variable, before running or writing
+//! anything.
 
 use std::process::Command;
 
@@ -11,6 +11,10 @@ fn malformed_settings_are_usage_errors() {
         ("REPRO_STREAM_CHUNK", "64k"),
         ("REPRO_STREAM_CHUNK", "0"),
         ("REPRO_TRACE_BUDGET", "8MB"),
+        ("REPRO_JOBS", "two"),
+        ("REPRO_THREADS", "0"),
+        ("REPRO_EXP_TIMEOUT", "5s"),
+        ("REPRO_KEEP_GOING", "yes"),
     ] {
         for (bin, args) in [
             (env!("CARGO_BIN_EXE_exp"), &["list"][..]),

@@ -42,7 +42,7 @@ use crate::config::CacheConfig;
 use crate::explore::{GridSpec, HitRatioPoint};
 use crate::stackdist::StackDistSweep;
 use crate::stats::CacheStats;
-use simtrace::{ReuseHistograms, ReuseProfile};
+use simtrace::ReuseHistograms;
 use std::fmt;
 
 /// Maximum |analytic − simulated| hit-ratio error of the set-conflict
@@ -345,31 +345,16 @@ pub struct Analytic {
 impl Analytic {
     /// Builds the backend from a finished streaming histogram fold
     /// (one line entry per folded granularity, post-warm-up), using
-    /// each granularity's distinct-line footprint residues for the
-    /// collision-factor correction.
+    /// each granularity's distinct-line footprint residues
+    /// ([`ReuseHistograms::set_mass`]) for the collision-factor
+    /// correction.
     pub fn from_histograms(hists: &ReuseHistograms) -> Self {
-        let pairs = hists
+        let lines = hists
             .line_sizes()
             .into_iter()
             .map(|l| {
-                (
-                    hists.profile(l).expect("folded granularity"),
-                    hists.set_mass(l).expect("folded granularity").to_vec(),
-                )
-            })
-            .collect();
-        Self::from_footprint_profiles(pairs)
-    }
-
-    /// Builds the backend from `(profile, footprint)` pairs, where the
-    /// footprint is a power-of-two-length vector of distinct-line
-    /// counts per set-index residue class (as
-    /// [`ReuseHistograms::set_mass`] produces). An empty footprint
-    /// means `κ = 1` (uniform placement).
-    pub fn from_footprint_profiles(profiles: Vec<(ReuseProfile, Vec<u64>)>) -> Self {
-        let lines = profiles
-            .into_iter()
-            .map(|(p, set_mass)| {
+                let p = hists.profile(l).expect("folded granularity");
+                let set_mass = hists.set_mass(l).expect("folded granularity");
                 let hist = p.histogram().to_vec();
                 let cap = hist.len() - 1;
                 let mut prefix = Vec::with_capacity(cap + 1);
@@ -382,7 +367,7 @@ impl Analytic {
                 AnalyticLine {
                     line_bytes: p.line_bytes(),
                     total: p.total(),
-                    kappa: kappa_pyramid(&set_mass),
+                    kappa: kappa_pyramid(set_mass),
                     buckets: build_buckets(&hist),
                     hist,
                     prefix,

@@ -11,7 +11,6 @@
 //! * write-allocate and write-around miss handling (both modes appear in
 //!   the paper's equations — write-around contributes the `W` term, while
 //!   write-allocate folds write misses into `R`),
-//! * split instruction/data configurations,
 //! * single-pass hit-ratio grids: an [`explore::GridSpec`] builds one
 //!   [`StackDistSweep`] per line size, and one fold of the trace
 //!   answers every (size × line × assoc) point exactly.
@@ -39,7 +38,6 @@ pub mod config;
 pub mod explore;
 pub mod hitratio;
 pub mod sector;
-pub mod split;
 pub mod stackdist;
 pub mod stats;
 pub mod victim;
@@ -48,7 +46,6 @@ pub use cache::{AccessOutcome, Cache};
 pub use config::{CacheConfig, ConfigError, Replacement, WriteMiss, WritePolicy};
 pub use hitratio::{Analytic, BackendError, HitRatioBackend, Resolution, Simulated};
 pub use sector::{SectorCache, SectorConfig, SectorOutcome};
-pub use split::SplitCache;
 pub use stackdist::{StackDistSweep, SweepQueryError};
 pub use stats::CacheStats;
 pub use victim::{VictimCache, VictimOutcome, VictimStats};

@@ -27,8 +27,8 @@
 //! whenever the timing model is history-free with respect to the cache
 //! state: no instruction cache, no L2, no prefetching, single issue, and
 //! a write-back write-allocate data cache (so every miss allocates and
-//! hits stay hits regardless of timing). [`MissTimeline::supports`]
-//! gates exactly that subset; callers keep `Cpu::run` as the oracle and
+//! hits stay hits regardless of timing). [`TimelineCpu::new`] admits
+//! exactly that subset; callers keep `Cpu::run` as the oracle and
 //! fall back to it otherwise, as `simcache::explore::hit_ratio_grid_replay`
 //! is the oracle of the stack-distance sweeps.
 
@@ -285,78 +285,17 @@ impl MissTimeline {
             + size_of::<Self>()
     }
 
-    /// Whether [`TimelineCpu`] reproduces `Cpu::run` bit-identically for
-    /// this configuration; callers must fall back to the full simulator
-    /// when this is `false`.
-    pub fn supports(&self, cfg: &CpuConfig) -> bool {
-        cfg.dcache == self.cache
-            && cfg.icache.is_none()
-            && cfg.l2.is_none()
-            && cfg.prefetch == Prefetch::None
-            && cfg.issue_width == 1
-            && cfg.validate().is_ok()
-    }
-
     /// Replays the timeline under `cfg` and returns the exact
     /// [`SimResult`] of the equivalent full simulation.
     ///
     /// # Panics
     ///
-    /// Panics when [`MissTimeline::supports`] rejects `cfg`; check first
-    /// and fall back to [`Cpu::run`](crate::Cpu::run).
+    /// Panics when [`TimelineCpu::new`] rejects `cfg`; check first and
+    /// fall back to [`Cpu::run`](crate::Cpu::run).
     pub fn replay(&self, cfg: &CpuConfig) -> SimResult {
         TimelineCpu::new(self, *cfg)
             .expect("unsupported configuration for timeline replay")
             .run()
-    }
-
-    /// Replays the timeline under every configuration in one walk of
-    /// the event stream, returning the configs' exact [`SimResult`]s in
-    /// order.
-    ///
-    /// Bit-identical to calling [`MissTimeline::replay`] per config but
-    /// far cheaper for a batch: a paper-scale timeline is tens of
-    /// megabytes of events and echoes, so per-point replay is bound by
-    /// re-streaming that data from memory once per configuration. The
-    /// batched walk touches each event exactly once and advances every
-    /// config's (small, cache-resident) replay state while the event
-    /// and its echo window are hot.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first unsupported configuration's reason, as
-    /// [`TimelineCpu::new`] would (caller should fall back to
-    /// [`Cpu::run`](crate::Cpu::run) for that point).
-    pub fn replay_batch(&self, cfgs: &[CpuConfig]) -> Result<Vec<SimResult>, String> {
-        let replayers: Vec<TimelineCpu> = cfgs
-            .iter()
-            .map(|&cfg| TimelineCpu::new(self, cfg))
-            .collect::<Result<_, _>>()?;
-        let mut states: Vec<ReplayState> =
-            replayers.iter().map(|r| ReplayState::new(&r.cfg)).collect();
-        let echo_instrs = &self.echo_instrs;
-        let echo_addrs = &self.echo_addrs;
-        for (i, event) in self.events.iter().enumerate() {
-            let start = event.echo_start as usize;
-            let end = self
-                .events
-                .get(i + 1)
-                .map_or(echo_instrs.len(), |next| next.echo_start as usize);
-            for (r, st) in replayers.iter().zip(&mut states) {
-                st.process_event(&r.cfg, r.mshrs(), event);
-                if r.cfg.stall != StallFeature::FullStall {
-                    st.scan_echoes(r.cfg.stall, echo_instrs, echo_addrs, start, end);
-                }
-            }
-        }
-        Ok(replayers
-            .iter()
-            .zip(&mut states)
-            .map(|(r, st)| {
-                st.advance(self.instructions);
-                r.result(st, self.stats, self.miss_distance_hist)
-            })
-            .collect())
     }
 }
 
@@ -816,7 +755,7 @@ mod tests {
                     MemoryTiming::new(BusWidth::new(4).unwrap(), beta),
                 )
                 .with_stall(stall);
-                assert!(tl.supports(&cfg));
+                assert!(TimelineCpu::new(&tl, cfg).is_ok());
                 let fast = tl.replay(&cfg);
                 let slow = Cpu::new(cfg).run(trace("ear"));
                 assert_eq!(fast, slow, "{stall} β={beta}");
@@ -880,47 +819,17 @@ mod tests {
     }
 
     #[test]
-    fn batched_replay_is_bit_identical_to_per_config_replay() {
-        let tl = MissTimeline::extract(cache(), trace("nasa7"));
-        let mut cfgs = Vec::new();
-        for stall in all_stalls() {
-            for beta in [2u64, 8, 30] {
-                for bus in [4u64, 16] {
-                    cfgs.push(
-                        CpuConfig::baseline(
-                            cache(),
-                            MemoryTiming::new(BusWidth::new(bus).unwrap(), beta),
-                        )
-                        .with_stall(stall),
-                    );
-                }
-            }
-        }
-        let batched = tl.replay_batch(&cfgs).unwrap();
-        assert_eq!(batched.len(), cfgs.len());
-        for (cfg, fast) in cfgs.iter().zip(&batched) {
-            assert_eq!(*fast, tl.replay(cfg), "{:?}", cfg.stall);
-        }
-    }
-
-    #[test]
-    fn batched_replay_rejects_unsupported_configs_wholesale() {
-        let tl = MissTimeline::extract(cache(), trace("ear"));
-        let good = CpuConfig::baseline(cache(), MemoryTiming::new(BusWidth::new(4).unwrap(), 8));
-        let bad = good.with_issue_width(2);
-        assert!(tl.replay_batch(&[good, bad]).is_err());
-        assert!(tl.replay_batch(&[]).unwrap().is_empty());
-    }
-
-    #[test]
     fn unsupported_configurations_are_rejected() {
         let tl = MissTimeline::extract(cache(), trace("ear"));
         let base = CpuConfig::baseline(cache(), MemoryTiming::new(BusWidth::new(4).unwrap(), 8));
-        assert!(tl.supports(&base));
-        assert!(!tl.supports(&base.with_icache(CacheConfig::new(4096, 32, 1).unwrap())));
-        assert!(!tl.supports(&base.with_issue_width(2)));
-        assert!(!tl.supports(&base.with_prefetch(Prefetch::NextLine)));
-        assert!(!tl.supports(&base.with_l2(crate::config::L2Config::new(
+        let rejects = |cfg: CpuConfig| TimelineCpu::new(&tl, cfg).is_err();
+        assert!(!rejects(base));
+        assert!(rejects(
+            base.with_icache(CacheConfig::new(4096, 32, 1).unwrap())
+        ));
+        assert!(rejects(base.with_issue_width(2)));
+        assert!(rejects(base.with_prefetch(Prefetch::NextLine)));
+        assert!(rejects(base.with_l2(crate::config::L2Config::new(
             CacheConfig::new(64 * 1024, 32, 4).unwrap(),
             2
         ))));
@@ -928,8 +837,7 @@ mod tests {
             CacheConfig::new(4 * 1024, 32, 2).unwrap(),
             MemoryTiming::new(BusWidth::new(4).unwrap(), 8),
         );
-        assert!(!tl.supports(&other_cache));
-        assert!(TimelineCpu::new(&tl, other_cache).is_err());
+        assert!(rejects(other_cache));
     }
 
     #[test]

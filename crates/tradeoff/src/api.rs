@@ -29,7 +29,7 @@ use crate::linesize::{optimal_line_eq19, optimal_line_smith, FillTiming, LineCan
 use crate::{mean_access_time, HitRatio, Machine, SystemConfig};
 use report::Json;
 use simcache::{Analytic, CacheConfig, Resolution, Simulated};
-use simcpu::{CpuConfig, MissTimeline, StallFeature};
+use simcpu::{CpuConfig, MissTimeline, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::workload::{self, WorkloadSpec};
 use simtrace::ReuseHistograms;
@@ -1633,12 +1633,9 @@ fn simulate(q: &SimulateQuery, env: &dyn Workloads) -> Result<QueryResponse, Api
         return bad("cache configuration does not admit timeline extraction");
     }
     let timeline = env.timeline(spec, q.seed, q.instructions, &cache);
-    if !timeline.supports(&cfg) {
-        return Err(ApiError::internal(
-            "timeline replay rejected a baseline configuration",
-        ));
-    }
-    let r = timeline.replay(&cfg);
+    let r = TimelineCpu::new(&timeline, cfg)
+        .map_err(|_| ApiError::internal("timeline replay rejected a baseline configuration"))?
+        .run();
     Ok(QueryResponse::Simulate(SimulateResponse {
         query: q.clone(),
         cycles: r.cycles,

@@ -47,9 +47,7 @@ pub mod linesize;
 pub mod multiissue;
 pub mod params;
 pub mod ranking;
-pub mod sensitivity;
 pub mod stall;
-pub mod sweep;
 pub mod system;
 
 pub use error::TradeoffError;

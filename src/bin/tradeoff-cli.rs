@@ -4,8 +4,8 @@
 //! See `tradeoff-cli help` for usage. Exit codes: `0` success, `1` one
 //! or more experiments failed (a `--keep-going` run still prints the
 //! partial suite document first), `2` bad usage (including a malformed
-//! `REPRO_STREAM_CHUNK` or `REPRO_TRACE_BUDGET`), `3` manifest drift or
-//! artifact write failure.
+//! setting that `bench::common::check_settings` validates), `3`
+//! manifest drift or artifact write failure.
 
 fn main() {
     if let Err(e) = bench::common::check_settings() {

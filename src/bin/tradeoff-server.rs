@@ -18,7 +18,7 @@
 //! reaps idle and slow-loris connections, `--max-requests` caps one
 //! keep-alive connection. Exit codes: `0` after a graceful shutdown,
 //! `1` on bind or I/O failure, `2` on bad usage (including a malformed
-//! `REPRO_STREAM_CHUNK` or `REPRO_TRACE_BUDGET`).
+//! setting that `bench::common::check_settings` validates).
 
 use std::time::Duration;
 use unified_tradeoff::server::{serve, ServerConfig};

@@ -84,7 +84,7 @@ fn supported_configs() -> impl Strategy<Value = CpuConfig> {
 fn replay(trace: &[Instr], cfg: CpuConfig) -> SimResult {
     let timeline = MissTimeline::extract(cfg.dcache, trace.iter().copied());
     assert!(
-        timeline.supports(&cfg),
+        TimelineCpu::new(&timeline, cfg).is_ok(),
         "strategy must generate supported configs"
     );
     timeline.replay(&cfg)
@@ -179,6 +179,5 @@ fn unsupported_configs_fall_back_to_the_oracle_path() {
     let timeline = MissTimeline::extract(cache, std::iter::empty());
     let cfg = CpuConfig::baseline(cache, MemoryTiming::new(BusWidth::new(4).unwrap(), 8))
         .with_icache(CacheConfig::new(1024, 32, 1).unwrap());
-    assert!(!timeline.supports(&cfg));
     assert!(TimelineCpu::new(&timeline, cfg).is_err());
 }
