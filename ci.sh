@@ -17,8 +17,9 @@
 #                    RSS ceiling and a materialised oracle comparison)
 #                    + analytic (closed-form backend bit-exact on FA LRU,
 #                    within tolerance on the comparison grid)
-#                    + serve (tradeoff-server smoke: canned queries over
-#                    HTTP byte-match the CLI, /stats proves memoisation
+#                    + serve (tradeoff-server smoke: a canned simulate
+#                    and the experiments listing over HTTP byte-match
+#                    the CLI, /stats proves memoisation
 #                    and timeline byte accounting, clean shutdown)
 #                    + chaos (armed serve-path fault plan: sheds are
 #                    deterministic and survivable, no worker dies, and
@@ -204,10 +205,16 @@ serve_check() {
         || { echo "FAIL: repeat query missed the memo: $(cat "$tmp/stats.json")"; exit 1; }
     grep -Eq '"timeline_bytes":[1-9]' "$tmp/stats.json" \
         || { echo "FAIL: memoised timeline not byte-accounted: $(cat "$tmp/stats.json")"; exit 1; }
+    # The registry listing must be byte-identical locally and over HTTP.
+    req='{"query":"experiments"}'
+    local_out="$(cargo run --release -q --bin tradeoff-cli -- query --json "$req")"
+    remote_out="$(cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --json "$req")"
+    [[ "$local_out" == "$remote_out" ]] \
+        || { echo "FAIL: CLI and server experiment listings differ"; exit 1; }
     cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --shutdown > /dev/null
     wait "$server_pid" \
         || { echo "FAIL: server exited nonzero after graceful shutdown"; exit 1; }
-    echo "    serve smoke: byte parity, 1 miss + 1 hit, timeline bytes accounted, clean shutdown"
+    echo "    serve smoke: byte parity (simulate + experiments), 1 miss + 1 hit, timeline bytes accounted, clean shutdown"
     rm -rf "$tmp"
 }
 

@@ -8,7 +8,7 @@
 //! value is hiding flushes), and the pipelining crossover versus write
 //! buffers shifts with α while the one versus bus doubling does not.
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::{Chart, Table};
 use tradeoff::crossover::{pipelined_vs_double_bus, pipelined_vs_write_buffers};
 use tradeoff::equiv::traded_hit_ratio;
@@ -116,25 +116,14 @@ pub fn report() -> Result<String, TradeoffError> {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "alpha"
-    }
-    fn title(&self) -> &'static str {
-        "Flush-ratio ablation"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["paper", "analytic"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, _ctx: &RunCtx) -> ExpReport {
-        ExpReport::text_only(report().expect("canonical parameters valid"))
-    }
-}
+pub const EXP: Experiment = Experiment {
+    id: "alpha",
+    title: "Flush-ratio ablation",
+    tags: &["paper", "analytic"],
+    traces: &[],
+    module: module_path!(),
+    run: |_| ExpReport::text_only(report().expect("canonical parameters valid")),
+};
 
 #[cfg(test)]
 mod tests {

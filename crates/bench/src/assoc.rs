@@ -7,7 +7,7 @@
 //! directly comparable to the Figure 3–5 features — and the replacement
 //! policy's effect shows how much of that worth is LRU-specific.
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcache::{Cache, CacheConfig, Replacement};
 use simtrace::workload::{builtins, WorkloadSpec};
@@ -99,26 +99,17 @@ pub fn render(
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "assoc"
-    }
-    fn title(&self) -> &'static str {
-        "Associativity & replacement"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["extension", "measured"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
+pub const EXP: Experiment = Experiment {
+    id: "assoc",
+    title: "Associativity & replacement",
+    tags: &["extension", "measured"],
+    traces: &[],
+    module: module_path!(),
+    run: |ctx| {
         let n = ctx.instructions;
         ExpReport::text_only(render(&assoc_ladder(n), &policy_spread(n)))
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {

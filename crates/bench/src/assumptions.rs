@@ -12,7 +12,7 @@
 //! worth, in CPI, on the SPEC92 proxies — and therefore how much caution
 //! the analytic numbers deserve on machines that violate them.
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use crate::tracestore;
 use report::Table;
 use simcache::CacheConfig;
@@ -103,25 +103,14 @@ pub fn render(rows: &[AssumptionRow]) -> String {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "assumptions"
-    }
-    fn title(&self) -> &'static str {
-        "Assumption audit"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["extension", "measured", "validation"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
-        ExpReport::text_only(render(&run(ctx.instructions)))
-    }
-}
+pub const EXP: Experiment = Experiment {
+    id: "assumptions",
+    title: "Assumption audit",
+    tags: &["extension", "measured", "validation"],
+    traces: &[],
+    module: module_path!(),
+    run: |ctx| ExpReport::text_only(render(&run(ctx.instructions))),
+};
 
 #[cfg(test)]
 mod tests {

@@ -25,7 +25,6 @@
 
 use bench::registry::{self, RunCtx};
 use bench::sched::{drive, SuiteOptions};
-use bench::Error;
 use std::path::PathBuf;
 
 fn usage() -> ! {
@@ -47,21 +46,21 @@ fn run_ctx() -> RunCtx {
 }
 
 fn list(filter: &str) {
-    let selection = registry::matching_or_err(filter).unwrap_or_else(|e| {
+    let selection = registry::matching(filter).unwrap_or_else(|e| {
         eprintln!("error: {e}");
-        std::process::exit(2);
+        std::process::exit(e.exit_code());
     });
     for e in selection {
         println!(
             "{:<12} [{}]{} {}",
-            e.id(),
-            e.tags().join(","),
-            if e.depends_on_traces().is_empty() {
+            e.id,
+            e.tags.join(","),
+            if e.traces.is_empty() {
                 String::new()
             } else {
-                format!(" traces={}", e.depends_on_traces().join(","))
+                format!(" traces={}", e.traces.join(","))
             },
-            e.title()
+            e.title
         );
     }
 }
@@ -101,11 +100,7 @@ fn run(args: &[String]) {
         }
         Err(e) => {
             eprintln!("error: {e}");
-            std::process::exit(match e {
-                Error::NoMatch { .. } => 2,
-                Error::Experiment { .. } => 1,
-                Error::Write { .. } => 3,
-            });
+            std::process::exit(e.exit_code());
         }
     }
 }
@@ -121,7 +116,7 @@ fn main() {
         Some("run") => run(&args[1..]),
         Some(id) => match registry::find(id) {
             Some(exp) => {
-                let report = exp.run(&run_ctx());
+                let report = (exp.run)(&run_ctx());
                 registry::write_artifacts_warn(&bench::common::results_dir(), &report.artifacts);
                 println!("{}", report.section);
             }

@@ -16,7 +16,6 @@
 
 use bench::registry::RunCtx;
 use bench::sched::{drive, jobs_setting, keep_going_setting, SuiteOptions};
-use bench::Error;
 
 fn main() {
     let settings = bench::common::check_settings().and_then(|()| {
@@ -43,10 +42,7 @@ fn main() {
         }
         Err(e) => {
             eprintln!("error: {e}");
-            std::process::exit(match e {
-                Error::Write { .. } => 3,
-                _ => 1,
-            });
+            std::process::exit(e.exit_code());
         }
     }
 }

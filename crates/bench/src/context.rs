@@ -9,7 +9,7 @@
 //! extra bus width / cache size a multiprogrammed workload effectively
 //! needs.
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcache::{Cache, CacheConfig};
 use simtrace::workload::{builtins, WorkloadSpec};
@@ -119,25 +119,14 @@ pub fn report(instructions: usize) -> Result<String, TradeoffError> {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "context"
-    }
-    fn title(&self) -> &'static str {
-        "Multiprogramming"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["extension", "measured"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
-        ExpReport::text_only(report(ctx.instructions).expect("canonical parameters valid"))
-    }
-}
+pub const EXP: Experiment = Experiment {
+    id: "context",
+    title: "Multiprogramming",
+    tags: &["extension", "measured"],
+    traces: &[],
+    module: module_path!(),
+    run: |ctx| ExpReport::text_only(report(ctx.instructions).expect("canonical parameters valid")),
+};
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,7 @@
 //! plus a hit-ratio-versus-size model, then prices both sides in pins
 //! and SRAM bits.
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use smithval::{DesignTargetModel, MissRatioModel};
 use tradeoff::cost::{equivalent_cache_size, CacheAreaModel, PinModel};
@@ -105,29 +105,19 @@ pub fn render(rows: &[CostRow]) -> String {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "cost"
-    }
-    fn title(&self) -> &'static str {
-        "Pins vs silicon"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["paper", "analytic"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, _ctx: &RunCtx) -> ExpReport {
-        ExpReport::text_only(render(&run(8.0, 32).expect("canonical parameters valid")))
-    }
-}
+pub const EXP: Experiment = Experiment {
+    id: "cost",
+    title: "Pins vs silicon",
+    tags: &["paper", "analytic"],
+    traces: &[],
+    module: module_path!(),
+    run: |_| ExpReport::text_only(render(&run(8.0, 32).expect("canonical parameters valid"))),
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::RunCtx;
 
     #[test]
     fn equivalent_cache_grows_superlinearly() {
@@ -168,7 +158,7 @@ mod tests {
 
     #[test]
     fn render_mentions_both_currencies() {
-        let text = Exp.run(&RunCtx::standard()).section;
+        let text = (EXP.run)(&RunCtx::standard()).section;
         assert!(text.contains("extra pins"));
         assert!(text.contains("SRAM"));
     }

@@ -9,7 +9,7 @@
 //! * [`Error`] — a whole [`crate::sched::drive`] call could not produce
 //!   its result: nothing matched the filter, a strict (non-keep-going)
 //!   run hit an [`ExpFailure`], or an artifact could not be written
-//!   even after retries. The binaries map each variant to a distinct
+//!   even after retries. [`Error::exit_code`] maps each variant to a distinct
 //!   exit code.
 //! * [`lock_recovering`] — the shared poison-recovery primitive: a
 //!   panicked (or fault-injected) holder must never wedge later
@@ -96,6 +96,18 @@ pub enum Error {
     },
 }
 
+impl Error {
+    /// The process exit code every runner maps this error to: `2` bad
+    /// usage (no match), `1` an experiment failed, `3` a write failed.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            Error::NoMatch { .. } => 2,
+            Error::Experiment { .. } => 1,
+            Error::Write { .. } => 3,
+        }
+    }
+}
+
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -175,12 +187,23 @@ mod tests {
             filter: "warp".into(),
         };
         assert!(e.to_string().contains("no experiment matches \"warp\""));
+        assert_eq!(e.exit_code(), 2);
         let e = Error::Write {
             path: PathBuf::from("/x/y.csv"),
             source: io::Error::other("disk on fire"),
         };
         assert!(e.to_string().contains("/x/y.csv"));
         assert!(e.to_string().contains("disk on fire"));
+        assert_eq!(e.exit_code(), 3);
+        let e = Error::Experiment {
+            id: "fig2".into(),
+            failure: ExpFailure {
+                kind: FailureKind::Panicked,
+                message: "boom".into(),
+                retries: 0,
+            },
+        };
+        assert_eq!(e.exit_code(), 1);
     }
 
     #[test]

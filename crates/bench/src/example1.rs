@@ -8,7 +8,7 @@
 //! * Case 2: a 64-bit bus with 32 KB performs like a 32-bit bus with
 //!   128 KB.
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use tradeoff::equiv::hit_gain_equivalent;
 use tradeoff::{HitRatio, Machine, SystemConfig, TradeoffError};
@@ -97,30 +97,22 @@ pub fn render(results: &[(f64, Vec<CaseResult>)]) -> String {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "example1"
-    }
-    fn title(&self) -> &'static str {
-        "Example 1"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["paper", "analytic"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, _ctx: &RunCtx) -> ExpReport {
+pub const EXP: Experiment = Experiment {
+    id: "example1",
+    title: "Example 1",
+    tags: &["paper", "analytic"],
+    traces: &[],
+    module: module_path!(),
+    run: |_| {
         let results = run(&[4.0, 8.0, 16.0, 32.0]).expect("canonical parameters valid");
         ExpReport::text_only(render(&results))
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::RunCtx;
 
     #[test]
     fn case1_holds_for_moderate_memory_cycles() {
@@ -163,7 +155,7 @@ mod tests {
 
     #[test]
     fn render_mentions_both_cases() {
-        let text = Exp.run(&RunCtx::standard()).section;
+        let text = (EXP.run)(&RunCtx::standard()).section;
         assert!(text.contains("Case 1") && text.contains("Case 2"));
     }
 }

@@ -378,12 +378,6 @@ fn active() -> Option<Arc<FaultPlan>> {
     env_plan()
 }
 
-/// True when any plan (API- or env-armed) is active. The scheduler uses
-/// this to keep the no-fault path allocation-free.
-pub fn any_armed() -> bool {
-    active().is_some()
-}
-
 /// Evaluates site `site` for the current experiment: returns the
 /// injected I/O error, panics, or delays per the armed plan; a no-op
 /// when nothing is armed or no spec matches.

@@ -5,7 +5,7 @@
 //! D = 4 B, stalling factor reported as a percentage of `L/D`.
 
 use crate::common::{phi_matrix, PhiPoint};
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::{Artifact, Chart};
 use simcpu::StallFeature;
 
@@ -82,36 +82,25 @@ pub fn artifact(curves: &[PhiCurve]) -> Artifact {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "fig1"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 1"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["paper", "figure", "measured"]
-    }
-    fn depends_on_traces(&self) -> &'static [&'static str] {
-        &[crate::registry::traces::SPEC_L32]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
+pub const EXP: Experiment = Experiment {
+    id: "fig1",
+    title: "Figure 1",
+    tags: &["paper", "figure", "measured"],
+    traces: &[crate::registry::traces::SPEC_L32],
+    module: module_path!(),
+    run: |ctx| {
         let curves = run(32, 4, ctx.instructions);
         ExpReport {
             section: render(&curves),
             artifacts: vec![artifact(&curves)],
         }
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::RunCtx;
 
     #[test]
     fn curves_reproduce_figure1_shape() {
@@ -166,9 +155,8 @@ mod tests {
 
     #[test]
     fn registry_run_matches_legacy_composition() {
-        use crate::registry::Experiment as _;
         let ctx = RunCtx::with_instructions(5_000);
-        let report = Exp.run(&ctx);
+        let report = (EXP.run)(&ctx);
         let curves = run(32, 4, 5_000);
         assert_eq!(report.section, render(&curves));
         assert_eq!(report.artifacts, vec![artifact(&curves)]);

@@ -2,7 +2,7 @@
 //! memory cycle time, for L ∈ {8, 16, 32} at base hit ratios 98 % and
 //! 90 % (α = α′ = 0.5, full-stalling).
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::{Artifact, Chart};
 use tradeoff::equiv::traded_hit_ratio;
 use tradeoff::{HitRatio, Machine, SystemConfig, TradeoffError};
@@ -100,29 +100,20 @@ pub fn artifact(curves: &[TradeCurve]) -> Artifact {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "fig2"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 2"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["paper", "figure", "analytic"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, _ctx: &RunCtx) -> ExpReport {
+pub const EXP: Experiment = Experiment {
+    id: "fig2",
+    title: "Figure 2",
+    tags: &["paper", "figure", "analytic"],
+    traces: &[],
+    module: module_path!(),
+    run: |_| {
         let curves = run(&[0.98, 0.90], &default_betas()).expect("canonical parameters are valid");
         ExpReport {
             section: render(&curves),
             artifacts: vec![artifact(&curves)],
         }
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,7 @@
 //! EXP-F6 — Figure 6: validation against Smith's design-target optimal
 //! line sizes, four panels.
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::{Artifact, Chart, Table};
 use smithval::fig6::CANDIDATE_LINES;
 use smithval::{validate_all_panels, DesignTargetModel, MissRatioModel, PanelValidation, PANELS};
@@ -83,25 +83,14 @@ pub fn validation_table(validations: &[PanelValidation]) -> String {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "fig6"
-    }
-    fn title(&self) -> &'static str {
-        "Figure 6"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["paper", "figure", "analytic", "validation"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, _ctx: &RunCtx) -> ExpReport {
-        report(&DesignTargetModel::default()).expect("canonical model evaluates")
-    }
-}
+pub const EXP: Experiment = Experiment {
+    id: "fig6",
+    title: "Figure 6",
+    tags: &["paper", "figure", "analytic", "validation"],
+    traces: &[],
+    module: module_path!(),
+    run: |_| report(&DesignTargetModel::default()).expect("canonical model evaluates"),
+};
 
 #[cfg(test)]
 mod tests {

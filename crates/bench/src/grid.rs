@@ -18,7 +18,7 @@
 //!    express — and reports the cheapest geometry per workload
 //!    reaching a target hit ratio.
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use crate::sweep::SWEEP_SEED;
 use crate::tracestore;
 use report::{Artifact, Table};
@@ -234,25 +234,13 @@ pub fn dense_render(
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "grid"
-    }
-    fn title(&self) -> &'static str {
-        "Analytic miss-ratio grid"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["extension", "measured", "engine", "analytic"]
-    }
-    fn depends_on_traces(&self) -> &'static [&'static str] {
-        &[crate::registry::traces::SWEEP7]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
+pub const EXP: Experiment = Experiment {
+    id: "grid",
+    title: "Analytic miss-ratio grid",
+    tags: &["extension", "measured", "engine", "analytic"],
+    traces: &[crate::registry::traces::SWEEP7],
+    module: module_path!(),
+    run: |ctx| {
         let instructions = ctx.instructions;
         let warmup = instructions as u64 / 5;
         let spec = GridSpec::comparison(warmup);
@@ -273,8 +261,8 @@ impl Experiment for Exp {
             section: out,
             artifacts: vec![artifact(&results)],
         }
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 //! at the effective point.
 
 use crate::common::figure1_cache;
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcache::CacheConfig;
 use simcpu::{Cpu, CpuConfig, L2Config, SimResult};
@@ -142,25 +142,16 @@ pub fn report(beta: u64, instructions: usize) -> Result<String, TradeoffError> {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "l2"
-    }
-    fn title(&self) -> &'static str {
-        "L2 extension"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["extension", "measured"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
+pub const EXP: Experiment = Experiment {
+    id: "l2",
+    title: "L2 extension",
+    tags: &["extension", "measured"],
+    traces: &[],
+    module: module_path!(),
+    run: |ctx| {
         ExpReport::text_only(report(8, ctx.instructions).expect("canonical parameters valid"))
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {

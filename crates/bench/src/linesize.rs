@@ -8,7 +8,7 @@
 //!    proxy feed the optimal-line selectors, closing the loop between
 //!    substrate and model.
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use crate::stream::{self, Source};
 use report::{Artifact, Table};
 use simcache::explore::GridSpec;
@@ -151,28 +151,14 @@ pub fn report(instructions: usize) -> ExpReport {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "linesize"
-    }
-    fn title(&self) -> &'static str {
-        "Line-size analysis"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["paper", "measured", "analytic"]
-    }
-    fn depends_on_traces(&self) -> &'static [&'static str] {
-        &[crate::registry::traces::SWEEP7]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
-        report(ctx.instructions.min(60_000))
-    }
-}
+pub const EXP: Experiment = Experiment {
+    id: "linesize",
+    title: "Line-size analysis",
+    tags: &["paper", "measured", "analytic"],
+    traces: &[crate::registry::traces::SWEEP7],
+    module: module_path!(),
+    run: |ctx| report(ctx.instructions.min(60_000)),
+};
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,7 @@
 //!    generalised Eq. 2, closing the loop for `w ∈ {1, 2, 4, 8}`.
 
 use crate::common::figure1_cache;
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcpu::{predict_cycles_multiissue, Cpu, CpuConfig};
 use simmem::{BusWidth, MemoryTiming};
@@ -85,22 +85,13 @@ pub fn simulate_widths(workload: &WorkloadSpec, instructions: usize) -> Vec<Widt
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "mi"
-    }
-    fn title(&self) -> &'static str {
-        "Multi-issue extension"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["extension", "measured"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
+pub const EXP: Experiment = Experiment {
+    id: "mi",
+    title: "Multi-issue extension",
+    tags: &["extension", "measured"],
+    traces: &[],
+    module: module_path!(),
+    run: |ctx| {
         let mut out = String::new();
         out.push_str("Hit ratio traded per feature vs issue width (L=32, D=4, β=8, HR=95%):\n");
         out.push_str(&analytic_table(8.0).expect("canonical parameters valid"));
@@ -124,8 +115,8 @@ impl Experiment for Exp {
         out.push_str("Generalised Eq. 2 vs issue-width simulation:\n");
         out.push_str(&t.render());
         ExpReport::text_only(out)
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -12,7 +12,7 @@
 //! the measured `φ(BL)`.
 
 use crate::common::figure1_cache;
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcpu::{Cpu, CpuConfig, SimResult, StallFeature};
 use simmem::{BusWidth, MemoryTiming};
@@ -97,25 +97,14 @@ pub fn render(rows: &[DistanceProfile]) -> String {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "missdist"
-    }
-    fn title(&self) -> &'static str {
-        "Miss-distance profiles"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["extension", "measured"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
-        ExpReport::text_only(render(&run(8, ctx.instructions)))
-    }
-}
+pub const EXP: Experiment = Experiment {
+    id: "missdist",
+    title: "Miss-distance profiles",
+    tags: &["extension", "measured"],
+    traces: &[],
+    module: module_path!(),
+    run: |ctx| ExpReport::text_only(render(&run(8, ctx.instructions))),
+};
 
 #[cfg(test)]
 mod tests {

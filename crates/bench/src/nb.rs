@@ -7,7 +7,7 @@
 //! into the Figures 3–5 ranking.
 
 use crate::common::{phi_matrix, PhiPoint};
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::{Chart, Table};
 use simcpu::StallFeature;
 use tradeoff::equiv::traded_hit_ratio;
@@ -110,28 +110,14 @@ pub fn report(instructions: usize) -> Result<String, TradeoffError> {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "nb"
-    }
-    fn title(&self) -> &'static str {
-        "Non-blocking cache"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["extension", "measured"]
-    }
-    fn depends_on_traces(&self) -> &'static [&'static str] {
-        &[crate::registry::traces::SPEC_L32]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
-        ExpReport::text_only(report(ctx.instructions).expect("canonical parameters valid"))
-    }
-}
+pub const EXP: Experiment = Experiment {
+    id: "nb",
+    title: "Non-blocking cache",
+    tags: &["extension", "measured"],
+    traces: &[crate::registry::traces::SPEC_L32],
+    module: module_path!(),
+    run: |ctx| ExpReport::text_only(report(ctx.instructions).expect("canonical parameters valid")),
+};
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@
 //! aggregate profile smears the phases together (it still totals
 //! correctly — the model is linear — but misattributes where time goes).
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcache::CacheConfig;
 use simcpu::{CpuConfig, MissTimeline, SimResult, StallFeature, TimelineCpu};
@@ -16,7 +16,6 @@ use simmem::{BusWidth, MemoryTiming};
 use simtrace::gen::{StridedSweep, TraceShape, WorkingSet, ZipfWorkingSet};
 use simtrace::phases::{Phase, PhasedPattern};
 use simtrace::Instr;
-use std::sync::{Arc, OnceLock};
 
 /// References per phase in the experiment's program.
 pub const PHASE_REFS: u64 = 6_000;
@@ -122,24 +121,16 @@ fn experiment_trace() -> Vec<Instr> {
     trace
 }
 
-/// The trace's [`MissTimeline`], extracted once: the cache's event
-/// sequence is shared by every β this experiment replays.
-fn phase_timeline() -> Arc<MissTimeline> {
-    static TIMELINE: OnceLock<Arc<MissTimeline>> = OnceLock::new();
-    Arc::clone(
-        TIMELINE.get_or_init(|| Arc::new(MissTimeline::extract(phase_cache(), experiment_trace()))),
-    )
-}
-
 /// Runs one full phase cycle under BL stalling and measures per-phase
-/// windows. The trace interleaves non-memory instructions, so windows
+/// windows over the trace's [`MissTimeline`] (about 36 k data
+/// references, extracted per call). The trace interleaves non-memory instructions, so windows
 /// are delimited by *reference* counts: the timeline replay snapshots
 /// the accumulated result at each phase boundary, bit-identical to
 /// stepping the full simulator to the same reference counts (asserted
 /// by `run_matches_full_simulation` below). Warm-up is one full phase
 /// cycle (the first three marks fall inside it).
 pub fn run(beta: u64) -> Vec<PhaseWindow> {
-    let timeline = phase_timeline();
+    let timeline = MissTimeline::extract(phase_cache(), experiment_trace());
     let replay = TimelineCpu::new(&timeline, phase_config(beta)).expect("phase replay supported");
     let marks: Vec<u64> = (3..=6).map(|k| k * PHASE_REFS).collect();
     let (snaps, _) = replay.run_with_marks(&marks);
@@ -171,29 +162,19 @@ pub fn render(windows: &[PhaseWindow]) -> String {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "phases"
-    }
-    fn title(&self) -> &'static str {
-        "Per-phase profiles"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["extension", "measured"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, _ctx: &RunCtx) -> ExpReport {
-        ExpReport::text_only(render(&run(8)))
-    }
-}
+pub const EXP: Experiment = Experiment {
+    id: "phases",
+    title: "Per-phase profiles",
+    tags: &["extension", "measured"],
+    traces: &[],
+    module: module_path!(),
+    run: |_| ExpReport::text_only(render(&run(8))),
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::RunCtx;
 
     fn by<'a>(ws: &'a [PhaseWindow], n: &str) -> &'a PhaseWindow {
         ws.iter().find(|w| w.name == n).unwrap()
@@ -275,7 +256,7 @@ mod tests {
 
     #[test]
     fn render_lists_phases() {
-        let text = Exp.run(&RunCtx::standard()).section;
+        let text = (EXP.run)(&RunCtx::standard()).section;
         assert!(text.contains("sweep") && text.contains("gather") && text.contains("hot loop"));
     }
 }

@@ -14,7 +14,7 @@
 //! which lines up directly against the Figure 3–5 curves.
 
 use crate::common::figure1_cache;
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcpu::{Cpu, CpuConfig, Prefetch, SimResult};
 use simmem::{BusWidth, MemoryTiming};
@@ -115,25 +115,16 @@ pub fn report(beta: u64, instructions: usize) -> Result<String, TradeoffError> {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "prefetch"
-    }
-    fn title(&self) -> &'static str {
-        "Prefetch pricing"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["extension", "measured"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
+pub const EXP: Experiment = Experiment {
+    id: "prefetch",
+    title: "Prefetch pricing",
+    tags: &["extension", "measured"],
+    traces: &[],
+    module: module_path!(),
+    run: |ctx| {
         ExpReport::text_only(report(8, ctx.instructions).expect("canonical parameters valid"))
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -65,14 +65,10 @@ impl Workloads for StoreWorkloads {
         registry::all()
             .iter()
             .map(|e| ExperimentInfo {
-                id: e.id().to_string(),
-                title: e.title().to_string(),
-                tags: e.tags().iter().map(|t| t.to_string()).collect(),
-                traces: e
-                    .depends_on_traces()
-                    .iter()
-                    .map(|t| t.to_string())
-                    .collect(),
+                id: e.id.to_string(),
+                title: e.title.to_string(),
+                tags: e.tags.iter().map(|t| t.to_string()).collect(),
+                traces: e.traces.iter().map(|t| t.to_string()).collect(),
             })
             .collect()
     }
@@ -128,8 +124,8 @@ mod tests {
         let reg = registry::all();
         assert_eq!(infos.len(), reg.len());
         for (info, exp) in infos.iter().zip(reg.iter()) {
-            assert_eq!(info.id, exp.id());
-            assert_eq!(info.title, exp.title());
+            assert_eq!(info.id, exp.id);
+            assert_eq!(info.title, exp.title);
         }
     }
 

@@ -66,38 +66,30 @@ impl ExpReport {
     }
 }
 
-/// One registered experiment.
-pub trait Experiment: Sync {
+/// One registered experiment: a plain record, one `const` per entry.
+#[derive(Debug)]
+pub struct Experiment {
     /// Stable identifier (`fig1`, `sweep`, …) used by the CLI and the
     /// generic `exp` binary.
-    fn id(&self) -> &'static str;
-
+    pub id: &'static str,
     /// Section title, exactly as the suite report prints it.
-    fn title(&self) -> &'static str;
-
+    pub title: &'static str,
     /// Filter tags (`paper`, `figure`, `extension`, `measured`, …).
-    fn tags(&self) -> &'static [&'static str];
-
+    pub tags: &'static [&'static str],
     /// Keys of the shared [`crate::tracestore`] working sets this
-    /// experiment reads. The scheduler runs one holder of a key to
-    /// completion before starting the others, so they hit the store
-    /// warm instead of extracting the same traces concurrently.
-    fn depends_on_traces(&self) -> &'static [&'static str] {
-        &[]
-    }
-
-    /// The `bench` module implementing this experiment (for the
-    /// registry-completeness audit); implementations return
-    /// `module_path!()`.
-    fn module(&self) -> &'static str;
-
+    /// experiment reads ([`traces`]). The scheduler runs one holder of
+    /// a key to completion before starting the others, so they hit the
+    /// store warm instead of extracting the same traces concurrently.
+    pub traces: &'static [&'static str],
+    /// The `bench` module defining this entry (`module_path!()`), for
+    /// the registry-completeness audit.
+    pub module: &'static str,
     /// Runs the experiment, returning the rendered section and its
-    /// typed artifacts. Must be deterministic for a given `ctx`.
-    fn run(&self, ctx: &RunCtx) -> ExpReport;
+    /// typed artifacts. Must be deterministic for a given context.
+    pub run: fn(&RunCtx) -> ExpReport,
 }
 
-/// Shared trace-store working-set keys (see
-/// [`Experiment::depends_on_traces`]).
+/// Shared trace-store working-set keys (see [`Experiment::traces`]).
 ///
 /// Each key names a working set of the six built-in proxy specs
 /// ([`simtrace::workload::builtins`]) at one seed and geometry. The
@@ -121,66 +113,59 @@ pub mod traces {
 }
 
 /// Every experiment, in the canonical suite (report) order.
-pub fn all() -> Vec<&'static dyn Experiment> {
-    vec![
-        &crate::table23::Exp,
-        &crate::fig1::Exp,
-        &crate::fig2::Exp,
-        &crate::unified::EXP3,
-        &crate::unified::EXP4,
-        &crate::unified::EXP5,
-        &crate::fig6::Exp,
-        &crate::example1::Exp,
-        &crate::xover::Exp,
-        &crate::linesize::Exp,
-        &crate::validate::Exp,
-        &crate::mi::Exp,
-        &crate::prefetch::Exp,
-        &crate::writemiss::Exp,
-        &crate::alpha::Exp,
-        &crate::l2::Exp,
-        &crate::cost::Exp,
-        &crate::missdist::Exp,
-        &crate::phases::Exp,
-        &crate::sector::Exp,
-        &crate::victim::Exp,
-        &crate::assoc::Exp,
-        &crate::context::Exp,
-        &crate::assumptions::Exp,
-        &crate::nb::Exp,
-        &crate::reuse::Exp,
-        &crate::sweep::Exp,
-        &crate::grid::Exp,
+pub fn all() -> &'static [Experiment] {
+    &[
+        crate::table23::EXP,
+        crate::fig1::EXP,
+        crate::fig2::EXP,
+        crate::unified::EXP3,
+        crate::unified::EXP4,
+        crate::unified::EXP5,
+        crate::fig6::EXP,
+        crate::example1::EXP,
+        crate::xover::EXP,
+        crate::linesize::EXP,
+        crate::validate::EXP,
+        crate::mi::EXP,
+        crate::prefetch::EXP,
+        crate::writemiss::EXP,
+        crate::alpha::EXP,
+        crate::l2::EXP,
+        crate::cost::EXP,
+        crate::missdist::EXP,
+        crate::phases::EXP,
+        crate::sector::EXP,
+        crate::victim::EXP,
+        crate::assoc::EXP,
+        crate::context::EXP,
+        crate::assumptions::EXP,
+        crate::nb::EXP,
+        crate::reuse::EXP,
+        crate::sweep::EXP,
+        crate::grid::EXP,
     ]
 }
 
 /// Looks an experiment up by id.
-pub fn find(id: &str) -> Option<&'static dyn Experiment> {
-    all().into_iter().find(|e| e.id() == id)
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    all().iter().find(|e| e.id == id)
 }
 
 /// Experiments whose id or tag set matches `filter` (registry order).
 /// An empty filter or `all` selects everything.
-pub fn matching(filter: &str) -> Vec<&'static dyn Experiment> {
-    if filter.is_empty() || filter == "all" {
-        return all();
-    }
-    all()
-        .into_iter()
-        .filter(|e| e.id() == filter || e.tags().contains(&filter))
-        .collect()
-}
-
-/// [`matching`], but an unknown filter is a typed [`crate::Error`]
-/// instead of an empty selection — every consumer (the `exp` binary's
-/// `list`/`run`, the `tradeoff experiments` CLI) treats a filter that
-/// selects nothing as bad usage, not silent success.
 ///
 /// # Errors
 ///
-/// [`crate::Error::NoMatch`] when nothing matches.
-pub fn matching_or_err(filter: &str) -> Result<Vec<&'static dyn Experiment>, crate::Error> {
-    let selection = matching(filter);
+/// [`crate::Error::NoMatch`] when nothing matches: every consumer (the
+/// `exp` binary's `list`/`run`, the `tradeoff experiments` CLI) treats
+/// a filter that selects nothing as bad usage, not silent success.
+pub fn matching(filter: &str) -> Result<Vec<&'static Experiment>, crate::Error> {
+    let selection: Vec<_> = all()
+        .iter()
+        .filter(|e| {
+            filter.is_empty() || filter == "all" || e.id == filter || e.tags.contains(&filter)
+        })
+        .collect();
     if selection.is_empty() {
         return Err(crate::Error::NoMatch {
             filter: filter.to_string(),
@@ -209,28 +194,25 @@ mod tests {
     fn ids_are_unique_and_findable() {
         let mut seen = HashSet::new();
         for e in all() {
-            assert!(seen.insert(e.id()), "duplicate id {}", e.id());
-            assert!(find(e.id()).is_some(), "{} not findable", e.id());
+            assert!(seen.insert(e.id), "duplicate id {}", e.id);
+            assert!(find(e.id).is_some(), "{} not findable", e.id);
         }
         assert!(find("no-such-experiment").is_none());
     }
 
     #[test]
     fn filters_select_by_id_and_tag() {
-        assert_eq!(matching("fig1").len(), 1);
-        assert_eq!(matching("all").len(), all().len());
-        assert_eq!(matching("").len(), all().len());
-        let figures = matching("figure");
+        assert_eq!(matching("fig1").unwrap().len(), 1);
+        assert_eq!(matching("all").unwrap().len(), all().len());
+        assert_eq!(matching("").unwrap().len(), all().len());
+        let figures = matching("figure").unwrap();
         assert!(figures.len() >= 6, "fig1..fig6 carry the figure tag");
-        assert!(figures.iter().all(|e| e.tags().contains(&"figure")));
+        assert!(figures.iter().all(|e| e.tags.contains(&"figure")));
     }
 
     #[test]
     fn unknown_filters_are_typed_errors() {
-        assert_eq!(matching_or_err("fig1").unwrap().len(), 1);
-        let err = matching_or_err("no-such-filter")
-            .map(|m| m.len())
-            .unwrap_err();
+        let err = matching("no-such-filter").unwrap_err();
         assert!(err.to_string().contains("no experiment matches"));
     }
 
@@ -238,8 +220,8 @@ mod tests {
     fn trace_keys_use_known_constants() {
         let known = [traces::SPEC_L32, traces::SPEC_L8, traces::SWEEP7];
         for e in all() {
-            for key in e.depends_on_traces() {
-                assert!(known.contains(key), "{}: unknown trace key {key}", e.id());
+            for key in e.traces {
+                assert!(known.contains(key), "{}: unknown trace key {key}", e.id);
             }
         }
     }

@@ -6,7 +6,7 @@
 //! fully-associative capacity needed for 90 % / 95 % hit ratios, and the
 //! Mattson-predicted hit ratio at the paper's 8 KB operating point.
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::{chart::sparkline, Table};
 use simtrace::reuse::ReuseProfile;
 use simtrace::workload::{builtins, WorkloadSpec};
@@ -77,25 +77,14 @@ pub fn render(rows: &[ReuseRow]) -> String {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "reuse"
-    }
-    fn title(&self) -> &'static str {
-        "Reuse-distance fingerprints"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["extension", "measured"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
-        ExpReport::text_only(render(&run(ctx.instructions)))
-    }
-}
+pub const EXP: Experiment = Experiment {
+    id: "reuse",
+    title: "Reuse-distance fingerprints",
+    tags: &["extension", "measured"],
+    traces: &[],
+    module: module_path!(),
+    run: |ctx| ExpReport::text_only(render(&run(ctx.instructions))),
+};
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,7 @@
 //! module adds the layer above: whole experiments run concurrently over
 //! a worker pool, subject to one ordering constraint — experiments that
 //! declare the same shared trace-store working set
-//! ([`Experiment::depends_on_traces`]) do not *extract* it
+//! ([`Experiment::traces`]) do not *extract* it
 //! concurrently. The first holder of a key runs to completion (warming
 //! the store); every later holder then hits the memoised entries. Keys
 //! nobody shares impose no ordering at all.
@@ -116,14 +116,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries at all.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 0,
-            backoff: Duration::ZERO,
-        }
-    }
-
     fn pause(&self, attempt: u32) {
         let d = self.backoff * attempt;
         if !d.is_zero() {
@@ -165,11 +157,6 @@ impl SuiteOptions {
             timeout: timeout_setting().unwrap_or_else(|e| panic!("{e}")),
             retry: RetryPolicy::default(),
         }
-    }
-
-    /// Serial execution at the standard context.
-    pub fn serial() -> SuiteOptions {
-        SuiteOptions::new(1, RunCtx::standard())
     }
 
     /// Sets keep-going mode (builder style).
@@ -384,18 +371,15 @@ enum AttemptError {
 /// [`fault::TransientUnwind`] (injected I/O raised inside an infallible
 /// call chain) stays retryable, a [`fault::DeadlineExceeded`] is a
 /// timeout, anything else is a panic.
-fn attempt_contained(
-    exp: &'static dyn Experiment,
-    opts: &SuiteOptions,
-) -> Result<ExpReport, AttemptError> {
+fn attempt_contained(exp: &Experiment, opts: &SuiteOptions) -> Result<ExpReport, AttemptError> {
     let deadline = opts.timeout.map(|limit| Instant::now() + limit);
-    let _scope = fault::enter_until(exp.id(), deadline);
+    let _scope = fault::enter_until(exp.id, deadline);
     catch_unwind(AssertUnwindSafe(|| {
         // Inside the containment boundary: a panic-kind fault at the
         // run site must be caught like any experiment panic, and an
         // I/O-kind one unwinds as a retryable TransientUnwind.
         fault::check_or_unwind(Site::Run);
-        exp.run(&opts.ctx)
+        (exp.run)(&opts.ctx)
     }))
     .map_err(
         |payload| match payload.downcast::<fault::TransientUnwind>() {
@@ -408,7 +392,7 @@ fn attempt_contained(
     )
 }
 
-fn run_one(exp: &'static dyn Experiment, opts: &SuiteOptions) -> ExpOutcome {
+fn run_one(exp: &Experiment, opts: &SuiteOptions) -> ExpOutcome {
     let before = tracestore::counters();
     let start = Instant::now();
     let mut retries = 0u32;
@@ -450,8 +434,8 @@ fn run_one(exp: &'static dyn Experiment, opts: &SuiteOptions) -> ExpOutcome {
         }
     };
     ExpOutcome {
-        id: exp.id(),
-        title: exp.title(),
+        id: exp.id,
+        title: exp.title,
         result,
         wall: start.elapsed(),
         store: tracestore::counters().since(&before),
@@ -471,8 +455,8 @@ struct SchedState {
 
 /// True when every shared trace key of `exp` is either warm or free to
 /// be claimed (no other in-flight experiment is extracting it).
-fn eligible(state: &SchedState, exp: &dyn Experiment) -> bool {
-    exp.depends_on_traces()
+fn eligible(state: &SchedState, exp: &Experiment) -> bool {
+    exp.traces
         .iter()
         .all(|k| state.keys.get(k) != Some(&KeyState::Warming))
 }
@@ -480,13 +464,13 @@ fn eligible(state: &SchedState, exp: &dyn Experiment) -> bool {
 /// Runs `exps` contained and returns their outcomes in input order; a
 /// strict (non-keep-going) run stops claiming new experiments after the
 /// first failure, so its outcome list may be a prefix of the selection.
-pub fn run_suite(exps: &[&'static dyn Experiment], opts: &SuiteOptions) -> SuiteRun {
+pub fn run_suite(exps: &[&Experiment], opts: &SuiteOptions) -> SuiteRun {
     let suite_before = tracestore::counters();
     let suite_start = Instant::now();
     let outcomes: Vec<ExpOutcome> = if opts.jobs <= 1 || exps.len() <= 1 {
         let mut outcomes = Vec::with_capacity(exps.len());
         for e in exps {
-            let outcome = run_one(*e, opts);
+            let outcome = run_one(e, opts);
             let failed = outcome.result.is_err();
             outcomes.push(outcome);
             if failed && !opts.keep_going {
@@ -504,7 +488,7 @@ pub fn run_suite(exps: &[&'static dyn Experiment], opts: &SuiteOptions) -> Suite
     }
 }
 
-fn run_parallel(exps: &[&'static dyn Experiment], opts: &SuiteOptions) -> Vec<ExpOutcome> {
+fn run_parallel(exps: &[&Experiment], opts: &SuiteOptions) -> Vec<ExpOutcome> {
     let workers = opts.jobs.min(exps.len());
     let state = Mutex::new(SchedState {
         started: vec![false; exps.len()],
@@ -533,7 +517,7 @@ fn run_parallel(exps: &[&'static dyn Experiment], opts: &SuiteOptions) -> Vec<Ex
                             match next {
                                 Some(i) => {
                                     st.started[i] = true;
-                                    for key in exps[i].depends_on_traces() {
+                                    for key in exps[i].traces {
                                         st.keys.entry(key).or_insert(KeyState::Warming);
                                     }
                                     break Some(i);
@@ -562,7 +546,7 @@ fn run_parallel(exps: &[&'static dyn Experiment], opts: &SuiteOptions) -> Vec<Ex
                     // Even a failed holder marks its keys warm: a
                     // wedged key would deadlock every later sharer,
                     // and the store re-extracts on demand anyway.
-                    for key in exps[i].depends_on_traces() {
+                    for key in exps[i].traces {
                         st.keys.insert(key, KeyState::Warm);
                     }
                     drop(st);
@@ -643,7 +627,7 @@ fn write_with_retry(
 /// retries. A keep-going run with failures returns `Ok` — callers
 /// inspect [`SuiteRun::has_failures`] for the exit status.
 pub fn drive(filter: &str, opts: &SuiteOptions, results_dir: &Path) -> Result<DriveOutcome, Error> {
-    let selection = registry::matching_or_err(filter)?;
+    let selection = registry::matching(filter)?;
     let full = selection.len() == registry::all().len();
     let run = run_suite(&selection, opts);
     if !opts.keep_going {
@@ -694,52 +678,38 @@ mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan};
 
-    struct Fake {
+    /// A fake experiment's run: a tiny sleep widens the race window
+    /// the warm-key constraint must close.
+    fn fake_section(id: &str) -> ExpReport {
+        std::thread::sleep(Duration::from_millis(2));
+        fault::check_or_unwind(Site::Extract);
+        ExpReport::text_only(format!("section {id}\n"))
+    }
+
+    const fn fake(
         id: &'static str,
-        deps: &'static [&'static str],
-    }
-
-    impl Experiment for Fake {
-        fn id(&self) -> &'static str {
-            self.id
-        }
-        fn title(&self) -> &'static str {
-            self.id
-        }
-        fn tags(&self) -> &'static [&'static str] {
-            &["fake"]
-        }
-        fn depends_on_traces(&self) -> &'static [&'static str] {
-            self.deps
-        }
-        fn module(&self) -> &'static str {
-            module_path!()
-        }
-        fn run(&self, _ctx: &RunCtx) -> ExpReport {
-            // A tiny sleep widens the race window the warm-key
-            // constraint must close.
-            std::thread::sleep(Duration::from_millis(2));
-            fault::check_or_unwind(Site::Extract);
-            ExpReport::text_only(format!("section {}\n", self.id))
+        traces: &'static [&'static str],
+        run: fn(&RunCtx) -> ExpReport,
+    ) -> Experiment {
+        Experiment {
+            id,
+            title: id,
+            tags: &["fake"],
+            traces,
+            module: module_path!(),
+            run,
         }
     }
 
-    static A: Fake = Fake {
-        id: "a",
-        deps: &["k"],
-    };
-    static B: Fake = Fake {
-        id: "b",
-        deps: &["k"],
-    };
-    static C: Fake = Fake { id: "c", deps: &[] };
-    static D: Fake = Fake {
-        id: "d",
-        deps: &["k"],
-    };
+    static FAKES: [Experiment; 4] = [
+        fake("a", &["k"], |_| fake_section("a")),
+        fake("b", &["k"], |_| fake_section("b")),
+        fake("c", &[], |_| fake_section("c")),
+        fake("d", &["k"], |_| fake_section("d")),
+    ];
 
-    fn fakes() -> Vec<&'static dyn Experiment> {
-        vec![&A, &B, &C, &D]
+    fn fakes() -> Vec<&'static Experiment> {
+        FAKES.iter().collect()
     }
 
     fn opts(jobs: usize) -> SuiteOptions {

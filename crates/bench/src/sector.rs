@@ -9,7 +9,7 @@
 //! conventional small lines, conventional large lines, and the sector
 //! organisation — and prices their silicon with the cost model.
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcache::{Cache, CacheConfig, SectorCache, SectorConfig};
 use simtrace::workload::{builtin, WorkloadSpec};
@@ -173,25 +173,14 @@ pub fn report(n: usize) -> Result<String, TradeoffError> {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "sector"
-    }
-    fn title(&self) -> &'static str {
-        "Sector caches"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["extension", "measured"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
-        ExpReport::text_only(report(ctx.instructions).expect("canonical parameters valid"))
-    }
-}
+pub const EXP: Experiment = Experiment {
+    id: "sector",
+    title: "Sector caches",
+    tags: &["extension", "measured"],
+    traces: &[],
+    module: module_path!(),
+    run: |ctx| ExpReport::text_only(report(ctx.instructions).expect("canonical parameters valid")),
+};
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 //! memory.
 
 use crate::grid::{self, GridSpec};
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::{Artifact, Table};
 use simcache::explore::HitRatioPoint;
 use simtrace::workload::{builtins, WorkloadSpec};
@@ -180,25 +180,13 @@ pub fn measured_validation(results: &[WorkloadSweep]) -> String {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "sweep"
-    }
-    fn title(&self) -> &'static str {
-        "Design-space sweep"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["extension", "measured", "engine"]
-    }
-    fn depends_on_traces(&self) -> &'static [&'static str] {
-        &[crate::registry::traces::SWEEP7]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
+pub const EXP: Experiment = Experiment {
+    id: "sweep",
+    title: "Design-space sweep",
+    tags: &["extension", "measured", "engine"],
+    traces: &[crate::registry::traces::SWEEP7],
+    module: module_path!(),
+    run: |ctx| {
         let instructions = ctx.instructions;
         let grid = figure6(instructions as u64 / 5);
         let workloads: Vec<_> = builtins().iter().collect();
@@ -209,8 +197,8 @@ impl Experiment for Exp {
             section: out,
             artifacts: vec![artifact(&results)],
         }
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,7 @@
 //! EXP-T2 / EXP-T3 — Tables 2 and 3: stalling-factor bounds and the
 //! per-feature miss-traffic ratios of the write-allocate model.
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use tradeoff::equiv::miss_traffic_ratio;
 use tradeoff::stall::StallKind;
@@ -105,33 +105,25 @@ pub fn table3() -> Result<String, TradeoffError> {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "table23"
-    }
-    fn title(&self) -> &'static str {
-        "Tables 2 and 3"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["paper", "table", "analytic"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, _ctx: &RunCtx) -> ExpReport {
+pub const EXP: Experiment = Experiment {
+    id: "table23",
+    title: "Tables 2 and 3",
+    tags: &["paper", "table", "analytic"],
+    traces: &[],
+    module: module_path!(),
+    run: |_| {
         ExpReport::text_only(format!(
             "Table 2 (L/D = 8):\n{}\nTable 3 (write allocate):\n{}",
             table2(8.0),
             table3().expect("canonical parameters valid")
         ))
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::RunCtx;
 
     #[test]
     fn table2_lists_all_features() {
@@ -168,7 +160,7 @@ mod tests {
 
     #[test]
     fn report_renders_both_tables() {
-        let text = Exp.run(&RunCtx::standard()).section;
+        let text = (EXP.run)(&RunCtx::standard()).section;
         assert!(text.contains("Table 2"));
         assert!(text.contains("Table 3"));
         assert!(text.contains("β_p = β + q(L/D − 1)"));

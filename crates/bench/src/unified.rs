@@ -147,53 +147,42 @@ pub fn artifact(cfg: UnifiedConfig, curves: &[FeatureCurve]) -> Artifact {
     )
 }
 
-/// Registry entry for one unified figure.
-pub struct Exp(pub UnifiedConfig);
-
-/// Figure 3's registry entry.
-pub static EXP3: Exp = Exp(FIG3);
-/// Figure 4's registry entry.
-pub static EXP4: Exp = Exp(FIG4);
-/// Figure 5's registry entry.
-pub static EXP5: Exp = Exp(FIG5);
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        match self.0.figure {
-            3 => "fig3",
-            4 => "fig4",
-            _ => "fig5",
-        }
-    }
-    fn title(&self) -> &'static str {
-        match self.0.figure {
-            3 => "Figure 3",
-            4 => "Figure 4",
-            _ => "Figure 5",
-        }
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["paper", "figure", "measured"]
-    }
-    fn depends_on_traces(&self) -> &'static [&'static str] {
-        if self.0.line_bytes == 8 {
-            &[crate::registry::traces::SPEC_L8]
-        } else {
-            &[crate::registry::traces::SPEC_L32]
-        }
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
-        let curves =
-            run(self.0, &default_betas(), ctx.instructions).expect("canonical parameters valid");
-        ExpReport {
-            section: render(self.0, &curves),
-            artifacts: vec![artifact(self.0, &curves)],
-        }
+/// One unified figure's registry report.
+fn report(cfg: UnifiedConfig, ctx: &RunCtx) -> ExpReport {
+    let curves = run(cfg, &default_betas(), ctx.instructions).expect("canonical parameters valid");
+    ExpReport {
+        section: render(cfg, &curves),
+        artifacts: vec![artifact(cfg, &curves)],
     }
 }
+
+/// Figure 3's registry entry.
+pub const EXP3: Experiment = Experiment {
+    id: "fig3",
+    title: "Figure 3",
+    tags: &["paper", "figure", "measured"],
+    traces: &[crate::registry::traces::SPEC_L8],
+    module: module_path!(),
+    run: |ctx| report(FIG3, ctx),
+};
+/// Figure 4's registry entry.
+pub const EXP4: Experiment = Experiment {
+    id: "fig4",
+    title: "Figure 4",
+    tags: &["paper", "figure", "measured"],
+    traces: &[crate::registry::traces::SPEC_L32],
+    module: module_path!(),
+    run: |ctx| report(FIG4, ctx),
+};
+/// Figure 5's registry entry.
+pub const EXP5: Experiment = Experiment {
+    id: "fig5",
+    title: "Figure 5",
+    tags: &["paper", "figure", "measured"],
+    traces: &[crate::registry::traces::SPEC_L32],
+    module: module_path!(),
+    run: |ctx| report(FIG5, ctx),
+};
 
 #[cfg(test)]
 mod tests {
@@ -256,21 +245,5 @@ mod tests {
         assert!(text.contains("Figure 3"));
         assert_eq!(artifact(FIG3, &curves).name, "fig3.csv");
         assert_eq!(artifact(FIG5, &curves).name, "fig5.csv");
-    }
-
-    #[test]
-    fn registry_entries_cover_three_figures() {
-        use crate::registry::Experiment as _;
-        assert_eq!(EXP3.id(), "fig3");
-        assert_eq!(EXP4.id(), "fig4");
-        assert_eq!(EXP5.id(), "fig5");
-        assert_eq!(
-            EXP3.depends_on_traces(),
-            &[crate::registry::traces::SPEC_L8]
-        );
-        assert_eq!(
-            EXP5.depends_on_traces(),
-            &[crate::registry::traces::SPEC_L32]
-        );
     }
 }

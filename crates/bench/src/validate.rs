@@ -3,7 +3,7 @@
 //! verified *in the simulator*.
 
 use crate::common::run_spec;
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcpu::{predict_cycles, validation_error, StallFeature};
 use simtrace::workload::{builtins, WorkloadSpec};
@@ -77,28 +77,14 @@ pub fn render(rows: &[ValidationRow]) -> String {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "validate"
-    }
-    fn title(&self) -> &'static str {
-        "Model validation"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["paper", "measured", "validation"]
-    }
-    fn depends_on_traces(&self) -> &'static [&'static str] {
-        &[crate::registry::traces::SPEC_L32]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
-        ExpReport::text_only(render(&run(ctx.instructions)))
-    }
-}
+pub const EXP: Experiment = Experiment {
+    id: "validate",
+    title: "Model validation",
+    tags: &["paper", "measured", "validation"],
+    traces: &[crate::registry::traces::SPEC_L32],
+    module: module_path!(),
+    run: |ctx| ExpReport::text_only(render(&run(ctx.instructions))),
+};
 
 #[cfg(test)]
 mod tests {

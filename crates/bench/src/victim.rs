@@ -6,7 +6,7 @@
 //! the same axis as the Figure 3–5 feature curves and as doubling the
 //! associativity.
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcache::{Cache, CacheConfig, VictimCache};
 use simtrace::workload::{builtins, WorkloadSpec};
@@ -80,25 +80,14 @@ pub fn render(rows: &[VictimRow]) -> String {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "victim"
-    }
-    fn title(&self) -> &'static str {
-        "Victim buffers"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["extension", "measured"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
-        ExpReport::text_only(render(&run(8 * 1024, 4, ctx.instructions)))
-    }
-}
+pub const EXP: Experiment = Experiment {
+    id: "victim",
+    title: "Victim buffers",
+    tags: &["extension", "measured"],
+    traces: &[],
+    module: module_path!(),
+    run: |ctx| ExpReport::text_only(render(&run(8 * 1024, 4, ctx.instructions))),
+};
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,7 @@
 //! exactly.
 
 use crate::common::figure1_cache;
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcache::WriteMiss;
 use simcpu::{validation_error, Cpu, CpuConfig, SimResult};
@@ -87,25 +87,14 @@ pub fn render(rows: &[PolicyComparison]) -> String {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "writemiss"
-    }
-    fn title(&self) -> &'static str {
-        "Write-miss policy ablation"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["extension", "measured"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, ctx: &RunCtx) -> ExpReport {
-        ExpReport::text_only(render(&run(8, ctx.instructions)))
-    }
-}
+pub const EXP: Experiment = Experiment {
+    id: "writemiss",
+    title: "Write-miss policy ablation",
+    tags: &["extension", "measured"],
+    traces: &[],
+    module: module_path!(),
+    run: |ctx| ExpReport::text_only(render(&run(8, ctx.instructions))),
+};
 
 #[cfg(test)]
 mod tests {

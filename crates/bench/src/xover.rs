@@ -1,7 +1,7 @@
 //! EXP-X1 — Section 5.3's crossover points: where pipelined memory
 //! overtakes the other features.
 
-use crate::registry::{ExpReport, Experiment, RunCtx};
+use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use tradeoff::crossover::{find_crossover, pipelined_vs_double_bus, pipelined_vs_write_buffers};
 use tradeoff::{Machine, SystemConfig, TradeoffError};
@@ -74,31 +74,23 @@ pub fn render(rows: &[Crossover]) -> String {
 }
 
 /// Registry entry for this experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn id(&self) -> &'static str {
-        "xover"
-    }
-    fn title(&self) -> &'static str {
-        "Crossover points"
-    }
-    fn tags(&self) -> &'static [&'static str] {
-        &["paper", "analytic"]
-    }
-    fn module(&self) -> &'static str {
-        module_path!()
-    }
-    fn run(&self, _ctx: &RunCtx) -> ExpReport {
+pub const EXP: Experiment = Experiment {
+    id: "xover",
+    title: "Crossover points",
+    tags: &["paper", "analytic"],
+    traces: &[],
+    module: module_path!(),
+    run: |_| {
         let rows =
             run(&[2.0, 4.0, 8.0, 16.0], &[1.0, 2.0, 4.0]).expect("canonical parameters valid");
         ExpReport::text_only(render(&rows))
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::RunCtx;
 
     #[test]
     fn paper_quoted_crossover_for_l32_q2() {
@@ -135,7 +127,7 @@ mod tests {
 
     #[test]
     fn render_lists_grid() {
-        let text = Exp.run(&RunCtx::standard()).section;
+        let text = (EXP.run)(&RunCtx::standard()).section;
         assert!(text.contains("never"), "L/D=2 row shows no crossover");
         assert!(text.contains("β* vs doubling bus"));
     }

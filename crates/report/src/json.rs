@@ -14,7 +14,6 @@
 //! and parsing depth is bounded to keep hostile request bodies from
 //! recursing the stack.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Maximum nesting depth [`Json::parse`] accepts.
@@ -176,15 +175,6 @@ impl Json {
                 }
                 out.push('}');
             }
-        }
-    }
-
-    /// A sorted (key → rendered value) view of an object, for tests and
-    /// diffing; non-objects yield an empty map.
-    pub fn sorted_entries(&self) -> BTreeMap<String, String> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().map(|(k, v)| (k.clone(), v.render())).collect(),
-            _ => BTreeMap::new(),
         }
     }
 }

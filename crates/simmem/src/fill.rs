@@ -50,11 +50,6 @@ impl FillSchedule {
         self.line
     }
 
-    /// Absolute cycle the fill started.
-    pub fn started_at(&self) -> u64 {
-        self.start
-    }
-
     /// Number of bus chunks in the line.
     pub fn chunks(&self) -> u64 {
         (self.line_bytes / self.chunk_bytes).max(1)

@@ -159,12 +159,6 @@ impl MemoryTiming {
         self
     }
 
-    /// Returns a non-pipelined variant.
-    pub fn non_pipelined(mut self) -> Self {
-        self.q = None;
-        self
-    }
-
     /// Page-mode DRAM: the first chunk of a line pays the full row access
     /// `row_miss`, subsequent same-row chunks stream at `row_hit`.
     ///
@@ -262,12 +256,6 @@ impl MemoryTiming {
             None => (i + 1) * self.beta_m,
             Some(q) => self.beta_m + i * q,
         }
-    }
-
-    /// Cycles for a single `D`-byte (or smaller) transfer — the service
-    /// time of a write-around store.
-    pub fn single_transfer_time(&self) -> u64 {
-        self.beta_m
     }
 
     /// Relaxes the paper's assumption 5 (equal read and write cycle

@@ -662,7 +662,7 @@ impl QueryRequest {
                     hr: p.f64("hr", None)?,
                     alpha: p.f64("alpha", Some(d.alpha))?,
                     q: p.f64("q", Some(d.q))?,
-                    width: p.u64("width", Some(u64::from(d.width)))? as u32,
+                    width: p.u32("width", d.width)?,
                 }))
             }
             "crossover" => {
@@ -787,7 +787,7 @@ impl QueryRequest {
                     instructions: p.u64("instructions", Some(d.instructions as u64))? as usize,
                     target: p.f64("target", Some(d.target))?,
                     max_sets: p.u64("sets", Some(d.max_sets))?,
-                    max_assoc: p.u64("assoc", Some(u64::from(d.max_assoc)))? as u32,
+                    max_assoc: p.u32("assoc", d.max_assoc)?,
                     programs,
                     workloads,
                 }))
@@ -974,6 +974,14 @@ impl Params<'_> {
                 default.ok_or_else(|| ApiError::bad_request(format!("missing required \"{key}\"")))
             }
         }
+    }
+
+    /// [`Params::u64`], rejecting values that do not fit a `u32`
+    /// instead of truncating them.
+    fn u32(&self, key: &str, default: u32) -> Result<u32, ApiError> {
+        let v = self.u64(key, Some(u64::from(default)))?;
+        u32::try_from(v)
+            .map_err(|_| ApiError::bad_request(format!("\"{key}\" must be at most {}", u32::MAX)))
     }
 
     fn required_str(&self, key: &str) -> Result<&str, ApiError> {
@@ -1762,6 +1770,24 @@ mod tests {
             assert_eq!(err.kind, ApiErrorKind::BadRequest, "{bad}");
             assert_eq!(err.kind.exit_code(), 2);
             assert_eq!(err.kind.http_status(), 400);
+        }
+    }
+
+    #[test]
+    fn oversized_u32_fields_are_rejected_not_truncated() {
+        // 2^32 + 1 must be refused, not wrapped to 1.
+        for (wire, key) in [
+            (
+                "{\"query\":\"grid\",\"backend\":\"analytic\",\"assoc\":4294967297,\"programs\":[\"ear\"],\"instructions\":20000}",
+                "assoc",
+            ),
+            ("{\"query\":\"price\",\"hr\":0.95,\"width\":4294967297}", "width"),
+        ] {
+            let err = QueryRequest::from_json_str(wire).unwrap_err();
+            assert_eq!(err.kind, ApiErrorKind::BadRequest, "{wire}");
+            assert_eq!(err.kind.http_status(), 400);
+            assert_eq!(err.kind.exit_code(), 2);
+            assert!(err.message.contains(&format!("\"{key}\"")), "{err}");
         }
     }
 

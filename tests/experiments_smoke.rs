@@ -7,13 +7,13 @@ use bench::unified::{FIG3, FIG4, FIG5};
 /// Renders one experiment's section at the standard context without
 /// writing its artifacts: only `exp <id>` and the suite runners write
 /// `results/`, so a test run never masks a stale committed artifact.
-fn section(exp: &dyn Experiment) -> String {
-    exp.run(&RunCtx::standard()).section
+fn section(exp: &Experiment) -> String {
+    (exp.run)(&RunCtx::standard()).section
 }
 
 #[test]
 fn tables_2_and_3_render() {
-    let text = section(&bench::table23::Exp);
+    let text = section(&bench::table23::EXP);
     assert!(text.contains("Table 2") && text.contains("Table 3"));
     assert!(text.contains("doubling bus"));
 }
@@ -29,7 +29,7 @@ fn figure1_small_run_has_ordered_curves() {
 
 #[test]
 fn figure2_report_renders_both_panels() {
-    let text = section(&bench::fig2::Exp);
+    let text = section(&bench::fig2::EXP);
     assert_eq!(text.matches("Figure 2").count(), 2);
     assert!(text.contains("L=8") && text.contains("L=32"));
 }
@@ -46,7 +46,7 @@ fn unified_figures_render() {
 
 #[test]
 fn figure6_report_validates() {
-    let text = section(&bench::fig6::Exp);
+    let text = section(&bench::fig6::EXP);
     assert!(text.contains("(a)") && text.contains("(d)"));
     assert!(
         !text.contains("false"),
@@ -56,8 +56,8 @@ fn figure6_report_validates() {
 
 #[test]
 fn example1_crossover_linesize_validate_render() {
-    assert!(section(&bench::example1::Exp).contains("Case 2"));
-    assert!(section(&bench::xover::Exp).contains("never"));
+    assert!(section(&bench::example1::EXP).contains("Case 2"));
+    assert!(section(&bench::xover::EXP).contains("never"));
     let v = bench::validate::run(4_000);
     assert!(v.iter().all(|r| r.rel_error < 1e-9));
 }

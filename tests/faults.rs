@@ -85,7 +85,7 @@ fn serial_and_parallel_degraded_runs_are_byte_identical() {
 
 #[test]
 fn transient_faults_retry_to_a_byte_identical_document() {
-    let selection = bench::registry::matching("fig2");
+    let selection = bench::registry::matching("fig2").unwrap();
     let clean = {
         let _armed = fault::arm(FaultPlan::new());
         run_suite(&selection, &fast_retry(opts(1)))
@@ -121,7 +121,7 @@ fn a_poisoned_store_lock_is_recovered_and_retried() {
     // lock site unwinds while the store mutex is held, poisoning it. The
     // retry must recover the lock (clearing the wedged map) and succeed.
     let before = bench::tracestore::poison_recoveries();
-    let selection = bench::registry::matching("fig1");
+    let selection = bench::registry::matching("fig1").unwrap();
     let run = {
         let _armed = fault::arm(FaultPlan::new().with(Site::Lock, "fig1", FaultKind::Io, 1));
         run_suite(&selection, &fast_retry(opts(1)))

@@ -6,46 +6,49 @@ use bench::registry::{self, RunCtx};
 use bench::sched::{run_suite, SuiteOptions};
 use std::collections::HashSet;
 
-/// The section order and titles of the seed `run_all` binary. The
-/// registry must keep printing the suite exactly like this.
-const SEED_ORDER: [(&str, &str); 28] = [
-    ("table23", "Tables 2 and 3"),
-    ("fig1", "Figure 1"),
-    ("fig2", "Figure 2"),
-    ("fig3", "Figure 3"),
-    ("fig4", "Figure 4"),
-    ("fig5", "Figure 5"),
-    ("fig6", "Figure 6"),
-    ("example1", "Example 1"),
-    ("xover", "Crossover points"),
-    ("linesize", "Line-size analysis"),
-    ("validate", "Model validation"),
-    ("mi", "Multi-issue extension"),
-    ("prefetch", "Prefetch pricing"),
-    ("writemiss", "Write-miss policy ablation"),
-    ("alpha", "Flush-ratio ablation"),
-    ("l2", "L2 extension"),
-    ("cost", "Pins vs silicon"),
-    ("missdist", "Miss-distance profiles"),
-    ("phases", "Per-phase profiles"),
-    ("sector", "Sector caches"),
-    ("victim", "Victim buffers"),
-    ("assoc", "Associativity & replacement"),
-    ("context", "Multiprogramming"),
-    ("assumptions", "Assumption audit"),
-    ("nb", "Non-blocking cache"),
-    ("reuse", "Reuse-distance fingerprints"),
-    ("sweep", "Design-space sweep"),
-    ("grid", "Analytic miss-ratio grid"),
+/// The section order and titles of the seed `run_all` binary, with
+/// each entry's filter tags and shared trace-store keys, as
+/// `id|title|tags|traces` (lists comma-joined). The registry must keep
+/// printing the suite exactly like this, and the listings (`exp list`,
+/// the `experiments` query) must keep these fields.
+const SEED_ORDER: [&str; 28] = [
+    "table23|Tables 2 and 3|paper,table,analytic|",
+    "fig1|Figure 1|paper,figure,measured|spec@l32",
+    "fig2|Figure 2|paper,figure,analytic|",
+    "fig3|Figure 3|paper,figure,measured|spec@l8",
+    "fig4|Figure 4|paper,figure,measured|spec@l32",
+    "fig5|Figure 5|paper,figure,measured|spec@l32",
+    "fig6|Figure 6|paper,figure,analytic,validation|",
+    "example1|Example 1|paper,analytic|",
+    "xover|Crossover points|paper,analytic|",
+    "linesize|Line-size analysis|paper,measured,analytic|sweep@7",
+    "validate|Model validation|paper,measured,validation|spec@l32",
+    "mi|Multi-issue extension|extension,measured|",
+    "prefetch|Prefetch pricing|extension,measured|",
+    "writemiss|Write-miss policy ablation|extension,measured|",
+    "alpha|Flush-ratio ablation|paper,analytic|",
+    "l2|L2 extension|extension,measured|",
+    "cost|Pins vs silicon|paper,analytic|",
+    "missdist|Miss-distance profiles|extension,measured|",
+    "phases|Per-phase profiles|extension,measured|",
+    "sector|Sector caches|extension,measured|",
+    "victim|Victim buffers|extension,measured|",
+    "assoc|Associativity & replacement|extension,measured|",
+    "context|Multiprogramming|extension,measured|",
+    "assumptions|Assumption audit|extension,measured,validation|",
+    "nb|Non-blocking cache|extension,measured|spec@l32",
+    "reuse|Reuse-distance fingerprints|extension,measured|",
+    "sweep|Design-space sweep|extension,measured,engine|sweep@7",
+    "grid|Analytic miss-ratio grid|extension,measured,engine,analytic|sweep@7",
 ];
 
 #[test]
 fn registry_matches_seed_order_and_titles() {
     let all = registry::all();
     assert_eq!(all.len(), SEED_ORDER.len());
-    for (e, (id, title)) in all.iter().zip(SEED_ORDER) {
-        assert_eq!(e.id(), id);
-        assert_eq!(e.title(), title);
+    for (e, seed) in all.iter().zip(SEED_ORDER) {
+        let record = [e.id, e.title, &e.tags.join(","), &e.traces.join(",")].join("|");
+        assert_eq!(record, seed);
     }
 }
 
@@ -53,7 +56,7 @@ fn registry_matches_seed_order_and_titles() {
 fn ids_are_unique() {
     let mut seen = HashSet::new();
     for e in registry::all() {
-        assert!(seen.insert(e.id()), "duplicate id {}", e.id());
+        assert!(seen.insert(e.id), "duplicate id {}", e.id);
     }
 }
 
@@ -90,7 +93,7 @@ fn every_experiment_module_is_registered_exactly_once() {
     let registered: Vec<String> = registry::all()
         .iter()
         .map(|e| {
-            e.module()
+            e.module
                 .strip_prefix("bench::")
                 .expect("module path rooted in bench")
                 .to_string()
@@ -112,8 +115,8 @@ fn serial_and_parallel_suite_documents_are_identical() {
     // exercising the warm-key scheduling across real experiments; the
     // shared-trace subset covers every declared store key.
     let selection: Vec<_> = registry::all()
-        .into_iter()
-        .filter(|e| !e.depends_on_traces().is_empty())
+        .iter()
+        .filter(|e| !e.traces.is_empty())
         .collect();
     assert!(
         selection.len() >= 6,
@@ -125,6 +128,6 @@ fn serial_and_parallel_suite_documents_are_identical() {
     assert_eq!(serial.document(), parallel.document());
     let footer = parallel.footer();
     for e in &selection {
-        assert!(footer.contains(e.id()), "footer missing {}", e.id());
+        assert!(footer.contains(e.id), "footer missing {}", e.id);
     }
 }

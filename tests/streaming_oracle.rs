@@ -135,8 +135,8 @@ fn streamed_suite_documents_match_serially_and_in_parallel() {
     // fold engine; their documents and artifacts must not depend on the
     // worker count.
     let selection: Vec<_> = bench::registry::all()
-        .into_iter()
-        .filter(|e| e.id() == "fig1" || e.id() == "sweep" || e.id() == "fig6")
+        .iter()
+        .filter(|e| e.id == "fig1" || e.id == "sweep" || e.id == "fig6")
         .collect();
     assert_eq!(selection.len(), 3);
     let serial = {
@@ -162,8 +162,8 @@ fn streamed_suite_survives_an_armed_fault_plan_byte_identically() {
             .with(Site::Extract, "sweep", FaultKind::Io, 1)
     };
     let selection: Vec<_> = bench::registry::all()
-        .into_iter()
-        .filter(|e| e.id() == "fig1" || e.id() == "sweep")
+        .iter()
+        .filter(|e| e.id == "fig1" || e.id == "sweep")
         .collect();
     let clean = {
         let _armed = fault::arm(FaultPlan::new());
