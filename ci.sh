@@ -54,9 +54,12 @@
 #                    hashes to the id the registry serves; builtins stay
 #                    bit-identical to the reference constructors in
 #                    tests/workloads.rs)
-#   ./ci.sh loc      print the tracked Rust line count outside
-#                    perfbench/ (no build), the figure each change
-#                    reports its net line delta against
+#   ./ci.sh loc      print the tracked Rust line counts outside
+#                    perfbench/ (no build), the figures each change
+#                    reports its net line deltas against: product
+#                    lines (files outside any tests/ directory, each
+#                    cut at its first top-level #[cfg(test)]), test
+#                    lines (the rest) and their total
 #
 # Exit codes: 0 green, 1 failure, 2 usage, 3 manifest drift,
 # 4 chaos worker death (the pool shrank), 5 chaos shed-policy drift
@@ -358,7 +361,12 @@ workloads_check() {
 
 case "${1:-}" in
     loc)
-        git ls-files -z '*.rs' ':!perfbench' | xargs -0 cat | wc -l
+        total="$(git ls-files -z '*.rs' ':!perfbench' | xargs -0 cat | wc -l)"
+        product="$(git ls-files -z '*.rs' ':!perfbench' ':(exclude,glob)**/tests/**' \
+            | xargs -0 awk 'FNR == 1 { cut = 0 } /^#\[cfg\(test\)\]/ { cut = 1 } !cut { n++ } END { print n + 0 }')"
+        echo "product $product"
+        echo "test $((total - product))"
+        echo "total $total"
         exit 0
         ;;
     manifest|faults|stream|analytic|serve|chaos|workloads)

@@ -11,7 +11,7 @@
 use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcache::CacheConfig;
-use simcpu::{CpuConfig, MissTimeline, SimResult, StallFeature, TimelineCpu};
+use simcpu::{Cpu, CpuConfig, SimResult, StallFeature};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::gen::{StridedSweep, TraceShape, WorkingSet, ZipfWorkingSet};
 use simtrace::phases::{Phase, PhasedPattern};
@@ -91,49 +91,36 @@ fn delta(name: &'static str, before: &SimResult, after: &SimResult) -> PhaseWind
     }
 }
 
-fn phase_cache() -> CacheConfig {
-    CacheConfig::new(8 * 1024, 32, 2).expect("valid cache")
-}
-
 fn phase_config(beta: u64) -> CpuConfig {
     CpuConfig::baseline(
-        phase_cache(),
+        CacheConfig::new(8 * 1024, 32, 2).expect("valid cache"),
         MemoryTiming::new(BusWidth::new(4).expect("valid bus"), beta),
     )
     .with_stall(StallFeature::BusLocked)
 }
 
-/// The experiment's trace — one warm-up cycle plus the three measured
-/// phases — cut right after its `6 · PHASE_REFS`-th data reference,
-/// exactly where the measurement stops.
-fn experiment_trace() -> Vec<Instr> {
-    let mut trace = Vec::new();
+/// Runs one full phase cycle under BL stalling and measures per-phase
+/// windows. The trace interleaves non-memory instructions, so windows
+/// are delimited by *reference* counts: the simulator is snapshotted
+/// right after data references 3, 4, 5 and 6 × [`PHASE_REFS`], and the
+/// run stops at the last of them. Warm-up is one full phase cycle (the
+/// first three phases).
+pub fn run(beta: u64) -> Vec<PhaseWindow> {
+    let mut cpu = Cpu::new(phase_config(beta));
+    let mut snaps = Vec::with_capacity(4);
     let mut refs = 0;
     for instr in phased_trace(0x9A5E) {
-        trace.push(instr);
+        cpu.step(&instr);
         if instr.mem.is_some() {
             refs += 1;
-            if refs == 6 * PHASE_REFS {
-                break;
+            if refs >= 3 * PHASE_REFS && refs % PHASE_REFS == 0 {
+                snaps.push(cpu.snapshot());
+                if refs == 6 * PHASE_REFS {
+                    break;
+                }
             }
         }
     }
-    trace
-}
-
-/// Runs one full phase cycle under BL stalling and measures per-phase
-/// windows over the trace's [`MissTimeline`] (about 36 k data
-/// references, extracted per call). The trace interleaves non-memory instructions, so windows
-/// are delimited by *reference* counts: the timeline replay snapshots
-/// the accumulated result at each phase boundary, bit-identical to
-/// stepping the full simulator to the same reference counts (asserted
-/// by `run_matches_full_simulation` below). Warm-up is one full phase
-/// cycle (the first three marks fall inside it).
-pub fn run(beta: u64) -> Vec<PhaseWindow> {
-    let timeline = MissTimeline::extract(phase_cache(), experiment_trace());
-    let replay = TimelineCpu::new(&timeline, phase_config(beta)).expect("phase replay supported");
-    let marks: Vec<u64> = (3..=6).map(|k| k * PHASE_REFS).collect();
-    let (snaps, _) = replay.run_with_marks(&marks);
     ["sweep", "gather", "hot loop"]
         .into_iter()
         .zip(snaps.windows(2))
@@ -215,43 +202,6 @@ mod tests {
         let spread = alphas.iter().cloned().fold(f64::MIN, f64::max)
             - alphas.iter().cloned().fold(f64::MAX, f64::min);
         assert!(spread > 0.1, "phases should differ in α: {alphas:?}");
-    }
-
-    #[test]
-    fn run_matches_full_simulation() {
-        // Oracle: the pre-timeline implementation — step the full
-        // simulator through warm-up and the three windows, snapshotting
-        // at the same reference boundaries.
-        for beta in [8, 22] {
-            let mut cpu = simcpu::Cpu::new(phase_config(beta));
-            let mut trace = phased_trace(0x9A5E);
-            let mut refs = 0;
-            for instr in trace.by_ref() {
-                cpu.step(&instr);
-                if instr.mem.is_some() {
-                    refs += 1;
-                    if refs == 3 * PHASE_REFS {
-                        break;
-                    }
-                }
-            }
-            let mut oracle = Vec::new();
-            for name in ["sweep", "gather", "hot loop"] {
-                let before = cpu.snapshot();
-                let mut refs = 0;
-                for instr in trace.by_ref() {
-                    cpu.step(&instr);
-                    if instr.mem.is_some() {
-                        refs += 1;
-                        if refs == PHASE_REFS {
-                            break;
-                        }
-                    }
-                }
-                oracle.push(delta(name, &before, &cpu.snapshot()));
-            }
-            assert_eq!(run(beta), oracle, "β = {beta}");
-        }
     }
 
     #[test]

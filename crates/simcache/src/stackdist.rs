@@ -338,13 +338,7 @@ impl StackDistSweep {
     /// warm-up clock only, exactly like
     /// [`crate::explore::measure_dcache`].
     pub fn process(&mut self, instr: Instr) {
-        if let Some(mem) = instr.mem {
-            self.access(mem.op, mem.addr.raw() >> self.line_shift);
-        }
-        self.instrs += 1;
-        if self.instrs == self.warmup {
-            self.warm_base = Some(self.totals.clone());
-        }
+        self.process_slice(std::slice::from_ref(&instr));
     }
 
     /// Feeds a block of instructions — the streaming-chunk entry point,

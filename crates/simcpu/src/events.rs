@@ -14,7 +14,7 @@
 //!
 //! Timing is *not* purely a function of the misses: a hit issued while a
 //! line streams in pays a conflict stall under BL/BNL/NB (Table 2). The
-//! timeline therefore records every hit between fills (an [`Echo`]), and
+//! timeline therefore records every hit between fills (an *echo*), and
 //! the replay walks an event's echoes only while a fill is still in
 //! flight — the first echo past the fill's completion fence ends the
 //! scan, so the replayed work is `O(events)` in practice while storage
@@ -49,30 +49,10 @@ pub struct MissEvent {
     /// index) must be stored because the critical-word-first delivery
     /// order depends on the bus width, which is unknown until replay.
     pub addr: Addr,
-    /// The miss was a store (write-allocate pulls the line either way).
-    pub store: bool,
     /// A dirty victim must be flushed behind this fill.
     pub writeback: bool,
     /// Start of this event's echo range in [`MissTimeline`]'s echo list.
     pub echo_start: u32,
-}
-
-/// A hit access between two fills ("echo" of the surrounding misses):
-/// timing-relevant only while a fill is in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Echo {
-    /// 1-based index of the instruction performing the access.
-    pub instr: u64,
-    /// Full byte address (chunk index depends on the replay bus width).
-    pub addr: Addr,
-    /// The access was a store.
-    pub store: bool,
-}
-
-impl Echo {
-    fn from_ref(instr: u64, addr: Addr, store: bool) -> Self {
-        Echo { instr, addr, store }
-    }
 }
 
 /// Streaming timeline extraction: feed instructions (or whole chunks)
@@ -90,8 +70,6 @@ pub struct MissTimelineBuilder {
     events: Vec<MissEvent>,
     echo_instrs: Vec<u64>,
     echo_addrs: Vec<Addr>,
-    echo_stores: Vec<bool>,
-    prelude: Vec<Echo>,
     miss_distance_hist: [u64; 20],
     last_fill_instr: Option<u64>,
     instructions: u64,
@@ -114,8 +92,6 @@ impl MissTimelineBuilder {
             events: Vec::new(),
             echo_instrs: Vec::new(),
             echo_addrs: Vec::new(),
-            echo_stores: Vec::new(),
-            prelude: Vec::new(),
             miss_distance_hist: [0u64; 20],
             last_fill_instr: None,
             instructions: 0,
@@ -142,23 +118,15 @@ impl MissTimelineBuilder {
             self.events.push(MissEvent {
                 instr: self.instructions,
                 addr: mref.addr,
-                store: mref.op.is_store(),
                 writeback: out.writeback.is_some(),
                 echo_start,
             });
         } else {
             debug_assert!(out.hit, "a write-allocate access either hits or fills");
-            if self.events.is_empty() {
-                // Hits before the first fill can never stall.
-                self.prelude.push(Echo::from_ref(
-                    self.instructions,
-                    mref.addr,
-                    mref.op.is_store(),
-                ));
-            } else {
+            // Hits before the first fill can never stall.
+            if !self.events.is_empty() {
                 self.echo_instrs.push(self.instructions);
                 self.echo_addrs.push(mref.addr);
-                self.echo_stores.push(mref.op.is_store());
             }
         }
     }
@@ -175,16 +143,19 @@ impl MissTimelineBuilder {
         self.instructions
     }
 
-    /// Seals the extraction into an immutable [`MissTimeline`].
-    pub fn finish(self) -> MissTimeline {
+    /// Seals the extraction into an immutable [`MissTimeline`], its
+    /// arrays shrunk to fit (pushing leaves up to twice their length
+    /// allocated).
+    pub fn finish(mut self) -> MissTimeline {
+        self.events.shrink_to_fit();
+        self.echo_instrs.shrink_to_fit();
+        self.echo_addrs.shrink_to_fit();
         MissTimeline {
             cache: self.cache,
             instructions: self.instructions,
             events: self.events,
             echo_instrs: self.echo_instrs,
             echo_addrs: self.echo_addrs,
-            echo_stores: self.echo_stores,
-            prelude: self.prelude,
             stats: *self.sim.stats(),
             miss_distance_hist: self.miss_distance_hist,
         }
@@ -196,9 +167,9 @@ impl MissTimelineBuilder {
 ///
 /// Echoes are stored structure-of-arrays: the replay's fence scan reads
 /// only the sorted instruction-index array (enabling the binary-search
-/// window cut in [`TimelineCpu::run`]), addresses are touched only for
-/// echoes that actually stall-check, and the store flags only by the
-/// marks walk — 17 bytes per echo instead of a 24-byte record.
+/// window cut in [`TimelineCpu::run`]) and addresses are touched only
+/// for echoes that actually stall-check — 16 bytes per echo. Hits
+/// before the first fill can never stall and are not stored.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MissTimeline {
     cache: CacheConfig,
@@ -210,10 +181,6 @@ pub struct MissTimeline {
     echo_instrs: Vec<u64>,
     /// Echo byte addresses, parallel to `echo_instrs`.
     echo_addrs: Vec<Addr>,
-    /// Echo store flags, parallel to `echo_instrs`.
-    echo_stores: Vec<bool>,
-    /// Hits before the first fill; they can never stall.
-    prelude: Vec<Echo>,
     stats: CacheStats,
     miss_distance_hist: [u64; 20],
 }
@@ -274,14 +241,13 @@ impl MissTimeline {
         self.stats.accesses()
     }
 
-    /// Approximate heap footprint, for the trace-store byte budget.
+    /// Heap footprint — every allocated array element, not just the
+    /// used ones — for the trace-store byte budget.
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
-        self.events.len() * size_of::<MissEvent>()
-            + self.echo_instrs.len() * size_of::<u64>()
-            + self.echo_addrs.len() * size_of::<Addr>()
-            + self.echo_stores.len() * size_of::<bool>()
-            + self.prelude.len() * size_of::<Echo>()
+        self.events.capacity() * size_of::<MissEvent>()
+            + self.echo_instrs.capacity() * size_of::<u64>()
+            + self.echo_addrs.capacity() * size_of::<Addr>()
             + size_of::<Self>()
     }
 
@@ -302,11 +268,7 @@ impl MissTimeline {
 /// Replays a [`MissTimeline`] under one timing configuration.
 ///
 /// Construction validates the configuration; [`TimelineCpu::run`]
-/// produces the final [`SimResult`] and
-/// [`TimelineCpu::run_with_marks`] additionally snapshots the
-/// accumulated result at given data-reference counts (the windowed /
-/// per-phase measurement [`Cpu::snapshot`](crate::Cpu::snapshot)
-/// provides in the full simulator).
+/// produces the final [`SimResult`].
 #[derive(Debug, Clone)]
 pub struct TimelineCpu<'a> {
     timeline: &'a MissTimeline,
@@ -604,94 +566,7 @@ impl<'a> TimelineCpu<'a> {
             }
         }
         st.advance(self.timeline.instructions);
-        self.result(&st, self.timeline.stats, self.timeline.miss_distance_hist)
-    }
-
-    /// Replays the event stream, snapshotting the accumulated result
-    /// after the `m`-th data reference for each mark `m` (ascending), as
-    /// `Cpu::snapshot` would at the same reference boundaries. Returns
-    /// the snapshots and the final result.
-    ///
-    /// Unlike [`TimelineCpu::run`], every reference is walked (the marks
-    /// are counted in references), so this costs `O(references)` — still
-    /// without any cache work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `marks` is not ascending or exceeds the total number of
-    /// data references in the timeline.
-    pub fn run_with_marks(&self, marks: &[u64]) -> (Vec<SimResult>, SimResult) {
-        assert!(
-            marks.windows(2).all(|w| w[0] < w[1]),
-            "marks must be strictly ascending"
-        );
-        let mut st = ReplayState::new(&self.cfg);
-        let mshrs = self.mshrs();
-        let mut snapshots = Vec::with_capacity(marks.len());
-        let mut next_mark = marks.iter().copied().peekable();
-        let mut refs = 0u64;
-        let mut stats = CacheStats::default();
-        let mut hist = [0u64; 20];
-        let mut last_fill_instr = None;
-
-        let mut after_ref =
-            |st: &ReplayState, stats: &CacheStats, hist: &[u64; 20], refs: &mut u64| {
-                *refs += 1;
-                if next_mark.peek() == Some(refs) {
-                    next_mark.next();
-                    snapshots.push(self.result(st, *stats, *hist));
-                }
-            };
-
-        for echo in &self.timeline.prelude {
-            st.advance(echo.instr);
-            if echo.store {
-                stats.store_hits += 1;
-            } else {
-                stats.load_hits += 1;
-            }
-            after_ref(&st, &stats, &hist, &mut refs);
-        }
-        for (i, event) in self.timeline.events.iter().enumerate() {
-            st.process_event(&self.cfg, mshrs, event);
-            if let Some(last) = last_fill_instr {
-                hist[SimResult::distance_bucket(event.instr - last)] += 1;
-            }
-            last_fill_instr = Some(event.instr);
-            if event.store {
-                stats.store_misses += 1;
-            } else {
-                stats.load_misses += 1;
-            }
-            stats.fills += 1;
-            stats.writebacks += u64::from(event.writeback);
-            after_ref(&st, &stats, &hist, &mut refs);
-            let (start, end) = self.echo_bounds(i);
-            for j in start..end {
-                st.process_echo(
-                    self.cfg.stall,
-                    self.timeline.echo_instrs[j],
-                    self.timeline.echo_addrs[j],
-                );
-                if self.timeline.echo_stores[j] {
-                    stats.store_hits += 1;
-                } else {
-                    stats.load_hits += 1;
-                }
-                after_ref(&st, &stats, &hist, &mut refs);
-            }
-        }
-        assert!(
-            next_mark.peek().is_none(),
-            "marks exceed the timeline's {refs} data references"
-        );
-        st.advance(self.timeline.instructions);
-        debug_assert_eq!(stats, self.timeline.stats);
-        let final_result = self.result(&st, stats, hist);
-        (snapshots, final_result)
-    }
-
-    fn result(&self, st: &ReplayState, dcache: CacheStats, hist: [u64; 20]) -> SimResult {
+        let dcache = self.timeline.stats;
         SimResult {
             cycles: st.cycle,
             instructions: st.instr,
@@ -706,7 +581,7 @@ impl<'a> TimelineCpu<'a> {
             ifetch_stall_cycles: 0,
             line_bytes: self.cfg.dcache.line_bytes(),
             beta_m: self.cfg.timing.beta_m(),
-            miss_distance_hist: hist,
+            miss_distance_hist: self.timeline.miss_distance_hist,
         }
     }
 }
@@ -847,35 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn marks_reproduce_cpu_snapshots() {
-        let trace = trace("wave5");
-        let tl = MissTimeline::extract(cache(), trace.iter().copied());
-        let cfg = CpuConfig::baseline(cache(), MemoryTiming::new(BusWidth::new(4).unwrap(), 8))
-            .with_stall(StallFeature::BusLocked);
-        let total_refs = tl.references();
-        let marks = [total_refs / 4, total_refs / 2, total_refs];
-        let (snaps, fin) = TimelineCpu::new(&tl, cfg).unwrap().run_with_marks(&marks);
-
-        // Oracle: step the full simulator to the same reference counts.
-        let mut cpu = Cpu::new(cfg);
-        let mut refs = 0u64;
-        let mut mark_iter = marks.iter().copied().peekable();
-        let mut oracle = Vec::new();
-        for instr in &trace {
-            cpu.step(instr);
-            if instr.mem.is_some() {
-                refs += 1;
-                if mark_iter.peek() == Some(&refs) {
-                    mark_iter.next();
-                    oracle.push(cpu.snapshot());
-                }
-            }
-        }
-        assert_eq!(snaps, oracle);
-        assert_eq!(fin, cpu.finish());
-    }
-
-    #[test]
     fn empty_and_missless_traces_replay() {
         let tl = MissTimeline::extract(cache(), std::iter::empty());
         let cfg = CpuConfig::baseline(cache(), MemoryTiming::new(BusWidth::new(4).unwrap(), 8));
@@ -901,11 +747,31 @@ mod tests {
         let tl = MissTimeline::extract(cache(), trace("ear"));
         let echoes = tl.echo_instrs.len();
         assert!(tl.event_count() > 0 && echoes > 0);
+        // `finish` shrinks the arrays, so the footprint is exact.
         assert_eq!(
             tl.bytes() - empty.bytes(),
             tl.event_count() * size_of::<MissEvent>()
-                + echoes * (size_of::<u64>() + size_of::<Addr>() + size_of::<bool>())
-                + tl.prelude.len() * size_of::<Echo>()
+                + echoes * (size_of::<u64>() + size_of::<Addr>())
         );
+    }
+
+    #[test]
+    fn byte_footprint_counts_every_allocated_element() {
+        use std::mem::size_of;
+        let mut tl = MissTimeline::extract(cache(), trace("ear"));
+        let shrunk = tl.bytes();
+        // Arrays grown past their length, as pushing leaves them.
+        tl.events.reserve_exact(tl.events.len());
+        tl.echo_instrs.reserve_exact(tl.echo_instrs.len() + 7);
+        tl.echo_addrs.reserve_exact(3);
+        assert!(tl.events.capacity() > tl.events.len());
+        assert_eq!(
+            tl.bytes(),
+            size_of::<MissTimeline>()
+                + tl.events.capacity() * size_of::<MissEvent>()
+                + tl.echo_instrs.capacity() * size_of::<u64>()
+                + tl.echo_addrs.capacity() * size_of::<Addr>()
+        );
+        assert!(tl.bytes() > shrunk);
     }
 }

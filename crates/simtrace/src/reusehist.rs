@@ -240,12 +240,6 @@ pub struct ReuseDistCounter {
     hist: Vec<u64>,
     cold: u64,
     total: u64,
-    /// Line-changing accesses (`line != previous line`).
-    moves: u64,
-    /// Line-changing accesses to an *adjacent* line (`|Δline| == 1`) —
-    /// the sequential-run fraction `seq / moves` feeds the analytic
-    /// backend's spread-vs-random set-conflict blend.
-    seq: u64,
     /// Distinct-line footprint over `line mod 2^SET_CLASS_LOG2` — the
     /// bit-selection set-index residues, each line counted once (on its
     /// cold first touch). Power-of-two strides and aligned arrays pile
@@ -294,8 +288,6 @@ impl ReuseDistCounter {
             hist: vec![0; max_distance + 1],
             cold: 0,
             total: 0,
-            moves: 0,
-            seq: 0,
             set_mass: vec![0; 1 << SET_CLASS_LOG2],
             map: LineMap::new(),
             timeline: Timeline::new(Self::INITIAL_SLOTS),
@@ -320,10 +312,6 @@ impl ReuseDistCounter {
             // timeline needs no update.
             self.hist[0] += 1;
             return;
-        }
-        self.moves += 1;
-        if self.last_line != u64::MAX && line.abs_diff(self.last_line) == 1 {
-            self.seq += 1;
         }
         self.last_line = line;
         // Allocate before touching any mark: compaction (inside
@@ -391,16 +379,6 @@ impl ReuseDistCounter {
         self.cold
     }
 
-    /// Line-changing accesses.
-    pub fn moves(&self) -> u64 {
-        self.moves
-    }
-
-    /// Line-changing accesses that moved to an adjacent line.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Distinct-line footprint per `line mod 2^SET_CLASS_LOG2` residue
     /// class (each line counted once, at its first touch).
     pub fn set_mass(&self) -> &[u64] {
@@ -434,8 +412,6 @@ struct HistTotals {
     hist: Vec<u64>,
     cold: u64,
     total: u64,
-    moves: u64,
-    seq: u64,
 }
 
 /// One streaming pass, every power-of-two line granularity.
@@ -534,8 +510,6 @@ impl ReuseHistograms {
                     hist: c.hist.clone(),
                     cold: c.cold,
                     total: c.total,
-                    moves: c.moves,
-                    seq: c.seq,
                 })
                 .collect(),
         );
@@ -597,25 +571,6 @@ impl ReuseHistograms {
         Some(crate::reuse::ReuseProfile::from_parts(
             line_bytes, hist, cold, total,
         ))
-    }
-
-    /// The post-warm-up sequential-run fraction at `line_bytes`: the
-    /// share of line-changing accesses that moved to an adjacent line.
-    /// `0.0` for a granularity with no line changes. The analytic
-    /// backend uses this to weigh deterministic round-robin set
-    /// spreading against random placement.
-    pub fn seq_fraction(&self, line_bytes: u64) -> Option<f64> {
-        let idx = self.index(line_bytes)?;
-        let counter = &self.counters[idx];
-        let (moves, seq) = match self.warm_base.as_ref().map(|b| &b[idx]) {
-            Some(base) => (counter.moves - base.moves, counter.seq - base.seq),
-            None => (counter.moves, counter.seq),
-        };
-        Some(if moves == 0 {
-            0.0
-        } else {
-            seq as f64 / moves as f64
-        })
     }
 
     /// The distinct-line footprint over set-index residues
@@ -755,7 +710,6 @@ mod tests {
         assert_eq!(fold.profile(4), None);
         assert_eq!(fold.profile(256), None);
         assert_eq!(fold.profile(48), None, "non-power-of-two");
-        assert_eq!(fold.seq_fraction(4), None);
         assert_eq!(fold.set_mass(256), None);
     }
 

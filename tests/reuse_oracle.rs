@@ -11,20 +11,25 @@
 //! capacity and compacts every thousand or so line changes.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use simtrace::instr::MemRef;
 use simtrace::reusehist::SET_CLASS_LOG2;
+use simtrace::workload::WorkloadSpec;
 use simtrace::{Instr, ReuseDistCounter, ReuseHistograms, ReuseProfile};
+
+mod common;
 
 const LINE_SIZES: [u64; 5] = [8, 16, 32, 64, 128];
 
-/// The counters that the warm-up snapshot freezes.
+/// The counters that the warm-up snapshot freezes, plus the stack's
+/// line-changing accesses (each takes a fresh slot in the counter's
+/// timeline, so they measure compaction coverage).
 #[derive(Debug, Clone, Default)]
 struct Totals {
     hist: Vec<u64>,
     cold: u64,
     total: u64,
     moves: u64,
-    seq: u64,
 }
 
 /// A naive unbounded LRU stack at one line granularity: the reuse
@@ -55,9 +60,6 @@ impl Stack {
         t.total += 1;
         if self.last != Some(line) {
             t.moves += 1;
-            if self.last.is_some_and(|last| last.abs_diff(line) == 1) {
-                t.seq += 1;
-            }
         }
         self.last = Some(line);
         match self.lines.iter().rposition(|&l| l == line) {
@@ -181,14 +183,46 @@ fn oracle(trace: &[Instr], max_distance: usize, warmup: usize) -> (Vec<Stack>, V
     (stacks, base)
 }
 
+/// Checks the fold against the stacks and their warm-up totals `base`
+/// (empty if the trace never reached the warm-up): each line size's
+/// post-warm-up histogram, cold and total counts, and its whole-trace
+/// residue footprint.
+fn check_fold(
+    fold: &ReuseHistograms,
+    stacks: &[Stack],
+    base: &[Totals],
+    max_distance: usize,
+) -> Result<(), TestCaseError> {
+    for (i, (stack, &line)) in stacks.iter().zip(&LINE_SIZES).enumerate() {
+        let then = base.get(i).cloned().unwrap_or_else(|| Totals {
+            hist: vec![0; max_distance + 1],
+            ..Totals::default()
+        });
+        let now = &stack.now;
+        let hist = now
+            .hist
+            .iter()
+            .zip(&then.hist)
+            .map(|(a, b)| a - b)
+            .collect();
+        let want =
+            ReuseProfile::from_parts(line, hist, now.cold - then.cold, now.total - then.total);
+        prop_assert_eq!(fold.profile(line), Some(want), "line={}", line);
+        prop_assert!(
+            fold.set_mass(line) == Some(&stack.set_mass[..]),
+            "set_mass differs at line={line}"
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The fold, chunked at random with the warm-up boundary inside a
-    /// chunk, reports each stack's post-warm-up histogram, cold and
-    /// total counts and sequential fraction, and its whole-trace
-    /// residue footprint; a single counter per line size, fed the whole
-    /// trace, reports every whole-trace statistic of its stack.
+    /// chunk, passes [`check_fold`]; a single counter per line size, fed
+    /// the whole trace, reports every whole-trace statistic of its
+    /// stack.
     #[test]
     fn fold_and_counter_match_a_naive_lru_stack(case in cases()) {
         let trace = trace(&case);
@@ -208,32 +242,10 @@ proptest! {
             fold.process_slice(&trace[w[0]..w[1]]);
         }
         let (stacks, base) = oracle(&trace, case.max_distance, warmup);
-        for (i, (stack, &line)) in stacks.iter().zip(&LINE_SIZES).enumerate() {
-            let then = base.get(i).cloned().unwrap_or_else(|| Totals {
-                hist: vec![0; case.max_distance + 1],
-                ..Totals::default()
-            });
+        check_fold(&fold, &stacks, &base, case.max_distance)
+            .map_err(|e| TestCaseError::fail(format!("{e}\ncase={case:?}")))?;
+        for (stack, &line) in stacks.iter().zip(&LINE_SIZES) {
             let now = &stack.now;
-            let hist = now.hist.iter().zip(&then.hist).map(|(a, b)| a - b).collect();
-            let want = ReuseProfile::from_parts(
-                line,
-                hist,
-                now.cold - then.cold,
-                now.total - then.total,
-            );
-            prop_assert_eq!(fold.profile(line), Some(want), "line={} case={:?}", line, case);
-            let moves = now.moves - then.moves;
-            let seq = if moves == 0 {
-                0.0
-            } else {
-                (now.seq - then.seq) as f64 / moves as f64
-            };
-            prop_assert_eq!(fold.seq_fraction(line), Some(seq), "line={}", line);
-            prop_assert!(
-                fold.set_mass(line) == Some(&stack.set_mass[..]),
-                "set_mass differs at line={line} case={case:?}"
-            );
-
             let mut counter = ReuseDistCounter::new(case.max_distance);
             for m in trace.iter().filter_map(|i| i.mem) {
                 counter.access(m.addr.raw() / line);
@@ -241,8 +253,6 @@ proptest! {
             prop_assert_eq!(counter.histogram(), &now.hist[..], "line={}", line);
             prop_assert_eq!(counter.cold(), now.cold, "line={}", line);
             prop_assert_eq!(counter.total(), now.total, "line={}", line);
-            prop_assert_eq!(counter.moves(), now.moves, "line={}", line);
-            prop_assert_eq!(counter.seq(), now.seq, "line={}", line);
             prop_assert_eq!(counter.distinct_lines(), stack.lines.len(), "line={}", line);
             prop_assert!(counter.set_mass() == &stack.set_mass[..], "line={line}");
             if case.sparse >= 150 {
@@ -260,5 +270,33 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Whole workloads, not just the mixed stream above: a random spec
+    /// compiled at a random seed (up to 20 k instructions), folded in
+    /// random chunks, passes [`check_fold`].
+    #[test]
+    fn random_specs_fold_like_a_naive_lru_stack(
+        json in common::spec_json(),
+        seed in any::<u64>(),
+        len in 1usize..20_001,
+        max_distance in prop_oneof![16usize..64, 1024usize..4096],
+        warmup_pct in prop_oneof![1usize..100, Just(0), 101usize..130],
+        chunk_len in 1usize..5_000,
+    ) {
+        let spec = WorkloadSpec::from_json(&json).expect("generated specs are valid");
+        let trace: Vec<Instr> = spec.compile(seed).take(len).collect();
+        let warmup = len * warmup_pct / 100;
+        let mut fold = ReuseHistograms::new(8, 128, max_distance, warmup as u64);
+        for chunk in trace.chunks(chunk_len) {
+            fold.process_slice(chunk);
+        }
+        let (stacks, base) = oracle(&trace, max_distance, warmup);
+        check_fold(&fold, &stacks, &base, max_distance)
+            .map_err(|e| TestCaseError::fail(format!("{e}\nspec={} seed={seed:#x} len={len}", json.render())))?;
     }
 }

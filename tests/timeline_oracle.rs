@@ -6,8 +6,11 @@
 //! `mattson_oracle.rs` counterpart for the timing half of the harness.
 
 use proptest::prelude::*;
+use simtrace::workload::WorkloadSpec;
 use unified_tradeoff::prelude::*;
 use unified_tradeoff::simmem::BypassMode;
+
+mod common;
 
 fn traces() -> impl Strategy<Value = Vec<Instr>> {
     // Mixed loads/stores/plains over a bounded region, word-aligned;
@@ -119,46 +122,6 @@ proptest! {
         }
     }
 
-    /// Windowed replay: snapshots at arbitrary reference counts equal
-    /// `Cpu::snapshot` at the same boundaries — the warm-up-then-measure
-    /// pattern every phase/window experiment relies on.
-    #[test]
-    fn marks_match_cpu_snapshots(
-        trace in traces(),
-        cfg in supported_configs(),
-        cuts in proptest::collection::vec(1u64..400, 1..4),
-    ) {
-        let refs = trace.iter().filter(|i| i.mem.is_some()).count() as u64;
-        let mut marks: Vec<u64> = cuts.into_iter().filter(|&c| c <= refs).collect();
-        marks.sort_unstable();
-        marks.dedup();
-        if marks.is_empty() {
-            return Ok(()); // trace too short for any cut this case
-        }
-
-        let timeline = MissTimeline::extract(cfg.dcache, trace.iter().copied());
-        let (snaps, fin) = TimelineCpu::new(&timeline, cfg)
-            .expect("supported")
-            .run_with_marks(&marks);
-
-        let mut cpu = Cpu::new(cfg);
-        let mut seen = 0u64;
-        let mut next = marks.iter().copied().peekable();
-        let mut oracle = Vec::new();
-        for instr in &trace {
-            cpu.step(instr);
-            if instr.mem.is_some() {
-                seen += 1;
-                if next.peek() == Some(&seen) {
-                    next.next();
-                    oracle.push(cpu.snapshot());
-                }
-            }
-        }
-        prop_assert_eq!(snaps, oracle);
-        prop_assert_eq!(fin, cpu.finish());
-    }
-
     /// φ and α derived from the replay match the oracle's — the two
     /// quantities every figure of the paper consumes.
     #[test]
@@ -168,6 +131,39 @@ proptest! {
         prop_assert_eq!(fast.phi(), oracle.phi());
         prop_assert_eq!(fast.alpha(), oracle.alpha());
         prop_assert_eq!(fast.cycles, oracle.cycles);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Whole workloads, not just hand-shaped traces: a random spec
+    /// compiled at a random seed (up to 20 k instructions) is extracted
+    /// once, and its replay under every stall feature equals a fresh
+    /// `Cpu::run` of the same stream.
+    #[test]
+    fn random_specs_replay_under_every_stall_feature(
+        json in common::spec_json(),
+        seed in any::<u64>(),
+        len in 1usize..20_001,
+        cfg in supported_configs(),
+        mshrs in 1u32..5,
+    ) {
+        let spec = WorkloadSpec::from_json(&json).expect("generated specs are valid");
+        let trace: Vec<Instr> = spec.compile(seed).take(len).collect();
+        let timeline = MissTimeline::extract(cfg.dcache, trace.iter().copied());
+        for stall in [
+            StallFeature::FullStall,
+            StallFeature::BusLocked,
+            StallFeature::BusNotLocked1,
+            StallFeature::BusNotLocked2,
+            StallFeature::BusNotLocked3,
+            StallFeature::NonBlocking { mshrs },
+        ] {
+            let cfg = cfg.with_stall(stall);
+            let oracle = Cpu::new(cfg).run(trace.iter().copied());
+            prop_assert_eq!(timeline.replay(&cfg), oracle, "{} spec={}", stall, json.render());
+        }
     }
 }
 
