@@ -30,6 +30,8 @@
 #                    builtin specs keep their pinned content hashes and
 #                    stay bit-identical to the reference constructors
 #                    in tests/workloads.rs)
+#                    + vars (every REPRO_* name in the docs and the
+#                    binaries' headers is one the settings reader reads)
 #   ./ci.sh bench    additionally run perfbench/ on its three workloads
 #                    with the per-layer ledger (suite, serve_hot,
 #                    plan_cold; see perfbench/README.md), then the
@@ -54,6 +56,12 @@
 #                    hashes to the id the registry serves; builtins stay
 #                    bit-identical to the reference constructors in
 #                    tests/workloads.rs)
+#   ./ci.sh vars     run only the documented-variables check (no build):
+#                    collect every REPRO_[A-Z_]+ name in README.md,
+#                    EXPERIMENTS.md, DESIGN.md, the verify skill and the
+#                    leading //! headers of exp, run_all, tradeoff-cli
+#                    and tradeoff-server, and fail if one is not the
+#                    first argument of a bench::common::setting call
 #   ./ci.sh loc      print the tracked Rust line counts outside
 #                    perfbench/ (no build), the figures each change
 #                    reports its net line deltas against: product
@@ -359,7 +367,33 @@ workloads_check() {
     echo "    $(ls workloads/*.json | wc -l) specs valid, $(wc -l <<< "$builtins") builtin ids pinned"
 }
 
+vars_check() {
+    echo "==> vars: every documented REPRO_* variable is one the settings reader reads"
+    local read documented missing f
+    # The names the code reads: the first argument of every
+    # `setting("REPRO_…", …)` call, which may span lines.
+    read="$(grep -rhPzo 'setting\(\s*"\KREPRO_[A-Z_]+' crates/bench/src src \
+        | tr '\0' '\n' | sort -u)"
+    [[ -n "$read" ]] || { echo "FAIL: no setting(\"REPRO_…\") call found"; exit 1; }
+    documented="$( {
+        cat README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md
+        for f in crates/bench/src/bin/exp.rs crates/bench/src/bin/run_all.rs \
+            src/bin/tradeoff-cli.rs src/bin/tradeoff-server.rs; do
+            awk '!/^\/\/!/ { exit } { print }' "$f"
+        done
+    } | grep -o 'REPRO_[A-Z_]*[A-Z]' | sort -u)"
+    missing="$(comm -23 <(echo "$documented") <(echo "$read"))"
+    [[ -z "$missing" ]] \
+        || { echo "FAIL: documented but read by no setting call:" $missing; exit 1; }
+    echo "    $(wc -l <<< "$documented") documented variables, all read:" $read
+}
+
 case "${1:-}" in
+    vars)
+        vars_check
+        echo "CI green."
+        exit 0
+        ;;
     loc)
         total="$(git ls-files -z '*.rs' ':!perfbench' | xargs -0 cat | wc -l)"
         product="$(git ls-files -z '*.rs' ':!perfbench' ':(exclude,glob)**/tests/**' \
@@ -391,6 +425,8 @@ cargo fmt --check
 
 echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+vars_check
 
 echo "==> perfbench: builds with its committed lock file, unit tests pass"
 CARGO_TARGET_DIR=.bench_build cargo test --offline --locked --manifest-path perfbench/Cargo.toml

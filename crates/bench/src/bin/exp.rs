@@ -20,11 +20,12 @@
 //!
 //! Exit codes: `0` success, `1` one or more experiments failed, `2` bad
 //! usage (including a filter that matches nothing or a malformed
-//! `REPRO_INSTRUCTIONS` or any setting `bench::common::check_settings`
-//! validates), `3` an artifact could not be written.
+//! setting, any that `bench::common::check_settings` validates), `3` an
+//! artifact could not be written. `run` ends in the same
+//! `bench::sched::run_and_report` as `run_all`.
 
 use bench::registry::{self, RunCtx};
-use bench::sched::{drive, SuiteOptions};
+use bench::sched::{run_and_report, SuiteOptions};
 use std::path::PathBuf;
 
 fn usage() -> ! {
@@ -33,16 +34,6 @@ fn usage() -> ! {
          exit codes: 0 ok, 1 experiment failure, 2 bad usage, 3 artifact write failure"
     );
     std::process::exit(2);
-}
-
-/// The run context from `REPRO_INSTRUCTIONS`; a malformed value is bad
-/// usage.
-fn run_ctx() -> RunCtx {
-    let instructions = bench::common::instructions_per_run().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    RunCtx::with_instructions(instructions)
 }
 
 fn list(filter: &str) {
@@ -87,22 +78,9 @@ fn run(args: &[String]) {
             _ => usage(),
         }
     }
-    let opts = SuiteOptions::new(jobs, run_ctx()).keep_going(keep_going);
+    let opts = SuiteOptions::new(jobs, RunCtx::standard()).keep_going(keep_going);
     let dir = results_dir.unwrap_or_else(bench::common::results_dir);
-    match drive(&filter, &opts, &dir) {
-        Ok(outcome) => {
-            print!("{}", outcome.run.document());
-            eprintln!("{}", outcome.run.footer());
-            if outcome.run.has_failures() {
-                eprintln!("{}", outcome.run.failure_summary());
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(e.exit_code());
-        }
-    }
+    std::process::exit(run_and_report(&filter, &opts, &dir));
 }
 
 fn main() {
@@ -116,7 +94,7 @@ fn main() {
         Some("run") => run(&args[1..]),
         Some(id) => match registry::find(id) {
             Some(exp) => {
-                let report = (exp.run)(&run_ctx());
+                let report = (exp.run)(&RunCtx::standard());
                 registry::write_artifacts_warn(&bench::common::results_dir(), &report.artifacts);
                 println!("{}", report.section);
             }

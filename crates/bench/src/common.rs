@@ -4,13 +4,50 @@ use simcache::CacheConfig;
 use simcpu::{Cpu, CpuConfig, MissTimeline, SimResult, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::workload::{builtins, WorkloadSpec};
+use std::env::VarError;
 use std::path::PathBuf;
 
 use crate::tracestore::{self, SPEC_SEED};
 
-/// Where experiment CSVs land (`results/` at the workspace root).
+/// Reads the environment setting `name`: `Ok(None)` when it is unset,
+/// `Ok(Some(v))` when `parse` accepts its value. Every `REPRO_*`
+/// variable is read here and nowhere else.
+///
+/// # Errors
+///
+/// A set value that `parse` rejects (or that is not Unicode) is the
+/// error `NAME="value" is not <expected>`, never a silent default.
+pub fn setting<T>(
+    name: &str,
+    expected: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match std::env::var(name) {
+        Err(VarError::NotPresent) => Ok(None),
+        Err(VarError::NotUnicode(v)) => Err(format!("{name}={v:?} is not {expected}")),
+        Ok(v) => parse(&v)
+            .map(Some)
+            .ok_or_else(|| format!("{name}={v:?} is not {expected}")),
+    }
+}
+
+fn results_dir_setting() -> Result<Option<PathBuf>, String> {
+    setting("REPRO_RESULTS_DIR", "a directory path", |v| {
+        Some(PathBuf::from(v))
+    })
+}
+
+/// Where experiment CSVs land: `REPRO_RESULTS_DIR`, else `results/` at
+/// the workspace root.
+///
+/// # Panics
+///
+/// Panics naming the variable if it is not Unicode; binaries run
+/// [`check_settings`] at startup and exit with a usage error instead.
 pub fn results_dir() -> PathBuf {
-    PathBuf::from(std::env::var("REPRO_RESULTS_DIR").unwrap_or_else(|_| "results".to_string()))
+    results_dir_setting()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .unwrap_or_else(|| PathBuf::from("results"))
 }
 
 /// Instructions per SPEC92 proxy run. The paper used 50 M per program;
@@ -22,31 +59,34 @@ pub fn results_dir() -> PathBuf {
 /// A set but malformed `REPRO_INSTRUCTIONS` is an error naming the
 /// variable, never a silent fallback to the default length.
 pub fn instructions_per_run() -> Result<usize, String> {
-    match std::env::var("REPRO_INSTRUCTIONS") {
-        Err(_) => Ok(120_000),
-        Ok(v) => v.parse().map_err(|_| {
-            format!("REPRO_INSTRUCTIONS={v:?} is not an instruction count (a non-negative integer)")
-        }),
-    }
+    let n = setting(
+        "REPRO_INSTRUCTIONS",
+        "an instruction count (a non-negative integer)",
+        |v| v.parse().ok(),
+    )?;
+    Ok(n.unwrap_or(120_000))
 }
 
-/// Validates the settings the library reads lazily —
-/// `REPRO_STREAM_CHUNK`, `REPRO_TRACE_BUDGET`, `REPRO_THREADS` and
-/// `REPRO_EXP_TIMEOUT` — and `run_all`'s `REPRO_JOBS` and
-/// `REPRO_KEEP_GOING`, so a binary can reject a malformed value at
-/// startup as a usage error naming the variable instead of panicking
-/// mid-run or silently using a default.
+/// Validates every setting the binaries read — `REPRO_INSTRUCTIONS`,
+/// `REPRO_RESULTS_DIR`, `REPRO_JOBS`, `REPRO_EXP_TIMEOUT`,
+/// `REPRO_TRACE_BUDGET` and `REPRO_FAULTS` — and arms the
+/// `REPRO_FAULTS` plan into the slot `crate::fault::arm` uses. Every binary calls
+/// it first, so a malformed value is a usage error naming the variable
+/// before anything runs, binds or writes, not a panic mid-run or a
+/// silent default.
 ///
 /// # Errors
 ///
 /// The first malformed setting, by name.
 pub fn check_settings() -> Result<(), String> {
-    crate::stream::chunk_setting()?;
-    crate::tracestore::budget_setting()?;
-    crate::exec::threads_setting()?;
-    crate::sched::timeout_setting()?;
+    instructions_per_run()?;
+    results_dir_setting()?;
     crate::sched::jobs_setting()?;
-    crate::sched::keep_going_setting()?;
+    crate::sched::timeout_setting()?;
+    crate::tracestore::budget_setting()?;
+    if let Some(plan) = crate::fault::plan_setting()?.filter(|p| !p.is_empty()) {
+        crate::fault::install(plan);
+    }
     Ok(())
 }
 

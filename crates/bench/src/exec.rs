@@ -11,44 +11,10 @@ use crate::fault;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The worker-count override, `REPRO_THREADS`: `None` when unset
-/// (one worker per core).
-///
-/// # Errors
-///
-/// A set value that is not a positive integer is an error naming the
-/// variable, never a silent fallback to every core.
-pub fn threads_setting() -> Result<Option<usize>, String> {
-    match std::env::var("REPRO_THREADS") {
-        Err(_) => Ok(None),
-        Ok(v) => match v.parse() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(format!(
-                "REPRO_THREADS={v:?} is not a worker count (a positive integer)"
-            )),
-        },
-    }
-}
-
 /// Worker threads for `jobs` independent jobs: one per core, never more
 /// than the job count, at least one.
-///
-/// `REPRO_THREADS` overrides the core count (useful for pinning bench
-/// runs or debugging with a single worker).
-///
-/// # Panics
-///
-/// Panics naming the variable if `REPRO_THREADS` is malformed; binaries
-/// run [`crate::common::check_settings`] at startup and exit with a
-/// usage error instead.
 pub fn worker_count(jobs: usize) -> usize {
-    let cores = threads_setting()
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        });
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
     cores.min(jobs).max(1)
 }
 

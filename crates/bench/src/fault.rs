@@ -10,8 +10,10 @@
 //! returns an injected I/O error, or stalls.
 //!
 //! Plans are armed either programmatically ([`arm`], used by the test
-//! suite) or from the `REPRO_FAULTS` environment variable (used by
-//! `ci.sh faults`). Because specs are keyed by experiment id and carry
+//! suite) or from the `REPRO_FAULTS` environment variable, which every
+//! binary parses and installs at startup
+//! ([`crate::common::check_settings`]; used by `ci.sh faults`). Both
+//! go into one slot. Because specs are keyed by experiment id and carry
 //! their own shot counters, which *attempts* fail is independent of
 //! worker scheduling — a faulted suite degrades to the same document
 //! and manifest serially and under `--jobs N`.
@@ -26,10 +28,10 @@
 //! ```
 //!
 //! e.g. `run:fig2:panic,run:nb:io:2,run:victim:delay60000`. `<exp>` is
-//! an experiment id (or `*` for any); `<times>` bounds how often the
-//! spec fires (default 1), after which it is inert — so `io:2` makes
-//! the first two attempts fail and lets the bounded-retry policy
-//! succeed on the third.
+//! an experiment id (or `*` for any); `<times>`, a non-negative
+//! integer, bounds how often the spec fires (default 1), after which it
+//! is inert — so `io:2` makes the first two attempts fail and lets the
+//! bounded-retry policy succeed on the third.
 //!
 //! The `accept`, `read` and `dispatch` sites thread the same harness
 //! through `tradeoff-server`'s request path (scoped under the pseudo
@@ -51,12 +53,9 @@
 use crate::error::lock_recovering;
 use std::cell::RefCell;
 use std::io;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Environment variable holding the fault plan.
-pub const ENV_PLAN: &str = "REPRO_FAULTS";
 
 /// A named injection point in the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -344,38 +343,56 @@ pub fn check_deadline() {
     }
 }
 
-fn armed() -> &'static Mutex<Option<Arc<FaultPlan>>> {
-    static ARMED: OnceLock<Mutex<Option<Arc<FaultPlan>>>> = OnceLock::new();
-    ARMED.get_or_init(Mutex::default)
+/// The armed plan: the one slot [`arm`] and `install` write and
+/// [`check`] reads. `armed` mirrors `plan.is_some()` (stored under the
+/// plan lock with `Release`, loaded with `Acquire`), so a check with
+/// nothing armed is a single atomic load that never touches the lock;
+/// `gate` serialises [`arm`] callers.
+struct Slot {
+    armed: AtomicBool,
+    plan: Mutex<Option<Arc<FaultPlan>>>,
+    gate: Mutex<()>,
 }
 
-/// Fast path for the unfaulted case: checked before touching the
-/// arming mutex, so hot extraction paths stay lock-free when no plan
-/// was ever armed via the API.
-static API_ARMED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+static SLOT: Slot = Slot {
+    armed: AtomicBool::new(false),
+    plan: Mutex::new(None),
+    gate: Mutex::new(()),
+};
 
-fn env_plan() -> Option<Arc<FaultPlan>> {
-    static ENV: OnceLock<Option<Arc<FaultPlan>>> = OnceLock::new();
-    ENV.get_or_init(|| {
-        let text = std::env::var(ENV_PLAN).ok()?;
-        match FaultPlan::parse(&text) {
-            Ok(plan) if plan.is_empty() => None,
-            Ok(plan) => Some(Arc::new(plan)),
-            // A typo'd plan must not silently run the suite unfaulted.
-            Err(e) => panic!("{ENV_PLAN}: {e}"),
-        }
-    })
-    .clone()
+/// Puts `plan` in the slot and returns the plan it replaces.
+fn swap(plan: Option<Arc<FaultPlan>>) -> Option<Arc<FaultPlan>> {
+    let (mut slot, _) = lock_recovering(&SLOT.plan);
+    SLOT.armed.store(plan.is_some(), Ordering::Release);
+    std::mem::replace(&mut *slot, plan)
 }
 
 fn active() -> Option<Arc<FaultPlan>> {
-    if API_ARMED.load(Ordering::Acquire) {
-        let (guard, _) = lock_recovering(armed());
-        if let Some(plan) = guard.clone() {
-            return Some(plan);
-        }
+    if !SLOT.armed.load(Ordering::Acquire) {
+        return None;
     }
-    env_plan()
+    lock_recovering(&SLOT.plan).0.clone()
+}
+
+/// The `REPRO_FAULTS` plan, `None` when unset.
+///
+/// # Errors
+///
+/// A set value outside the grammar (see the module docs) is an error
+/// naming the variable: a typo'd plan must not silently run unfaulted.
+pub(crate) fn plan_setting() -> Result<Option<FaultPlan>, String> {
+    crate::common::setting(
+        "REPRO_FAULTS",
+        "a fault plan (site:exp:kind[:times], comma-separated)",
+        |v| FaultPlan::parse(v).ok(),
+    )
+}
+
+/// Arms `plan` for the rest of the process — how
+/// [`crate::common::check_settings`] arms the `REPRO_FAULTS` plan at
+/// startup.
+pub(crate) fn install(plan: FaultPlan) {
+    swap(Some(Arc::new(plan)));
 }
 
 /// Evaluates site `site` for the current experiment: returns the
@@ -400,18 +417,18 @@ pub fn check_or_unwind(site: Site) {
     }
 }
 
-/// An armed plan; dropping it disarms. Holding it also serialises
-/// fault-using tests (the arming gate is process-wide).
+/// An armed plan; dropping it restores the plan it replaced. Holding
+/// it also serialises fault-using tests (the arming gate is
+/// process-wide).
 #[derive(Debug)]
 pub struct Armed {
+    prev: Option<Arc<FaultPlan>>,
     _gate: MutexGuard<'static, ()>,
 }
 
 impl Drop for Armed {
     fn drop(&mut self) {
-        let (mut guard, _) = lock_recovering(armed());
-        *guard = None;
-        API_ARMED.store(false, Ordering::Release);
+        swap(self.prev.take());
     }
 }
 
@@ -419,13 +436,11 @@ impl Drop for Armed {
 /// for tests: the guard serialises concurrent armers so two tests
 /// cannot see each other's faults.
 pub fn arm(plan: FaultPlan) -> Armed {
-    static GATE: Mutex<()> = Mutex::new(());
-    let (gate, _) = lock_recovering(&GATE);
-    let (mut guard, _) = lock_recovering(armed());
-    *guard = Some(Arc::new(plan));
-    drop(guard);
-    API_ARMED.store(true, Ordering::Release);
-    Armed { _gate: gate }
+    let (gate, _) = lock_recovering(&SLOT.gate);
+    Armed {
+        prev: swap(Some(Arc::new(plan))),
+        _gate: gate,
+    }
 }
 
 #[cfg(test)]
@@ -462,6 +477,7 @@ mod tests {
             "run:fig2:explode",
             "run:fig2:delayxx",
             "run:fig2:io:many",
+            "run:fig2:io:*",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must not parse");
         }

@@ -31,9 +31,9 @@ impl RunCtx {
     /// # Panics
     ///
     /// Panics with the variable's name if `REPRO_INSTRUCTIONS` is set
-    /// but malformed; binaries check
-    /// [`instructions_per_run`](crate::common::instructions_per_run)
-    /// first and exit with a usage error instead.
+    /// but malformed; binaries run
+    /// [`check_settings`](crate::common::check_settings) first and exit
+    /// with a usage error instead.
     pub fn standard() -> RunCtx {
         RunCtx {
             instructions: crate::common::instructions_per_run().unwrap_or_else(|e| panic!("{e}")),

@@ -28,6 +28,7 @@
 //! (asserted by `tests/manifest.rs`, and under an armed fault plan by
 //! `tests/faults.rs`).
 
+use crate::common::setting;
 use crate::error::{lock_recovering, Error, ExpFailure, FailureKind};
 use crate::fault::{self, Site};
 use crate::registry::{self, ExpReport, Experiment, RunCtx};
@@ -41,27 +42,24 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Environment variable holding the per-experiment deadline in
-/// (possibly fractional) seconds. Unset or non-positive disables it.
-pub const ENV_TIMEOUT: &str = "REPRO_EXP_TIMEOUT";
-
-/// The per-experiment deadline, [`ENV_TIMEOUT`]: `None` when unset or
-/// non-positive.
+/// The per-experiment deadline, `REPRO_EXP_TIMEOUT` in (possibly
+/// fractional) seconds: `None` when unset or non-positive.
 ///
 /// # Errors
 ///
 /// A set value that is not a number of seconds (`5s`, `NaN`, `inf`)
 /// is an error naming the variable, never a silent "no deadline".
 pub fn timeout_setting() -> Result<Option<Duration>, String> {
-    let Ok(v) = std::env::var(ENV_TIMEOUT) else {
-        return Ok(None);
-    };
-    match v.parse::<f64>() {
-        Ok(secs) if secs <= 0.0 => Some(None),
-        Ok(secs) => Duration::try_from_secs_f64(secs).ok().map(Some),
-        Err(_) => None,
-    }
-    .ok_or_else(|| format!("{ENV_TIMEOUT}={v:?} is not a deadline (seconds, fractional allowed)"))
+    let limit = setting(
+        "REPRO_EXP_TIMEOUT",
+        "a deadline (seconds, fractional allowed)",
+        |v| match v.parse::<f64>() {
+            Ok(secs) if secs <= 0.0 => Some(None),
+            Ok(secs) => Duration::try_from_secs_f64(secs).ok().map(Some),
+            Err(_) => None,
+        },
+    )?;
+    Ok(limit.flatten())
 }
 
 /// `run_all`'s concurrent experiments, `REPRO_JOBS`: `1` when unset,
@@ -72,26 +70,10 @@ pub fn timeout_setting() -> Result<Option<Duration>, String> {
 /// A set value that is not a non-negative integer is an error naming
 /// the variable.
 pub fn jobs_setting() -> Result<usize, String> {
-    match std::env::var("REPRO_JOBS") {
-        Err(_) => Ok(1),
-        Ok(v) => v
-            .parse()
-            .map_err(|_| format!("REPRO_JOBS={v:?} is not a job count (a non-negative integer)")),
-    }
-}
-
-/// `run_all`'s keep-going switch, `REPRO_KEEP_GOING`: `0` or unset is
-/// off, `1` is on.
-///
-/// # Errors
-///
-/// Any other value is an error naming the variable.
-pub fn keep_going_setting() -> Result<bool, String> {
-    match std::env::var("REPRO_KEEP_GOING").as_deref() {
-        Err(_) | Ok("0") => Ok(false),
-        Ok("1") => Ok(true),
-        Ok(v) => Err(format!("REPRO_KEEP_GOING={v:?} is not 0 or 1")),
-    }
+    let jobs = setting("REPRO_JOBS", "a job count (a non-negative integer)", |v| {
+        v.parse().ok()
+    })?;
+    Ok(jobs.unwrap_or(1))
 }
 
 /// Bounded retry-with-backoff for transient failures (injected I/O
@@ -134,7 +116,7 @@ pub struct SuiteOptions {
     /// Complete all runnable experiments instead of stopping the suite
     /// at the first failure (`--keep-going`).
     pub keep_going: bool,
-    /// Per-experiment deadline (default: [`ENV_TIMEOUT`]).
+    /// Per-experiment deadline (default: `REPRO_EXP_TIMEOUT`).
     pub timeout: Option<Duration>,
     /// Transient-failure retry policy.
     pub retry: RetryPolicy,
@@ -142,11 +124,11 @@ pub struct SuiteOptions {
 
 impl SuiteOptions {
     /// `jobs`-way execution at context `ctx`, strict (not keep-going),
-    /// deadline from [`ENV_TIMEOUT`], default retry policy.
+    /// deadline from `REPRO_EXP_TIMEOUT`, default retry policy.
     ///
     /// # Panics
     ///
-    /// Panics naming the variable if [`ENV_TIMEOUT`] is malformed;
+    /// Panics naming the variable if `REPRO_EXP_TIMEOUT` is malformed;
     /// binaries run [`crate::common::check_settings`] at startup and
     /// exit with a usage error instead.
     pub fn new(jobs: usize, ctx: RunCtx) -> SuiteOptions {
@@ -671,6 +653,31 @@ pub fn drive(filter: &str, opts: &SuiteOptions, results_dir: &Path) -> Result<Dr
         None
     };
     Ok(DriveOutcome { run, manifest })
+}
+
+/// The one ending of both suite runners, `exp run` and `run_all`:
+/// [`drive`], then the suite document on stdout and the footer and any
+/// failure summary on stderr, so stdout stays deterministic.
+///
+/// Returns the process exit code: `0` success, `1` one or more
+/// experiments failed, else the driver error's [`Error::exit_code`].
+pub fn run_and_report(filter: &str, opts: &SuiteOptions, results_dir: &Path) -> i32 {
+    match drive(filter, opts, results_dir) {
+        Ok(outcome) => {
+            print!("{}", outcome.run.document());
+            eprintln!("{}", outcome.run.footer());
+            if outcome.run.has_failures() {
+                eprintln!("{}", outcome.run.failure_summary());
+                1
+            } else {
+                0
+            }
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            e.exit_code()
+        }
+    }
 }
 
 #[cfg(test)]

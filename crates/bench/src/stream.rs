@@ -15,9 +15,9 @@
 //! `tests/streaming_oracle.rs` — and peak trace-resident memory is a
 //! few chunks, not the trace length.
 //!
-//! The chunk size comes from `REPRO_STREAM_CHUNK` (instructions,
-//! default [`simtrace::chunk::DEFAULT_CHUNK_INSTRUCTIONS`]); the
-//! determinism contract is documented in `DESIGN.md` §12.
+//! Production folds use [`chunk_instructions`] chunks; the determinism
+//! contract that makes any other length give the same answer is
+//! documented in `DESIGN.md` §12.
 
 use crate::{exec, fault};
 use simcache::stackdist::StackDistSweep;
@@ -32,36 +32,12 @@ use std::sync::Arc;
 /// bytes at `(IN_FLIGHT_CHUNKS + 1) × chunk × 24 B` per sink fan-out.
 const IN_FLIGHT_CHUNKS: usize = 2;
 
-/// Parses a `REPRO_STREAM_CHUNK` value: a positive instruction count.
-fn parse_chunk(v: &str) -> Result<usize, String> {
-    v.parse().ok().filter(|&n: &usize| n > 0).ok_or_else(|| {
-        format!("REPRO_STREAM_CHUNK={v:?} is not a chunk length (a positive instruction count)")
-    })
-}
-
-/// Instructions per streamed chunk: `REPRO_STREAM_CHUNK`, defaulting to
-/// [`DEFAULT_CHUNK_INSTRUCTIONS`] when unset.
-///
-/// # Errors
-///
-/// A set but malformed value is an error naming the variable, never a
-/// silent fallback to the default.
-pub fn chunk_setting() -> Result<usize, String> {
-    match std::env::var("REPRO_STREAM_CHUNK") {
-        Err(_) => Ok(DEFAULT_CHUNK_INSTRUCTIONS),
-        Ok(v) => parse_chunk(&v),
-    }
-}
-
-/// Instructions per streamed chunk ([`chunk_setting`]).
-///
-/// # Panics
-///
-/// Panics naming the variable if `REPRO_STREAM_CHUNK` is malformed;
-/// binaries run [`crate::common::check_settings`] at startup and exit
-/// with a usage error instead.
+/// Instructions per streamed chunk: always
+/// [`DEFAULT_CHUNK_INSTRUCTIONS`]. Every fold, artifact and manifest
+/// hash is invariant to the chunk length (`DESIGN.md` §12), so it is a
+/// constant, not a setting.
 pub fn chunk_instructions() -> usize {
-    chunk_setting().unwrap_or_else(|e| panic!("{e}"))
+    DEFAULT_CHUNK_INSTRUCTIONS
 }
 
 /// An order-sensitive fold over a chunked instruction stream.
@@ -267,17 +243,5 @@ mod tests {
                 assert_eq!(hist.set_mass(line), whole.set_mass(line));
             }
         }
-    }
-
-    #[test]
-    fn chunk_settings_parse_strictly() {
-        assert_eq!(parse_chunk("4096"), Ok(4096));
-        for bad in ["0", "64k", "", "-1"] {
-            let err = parse_chunk(bad).unwrap_err();
-            assert!(err.contains("REPRO_STREAM_CHUNK"), "{err}");
-        }
-        // Do not touch the env var (tests run in-process, in parallel);
-        // whatever it is set to, the result is positive.
-        assert!(chunk_instructions() > 0);
     }
 }

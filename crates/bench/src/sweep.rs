@@ -43,7 +43,7 @@ pub struct WorkloadSweep {
 /// Sweeps the grid for every workload ([`grid::build_simulated`]):
 /// resident traces fold in place, cold ones stream through the
 /// generate→fold driver without ever pinning the full trace, so peak
-/// trace-resident memory is a few `REPRO_STREAM_CHUNK` blocks no matter
+/// trace-resident memory is a few streamed chunks no matter
 /// how long the trace is.
 ///
 /// # Panics

@@ -32,7 +32,7 @@
 //! [`fold_workload`], the one place that chooses between folding the
 //! resident trace in place and feeding the chunked generator straight
 //! into the fold, so fold-only experiments keep a few chunks of
-//! instructions resident (`REPRO_STREAM_CHUNK`, see `DESIGN.md` §12).
+//! instructions resident (see `DESIGN.md` §12).
 //! Only [`workload_trace`] pins full traces.
 
 use crate::error::lock_recovering;
@@ -236,12 +236,11 @@ fn parse_bytes(s: &str) -> Option<u64> {
 /// A set but malformed value is an error naming the variable, never a
 /// silent "no cap".
 pub fn budget_setting() -> Result<Option<u64>, String> {
-    match std::env::var("REPRO_TRACE_BUDGET") {
-        Err(_) => Ok(None),
-        Ok(v) => parse_bytes(&v).map(Some).ok_or_else(|| {
-            format!("REPRO_TRACE_BUDGET={v:?} is not a byte count (digits with an optional k/m/g suffix)")
-        }),
-    }
+    crate::common::setting(
+        "REPRO_TRACE_BUDGET",
+        "a byte count (digits with an optional k/m/g suffix)",
+        parse_bytes,
+    )
 }
 
 /// What one tier may hold under the `REPRO_TRACE_BUDGET` cap (unset =
@@ -566,8 +565,8 @@ pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle
 /// Folds the workload's first `len` instructions through `sinks`
 /// ([`stream::fold`]) without pinning them: an already-materialised
 /// trace is folded in place (one [`resident_workload_trace`] probe), a
-/// cold one is generated chunk by chunk (a few `REPRO_STREAM_CHUNK`
-/// blocks resident at a time).
+/// cold one is generated chunk by chunk (a few
+/// [`stream::chunk_instructions`] blocks resident at a time).
 pub fn fold_workload<S: ChunkSink>(spec: &WorkloadSpec, seed: u64, len: usize, sinks: &mut [S]) {
     let resident = resident_workload_trace(spec, seed, len);
     let source = match &resident {

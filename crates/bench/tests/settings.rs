@@ -8,13 +8,13 @@ use std::process::Command;
 fn malformed_settings_are_usage_errors() {
     let results = std::env::temp_dir().join(format!("settings-{}", std::process::id()));
     for (var, value) in [
-        ("REPRO_STREAM_CHUNK", "64k"),
-        ("REPRO_STREAM_CHUNK", "0"),
+        ("REPRO_INSTRUCTIONS", "12x"),
         ("REPRO_TRACE_BUDGET", "8MB"),
         ("REPRO_JOBS", "two"),
-        ("REPRO_THREADS", "0"),
         ("REPRO_EXP_TIMEOUT", "5s"),
-        ("REPRO_KEEP_GOING", "yes"),
+        ("REPRO_FAULTS", "bogus"),
+        ("REPRO_FAULTS", "run:fig2:explode"),
+        ("REPRO_FAULTS", "run:fig2:io:*"),
     ] {
         for (bin, args) in [
             (env!("CARGO_BIN_EXE_exp"), &["list"][..]),

@@ -1,9 +1,8 @@
 //! Property tests for the chunked-generation determinism contract
 //! (`simtrace::chunk` module docs): for every built-in SPEC92 proxy
 //! and arbitrary chunk sizes, the chunked stream is bit-identical to
-//! the monolithic one. The streaming
-//! pipeline (`bench::stream`) and the `REPRO_STREAM_CHUNK` knob lean on
-//! exactly these properties.
+//! the monolithic one. The streaming pipeline (`bench::stream`) leans
+//! on exactly these properties.
 
 use proptest::prelude::*;
 use simtrace::workload::{builtins, WorkloadSpec};

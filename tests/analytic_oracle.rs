@@ -14,8 +14,10 @@ use simcache::stackdist::StackDistSweep;
 use simcache::CacheConfig;
 use simtrace::instr::MemRef;
 use simtrace::reusehist::ReuseHistograms;
-use simtrace::workload::builtin;
+use simtrace::workload::{builtin, WorkloadSpec};
 use simtrace::Instr;
+
+mod common;
 
 /// A random reference stream over a bounded address space — small
 /// enough that capacities in the test grid actually see reuse.
@@ -39,13 +41,28 @@ fn instrs(stream: &[(bool, u64)]) -> Vec<Instr> {
         .collect()
 }
 
+/// Traces for the fully-associative check: a raw reference stream, or
+/// a random workload spec compiled at a random seed (up to 20 k
+/// instructions).
+fn fa_traces() -> impl Strategy<Value = Vec<Instr>> {
+    prop_oneof![
+        streams().prop_map(|stream| instrs(&stream)),
+        (common::spec_json(), any::<u64>(), 1usize..20_001).prop_map(|(json, seed, len)| {
+            WorkloadSpec::from_json(&json)
+                .expect("generated specs are valid")
+                .compile(seed)
+                .take(len)
+                .collect()
+        }),
+    ]
+}
+
 proptest! {
     /// Fully-associative LRU: the analytic backend and a live `Cache`
     /// replay are the same integer division — equality is `==` on the
     /// floats, no tolerance.
     #[test]
-    fn analytic_fa_lru_is_bit_equal_to_replay(stream in streams()) {
-        let trace = instrs(&stream);
+    fn analytic_fa_lru_is_bit_equal_to_replay(trace in fa_traces()) {
         let mut fold = ReuseHistograms::new(16, 64, 4_096, 0);
         fold.process_slice(&trace);
         let analytic = Analytic::from_histograms(&fold);
@@ -128,7 +145,7 @@ fn set_conflict_model_tracks_the_sweep_within_tolerance() {
 }
 
 /// The histogram fold is chunk-invariant end to end through the
-/// streaming driver: any `REPRO_STREAM_CHUNK`-style partition, folded
+/// streaming driver: any chunk partition, folded
 /// from the resident slice or from the generator, yields bit-identical
 /// profiles — and therefore a bit-identical analytic backend.
 #[test]

@@ -4,11 +4,14 @@
 //! single-pass [`StackDistSweep`] must reproduce per-configuration
 //! `Cache` replays bit for bit across whole geometry grids.
 
-use simcache::explore::measure_dcache;
+use proptest::prelude::*;
+use simcache::explore::{hit_ratio_grid_replay, measure_dcache, GridSpec};
 use simtrace::gen::{PatternTrace, StridedSweep, TraceShape, ZipfWorkingSet};
 use simtrace::reuse::ReuseProfile;
 use simtrace::workload::builtin;
 use unified_tradeoff::prelude::*;
+
+mod common;
 
 fn fa_lru(lines: u64) -> Cache {
     Cache::new(CacheConfig::new(lines * 32, 32, lines as u32).expect("fully associative"))
@@ -148,6 +151,65 @@ fn set_associativity_only_loses_against_full_associativity() {
         assert!(
             simulated <= bound + 1e-12,
             "{lines} lines {assoc}-way: {simulated} beat the FA bound {bound}"
+        );
+    }
+}
+
+/// Up to `max_len - 1` distinct powers of two `2^k`, `k` drawn from
+/// `exponents`, in random order.
+fn powers(exponents: std::ops::Range<u32>, max_len: usize) -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(exponents, 1..max_len).prop_map(|ks| {
+        let mut out: Vec<u64> = Vec::new();
+        for k in ks {
+            if !out.contains(&(1 << k)) {
+                out.push(1 << k);
+            }
+        }
+        out
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Whole workloads on random grids: a random spec compiled at a
+    /// random seed (up to 20 k instructions), folded once through
+    /// `GridSpec::sweeps`, answers every (cache, line, assoc) point
+    /// exactly as a live `Cache` replay of that configuration does.
+    /// Every capacity holds a full set of the widest line at the widest
+    /// associativity, so every drawn grid is valid.
+    #[test]
+    fn random_specs_sweep_like_per_config_replay(
+        json in common::spec_json(),
+        seed in any::<u64>(),
+        len in 1usize..20_001,
+        cache_sizes in powers(10..16, 5),
+        line_sizes in powers(3..8, 4),
+        assocs in powers(0..4, 4),
+        warmup_pct in prop_oneof![Just(0u64), 1u64..100, 100u64..130],
+    ) {
+        let spec = WorkloadSpec::from_json(&json).expect("generated specs are valid");
+        let trace: Vec<Instr> = spec.compile(seed).take(len).collect();
+        let grid = GridSpec {
+            cache_sizes,
+            line_sizes,
+            assocs: assocs.into_iter().map(|a| a as u32).collect(),
+            warmup: len as u64 * warmup_pct / 100,
+        };
+        let swept = grid
+            .simulate(&trace)
+            .expect("valid grid")
+            .points(&grid)
+            .expect("every point covered");
+        let replayed = hit_ratio_grid_replay(&grid, || trace.iter().copied()).expect("valid grid");
+        prop_assert_eq!(
+            swept,
+            replayed,
+            "spec={} seed={:#x} len={} grid={:?}",
+            json.render(),
+            seed,
+            len,
+            grid
         );
     }
 }

@@ -1,12 +1,17 @@
 //! One-dispatch-path contract: for every supported query shape, the
 //! CLI's wire mode, the CLI's human report, and a direct
-//! `tradeoff::api::dispatch` call agree — plus a binary-level audit of
+//! `tradeoff::api::dispatch` call agree; the memoising store answers
+//! what the from-scratch reference does — plus a binary-level audit of
 //! the exit-code mapping.
 
 use bench::queryenv::StoreWorkloads;
+use proptest::prelude::*;
+use simtrace::WorkloadSpec;
 use std::process::Command;
-use tradeoff::api::{dispatch, QueryRequest};
+use tradeoff::api::{dispatch, GridQuery, QueryRequest, SimulateQuery, Uncached, WorkloadRef};
 use unified_tradeoff::cli::run_cli;
+
+mod common;
 
 /// Every query shape, as wire requests.
 const REQUESTS: [&str; 11] = [
@@ -72,6 +77,54 @@ fn human_subcommands_ride_the_typed_requests() {
     assert_eq!(from_flags, wire_req);
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Store against reference: a random spec at a random seed, asked
+    /// as a φ point and as a small analytic grid at two lengths, renders
+    /// the same JSON through the memoising `StoreWorkloads` as through
+    /// the from-scratch `Uncached`. The second length catches a memo
+    /// key that ignores the length.
+    #[test]
+    fn random_specs_answer_alike_from_the_store_and_from_scratch(
+        json in common::spec_json(),
+        seed in any::<u64>(),
+        short in 1usize..10_001,
+        extra in 1usize..10_001,
+        stall in prop_oneof![Just("fs"), Just("bl"), Just("bnl3"), Just("nb")],
+    ) {
+        let spec = WorkloadSpec::from_json(&json).expect("generated specs are valid");
+        for len in [short, short + extra] {
+            let simulate = QueryRequest::Simulate(SimulateQuery {
+                workload: WorkloadRef::Inline(spec.clone()),
+                instructions: len,
+                stall: stall.to_string(),
+                seed,
+                ..SimulateQuery::default()
+            });
+            let grid = QueryRequest::Grid(GridQuery {
+                instructions: len,
+                max_sets: 64,
+                max_assoc: 4,
+                workloads: vec![spec.clone()],
+                ..GridQuery::default()
+            });
+            for req in [simulate, grid] {
+                let stored = dispatch(&req, &StoreWorkloads).expect("valid query");
+                let reference = dispatch(&req, &Uncached).expect("valid query");
+                prop_assert_eq!(
+                    stored.to_json_string(),
+                    reference.to_json_string(),
+                    "{} len={} spec={}",
+                    req.kind(),
+                    len,
+                    json.render()
+                );
+            }
+        }
+    }
+}
+
 /// Runs the CLI binary, returning its exit code.
 fn cli_code(args: &[&str]) -> i32 {
     Command::new(env!("CARGO_BIN_EXE_tradeoff-cli"))
@@ -108,12 +161,16 @@ fn binary_exit_codes_follow_the_documented_scheme() {
         .expect("cli binary runs");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("REPRO_INSTRUCTIONS=\"12x\""));
-    // So are a malformed chunk length and trace budget, at startup and
-    // in both binaries, instead of a silent default or "no cap".
+    // So are a malformed trace budget and fault plan, at startup and in
+    // both binaries, instead of a silent "no cap", a panic at the first
+    // fault check, or a server that binds and then drops connections.
+    let addr_file = std::env::temp_dir().join(format!("rejected-addr-{}", std::process::id()));
+    let addr_arg = addr_file.to_str().expect("UTF-8 temp path");
     for (var, value) in [
-        ("REPRO_STREAM_CHUNK", "64k"),
-        ("REPRO_STREAM_CHUNK", "0"),
         ("REPRO_TRACE_BUDGET", "8MB"),
+        ("REPRO_FAULTS", "bogus"),
+        ("REPRO_FAULTS", "run:fig2:explode"),
+        ("REPRO_FAULTS", "run:fig2:io:*"),
     ] {
         for (bin, args) in [
             (
@@ -122,7 +179,7 @@ fn binary_exit_codes_follow_the_documented_scheme() {
             ),
             (
                 env!("CARGO_BIN_EXE_tradeoff-server"),
-                &["--addr", "127.0.0.1:0"][..],
+                &["--addr", "127.0.0.1:0", "--addr-file", addr_arg][..],
             ),
         ] {
             let out = Command::new(bin)
@@ -138,6 +195,7 @@ fn binary_exit_codes_follow_the_documented_scheme() {
             );
         }
     }
+    assert!(!addr_file.exists(), "a rejected server never binds");
     // 1: failure class — client mode against a dead port.
     assert_eq!(
         cli_code(&["query", "--server", "127.0.0.1:9", "--get", "stats"]),

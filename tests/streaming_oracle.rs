@@ -185,11 +185,9 @@ fn streamed_suite_survives_an_armed_fault_plan_byte_identically() {
 
 #[test]
 fn folds_and_artifacts_are_chunk_size_invariant() {
-    // Chunk partitioning (the REPRO_STREAM_CHUNK knob) must be
-    // invisible in every folded stat: compare streamed folds at
-    // several chunk sizes against the whole-trace oracle. Env vars are
-    // process-global, so the sizes are driven through the pipeline
-    // directly rather than by mutating the environment.
+    // Chunk partitioning must be invisible in every folded stat:
+    // compare streamed folds at several chunk sizes, driven through
+    // the pipeline directly, against the whole-trace oracle.
     let whole: Vec<Instr> = builtin("nasa7")
         .unwrap()
         .compile(SWEEP_SEED)
