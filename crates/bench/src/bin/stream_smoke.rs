@@ -1,7 +1,9 @@
-//! Streaming-pipeline smoke: runs a Figure-6 sweep grid and a Figure-1
-//! φ batch through the chunked generate→fold pipeline, checks peak RSS
-//! stayed bounded (the point of streaming), then verifies the folded
-//! numbers byte-identically against the materialise-then-scan oracle.
+//! Streaming-pipeline smoke: runs a Figure-6 sweep grid, a Figure-1
+//! φ batch and the analytic backend's 8–128 B reuse histograms (one
+//! sink per line size) through the chunked generate→fold pipeline,
+//! checks peak RSS stayed bounded (the point of streaming), then
+//! verifies the folded numbers byte-identically against the
+//! materialise-then-scan oracle.
 //!
 //! ```text
 //! stream_smoke [--instructions N] [--rss-limit-mb MB]
@@ -21,8 +23,9 @@ use simcache::Simulated;
 use simcpu::{Cpu, CpuConfig, MissTimeline, MissTimelineBuilder, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::workload::{builtin, CompiledTrace};
-use simtrace::{Instr, INSTR_BYTES};
+use simtrace::{Instr, ReuseHistograms, INSTR_BYTES};
 use std::process::ExitCode;
+use tradeoff::api::HIST_DISTANCE_CAP;
 
 const SEED: u64 = 7;
 const LINES: [u64; 5] = [8, 16, 32, 64, 128];
@@ -76,14 +79,37 @@ fn grid(n: usize) -> GridSpec {
     }
 }
 
+/// The reuse histograms the analytic backend reads, over the smoke's
+/// line sizes and warm-up.
+fn histograms(grid: &GridSpec) -> ReuseHistograms {
+    ReuseHistograms::new(
+        LINES[0],
+        LINES[LINES.len() - 1],
+        HIST_DISTANCE_CAP,
+        grid.warmup,
+    )
+}
+
 /// One streamed pass: grid points from five sweep sinks, φ values from
-/// a timeline sink's `O(misses)` replays.
-fn streamed(grid: &GridSpec, n: usize, chunk: usize) -> (Vec<HitRatioPoint>, Vec<f64>) {
+/// a timeline sink's `O(misses)` replays, and reuse histograms from one
+/// sink per line size.
+fn streamed(
+    grid: &GridSpec,
+    n: usize,
+    chunk: usize,
+) -> (Vec<HitRatioPoint>, Vec<f64>, ReuseHistograms) {
     let mut sweeps = grid.sweeps().expect("valid grid");
     let mut timeline = MissTimelineBuilder::new(phi_cache());
+    let mut hists = histograms(grid);
     let mut sinks: Vec<&mut dyn ChunkSink> =
         sweeps.iter_mut().map(|s| s as &mut dyn ChunkSink).collect();
     sinks.push(&mut timeline);
+    sinks.extend(
+        hists
+            .parts_mut()
+            .iter_mut()
+            .map(|p| p as &mut dyn ChunkSink),
+    );
     stream::fold(Source::Generated(nasa7().take(n)), chunk, &mut sinks);
     let timeline: MissTimeline = timeline.finish();
     let phis = phi_points()
@@ -98,7 +124,7 @@ fn streamed(grid: &GridSpec, n: usize, chunk: usize) -> (Vec<HitRatioPoint>, Vec
     let points = Simulated::from_sweeps(sweeps)
         .points(grid)
         .expect("grid covered by its sweeps");
-    (points, phis)
+    (points, phis, hists)
 }
 
 fn main() -> ExitCode {
@@ -122,7 +148,7 @@ fn main() -> ExitCode {
 
     let grid = grid(instructions);
     let chunk = stream::chunk_instructions();
-    let (points, phis) = streamed(&grid, instructions, chunk);
+    let (points, phis, hists) = streamed(&grid, instructions, chunk);
 
     // RSS gate first: the oracle pass below materialises the whole
     // trace on purpose and would swamp the high-water mark.
@@ -131,12 +157,13 @@ fn main() -> ExitCode {
         Some(bytes) => {
             let limit = rss_limit_mb * 1024 * 1024;
             println!(
-                "stream_smoke: {} instr in {}-instr chunks ({} KB/chunk), {} grid + {} φ points, peak RSS {:.1} MB (limit {} MB)",
+                "stream_smoke: {} instr in {}-instr chunks ({} KB/chunk), {} grid + {} φ points + {} reuse histograms, peak RSS {:.1} MB (limit {} MB)",
                 instructions,
                 chunk,
                 chunk * INSTR_BYTES / 1024,
                 points.len(),
                 phis.len(),
+                LINES.len(),
                 bytes as f64 / (1024.0 * 1024.0),
                 rss_limit_mb,
             );
@@ -164,6 +191,18 @@ fn main() -> ExitCode {
         if phi != oracle {
             eprintln!(
                 "stream_smoke: FAIL: φ diverged at ({stall:?}, β={beta}): streamed {phi}, oracle {oracle}"
+            );
+            return ExitCode::FAILURE;
+        }
+    }
+    let mut oracle_hists = histograms(&grid);
+    oracle_hists.process_slice(&whole);
+    for line in LINES {
+        if hists.profile(line) != oracle_hists.profile(line)
+            || hists.set_mass(line) != oracle_hists.set_mass(line)
+        {
+            eprintln!(
+                "stream_smoke: FAIL: reuse histogram diverged at {line} B lines from the serial fold"
             );
             return ExitCode::FAILURE;
         }

@@ -602,7 +602,9 @@ pub fn workload_timeline(
 /// The [`ReuseHistograms`] of a workload prefix, folded at most once
 /// per (workload identity, seed, length, line range, distance cap,
 /// warm-up) process-wide. The fold streams the trace ([`fold_workload`])
-/// — a histogram lookup never materialises instructions.
+/// — a histogram lookup never materialises instructions — with each
+/// line granularity as its own sink, so the line sizes fold side by
+/// side.
 #[allow(clippy::too_many_arguments)]
 pub fn workload_histograms(
     spec: &WorkloadSpec,
@@ -628,7 +630,7 @@ pub fn workload_histograms(
         |_| true,
         || {
             let mut hists = ReuseHistograms::new(min_line, max_line, max_distance, warmup);
-            fold_workload(spec, seed, len, &mut [&mut hists]);
+            fold_workload(spec, seed, len, hists.parts_mut());
             hists
         },
         || room(s.traces.bytes() + s.timelines.bytes()),

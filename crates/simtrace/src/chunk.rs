@@ -28,11 +28,11 @@
 
 use crate::instr::Instr;
 
-/// Default instructions per chunk: 64 Ki instructions ≈ 1.5 MB of
+/// Default instructions per chunk: 16 Ki instructions ≈ 384 KB of
 /// buffered trace — large enough to amortise per-chunk overhead, small
-/// enough that a handful of in-flight chunks stay cache- and
-/// RSS-friendly.
-pub const DEFAULT_CHUNK_INSTRUCTIONS: usize = 64 * 1024;
+/// enough that the few chunks a parallel fold holds in flight stay
+/// within one megabyte or two and a chunk sits in a core's L2.
+pub const DEFAULT_CHUNK_INSTRUCTIONS: usize = 16 * 1024;
 
 /// Adapts a deterministic instruction stream into bounded chunks.
 ///

@@ -16,12 +16,15 @@
 //! so compactions are rare and the amortised cost stays `O(log n)` per
 //! access.
 //!
-//! [`ReuseHistograms`] runs one [`ReuseDistCounter`] per power-of-two
-//! line granularity over a single pass of the trace — the halving of a
-//! line deterministically splits its reuse stream, so every granularity
-//! the design grid will ever ask about is folded at once. The fold is
-//! chunk-invariant (`process_slice` over any partition is bit-identical
-//! to per-instruction feeding) and mirrors
+//! [`ReuseHistograms`] folds every power-of-two line granularity the
+//! design grid will ever ask about in one pass of the trace, as a list
+//! of independent [`GranularityFold`] parts: each owns one
+//! [`ReuseDistCounter`], its instruction count and its warm-up
+//! snapshot. `process_slice` walks a slice through each part in turn;
+//! a chunked driver can instead fold the parts side by side on separate
+//! threads, since they share nothing. The fold is chunk-invariant
+//! (`process_slice` over any partition is bit-identical to
+//! per-instruction feeding) and mirrors
 //! `StackDistSweep`'s warm-up snapshot contract exactly: totals are
 //! frozen when the instruction count reaches `warmup`, the tree state
 //! (cache contents) survives, and the post-warm-up histogram is the
@@ -414,26 +417,118 @@ struct HistTotals {
     total: u64,
 }
 
+/// One line granularity of a [`ReuseHistograms`] fold: a
+/// [`ReuseDistCounter`] over `address >> line_shift`, with its own
+/// instruction count and its own warm-up snapshot.
+///
+/// Granularities share no state, so a chunked driver may fold each
+/// part on its own thread (`bench::stream::fold` takes them as separate
+/// sinks): fed the same instruction stream, a part ends in exactly the
+/// state [`ReuseHistograms::process_slice`] leaves it in.
+#[derive(Debug, Clone)]
+pub struct GranularityFold {
+    line_shift: u32,
+    counter: ReuseDistCounter,
+    warm_base: Option<HistTotals>,
+    instrs: u64,
+    warmup: u64,
+}
+
+impl GranularityFold {
+    fn new(line_shift: u32, max_distance: usize, warmup: u64) -> Self {
+        GranularityFold {
+            line_shift,
+            counter: ReuseDistCounter::new(max_distance),
+            warm_base: None,
+            instrs: 0,
+            warmup,
+        }
+    }
+
+    fn line_bytes(&self) -> u64 {
+        1 << self.line_shift
+    }
+
+    /// Feeds a block of instructions. Any partition of the stream gives
+    /// the same state, including one that cuts at the warm-up boundary:
+    /// the snapshot is taken the moment the count reaches `warmup`.
+    pub fn process_slice(&mut self, instrs: &[Instr]) {
+        let mut rest = instrs;
+        if self.warm_base.is_none() && self.warmup > self.instrs {
+            let until = (self.warmup - self.instrs) as usize;
+            if until <= rest.len() {
+                let (head, tail) = rest.split_at(until);
+                self.burst(head);
+                self.warm_base = Some(HistTotals {
+                    hist: self.counter.hist.clone(),
+                    cold: self.counter.cold,
+                    total: self.counter.total,
+                });
+                rest = tail;
+            }
+        }
+        self.burst(rest);
+    }
+
+    fn burst(&mut self, instrs: &[Instr]) {
+        let shift = self.line_shift;
+        for m in instrs.iter().filter_map(|i| i.mem) {
+            self.counter.access(m.addr.raw() >> shift);
+        }
+        self.instrs += instrs.len() as u64;
+    }
+
+    /// The post-warm-up reuse profile: the warm-up snapshot (when one
+    /// was taken) subtracted from the totals.
+    fn profile(&self) -> crate::reuse::ReuseProfile {
+        let c = &self.counter;
+        let (hist, cold, total) = match &self.warm_base {
+            Some(base) => {
+                let hist = c
+                    .hist
+                    .iter()
+                    .zip(&base.hist)
+                    .map(|(now, then)| now - then)
+                    .collect();
+                (hist, c.cold - base.cold, c.total - base.total)
+            }
+            None => (c.hist.clone(), c.cold, c.total),
+        };
+        crate::reuse::ReuseProfile::from_parts(self.line_bytes(), hist, cold, total)
+    }
+
+    /// Approximate heap footprint: the counter plus the warm-up
+    /// snapshot's histogram.
+    fn bytes(&self) -> usize {
+        let base = self.warm_base.as_ref().map_or(0, |b| b.hist.len());
+        self.counter.bytes() + base * std::mem::size_of::<u64>()
+    }
+}
+
 /// One streaming pass, every power-of-two line granularity.
 ///
 /// A [`bench`-style](crate::chunk) chunk fold: feed instructions via
 /// [`ReuseHistograms::process_slice`] (any chunking — the result is
-/// bit-identical) and read per-granularity [`crate::ReuseProfile`]s
-/// back with [`ReuseHistograms::profile`]. Warm-up follows the
-/// `StackDistSweep` contract: the histogram snapshot is taken the
-/// moment the instruction count reaches `warmup`, tree state survives,
-/// and [`ReuseHistograms::profile`] reports post-warm-up counts.
+/// bit-identical), or hand the per-granularity
+/// [`ReuseHistograms::parts_mut`] to a driver that folds them apart,
+/// and read per-granularity [`crate::ReuseProfile`]s back with
+/// [`ReuseHistograms::profile`]. Warm-up follows the `StackDistSweep`
+/// contract: the histogram snapshot is taken the moment the instruction
+/// count reaches `warmup`, tree state survives, and
+/// [`ReuseHistograms::profile`] reports post-warm-up counts.
 #[derive(Debug, Clone)]
 pub struct ReuseHistograms {
-    min_line_shift: u32,
-    counters: Vec<ReuseDistCounter>,
-    warm_base: Option<Vec<HistTotals>>,
-    instrs: u64,
-    warmup: u64,
-    max_distance: usize,
+    /// One fold per granularity, ascending line size; never empty.
+    parts: Vec<GranularityFold>,
 }
 
 impl ReuseHistograms {
+    /// Bookkeeping [`ReuseHistograms::bytes`] charges once per fold on
+    /// top of its parts: a fixed figure rather than `size_of::<Self>()`,
+    /// so trace-store budgets and `/stats` do not move with the
+    /// struct's layout.
+    const OVERHEAD_BYTES: usize = 80;
+
     /// Counters for every power-of-two line size in
     /// `min_line_bytes..=max_line_bytes`, each with `max_distance`
     /// histogram buckets, statistics frozen at `warmup` instructions.
@@ -453,16 +548,10 @@ impl ReuseHistograms {
         );
         let min_shift = min_line_bytes.trailing_zeros();
         let max_shift = max_line_bytes.trailing_zeros();
-        let counters = (min_shift..=max_shift)
-            .map(|_| ReuseDistCounter::new(max_distance))
-            .collect();
         ReuseHistograms {
-            min_line_shift: min_shift,
-            counters,
-            warm_base: None,
-            instrs: 0,
-            warmup,
-            max_distance,
+            parts: (min_shift..=max_shift)
+                .map(|shift| GranularityFold::new(shift, max_distance, warmup))
+                .collect(),
         }
     }
 
@@ -472,81 +561,52 @@ impl ReuseHistograms {
         self.process_slice(std::slice::from_ref(&instr));
     }
 
-    /// Feeds a block of instructions, bit-identical to per-instruction
-    /// [`ReuseHistograms::process`] calls (including a warm-up boundary
-    /// inside the slice).
+    /// Feeds a block of instructions to every granularity in turn,
+    /// bit-identical to per-instruction [`ReuseHistograms::process`]
+    /// calls (including a warm-up boundary inside the slice).
     pub fn process_slice(&mut self, instrs: &[Instr]) {
-        let mut rest = instrs;
-        if self.warm_base.is_none() && self.warmup > self.instrs {
-            let until = (self.warmup - self.instrs) as usize;
-            if until <= rest.len() {
-                let (head, tail) = rest.split_at(until);
-                self.burst(head);
-                self.snapshot();
-                rest = tail;
-            }
+        for part in &mut self.parts {
+            part.process_slice(instrs);
         }
-        self.burst(rest);
     }
 
-    fn burst(&mut self, instrs: &[Instr]) {
-        let shift = self.min_line_shift;
-        for instr in instrs {
-            if let Some(m) = instr.mem {
-                let base = m.addr.raw() >> shift;
-                for (i, counter) in self.counters.iter_mut().enumerate() {
-                    counter.access(base >> i);
-                }
-            }
-        }
-        self.instrs += instrs.len() as u64;
+    /// The per-granularity folds, ascending line size. A driver that
+    /// feeds every part the same instruction stream leaves the fold
+    /// exactly as [`ReuseHistograms::process_slice`] would.
+    pub fn parts_mut(&mut self) -> &mut [GranularityFold] {
+        &mut self.parts
     }
 
-    fn snapshot(&mut self) {
-        self.warm_base = Some(
-            self.counters
-                .iter()
-                .map(|c| HistTotals {
-                    hist: c.hist.clone(),
-                    cold: c.cold,
-                    total: c.total,
-                })
-                .collect(),
-        );
-    }
-
-    /// The counter index folding `line_bytes`, or `None` for a
-    /// granularity outside the folded range.
-    fn index(&self, line_bytes: u64) -> Option<usize> {
+    /// The part folding `line_bytes`, or `None` for a granularity
+    /// outside the folded range.
+    fn part(&self, line_bytes: u64) -> Option<&GranularityFold> {
         if !line_bytes.is_power_of_two() {
             return None;
         }
         let idx = line_bytes
             .trailing_zeros()
-            .checked_sub(self.min_line_shift)? as usize;
-        (idx < self.counters.len()).then_some(idx)
+            .checked_sub(self.parts[0].line_shift)?;
+        self.parts.get(idx as usize)
     }
 
     /// Instructions folded so far.
     pub fn instructions(&self) -> u64 {
-        self.instrs
+        self.parts[0].instrs
     }
 
     /// The configured warm-up length.
     pub fn warmup(&self) -> u64 {
-        self.warmup
+        self.parts[0].warmup
     }
 
     /// Histogram bucket cap shared by every granularity.
     pub fn max_distance(&self) -> usize {
-        self.max_distance
+        self.parts[0].counter.hist.len() - 1
     }
 
     /// The line granularities folded, ascending.
     pub fn line_sizes(&self) -> Vec<u64> {
-        (0..self.counters.len() as u32)
-            .map(|i| 1u64 << (self.min_line_shift + i))
-            .collect()
+        self.parts.iter().map(GranularityFold::line_bytes).collect()
     }
 
     /// The post-warm-up reuse profile at `line_bytes`, or `None` if the
@@ -554,23 +614,7 @@ impl ReuseHistograms {
     /// `StackDistSweep::stats`: the warm-up snapshot (when one was
     /// taken) is subtracted from the totals.
     pub fn profile(&self, line_bytes: u64) -> Option<crate::reuse::ReuseProfile> {
-        let idx = self.index(line_bytes)?;
-        let counter = &self.counters[idx];
-        let (hist, cold, total) = match self.warm_base.as_ref().map(|b| &b[idx]) {
-            Some(base) => {
-                let hist = counter
-                    .hist
-                    .iter()
-                    .zip(&base.hist)
-                    .map(|(now, then)| now - then)
-                    .collect();
-                (hist, counter.cold - base.cold, counter.total - base.total)
-            }
-            None => (counter.hist.clone(), counter.cold, counter.total),
-        };
-        Some(crate::reuse::ReuseProfile::from_parts(
-            line_bytes, hist, cold, total,
-        ))
+        Some(self.part(line_bytes)?.profile())
     }
 
     /// The distinct-line footprint over set-index residues
@@ -579,23 +623,14 @@ impl ReuseHistograms {
     /// first touched during warm-up still occupy sets afterwards, so
     /// the set-conflict model wants the whole footprint.
     pub fn set_mass(&self, line_bytes: u64) -> Option<&[u64]> {
-        Some(self.counters[self.index(line_bytes)?].set_mass())
+        Some(self.part(line_bytes)?.counter.set_mass())
     }
 
     /// Approximate heap footprint across all granularities, for the
     /// trace-store byte budget.
     pub fn bytes(&self) -> usize {
-        let counters: usize = self.counters.iter().map(ReuseDistCounter::bytes).sum();
-        let base = self
-            .warm_base
-            .as_ref()
-            .map(|b| {
-                b.iter()
-                    .map(|t| t.hist.len() * std::mem::size_of::<u64>())
-                    .sum()
-            })
-            .unwrap_or(0);
-        counters + base + std::mem::size_of::<Self>()
+        let parts: usize = self.parts.iter().map(GranularityFold::bytes).sum();
+        parts + Self::OVERHEAD_BYTES
     }
 }
 

@@ -225,7 +225,11 @@ pub struct DenseBest {
 /// smallest-capacity geometry whose analytic hit ratio reaches
 /// `target_hr` (ties resolved by walk order: line, then sets, then
 /// assoc). Bucketed resolution: one `conflict_curve` per (line, sets)
-/// answers all `max_assoc` ways at once.
+/// answers all `max_assoc` ways at once. A line size's walk stops at
+/// the first set count whose one-way capacity already reaches the best
+/// so far: no larger set count or associativity of that line is
+/// strictly smaller, and only a strictly smaller capacity replaces the
+/// best, so the cut keeps the answer and its tie order.
 ///
 /// # Panics
 ///
@@ -234,6 +238,9 @@ pub fn dense_best(analytic: &Analytic, grid: &DenseGrid, target_hr: f64) -> Opti
     let mut best: Option<DenseBest> = None;
     for &line_bytes in &grid.line_sizes {
         for sets in 1..=grid.max_sets {
+            if best.is_some_and(|b| sets * line_bytes >= b.cache_bytes) {
+                break;
+            }
             let curve = analytic
                 .conflict_curve(line_bytes, sets, grid.max_assoc, Resolution::Bucketed)
                 .expect("dense grid line sizes are folded");

@@ -9,13 +9,16 @@
 use bench::stream::{self, Source};
 use proptest::prelude::*;
 use simcache::explore::measure_dcache;
-use simcache::hitratio::{Analytic, HitRatioBackend, Simulated, SET_CONFLICT_TOLERANCE};
+use simcache::hitratio::{
+    Analytic, HitRatioBackend, Resolution, Simulated, SET_CONFLICT_TOLERANCE,
+};
 use simcache::stackdist::StackDistSweep;
 use simcache::CacheConfig;
 use simtrace::instr::MemRef;
 use simtrace::reusehist::ReuseHistograms;
 use simtrace::workload::{builtin, WorkloadSpec};
 use simtrace::Instr;
+use tradeoff::api::{dense_best, DenseBest, DenseGrid, HIST_DISTANCE_CAP};
 
 mod common;
 
@@ -101,6 +104,65 @@ proptest! {
     }
 }
 
+/// The whole dense grid, walked point by point with no early stop: the
+/// reference for [`dense_best`]'s cut walk.
+fn dense_best_uncut(analytic: &Analytic, grid: &DenseGrid, target_hr: f64) -> Option<DenseBest> {
+    let mut best: Option<DenseBest> = None;
+    for &line_bytes in &grid.line_sizes {
+        for sets in 1..=grid.max_sets {
+            let curve = analytic
+                .conflict_curve(line_bytes, sets, grid.max_assoc, Resolution::Bucketed)
+                .expect("dense grid line sizes are folded");
+            for (ai, &hit_ratio) in curve.iter().enumerate() {
+                let assoc = ai as u32 + 1;
+                let cache_bytes = sets * line_bytes * u64::from(assoc);
+                if hit_ratio >= target_hr && best.is_none_or(|b| cache_bytes < b.cache_bytes) {
+                    best = Some(DenseBest {
+                        cache_bytes,
+                        line_bytes,
+                        sets,
+                        assoc,
+                        hit_ratio,
+                    });
+                }
+            }
+        }
+    }
+    best
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// [`dense_best`] stops each line size's walk early; on analytic
+    /// backends from random workload specs it must return exactly what
+    /// the uncut walk returns, ties and misses included.
+    #[test]
+    fn dense_best_cut_walk_matches_the_uncut_walk(
+        json in common::spec_json(),
+        seed in any::<u64>(),
+        len in 1usize..20_001,
+        target_hr in 0.0f64..1.0,
+    ) {
+        let trace: Vec<Instr> = WorkloadSpec::from_json(&json)
+            .expect("generated specs are valid")
+            .compile(seed)
+            .take(len)
+            .collect();
+        let mut fold = ReuseHistograms::new(8, 128, HIST_DISTANCE_CAP, len as u64 / 5);
+        fold.process_slice(&trace);
+        let analytic = Analytic::from_histograms(&fold);
+        let grid = DenseGrid::small();
+        for target in [target_hr, 0.0, 1.0] {
+            prop_assert_eq!(
+                dense_best(&analytic, &grid, target),
+                dense_best_uncut(&analytic, &grid, target),
+                "target {}", target
+            );
+        }
+    }
+}
+
 /// Set-associative geometries: the binomial set-conflict model carries
 /// a stated tolerance, checked here against the exact simulator across
 /// seeded SPEC92 proxies and a grid of real geometries.
@@ -158,12 +220,12 @@ fn chunked_histogram_folds_are_bit_identical_to_whole_trace() {
 
     for chunk in [1usize, 117, 2_000, 4_096, N + 1] {
         let mut sliced = ReuseHistograms::new(8, 128, 4_096, 2_000);
-        stream::fold(Source::resident(&trace), chunk, &mut [&mut sliced]);
+        stream::fold(Source::resident(&trace), chunk, sliced.parts_mut());
         let mut streamed = ReuseHistograms::new(8, 128, 4_096, 2_000);
         stream::fold(
             Source::Generated(trace.iter().copied()),
             chunk,
-            &mut [&mut streamed],
+            streamed.parts_mut(),
         );
         for line in whole.line_sizes() {
             assert_eq!(sliced.profile(line), whole.profile(line), "chunk={chunk}");
