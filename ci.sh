@@ -6,8 +6,9 @@
 #                    the whole workspace + perfbench (the benchmark
 #                    package builds against the crates with its
 #                    committed lock file and its unit tests pass) +
-#                    manifest (committed results/ hash-verified
-#                    against a fresh parallel suite run, whose stderr
+#                    manifest (committed results/ hash-verified by
+#                    `exp verify` against the manifest of a fresh
+#                    parallel run_all suite run, whose stderr
 #                    footer must show the pinned trace-store totals,
 #                    12/9 traces, 240/12 timelines, 6/6 histograms
 #                    hit/miss, and 0 coalesced waits) + faults
@@ -88,7 +89,7 @@ manifest_check() {
     REPRO_RESULTS_DIR="$tmp" REPRO_JOBS=4 \
         cargo run --release -q -p bench --bin run_all > /dev/null 2> "$tmp/footer.txt" \
         || { cat "$tmp/footer.txt"; echo "FAIL: run_all"; exit 1; }
-    cargo run --release -q --bin tradeoff-cli -- experiments verify \
+    cargo run --release -q -p bench --bin exp -- verify \
         --results-dir results --manifest "$tmp/manifest.json"
     # The suite's trace-store call sequence is pinned too: which folds
     # hit the memo and which regenerate must not move, and no lookup

@@ -4,9 +4,9 @@
 //! data plus a `render(...)` producing the terminal report, and exports
 //! one `pub const EXP:` [`registry::Experiment`] record that [`registry`]
 //! lists; its `run` fn returns a typed [`registry::ExpReport`] (section
-//! text plus artifacts). The generic `exp` binary and the `tradeoff
-//! experiments` CLI subcommand run any selection of the registry
-//! through the [`sched`] cross-experiment scheduler, which writes every
+//! text plus artifacts). The generic `exp` binary runs any selection
+//! of the registry through the [`sched`] cross-experiment scheduler,
+//! which writes every
 //! artifact and a content-hashed `results/manifest.json`. See `DESIGN.md` §4 for
 //! the experiment index, §10 for the registry architecture, and
 //! `EXPERIMENTS.md` for paper-vs-measured numbers.

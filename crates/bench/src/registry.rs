@@ -10,11 +10,9 @@
 //! [`all`] lists the registry in the canonical suite order (the order
 //! the original `run_all` driver printed); [`crate::sched`] executes a
 //! selection of it with cross-experiment parallelism. One generic `exp`
-//! binary plus the `tradeoff experiments` CLI subcommand replace the
-//! historical per-figure `exp_*` binaries.
+//! binary replaces the historical per-figure `exp_*` binaries.
 
 use report::Artifact;
-use std::path::Path;
 
 /// Shared inputs for one experiment run.
 #[derive(Debug, Clone)]
@@ -157,8 +155,8 @@ pub fn find(id: &str) -> Option<&'static Experiment> {
 /// # Errors
 ///
 /// [`crate::Error::NoMatch`] when nothing matches: every consumer (the
-/// `exp` binary's `list`/`run`, the `tradeoff experiments` CLI) treats
-/// a filter that selects nothing as bad usage, not silent success.
+/// `exp` binary's `list`, `run` and `<id>`) treats a filter that
+/// selects nothing as bad usage, not silent success.
 pub fn matching(filter: &str) -> Result<Vec<&'static Experiment>, crate::Error> {
     let selection: Vec<_> = all()
         .iter()
@@ -174,17 +172,6 @@ pub fn matching(filter: &str) -> Result<Vec<&'static Experiment>, crate::Error> 
     Ok(selection)
 }
 
-/// Writes a report's artifacts under `dir`, warning (not failing) on
-/// I/O errors — the historical behaviour of the per-figure binaries.
-pub fn write_artifacts_warn(dir: &Path, artifacts: &[Artifact]) {
-    for a in artifacts {
-        let path = dir.join(&a.name);
-        if let Err(e) = report::write_artifact(&path, &a.render()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,6 +183,9 @@ mod tests {
         for e in all() {
             assert!(seen.insert(e.id), "duplicate id {}", e.id);
             assert!(find(e.id).is_some(), "{} not findable", e.id);
+            // `exp <id>` runs the id as a filter: no tag may shadow it.
+            let ids: Vec<_> = matching(e.id).unwrap().iter().map(|m| m.id).collect();
+            assert_eq!(ids, [e.id], "an id filter selects only that experiment");
         }
         assert!(find("no-such-experiment").is_none());
     }

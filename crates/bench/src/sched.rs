@@ -3,8 +3,8 @@
 //! PR 1/2 made individual experiments parallel *inside* (the
 //! [`crate::exec`] pool fans points over cores) and cheap to re-point
 //! (the [`crate::tracestore`] memoises traces and timelines). This
-//! module adds the layer above: whole experiments run concurrently over
-//! a worker pool, subject to one ordering constraint — experiments that
+//! module adds the layer above: whole experiments run concurrently on
+//! scoped threads, subject to one ordering constraint — experiments that
 //! declare the same shared trace-store working set
 //! ([`Experiment::traces`]) do not *extract* it
 //! concurrently. The first holder of a key runs to completion (warming
@@ -29,7 +29,7 @@
 //! `tests/faults.rs`).
 
 use crate::common::setting;
-use crate::error::{lock_recovering, Error, ExpFailure, FailureKind};
+use crate::error::{Error, ExpFailure, FailureKind};
 use crate::fault::{self, Site};
 use crate::registry::{self, ExpReport, Experiment, RunCtx};
 use crate::tracestore::{self, StoreCounts};
@@ -38,8 +38,7 @@ use report::Artifact;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// The per-experiment deadline, `REPRO_EXP_TIMEOUT` in (possibly
@@ -309,31 +308,17 @@ impl SuiteRun {
                 format!("{}/{}", o.store.hist_hits, o.store.hist_misses),
             ]);
         }
-        let mut out = format!(
-            "suite: {} experiments in {:.3}s; trace store: {}\n{}",
+        // The process-wide store snapshot — the same accessor the query
+        // server's /stats endpoint reports, resident bytes per tier
+        // included.
+        format!(
+            "suite: {} experiments in {:.3}s; trace store: {}\n{}store stats: {}\n",
             self.outcomes.len(),
             self.wall.as_secs_f64(),
             self.store.summary(),
-            t.render()
-        );
-        // Byte accounting of what is still materialised: per-entry
-        // sizes plus the total the REPRO_TRACE_BUDGET cap acts on.
-        let entries = tracestore::resident_entries();
-        out.push_str(&format!(
-            "trace store resident: {} bytes in {} traces",
-            tracestore::bytes_resident(),
-            entries.len()
-        ));
-        for (name, seed, bytes) in entries {
-            out.push_str(&format!("\n  {name}@{seed:#x}: {bytes} bytes"));
-        }
-        // The process-wide store snapshot — the same accessor the query
-        // server's /stats endpoint reports.
-        out.push_str(&format!(
-            "\nstore stats: {}\n",
+            t.render(),
             tracestore::stats().summary()
-        ));
-        out
+        )
     }
 }
 
@@ -430,127 +415,72 @@ enum KeyState {
     Warm,
 }
 
-struct SchedState {
-    started: Vec<bool>,
-    keys: HashMap<&'static str, KeyState>,
-}
-
 /// True when every shared trace key of `exp` is either warm or free to
 /// be claimed (no other in-flight experiment is extracting it).
-fn eligible(state: &SchedState, exp: &Experiment) -> bool {
+fn eligible(keys: &HashMap<&'static str, KeyState>, exp: &Experiment) -> bool {
     exp.traces
         .iter()
-        .all(|k| state.keys.get(k) != Some(&KeyState::Warming))
+        .all(|k| keys.get(k) != Some(&KeyState::Warming))
 }
 
 /// Runs `exps` contained and returns their outcomes in input order; a
-/// strict (non-keep-going) run stops claiming new experiments after the
-/// first failure, so its outcome list may be a prefix of the selection.
+/// strict (non-keep-going) run stops starting new experiments after the
+/// first failure, so its outcome list may be a subset of the selection.
+///
+/// One loop serves every job count: the calling thread owns the
+/// bookkeeping and, while fewer than `max(jobs, 1)` experiments run,
+/// starts the lowest-index eligible one on a scoped thread. Finished
+/// outcomes come back over a channel. Experiment panics are contained
+/// by [`run_one`]; a panic outside it is re-raised on the caller.
 pub fn run_suite(exps: &[&Experiment], opts: &SuiteOptions) -> SuiteRun {
     let suite_before = tracestore::counters();
     let suite_start = Instant::now();
-    let outcomes: Vec<ExpOutcome> = if opts.jobs <= 1 || exps.len() <= 1 {
-        let mut outcomes = Vec::with_capacity(exps.len());
-        for e in exps {
-            let outcome = run_one(e, opts);
-            let failed = outcome.result.is_err();
-            outcomes.push(outcome);
-            if failed && !opts.keep_going {
+    let mut started = vec![false; exps.len()];
+    let mut keys = HashMap::new();
+    let mut slots: Vec<Option<ExpOutcome>> = (0..exps.len()).map(|_| None).collect();
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let mut running = 0;
+        let mut stopped = false;
+        loop {
+            while !stopped && running < opts.jobs.max(1) {
+                let next = (0..exps.len()).find(|&i| !started[i] && eligible(&keys, exps[i]));
+                // Nothing unstarted is eligible: the next completion
+                // may release a warming key.
+                let Some(i) = next else { break };
+                started[i] = true;
+                for key in exps[i].traces {
+                    keys.entry(*key).or_insert(KeyState::Warming);
+                }
+                let done = done_tx.clone();
+                scope.spawn(move || {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| run_one(exps[i], opts)));
+                    done.send((i, outcome))
+                        .expect("the receiver outlives the scope");
+                });
+                running += 1;
+            }
+            if running == 0 {
                 break;
             }
+            let (i, outcome) = done_rx.recv().expect("a running experiment reports back");
+            running -= 1;
+            let outcome = outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            stopped |= outcome.result.is_err() && !opts.keep_going;
+            // Even a failed holder marks its keys warm: a wedged key
+            // would block every later sharer, and the store re-extracts
+            // on demand anyway.
+            for key in exps[i].traces {
+                keys.insert(*key, KeyState::Warm);
+            }
+            slots[i] = Some(outcome);
         }
-        outcomes
-    } else {
-        run_parallel(exps, opts)
-    };
+    });
     SuiteRun {
-        outcomes,
+        outcomes: slots.into_iter().flatten().collect(),
         wall: suite_start.elapsed(),
         store: tracestore::counters().since(&suite_before),
     }
-}
-
-fn run_parallel(exps: &[&Experiment], opts: &SuiteOptions) -> Vec<ExpOutcome> {
-    let workers = opts.jobs.min(exps.len());
-    let state = Mutex::new(SchedState {
-        started: vec![false; exps.len()],
-        keys: HashMap::new(),
-    });
-    let wake = Condvar::new();
-    let abort = AtomicBool::new(false);
-    let slots: Mutex<Vec<Option<ExpOutcome>>> = Mutex::new((0..exps.len()).map(|_| None).collect());
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let state = &state;
-                let wake = &wake;
-                let slots = &slots;
-                let abort = &abort;
-                scope.spawn(move || loop {
-                    let claimed = {
-                        let (mut st, _) = lock_recovering(state);
-                        loop {
-                            if abort.load(Ordering::SeqCst) || st.started.iter().all(|&s| s) {
-                                break None;
-                            }
-                            let next =
-                                (0..exps.len()).find(|&i| !st.started[i] && eligible(&st, exps[i]));
-                            match next {
-                                Some(i) => {
-                                    st.started[i] = true;
-                                    for key in exps[i].traces {
-                                        st.keys.entry(key).or_insert(KeyState::Warming);
-                                    }
-                                    break Some(i);
-                                }
-                                // Everything unstarted is blocked on a
-                                // warming key; a completion will wake us.
-                                None => {
-                                    st = match wake.wait(st) {
-                                        Ok(guard) => guard,
-                                        Err(poisoned) => {
-                                            state.clear_poison();
-                                            poisoned.into_inner()
-                                        }
-                                    };
-                                }
-                            }
-                        }
-                    };
-                    let Some(i) = claimed else { break };
-                    let outcome = run_one(exps[i], opts);
-                    if outcome.result.is_err() && !opts.keep_going {
-                        abort.store(true, Ordering::SeqCst);
-                    }
-                    lock_recovering(slots).0[i] = Some(outcome);
-                    let (mut st, _) = lock_recovering(state);
-                    // Even a failed holder marks its keys warm: a
-                    // wedged key would deadlock every later sharer,
-                    // and the store re-extracts on demand anyway.
-                    for key in exps[i].traces {
-                        st.keys.insert(key, KeyState::Warm);
-                    }
-                    drop(st);
-                    wake.notify_all();
-                })
-            })
-            .collect();
-        for h in handles {
-            if let Err(payload) = h.join() {
-                // Scheduler-code panics (never experiment panics —
-                // those are contained) are real bugs: propagate.
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-
-    slots
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        .flatten()
-        .collect()
 }
 
 /// The outcome of a [`drive`] call.
@@ -591,9 +521,9 @@ fn write_with_retry(
     }
 }
 
-/// The driver shared by the `exp` / `run_all` binaries and the
-/// `tradeoff experiments run` subcommand: select by filter, run with
-/// `jobs`-way parallelism, write artifacts under `results_dir`.
+/// The suite run behind the `exp` and `run_all` binaries: select by
+/// filter, run with `jobs`-way parallelism, write artifacts under
+/// `results_dir`.
 ///
 /// A full-registry selection also writes `run_all_report.txt` (the
 /// suite document) and `manifest.json` with per-artifact content
@@ -747,6 +677,46 @@ mod tests {
         assert!(!run.degraded());
     }
 
+    /// Run intervals of the [`WARMING`] fakes, by id.
+    static INTERVALS: std::sync::Mutex<Vec<(&str, Instant, Instant)>> =
+        std::sync::Mutex::new(Vec::new());
+
+    fn timed_section(id: &'static str) -> ExpReport {
+        let start = Instant::now();
+        std::thread::sleep(Duration::from_millis(20));
+        INTERVALS.lock().unwrap().push((id, start, Instant::now()));
+        ExpReport::text_only(format!("section {id}\n"))
+    }
+
+    static WARMING: [Experiment; 4] = [
+        fake("w0", &["w"], |_| timed_section("w0")),
+        fake("w1", &["w"], |_| timed_section("w1")),
+        fake("free", &[], |_| timed_section("free")),
+        fake("w2", &["w"], |_| timed_section("w2")),
+    ];
+
+    #[test]
+    fn later_holders_of_a_key_start_after_the_first_ends() {
+        let _armed = fault::arm(FaultPlan::new());
+        let run = run_suite(&WARMING.iter().collect::<Vec<_>>(), &opts(4));
+        assert!(!run.has_failures());
+        let intervals = INTERVALS.lock().unwrap().clone();
+        let of = |id| {
+            intervals
+                .iter()
+                .find(|(i, _, _)| *i == id)
+                .map(|&(_, start, end)| (start, end))
+                .expect("every fake ran")
+        };
+        let first_end = of("w0").1;
+        for later in ["w1", "w2"] {
+            assert!(
+                of(later).0 >= first_end,
+                "{later} started while w0 was still warming the key"
+            );
+        }
+    }
+
     #[test]
     fn serial_and_parallel_documents_match() {
         let _armed = fault::arm(FaultPlan::new());
@@ -766,15 +736,17 @@ mod tests {
         assert!(footer.contains("trace store:"));
         assert!(footer.contains("ok"));
         assert!(
-            footer.contains("trace store resident:") && footer.contains("bytes in"),
-            "footer must report resident trace bytes:\n{footer}"
-        );
-        assert!(
             footer.contains("store stats:")
                 && footer.contains("evictions")
+                && footer.contains(" B traces + ")
                 && footer.contains("coalesced waits")
                 && footer.contains("poison recoveries"),
             "footer must include the full store stats line:\n{footer}"
+        );
+        assert_eq!(
+            footer.matches("resident").count(),
+            1,
+            "one residency report"
         );
     }
 

@@ -50,13 +50,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 /// Seed used by every `run_spec`-style experiment.
 pub const SPEC_SEED: u64 = 0xDEAD_BEEF;
 
-/// How many times a store lock was recovered from poison (a worker
-/// panicked — or was fault-injected — while holding it).
-pub fn poison_recoveries() -> u64 {
-    let s = store();
-    s.traces.recoveries() + s.timelines.recoveries() + s.hists.recoveries()
-}
-
 /// A snapshot of the store's hit/miss counters — the scheduler's first
 /// observability hook: a "hit" hands back a memoised allocation, a
 /// "miss" pays a trace generation or a cache-simulation pass.
@@ -136,7 +129,8 @@ pub struct Stats {
     pub trace_bytes: u64,
     /// Bytes of reuse-histogram state currently memoised.
     pub hist_bytes: u64,
-    /// Store locks recovered from poison (see [`poison_recoveries`]).
+    /// Store locks recovered from poison: a worker panicked (or was
+    /// fault-injected) while holding one.
     pub poison_recoveries: u64,
     /// Memoised timelines evicted by the budget cap.
     pub timeline_evictions: u64,
@@ -176,30 +170,23 @@ pub fn stats() -> Stats {
             + s.hists.waits.load(Ordering::Relaxed),
         trace_bytes: s.traces.bytes(),
         hist_bytes: s.hists.bytes(),
-        poison_recoveries: poison_recoveries(),
+        poison_recoveries: s.traces.recoveries() + s.timelines.recoveries() + s.hists.recoveries(),
         timeline_evictions: s.timelines.evictions.load(Ordering::Relaxed),
         timeline_bytes: s.timelines.bytes(),
     }
 }
 
-/// A materialised trace plus the workload label the footer lists.
-#[derive(Debug)]
-struct Materialised {
-    instrs: Vec<Instr>,
-    label: String,
-}
-
 /// A shared trace prefix: cheap to clone, derefs to the instructions.
 #[derive(Debug, Clone)]
 pub struct TraceHandle {
-    data: Arc<Materialised>,
+    data: Arc<Vec<Instr>>,
     len: usize,
 }
 
 impl TraceHandle {
     /// The instructions of this prefix.
     pub fn instrs(&self) -> &[Instr] {
-        &self.data.instrs[..self.len]
+        &self.data[..self.len]
     }
 }
 
@@ -261,9 +248,9 @@ trait Footprint {
     fn footprint(&self) -> u64;
 }
 
-impl Footprint for Materialised {
+impl Footprint for Vec<Instr> {
     fn footprint(&self) -> u64 {
-        (self.instrs.len() * INSTR_BYTES) as u64
+        (self.len() * INSTR_BYTES) as u64
     }
 }
 
@@ -482,11 +469,6 @@ impl<K: Eq + Hash + Clone, V: Footprint> Memo<K, V> {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
-
-    /// `f` of every memoised entry, in map order.
-    fn entries<T>(&self, f: impl Fn(&K, &V) -> T) -> Vec<T> {
-        self.lock().iter().map(|(k, s)| f(k, &s.value)).collect()
-    }
 }
 
 type TraceKey = (WorkloadId, u64);
@@ -496,7 +478,7 @@ type HistKey = (WorkloadId, u64, usize, u64, u64, usize, u64);
 
 /// The three memo tiers under one process-wide owner.
 struct Store {
-    traces: Memo<TraceKey, Materialised>,
+    traces: Memo<TraceKey, Vec<Instr>>,
     timelines: Memo<TimelineKey, MissTimeline>,
     hists: Memo<HistKey, ReuseHistograms>,
 }
@@ -510,21 +492,6 @@ fn store() -> &'static Store {
     })
 }
 
-/// Bytes of trace data currently materialised in the store.
-pub fn bytes_resident() -> u64 {
-    store().traces.bytes()
-}
-
-/// The materialised traces — `(workload label, seed, bytes)` in
-/// deterministic (label, seed) order — for the scheduler footer.
-pub fn resident_entries() -> Vec<(String, u64, u64)> {
-    let mut entries = store()
-        .traces
-        .entries(|(_, seed), t| (t.label.clone(), *seed, t.footprint()));
-    entries.sort_unstable();
-    entries
-}
-
 /// A `len`-instruction prefix view of an already-materialised trace, if
 /// the store holds one — the zero-cost path streaming folds probe
 /// before regenerating. Counts a trace hit (and refreshes the LRU
@@ -532,7 +499,7 @@ pub fn resident_entries() -> Vec<(String, u64, u64)> {
 pub fn resident_workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> Option<TraceHandle> {
     let data = store()
         .traces
-        .probe(&(spec.id(), seed), |t| t.instrs.len() >= len)?;
+        .probe(&(spec.id(), seed), |t| t.len() >= len)?;
     Some(TraceHandle { data, len })
 }
 
@@ -544,7 +511,7 @@ pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle
     let s = store();
     let data = s.traces.get(
         (spec.id(), seed),
-        |t| t.instrs.len() >= len,
+        |t| t.len() >= len,
         || {
             let mut instrs = Vec::with_capacity(len);
             stream::fold(
@@ -552,10 +519,7 @@ pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle
                 stream::chunk_instructions(),
                 &mut [&mut instrs],
             );
-            Materialised {
-                instrs,
-                label: spec.label(),
-            }
+            instrs
         },
         || room(s.timelines.bytes() + s.hists.bytes()),
     );
@@ -705,11 +669,8 @@ mod tests {
         assert_eq!(parse_bytes("k"), None);
     }
 
-    fn trace_of(n_instrs: usize) -> Materialised {
-        Materialised {
-            instrs: vec![Instr::plain(0u64); n_instrs],
-            label: "test".to_string(),
-        }
+    fn trace_of(n_instrs: usize) -> Vec<Instr> {
+        vec![Instr::plain(0u64); n_instrs]
     }
 
     #[test]
@@ -754,7 +715,7 @@ mod tests {
         assert_eq!(map.len(), 1);
         drop(map);
         assert_eq!(memo.bytes(), kept.footprint());
-        assert_eq!(held.instrs.len(), 1_000);
+        assert_eq!(held.len(), 1_000);
     }
 
     #[test]
@@ -778,8 +739,8 @@ mod tests {
 
     #[test]
     fn memo_replaces_a_value_that_does_not_fit() {
-        let memo: Memo<u64, Materialised> = Memo::new();
-        let at_least = |n: usize| move |t: &Materialised| t.instrs.len() >= n;
+        let memo: Memo<u64, Vec<Instr>> = Memo::new();
+        let at_least = |n: usize| move |t: &Vec<Instr>| t.len() >= n;
         memo.get(7, at_least(10), || trace_of(10), || None);
         let longer = memo.get(7, at_least(20), || trace_of(20), || None);
         let shorter = memo.get(7, at_least(15), || unreachable!("fits"), || None);
@@ -795,7 +756,7 @@ mod tests {
 
     #[test]
     fn memo_poison_recovery_clears_the_map_and_its_bytes() {
-        let memo: Memo<u64, Materialised> = Memo::new();
+        let memo: Memo<u64, Vec<Instr>> = Memo::new();
         memo.insert(1, Arc::new(trace_of(10)), || None);
         let _ = std::thread::scope(|s| {
             s.spawn(|| {
@@ -865,15 +826,11 @@ mod tests {
     #[test]
     fn byte_accounting_tracks_materialisations() {
         let seed = 0x5EED_0002;
-        let before = bytes_resident();
-        let _t = workload_trace(builtin("hydro2d").unwrap(), seed, 1_000);
-        let after = bytes_resident();
+        let before = stats().trace_bytes;
+        let t = workload_trace(builtin("hydro2d").unwrap(), seed, 1_000);
+        let after = stats().trace_bytes;
         assert_eq!(after - before, (1_000 * INSTR_BYTES) as u64);
-        assert!(resident_entries()
-            .iter()
-            .any(|(name, s, bytes)| name == "hydro2d"
-                && *s == seed
-                && *bytes == (1_000 * INSTR_BYTES) as u64));
+        assert_eq!(t.data.footprint(), (1_000 * INSTR_BYTES) as u64);
     }
 
     #[test]

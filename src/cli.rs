@@ -16,10 +16,12 @@
 //!   mean-access-time target at minimum pin cost;
 //! * `grid` — answer a (size × line × assoc) hit-ratio grid with the
 //!   simulated or the closed-form analytic backend;
+//! * `workloads` — list, show or validate workload specs;
 //! * `query` — raw wire-format access: dispatch a JSON request locally,
-//!   or act as a client against a running `tradeoff-server`;
-//! * `experiments` — list, run (serially or `--jobs N`-parallel) and
-//!   hash-verify the registered paper experiments.
+//!   or act as a client against a running `tradeoff-server`.
+//!
+//! The paper experiments have their own front-end, the `bench` crate's
+//! `exp` binary (`exp list|run|verify|<id>`).
 //!
 //! Option parsing converts `--key value` pairs to a JSON object and
 //! lets [`QueryRequest::from_json`] validate it, so unknown flags and
@@ -30,7 +32,6 @@ use crate::server;
 use bench::queryenv::StoreWorkloads;
 use report::{Json, Table};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use tradeoff::api::{
     self, ApiError, ApiErrorKind, DenseGrid, GridQuery, GridRows, QueryRequest, QueryResponse,
     WorkloadsResponse,
@@ -41,51 +42,30 @@ use tradeoff::HitRatio;
 /// A parsed `--key value` option map.
 pub type Options = BTreeMap<String, String>;
 
-/// A typed CLI failure carrying the exit code the binary maps it to.
-///
-/// The scheme matches the `exp` binary: `2` for bad usage (unknown
-/// subcommand, malformed options, filters matching nothing), `1` for
-/// experiment failures in a degraded run, `3` for manifest drift or an
-/// artifact that could not be written.
+/// A typed CLI failure carrying the exit code the binary maps it to:
+/// `2` for bad usage (unknown subcommand, malformed options or values),
+/// `1` for a failed answer (a backend error, an unreachable server).
 #[derive(Debug)]
 pub enum CliError {
     /// Bad usage — exit 2.
     Usage(String),
-    /// One or more experiments failed — exit 1. `document` holds the
-    /// partial suite report to print on stdout before the summary.
-    Failure {
-        /// Partial suite document (may be empty for strict runs).
-        document: String,
-        /// One-line-per-failure summary for stderr.
-        summary: String,
-    },
-    /// Manifest drift or artifact write failure — exit 3.
-    Drift(String),
+    /// The query could not be answered — exit 1.
+    Failure(String),
 }
 
 impl CliError {
     /// The process exit code this error maps to.
     pub fn exit_code(&self) -> i32 {
         match self {
-            CliError::Failure { .. } => 1,
+            CliError::Failure(_) => 1,
             CliError::Usage(_) => 2,
-            CliError::Drift(_) => 3,
         }
     }
 
     /// The user-facing message (stderr).
     pub fn message(&self) -> &str {
         match self {
-            CliError::Usage(m) | CliError::Drift(m) => m,
-            CliError::Failure { summary, .. } => summary,
-        }
-    }
-
-    /// Partial output to print on stdout before the message, if any.
-    pub fn partial_output(&self) -> Option<&str> {
-        match self {
-            CliError::Failure { document, .. } if !document.is_empty() => Some(document),
-            _ => None,
+            CliError::Usage(m) | CliError::Failure(m) => m,
         }
     }
 }
@@ -95,10 +75,7 @@ impl CliError {
 fn from_api(e: ApiError) -> CliError {
     match e.kind {
         ApiErrorKind::BadRequest => CliError::Usage(e.message),
-        ApiErrorKind::Internal => CliError::Failure {
-            document: String::new(),
-            summary: e.message,
-        },
+        ApiErrorKind::Internal => CliError::Failure(e.message),
     }
 }
 
@@ -124,8 +101,6 @@ pub enum Command {
         /// backoff, honouring the server's `Retry-After`.
         retries: u32,
     },
-    /// `experiments …` over the bench registry.
-    Experiments(ExperimentsCmd),
 }
 
 /// A client-mode call against a running `tradeoff-server`.
@@ -142,31 +117,6 @@ pub enum ClientCall {
     Shutdown {
         /// Value of `--token`, sent as `{"token": …}` in the body.
         token: Option<String>,
-    },
-}
-
-/// The `experiments` subcommand actions.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExperimentsCmd {
-    /// List the registry.
-    List,
-    /// Run a filtered selection through the scheduler.
-    Run {
-        /// Tag/id filter (empty = all).
-        filter: String,
-        /// Parallel jobs.
-        jobs: usize,
-        /// Results directory override.
-        results_dir: Option<PathBuf>,
-        /// Keep going past failures, reporting a degraded suite.
-        keep_going: bool,
-    },
-    /// Verify artifacts against the content-hashed manifest.
-    Verify {
-        /// Results directory override.
-        results_dir: Option<PathBuf>,
-        /// Manifest path override.
-        manifest: Option<PathBuf>,
     },
 }
 
@@ -193,7 +143,6 @@ fn parse_opts<'a>(args: impl Iterator<Item = &'a String>) -> Result<Options, Str
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let cmd = args.first().ok_or_else(|| CliError::Usage(usage()))?;
     match cmd.as_str() {
-        "experiments" => parse_experiments(&args[1..]),
         "workloads" => parse_workloads(&args[1..]),
         "query" => parse_query(&args[1..]),
         "help" | "--help" | "-h" => Ok(Command::Help),
@@ -342,49 +291,6 @@ fn parse_query(args: &[String]) -> Result<Command, CliError> {
     })
 }
 
-/// Parses the `experiments` subcommand actions.
-fn parse_experiments(args: &[String]) -> Result<Command, CliError> {
-    // `--keep-going` is a bare flag; strip it before `--key value`
-    // parsing, as for `query --shutdown`.
-    let keep_going = args.iter().any(|a| a == "--keep-going");
-    let args: Vec<&String> = args.iter().filter(|a| *a != "--keep-going").collect();
-    let Some((action, rest)) = args.split_first() else {
-        return Ok(Command::Experiments(ExperimentsCmd::List));
-    };
-    let mut opts = parse_opts(rest.iter().copied()).map_err(CliError::Usage)?;
-    let cmd = match action.as_str() {
-        "list" => ExperimentsCmd::List,
-        "run" => ExperimentsCmd::Run {
-            filter: opts.remove("filter").unwrap_or_default(),
-            jobs: match opts.remove("jobs") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--jobs: not an integer: {v:?}")))?,
-                None => 1,
-            },
-            results_dir: opts.remove("results-dir").map(PathBuf::from),
-            keep_going,
-        },
-        "verify" => ExperimentsCmd::Verify {
-            results_dir: opts.remove("results-dir").map(PathBuf::from),
-            manifest: opts.remove("manifest").map(PathBuf::from),
-        },
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown experiments action {other:?}\n{}",
-                usage()
-            )))
-        }
-    };
-    if let Some(stray) = opts.keys().next() {
-        return Err(CliError::Usage(format!(
-            "experiments {action} does not take --{stray}\n{}",
-            usage()
-        )));
-    }
-    Ok(Command::Experiments(cmd))
-}
-
 /// Parses the `workloads` subcommand: catalogue access routed through
 /// the same wire schema the server answers (`list` is the default
 /// action; `show` wants a built-in name, `validate` an inline spec
@@ -435,7 +341,7 @@ fn parse_workloads(args: &[String]) -> Result<Command, CliError> {
 }
 
 fn usage() -> String {
-    "usage: tradeoff <price|crossover|linesize|simulate|design|grid|query|workloads|experiments> [--option value]...\n\
+    "usage: tradeoff <price|crossover|linesize|simulate|design|grid|query|workloads> [--option value]...\n\
      \n\
      price       --bus 4 --line 32 --beta 8 --hr 0.95 [--alpha 0.5] [--q 2] [--width 1]\n\
      crossover   --chunks 8 --q 2 [--alpha 0.5]\n\
@@ -451,11 +357,8 @@ fn usage() -> String {
      query       --server HOST:PORT --json REQUEST | --get stats|experiments\n\
      \u{20}           | --shutdown [--token TOKEN]   [--retries N (default 3)]\n\
      workloads   list | show --name NAME | validate --file SPEC.json\n\
-     experiments list\n\
-     experiments run    [--filter <tag|id>] [--jobs N] [--results-dir DIR] [--keep-going]\n\
-     experiments verify [--results-dir DIR] [--manifest FILE]\n\
      \n\
-     exit codes: 0 ok, 1 experiment failure, 2 bad usage, 3 manifest drift"
+     exit codes: 0 ok, 1 failure, 2 bad usage"
         .to_string()
 }
 
@@ -464,9 +367,8 @@ fn usage() -> String {
 ///
 /// # Errors
 ///
-/// [`CliError::Usage`] on bad arguments, [`CliError::Failure`] when
-/// experiments or a backend fail, [`CliError::Drift`] on manifest drift
-/// or write errors.
+/// [`CliError::Usage`] on bad arguments, [`CliError::Failure`] when a
+/// backend or the server call fails.
 pub fn run_cli(args: &[String]) -> Result<String, CliError> {
     match parse_args(args)? {
         Command::Help => Ok(usage()),
@@ -484,7 +386,6 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             call,
             retries,
         } => client(&addr, &call, retries),
-        Command::Experiments(cmd) => experiments(&cmd),
     }
 }
 
@@ -545,18 +446,10 @@ fn client(addr: &str, call: &ClientCall, retries: u32) -> Result<String, CliErro
                 return match reply.status {
                     200 => Ok(body),
                     400..=499 => Err(CliError::Usage(body)),
-                    _ => Err(CliError::Failure {
-                        document: String::new(),
-                        summary: body,
-                    }),
+                    _ => Err(CliError::Failure(body)),
                 };
             }
-            Err(summary) => {
-                return Err(CliError::Failure {
-                    document: String::new(),
-                    summary,
-                })
-            }
+            Err(summary) => return Err(CliError::Failure(summary)),
         }
     }
 }
@@ -723,18 +616,9 @@ fn render(req: &QueryRequest, resp: &QueryResponse, secs: f64) -> String {
                 }
             }
         }
-        QueryResponse::Experiments(r) => {
-            let mut t = Table::new(["id", "tags", "shared traces", "title"]);
-            for e in &r.experiments {
-                t.row([
-                    e.id.clone(),
-                    e.tags.join(","),
-                    e.traces.join(","),
-                    e.title.clone(),
-                ]);
-            }
-            t.render()
-        }
+        // No human subcommand asks for the registry listing (`exp list`
+        // prints it); `query --json` carries its wire form.
+        QueryResponse::Experiments(_) => resp.to_json_string(),
         QueryResponse::Workloads(r) => match r {
             WorkloadsResponse::List(infos) => {
                 let mut t = Table::new(["name", "id"]);
@@ -780,89 +664,6 @@ pub fn parse_curve(spec: &str) -> Result<Vec<LineCandidate>, String> {
         .collect()
 }
 
-/// Maps a [`bench::Error`] from the suite driver to the CLI's typed
-/// error: no-match filters are usage, experiment failures are failures,
-/// write errors are drift-class (the results directory is suspect).
-fn from_bench(e: bench::Error) -> CliError {
-    match e {
-        bench::Error::NoMatch { .. } => CliError::Usage(e.to_string()),
-        bench::Error::Experiment { .. } => CliError::Failure {
-            document: String::new(),
-            summary: e.to_string(),
-        },
-        bench::Error::Write { .. } => CliError::Drift(e.to_string()),
-    }
-}
-
-/// The `tradeoff experiments <list|run|verify>` subcommand over the
-/// bench registry.
-fn experiments(cmd: &ExperimentsCmd) -> Result<String, CliError> {
-    match cmd {
-        ExperimentsCmd::List => {
-            // The listing is the `experiments` query, rendered.
-            let req = QueryRequest::Experiments;
-            let resp = api::dispatch(&req, &StoreWorkloads).map_err(from_api)?;
-            Ok(render(&req, &resp, 0.0))
-        }
-        ExperimentsCmd::Run {
-            filter,
-            jobs,
-            results_dir,
-            keep_going,
-        } => {
-            let dir = results_dir
-                .clone()
-                .unwrap_or_else(bench::common::results_dir);
-            let instructions = bench::common::instructions_per_run().map_err(CliError::Usage)?;
-            let sched_opts = bench::sched::SuiteOptions::new(
-                *jobs,
-                bench::registry::RunCtx::with_instructions(instructions),
-            )
-            .keep_going(*keep_going);
-            let outcome = bench::sched::drive(filter, &sched_opts, &dir).map_err(from_bench)?;
-            eprintln!("{}", outcome.run.footer());
-            if outcome.run.has_failures() {
-                return Err(CliError::Failure {
-                    document: outcome.run.document(),
-                    summary: outcome.run.failure_summary(),
-                });
-            }
-            Ok(outcome.run.document())
-        }
-        ExperimentsCmd::Verify {
-            results_dir,
-            manifest,
-        } => {
-            let dir = results_dir
-                .clone()
-                .unwrap_or_else(bench::common::results_dir);
-            let manifest_path = manifest
-                .clone()
-                .unwrap_or_else(|| dir.join(report::MANIFEST_NAME));
-            let json = std::fs::read_to_string(&manifest_path).map_err(|e| {
-                CliError::Usage(format!("reading {}: {e}", manifest_path.display()))
-            })?;
-            let manifest = report::Manifest::parse(&json).map_err(CliError::Usage)?;
-            let drift = manifest.verify_dir(&dir);
-            if drift.is_empty() {
-                Ok(format!(
-                    "{} artifacts verified against {}\n",
-                    manifest.entries.len(),
-                    manifest_path.display()
-                ))
-            } else {
-                Err(CliError::Drift(
-                    drift
-                        .iter()
-                        .map(|d| format!("drift: {d}"))
-                        .collect::<Vec<_>>()
-                        .join("\n"),
-                ))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -886,10 +687,6 @@ mod tests {
         assert_eq!(p.beta, 8.0);
         assert_eq!(p.bus, 4.0, "defaults fill unspecified flags");
         assert_eq!(parse_args(&argv("help")).unwrap(), Command::Help);
-        assert_eq!(
-            parse_args(&argv("experiments")).unwrap(),
-            Command::Experiments(ExperimentsCmd::List)
-        );
     }
 
     #[test]
@@ -1188,70 +985,26 @@ mod tests {
     }
 
     #[test]
-    fn experiments_list_shows_registry() {
-        let out = go("experiments list").unwrap();
-        assert!(out.contains("fig1"));
-        assert!(out.contains("Design-space sweep"));
-        // Bare `experiments` defaults to the listing.
-        assert_eq!(go("experiments").unwrap(), out);
-    }
-
-    #[test]
-    fn experiments_rejects_unknown_action_and_missing_manifest() {
-        assert_eq!(go("experiments frobnicate").unwrap_err().exit_code(), 2);
-        assert_eq!(
-            go("experiments run --frob 1").unwrap_err().exit_code(),
-            2,
-            "stray experiment flags are usage errors"
-        );
-        let err = go("experiments verify --results-dir /no/such/dir").unwrap_err();
-        assert!(err.message().contains("reading"), "{}", err.message());
+    fn experiments_is_not_a_subcommand() {
+        // The registry's front-end is the `exp` binary; the CLI answers
+        // queries only.
+        for args in [
+            "experiments",
+            "experiments list",
+            "experiments run --filter fig2",
+        ] {
+            let err = go(args).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{args:?}");
+            assert!(err.message().contains("unknown subcommand"), "{args:?}");
+        }
     }
 
     #[test]
     fn cli_errors_map_to_distinct_exit_codes() {
         let usage = go("frobnicate").unwrap_err();
         assert_eq!(usage.exit_code(), 2);
-        // A filter matching nothing is bad usage, not an empty success.
-        let nomatch = go("experiments run --filter no-such-tag").unwrap_err();
-        assert_eq!(nomatch.exit_code(), 2);
-        assert!(nomatch.message().contains("no experiment matches"));
-        let drift = CliError::Drift("x".into());
-        assert_eq!(drift.exit_code(), 3);
-        assert!(drift.partial_output().is_none());
-        let failure = CliError::Failure {
-            document: "partial\n".into(),
-            summary: "fig2: failed".into(),
-        };
+        let failure = CliError::Failure("server unreachable".into());
         assert_eq!(failure.exit_code(), 1);
-        assert_eq!(failure.partial_output(), Some("partial\n"));
-        assert_eq!(failure.message(), "fig2: failed");
-    }
-
-    #[test]
-    fn keep_going_flag_is_accepted() {
-        let dir = std::env::temp_dir().join("cli_keep_going_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = go(&format!(
-            "experiments run --keep-going --filter fig2 --results-dir {}",
-            dir.display()
-        ))
-        .unwrap();
-        assert!(out.contains("================ Figure 2 ================"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn experiments_run_filtered_writes_artifacts() {
-        let dir = std::env::temp_dir().join("cli_experiments_run_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = go(&format!(
-            "experiments run --filter fig2 --results-dir {}",
-            dir.display()
-        ))
-        .unwrap();
-        assert!(out.contains("================ Figure 2 ================"));
-        assert!(dir.join("fig2.csv").exists());
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(failure.message(), "server unreachable");
     }
 }

@@ -57,8 +57,7 @@
 //! See `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for the
 //! paper-versus-measured record. Each figure/table is a registered
 //! experiment in the `bench` crate, run by the generic `exp` binary
-//! (`cargo run -p bench --release --bin exp -- fig3`, etc.) or by
-//! `tradeoff-cli experiments run`.
+//! (`cargo run -p bench --release --bin exp -- fig3`, etc.).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

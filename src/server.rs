@@ -67,7 +67,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tradeoff::api::{dispatch, ApiError, QueryRequest};
 
@@ -161,18 +161,18 @@ struct Gauges {
 /// connection is fully done — however it ends, including a contained
 /// worker panic (the guard travels with the stream through the queue).
 #[derive(Debug)]
-struct InflightGuard {
-    gauges: Arc<Gauges>,
+struct InflightGuard<'a> {
+    gauges: &'a Gauges,
 }
 
-impl InflightGuard {
-    fn new(gauges: Arc<Gauges>) -> InflightGuard {
+impl InflightGuard<'_> {
+    fn new(gauges: &Gauges) -> InflightGuard<'_> {
         gauges.inflight.fetch_add(1, Ordering::SeqCst);
         InflightGuard { gauges }
     }
 }
 
-impl Drop for InflightGuard {
+impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
         self.gauges.inflight.fetch_sub(1, Ordering::SeqCst);
     }
@@ -923,85 +923,83 @@ pub fn serve(cfg: &ServerConfig) -> std::io::Result<()> {
     let threads = cfg.threads.max(1);
     eprintln!("tradeoff-server listening on {local} ({threads} workers)");
 
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let stats = Arc::new(ServerStats::new(threads));
-    let gauges = Arc::new(Gauges::default());
+    let shutdown = AtomicBool::new(false);
+    let stats = ServerStats::new(threads);
+    let gauges = Gauges::default();
     // Capacity max_inflight: the acceptor sheds at that many in-flight
     // connections, so a send can never block.
     let (tx, rx) = mpsc::sync_channel::<(TcpStream, InflightGuard)>(cfg.max_inflight.max(1));
-    let rx = Arc::new(Mutex::new(rx));
+    let rx = Mutex::new(rx);
 
-    let workers: Vec<_> = (0..threads)
-        .map(|_| {
-            let rx = Arc::clone(&rx);
-            let stats = Arc::clone(&stats);
-            let gauges = Arc::clone(&gauges);
-            let shutdown = Arc::clone(&shutdown);
-            let cfg = cfg.clone();
-            std::thread::spawn(move || {
-                // Serve-path faults target the pseudo experiment `serve`.
-                let _scope = fault::enter("serve");
-                stats.workers_alive.fetch_add(1, Ordering::SeqCst);
-                loop {
-                    // Hold the receiver lock only while dequeuing.
-                    let next = {
-                        let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        guard.recv()
-                    };
-                    let Ok((stream, inflight)) = next else {
-                        break; // channel closed and drained: exit
-                    };
-                    gauges.queued.fetch_sub(1, Ordering::SeqCst);
-                    // The last line of containment: nothing that
-                    // unwinds out of a connection may shrink the pool.
-                    let stop = catch_unwind(AssertUnwindSafe(|| {
-                        handle_connection(stream, &cfg, &stats, &gauges, &shutdown)
-                    }))
-                    .unwrap_or(false);
-                    drop(inflight);
-                    if stop {
-                        shutdown.store(true, Ordering::SeqCst);
-                        // Wake the blocking acceptor with a throwaway
-                        // connection so it observes the flag.
-                        let _ = TcpStream::connect(local);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    // Serve-path faults target the pseudo experiment `serve`.
+                    let _scope = fault::enter("serve");
+                    stats.workers_alive.fetch_add(1, Ordering::SeqCst);
+                    loop {
+                        // Hold the receiver lock only while dequeuing.
+                        let next = {
+                            let guard =
+                                rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                            guard.recv()
+                        };
+                        let Ok((stream, inflight)) = next else {
+                            break; // channel closed and drained: exit
+                        };
+                        gauges.queued.fetch_sub(1, Ordering::SeqCst);
+                        // The last line of containment: nothing that
+                        // unwinds out of a connection may shrink the pool.
+                        let stop = catch_unwind(AssertUnwindSafe(|| {
+                            handle_connection(stream, cfg, &stats, &gauges, &shutdown)
+                        }))
+                        .unwrap_or(false);
+                        drop(inflight);
+                        if stop {
+                            shutdown.store(true, Ordering::SeqCst);
+                            // Wake the blocking acceptor with a throwaway
+                            // connection so it observes the flag.
+                            let _ = TcpStream::connect(local);
+                        }
                     }
-                }
-                stats.workers_alive.fetch_sub(1, Ordering::SeqCst);
+                    stats.workers_alive.fetch_sub(1, Ordering::SeqCst);
+                })
             })
-        })
-        .collect();
+            .collect();
 
-    // The acceptor evaluates the `accept` fault site under `serve` too.
-    let accept_scope = fault::enter("serve");
-    for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
+        // The acceptor evaluates the `accept` fault site under `serve` too.
+        let accept_scope = fault::enter("serve");
+        for stream in listener.incoming() {
+            if shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(mut stream) = stream else { continue };
+            stats.accepted.fetch_add(1, Ordering::Relaxed);
+            let at_cap = gauges.inflight.load(Ordering::SeqCst) >= cfg.max_inflight.max(1) as u64;
+            // An injected accept fault forces the shed path deterministically.
+            if at_cap || fault::check(Site::Accept).is_err() {
+                stats.sheds_accept.fetch_add(1, Ordering::Relaxed);
+                stats.record("shed", Duration::ZERO, false);
+                let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+                let body = wire_error("overloaded", "server at max in-flight connections");
+                respond(&mut stream, 503, &body, false, Some(1), &stats);
+                continue;
+            }
+            let inflight = InflightGuard::new(&gauges);
+            gauges.queued.fetch_add(1, Ordering::SeqCst);
+            if tx.send((stream, inflight)).is_err() {
+                break; // only possible once shutdown closed the channel
+            }
         }
-        let Ok(mut stream) = stream else { continue };
-        stats.accepted.fetch_add(1, Ordering::Relaxed);
-        let at_cap = gauges.inflight.load(Ordering::SeqCst) >= cfg.max_inflight.max(1) as u64;
-        // An injected accept fault forces the shed path deterministically.
-        if at_cap || fault::check(Site::Accept).is_err() {
-            stats.sheds_accept.fetch_add(1, Ordering::Relaxed);
-            stats.record("shed", Duration::ZERO, false);
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-            let body = wire_error("overloaded", "server at max in-flight connections");
-            respond(&mut stream, 503, &body, false, Some(1), &stats);
-            continue;
-        }
-        let inflight = InflightGuard::new(Arc::clone(&gauges));
-        gauges.queued.fetch_add(1, Ordering::SeqCst);
-        if tx.send((stream, inflight)).is_err() {
-            break; // only possible once shutdown closed the channel
-        }
-    }
-    drop(accept_scope);
+        drop(accept_scope);
 
-    // Close the channel: workers finish whatever is queued, then exit.
-    drop(tx);
-    for w in workers {
-        let _ = w.join();
-    }
+        // Close the channel: workers finish whatever is queued, then exit.
+        drop(tx);
+        for w in workers {
+            let _ = w.join();
+        }
+    });
     eprintln!("tradeoff-server: drained and stopped");
     Ok(())
 }

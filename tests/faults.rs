@@ -120,7 +120,7 @@ fn a_poisoned_store_lock_is_recovered_and_retried() {
     // fig1 reads the memoised SPEC working set; an injected fault at the
     // lock site unwinds while the store mutex is held, poisoning it. The
     // retry must recover the lock (clearing the wedged map) and succeed.
-    let before = bench::tracestore::poison_recoveries();
+    let before = bench::tracestore::stats().poison_recoveries;
     let selection = bench::registry::matching("fig1").unwrap();
     let run = {
         let _armed = fault::arm(FaultPlan::new().with(Site::Lock, "fig1", FaultKind::Io, 1));
@@ -133,7 +133,7 @@ fn a_poisoned_store_lock_is_recovered_and_retried() {
     );
     assert_eq!(run.outcomes[0].status(), "retried(1)");
     assert!(
-        bench::tracestore::poison_recoveries() > before,
+        bench::tracestore::stats().poison_recoveries > before,
         "the poisoned store mutex was recovered"
     );
 }
