@@ -3,39 +3,46 @@
 //!
 //! Every fold the methodology needs — a [`StackDistSweep`] per line
 //! size, a [`MissTimelineBuilder`] per cache, multi-granularity
-//! [`simtrace::ReuseHistograms`] — consumes the trace strictly in
-//! order. [`fold`] feeds one deterministic chunk sequence to any number
-//! of borrowed [`ChunkSink`]s, taking the chunks from a resident trace
-//! slice or from the chunked generator ([`Source`]). A generated source
-//! counts as one worker and each sink as one more: when only one can
-//! run it takes one serial loop, otherwise one `std::thread::scope`
-//! loop (the source on the calling thread, one consumer per sink behind
-//! a bounded channel), so a generator pipelines into even a single
-//! sink, and a reuse-histogram fold fans out as one sink per line size
-//! ([`simtrace::ReuseHistograms::parts_mut`]). Either way each sink
-//! sees the identical ordered chunk sequence, so the folded results are
-//! **bit-identical** to the monolithic whole-trace path — asserted by
-//! `tests/streaming_oracle.rs` — and peak trace-resident memory is a
-//! few chunks, not the trace length.
+//! [`ReuseHistograms`] — consumes the trace strictly in order. A
+//! [`Source`] (a resident trace slice or the chunked generator) is cut
+//! into one deterministic sequence of items, and every borrowed
+//! [`ChunkSink`] sees each item in order. [`fold`] hands out
+//! instruction chunks; [`fold_histograms`] cuts them once more into
+//! [`RefBatch`]es (a run's data addresses, extracted once on the
+//! source's thread) and hands each batch to every granularity part of a
+//! [`ReuseHistograms`]. Both run the same two loops, generic over the
+//! item: a source that is generated counts as one worker and each sink
+//! as one more; when only one can run they take the serial loop,
+//! otherwise the `std::thread::scope` loop (the source on the calling
+//! thread, one consumer per sink behind a bounded channel), so a
+//! generator pipelines into even a single sink and the histogram parts
+//! fold side by side. Generated chunks and reference batches live in
+//! buffers allocated once and recycled once every sink has dropped
+//! them. Either way each sink sees the identical ordered item sequence,
+//! so the folded results are **bit-identical** to the monolithic
+//! whole-trace path — asserted by `tests/streaming_oracle.rs` — and
+//! peak trace-resident memory is a few buffers, not the trace length.
 //!
-//! Production folds use [`chunk_instructions`] chunks; the determinism
-//! contract that makes any other length give the same answer is
-//! documented in `DESIGN.md` §12.
+//! Production folds use [`chunk_instructions`] chunks and
+//! [`RefBatch::REFS`]-reference batches; the determinism contract that
+//! makes any other length give the same answer is documented in
+//! `DESIGN.md` §12.
 
 use crate::{exec, fault};
 use simcache::stackdist::StackDistSweep;
 use simcpu::MissTimelineBuilder;
 use simtrace::chunk::{ChunkedTrace, DEFAULT_CHUNK_INSTRUCTIONS};
-use simtrace::{GranularityFold, Instr};
+use simtrace::{GranularityFold, Instr, RefBatch, RefCutter, ReuseHistograms};
 use std::ops::Deref;
 use std::sync::mpsc;
 use std::sync::Arc;
 
-/// Chunks a producer may queue per sink (bounded channel depth). The
-/// sinks share each generated chunk, so with the one the slowest
-/// consumer holds and the one being generated at most
-/// `IN_FLIGHT_CHUNKS + 2` chunks are alive, however many sinks there
-/// are: about 1.5 MB at the default chunk length.
+/// Items a producer may queue per sink (bounded channel depth). The
+/// sinks share each item, so with the one the slowest consumer holds
+/// and the one being produced at most `IN_FLIGHT_CHUNKS + 2` buffers
+/// are alive, however many sinks there are: 1.5 MB of instruction
+/// chunks at the default chunk length, or 2 MB of reference batches
+/// (four of [`RefBatch::REFS`] addresses) plus the one chunk being cut.
 const IN_FLIGHT_CHUNKS: usize = 2;
 
 /// Instructions per streamed chunk: always
@@ -46,15 +53,17 @@ pub fn chunk_instructions() -> usize {
     DEFAULT_CHUNK_INSTRUCTIONS
 }
 
-/// An order-sensitive fold over a chunked instruction stream.
+/// An order-sensitive fold over a chunked stream of `C` items:
+/// instruction chunks by default, [`RefBatch`]es for the granularity
+/// parts of a histogram fold.
 ///
-/// Implementations must be pure folds of the chunk sequence: feeding
-/// the same chunks in the same order must produce the same state
+/// Implementations must be pure folds of the item sequence: feeding
+/// the same items in the same order must produce the same state
 /// regardless of thread interleaving — that is the entire determinism
 /// argument of the parallel loop.
-pub trait ChunkSink: Send {
-    /// Folds one chunk (chunks arrive in stream order, back to back).
-    fn consume(&mut self, chunk: &[Instr]);
+pub trait ChunkSink<C: ?Sized = [Instr]>: Send {
+    /// Folds one item (items arrive in stream order, back to back).
+    fn consume(&mut self, chunk: &C);
 }
 
 impl ChunkSink for StackDistSweep {
@@ -69,12 +78,11 @@ impl ChunkSink for MissTimelineBuilder {
     }
 }
 
-/// One granularity of a reuse-histogram fold: passing
-/// [`simtrace::ReuseHistograms::parts_mut`] as the sinks folds the line
-/// sizes on separate threads.
-impl ChunkSink for GranularityFold {
-    fn consume(&mut self, chunk: &[Instr]) {
-        self.process_slice(chunk);
+/// One granularity of a reuse-histogram fold: [`fold_histograms`]
+/// hands every part the same reference batches.
+impl ChunkSink<RefBatch> for GranularityFold {
+    fn consume(&mut self, batch: &RefBatch) {
+        self.fold(batch);
     }
 }
 
@@ -87,8 +95,8 @@ impl ChunkSink for Vec<Instr> {
 
 /// A borrowed sink, so one pass can fold sinks of different types
 /// (`&mut [&mut dyn ChunkSink]`) while the caller keeps owning them.
-impl<S: ChunkSink + ?Sized> ChunkSink for &mut S {
-    fn consume(&mut self, chunk: &[Instr]) {
+impl<C: ?Sized, S: ChunkSink<C> + ?Sized> ChunkSink<C> for &mut S {
+    fn consume(&mut self, chunk: &C) {
         (**self).consume(chunk);
     }
 }
@@ -109,29 +117,169 @@ impl<'a> Source<'a, std::iter::Empty<Instr>> {
     }
 }
 
-impl<I: Iterator<Item = Instr>> Source<'_, I> {
-    /// Calls `f` on every `chunk_len`-instruction chunk in stream order
-    /// (the last may be shorter). A resident trace and the generator it
-    /// was materialised from yield the same chunks.
-    fn for_each_chunk(self, chunk_len: usize, f: impl FnMut(&[Instr])) {
+impl<'a, I: Iterator<Item = Instr>> Source<'a, I> {
+    /// Worker threads a fold of `sinks` sinks over this source can use:
+    /// a generated source counts as one worker and every sink as one
+    /// more ([`exec::worker_count`]).
+    fn workers(&self, sinks: usize) -> usize {
+        let generator = usize::from(matches!(self, Source::Generated(_)));
+        exec::worker_count(sinks + generator)
+    }
+
+    /// The source's `chunk_len`-instruction chunks in stream order (the
+    /// last may be shorter). A resident trace and the generator it was
+    /// materialised from yield the same chunks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk_len` is 0.
+    fn chunks(self, chunk_len: usize) -> Chunks<'a, I> {
+        assert!(chunk_len > 0, "chunk length must be at least 1");
         match self {
-            Source::Resident(trace) => trace.chunks(chunk_len).for_each(f),
-            Source::Generated(gen) => ChunkedTrace::new(gen, chunk_len).for_each_chunk(f),
+            Source::Resident(trace) => Chunks::Resident(trace.chunks(chunk_len)),
+            Source::Generated(gen) => Chunks::Generated {
+                chunks: ChunkedTrace::new(gen, chunk_len),
+                pool: Recycler::default(),
+                chunk_len,
+            },
         }
     }
 }
 
+/// A source cut into chunks ([`Source::chunks`]). Each chunk is a
+/// cancellation point ([`fault::check_deadline`]), checked on the
+/// thread that pulls it.
+enum Chunks<'a, I> {
+    Resident(std::slice::Chunks<'a, Instr>),
+    Generated {
+        chunks: ChunkedTrace<I>,
+        pool: Recycler<Vec<Instr>>,
+        chunk_len: usize,
+    },
+}
+
+impl<'a, I: Iterator<Item = Instr>> Iterator for Chunks<'a, I> {
+    type Item = Chunk<'a>;
+
+    fn next(&mut self) -> Option<Chunk<'a>> {
+        fault::check_deadline();
+        match self {
+            Chunks::Resident(chunks) => chunks.next().map(Chunk::Resident),
+            Chunks::Generated {
+                chunks,
+                pool,
+                chunk_len,
+            } => pool
+                .next(
+                    || Vec::with_capacity(*chunk_len),
+                    |buf| chunks.next_chunk_into(buf),
+                )
+                .map(Chunk::Generated),
+        }
+    }
+}
+
+/// One chunk of a source. A resident trace outlives the fold, so its
+/// chunks are borrowed sub-slices and a resident fan-out copies
+/// nothing; a generated chunk is built into a recycled buffer that the
+/// consumers share.
+#[derive(Clone)]
+enum Chunk<'a> {
+    Resident(&'a [Instr]),
+    Generated(Arc<Vec<Instr>>),
+}
+
+impl Deref for Chunk<'_> {
+    type Target = [Instr];
+
+    fn deref(&self) -> &[Instr] {
+        match self {
+            Chunk::Resident(chunk) => chunk,
+            Chunk::Generated(chunk) => chunk,
+        }
+    }
+}
+
+/// Buffers shared out as `Arc`s and refilled once every holder has
+/// dropped its handle, so a fold allocates each in-flight buffer once,
+/// at full size. The serial loop drops an item before it pulls the
+/// next, so it cycles one buffer; the parallel loop's bounded channels
+/// keep the pool at `IN_FLIGHT_CHUNKS + 2` buffers.
+struct Recycler<T> {
+    pool: Vec<Arc<T>>,
+}
+
+impl<T> Default for Recycler<T> {
+    fn default() -> Self {
+        Recycler { pool: Vec::new() }
+    }
+}
+
+impl<T> Recycler<T> {
+    /// Refills a free buffer (or a new one from `make`) through `fill`
+    /// and shares it, or returns `None` when `fill` reports the stream
+    /// is done.
+    fn next(
+        &mut self,
+        make: impl FnOnce() -> T,
+        fill: impl FnOnce(&mut T) -> bool,
+    ) -> Option<Arc<T>> {
+        let free = match self.pool.iter_mut().position(|b| Arc::get_mut(b).is_some()) {
+            Some(free) => free,
+            None => {
+                self.pool.push(Arc::new(make()));
+                self.pool.len() - 1
+            }
+        };
+        let buf = Arc::get_mut(&mut self.pool[free]).expect("no other holder");
+        fill(buf).then(|| Arc::clone(&self.pool[free]))
+    }
+}
+
+/// Cuts `chunks` into reference batches of at most `refs` addresses
+/// through `cut`. A batch spans chunk boundaries, so batches depend on
+/// the stream alone, not on how it was chunked.
+fn batches<'a>(
+    mut chunks: impl Iterator<Item = Chunk<'a>> + 'a,
+    mut cut: RefCutter,
+    refs: usize,
+) -> impl Iterator<Item = Arc<RefBatch>> + 'a {
+    let mut pool = Recycler::default();
+    let (mut pending, mut at) = (None::<Chunk<'a>>, 0);
+    std::iter::from_fn(move || {
+        pool.next(
+            || RefBatch::with_capacity(refs),
+            |batch| {
+                batch.clear();
+                loop {
+                    if pending.as_ref().is_none_or(|chunk| at == chunk.len()) {
+                        // Drop the spent chunk first, so the generator
+                        // refills its buffer instead of allocating.
+                        drop(pending.take());
+                        pending = chunks.next();
+                        at = 0;
+                    }
+                    let Some(chunk) = &pending else { break };
+                    at += cut.fill(batch, &chunk[at..]);
+                    if at < chunk.len() {
+                        break;
+                    }
+                }
+                batch.instructions() > 0
+            },
+        )
+    })
+}
+
 /// Folds `source` through every sink in `chunk_len`-instruction chunks.
 ///
-/// A generated source counts as one worker and every sink as one more.
-/// When more than one of them can run ([`exec::worker_count`]), the
-/// source runs on the calling thread and each sink folds on its own
-/// scoped thread behind a bounded channel: generate→fold pipelining
-/// plus sink fan-out, so even one sink over a generator keeps two cores
-/// busy. Otherwise (one sink over a resident trace, or one core)
-/// everything runs serially. Both loops deliver the identical chunk
-/// sequence to every sink, so the results are independent of the
-/// schedule.
+/// When more than one worker can run ([`Source::workers`]), the source
+/// runs on the calling thread and each sink folds on its own scoped
+/// thread behind a bounded channel: generate→fold pipelining plus sink
+/// fan-out, so even one sink over a generator keeps two cores busy.
+/// Otherwise (one sink over a resident trace, or one core) everything
+/// runs serially. Both loops deliver the identical chunk sequence to
+/// every sink, so the results are independent of the schedule.
 ///
 /// # Panics
 ///
@@ -142,53 +290,72 @@ where
     I: Iterator<Item = Instr>,
     S: ChunkSink,
 {
-    let generator = usize::from(matches!(source, Source::Generated(_)));
-    let workers = exec::worker_count(sinks.len() + generator);
-    fold_on(workers, source, chunk_len, sinks);
+    let workers = source.workers(sinks.len());
+    drive(workers, source.chunks(chunk_len), sinks);
 }
 
-/// [`fold`] with its worker count given: the serial loop for one
-/// worker, the parallel loop for more.
-fn fold_on<I, S>(workers: usize, source: Source<'_, I>, chunk_len: usize, sinks: &mut [S])
+/// Folds `source` into `hists`: the source's thread extracts the data
+/// addresses of each run of the stream once, into a
+/// [`RefBatch::REFS`]-reference batch, and every granularity part folds
+/// that batch — on its own thread when more than one worker can run, as
+/// in [`fold`]. The result is bit-identical to
+/// [`ReuseHistograms::process_slice`] over the same stream, and a fold
+/// may continue one that already holds instructions.
+///
+/// # Panics
+///
+/// As [`fold`].
+pub fn fold_histograms<I>(source: Source<'_, I>, chunk_len: usize, hists: &mut ReuseHistograms)
 where
     I: Iterator<Item = Instr>,
-    S: ChunkSink,
 {
-    assert!(chunk_len > 0, "chunk length must be at least 1");
+    let workers = source.workers(hists.parts_mut().len());
+    fold_histograms_on(workers, RefBatch::REFS, source, chunk_len, hists);
+}
+
+/// [`fold_histograms`] with its worker count and batch length given.
+fn fold_histograms_on<I>(
+    workers: usize,
+    refs: usize,
+    source: Source<'_, I>,
+    chunk_len: usize,
+    hists: &mut ReuseHistograms,
+) where
+    I: Iterator<Item = Instr>,
+{
+    let cut = RefCutter::new(hists.warmup(), hists.instructions());
+    let batches = batches(source.chunks(chunk_len), cut, refs);
+    drive(workers, batches, hists.parts_mut());
+}
+
+/// The two loops of every fold, generic over the item: the serial loop
+/// for one worker, the parallel loop ([`fan_out`]) for more. `items`
+/// is pulled on the calling thread either way.
+fn drive<C, T, S>(workers: usize, items: impl Iterator<Item = C>, sinks: &mut [S])
+where
+    C: Deref<Target = T> + Clone + Send,
+    T: ?Sized,
+    S: ChunkSink<T>,
+{
     if workers <= 1 {
-        source.for_each_chunk(chunk_len, |chunk| {
-            fault::check_deadline();
+        for item in items {
             for sink in sinks.iter_mut() {
-                sink.consume(chunk);
+                sink.consume(&item);
             }
-        });
-        return;
-    }
-    match source {
-        // The trace outlives the scope, so consumers borrow its
-        // sub-slices: a resident fan-out copies nothing.
-        Source::Resident(trace) => fan_out(trace.chunks(chunk_len), sinks),
-        // Each chunk is generated into its own buffer, which the
-        // consumers share.
-        Source::Generated(gen) => {
-            let mut chunks = ChunkedTrace::new(gen, chunk_len);
-            let generated = std::iter::from_fn(|| {
-                let mut buf = Vec::with_capacity(chunk_len);
-                chunks.next_chunk_into(&mut buf).then(|| Arc::new(buf))
-            });
-            fan_out(generated, sinks);
         }
+    } else {
+        fan_out(items, sinks);
     }
 }
 
-/// The parallel loop: pulls `chunks` on the calling thread and hands
+/// The parallel loop: pulls `items` on the calling thread and hands
 /// each to every sink's scoped consumer thread, each behind a bounded
 /// channel.
-fn fan_out<C, S>(chunks: impl Iterator<Item = C>, sinks: &mut [S])
+fn fan_out<C, T, S>(items: impl Iterator<Item = C>, sinks: &mut [S])
 where
-    C: Deref + Clone + Send,
-    C::Target: AsRef<[Instr]>,
-    S: ChunkSink,
+    C: Deref<Target = T> + Clone + Send,
+    T: ?Sized,
+    S: ChunkSink<T>,
 {
     // Consumers inherit the spawner's fault scope (experiment and
     // deadline) so faults and cancellation reach every fold.
@@ -201,21 +368,20 @@ where
                 let inherited = inherited.clone();
                 let consumer = scope.spawn(move || {
                     let _scope = fault::enter_shared(inherited);
-                    for chunk in rx {
-                        sink.consume((*chunk).as_ref());
+                    for item in rx {
+                        sink.consume(&item);
                     }
                 });
                 (tx, consumer)
             })
             .unzip();
-        for chunk in chunks {
-            fault::check_deadline();
+        for item in items {
             // A closed channel means that consumer panicked: keep
             // feeding the others, and stop once none is left. The join
             // below re-raises the panic.
             let mut delivered = false;
             for tx in &senders {
-                delivered |= tx.send(chunk.clone()).is_ok();
+                delivered |= tx.send(item.clone()).is_ok();
             }
             if !delivered {
                 break;
@@ -235,7 +401,6 @@ mod tests {
     use super::*;
     use simcpu::MissTimeline;
     use simtrace::workload::builtin;
-    use simtrace::ReuseHistograms;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -244,6 +409,15 @@ mod tests {
     /// The serial loop and the parallel loop, whatever the host's core
     /// count.
     const LOOPS: [usize; 2] = [1, 2];
+
+    /// [`fold`] with its worker count given.
+    fn fold_on<I, S>(workers: usize, source: Source<'_, I>, chunk_len: usize, sinks: &mut [S])
+    where
+        I: Iterator<Item = Instr>,
+        S: ChunkSink,
+    {
+        drive(workers, source.chunks(chunk_len), sinks);
+    }
 
     fn source() -> impl Iterator<Item = Instr> {
         builtin("swm256").unwrap().compile(7).take(N)
@@ -302,28 +476,80 @@ mod tests {
 
     #[test]
     fn histogram_parts_folded_apart_match_one_serial_fold() {
-        // The warm-up boundary (5 000) falls inside a chunk at every
-        // length but N.
-        const WARMUP: u64 = 5_000;
-        let data: Vec<Instr> = source().collect();
-        let mut serial = ReuseHistograms::new(8, 128, 4_096, WARMUP);
-        serial.process_slice(&data);
-        for workers in LOOPS {
-            for chunk in [333, 4_096, N] {
-                for source in sources(&data) {
-                    let mut hists = ReuseHistograms::new(8, 128, 4_096, WARMUP);
-                    fold_on(workers, source, chunk, hists.parts_mut());
-                    assert_eq!(hists.instructions(), N as u64);
-                    assert_eq!(hists.bytes(), serial.bytes(), "workers={workers}");
-                    for line in serial.line_sizes() {
-                        assert_eq!(
-                            hists.profile(line),
-                            serial.profile(line),
-                            "workers={workers} chunk={chunk} line={line}"
-                        );
-                        assert_eq!(hists.set_mass(line), serial.set_mass(line));
+        // swm256 with 8 192 instructions that make no data reference
+        // spliced in at 4 096: chunks of 333 and of 4 096 instructions
+        // include some with no reference at all.
+        let mut data: Vec<Instr> = source().collect();
+        data.splice(4_096..4_096, (0..8_192u64).map(|i| Instr::plain(i * 4)));
+        let n = data.len();
+        // The instruction that makes the 1 000th reference: a warm-up
+        // there ends at the last reference of the first 1 000-reference
+        // batch.
+        let (thousandth, _) = data
+            .iter()
+            .enumerate()
+            .filter(|(_, i)| i.mem.is_some())
+            .nth(999)
+            .expect("swm256 makes a thousand references");
+        // Inside a batch, at a batch's last reference, at instruction 0
+        // and past the end of the trace.
+        for warmup in [15_000, thousandth as u64 + 1, 0, n as u64 + 1] {
+            // One instruction at a time: every instruction its own batch.
+            let mut serial = ReuseHistograms::new(8, 128, 4_096, warmup);
+            for &i in &data {
+                serial.process(i);
+            }
+            for workers in LOOPS {
+                // Batch boundaries that do not line up with the chunks.
+                for (chunk, refs) in [
+                    (333, 1_000),
+                    (4_096, 1_000),
+                    (4_096, 4_000),
+                    (n, RefBatch::REFS),
+                ] {
+                    let sources = [
+                        Source::Resident(&data[..]),
+                        Source::Generated(data.iter().copied()),
+                    ];
+                    for source in sources {
+                        let mut hists = ReuseHistograms::new(8, 128, 4_096, warmup);
+                        fold_histograms_on(workers, refs, source, chunk, &mut hists);
+                        let at =
+                            format!("warmup={warmup} workers={workers} chunk={chunk} refs={refs}");
+                        assert_eq!(hists.instructions(), n as u64, "{at}");
+                        assert_eq!(hists.bytes(), serial.bytes(), "{at}");
+                        for line in serial.line_sizes() {
+                            assert_eq!(
+                                hists.profile(line),
+                                serial.profile(line),
+                                "{at} line={line}"
+                            );
+                            assert_eq!(hists.set_mass(line), serial.set_mass(line), "{at}");
+                        }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_histogram_fold_continues_one_already_fed() {
+        let data: Vec<Instr> = source().collect();
+        let mut whole = ReuseHistograms::new(8, 128, 4_096, 5_000);
+        whole.process_slice(&data);
+        for workers in LOOPS {
+            let mut hists = ReuseHistograms::new(8, 128, 4_096, 5_000);
+            hists.process_slice(&data[..3_000]);
+            fold_histograms_on(
+                workers,
+                1_000,
+                Source::resident(&data[3_000..]),
+                333,
+                &mut hists,
+            );
+            assert_eq!(hists.instructions(), N as u64);
+            for line in whole.line_sizes() {
+                assert_eq!(hists.profile(line), whole.profile(line), "line={line}");
             }
         }
     }

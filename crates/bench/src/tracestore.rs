@@ -28,11 +28,12 @@
 //! tier keeps the longest materialisation per (workload, seed) and
 //! hands out prefix views.
 //!
-//! Timelines, histograms and sweeps are folded *streamingly* through
-//! [`fold_workload`], the one place that chooses between folding the
-//! resident trace in place and feeding the chunked generator straight
-//! into the fold, so fold-only experiments keep a few chunks of
-//! instructions resident (see `DESIGN.md` §12).
+//! Timelines, histograms and sweeps are folded *streamingly* from one
+//! source choice, between folding the resident trace in place and
+//! feeding the chunked generator straight into the fold: timelines and
+//! sweeps through [`fold_workload`], histograms through
+//! [`stream::fold_histograms`]. Fold-only experiments thus keep a few
+//! chunks of instructions resident (see `DESIGN.md` §12).
 //! Only [`workload_trace`] pins full traces.
 
 use crate::error::lock_recovering;
@@ -40,10 +41,11 @@ use crate::fault::{self, Site};
 use crate::stream::{self, ChunkSink, Source};
 use simcache::CacheConfig;
 use simcpu::{MissTimeline, MissTimelineBuilder};
-use simtrace::workload::{WorkloadId, WorkloadSpec};
+use simtrace::workload::{CompiledTrace, WorkloadId, WorkloadSpec};
 use simtrace::{Instr, ReuseHistograms, INSTR_BYTES};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
+use std::iter::Take;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
@@ -532,12 +534,25 @@ pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle
 /// cold one is generated chunk by chunk (a few
 /// [`stream::chunk_instructions`] blocks resident at a time).
 pub fn fold_workload<S: ChunkSink>(spec: &WorkloadSpec, seed: u64, len: usize, sinks: &mut [S]) {
+    with_workload_source(spec, seed, len, |source| {
+        stream::fold(source, stream::chunk_instructions(), sinks);
+    });
+}
+
+/// Calls `f` with the workload's first `len` instructions as a fold
+/// source: the already-materialised trace when the store holds one
+/// (one [`resident_workload_trace`] probe), otherwise the generator.
+fn with_workload_source(
+    spec: &WorkloadSpec,
+    seed: u64,
+    len: usize,
+    f: impl FnOnce(Source<'_, Take<CompiledTrace>>),
+) {
     let resident = resident_workload_trace(spec, seed, len);
-    let source = match &resident {
+    f(match &resident {
         Some(trace) => Source::Resident(trace.instrs()),
         None => Source::Generated(spec.compile(seed).take(len)),
-    };
-    stream::fold(source, stream::chunk_instructions(), sinks);
+    });
 }
 
 /// The [`MissTimeline`] of a workload prefix under `cache`, extracted
@@ -565,10 +580,10 @@ pub fn workload_timeline(
 
 /// The [`ReuseHistograms`] of a workload prefix, folded at most once
 /// per (workload identity, seed, length, line range, distance cap,
-/// warm-up) process-wide. The fold streams the trace ([`fold_workload`])
-/// — a histogram lookup never materialises instructions — with each
-/// line granularity as its own sink, so the line sizes fold side by
-/// side.
+/// warm-up) process-wide. The fold streams the trace from the same
+/// source [`fold_workload`] would pick ([`stream::fold_histograms`]) —
+/// a histogram lookup never materialises instructions — extracting
+/// each run's references once and folding the line sizes side by side.
 #[allow(clippy::too_many_arguments)]
 pub fn workload_histograms(
     spec: &WorkloadSpec,
@@ -594,7 +609,9 @@ pub fn workload_histograms(
         |_| true,
         || {
             let mut hists = ReuseHistograms::new(min_line, max_line, max_distance, warmup);
-            fold_workload(spec, seed, len, hists.parts_mut());
+            with_workload_source(spec, seed, len, |source| {
+                stream::fold_histograms(source, stream::chunk_instructions(), &mut hists);
+            });
             hists
         },
         || room(s.traces.bytes() + s.timelines.bytes()),

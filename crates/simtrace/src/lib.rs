@@ -51,7 +51,7 @@ pub use instr::{Instr, MemOp, MemRef, INSTR_BYTES};
 pub use mix::{MixtureBuilder, MixtureTrace};
 pub use phases::{Phase, PhasedPattern};
 pub use reuse::ReuseProfile;
-pub use reusehist::{GranularityFold, ReuseDistCounter, ReuseHistograms};
+pub use reusehist::{GranularityFold, RefBatch, RefCutter, ReuseDistCounter, ReuseHistograms};
 pub use stats::TraceStats;
 pub use workload::{WorkloadId, WorkloadSpec};
 

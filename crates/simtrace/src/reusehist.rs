@@ -5,26 +5,32 @@
 //! This module replaces the stack with Mattson's classic tree
 //! formulation: every line's *last-access time* occupies a slot on a
 //! timeline, and the reuse distance of an access is simply the number
-//! of live slots **after** the line's previous slot. The timeline keeps
-//! its hot state in cache: live slots are bits of a bitmap, and a
-//! Fenwick tree counts marks per 64-slot word, so a distance is one
-//! word-tree prefix plus one masked popcount, and a move is two bit
-//! flips plus (only when the two slots sit in different words) two
-//! word-tree updates. Slots are recycled by periodic compaction, which
-//! needs no sort: a live slot's new rank is the prefix popcount of the
-//! bitmap up to it. Capacity stays at least eight times the live lines,
-//! so compactions are rare and the amortised cost stays `O(log n)` per
-//! access.
+//! of live slots **after** the line's previous slot. Slots are assigned
+//! in order, so the timeline only has to remember which assigned slots
+//! have been *retired* (their line has moved on): live slots through
+//! `s` are `s + 1` less the retired ones. Retired slots are bits of a
+//! bitmap, and a Fenwick tree counts them per 64-slot word, so a reuse
+//! costs one word-tree prefix walk plus one masked popcount, then one
+//! bit flip and one word-tree update to retire the old slot; a cold
+//! line takes a fresh slot and touches no tree at all. Slots are
+//! recycled by periodic compaction, which needs no sort: a live slot's
+//! new rank is its slot less the retired slots before it. Capacity
+//! stays at least eight times the live lines, so compactions are rare
+//! and the amortised cost stays `O(log n)` per access.
 //!
 //! [`ReuseHistograms`] folds every power-of-two line granularity the
 //! design grid will ever ask about in one pass of the trace, as a list
 //! of independent [`GranularityFold`] parts: each owns one
 //! [`ReuseDistCounter`], its instruction count and its warm-up
-//! snapshot. `process_slice` walks a slice through each part in turn;
-//! a chunked driver can instead fold the parts side by side on separate
-//! threads, since they share nothing. The fold is chunk-invariant
-//! (`process_slice` over any partition is bit-identical to
-//! per-instruction feeding) and mirrors
+//! snapshot. Parts read [`RefBatch`]es, not instructions: a
+//! [`RefCutter`] extracts a run's data addresses once, with the run's
+//! instruction count and the reference index where the warm-up ends,
+//! and every part folds the same batch. `process_slice` cuts a slice
+//! into batches and walks each through the parts in turn; a chunked
+//! fold can instead run the parts side by side on separate threads,
+//! since they share nothing. The fold is invariant to how the stream is
+//! cut (`process_slice` over any partition, and batches of any length,
+//! are bit-identical to per-instruction feeding) and mirrors
 //! `StackDistSweep`'s warm-up snapshot contract exactly: totals are
 //! frozen when the instruction count reaches `warmup`, the tree state
 //! (cache contents) survives, and the post-warm-up histogram is the
@@ -115,63 +121,45 @@ impl LineMap {
     }
 }
 
-/// The slot timeline: which slots hold some line's most recent access.
+/// The slot timeline: which assigned slots have been retired.
 ///
-/// Slot `s` is bit `s % 64` of `marks[s / 64]`; `words` is a Fenwick
-/// tree, 1-indexed, over the mark count of each bitmap word. Capacity
-/// is `64 × marks.len()` slots.
+/// Slots are assigned in order; an assigned slot is *live* while it holds
+/// some line's most recent access and *retired* once that line moves on
+/// to a fresher slot. Slot `s` is bit `s % 64` of `retired[s / 64]`;
+/// `words` is a Fenwick tree, 1-indexed, over the retired count of each
+/// bitmap word. Capacity is `64 × retired.len()` slots.
 #[derive(Debug, Clone)]
 struct Timeline {
-    marks: Vec<u64>,
+    retired: Vec<u64>,
     words: Vec<u32>,
 }
 
 impl Timeline {
-    /// An unmarked timeline of `cap` slots (a multiple of 64).
+    /// A timeline of `cap` slots (a multiple of 64), none retired.
     fn new(cap: usize) -> Self {
         let mut t = Timeline {
-            marks: Vec::new(),
+            retired: Vec::new(),
             words: Vec::new(),
         };
-        t.refill(0, cap);
+        t.reset(cap);
         t
     }
 
     fn cap(&self) -> usize {
-        self.marks.len() * 64
+        self.retired.len() * 64
     }
 
-    /// Resizes to `cap` slots with exactly slots `0..live` marked.
-    fn refill(&mut self, live: usize, cap: usize) {
-        let n = cap / 64;
-        self.marks.clear();
-        self.marks.resize(n, 0);
-        self.marks[..live / 64].fill(u64::MAX);
-        if !live.is_multiple_of(64) {
-            self.marks[live / 64] = (1u64 << (live % 64)) - 1;
-        }
-        // Node i covers words (i - lowbit(i), i], i.e. slots
-        // [64 (i - lowbit), 64 i): its count is the part of `0..live`
-        // inside that range.
+    /// Resizes to `cap` slots with none retired.
+    fn reset(&mut self, cap: usize) {
+        self.retired.clear();
+        self.retired.resize(cap / 64, 0);
         self.words.clear();
-        self.words.extend((0..=n).map(|i| {
-            let from = 64 * (i - (i & i.wrapping_neg()));
-            live.min(64 * i).saturating_sub(from) as u32
-        }));
+        self.words.resize(cap / 64 + 1, 0);
     }
 
+    /// Retired slots in `0..=slot`.
     #[inline]
-    fn word_add(&mut self, word: usize, delta: i32) {
-        let mut i = word + 1;
-        while i < self.words.len() {
-            self.words[i] = self.words[i].wrapping_add(delta as u32);
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Marks in slots `0..=slot`.
-    #[inline]
-    fn marks_through(&self, slot: usize) -> usize {
+    fn retired_through(&self, slot: usize) -> usize {
         let word = slot / 64;
         let mut i = word;
         let mut sum = 0u32;
@@ -179,35 +167,26 @@ impl Timeline {
             sum += self.words[i];
             i -= i & i.wrapping_neg();
         }
-        let below = self.marks[word] & (u64::MAX >> (63 - slot % 64));
+        let below = self.retired[word] & (u64::MAX >> (63 - slot % 64));
         sum as usize + below.count_ones() as usize
     }
 
-    /// Marks the unmarked `slot`.
+    /// Retires the live `slot`.
     #[inline]
-    fn mark(&mut self, slot: usize) {
-        self.marks[slot / 64] |= 1 << (slot % 64);
-        self.word_add(slot / 64, 1);
-    }
-
-    /// Moves the mark at `from` to the unmarked slot `to`; the word
-    /// tree only changes when the two slots sit in different words.
-    #[inline]
-    fn shift(&mut self, from: usize, to: usize) {
-        self.marks[from / 64] &= !(1 << (from % 64));
-        self.marks[to / 64] |= 1 << (to % 64);
-        if from / 64 != to / 64 {
-            self.word_add(from / 64, -1);
-            self.word_add(to / 64, 1);
+    fn retire(&mut self, slot: usize) {
+        self.retired[slot / 64] |= 1 << (slot % 64);
+        let mut i = slot / 64 + 1;
+        while i < self.words.len() {
+            self.words[i] += 1;
+            i += i & i.wrapping_neg();
         }
     }
 
-    /// Maps each marked slot to its rank among the marks — its slot
-    /// after a compaction: the marks in the words before its own, plus
-    /// those below it in its word.
+    /// Maps each live slot to its rank among the live slots — its slot
+    /// after a compaction: the slot minus the retired slots before it.
     fn ranks(&self) -> impl Fn(u32) -> u32 + '_ {
         let before: Vec<u32> = self
-            .marks
+            .retired
             .iter()
             .scan(0u32, |seen, w| {
                 let base = *seen;
@@ -217,12 +196,12 @@ impl Timeline {
             .collect();
         move |slot| {
             let (word, bit) = (slot as usize / 64, slot % 64);
-            before[word] + (self.marks[word] & ((1u64 << bit) - 1)).count_ones()
+            slot - before[word] - (self.retired[word] & ((1u64 << bit) - 1)).count_ones()
         }
     }
 
     fn bytes(&self) -> usize {
-        self.marks.len() * std::mem::size_of::<u64>()
+        self.retired.len() * std::mem::size_of::<u64>()
             + self.words.len() * std::mem::size_of::<u32>()
     }
 }
@@ -234,7 +213,7 @@ impl Timeline {
 /// the histogram and cold-miss counters are those of a naive unbounded
 /// LRU stack, bit for bit.
 ///
-/// Slots and mark counts are `u32`, so the timeline holds at most
+/// Slots and retired counts are `u32`, so the timeline holds at most
 /// 2^31 slots; with capacity kept at eight slots per live line, one
 /// counter handles up to 2^28 distinct lines and panics beyond that.
 #[derive(Debug, Clone)]
@@ -254,12 +233,12 @@ pub struct ReuseDistCounter {
     /// count lets a few hot lines masquerade as heavy aliasing.
     set_mass: Vec<u64>,
     map: LineMap,
-    /// Live slots: a mark means "some line's most recent access lives
-    /// in this slot".
+    /// Assigned slots that no line's most recent access holds any more.
     timeline: Timeline,
     /// Next unassigned slot; slots `0..next_slot` have been issued.
     next_slot: usize,
-    /// Marked (live) slots — equals the number of distinct lines seen.
+    /// Live (assigned, unretired) slots — equals the number of distinct
+    /// lines seen.
     live: usize,
     /// Most recently accessed line (`u64::MAX` before the first access)
     /// — repeated touches of the top-of-stack line are distance 0 and
@@ -276,7 +255,7 @@ impl ReuseDistCounter {
     const INITIAL_SLOTS: usize = 1024;
     /// Compaction keeps at least this many slots per live line.
     const SLACK: usize = 8;
-    /// Slots and mark counts are `u32`.
+    /// Slots and retired counts are `u32`.
     const MAX_SLOTS: usize = 1 << 31;
 
     /// A counter whose histogram caps at `max_distance` (larger
@@ -311,31 +290,34 @@ impl ReuseDistCounter {
         self.total += 1;
         if line == self.last_line {
             // Top-of-stack touch: distance 0 by definition, and the
-            // line's slot is already the most recent mark, so the
+            // line's slot is already the most recent one, so the
             // timeline needs no update.
             self.hist[0] += 1;
             return;
         }
         self.last_line = line;
-        // Allocate before touching any mark: compaction (inside
-        // `alloc_slot`) ranks exactly the marked slots and rewrites the
-        // map through those ranks, so the marks must still describe
-        // every live line when it runs — and it may remap the line's
-        // slot, so the lookup comes after.
+        // Allocate before the lookup: compaction (inside `alloc_slot`)
+        // ranks the live slots through the map, and it may remap the
+        // line's slot.
         let fresh = self.alloc_slot();
         match self.map.replace(line, fresh as u32) {
             Some(slot) => {
-                // Every mark after the line's previous slot is a line
-                // touched since — the reuse distance.
-                let distance = self.live - self.timeline.marks_through(slot as usize);
+                // Every live slot after the line's previous one holds a
+                // line touched since — the reuse distance. Slots are
+                // assigned in order, so the live slots through `slot` are
+                // the assigned ones less the retired ones.
+                let slot = slot as usize;
+                let live_through = slot + 1 - self.timeline.retired_through(slot);
+                let distance = self.live - live_through;
                 let last = self.hist.len() - 1;
                 self.hist[distance.min(last)] += 1;
-                self.timeline.shift(slot as usize, fresh);
+                self.timeline.retire(slot);
             }
             None => {
+                // A cold line only takes the fresh slot, which is live
+                // as assigned: the timeline does not change.
                 self.cold += 1;
                 self.set_mass[(line & ((1 << SET_CLASS_LOG2) - 1)) as usize] += 1;
-                self.timeline.mark(fresh);
                 self.live += 1;
             }
         }
@@ -351,8 +333,8 @@ impl ReuseDistCounter {
         slot
     }
 
-    /// Reassigns the `live` marked slots to `0..live` (preserving
-    /// order) and refills the timeline. Runs when the timeline is
+    /// Reassigns the `live` slots to `0..live` (preserving order) and
+    /// clears the timeline's retirements. Runs when the timeline is
     /// exhausted; capacity doubles until it holds `SLACK` slots per
     /// live line, so at least `7/8` of the slots are free after a
     /// compaction and the amortised cost stays `O(log n)` per access.
@@ -363,12 +345,12 @@ impl ReuseDistCounter {
         }
         assert!(
             cap <= Self::MAX_SLOTS,
-            "reuse timeline needs {cap} slots, past the 2^31 that u32 slots and mark \
+            "reuse timeline needs {cap} slots, past the 2^31 that u32 slots and retired \
              counts allow ({} distinct lines; at most 2^28 fit)",
             self.live
         );
         self.map.remap(self.timeline.ranks());
-        self.timeline.refill(self.live, cap);
+        self.timeline.reset(cap);
         self.next_slot = self.live;
     }
 
@@ -417,14 +399,108 @@ struct HistTotals {
     total: u64,
 }
 
+/// A run of a trace's data references, extracted once and shared by
+/// every [`GranularityFold`] of a fold: the byte addresses in trace
+/// order, the instructions the run spans, and where in it the warm-up
+/// instruction count is reached.
+///
+/// A [`RefCutter`] fills it; the buffer is allocated at full size once
+/// and refilled in place, so a fold that recycles its batches never
+/// regrows one.
+#[derive(Debug)]
+pub struct RefBatch {
+    addrs: Vec<u64>,
+    /// References the batch holds at most.
+    cap: usize,
+    /// Instructions the run spans, references or not.
+    instrs: u64,
+    /// References before the warm-up boundary, when the run reaches it.
+    warm_at: Option<usize>,
+    /// The warm-up the batch was cut for.
+    warmup: u64,
+}
+
+impl RefBatch {
+    /// References per production batch: 64 Ki addresses, 512 KB.
+    pub const REFS: usize = 1 << 16;
+
+    /// An empty batch of at most `cap` references.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is zero.
+    pub fn with_capacity(cap: usize) -> Self {
+        assert!(cap > 0, "a batch holds at least one reference");
+        RefBatch {
+            addrs: Vec::with_capacity(cap),
+            cap,
+            instrs: 0,
+            warm_at: None,
+            warmup: 0,
+        }
+    }
+
+    /// Empties the batch, keeping its buffer.
+    pub fn clear(&mut self) {
+        self.addrs.clear();
+        self.instrs = 0;
+        self.warm_at = None;
+    }
+
+    /// Instructions the batch spans.
+    pub fn instructions(&self) -> u64 {
+        self.instrs
+    }
+}
+
+/// Cuts an instruction stream into [`RefBatch`]es. It tracks the stream
+/// position, so each batch records where the warm-up count falls in it.
+#[derive(Debug)]
+pub struct RefCutter {
+    warmup: u64,
+    /// Instructions cut so far.
+    seen: u64,
+}
+
+impl RefCutter {
+    /// A cutter for folds warmed up over `warmup` instructions,
+    /// `seen` instructions into the stream.
+    pub fn new(warmup: u64, seen: u64) -> Self {
+        RefCutter { warmup, seen }
+    }
+
+    /// Appends the data references at the front of `instrs` to `batch`
+    /// and returns how many instructions it took: all of them, unless
+    /// the batch filled up, in which case it ends just before the first
+    /// reference that does not fit.
+    pub fn fill(&mut self, batch: &mut RefBatch, instrs: &[Instr]) -> usize {
+        batch.warmup = self.warmup;
+        for (taken, instr) in instrs.iter().enumerate() {
+            if let Some(m) = instr.mem {
+                if batch.addrs.len() == batch.cap {
+                    return taken;
+                }
+                batch.addrs.push(m.addr.raw());
+            }
+            batch.instrs += 1;
+            self.seen += 1;
+            if self.seen == self.warmup {
+                batch.warm_at = Some(batch.addrs.len());
+            }
+        }
+        instrs.len()
+    }
+}
+
 /// One line granularity of a [`ReuseHistograms`] fold: a
 /// [`ReuseDistCounter`] over `address >> line_shift`, with its own
 /// instruction count and its own warm-up snapshot.
 ///
 /// Granularities share no state, so a chunked driver may fold each
-/// part on its own thread (`bench::stream::fold` takes them as separate
-/// sinks): fed the same instruction stream, a part ends in exactly the
-/// state [`ReuseHistograms::process_slice`] leaves it in.
+/// part on its own thread (`bench::stream::fold_histograms` hands every
+/// part the same [`RefBatch`]es): fed the same batches, or any other
+/// cut of the same stream, a part ends in exactly the state
+/// [`ReuseHistograms::process_slice`] leaves it in.
 #[derive(Debug, Clone)]
 pub struct GranularityFold {
     line_shift: u32,
@@ -449,33 +525,36 @@ impl GranularityFold {
         1 << self.line_shift
     }
 
-    /// Feeds a block of instructions. Any partition of the stream gives
-    /// the same state, including one that cuts at the warm-up boundary:
-    /// the snapshot is taken the moment the count reaches `warmup`.
-    pub fn process_slice(&mut self, instrs: &[Instr]) {
-        let mut rest = instrs;
-        if self.warm_base.is_none() && self.warmup > self.instrs {
-            let until = (self.warmup - self.instrs) as usize;
-            if until <= rest.len() {
-                let (head, tail) = rest.split_at(until);
-                self.burst(head);
-                self.warm_base = Some(HistTotals {
-                    hist: self.counter.hist.clone(),
-                    cold: self.counter.cold,
-                    total: self.counter.total,
-                });
-                rest = tail;
-            }
+    /// Folds the next batch of the stream. Any cut of the stream gives
+    /// the same state: the snapshot is taken at the batch's warm-up
+    /// mark, after the references of the instructions before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch was cut for a different warm-up.
+    pub fn fold(&mut self, batch: &RefBatch) {
+        assert_eq!(
+            batch.warmup, self.warmup,
+            "reference batch cut for another warm-up"
+        );
+        let (head, tail) = batch.addrs.split_at(batch.warm_at.unwrap_or(0));
+        self.access(head);
+        if batch.warm_at.is_some() {
+            self.warm_base = Some(HistTotals {
+                hist: self.counter.hist.clone(),
+                cold: self.counter.cold,
+                total: self.counter.total,
+            });
         }
-        self.burst(rest);
+        self.access(tail);
+        self.instrs += batch.instrs;
     }
 
-    fn burst(&mut self, instrs: &[Instr]) {
+    fn access(&mut self, addrs: &[u64]) {
         let shift = self.line_shift;
-        for m in instrs.iter().filter_map(|i| i.mem) {
-            self.counter.access(m.addr.raw() >> shift);
+        for &addr in addrs {
+            self.counter.access(addr >> shift);
         }
-        self.instrs += instrs.len() as u64;
     }
 
     /// The post-warm-up reuse profile: the warm-up snapshot (when one
@@ -510,8 +589,8 @@ impl GranularityFold {
 /// A [`bench`-style](crate::chunk) chunk fold: feed instructions via
 /// [`ReuseHistograms::process_slice`] (any chunking — the result is
 /// bit-identical), or hand the per-granularity
-/// [`ReuseHistograms::parts_mut`] to a driver that folds them apart,
-/// and read per-granularity [`crate::ReuseProfile`]s back with
+/// [`ReuseHistograms::parts_mut`] to `bench::stream::fold_histograms`,
+/// which folds them apart over shared [`RefBatch`]es, and read per-granularity [`crate::ReuseProfile`]s back with
 /// [`ReuseHistograms::profile`]. Warm-up follows the `StackDistSweep`
 /// contract: the histogram snapshot is taken the moment the instruction
 /// count reaches `warmup`, tree state survives, and
@@ -561,18 +640,27 @@ impl ReuseHistograms {
         self.process_slice(std::slice::from_ref(&instr));
     }
 
-    /// Feeds a block of instructions to every granularity in turn,
-    /// bit-identical to per-instruction [`ReuseHistograms::process`]
-    /// calls (including a warm-up boundary inside the slice).
+    /// Feeds a block of instructions, bit-identical to per-instruction
+    /// [`ReuseHistograms::process`] calls (including a warm-up boundary
+    /// inside the slice): the slice is cut into [`RefBatch`]es, and
+    /// each batch is folded by every granularity in turn.
     pub fn process_slice(&mut self, instrs: &[Instr]) {
-        for part in &mut self.parts {
-            part.process_slice(instrs);
+        let mut cut = RefCutter::new(self.warmup(), self.instructions());
+        let mut batch = RefBatch::with_capacity(instrs.len().clamp(1, RefBatch::REFS));
+        let mut rest = instrs;
+        while !rest.is_empty() {
+            batch.clear();
+            rest = &rest[cut.fill(&mut batch, rest)..];
+            for part in &mut self.parts {
+                part.fold(&batch);
+            }
         }
     }
 
     /// The per-granularity folds, ascending line size. A driver that
-    /// feeds every part the same instruction stream leaves the fold
-    /// exactly as [`ReuseHistograms::process_slice`] would.
+    /// feeds every part the batches of one [`RefCutter`] over the
+    /// stream leaves the fold exactly as
+    /// [`ReuseHistograms::process_slice`] would.
     pub fn parts_mut(&mut self) -> &mut [GranularityFold] {
         &mut self.parts
     }
@@ -775,6 +863,38 @@ mod tests {
     }
 
     #[test]
+    fn batches_end_before_the_first_reference_that_does_not_fit() {
+        // References at the even instructions, 64 B apart.
+        let trace: Vec<Instr> = (0..10u64)
+            .map(|i| match i % 2 {
+                0 => Instr::mem(i * 4, MemRef::load(i * 32, 4)),
+                _ => Instr::plain(i * 4),
+            })
+            .collect();
+        let mut cut = RefCutter::new(6, 0);
+        let mut batch = RefBatch::with_capacity(3);
+        // Three references, then the plain instruction 5; instruction 6
+        // holds the fourth reference.
+        assert_eq!(cut.fill(&mut batch, &trace), 6);
+        assert_eq!(batch.addrs, [0, 64, 128]);
+        assert_eq!(batch.instructions(), 6);
+        assert_eq!(batch.warm_at, Some(3), "warm-up after the last reference");
+        batch.clear();
+        assert_eq!(cut.fill(&mut batch, &trace[6..]), 4);
+        assert_eq!(batch.addrs, [192, 256]);
+        assert_eq!((batch.instructions(), batch.warm_at), (4, None));
+        assert_eq!(batch.addrs.capacity(), 3, "refilled in place");
+    }
+
+    #[test]
+    #[should_panic(expected = "reference batch cut for another warm-up")]
+    fn a_batch_cut_for_another_warm_up_is_refused() {
+        let mut batch = RefBatch::with_capacity(4);
+        RefCutter::new(5, 0).fill(&mut batch, &loads(&[0x00, 0x20]));
+        ReuseHistograms::new(32, 32, 8, 6).parts_mut()[0].fold(&batch);
+    }
+
+    #[test]
     fn warmup_freezes_totals_but_not_tree_state() {
         // One line touched only during warm-up, re-touched after: the
         // post-warm-up profile must see a *reuse* (warm tree state), not
@@ -812,7 +932,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "past the 2^31 that u32 slots and mark counts allow")]
+    #[should_panic(expected = "past the 2^31 that u32 slots and retired counts allow")]
     fn timeline_growth_past_the_u32_slot_domain_panics() {
         // One live line more than 2^28 needs 2^32 slots at eight per
         // line; the map stays empty, so the check runs without the

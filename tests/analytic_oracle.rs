@@ -220,12 +220,12 @@ fn chunked_histogram_folds_are_bit_identical_to_whole_trace() {
 
     for chunk in [1usize, 117, 2_000, 4_096, N + 1] {
         let mut sliced = ReuseHistograms::new(8, 128, 4_096, 2_000);
-        stream::fold(Source::resident(&trace), chunk, sliced.parts_mut());
+        stream::fold_histograms(Source::resident(&trace), chunk, &mut sliced);
         let mut streamed = ReuseHistograms::new(8, 128, 4_096, 2_000);
-        stream::fold(
+        stream::fold_histograms(
             Source::Generated(trace.iter().copied()),
             chunk,
-            streamed.parts_mut(),
+            &mut streamed,
         );
         for line in whole.line_sizes() {
             assert_eq!(sliced.profile(line), whole.profile(line), "chunk={chunk}");

@@ -10,6 +10,7 @@
 //! times (the test checks both); the small arm stays at the initial
 //! capacity and compacts every thousand or so line changes.
 
+use bench::stream::{self, Source};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use simtrace::instr::MemRef;
@@ -295,6 +296,39 @@ proptest! {
         for chunk in trace.chunks(chunk_len) {
             fold.process_slice(chunk);
         }
+        let (stacks, base) = oracle(&trace, max_distance, warmup);
+        check_fold(&fold, &stacks, &base, max_distance)
+            .map_err(|e| TestCaseError::fail(format!("{e}\nspec={} seed={seed:#x} len={len}", json.render())))?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The batched fold (`stream::fold_histograms`): a random spec's
+    /// trace, resident or generated, cut into random chunks whose
+    /// reference batches every line size folds, passes [`check_fold`].
+    #[test]
+    fn random_specs_fold_in_reference_batches_like_a_naive_lru_stack(
+        json in common::spec_json(),
+        seed in any::<u64>(),
+        len in 1usize..20_001,
+        max_distance in prop_oneof![16usize..64, 1024usize..4096],
+        warmup_pct in prop_oneof![1usize..100, Just(0), 101usize..130],
+        chunk_len in 1usize..5_000,
+        resident in any::<bool>(),
+    ) {
+        let spec = WorkloadSpec::from_json(&json).expect("generated specs are valid");
+        let trace: Vec<Instr> = spec.compile(seed).take(len).collect();
+        let warmup = len * warmup_pct / 100;
+        let mut fold = ReuseHistograms::new(8, 128, max_distance, warmup as u64);
+        let source = if resident {
+            Source::Resident(&trace)
+        } else {
+            Source::Generated(spec.compile(seed).take(len))
+        };
+        stream::fold_histograms(source, chunk_len, &mut fold);
+        prop_assert_eq!(fold.instructions(), len as u64);
         let (stacks, base) = oracle(&trace, max_distance, warmup);
         check_fold(&fold, &stacks, &base, max_distance)
             .map_err(|e| TestCaseError::fail(format!("{e}\nspec={} seed={seed:#x} len={len}", json.render())))?;
