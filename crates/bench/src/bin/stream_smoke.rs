@@ -1,7 +1,7 @@
-//! Streaming-pipeline smoke: runs a Figure-6 sweep grid and a Figure-1
-//! φ batch through the chunked generate→fold pipeline, and the analytic
-//! backend's 8–128 B reuse histograms through its batched pass,
-//! checks peak RSS stayed bounded (the point of streaming), then
+//! Streaming-pipeline smoke: runs a Figure-1 φ batch through the
+//! chunked generate→fold pipeline, then a Figure-6 sweep grid and the
+//! analytic backend's 8–128 B reuse histograms through one batched
+//! pass, checks peak RSS stayed bounded (the point of streaming), then
 //! verifies the folded numbers byte-identically against the
 //! materialise-then-scan oracle.
 //!
@@ -23,7 +23,7 @@ use simcache::Simulated;
 use simcpu::{Cpu, CpuConfig, MissTimeline, MissTimelineBuilder, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::workload::{builtin, CompiledTrace};
-use simtrace::{Instr, ReuseHistograms, INSTR_BYTES};
+use simtrace::{Instr, RefBatch, RefCutter, ReuseHistograms, INSTR_BYTES};
 use std::process::ExitCode;
 use tradeoff::api::HIST_DISTANCE_CAP;
 
@@ -90,21 +90,21 @@ fn histograms(grid: &GridSpec) -> ReuseHistograms {
     )
 }
 
-/// Two streamed passes: grid points from five sweep sinks and φ values
-/// from a timeline sink's `O(misses)` replays in one mixed pass, then
-/// reuse histograms folded from shared reference batches, one part per
-/// line size.
+/// Two streamed passes: φ values from a timeline sink's `O(misses)`
+/// replays, then grid points from five sweeps and reuse histograms
+/// from their line-size parts, all folded from shared reference
+/// batches under the grid's warm-up.
 fn streamed(
     grid: &GridSpec,
     n: usize,
     chunk: usize,
 ) -> (Vec<HitRatioPoint>, Vec<f64>, ReuseHistograms) {
-    let mut sweeps = grid.sweeps().expect("valid grid");
     let mut timeline = MissTimelineBuilder::new(phi_cache());
-    let mut sinks: Vec<&mut dyn ChunkSink> =
-        sweeps.iter_mut().map(|s| s as &mut dyn ChunkSink).collect();
-    sinks.push(&mut timeline);
-    stream::fold(Source::Generated(nasa7().take(n)), chunk, &mut sinks);
+    stream::fold(
+        Source::Generated(nasa7().take(n)),
+        chunk,
+        &mut [&mut timeline],
+    );
     let timeline: MissTimeline = timeline.finish();
     let phis = phi_points()
         .iter()
@@ -115,14 +115,27 @@ fn streamed(
                 .phi()
         })
         .collect();
-    // The histogram pass then runs without the timeline resident, so
+    // The batched pass then runs without the timeline resident, so
     // the peak is the larger pass, not the two together.
     drop(timeline);
+    let mut sweeps = grid.sweeps().expect("valid grid");
+    let mut hists = histograms(grid);
+    let mut sinks: Vec<&mut dyn ChunkSink<RefBatch>> = sweeps
+        .iter_mut()
+        .map(|s| s as &mut dyn ChunkSink<RefBatch>)
+        .collect();
+    sinks.extend(
+        hists
+            .parts_mut()
+            .iter_mut()
+            .map(|p| p as &mut dyn ChunkSink<RefBatch>),
+    );
+    let cut = RefCutter::new(grid.warmup, 0);
+    stream::fold_batches(Source::Generated(nasa7().take(n)), chunk, cut, &mut sinks);
+    drop(sinks);
     let points = Simulated::from_sweeps(sweeps)
         .points(grid)
         .expect("grid covered by its sweeps");
-    let mut hists = histograms(grid);
-    stream::fold_histograms(Source::Generated(nasa7().take(n)), chunk, &mut hists);
     (points, phis, hists)
 }
 

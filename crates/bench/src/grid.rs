@@ -33,16 +33,17 @@ use simtrace::workload::{builtins, WorkloadSpec};
 pub use tradeoff::api::{dense_best, DenseBest, DenseGrid, GridSpec, HIST_DISTANCE_CAP};
 
 /// Builds the simulated backend for one workload: the grid's sweeps
-/// ([`GridSpec::sweeps`]), folded from the store's resident trace when
-/// it holds one and from the chunked generator otherwise
-/// ([`tracestore::fold_workload`]).
+/// ([`GridSpec::sweeps`]), folded side by side over shared reference
+/// batches, from the store's resident trace when it holds one and from
+/// the chunked generator otherwise
+/// ([`tracestore::fold_workload_batches`]).
 ///
 /// # Panics
 ///
 /// Panics if a grid combination is not a valid sweep geometry.
 pub fn build_simulated(workload: &WorkloadSpec, spec: &GridSpec, instructions: usize) -> Simulated {
     let mut sweeps = spec.sweeps().expect("valid grid");
-    tracestore::fold_workload(workload, SWEEP_SEED, instructions, &mut sweeps);
+    tracestore::fold_workload_batches(workload, SWEEP_SEED, instructions, spec.warmup, &mut sweeps);
     Simulated::from_sweeps(sweeps)
 }
 

@@ -14,6 +14,7 @@ use report::{Artifact, Table};
 use simcache::explore::GridSpec;
 use simcache::Simulated;
 use simtrace::workload::{builtin, WorkloadSpec};
+use simtrace::RefCutter;
 use tradeoff::linesize::{
     miss_count_ratio, optimal_line_eq19, optimal_line_smith, required_hit_gain, FillTiming,
     LineCandidate,
@@ -67,9 +68,10 @@ pub fn simulated_selection(
     // experiment and the design-space sweep share one materialisation.
     let trace = crate::tracestore::workload_trace(workload, crate::sweep::SWEEP_SEED, instructions);
     let mut sweeps = grid.sweeps().map_err(|e| e.to_string())?;
-    stream::fold(
+    stream::fold_batches(
         Source::resident(&trace),
         stream::chunk_instructions(),
+        RefCutter::new(grid.warmup, 0),
         &mut sweeps,
     );
     let points = Simulated::from_sweeps(sweeps)

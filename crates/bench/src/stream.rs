@@ -7,21 +7,23 @@
 //! [`Source`] (a resident trace slice or the chunked generator) is cut
 //! into one deterministic sequence of items, and every borrowed
 //! [`ChunkSink`] sees each item in order. [`fold`] hands out
-//! instruction chunks; [`fold_histograms`] cuts them once more into
-//! [`RefBatch`]es (a run's data addresses, extracted once on the
-//! source's thread) and hands each batch to every granularity part of a
-//! [`ReuseHistograms`]. Both run the same two loops, generic over the
-//! item: a source that is generated counts as one worker and each sink
-//! as one more; when only one can run they take the serial loop,
-//! otherwise the `std::thread::scope` loop (the source on the calling
-//! thread, one consumer per sink behind a bounded channel), so a
-//! generator pipelines into even a single sink and the histogram parts
-//! fold side by side. Generated chunks and reference batches live in
-//! buffers allocated once and recycled once every sink has dropped
-//! them. Either way each sink sees the identical ordered item sequence,
-//! so the folded results are **bit-identical** to the monolithic
-//! whole-trace path — asserted by `tests/streaming_oracle.rs` — and
-//! peak trace-resident memory is a few buffers, not the trace length.
+//! instruction chunks, which the timeline builder reads;
+//! [`fold_batches`] cuts them once more into [`RefBatch`]es (a run's
+//! data addresses and store bits, extracted once on the source's
+//! thread) and hands each batch to every sweep and every granularity
+//! part of a [`ReuseHistograms`]. Both run the same two loops, generic
+//! over the item: a source that is generated counts as one worker and
+//! each sink as one more; when only one can run they take the serial
+//! loop, otherwise the `std::thread::scope` loop (the source on the
+//! calling thread, one consumer per sink behind a bounded channel), so
+//! a generator pipelines into even a single sink and the sweeps and
+//! histogram parts fold side by side. Generated chunks and reference
+//! batches live in buffers allocated once and recycled once every sink
+//! has dropped them. Either way each sink sees the identical ordered
+//! item sequence, so the folded results are **bit-identical** to the
+//! monolithic whole-trace path — asserted by
+//! `tests/streaming_oracle.rs` — and peak trace-resident memory is a
+//! few buffers, not the trace length.
 //!
 //! Production folds use [`chunk_instructions`] chunks and
 //! [`RefBatch::REFS`]-reference batches; the determinism contract that
@@ -32,7 +34,7 @@ use crate::{exec, fault};
 use simcache::stackdist::StackDistSweep;
 use simcpu::MissTimelineBuilder;
 use simtrace::chunk::{ChunkedTrace, DEFAULT_CHUNK_INSTRUCTIONS};
-use simtrace::{GranularityFold, Instr, RefBatch, RefCutter, ReuseHistograms};
+use simtrace::{GranularityFold, Instr, RefBatch, RefCutter};
 use std::ops::Deref;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -41,8 +43,9 @@ use std::sync::Arc;
 /// sinks share each item, so with the one the slowest consumer holds
 /// and the one being produced at most `IN_FLIGHT_CHUNKS + 2` buffers
 /// are alive, however many sinks there are: 1.5 MB of instruction
-/// chunks at the default chunk length, or 2 MB of reference batches
-/// (four of [`RefBatch::REFS`] addresses) plus the one chunk being cut.
+/// chunks at the default chunk length, or 2.03 MB of reference batches
+/// (four of [`RefBatch::REFS`] addresses and their store bits, 520 KB
+/// each) plus the one chunk being cut.
 const IN_FLIGHT_CHUNKS: usize = 2;
 
 /// Instructions per streamed chunk: always
@@ -54,8 +57,8 @@ pub fn chunk_instructions() -> usize {
 }
 
 /// An order-sensitive fold over a chunked stream of `C` items:
-/// instruction chunks by default, [`RefBatch`]es for the granularity
-/// parts of a histogram fold.
+/// instruction chunks by default, [`RefBatch`]es for sweeps and the
+/// granularity parts of a histogram fold.
 ///
 /// Implementations must be pure folds of the item sequence: feeding
 /// the same items in the same order must produce the same state
@@ -66,20 +69,21 @@ pub trait ChunkSink<C: ?Sized = [Instr]>: Send {
     fn consume(&mut self, chunk: &C);
 }
 
-impl ChunkSink for StackDistSweep {
-    fn consume(&mut self, chunk: &[Instr]) {
-        self.process_slice(chunk);
-    }
-}
-
 impl ChunkSink for MissTimelineBuilder {
     fn consume(&mut self, chunk: &[Instr]) {
         self.process_slice(chunk);
     }
 }
 
-/// One granularity of a reuse-histogram fold: [`fold_histograms`]
-/// hands every part the same reference batches.
+/// One line size of a grid: [`fold_batches`] hands every sweep the
+/// same reference batches.
+impl ChunkSink<RefBatch> for StackDistSweep {
+    fn consume(&mut self, batch: &RefBatch) {
+        self.fold(batch);
+    }
+}
+
+/// One granularity of a reuse-histogram fold, fed like a sweep.
 impl ChunkSink<RefBatch> for GranularityFold {
     fn consume(&mut self, batch: &RefBatch) {
         self.fold(batch);
@@ -294,38 +298,45 @@ where
     drive(workers, source.chunks(chunk_len), sinks);
 }
 
-/// Folds `source` into `hists`: the source's thread extracts the data
-/// addresses of each run of the stream once, into a
-/// [`RefBatch::REFS`]-reference batch, and every granularity part folds
-/// that batch — on its own thread when more than one worker can run, as
-/// in [`fold`]. The result is bit-identical to
-/// [`ReuseHistograms::process_slice`] over the same stream, and a fold
-/// may continue one that already holds instructions.
+/// Folds `source` through every sink in reference batches cut by
+/// `cut`: the source's thread extracts the data addresses and store
+/// bits of each run of the stream once, into a
+/// [`RefBatch::REFS`]-reference batch, and every sink folds that batch
+/// — on its own thread when more than one worker can run, as in
+/// [`fold`]. Sweeps and histogram parts may share one pass (as
+/// `&mut dyn ChunkSink<RefBatch>`) when they share a warm-up. The
+/// result is bit-identical to [`StackDistSweep::process_slice`] and
+/// `ReuseHistograms::process_slice` over the same stream, and a fold
+/// may continue sinks that already hold instructions when `cut` starts
+/// where they stopped.
 ///
 /// # Panics
 ///
-/// As [`fold`].
-pub fn fold_histograms<I>(source: Source<'_, I>, chunk_len: usize, hists: &mut ReuseHistograms)
+/// As [`fold`], and if a sink was set up for another warm-up than
+/// `cut`'s.
+pub fn fold_batches<I, S>(source: Source<'_, I>, chunk_len: usize, cut: RefCutter, sinks: &mut [S])
 where
     I: Iterator<Item = Instr>,
+    S: ChunkSink<RefBatch>,
 {
-    let workers = source.workers(hists.parts_mut().len());
-    fold_histograms_on(workers, RefBatch::REFS, source, chunk_len, hists);
+    let workers = source.workers(sinks.len());
+    fold_batches_on(workers, RefBatch::REFS, source, chunk_len, cut, sinks);
 }
 
-/// [`fold_histograms`] with its worker count and batch length given.
-fn fold_histograms_on<I>(
+/// [`fold_batches`] with its worker count and batch length given.
+fn fold_batches_on<I, S>(
     workers: usize,
     refs: usize,
     source: Source<'_, I>,
     chunk_len: usize,
-    hists: &mut ReuseHistograms,
+    cut: RefCutter,
+    sinks: &mut [S],
 ) where
     I: Iterator<Item = Instr>,
+    S: ChunkSink<RefBatch>,
 {
-    let cut = RefCutter::new(hists.warmup(), hists.instructions());
     let batches = batches(source.chunks(chunk_len), cut, refs);
-    drive(workers, batches, hists.parts_mut());
+    drive(workers, batches, sinks);
 }
 
 /// The two loops of every fold, generic over the item: the serial loop
@@ -399,8 +410,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcache::explore::{hit_ratio_grid_replay, GridSpec};
+    use simcache::Simulated;
     use simcpu::MissTimeline;
     use simtrace::workload::builtin;
+    use simtrace::ReuseHistograms;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -440,7 +454,8 @@ mod tests {
             for chunk in [257, 4_096, N] {
                 for source in sources(&data) {
                     let mut sweeps = [sweep_sink(), sweep_sink()];
-                    fold_on(workers, source, chunk, &mut sweeps);
+                    let cut = RefCutter::new(2_000, 0);
+                    fold_batches_on(workers, 1_000, source, chunk, cut, &mut sweeps);
                     for sweep in &sweeps {
                         for k in 0..=6 {
                             assert_eq!(
@@ -456,17 +471,26 @@ mod tests {
     }
 
     #[test]
-    fn mixed_sinks_fold_in_one_pass() {
+    fn mixed_sinks_fold_in_two_passes() {
         let cache = simcache::CacheConfig::new(8 * 1024, 32, 2).unwrap();
         for workers in LOOPS {
-            let mut sweep = sweep_sink();
             let mut timeline = MissTimelineBuilder::new(cache);
             let mut trace = Vec::new();
             fold_on(
                 workers,
                 Source::Generated(source()),
                 1_024,
-                &mut [&mut sweep as &mut dyn ChunkSink, &mut timeline, &mut trace],
+                &mut [&mut timeline as &mut dyn ChunkSink, &mut trace],
+            );
+            let mut sweep = sweep_sink();
+            let cut = RefCutter::new(2_000, 0);
+            fold_batches_on(
+                workers,
+                1_000,
+                Source::Generated(source()),
+                1_024,
+                cut,
+                &mut [&mut sweep],
             );
             assert_eq!(sweep.instructions(), N as u64);
             assert_eq!(timeline.finish(), MissTimeline::extract(cache, source()));
@@ -475,7 +499,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_parts_folded_apart_match_one_serial_fold() {
+    fn sweeps_and_histogram_parts_folded_apart_match_the_oracles() {
         // swm256 with 8 192 instructions that make no data reference
         // spliced in at 4 096: chunks of 333 and of 4 096 instructions
         // include some with no reference at all.
@@ -494,6 +518,13 @@ mod tests {
         // Inside a batch, at a batch's last reference, at instruction 0
         // and past the end of the trace.
         for warmup in [15_000, thousandth as u64 + 1, 0, n as u64 + 1] {
+            let grid = GridSpec {
+                cache_sizes: vec![1024, 8 * 1024],
+                line_sizes: vec![16, 32, 64],
+                assocs: vec![1, 2, 4],
+                warmup,
+            };
+            let replay = hit_ratio_grid_replay(&grid, || data.iter().copied()).unwrap();
             // One instruction at a time: every instruction its own batch.
             let mut serial = ReuseHistograms::new(8, 128, 4_096, warmup);
             for &i in &data {
@@ -512,10 +543,25 @@ mod tests {
                         Source::Generated(data.iter().copied()),
                     ];
                     for source in sources {
+                        let mut sweeps = grid.sweeps().unwrap();
                         let mut hists = ReuseHistograms::new(8, 128, 4_096, warmup);
-                        fold_histograms_on(workers, refs, source, chunk, &mut hists);
+                        let mut sinks: Vec<&mut dyn ChunkSink<RefBatch>> = sweeps
+                            .iter_mut()
+                            .map(|s| s as &mut dyn ChunkSink<RefBatch>)
+                            .collect();
+                        sinks.extend(
+                            hists
+                                .parts_mut()
+                                .iter_mut()
+                                .map(|p| p as &mut dyn ChunkSink<RefBatch>),
+                        );
+                        let cut = RefCutter::new(warmup, 0);
+                        fold_batches_on(workers, refs, source, chunk, cut, &mut sinks);
+                        drop(sinks);
                         let at =
                             format!("warmup={warmup} workers={workers} chunk={chunk} refs={refs}");
+                        let points = Simulated::from_sweeps(sweeps).points(&grid).unwrap();
+                        assert_eq!(points, replay, "{at}");
                         assert_eq!(hists.instructions(), n as u64, "{at}");
                         assert_eq!(hists.bytes(), serial.bytes(), "{at}");
                         for line in serial.line_sizes() {
@@ -533,23 +579,38 @@ mod tests {
     }
 
     #[test]
-    fn a_histogram_fold_continues_one_already_fed() {
+    fn a_batched_fold_continues_sinks_already_fed() {
         let data: Vec<Instr> = source().collect();
         let mut whole = ReuseHistograms::new(8, 128, 4_096, 5_000);
         whole.process_slice(&data);
+        let mono = StackDistSweep::run(32, 6, 2, 5_000, data.iter().copied()).unwrap();
         for workers in LOOPS {
             let mut hists = ReuseHistograms::new(8, 128, 4_096, 5_000);
             hists.process_slice(&data[..3_000]);
-            fold_histograms_on(
+            let mut sweep = StackDistSweep::new(32, 6, 2, 5_000).unwrap();
+            sweep.process_slice(&data[..3_000]);
+            let mut sinks: Vec<&mut dyn ChunkSink<RefBatch>> = vec![&mut sweep];
+            sinks.extend(
+                hists
+                    .parts_mut()
+                    .iter_mut()
+                    .map(|p| p as &mut dyn ChunkSink<RefBatch>),
+            );
+            fold_batches_on(
                 workers,
                 1_000,
                 Source::resident(&data[3_000..]),
                 333,
-                &mut hists,
+                RefCutter::new(5_000, 3_000),
+                &mut sinks,
             );
             assert_eq!(hists.instructions(), N as u64);
             for line in whole.line_sizes() {
                 assert_eq!(hists.profile(line), whole.profile(line), "line={line}");
+            }
+            assert_eq!(sweep.instructions(), N as u64);
+            for k in 0..=6 {
+                assert_eq!(sweep.stats(k, 2), mono.stats(k, 2), "k={k}");
             }
         }
     }

@@ -30,10 +30,11 @@
 //!
 //! Timelines, histograms and sweeps are folded *streamingly* from one
 //! source choice, between folding the resident trace in place and
-//! feeding the chunked generator straight into the fold: timelines and
-//! sweeps through [`fold_workload`], histograms through
-//! [`stream::fold_histograms`]. Fold-only experiments thus keep a few
-//! chunks of instructions resident (see `DESIGN.md` §12).
+//! feeding the chunked generator straight into the fold: timelines in
+//! instruction chunks through [`fold_workload`], sweeps and histograms
+//! in reference batches through [`fold_workload_batches`]. Fold-only
+//! experiments thus keep a few chunks of instructions resident (see
+//! `DESIGN.md` §12).
 //! Only [`workload_trace`] pins full traces.
 
 use crate::error::lock_recovering;
@@ -42,7 +43,7 @@ use crate::stream::{self, ChunkSink, Source};
 use simcache::CacheConfig;
 use simcpu::{MissTimeline, MissTimelineBuilder};
 use simtrace::workload::{CompiledTrace, WorkloadId, WorkloadSpec};
-use simtrace::{Instr, ReuseHistograms, INSTR_BYTES};
+use simtrace::{Instr, RefBatch, RefCutter, ReuseHistograms, INSTR_BYTES};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::iter::Take;
@@ -539,6 +540,23 @@ pub fn fold_workload<S: ChunkSink>(spec: &WorkloadSpec, seed: u64, len: usize, s
     });
 }
 
+/// Folds the workload's first `len` instructions through `sinks` in
+/// reference batches cut for a `warmup`-instruction warm-up
+/// ([`stream::fold_batches`]), from the source [`fold_workload`] would
+/// pick: sweeps and histogram parts never materialise instructions.
+pub fn fold_workload_batches<S: ChunkSink<RefBatch>>(
+    spec: &WorkloadSpec,
+    seed: u64,
+    len: usize,
+    warmup: u64,
+    sinks: &mut [S],
+) {
+    with_workload_source(spec, seed, len, |source| {
+        let cut = RefCutter::new(warmup, 0);
+        stream::fold_batches(source, stream::chunk_instructions(), cut, sinks);
+    });
+}
+
 /// Calls `f` with the workload's first `len` instructions as a fold
 /// source: the already-materialised trace when the store holds one
 /// (one [`resident_workload_trace`] probe), otherwise the generator.
@@ -580,10 +598,10 @@ pub fn workload_timeline(
 
 /// The [`ReuseHistograms`] of a workload prefix, folded at most once
 /// per (workload identity, seed, length, line range, distance cap,
-/// warm-up) process-wide. The fold streams the trace from the same
-/// source [`fold_workload`] would pick ([`stream::fold_histograms`]) —
-/// a histogram lookup never materialises instructions — extracting
-/// each run's references once and folding the line sizes side by side.
+/// warm-up) process-wide. The fold streams the trace
+/// ([`fold_workload_batches`]) — a histogram lookup never materialises
+/// instructions — extracting each run's references once and folding
+/// the line sizes side by side.
 #[allow(clippy::too_many_arguments)]
 pub fn workload_histograms(
     spec: &WorkloadSpec,
@@ -609,9 +627,7 @@ pub fn workload_histograms(
         |_| true,
         || {
             let mut hists = ReuseHistograms::new(min_line, max_line, max_distance, warmup);
-            with_workload_source(spec, seed, len, |source| {
-                stream::fold_histograms(source, stream::chunk_instructions(), &mut hists);
-            });
+            fold_workload_batches(spec, seed, len, warmup, hists.parts_mut());
             hists
         },
         || room(s.traces.bytes() + s.timelines.bytes()),

@@ -19,7 +19,7 @@ use crate::hitratio::Simulated;
 use crate::stackdist::StackDistSweep;
 use crate::stats::CacheStats;
 use serde::{Deserialize, Serialize};
-use simtrace::Instr;
+use simtrace::{Instr, RefCutter};
 
 /// One point of a hit-ratio sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -169,7 +169,8 @@ impl GridSpec {
     }
 
     /// Folds a whole materialised trace through [`GridSpec::sweeps`] in
-    /// one serial walk.
+    /// one serial walk: each reference batch is cut once and folded by
+    /// every sweep in turn.
     ///
     /// # Errors
     ///
@@ -199,9 +200,11 @@ impl GridSpec {
     /// ```
     pub fn simulate(&self, trace: &[Instr]) -> Result<Simulated, ConfigError> {
         let mut sweeps = self.sweeps()?;
-        for sweep in &mut sweeps {
-            sweep.process_slice(trace);
-        }
+        RefCutter::new(self.warmup, 0).fold_slice(trace, |batch| {
+            for sweep in &mut sweeps {
+                sweep.fold(batch);
+            }
+        });
         Ok(Simulated::from_sweeps(sweeps))
     }
 }
@@ -317,7 +320,7 @@ mod tests {
     #[test]
     fn too_wide_grid_is_a_typed_error() {
         // 2 sets of 65 536 ways: a valid cache, but wider than the
-        // sweep's 16-bit clean thresholds can track.
+        // sweep's widest row.
         let g = grid(&[1 << 20], &[8], 1 << 16, 0);
         assert!(CacheConfig::new(1 << 20, 8, 1 << 16).is_ok());
         assert_eq!(

@@ -19,19 +19,35 @@
 //! in set `x mod 2^k`. The set-local stack distance `d_k` decides
 //! hit-or-miss via `d_k < A`, and no tracked associativity exceeds
 //! `max_assoc` — so only the top `max_assoc` positions of each set's
-//! LRU stack are ever observable, and the engine stores exactly those:
-//! per level, per set, a small contiguous run of resident lines in MRU
-//! order, with clean thresholds in a parallel array (structure-of-
-//! arrays: the depth scan touches lines only). An access scans the row
-//! (capped distance
-//! `max_assoc` means "missed everywhere"), shifts the shallower entries
-//! down one slot, and reinserts `x` at the front — one or two cache
-//! lines touched per level, no pointer chasing, no hash lookups. Each
-//! access costs `O((kmax − kmin + 1) · max_assoc)` — independent of the
-//! reuse distance — against the naive single-stack walk's
-//! `O(reuse distance)`. Lines falling off a row lose nothing
-//! observable: a reload from below the cap behaves identically to a
-//! cold fetch in every tracked configuration.
+//! LRU stack are ever observable, and the engine stores those: per
+//! level, per set, a row of resident lines in MRU order, with clean
+//! thresholds in a parallel array (structure-of-arrays: the depth scan
+//! touches lines only). Every level's rows sit in one array. A row is
+//! `max_assoc` rounded up to a power of two wide (at most
+//! [`MAX_SWEEP_ASSOC`] = 64), and the walk is monomorphised over that
+//! width, so the scan, the writeback walk and the row move are
+//! fixed-length loops the compiler unrolls, with no variable-length
+//! copy. An access scans the row, charges depths at or beyond
+//! `max_assoc` as "missed everywhere tracked" (the capped distance),
+//! moves the shallower entries down one slot, and reinserts `x` at the
+//! front — one or two cache lines touched per level, no pointer
+//! chasing, no hash lookups. Each access costs
+//! `O((kmax − kmin + 1) · width)` — independent of the reuse distance —
+//! against the naive single-stack walk's `O(reuse distance)`. Lines
+//! falling off a row, or sitting in its slots past `max_assoc`, lose
+//! nothing observable: a reload from below the cap behaves identically
+//! to a cold fetch in every tracked configuration.
+//!
+//! # Reference batches
+//!
+//! The sweep reads the trace as [`RefBatch`]es: a run's data addresses
+//! with one store bit each, cut once by a [`RefCutter`] and shared by
+//! every sweep of a grid (and by the reuse-histogram parts), so a fold
+//! reads 8-byte addresses instead of re-scanning 24-byte instructions
+//! once per line size. [`StackDistSweep::fold`] takes the next batch of
+//! the stream, [`StackDistSweep::process_slice`] cuts a slice into
+//! batches, and [`StackDistSweep::process`] walks one instruction's
+//! reference directly; every cut gives the same state.
 //!
 //! # Exact writebacks
 //!
@@ -74,16 +90,17 @@
 
 use crate::config::{CacheConfig, ConfigError, Replacement, WriteMiss, WritePolicy};
 use crate::stats::CacheStats;
-use simtrace::{Instr, MemOp};
+use simtrace::{Instr, RefBatch, RefCutter};
 use std::fmt;
+use std::ops::Range;
 
 /// Threshold sentinel marking an unoccupied row slot. Live thresholds
-/// are capped at `max_assoc ≤ 65534`, so the value cannot collide.
-const EMPTY_M: u16 = u16::MAX;
+/// are capped at `max_assoc ≤ 64`, so the value cannot collide.
+const EMPTY_M: u8 = u8::MAX;
 
-/// The widest associativity a sweep tracks: live clean thresholds must
-/// stay below the 16-bit empty-slot sentinel.
-pub const MAX_SWEEP_ASSOC: u32 = EMPTY_M as u32 - 1;
+/// The widest associativity a sweep tracks: rows are monomorphised
+/// over power-of-two widths up to 64.
+pub const MAX_SWEEP_ASSOC: u32 = 64;
 
 /// Why a sweep cannot answer for a particular configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,9 +176,9 @@ pub fn fast_path_supported(cfg: &CacheConfig) -> bool {
 
 #[derive(Debug, Clone, Default)]
 struct Counters {
-    /// `hist[op][lvl * (max_assoc + 1) + d]`: accesses of `op` whose
-    /// set-local stack distance at level `lvl` is `d` (`d = max_assoc`
-    /// buckets "at least `max_assoc`, or cold").
+    /// `hist[op][lvl * (max_assoc + 1) + d]`: accesses of `op` (0 load,
+    /// 1 store) whose set-local stack distance at level `lvl` is `d`
+    /// (`d = max_assoc` buckets "at least `max_assoc`, or cold").
     hist: [Vec<u64>; 2],
     /// `wb[lvl * max_assoc + j]`: writebacks of config
     /// `(2^(kmin + lvl) sets, j + 1 ways)`.
@@ -180,20 +197,13 @@ impl Counters {
     }
 }
 
-/// Instructions per block of the slice-processing fast path: the
-/// reference-extraction pre-pass runs over fixed-width `chunks_exact`
-/// blocks (no data-dependent control flow), which the stable-Rust
-/// autovectorizer turns into straight-line SIMD-friendly code.
-const BLOCK: usize = 32;
-
 /// A single-pass exact sweep over every power-of-two LRU configuration
 /// at one line size. See the [module docs](self) for the algorithm.
 ///
 /// The per-set stacks are stored structure-of-arrays: the depth scan —
 /// the hottest loop of the whole sweep — touches only the contiguous
-/// `u64` line array (8 bytes/slot instead of a 16-byte interleaved
-/// entry), and the clean thresholds live in a parallel `u16` array read
-/// only on the writeback walk and the reinsert.
+/// `u64` line array, and the clean thresholds live in a parallel `u8`
+/// array read only on the writeback walk and the reinsert.
 #[derive(Debug, Clone)]
 pub struct StackDistSweep {
     line_bytes: u64,
@@ -201,17 +211,19 @@ pub struct StackDistSweep {
     kmin: u32,
     kmax: u32,
     max_assoc: u32,
+    /// Slots per row: `max_assoc` rounded up to a power of two.
+    width: usize,
     warmup: u64,
     instrs: u64,
-    /// Truncated per-set LRU stacks, lines only: level `k = kmin + lvl`
-    /// keeps its set `s`'s top `max_assoc` resident lines, MRU first,
-    /// at `lines[lvl][s * max_assoc..][..max_assoc]`.
-    lines: Vec<Vec<u64>>,
+    /// Truncated per-set LRU stacks, lines only, every level in one
+    /// array: level `k` keeps its set `s`'s top `width` resident lines,
+    /// MRU first, in row `2^k − 2^kmin + s` (at
+    /// `lines[row * width..][..width]`).
+    lines: Vec<u64>,
     /// Clean thresholds `M_k` parallel to `lines` (the line is dirty in
     /// `(2^k, A)` iff `A > m`; `EMPTY_M` marks an unoccupied slot;
-    /// live thresholds at or above `max_assoc` mean "clean everywhere
-    /// tracked").
-    marks: Vec<Vec<u16>>,
+    /// live thresholds at `max_assoc` mean "clean everywhere tracked").
+    marks: Vec<u8>,
     totals: Counters,
     /// Totals frozen when `instrs` reached `warmup` (the moment
     /// `measure_dcache` resets its statistics).
@@ -227,8 +239,7 @@ impl StackDistSweep {
     ///
     /// Returns [`ConfigError::NotPowerOfTwo`] for an invalid line size
     /// and [`ConfigError::AssocOutOfRange`] when `max_assoc` is zero or
-    /// above [`MAX_SWEEP_ASSOC`] (the clean-threshold storage is
-    /// 16-bit).
+    /// above [`MAX_SWEEP_ASSOC`].
     ///
     /// # Panics
     ///
@@ -276,20 +287,19 @@ impl StackDistSweep {
         assert!(max_sets_log2 < 64, "set count must fit an u64");
         assert!(min_sets_log2 <= max_sets_log2, "empty set-count range");
         let levels = (max_sets_log2 - min_sets_log2 + 1) as usize;
+        let width = max_assoc.next_power_of_two() as usize;
+        let slots = ((2usize << max_sets_log2) - (1usize << min_sets_log2)) * width;
         Ok(StackDistSweep {
             line_bytes,
             line_shift: line_bytes.trailing_zeros(),
             kmin: min_sets_log2,
             kmax: max_sets_log2,
             max_assoc,
+            width,
             warmup,
             instrs: 0,
-            lines: (min_sets_log2..=max_sets_log2)
-                .map(|k| vec![0u64; (1usize << k) * max_assoc as usize])
-                .collect(),
-            marks: (min_sets_log2..=max_sets_log2)
-                .map(|k| vec![EMPTY_M; (1usize << k) * max_assoc as usize])
-                .collect(),
+            lines: vec![0; slots],
+            marks: vec![EMPTY_M; slots],
             totals: Counters::new(levels, max_assoc),
             warm_base: None,
         })
@@ -334,111 +344,117 @@ impl StackDistSweep {
         self.max_assoc
     }
 
-    /// Feeds one instruction. Non-memory instructions advance the
+    /// Feeds one instruction: its reference, if any, is walked
+    /// directly, with no batch. Non-memory instructions advance the
     /// warm-up clock only, exactly like
     /// [`crate::explore::measure_dcache`].
     pub fn process(&mut self, instr: Instr) {
-        self.process_slice(std::slice::from_ref(&instr));
+        if let Some(m) = instr.mem {
+            self.walk(&[m.addr.raw()], &[u64::from(m.op.is_store())], 0..1);
+        }
+        self.instrs += 1;
+        if self.instrs == self.warmup {
+            self.warm_base = Some(self.totals.clone());
+        }
     }
 
-    /// Feeds a block of instructions — the streaming-chunk entry point,
-    /// bit-identical to calling [`StackDistSweep::process`] per
-    /// instruction (including the exact warm-up snapshot instant, which
-    /// may fall inside the slice).
-    ///
-    /// The slice path amortises the warm-up bookkeeping out of the
-    /// inner loop and extracts references blockwise ahead of the stack
-    /// walk, so the per-access state machine runs on compacted
-    /// (kind, line) pairs instead of 24-byte instructions.
+    /// Feeds a block of instructions, bit-identical to calling
+    /// [`StackDistSweep::process`] per instruction (including the exact
+    /// warm-up snapshot instant, which may fall inside the slice): the
+    /// slice is cut into [`RefBatch`]es through one buffer and each is
+    /// [folded](StackDistSweep::fold).
     pub fn process_slice(&mut self, instrs: &[Instr]) {
-        let mut rest = instrs;
-        // The warm-up boundary splits the slice: the snapshot must be
-        // taken exactly when the instruction count reaches `warmup`.
-        if self.warm_base.is_none() && self.warmup > self.instrs {
-            let until = (self.warmup - self.instrs) as usize;
-            if until <= rest.len() {
-                let (head, tail) = rest.split_at(until);
-                self.burst(head);
-                self.warm_base = Some(self.totals.clone());
-                rest = tail;
-            }
-        }
-        self.burst(rest);
+        RefCutter::new(self.warmup, self.instrs).fold_slice(instrs, |batch| self.fold(batch));
     }
 
-    /// Processes a warm-up-free run of instructions. The extraction
-    /// pre-pass has no data-dependent control flow over each
-    /// `chunks_exact` block, so it autovectorizes on stable Rust; the
-    /// stack walk then consumes the compacted reference stream.
-    fn burst(&mut self, instrs: &[Instr]) {
+    /// Folds the next reference batch of the stream. Any cut of the
+    /// stream gives the same state: the warm-up snapshot is taken at
+    /// the batch's warm-up mark, after the references of the
+    /// instructions before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch was cut for a different warm-up.
+    pub fn fold(&mut self, batch: &RefBatch) {
+        assert_eq!(
+            batch.warmup(),
+            self.warmup,
+            "reference batch cut for another warm-up"
+        );
+        let (addrs, stores) = (batch.addrs(), batch.stores());
+        let at = batch.warm_at().unwrap_or(0);
+        self.walk(addrs, stores, 0..at);
+        if batch.warm_at().is_some() {
+            self.warm_base = Some(self.totals.clone());
+        }
+        self.walk(addrs, stores, at..addrs.len());
+        self.instrs += batch.instructions();
+    }
+
+    /// Walks references `refs` of `addrs` (store bits in `stores`, one
+    /// per reference) through the stacks, at the row width fixed at
+    /// construction.
+    fn walk(&mut self, addrs: &[u64], stores: &[u64], refs: Range<usize>) {
+        match self.width {
+            1 => self.walk_rows::<1>(addrs, stores, refs),
+            2 => self.walk_rows::<2>(addrs, stores, refs),
+            4 => self.walk_rows::<4>(addrs, stores, refs),
+            8 => self.walk_rows::<8>(addrs, stores, refs),
+            16 => self.walk_rows::<16>(addrs, stores, refs),
+            32 => self.walk_rows::<32>(addrs, stores, refs),
+            _ => self.walk_rows::<64>(addrs, stores, refs),
+        }
+    }
+
+    /// The walk at a compile-time row width `W`: every scan, writeback
+    /// walk and row move is over a fixed-length array.
+    fn walk_rows<const W: usize>(&mut self, addrs: &[u64], stores: &[u64], refs: Range<usize>) {
+        debug_assert_eq!(W, self.width);
         let shift = self.line_shift;
-        let mut lines = [0u64; BLOCK];
-        let mut kinds = [0u8; BLOCK]; // 0 = none, 1 = load, 2 = store
-        let mut blocks = instrs.chunks_exact(BLOCK);
-        for block in blocks.by_ref() {
-            for (i, instr) in block.iter().enumerate() {
-                match instr.mem {
-                    Some(m) => {
-                        lines[i] = m.addr.raw() >> shift;
-                        kinds[i] = 1 + m.op.is_store() as u8;
-                    }
-                    None => kinds[i] = 0,
-                }
-            }
-            for i in 0..BLOCK {
-                match kinds[i] {
-                    0 => {}
-                    1 => self.access(MemOp::Load, lines[i]),
-                    _ => self.access(MemOp::Store, lines[i]),
-                }
-            }
+        for i in refs {
+            let store = (stores[i / 64] >> (i % 64)) & 1 != 0;
+            self.access::<W>(store, addrs[i] >> shift);
         }
-        for instr in blocks.remainder() {
-            if let Some(m) = instr.mem {
-                self.access(m.op, m.addr.raw() >> shift);
-            }
-        }
-        self.instrs += instrs.len() as u64;
     }
 
-    fn access(&mut self, op: MemOp, x: u64) {
-        let levels = self.lines.len();
+    #[inline(always)]
+    fn access<const W: usize>(&mut self, store: bool, x: u64) {
+        let levels = (self.kmax - self.kmin + 1) as usize;
         let max_a = self.max_assoc as usize;
         let Counters { hist, wb } = &mut self.totals;
-        let hist = &mut hist[op_index(op)];
+        let hist = &mut hist[usize::from(store)];
+        let kmin = self.kmin;
+        // The first slot of `x`'s row at level `k`.
+        let row =
+            |k: u32| ((1usize << k) - (1usize << kmin) + (x & ((1u64 << k) - 1)) as usize) * W;
 
         for lvl in 0..levels {
-            let k = self.kmin + lvl as u32;
-            let set = (x & ((1u64 << k) - 1)) as usize;
-            let base = set * max_a;
-            let row_lines = &mut self.lines[lvl][base..base + max_a];
-            let row_marks = &mut self.marks[lvl][base..base + max_a];
+            let k = kmin + lvl as u32;
+            let at = row(k);
+            let row_lines: &mut [u64; W] = (&mut self.lines[at..][..W])
+                .try_into()
+                .expect("rows are W wide");
+            let row_marks: &mut [u8; W] = (&mut self.marks[at..][..W])
+                .try_into()
+                .expect("rows are W wide");
 
             // Depth scan: the MRU slot is checked first (the dominant,
             // perfectly-predicted case), then the rest of the row in a
             // branch-light reverse pass — no early exit, so the
-            // contiguous equality scan over the line array vectorizes;
+            // fixed-length equality scan over the line array unrolls;
             // the lowest matching position wins. Empty slots
             // (m = EMPTY_M) never match.
             let depth = if row_lines[0] == x && row_marks[0] != EMPTY_M {
                 0
             } else {
-                let mut d = max_a; // Capped distance; max_a = "miss everywhere".
-                for j in (1..max_a).rev() {
+                let mut d = W; // Not in the row.
+                for j in (1..W).rev() {
                     if row_lines[j] == x && row_marks[j] != EMPTY_M {
                         d = j;
                     }
                 }
                 d
             };
-
-            // Position j < depth is the line evicted from config
-            // (2^k sets, j + 1 ways) by this access (which misses
-            // there, since depth ≥ j + 1): charge its clean threshold.
-            // Branchless — empty slots never satisfy j ≥ EMPTY_M.
-            for j in 0..depth {
-                wb[lvl * max_a + j] += u64::from(j >= usize::from(row_marks[j]));
-            }
 
             // MRU shortcut: MRU in this set implies MRU in every
             // refinement of it (no access touched this set since `x`,
@@ -450,30 +466,48 @@ impl StackDistSweep {
                 for l2 in lvl..levels {
                     hist[l2 * (max_a + 1)] += 1;
                 }
-                if op == MemOp::Store {
-                    for (l2, marks) in self.marks.iter_mut().enumerate().skip(lvl) {
-                        let k2 = self.kmin + l2 as u32;
-                        let set2 = (x & ((1u64 << k2) - 1)) as usize;
-                        marks[set2 * max_a] = 0;
+                if store {
+                    for k2 in k..=self.kmax {
+                        self.marks[row(k2)] = 0;
                     }
                 }
                 return;
             }
-            hist[lvl * (max_a + 1) + depth] += 1;
+
+            // Depths at or beyond `max_a` (the row may be wider) miss in
+            // every tracked configuration: the capped distance.
+            let capped = depth.min(max_a);
+
+            // Position j < capped is the line evicted from config
+            // (2^k sets, j + 1 ways) by this access (which misses
+            // there, since depth ≥ j + 1): charge its clean threshold.
+            // Branchless — empty slots never satisfy j ≥ EMPTY_M.
+            for j in 0..capped {
+                wb[lvl * max_a + j] += u64::from(j >= usize::from(row_marks[j]));
+            }
+            hist[lvl * (max_a + 1) + capped] += 1;
 
             // Reinsert x at the MRU position: a store makes the line
             // dirty at depth 0; a load refetches it clean anywhere
             // deeper than the last store's reach, with depths at or
             // beyond the cap pinned to `max_a` ("clean everywhere
             // tracked" — indistinguishable from a cold fetch).
-            let m = match op {
-                MemOp::Store => 0,
-                MemOp::Load if depth < max_a => row_marks[depth].max(depth as u16),
-                MemOp::Load => max_a as u16,
+            let m = if store {
+                0
+            } else if depth < max_a {
+                row_marks[depth].max(depth as u8)
+            } else {
+                max_a as u8
             };
-            let shifted = depth.min(max_a - 1);
-            row_lines.copy_within(..shifted, 1);
-            row_marks.copy_within(..shifted, 1);
+            // Slots 0..depth move down one (the last slot's line falls
+            // off when x was not in the row): a fixed-width pass, no
+            // variable-length copy.
+            for j in (1..W).rev() {
+                if j <= depth {
+                    row_lines[j] = row_lines[j - 1];
+                    row_marks[j] = row_marks[j - 1];
+                }
+            }
             row_lines[0] = x;
             row_marks[0] = m;
         }
@@ -574,13 +608,6 @@ impl StackDistSweep {
     }
 }
 
-fn op_index(op: MemOp) -> usize {
-    match op {
-        MemOp::Load => 0,
-        MemOp::Store => 1,
-    }
-}
-
 fn hist_sel(op: usize) -> fn(&Counters) -> &Vec<u64> {
     match op {
         0 => |c: &Counters| &c.hist[0],
@@ -594,7 +621,7 @@ mod tests {
     use crate::cache::Cache;
     use crate::explore::measure_dcache;
     use simtrace::gen::{PatternTrace, StridedSweep, TraceShape, WorkingSet, ZipfWorkingSet};
-    use simtrace::{Addr, MemRef};
+    use simtrace::{Addr, MemOp, MemRef};
 
     fn mem(op: MemOp, addr: u64) -> Instr {
         Instr {
@@ -848,9 +875,9 @@ mod tests {
         )
         .take(9_000)
         .collect();
-        // Warm-up falls inside a chunk; chunk sizes straddle the BLOCK
-        // width so both the chunks_exact path and the remainder run.
-        for chunk in [1usize, 13, BLOCK, 200, 4_096, 9_000] {
+        // Warm-up falls inside a chunk; chunk sizes straddle the
+        // 64-reference store-bit words.
+        for chunk in [1usize, 13, 64, 200, 4_096, 9_000] {
             let mut scalar = StackDistSweep::new(32, 5, 4, 2_500).unwrap();
             for i in &trace {
                 scalar.process(*i);
@@ -866,6 +893,74 @@ mod tests {
                         sliced.stats(k, a),
                         scalar.stats(k, a),
                         "chunk={chunk} 2^{k} sets × {a} ways"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batches_fold_like_per_instruction_processing() {
+        let trace: Vec<Instr> = PatternTrace::new(
+            ZipfWorkingSet::new(0, 8 * 1024, 8, 1.1, 0.3),
+            TraceShape::default(),
+            19,
+        )
+        .take(6_000)
+        .collect();
+        let mut scalar = StackDistSweep::new(32, 5, 4, 2_500).unwrap();
+        for i in &trace {
+            scalar.process(*i);
+        }
+        // Batches of 100 references: the warm-up lands inside one.
+        let mut batched = StackDistSweep::new(32, 5, 4, 2_500).unwrap();
+        let mut cut = RefCutter::new(2_500, 0);
+        let mut batch = RefBatch::with_capacity(100);
+        let mut rest = &trace[..];
+        while !rest.is_empty() {
+            batch.clear();
+            rest = &rest[cut.fill(&mut batch, rest)..];
+            batched.fold(&batch);
+        }
+        assert_eq!(batched.instructions(), scalar.instructions());
+        for k in 0..=5 {
+            for a in 1..=4 {
+                assert_eq!(batched.stats(k, a), scalar.stats(k, a), "2^{k} × {a}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "reference batch cut for another warm-up")]
+    fn a_batch_cut_for_another_warm_up_is_refused() {
+        let mut batch = RefBatch::with_capacity(4);
+        RefCutter::new(5, 0).fill(&mut batch, &[mem(MemOp::Load, 0), mem(MemOp::Store, 32)]);
+        StackDistSweep::new(32, 2, 2, 6).unwrap().fold(&batch);
+    }
+
+    #[test]
+    fn rows_wider_than_max_assoc_stay_exact() {
+        // Rows round `max_assoc` up to a power of two; the slots past
+        // it must not show in any tracked configuration.
+        let trace: Vec<Instr> = PatternTrace::new(
+            WorkingSet::new(0, 4 * 1024, 0.4, 4),
+            TraceShape::default(),
+            27,
+        )
+        .take(12_000)
+        .collect();
+        for max_assoc in [3, 5, 6, 7, 64] {
+            assert_exact(&trace, 32, 4, max_assoc, 1_500);
+            let width = max_assoc.next_power_of_two();
+            let narrow = StackDistSweep::run(32, 4, max_assoc, 1_500, trace.iter().copied());
+            let wide = StackDistSweep::run(32, 4, width, 1_500, trace.iter().copied());
+            let (narrow, wide) = (narrow.unwrap(), wide.unwrap());
+            for k in 0..=4 {
+                for a in 1..=max_assoc {
+                    assert_eq!(
+                        narrow.stats(k, a),
+                        wide.stats(k, a),
+                        "{max_assoc}: 2^{k} × {a}"
                     );
                 }
             }

@@ -20,11 +20,13 @@
 //! exactly, for any chunk size (asserted by
 //! `tests/chunk_properties.rs`).
 //!
-//! Consumers fold chunks in order (`StackDistSweep::process_slice`,
-//! `MissTimelineBuilder::process_slice`, or any slice loop); because
-//! every consumer of one stream sees the identical ordered chunk
-//! sequence, chunked and parallel folds are bit-identical to the
-//! monolithic path (see `bench::stream`).
+//! Consumers fold chunks in order: `MissTimelineBuilder::process_slice`
+//! reads them directly, a [`RefCutter`](crate::RefCutter) cuts them into
+//! the reference batches that `StackDistSweep`s and reuse-histogram
+//! parts fold, and any slice loop will do. Because every consumer of
+//! one stream sees the identical ordered chunk sequence, chunked and
+//! parallel folds are bit-identical to the monolithic path (see
+//! `bench::stream`).
 
 use crate::instr::Instr;
 

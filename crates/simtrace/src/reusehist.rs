@@ -23,10 +23,12 @@
 //! of independent [`GranularityFold`] parts: each owns one
 //! [`ReuseDistCounter`], its instruction count and its warm-up
 //! snapshot. Parts read [`RefBatch`]es, not instructions: a
-//! [`RefCutter`] extracts a run's data addresses once, with the run's
-//! instruction count and the reference index where the warm-up ends,
-//! and every part folds the same batch. `process_slice` cuts a slice
-//! into batches and walks each through the parts in turn; a chunked
+//! [`RefCutter`] extracts a run's data addresses once, with a store bit
+//! per reference (which these parts ignore and `StackDistSweep` reads),
+//! the run's instruction count and the reference index where the
+//! warm-up ends, and every part folds the same batch. `process_slice`
+//! cuts a slice into batches and walks each through the parts in turn,
+//! and `process` folds its one reference without a batch; a chunked
 //! fold can instead run the parts side by side on separate threads,
 //! since they share nothing. The fold is invariant to how the stream is
 //! cut (`process_slice` over any partition, and batches of any length,
@@ -400,16 +402,22 @@ struct HistTotals {
 }
 
 /// A run of a trace's data references, extracted once and shared by
-/// every [`GranularityFold`] of a fold: the byte addresses in trace
-/// order, the instructions the run spans, and where in it the warm-up
-/// instruction count is reached.
+/// every fold of a pass: the byte addresses in trace order, one store
+/// bit per reference, the instructions the run spans, and where in it
+/// the warm-up instruction count is reached.
 ///
-/// A [`RefCutter`] fills it; the buffer is allocated at full size once
+/// A [`RefCutter`] fills it; the buffers are allocated at full size once
 /// and refilled in place, so a fold that recycles its batches never
-/// regrows one.
+/// regrows one. A full batch holds 8 bytes of address per reference and
+/// one store bit, in `u64` words beside the addresses: 520 KB at
+/// [`RefBatch::REFS`] references. [`GranularityFold`]s read the
+/// addresses only; `StackDistSweep`s read the store bits too.
 #[derive(Debug)]
 pub struct RefBatch {
     addrs: Vec<u64>,
+    /// Reference `i` is a store iff bit `i % 64` of `stores[i / 64]` is
+    /// set.
+    stores: Vec<u64>,
     /// References the batch holds at most.
     cap: usize,
     /// Instructions the run spans, references or not.
@@ -421,7 +429,8 @@ pub struct RefBatch {
 }
 
 impl RefBatch {
-    /// References per production batch: 64 Ki addresses, 512 KB.
+    /// References per production batch: 64 Ki addresses, 512 KB, plus
+    /// 8 KB of store bits.
     pub const REFS: usize = 1 << 16;
 
     /// An empty batch of at most `cap` references.
@@ -433,6 +442,7 @@ impl RefBatch {
         assert!(cap > 0, "a batch holds at least one reference");
         RefBatch {
             addrs: Vec::with_capacity(cap),
+            stores: Vec::with_capacity(cap.div_ceil(64)),
             cap,
             instrs: 0,
             warm_at: None,
@@ -440,9 +450,10 @@ impl RefBatch {
         }
     }
 
-    /// Empties the batch, keeping its buffer.
+    /// Empties the batch, keeping its buffers.
     pub fn clear(&mut self) {
         self.addrs.clear();
+        self.stores.clear();
         self.instrs = 0;
         self.warm_at = None;
     }
@@ -450,6 +461,28 @@ impl RefBatch {
     /// Instructions the batch spans.
     pub fn instructions(&self) -> u64 {
         self.instrs
+    }
+
+    /// The data addresses, in trace order.
+    pub fn addrs(&self) -> &[u64] {
+        &self.addrs
+    }
+
+    /// The store bits: reference `i` is a store iff bit `i % 64` of
+    /// word `i / 64` is set.
+    pub fn stores(&self) -> &[u64] {
+        &self.stores
+    }
+
+    /// References before the warm-up boundary, when the batch reaches
+    /// it: a fold snapshots its totals after that many references.
+    pub fn warm_at(&self) -> Option<usize> {
+        self.warm_at
+    }
+
+    /// The warm-up the batch was cut for.
+    pub fn warmup(&self) -> u64 {
+        self.warmup
     }
 }
 
@@ -477,9 +510,14 @@ impl RefCutter {
         batch.warmup = self.warmup;
         for (taken, instr) in instrs.iter().enumerate() {
             if let Some(m) = instr.mem {
-                if batch.addrs.len() == batch.cap {
+                let i = batch.addrs.len();
+                if i == batch.cap {
                     return taken;
                 }
+                if i.is_multiple_of(64) {
+                    batch.stores.push(0);
+                }
+                batch.stores[i / 64] |= u64::from(m.op.is_store()) << (i % 64);
                 batch.addrs.push(m.addr.raw());
             }
             batch.instrs += 1;
@@ -490,6 +528,19 @@ impl RefCutter {
         }
         instrs.len()
     }
+
+    /// Cuts all of `instrs` into batches, through one buffer of at most
+    /// [`RefBatch::REFS`] references, and hands each to `fold` in order:
+    /// the serial form of a batched fold.
+    pub fn fold_slice(&mut self, instrs: &[Instr], mut fold: impl FnMut(&RefBatch)) {
+        let mut batch = RefBatch::with_capacity(instrs.len().clamp(1, RefBatch::REFS));
+        let mut rest = instrs;
+        while !rest.is_empty() {
+            batch.clear();
+            rest = &rest[self.fill(&mut batch, rest)..];
+            fold(&batch);
+        }
+    }
 }
 
 /// One line granularity of a [`ReuseHistograms`] fold: a
@@ -497,7 +548,7 @@ impl RefCutter {
 /// instruction count and its own warm-up snapshot.
 ///
 /// Granularities share no state, so a chunked driver may fold each
-/// part on its own thread (`bench::stream::fold_histograms` hands every
+/// part on its own thread (`bench::stream::fold_batches` hands every
 /// part the same [`RefBatch`]es): fed the same batches, or any other
 /// cut of the same stream, a part ends in exactly the state
 /// [`ReuseHistograms::process_slice`] leaves it in.
@@ -540,14 +591,30 @@ impl GranularityFold {
         let (head, tail) = batch.addrs.split_at(batch.warm_at.unwrap_or(0));
         self.access(head);
         if batch.warm_at.is_some() {
-            self.warm_base = Some(HistTotals {
-                hist: self.counter.hist.clone(),
-                cold: self.counter.cold,
-                total: self.counter.total,
-            });
+            self.snapshot();
         }
         self.access(tail);
         self.instrs += batch.instrs;
+    }
+
+    /// Folds one instruction, the batch-free form of [`Self::fold`].
+    fn step(&mut self, instr: &Instr) {
+        if let Some(m) = instr.mem {
+            self.counter.access(m.addr.raw() >> self.line_shift);
+        }
+        self.instrs += 1;
+        if self.instrs == self.warmup {
+            self.snapshot();
+        }
+    }
+
+    /// Freezes the totals: the warm-up ends here.
+    fn snapshot(&mut self) {
+        self.warm_base = Some(HistTotals {
+            hist: self.counter.hist.clone(),
+            cold: self.counter.cold,
+            total: self.counter.total,
+        });
     }
 
     fn access(&mut self, addrs: &[u64]) {
@@ -589,8 +656,9 @@ impl GranularityFold {
 /// A [`bench`-style](crate::chunk) chunk fold: feed instructions via
 /// [`ReuseHistograms::process_slice`] (any chunking — the result is
 /// bit-identical), or hand the per-granularity
-/// [`ReuseHistograms::parts_mut`] to `bench::stream::fold_histograms`,
-/// which folds them apart over shared [`RefBatch`]es, and read per-granularity [`crate::ReuseProfile`]s back with
+/// [`ReuseHistograms::parts_mut`] to `bench::stream::fold_batches`,
+/// which folds them apart over shared [`RefBatch`]es, and read
+/// per-granularity [`crate::ReuseProfile`]s back with
 /// [`ReuseHistograms::profile`]. Warm-up follows the `StackDistSweep`
 /// contract: the histogram snapshot is taken the moment the instruction
 /// count reaches `warmup`, tree state survives, and
@@ -635,26 +703,26 @@ impl ReuseHistograms {
     }
 
     /// Feeds one instruction (the scalar mirror of
-    /// [`ReuseHistograms::process_slice`]).
+    /// [`ReuseHistograms::process_slice`]): every granularity folds its
+    /// one reference directly, with no batch.
     pub fn process(&mut self, instr: Instr) {
-        self.process_slice(std::slice::from_ref(&instr));
+        for part in &mut self.parts {
+            part.step(&instr);
+        }
     }
 
     /// Feeds a block of instructions, bit-identical to per-instruction
     /// [`ReuseHistograms::process`] calls (including a warm-up boundary
-    /// inside the slice): the slice is cut into [`RefBatch`]es, and
-    /// each batch is folded by every granularity in turn.
+    /// inside the slice): the slice is cut into [`RefBatch`]es through
+    /// one buffer, and each batch is folded by every granularity in
+    /// turn.
     pub fn process_slice(&mut self, instrs: &[Instr]) {
-        let mut cut = RefCutter::new(self.warmup(), self.instructions());
-        let mut batch = RefBatch::with_capacity(instrs.len().clamp(1, RefBatch::REFS));
-        let mut rest = instrs;
-        while !rest.is_empty() {
-            batch.clear();
-            rest = &rest[cut.fill(&mut batch, rest)..];
-            for part in &mut self.parts {
-                part.fold(&batch);
+        let parts = &mut self.parts;
+        RefCutter::new(parts[0].warmup, parts[0].instrs).fold_slice(instrs, |batch| {
+            for part in parts.iter_mut() {
+                part.fold(batch);
             }
-        }
+        });
     }
 
     /// The per-granularity folds, ascending line size. A driver that
@@ -884,6 +952,39 @@ mod tests {
         assert_eq!(batch.addrs, [192, 256]);
         assert_eq!((batch.instructions(), batch.warm_at), (4, None));
         assert_eq!(batch.addrs.capacity(), 3, "refilled in place");
+    }
+
+    #[test]
+    fn store_bits_follow_their_references() {
+        // 150 references across three store-bit words, a store at every
+        // third, with plain instructions between some of them.
+        let trace: Vec<Instr> = (0..200u64)
+            .map(|i| match (i % 4, i % 3) {
+                (3, _) => Instr::plain(i * 4),
+                (_, 0) => Instr::mem(i * 4, MemRef::store(i * 8, 4)),
+                _ => Instr::mem(i * 4, MemRef::load(i * 8, 4)),
+            })
+            .collect();
+        let mut batch = RefBatch::with_capacity(200);
+        for _ in 0..2 {
+            // The second fill reuses the cleared buffers.
+            batch.clear();
+            assert_eq!(RefCutter::new(0, 0).fill(&mut batch, &trace), 200);
+            let refs: Vec<bool> = trace
+                .iter()
+                .filter_map(|i| i.mem)
+                .map(|m| m.op.is_store())
+                .collect();
+            assert_eq!(batch.addrs().len(), refs.len());
+            assert_eq!(batch.stores().len(), refs.len().div_ceil(64));
+            for (r, &store) in refs.iter().enumerate() {
+                assert_eq!(
+                    batch.stores()[r / 64] >> (r % 64) & 1 == 1,
+                    store,
+                    "ref {r}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use bench::stream::{self, Source};
 use simcache::explore::GridSpec;
+use simtrace::RefCutter;
 use tradeoff::linesize::{
     beneficial_bus_speeds, optimal_line_eq19, optimal_line_smith, FillTiming, LineCandidate,
 };
@@ -28,9 +29,10 @@ fn measured_candidates(program: &WorkloadSpec) -> Vec<LineCandidate> {
     };
     // One streamed pass of the generated trace answers every line size.
     let mut sweeps = grid.sweeps().expect("valid geometry");
-    stream::fold(
+    stream::fold_batches(
         Source::Generated(program.compile(0xBEEF).take(INSTRUCTIONS)),
         stream::chunk_instructions(),
+        RefCutter::new(grid.warmup, 0),
         &mut sweeps,
     );
     simcache::Simulated::from_sweeps(sweeps)

@@ -17,7 +17,7 @@ use simcache::CacheConfig;
 use simtrace::instr::MemRef;
 use simtrace::reusehist::ReuseHistograms;
 use simtrace::workload::{builtin, WorkloadSpec};
-use simtrace::Instr;
+use simtrace::{Instr, RefCutter};
 use tradeoff::api::{dense_best, DenseBest, DenseGrid, HIST_DISTANCE_CAP};
 
 mod common;
@@ -220,12 +220,14 @@ fn chunked_histogram_folds_are_bit_identical_to_whole_trace() {
 
     for chunk in [1usize, 117, 2_000, 4_096, N + 1] {
         let mut sliced = ReuseHistograms::new(8, 128, 4_096, 2_000);
-        stream::fold_histograms(Source::resident(&trace), chunk, &mut sliced);
+        let cut = || RefCutter::new(2_000, 0);
+        stream::fold_batches(Source::resident(&trace), chunk, cut(), sliced.parts_mut());
         let mut streamed = ReuseHistograms::new(8, 128, 4_096, 2_000);
-        stream::fold_histograms(
+        stream::fold_batches(
             Source::Generated(trace.iter().copied()),
             chunk,
-            &mut streamed,
+            cut(),
+            streamed.parts_mut(),
         );
         for line in whole.line_sizes() {
             assert_eq!(sliced.profile(line), whole.profile(line), "chunk={chunk}");

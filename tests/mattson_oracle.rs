@@ -4,11 +4,14 @@
 //! single-pass [`StackDistSweep`] must reproduce per-configuration
 //! `Cache` replays bit for bit across whole geometry grids.
 
+use bench::stream::{self, Source};
 use proptest::prelude::*;
 use simcache::explore::{hit_ratio_grid_replay, measure_dcache, GridSpec};
+use simcache::Simulated;
 use simtrace::gen::{PatternTrace, StridedSweep, TraceShape, ZipfWorkingSet};
 use simtrace::reuse::ReuseProfile;
 use simtrace::workload::builtin;
+use simtrace::RefCutter;
 use unified_tradeoff::prelude::*;
 
 mod common;
@@ -209,6 +212,59 @@ proptest! {
             json.render(),
             seed,
             len,
+            grid
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The batched driver (`stream::fold_batches`): a random spec's
+    /// trace, resident or generated, cut into random chunks whose
+    /// reference batches every `GridSpec::sweeps` sweep folds side by
+    /// side, answers every point exactly as a live `Cache` replay of
+    /// that configuration does.
+    #[test]
+    fn random_specs_fold_in_reference_batches_like_per_config_replay(
+        json in common::spec_json(),
+        seed in any::<u64>(),
+        len in 1usize..20_001,
+        cache_sizes in powers(10..16, 5),
+        line_sizes in powers(3..8, 4),
+        assocs in powers(0..4, 4),
+        warmup_pct in prop_oneof![Just(0u64), 1u64..100, 100u64..130],
+        chunk_len in 1usize..5_000,
+        resident in any::<bool>(),
+    ) {
+        let spec = WorkloadSpec::from_json(&json).expect("generated specs are valid");
+        let trace: Vec<Instr> = spec.compile(seed).take(len).collect();
+        let grid = GridSpec {
+            cache_sizes,
+            line_sizes,
+            assocs: assocs.into_iter().map(|a| a as u32).collect(),
+            warmup: len as u64 * warmup_pct / 100,
+        };
+        let source = if resident {
+            Source::Resident(&trace)
+        } else {
+            Source::Generated(spec.compile(seed).take(len))
+        };
+        let mut sweeps = grid.sweeps().expect("valid grid");
+        stream::fold_batches(source, chunk_len, RefCutter::new(grid.warmup, 0), &mut sweeps);
+        let swept = Simulated::from_sweeps(sweeps)
+            .points(&grid)
+            .expect("every point covered");
+        let replayed = hit_ratio_grid_replay(&grid, || trace.iter().copied()).expect("valid grid");
+        prop_assert_eq!(
+            swept,
+            replayed,
+            "spec={} seed={:#x} len={} chunk_len={} resident={} grid={:?}",
+            json.render(),
+            seed,
+            len,
+            chunk_len,
+            resident,
             grid
         );
     }

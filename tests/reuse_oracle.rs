@@ -16,7 +16,7 @@ use proptest::test_runner::TestCaseError;
 use simtrace::instr::MemRef;
 use simtrace::reusehist::SET_CLASS_LOG2;
 use simtrace::workload::WorkloadSpec;
-use simtrace::{Instr, ReuseDistCounter, ReuseHistograms, ReuseProfile};
+use simtrace::{Instr, RefCutter, ReuseDistCounter, ReuseHistograms, ReuseProfile};
 
 mod common;
 
@@ -305,7 +305,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The batched fold (`stream::fold_histograms`): a random spec's
+    /// The batched fold (`stream::fold_batches`): a random spec's
     /// trace, resident or generated, cut into random chunks whose
     /// reference batches every line size folds, passes [`check_fold`].
     #[test]
@@ -327,7 +327,8 @@ proptest! {
         } else {
             Source::Generated(spec.compile(seed).take(len))
         };
-        stream::fold_histograms(source, chunk_len, &mut fold);
+        let cut = RefCutter::new(warmup as u64, 0);
+        stream::fold_batches(source, chunk_len, cut, fold.parts_mut());
         prop_assert_eq!(fold.instructions(), len as u64);
         let (stacks, base) = oracle(&trace, max_distance, warmup);
         check_fold(&fold, &stacks, &base, max_distance)

@@ -15,7 +15,7 @@ use simcache::stackdist::StackDistSweep;
 use simcache::Simulated;
 use simcpu::{MissTimeline, MissTimelineBuilder};
 use simtrace::workload::{builtin, WorkloadSpec};
-use simtrace::Instr;
+use simtrace::{Instr, RefBatch, RefCutter};
 use std::time::Duration;
 
 const N: usize = 6_000;
@@ -31,8 +31,22 @@ fn opts(jobs: usize) -> SuiteOptions {
     o
 }
 
-/// Folds the first `N` instructions of `spec` through `sinks`, from
-/// the materialised `trace` or from the generator.
+/// The first `N` instructions of `spec`: the materialised `trace` or
+/// the generator.
+fn source_n<'a>(
+    resident: bool,
+    trace: &'a [Instr],
+    spec: &WorkloadSpec,
+) -> Source<'a, impl Iterator<Item = Instr>> {
+    if resident {
+        Source::Resident(trace)
+    } else {
+        Source::Generated(spec.compile(SWEEP_SEED).take(N))
+    }
+}
+
+/// Folds the first `N` instructions of `spec` through `sinks` in
+/// instruction chunks.
 fn fold_n<S: ChunkSink>(
     resident: bool,
     trace: &[Instr],
@@ -40,12 +54,21 @@ fn fold_n<S: ChunkSink>(
     chunk: usize,
     sinks: &mut [S],
 ) {
-    let source = if resident {
-        Source::Resident(trace)
-    } else {
-        Source::Generated(spec.compile(SWEEP_SEED).take(N))
-    };
-    stream::fold(source, chunk, sinks);
+    stream::fold(source_n(resident, trace, spec), chunk, sinks);
+}
+
+/// Folds the first `N` instructions of `spec` through `sinks` in
+/// reference batches cut for a `warmup`-instruction warm-up.
+fn fold_batches_n<S: ChunkSink<RefBatch>>(
+    resident: bool,
+    trace: &[Instr],
+    spec: &WorkloadSpec,
+    chunk: usize,
+    warmup: u64,
+    sinks: &mut [S],
+) {
+    let cut = RefCutter::new(warmup, 0);
+    stream::fold_batches(source_n(resident, trace, spec), chunk, cut, sinks);
 }
 
 #[test]
@@ -80,19 +103,28 @@ fn streaming_sweep_matches_per_config_replay() {
         for chunk in [1, 257, 4_096, N] {
             for resident in [true, false] {
                 let at = format!("{} chunk={chunk} resident={resident}", spec.label());
+                // Sweeps read reference batches and the timeline reads
+                // instruction chunks: one pass each.
                 let mut sweeps = grid.sweeps().unwrap();
+                fold_batches_n(resident, &trace, spec, chunk, grid.warmup, &mut sweeps);
                 let mut builder = MissTimelineBuilder::new(cache);
-                let mut sinks: Vec<&mut dyn ChunkSink> =
-                    sweeps.iter_mut().map(|s| s as &mut dyn ChunkSink).collect();
-                sinks.push(&mut builder);
-                fold_n(resident, &trace, spec, chunk, &mut sinks);
+                let mut collected = Vec::new();
+                fold_n(
+                    resident,
+                    &trace,
+                    spec,
+                    chunk,
+                    &mut [&mut builder as &mut dyn ChunkSink, &mut collected],
+                );
                 let points = Simulated::from_sweeps(sweeps).points(&grid).unwrap();
                 assert_eq!(points, replay, "{at}, several sinks");
                 assert_eq!(builder.finish(), timeline, "{at}, several sinks");
+                assert_eq!(collected, trace, "{at}, several sinks");
 
                 let mut sweeps = grid.sweeps().unwrap();
                 for sweep in &mut sweeps {
-                    fold_n(resident, &trace, spec, chunk, std::slice::from_mut(sweep));
+                    let one = std::slice::from_mut(sweep);
+                    fold_batches_n(resident, &trace, spec, chunk, grid.warmup, one);
                 }
                 let points = Simulated::from_sweeps(sweeps).points(&grid).unwrap();
                 assert_eq!(points, replay, "{at}, one sink");
@@ -118,15 +150,15 @@ fn streaming_timeline_matches_whole_trace_extraction() {
         &cache,
     );
     assert_eq!(*streamed, oracle);
-    // A mixed one-pass fold extracts the same timeline again.
+    // A timeline pass beside a sweep's batched pass over the same
+    // generator extracts the same timeline again.
+    let ear = || Source::Generated(builtin("ear").unwrap().compile(seed).take(N));
     let mut builder = MissTimelineBuilder::new(cache);
+    stream::fold(ear(), 1_024, &mut [&mut builder]);
     let mut sweep = StackDistSweep::new(32, 5, 2, 1_000).unwrap();
-    stream::fold(
-        Source::Generated(builtin("ear").unwrap().compile(seed).take(N)),
-        1_024,
-        &mut [&mut builder as &mut dyn ChunkSink, &mut sweep],
-    );
+    stream::fold_batches(ear(), 1_024, RefCutter::new(1_000, 0), &mut [&mut sweep]);
     assert_eq!(builder.finish(), oracle);
+    assert_eq!(sweep.instructions(), N as u64);
 }
 
 #[test]
@@ -199,9 +231,10 @@ fn folds_and_artifacts_are_chunk_size_invariant() {
     }
     for chunk in [64, 977, N + 1] {
         let mut folded = [StackDistSweep::new_range(32, 4, 7, 2, 500).unwrap()];
-        stream::fold(
+        stream::fold_batches(
             Source::Generated(builtin("nasa7").unwrap().compile(SWEEP_SEED).take(N)),
             chunk,
+            RefCutter::new(500, 0),
             &mut folded,
         );
         for k in 4..=7 {
