@@ -153,18 +153,26 @@ stream_check() {
         --instructions "$n" --rss-limit-mb 64
 }
 
+# The built query binaries. The modes that start them build the release
+# binaries first; starting them directly keeps concurrent clients from
+# queueing on cargo's build lock.
+cli=target/release/tradeoff-cli
+server=target/release/tradeoff-server
+
 # Starts a two-worker tradeoff-server in the background (extra server
 # flags after the first two arguments) and waits until it has bound.
 # $1 names it in failure messages, $2 receives its stderr. Uses the
-# caller's $tmp; sets the caller's $server_pid and $addr.
+# caller's $tmp; sets the caller's $server_pid and $addr. Until
+# stop_server, a failing gate's exit stops the server too, so it cannot
+# hold the caller's stdout open.
 spawn_server() {
     local name="$1" log="$2"
     shift 2
     rm -f "$tmp/addr"
-    cargo run --release -q --bin tradeoff-server -- \
-        --addr 127.0.0.1:0 --threads 2 --addr-file "$tmp/addr" "$@" \
+    "$server" --addr 127.0.0.1:0 --threads 2 --addr-file "$tmp/addr" "$@" \
         2> "$log" &
     server_pid=$!
+    trap "kill $server_pid 2> /dev/null || true" EXIT
     for _ in $(seq 1 100); do
         [[ -s "$tmp/addr" ]] && break
         kill -0 "$server_pid" 2>/dev/null \
@@ -173,6 +181,15 @@ spawn_server() {
     done
     [[ -s "$tmp/addr" ]] || { echo "FAIL: $name never bound"; exit 1; }
     addr="$(cat "$tmp/addr")"
+}
+
+# Shuts the caller's server down gracefully and waits for it; $1 names
+# it in the failure message.
+stop_server() {
+    "$cli" query --server "$addr" --shutdown > /dev/null
+    wait "$server_pid" \
+        || { echo "FAIL: $1 exited nonzero after graceful shutdown"; exit 1; }
+    trap - EXIT
 }
 
 # The OS thread count of the caller's $server_pid (Linux /proc).
@@ -202,14 +219,14 @@ serve_check() {
     # The same request locally and over HTTP must be byte-identical —
     # both are one tradeoff::api::dispatch call. Asking twice proves the
     # store memoises across requests: one miss, then a hit.
-    local_out="$(cargo run --release -q --bin tradeoff-cli -- query --json "$req")"
-    remote_out="$(cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --json "$req")"
+    local_out="$("$cli" query --json "$req")"
+    remote_out="$("$cli" query --server "$addr" --json "$req")"
     [[ "$local_out" == "$remote_out" ]] \
         || { echo "FAIL: CLI and server answers differ"; exit 1; }
-    remote_out="$(cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --json "$req")"
+    remote_out="$("$cli" query --server "$addr" --json "$req")"
     [[ "$local_out" == "$remote_out" ]] \
         || { echo "FAIL: repeated query changed its answer"; exit 1; }
-    cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --get stats \
+    "$cli" query --server "$addr" --get stats \
         > "$tmp/stats.json"
     grep -q '"timeline_misses":1' "$tmp/stats.json" \
         || { echo "FAIL: expected one extraction, got $(cat "$tmp/stats.json")"; exit 1; }
@@ -219,13 +236,11 @@ serve_check() {
         || { echo "FAIL: memoised timeline not byte-accounted: $(cat "$tmp/stats.json")"; exit 1; }
     # The registry listing must be byte-identical locally and over HTTP.
     req='{"query":"experiments"}'
-    local_out="$(cargo run --release -q --bin tradeoff-cli -- query --json "$req")"
-    remote_out="$(cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --json "$req")"
+    local_out="$("$cli" query --json "$req")"
+    remote_out="$("$cli" query --server "$addr" --json "$req")"
     [[ "$local_out" == "$remote_out" ]] \
         || { echo "FAIL: CLI and server experiment listings differ"; exit 1; }
-    cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --shutdown > /dev/null
-    wait "$server_pid" \
-        || { echo "FAIL: server exited nonzero after graceful shutdown"; exit 1; }
+    stop_server server
     echo "    serve smoke: byte parity (simulate + experiments), 1 miss + 1 hit, timeline bytes accounted, clean shutdown"
     rm -rf "$tmp"
 }
@@ -238,9 +253,8 @@ chaos_check() {
 
     # Reference answer: the canned query on a clean, fault-free server.
     spawn_server "clean server" "$tmp/clean.log"
-    clean_out="$(cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --json "$req")"
-    cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --shutdown > /dev/null
-    wait "$server_pid" || { echo "FAIL: clean server exited nonzero"; exit 1; }
+    clean_out="$("$cli" query --server "$addr" --json "$req")"
+    stop_server "clean server"
 
     # Chaos server: the plan arms two forced accept sheds, one slow
     # first read, one dispatch panic and one dispatch hang, in that
@@ -253,7 +267,7 @@ chaos_check() {
     # 1. Client retries ride out both forced accept sheds (503 +
     #    Retry-After), then the slow read burns 400 ms of the 1 s
     #    budget — and the request still answers.
-    out="$(cargo run --release -q --bin tradeoff-cli -- \
+    out="$("$cli" \
         query --server "$addr" --get stats --retries 4)" \
         || { echo "FAIL: retries did not ride out the accept sheds"; exit 1; }
     grep -q '"sheds_accept":2' <<< "$out" \
@@ -263,7 +277,7 @@ chaos_check() {
     # 2. A poisoned query unwinds inside its contained dispatch: a typed
     #    500, and the worker pool is untouched (checked in step 5).
     set +e
-    out="$(cargo run --release -q --bin tradeoff-cli -- \
+    out="$("$cli" \
         query --server "$addr" --json "$req" --retries 0 2>&1)"
     status=$?
     set -e
@@ -276,7 +290,7 @@ chaos_check() {
     #    is left sleeping it out.
     started=$SECONDS
     set +e
-    out="$(cargo run --release -q --bin tradeoff-cli -- \
+    out="$("$cli" \
         query --server "$addr" --json "$req" --retries 0 2>&1)"
     status=$?
     set -e
@@ -293,7 +307,7 @@ chaos_check() {
     #    overloaded), and the backlog that fits must still be served.
     local pids=()
     for i in $(seq 0 11); do
-        cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --retries 0 \
+        "$cli" query --server "$addr" --retries 0 \
             --json "{\"query\":\"simulate\",\"program\":\"ear\",\"instructions\":$((3000000 + 977 * i))}" \
             > /dev/null 2> "$tmp/flood.$i.err" &
         pids+=($!)
@@ -311,7 +325,7 @@ chaos_check() {
 
     # 5. /stats invariants: nobody died, and every armed fault left a
     #    mark on the policy counters.
-    out="$(cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --get stats)"
+    out="$("$cli" query --server "$addr" --get stats)"
     grep -q '"pool":{"size":2,"alive":2}' <<< "$out" \
         || { echo "FAIL: worker death — the pool shrank: $out"; exit 4; }
     grep -q '"panics_contained":1' <<< "$out" \
@@ -325,13 +339,11 @@ chaos_check() {
 
     # 6. Post-chaos, the canned query answers byte-identically to the
     #    clean server: chaos may cost requests, never answers.
-    post_out="$(cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --json "$req")"
+    post_out="$("$cli" query --server "$addr" --json "$req")"
     [[ "$post_out" == "$clean_out" ]] \
         || { echo "FAIL: post-chaos answer drifted from the clean server"; exit 5; }
 
-    cargo run --release -q --bin tradeoff-cli -- query --server "$addr" --shutdown > /dev/null
-    wait "$server_pid" \
-        || { echo "FAIL: chaos server exited nonzero after graceful shutdown"; exit 1; }
+    stop_server "chaos server"
     echo "    chaos: 2 sheds ridden out, panic + hang contained, $sheds/12 flood sheds, pool intact, $baseline threads after each cancellation, byte-identical recovery"
     rm -rf "$tmp"
 }
@@ -341,7 +353,7 @@ workloads_check() {
     local out id f name want builtins
     # Every committed example spec must parse, validate and hash.
     for f in workloads/*.json; do
-        out="$(cargo run --release -q --bin tradeoff-cli -- workloads validate --file "$f")" \
+        out="$("$cli" workloads validate --file "$f")" \
             || { echo "FAIL: invalid spec $f"; exit 1; }
         id="$(sed -nE 's/^valid: .*\(([0-9a-f]{64})\)$/\1/p' <<< "$out")"
         [[ -n "$id" ]] || { echo "FAIL: no content hash for $f: $out"; exit 1; }
@@ -349,13 +361,13 @@ workloads_check() {
     # The builtins are identity-critical: every name the registry lists
     # must have its committed spec file, hashing to the exact id the
     # registry serves, or the file has drifted from the memo keys in use.
-    builtins="$(cargo run --release -q --bin tradeoff-cli -- workloads list \
+    builtins="$("$cli" workloads list \
         | sed -nE 's/^\| ([^ |]+) +\| ([0-9a-f]{64}) \|$/\1 \2/p')"
     [[ -n "$builtins" ]] || { echo "FAIL: the registry lists no builtins"; exit 1; }
     while read -r name want; do
         f="workloads/$name.json"
         [[ -f "$f" ]] || { echo "FAIL: builtin $name has no $f"; exit 1; }
-        out="$(cargo run --release -q --bin tradeoff-cli -- workloads validate --file "$f")"
+        out="$("$cli" workloads validate --file "$f")"
         id="$(sed -nE 's/^valid: .*\(([0-9a-f]{64})\)$/\1/p' <<< "$out")"
         [[ "$id" == "$want" ]] \
             || { echo "FAIL: $f hashes to $id, the registry serves $name as $want"; exit 1; }

@@ -177,9 +177,9 @@ pub struct ExpOutcome {
     pub result: Result<ExpOutput, ExpFailure>,
     /// Wall-clock time of the `run` call (including retries).
     pub wall: Duration,
-    /// Trace-store activity during the run (exact when serial; under
-    /// `--jobs N` concurrent experiments share the global counters, so
-    /// per-experiment deltas are attributions, not isolates).
+    /// The trace-store lookups this run made, on any thread working in
+    /// its fault scope ([`tracestore::counters_for`]); exact under any
+    /// job count, so a suite's rows sum to its totals.
     pub store: StoreCounts,
 }
 
@@ -360,7 +360,7 @@ fn attempt_contained(exp: &Experiment, opts: &SuiteOptions) -> Result<ExpReport,
 }
 
 fn run_one(exp: &Experiment, opts: &SuiteOptions) -> ExpOutcome {
-    let before = tracestore::counters();
+    let before = tracestore::counters_for(exp.id);
     let start = Instant::now();
     let mut retries = 0u32;
     let result = loop {
@@ -405,7 +405,7 @@ fn run_one(exp: &Experiment, opts: &SuiteOptions) -> ExpOutcome {
         title: exp.title,
         result,
         wall: start.elapsed(),
-        store: tracestore::counters().since(&before),
+        store: tracestore::counters_for(exp.id).since(&before),
     }
 }
 

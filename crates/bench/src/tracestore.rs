@@ -100,6 +100,25 @@ impl StoreCounts {
     }
 }
 
+/// The lookups made under experiment `exp`'s fault scope
+/// ([`fault::enter`]), on any thread that carried that scope, since the
+/// process started. The scheduler charges an experiment the change over
+/// its run, so concurrent experiments' counts stay apart.
+pub fn counters_for(exp: &str) -> StoreCounts {
+    let s = store();
+    let (trace_hits, trace_misses) = s.traces.charged_to(exp);
+    let (timeline_hits, timeline_misses) = s.timelines.charged_to(exp);
+    let (hist_hits, hist_misses) = s.hists.charged_to(exp);
+    StoreCounts {
+        trace_hits,
+        trace_misses,
+        timeline_hits,
+        timeline_misses,
+        hist_hits,
+        hist_misses,
+    }
+}
+
 /// The current process-wide counter values.
 pub fn counters() -> StoreCounts {
     let s = store();
@@ -337,6 +356,9 @@ struct Memo<K, V> {
     bytes: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Hits and misses per experiment, charged to the fault scope of
+    /// the thread that looked up.
+    charged: Mutex<HashMap<Arc<str>, (u64, u64)>>,
     evictions: AtomicU64,
     waits: AtomicU64,
     recoveries: AtomicU64,
@@ -354,6 +376,7 @@ impl<K: Eq + Hash + Clone, V: Footprint> Memo<K, V> {
             bytes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            charged: Mutex::default(),
             evictions: AtomicU64::new(0),
             waits: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
@@ -367,6 +390,26 @@ impl<K: Eq + Hash + Clone, V: Footprint> Memo<K, V> {
 
     fn recoveries(&self) -> u64 {
         self.recoveries.load(Ordering::Relaxed)
+    }
+
+    /// Counts a hit (`true`) or a miss, globally and against the
+    /// current experiment scope, if any.
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if let Some(exp) = fault::current() {
+            // Every update leaves the map valid, so a poisoned lock
+            // holds nothing to recover from.
+            let (mut charged, _) = lock_recovering(&self.charged);
+            let (hits, misses) = charged.entry(exp).or_default();
+            *if hit { hits } else { misses } += 1;
+        }
+    }
+
+    /// The hits and misses charged to experiment `exp`.
+    fn charged_to(&self, exp: &str) -> (u64, u64) {
+        let (charged, _) = lock_recovering(&self.charged);
+        charged.get(exp).copied().unwrap_or_default()
     }
 
     /// Locks the map, recovering from poison: a holder that died
@@ -394,7 +437,7 @@ impl<K: Eq + Hash + Clone, V: Footprint> Memo<K, V> {
     ) -> Option<Arc<V>> {
         let slot = map.get_mut(key).filter(|s| fits(&s.value))?;
         slot.last_use = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.count(true);
         Some(Arc::clone(&slot.value))
     }
 
@@ -434,7 +477,7 @@ impl<K: Eq + Hash + Clone, V: Footprint> Memo<K, V> {
             return value;
         }
         fault::check_or_unwind(Site::Extract);
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.count(false);
         let value = Arc::new(build());
         self.insert(key, Arc::clone(&value), room);
         value

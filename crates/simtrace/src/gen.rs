@@ -12,7 +12,7 @@
 use crate::addr::Addr;
 use crate::instr::{Instr, MemOp, MemRef};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// A source of data memory references.
@@ -24,12 +24,55 @@ pub trait AccessPattern {
     fn next_ref(&mut self, rng: &mut SmallRng) -> MemRef;
 }
 
-/// Boxed patterns forward, so pattern trees built at runtime (the
-/// [`crate::workload`] spec compiler) compose exactly like concrete
-/// ones — the box adds no RNG draws, keeping streams bit-identical.
+/// Boxed patterns forward, so hand-built trees of mixed pattern types
+/// compose exactly like concrete ones — the box adds no RNG draws.
 impl AccessPattern for Box<dyn AccessPattern + Send> {
     fn next_ref(&mut self, rng: &mut SmallRng) -> MemRef {
         self.as_mut().next_ref(rng)
+    }
+}
+
+/// A Bernoulli draw as one integer compare, fixed at construction.
+///
+/// `rng.gen_bool(p)` draws `k = next_u64() >> 11` and answers
+/// `k · 2^-53 < p`. Scaling by a power of two is exact, so for the
+/// integer `k` that is `k < ceil(p · 2^53)`: the same draw gives the
+/// same answer without a float conversion per reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Threshold(u64);
+
+impl Threshold {
+    /// The threshold of probability `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1]`, as `gen_bool` would on every
+    /// draw.
+    pub(crate) fn new(p: f64) -> Threshold {
+        assert!((0.0..=1.0).contains(&p), "p = {p} outside [0, 1]");
+        Threshold((p * (1u64 << 53) as f64).ceil() as u64)
+    }
+
+    /// Draws once: `true` exactly when `rng.gen_bool(p)` would be.
+    #[inline]
+    pub(crate) fn draw(self, rng: &mut SmallRng) -> bool {
+        self.passes(rng.next_u64() >> 11)
+    }
+
+    /// The answer for the draw's top 53 bits `k`.
+    #[inline]
+    fn passes(self, k: u64) -> bool {
+        k < self.0
+    }
+}
+
+/// A store decision drawn against `store`.
+#[inline]
+fn op(store: Threshold, rng: &mut SmallRng) -> MemOp {
+    if store.draw(rng) {
+        MemOp::Store
+    } else {
+        MemOp::Load
     }
 }
 
@@ -42,22 +85,24 @@ impl AccessPattern for Box<dyn AccessPattern + Send> {
 /// distances — which is exactly what makes the BNL features stall.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StridedSweep {
-    /// Base address of the swept region.
-    pub base: u64,
-    /// Region length in bytes; the sweep wraps at `base + region_bytes`.
-    pub region_bytes: u64,
-    /// Byte stride between consecutive elements.
-    pub stride: u64,
-    /// Operand size in bytes.
-    pub elem_size: u8,
-    /// Every `store_period`-th access is a store (0 = never store).
-    pub store_period: u32,
+    base: u64,
+    region_bytes: u64,
+    /// The stride reduced modulo the region, so the cursor wraps with
+    /// one compare.
+    step: u64,
+    elem_size: u8,
+    store_period: u32,
     cursor: u64,
+    /// Accesses made, wrapping at 2^32.
     count: u32,
+    /// `count % store_period`, kept without a division.
+    phase: u32,
 }
 
 impl StridedSweep {
-    /// Creates a sweep over `region_bytes` starting at `base`.
+    /// Creates a sweep over `region_bytes` starting at `base`, moving
+    /// `stride` bytes per access (wrapping at `base + region_bytes`),
+    /// with every `store_period`-th access a store (0 = never store).
     ///
     /// # Panics
     ///
@@ -74,21 +119,33 @@ impl StridedSweep {
         StridedSweep {
             base,
             region_bytes,
-            stride,
+            step: stride % region_bytes,
             elem_size,
             store_period,
             cursor: 0,
             count: 0,
+            phase: 0,
         }
     }
 }
 
 impl AccessPattern for StridedSweep {
+    #[inline]
     fn next_ref(&mut self, _rng: &mut SmallRng) -> MemRef {
         let addr = Addr::new(self.base + self.cursor);
-        self.cursor = (self.cursor + self.stride) % self.region_bytes;
+        // `cursor` and `step` are below the region, so one subtraction
+        // is the modulo.
+        self.cursor += self.step;
+        if self.cursor >= self.region_bytes {
+            self.cursor -= self.region_bytes;
+        }
         self.count = self.count.wrapping_add(1);
-        let op = if self.store_period > 0 && self.count.is_multiple_of(self.store_period) {
+        // The count's wrap to 0 is a multiple of every period, too.
+        self.phase = self.phase.wrapping_add(1);
+        if self.phase == self.store_period || self.count == 0 {
+            self.phase = 0;
+        }
+        let op = if self.store_period > 0 && self.phase == 0 {
             MemOp::Store
         } else {
             MemOp::Load
@@ -114,7 +171,7 @@ pub struct PointerChase {
     next: Vec<u32>,
     node_bytes: u64,
     current: u32,
-    store_fraction: f64,
+    store: Threshold,
 }
 
 impl PointerChase {
@@ -123,9 +180,13 @@ impl PointerChase {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is zero.
+    /// Panics if `nodes` is zero or `store_fraction` is outside `[0, 1]`.
     pub fn new(base: u64, nodes: u32, node_bytes: u64, store_fraction: f64, seed: u64) -> Self {
         assert!(nodes > 0, "need at least one node");
+        assert!(
+            (0.0..=1.0).contains(&store_fraction),
+            "store fraction must be in [0, 1]"
+        );
         let mut rng = SmallRng::seed_from_u64(seed);
         // Sattolo's algorithm: a single cycle through all nodes.
         let mut perm: Vec<u32> = (0..nodes).collect();
@@ -142,21 +203,21 @@ impl PointerChase {
             next,
             node_bytes,
             current: 0,
-            store_fraction,
+            store: Threshold::new(store_fraction),
         }
     }
 }
 
 impl AccessPattern for PointerChase {
+    #[inline]
     fn next_ref(&mut self, rng: &mut SmallRng) -> MemRef {
         let addr = Addr::new(self.base + self.current as u64 * self.node_bytes);
         self.current = self.next[self.current as usize];
-        let op = if rng.gen_bool(self.store_fraction) {
-            MemOp::Store
-        } else {
-            MemOp::Load
-        };
-        MemRef { op, addr, size: 4 }
+        MemRef {
+            op: op(self.store, rng),
+            addr,
+            size: 4,
+        }
     }
 }
 
@@ -168,18 +229,18 @@ impl AccessPattern for PointerChase {
 /// how the experiments position workloads at a chosen base hit ratio.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkingSet {
-    /// Base address of the working set.
-    pub base: u64,
-    /// Size of the working set in bytes.
-    pub bytes: u64,
-    /// Probability that a reference is a store.
-    pub store_fraction: f64,
-    /// Operand size in bytes.
-    pub elem_size: u8,
+    base: u64,
+    /// Slot width: the operand size, at least one byte.
+    elem: u64,
+    /// Slots in the set: its size over `elem`, at least one.
+    slots: u64,
+    store: Threshold,
+    elem_size: u8,
 }
 
 impl WorkingSet {
-    /// Creates a uniform working-set pattern.
+    /// Creates a uniform working-set pattern over `bytes` bytes at
+    /// `base`, each reference a store with probability `store_fraction`.
     ///
     /// # Panics
     ///
@@ -190,27 +251,23 @@ impl WorkingSet {
             (0.0..=1.0).contains(&store_fraction),
             "store fraction must be in [0, 1]"
         );
+        let elem = u64::from(elem_size.max(1));
         WorkingSet {
             base,
-            bytes,
-            store_fraction,
+            elem,
+            slots: (bytes / elem).max(1),
+            store: Threshold::new(store_fraction),
             elem_size,
         }
     }
 }
 
 impl AccessPattern for WorkingSet {
+    #[inline]
     fn next_ref(&mut self, rng: &mut SmallRng) -> MemRef {
-        let elem = self.elem_size.max(1) as u64;
-        let slots = (self.bytes / elem).max(1);
-        let addr = Addr::new(self.base + rng.gen_range(0..slots) * elem);
-        let op = if rng.gen_bool(self.store_fraction) {
-            MemOp::Store
-        } else {
-            MemOp::Load
-        };
+        let addr = Addr::new(self.base + rng.gen_range(0..self.slots) * self.elem);
         MemRef {
-            op,
+            op: op(self.store, rng),
             addr,
             size: self.elem_size,
         }
@@ -228,11 +285,25 @@ impl AccessPattern for WorkingSet {
 #[derive(Debug, Clone)]
 pub struct ZipfWorkingSet {
     base: u64,
+    /// Slot width: the operand size, at least one byte.
+    elem: u64,
     elem_size: u8,
-    store_fraction: f64,
+    store: Threshold,
     /// Cumulative probability per slot, for inverse-CDF sampling.
     cdf: Vec<f64>,
+    /// `guide[b]` is the first slot whose cumulative probability reaches
+    /// the bucket edge `b / buckets`, so a draw in bucket `b` selects a
+    /// slot in `guide[b] ..= guide[b + 1]` ([`Self::rank`]).
+    guide: Vec<u32>,
+    /// The guide's bucket count, a power of two: `u · buckets` and every
+    /// bucket edge are exact.
+    buckets: f64,
 }
+
+/// Slots per Zipf guide bucket, on average: a draw searches about this
+/// many cumulative probabilities (one or two cache lines), and building
+/// the guide costs a small part of building the CDF.
+const GUIDE_SLOTS: usize = 16;
 
 impl ZipfWorkingSet {
     /// Creates a Zipf pattern over `slots` elements of `elem_size` bytes
@@ -262,11 +333,17 @@ impl ZipfWorkingSet {
         for v in &mut cdf {
             *v /= total;
         }
+        let buckets = ((slots as usize).next_power_of_two() / GUIDE_SLOTS).max(1);
+        let guide = guide(&cdf, buckets);
+        let elem = u64::from(elem_size.max(1));
         ZipfWorkingSet {
             base,
+            elem,
             elem_size,
-            store_fraction,
+            store: Threshold::new(store_fraction),
             cdf,
+            guide,
+            buckets: buckets as f64,
         }
     }
 
@@ -274,20 +351,42 @@ impl ZipfWorkingSet {
     pub fn slots(&self) -> u32 {
         self.cdf.len() as u32
     }
+
+    /// The slot a uniform draw `u` in `[0, 1)` selects, before clamping:
+    /// exactly `cdf.partition_point(|&c| c < u)`, searched only inside
+    /// the bracket of `u`'s guide bucket.
+    #[inline]
+    fn rank(&self, u: f64) -> usize {
+        let b = (u * self.buckets) as usize;
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        lo + self.cdf[lo..hi].partition_point(|&c| c < u)
+    }
+}
+
+/// The guide of `cdf` over `buckets` buckets, a power of two: entry `b`
+/// is the first slot whose cumulative probability reaches `b / buckets`
+/// (an exact edge), or `cdf.len()` past the last. One walk over the CDF
+/// fills it, each edge in order.
+fn guide(cdf: &[f64], buckets: usize) -> Vec<u32> {
+    let mut slot = 0;
+    (0..=buckets)
+        .map(|b| {
+            let edge = b as f64 / buckets as f64;
+            while cdf.get(slot).is_some_and(|&c| c < edge) {
+                slot += 1;
+            }
+            slot as u32
+        })
+        .collect()
 }
 
 impl AccessPattern for ZipfWorkingSet {
+    #[inline]
     fn next_ref(&mut self, rng: &mut SmallRng) -> MemRef {
-        let u: f64 = rng.gen();
-        let rank = self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1);
-        let addr = Addr::new(self.base + rank as u64 * u64::from(self.elem_size.max(1)));
-        let op = if rng.gen_bool(self.store_fraction) {
-            MemOp::Store
-        } else {
-            MemOp::Load
-        };
+        let rank = self.rank(rng.gen()).min(self.cdf.len() - 1);
+        let addr = Addr::new(self.base + rank as u64 * self.elem);
         MemRef {
-            op,
+            op: op(self.store, rng),
             addr,
             size: self.elem_size,
         }
@@ -301,16 +400,15 @@ impl AccessPattern for ZipfWorkingSet {
 /// lets experiments target a hit ratio by sizing the cold region.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HotCold {
-    /// The frequently-referenced region.
-    pub hot: WorkingSet,
-    /// The rarely-referenced region.
-    pub cold: WorkingSet,
-    /// Probability a reference goes to the hot region.
-    pub hot_fraction: f64,
+    hot: WorkingSet,
+    cold: WorkingSet,
+    /// Draws `true` for a reference to the hot region.
+    to_hot: Threshold,
 }
 
 impl HotCold {
-    /// Creates a hot/cold pattern.
+    /// Creates a hot/cold pattern sending each reference to `hot` with
+    /// probability `hot_fraction`, to `cold` otherwise.
     ///
     /// # Panics
     ///
@@ -323,14 +421,15 @@ impl HotCold {
         HotCold {
             hot,
             cold,
-            hot_fraction,
+            to_hot: Threshold::new(hot_fraction),
         }
     }
 }
 
 impl AccessPattern for HotCold {
+    #[inline]
     fn next_ref(&mut self, rng: &mut SmallRng) -> MemRef {
-        if rng.gen_bool(self.hot_fraction) {
+        if self.to_hot.draw(rng) {
             self.hot.next_ref(rng)
         } else {
             self.cold.next_ref(rng)
@@ -370,6 +469,7 @@ impl LoopNest {
 }
 
 impl AccessPattern for LoopNest {
+    #[inline]
     fn next_ref(&mut self, rng: &mut SmallRng) -> MemRef {
         let r = self.arrays[self.current].next_ref(rng);
         self.issued += 1;
@@ -444,9 +544,14 @@ impl TraceShape {
 #[derive(Debug, Clone)]
 pub struct PatternTrace<P> {
     pattern: P,
-    shape: TraceShape,
     rng: SmallRng,
     pc: u64,
+    code_bytes: u64,
+    /// Instruction slots in the code region, the range of a branch
+    /// target.
+    code_slots: u64,
+    branch: Threshold,
+    mem: Threshold,
 }
 
 impl<P: AccessPattern> PatternTrace<P> {
@@ -460,9 +565,12 @@ impl<P: AccessPattern> PatternTrace<P> {
         shape.validate().expect("invalid trace shape");
         PatternTrace {
             pattern,
-            shape,
             rng: SmallRng::seed_from_u64(seed),
             pc: 0,
+            code_bytes: shape.code_bytes,
+            code_slots: shape.code_bytes / 4,
+            branch: Threshold::new(shape.branch_fraction),
+            mem: Threshold::new(shape.mem_fraction),
         }
     }
 }
@@ -470,16 +578,20 @@ impl<P: AccessPattern> PatternTrace<P> {
 impl<P: AccessPattern> Iterator for PatternTrace<P> {
     type Item = Instr;
 
+    #[inline]
     fn next(&mut self) -> Option<Instr> {
         let pc = Addr::new(self.pc);
-        // Advance the synthetic program counter.
-        if self.rng.gen_bool(self.shape.branch_fraction) {
-            let slots = self.shape.code_bytes / 4;
-            self.pc = self.rng.gen_range(0..slots) * 4;
+        // Advance the synthetic program counter. It stays below
+        // `code_bytes` (at least 4), so one subtraction is the modulo.
+        if self.branch.draw(&mut self.rng) {
+            self.pc = self.rng.gen_range(0..self.code_slots) * 4;
         } else {
-            self.pc = (self.pc + 4) % self.shape.code_bytes;
+            self.pc += 4;
+            if self.pc >= self.code_bytes {
+                self.pc -= self.code_bytes;
+            }
         }
-        let mem = if self.rng.gen_bool(self.shape.mem_fraction) {
+        let mem = if self.mem.draw(&mut self.rng) {
             Some(self.pattern.next_ref(&mut self.rng))
         } else {
             None
@@ -654,6 +766,137 @@ mod tests {
     }
 
     #[test]
+    fn threshold_draws_equal_gen_bool() {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let mut picks = SmallRng::seed_from_u64(3);
+        let random: Vec<f64> = (0..16).map(|_| picks.gen()).collect();
+        for p in [0.0, ulp, 0.5, 1.0 - ulp, 1.0, 0.3, 0.1, 2.0 / 3.0]
+            .into_iter()
+            .chain(random)
+        {
+            let threshold = Threshold::new(p);
+            let (mut a, mut b) = (rng(), rng());
+            for i in 0..20_000 {
+                assert_eq!(threshold.draw(&mut a), b.gen_bool(p), "p = {p}, draw {i}");
+            }
+        }
+        // The answer flips exactly where `k · 2^-53 < p` does; sampled
+        // draws almost never land on that edge, so test it directly.
+        for p in [0.0, ulp, 0.3, 0.5, 2.0 / 3.0, 1.0 - ulp, 1.0]
+            .into_iter()
+            .chain((0..64).map(|_| picks.gen::<f64>()))
+        {
+            let threshold = Threshold::new(p);
+            let edge = threshold.0;
+            for k in [0, edge.saturating_sub(1), edge, edge + 1, (1 << 53) - 1] {
+                let k = k.min((1 << 53) - 1);
+                assert_eq!(
+                    threshold.passes(k),
+                    (k as f64) * ulp < p,
+                    "p = {p}, k = {k}"
+                );
+            }
+        }
+        // The two ends are certain, whatever the draw.
+        assert_eq!(Threshold::new(0.0), Threshold(0));
+        assert_eq!(Threshold::new(1.0), Threshold(1 << 53));
+        assert_eq!(Threshold::new(ulp), Threshold(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn threshold_rejects_a_probability_out_of_range() {
+        Threshold::new(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "store fraction")]
+    fn pointer_chase_rejects_a_bad_store_fraction() {
+        PointerChase::new(0, 16, 8, 1.5, 1);
+    }
+
+    /// The guided search is exactly the plain binary search it replaces,
+    /// at every bucket edge, one ulp either side of it and in between.
+    #[test]
+    fn guided_zipf_rank_is_the_partition_point() {
+        let mut draws = SmallRng::seed_from_u64(7);
+        for (slots, exponents) in [
+            (1, &[1.0][..]),
+            (2, &[0.5, 1.0]),
+            (3, &[1.3]),
+            (7, &[0.1, 2.0]),
+            (1000, &[0.6, 1.2]),
+            (4097, &[1.0]),
+            (98_304, &[1.3]),
+            (1 << 20, &[0.9]),
+        ] {
+            for &s in exponents {
+                let z = ZipfWorkingSet::new(0, slots, 8, s, 0.0);
+                assert_eq!(z.guide.len() as f64, z.buckets + 1.0);
+                let check = |u: f64| {
+                    assert_eq!(
+                        z.rank(u),
+                        z.cdf.partition_point(|&c| c < u),
+                        "slots {slots}, s {s}, u {u:e}"
+                    );
+                };
+                for b in 0..=z.buckets as u64 {
+                    let edge = b as f64 / z.buckets;
+                    for u in [edge.next_down(), edge, edge.next_up()] {
+                        if (0.0..1.0).contains(&u) {
+                            check(u);
+                        }
+                    }
+                }
+                for _ in 0..10_000 {
+                    check(draws.gen());
+                }
+            }
+        }
+    }
+
+    /// Cumulative probabilities that land exactly on bucket edges, which
+    /// a Zipf CDF rarely does: each edge's bracket still starts at the
+    /// first slot reaching it.
+    #[test]
+    fn guide_brackets_start_at_slots_on_an_edge() {
+        let mut z = ZipfWorkingSet::new(0, 1, 8, 1.0, 0.0);
+        z.cdf = vec![0.125, 0.25, 0.25, 0.5, 0.625, 0.75, 1.0];
+        z.buckets = 4.0;
+        z.guide = guide(&z.cdf, 4);
+        assert_eq!(z.guide, [0, 1, 3, 5, 6]);
+        for i in 0..=64 {
+            let edge = f64::from(i) / 64.0;
+            for u in [edge.next_down(), edge, edge.next_up()] {
+                if (0.0..1.0).contains(&u) {
+                    assert_eq!(z.rank(u), z.cdf.partition_point(|&c| c < u), "u {u}");
+                }
+            }
+        }
+    }
+
+    /// A strided sweep's store pattern, including across the access
+    /// count's wrap at 2^32, is `count % store_period == 0`.
+    #[test]
+    fn strided_store_period_follows_the_wrapping_count() {
+        for period in [0u32, 1, 3, 7] {
+            let mut s = StridedSweep::new(0, 64, 8, 8, period);
+            let start = u32::MAX - 20;
+            s.count = start;
+            s.phase = if period == 0 { start } else { start % period };
+            let mut r = rng();
+            for i in 1..=40u32 {
+                let count = start.wrapping_add(i);
+                assert_eq!(
+                    s.next_ref(&mut r).op.is_store(),
+                    period > 0 && count.is_multiple_of(period),
+                    "period {period}, count {count}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn zipf_higher_exponent_concentrates_references() {
         let footprint = |s_exp: f64| {
             let mut z = ZipfWorkingSet::new(0, 32 * 1024, 8, s_exp, 0.0);
@@ -687,6 +930,45 @@ mod tests {
             (frac - 0.25).abs() < 0.02,
             "mem fraction {frac} far from 0.25"
         );
+    }
+
+    /// The trace's draws, program counter and sweep cursor follow the
+    /// `gen_bool` and modulo arithmetic they replace, for code regions
+    /// and strides that are not multiples of anything convenient.
+    #[test]
+    fn pattern_trace_walks_like_its_modulo_reference() {
+        for (code_bytes, branch_fraction, mem_fraction, region, stride) in [
+            (4, 0.0, 1.0, 64, 8),
+            (10, 0.05, 0.4, 100, 250),
+            (1026, 0.3, 0.0, 24, 24),
+            (4096, 1.0, 0.7, 1_000, 7),
+        ] {
+            let shape = TraceShape {
+                mem_fraction,
+                branch_fraction,
+                code_bytes,
+            };
+            let sweep = StridedSweep::new(0x100, region, stride, 8, 3);
+            let trace = PatternTrace::new(sweep, shape, 11);
+            let mut r = SmallRng::seed_from_u64(11);
+            let (mut pc, mut cursor, mut count) = (0u64, 0u64, 0u32);
+            for instr in trace.take(5_000) {
+                assert_eq!(instr.pc.raw(), pc, "code_bytes {code_bytes}");
+                if r.gen_bool(branch_fraction) {
+                    pc = r.gen_range(0..code_bytes / 4) * 4;
+                } else {
+                    pc = (pc + 4) % code_bytes;
+                }
+                let want = r.gen_bool(mem_fraction).then(|| {
+                    let addr = 0x100 + cursor;
+                    cursor = (cursor + stride) % region;
+                    count += 1;
+                    (addr, count.is_multiple_of(3))
+                });
+                let got = instr.mem.map(|m| (m.addr.raw(), m.op.is_store()));
+                assert_eq!(got, want, "stride {stride} over {region}");
+            }
+        }
     }
 
     #[test]

@@ -91,22 +91,6 @@ impl MixtureBuilder {
         self
     }
 
-    /// Adds an already-boxed component with the given weight — the
-    /// runtime-composition twin of [`MixtureBuilder::component`], used
-    /// by the [`crate::workload`] spec compiler to avoid double boxing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is not finite and positive.
-    pub fn boxed(mut self, weight: f64, pattern: Box<dyn AccessPattern + Send>) -> Self {
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "weight must be positive"
-        );
-        self.components.push((weight, pattern));
-        self
-    }
-
     /// Finishes the mixture.
     ///
     /// # Panics

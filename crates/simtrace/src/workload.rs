@@ -11,9 +11,11 @@
 //!   constructor panic in [`crate::gen`], so a parsed spec never panics
 //!   when compiled),
 //! * **compiles** ([`WorkloadSpec::compile`]) to the same
-//!   [`PatternTrace`] streaming path every generator uses — and through
-//!   [`WorkloadSpec::chunks`] to the chunked pipeline, bit-identical
-//!   for any chunk size,
+//!   [`PatternTrace`] streaming path every generator uses, over a tree
+//!   lowered into one enum ([`CompiledPattern`]) that draws exactly as
+//!   the boxed [`crate::mix`] and [`crate::phases`] combinators would —
+//!   and through [`WorkloadSpec::chunks`] to the chunked pipeline,
+//!   bit-identical for any chunk size,
 //! * **canonicalises** ([`WorkloadSpec::canonical_json`]) to a stable
 //!   rendering whose SHA-256 is the spec's content hash
 //!   ([`WorkloadSpec::id`]) — the identity the `bench` trace store keys
@@ -46,15 +48,99 @@ use crate::gen::{
     AccessPattern, HotCold, LoopNest, PatternTrace, PointerChase, StridedSweep, TraceShape,
     WorkingSet, ZipfWorkingSet,
 };
-use crate::mix::MixtureBuilder;
-use crate::phases::{Phase, PhasedPattern};
+use crate::instr::MemRef;
+use rand::rngs::SmallRng;
+use rand::Rng;
 use report::{sha256_hex, Json};
 use std::fmt;
 use std::sync::OnceLock;
 
-/// A compiled workload: the boxed-pattern instruction stream every spec
-/// lowers to.
-pub type CompiledTrace = PatternTrace<Box<dyn AccessPattern + Send>>;
+/// A compiled workload: the instruction stream every spec lowers to.
+pub type CompiledTrace = PatternTrace<CompiledPattern>;
+
+/// A spec's pattern tree lowered for generation (see
+/// [`WorkloadSpec::compile`]).
+///
+/// One enum holds the whole tree: a reference costs a `match` per tree
+/// level instead of a boxed call, and each leaf is the [`crate::gen`]
+/// generator with its per-reference constants computed at compile
+/// time. Mixtures and phases draw exactly as [`crate::mix`]'s and
+/// [`crate::phases`]' boxed combinators do, which `tests/workloads.rs`
+/// checks on random specs.
+#[derive(Debug, Clone)]
+pub struct CompiledPattern(Lowered);
+
+#[derive(Debug, Clone)]
+enum Lowered {
+    Strided(StridedSweep),
+    Chase(PointerChase),
+    WorkingSet(WorkingSet),
+    Zipf(ZipfWorkingSet),
+    HotCold(HotCold),
+    LoopNest(LoopNest),
+    Mixture {
+        components: Vec<(f64, Lowered)>,
+        total_weight: f64,
+    },
+    Phases {
+        /// Each phase's reference budget and pattern.
+        phases: Vec<(u64, Lowered)>,
+        current: usize,
+        spent: u64,
+    },
+}
+
+impl Lowered {
+    /// Inlined into the generator's loop, so a leaf's draw keeps the RNG
+    /// state in registers (leaf-only specs generate about twice as fast
+    /// as through a call); combinators still recurse through a call.
+    #[inline]
+    fn next_ref(&mut self, rng: &mut SmallRng) -> MemRef {
+        match self {
+            Lowered::Strided(p) => p.next_ref(rng),
+            Lowered::Chase(p) => p.next_ref(rng),
+            Lowered::WorkingSet(p) => p.next_ref(rng),
+            Lowered::Zipf(p) => p.next_ref(rng),
+            Lowered::HotCold(p) => p.next_ref(rng),
+            Lowered::LoopNest(p) => p.next_ref(rng),
+            Lowered::Mixture {
+                components,
+                total_weight,
+            } => {
+                let mut pick = rng.gen_range(0.0..*total_weight);
+                let last = components.len() - 1;
+                for (w, p) in &mut components[..last] {
+                    if pick < *w {
+                        return p.next_ref(rng);
+                    }
+                    pick -= *w;
+                }
+                // The last component also takes the floating-point edge
+                // where the pick outlives every weight.
+                components[last].1.next_ref(rng)
+            }
+            Lowered::Phases {
+                phases,
+                current,
+                spent,
+            } => {
+                if *spent >= phases[*current].0 {
+                    *spent = 0;
+                    *current = (*current + 1) % phases.len();
+                }
+                *spent += 1;
+                phases[*current].1.next_ref(rng)
+            }
+        }
+    }
+}
+
+impl AccessPattern for CompiledPattern {
+    #[inline]
+    fn next_ref(&mut self, rng: &mut SmallRng) -> MemRef {
+        self.0.next_ref(rng)
+    }
+}
 
 /// Largest table a spec may ask a generator to materialise (Zipf CDF
 /// slots, pointer-chase nodes): inline specs arrive over the query API,
@@ -766,34 +852,33 @@ impl PatternNode {
         }
     }
 
-    /// Lowers the node to a boxed runtime pattern. `seed` is the
-    /// compile-time effective seed, consumed only by seeded leaves
-    /// (pointer chases); it draws nothing from the trace RNG, keeping
-    /// compiled trees bit-identical to hand-built ones.
-    fn build(&self, seed: u64) -> Box<dyn AccessPattern + Send> {
+    /// Lowers the node for generation. `seed` is the compile-time
+    /// effective seed, consumed only by seeded leaves (pointer chases);
+    /// it draws nothing from the trace RNG.
+    fn lower(&self, seed: u64) -> Lowered {
         match self {
-            PatternNode::Strided(p) => Box::new(p.build()),
+            PatternNode::Strided(p) => Lowered::Strided(p.build()),
             PatternNode::Chase {
                 base,
                 nodes,
                 node_bytes,
                 store_fraction,
                 seed: node_seed,
-            } => Box::new(PointerChase::new(
+            } => Lowered::Chase(PointerChase::new(
                 *base,
                 *nodes,
                 *node_bytes,
                 *store_fraction,
                 node_seed ^ seed,
             )),
-            PatternNode::WorkingSet(p) => Box::new(p.build()),
+            PatternNode::WorkingSet(p) => Lowered::WorkingSet(p.build()),
             PatternNode::Zipf {
                 base,
                 slots,
                 elem_size,
                 s,
                 store_fraction,
-            } => Box::new(ZipfWorkingSet::new(
+            } => Lowered::Zipf(ZipfWorkingSet::new(
                 *base,
                 *slots,
                 *elem_size,
@@ -804,24 +889,27 @@ impl PatternNode {
                 hot,
                 cold,
                 hot_fraction,
-            } => Box::new(HotCold::new(hot.build(), cold.build(), *hot_fraction)),
-            PatternNode::LoopNest { arrays, burst } => Box::new(LoopNest::new(
+            } => Lowered::HotCold(HotCold::new(hot.build(), cold.build(), *hot_fraction)),
+            PatternNode::LoopNest { arrays, burst } => Lowered::LoopNest(LoopNest::new(
                 arrays.iter().map(StridedParams::build).collect(),
                 *burst,
             )),
-            PatternNode::Mixture(components) => {
-                let mut builder = MixtureBuilder::new();
-                for (weight, pattern) in components {
-                    builder = builder.boxed(*weight, pattern.build(seed));
-                }
-                Box::new(builder.build())
-            }
-            PatternNode::Phases(phases) => Box::new(PhasedPattern::new(
-                phases
+            PatternNode::Mixture(components) => Lowered::Mixture {
+                components: components
                     .iter()
-                    .map(|p| Phase::new(p.name.clone(), p.pattern.build(seed), p.refs))
+                    .map(|(weight, pattern)| (*weight, pattern.lower(seed)))
                     .collect(),
-            )),
+                // Summed in order, as `MixtureBuilder::build` sums.
+                total_weight: components.iter().map(|(w, _)| *w).sum(),
+            },
+            PatternNode::Phases(phases) => Lowered::Phases {
+                phases: phases
+                    .iter()
+                    .map(|p| (p.refs, p.pattern.lower(seed)))
+                    .collect(),
+                current: 0,
+                spent: 0,
+            },
         }
     }
 }
@@ -975,7 +1063,9 @@ impl WorkloadSpec {
 
     /// Compiles the spec into its infinite instruction stream,
     /// deterministic in `seed` (which is XORed with
-    /// [`seed_mix`](WorkloadSpec::seed_mix)).
+    /// [`seed_mix`](WorkloadSpec::seed_mix)). The tree is lowered into a
+    /// [`CompiledPattern`]; its tables (Zipf CDFs and guides, chase
+    /// permutations) are built here, once.
     ///
     /// # Panics
     ///
@@ -984,7 +1074,11 @@ impl WorkloadSpec {
     pub fn compile(&self, seed: u64) -> CompiledTrace {
         self.validate().expect("compiling an invalid spec");
         let effective = seed ^ self.seed_mix;
-        PatternTrace::new(self.root.build(effective), self.shape, effective)
+        PatternTrace::new(
+            CompiledPattern(self.root.lower(effective)),
+            self.shape,
+            effective,
+        )
     }
 
     /// The chunked-streaming form of [`WorkloadSpec::compile`]: `len`

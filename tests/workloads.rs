@@ -11,9 +11,15 @@
 
 use common::spec_json;
 use proptest::prelude::*;
-use simtrace::gen::{LoopNest, PatternTrace, StridedSweep, TraceShape, WorkingSet, ZipfWorkingSet};
+use simtrace::gen::{
+    AccessPattern, HotCold, LoopNest, PatternTrace, PointerChase, StridedSweep, TraceShape,
+    WorkingSet, ZipfWorkingSet,
+};
 use simtrace::mix::{MixtureBuilder, MixtureTrace};
-use simtrace::workload::{builtin, builtins, WorkloadSpec};
+use simtrace::phases::{Phase, PhasedPattern};
+use simtrace::workload::{
+    builtin, builtins, PatternNode, StridedParams, WorkingSetParams, WorkloadSpec,
+};
 use simtrace::Instr;
 
 mod common;
@@ -177,6 +183,151 @@ fn builtins_are_bit_identical_to_the_legacy_constructors() {
     }
 }
 
+/// SHA-256 of the first `n` instructions of `spec` at `seed`: each
+/// instruction's pc, then its reference's address, store bit and size,
+/// or one marker byte when it has none.
+fn stream_digest(spec: &WorkloadSpec, seed: u64, n: usize) -> String {
+    let mut bytes = Vec::with_capacity(n * 18);
+    for instr in spec.compile(seed).take(n) {
+        bytes.extend_from_slice(&instr.pc.raw().to_le_bytes());
+        match instr.mem {
+            Some(m) => {
+                bytes.extend_from_slice(&m.addr.raw().to_le_bytes());
+                bytes.push(u8::from(m.op.is_store()));
+                bytes.push(m.size);
+            }
+            None => bytes.push(0xFF),
+        }
+    }
+    report::sha256_hex(&bytes)
+}
+
+/// Digests of the first 200 000 instructions at seed 7 of every spec in
+/// `workloads/`, taken when the generators still drew through boxed
+/// patterns, `gen_bool` and `%`. Every memoised trace, timeline,
+/// histogram and committed artifact derives from these streams.
+const PINNED_STREAMS: [(&str, &str); 8] = [
+    (
+        "doduc",
+        "33b319c6c98b35526c04ab2b631be672c20c805efc8e534e6856a01dfc66350f",
+    ),
+    (
+        "ear",
+        "3e5a4eadf3576245f48f6f8586e46f92e7c2bdbe6014adca218e3c62352633a1",
+    ),
+    (
+        "hydro2d",
+        "2f0ea822a973ebaa5394abe8fecf03fc6642b0876f10b135428c6057f0b10700",
+    ),
+    (
+        "multiprog-interleave",
+        "e0f2ee155cfa012f6d0276d455ef91728936e5476fb687e7fb2b34ea15365408",
+    ),
+    (
+        "nasa7",
+        "9d951e0814720dc9760f4295adbbfb0ddb1863fa9db8d5f2c5b3fb640cb594a9",
+    ),
+    (
+        "phase-chase",
+        "8fe54c9503eab8273b0bde30f70081bc9bd80cdce585e65d9f335594ae2ba0d5",
+    ),
+    (
+        "swm256",
+        "b4dda14266acb8e8274646104fca2a1f84d7c3f67d3aaafa6c42d70897615427",
+    ),
+    (
+        "wave5",
+        "73890e4621355f753087aed26c4aeb8f580c4a012b4c8a7f4aa611aa3995bd9f",
+    ),
+];
+
+#[test]
+fn spec_file_streams_are_pinned() {
+    for (name, digest) in PINNED_STREAMS {
+        let path = format!("{}/workloads/{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).expect(&path);
+        let spec = WorkloadSpec::from_json_str(&text).expect(&path);
+        assert_eq!(
+            stream_digest(&spec, 7, 200_000),
+            digest,
+            "{name}: stream drifted"
+        );
+    }
+}
+
+/// The public combinators' build of a spec tree: boxed patterns,
+/// `MixtureBuilder` and `PhasedPattern`. The compiler's lowered tree
+/// must draw exactly like it.
+fn boxed(node: &PatternNode, seed: u64) -> Box<dyn AccessPattern + Send> {
+    let strided = |p: &StridedParams| {
+        StridedSweep::new(
+            p.base,
+            p.region_bytes,
+            p.stride,
+            p.elem_size,
+            p.store_period,
+        )
+    };
+    let working_set =
+        |p: &WorkingSetParams| WorkingSet::new(p.base, p.bytes, p.store_fraction, p.elem_size);
+    match node {
+        PatternNode::Strided(p) => Box::new(strided(p)),
+        PatternNode::Chase {
+            base,
+            nodes,
+            node_bytes,
+            store_fraction,
+            seed: node_seed,
+        } => Box::new(PointerChase::new(
+            *base,
+            *nodes,
+            *node_bytes,
+            *store_fraction,
+            node_seed ^ seed,
+        )),
+        PatternNode::WorkingSet(p) => Box::new(working_set(p)),
+        PatternNode::Zipf {
+            base,
+            slots,
+            elem_size,
+            s,
+            store_fraction,
+        } => Box::new(ZipfWorkingSet::new(
+            *base,
+            *slots,
+            *elem_size,
+            *s,
+            *store_fraction,
+        )),
+        PatternNode::HotCold {
+            hot,
+            cold,
+            hot_fraction,
+        } => Box::new(HotCold::new(
+            working_set(hot),
+            working_set(cold),
+            *hot_fraction,
+        )),
+        PatternNode::LoopNest { arrays, burst } => {
+            Box::new(LoopNest::new(arrays.iter().map(strided).collect(), *burst))
+        }
+        PatternNode::Mixture(components) => Box::new(
+            components
+                .iter()
+                .fold(MixtureBuilder::new(), |mix, (weight, pattern)| {
+                    mix.component(*weight, boxed(pattern, seed))
+                })
+                .build(),
+        ),
+        PatternNode::Phases(phases) => Box::new(PhasedPattern::new(
+            phases
+                .iter()
+                .map(|p| Phase::new(p.name.clone(), boxed(&p.pattern, seed), p.refs))
+                .collect(),
+        )),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -206,6 +357,25 @@ proptest! {
         let mut anon = spec.clone();
         anon.name = None;
         prop_assert_eq!(anon.id(), spec.id());
+    }
+
+    /// A compiled spec streams exactly what the same tree built from the
+    /// public boxed combinators streams.
+    #[test]
+    fn compiled_specs_draw_like_the_boxed_combinators(
+        json in spec_json(),
+        seed in any::<u64>(),
+    ) {
+        let spec = WorkloadSpec::from_json(&json).unwrap();
+        for seed in [seed, 0, 7] {
+            let effective = seed ^ spec.seed_mix;
+            let oracle: Vec<Instr> =
+                PatternTrace::new(boxed(&spec.root, effective), spec.shape, effective)
+                    .take(3_000)
+                    .collect();
+            let compiled: Vec<Instr> = spec.compile(seed).take(3_000).collect();
+            prop_assert_eq!(compiled, oracle, "seed {:#x}, spec {}", seed, json.render());
+        }
     }
 
     /// Compiled specs are deterministic in the seed and chunking never
