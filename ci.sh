@@ -33,6 +33,8 @@
 #                    in tests/workloads.rs)
 #                    + vars (every REPRO_* name in the docs and the
 #                    binaries' headers is one the settings reader reads)
+#                    + threads (product code starts threads only in the
+#                    scheduler, the chunked folds and the server)
 #   ./ci.sh bench    additionally run perfbench/ on its three workloads
 #                    with the per-layer ledger (suite, serve_hot,
 #                    plan_cold; see perfbench/README.md), then the
@@ -63,6 +65,11 @@
 #                    leading //! headers of exp, run_all, tradeoff-cli
 #                    and tradeoff-server, and fail if one is not the
 #                    first argument of a bench::common::setting call
+#   ./ci.sh threads  run only the thread-start check (no build): fail
+#                    if product code (as `loc` counts it) outside
+#                    crates/bench/src/sched.rs, crates/bench/src/stream.rs
+#                    and src/server.rs names thread::spawn,
+#                    thread::scope or thread::Builder
 #   ./ci.sh loc      print the tracked Rust line counts outside
 #                    perfbench/ (no build), the figures each change
 #                    reports its net line deltas against: product
@@ -401,9 +408,26 @@ vars_check() {
     echo "    $(wc -l <<< "$documented") documented variables, all read:" $read
 }
 
+threads_check() {
+    echo "==> threads: product code starts threads only in sched, stream and the server"
+    local found
+    # Product code as `loc` counts it: tracked Rust outside perfbench/
+    # and any tests/ directory, each file cut at its first top-level
+    # #[cfg(test)]. Comment lines may name the calls.
+    found="$(git ls-files -z '*.rs' ':!perfbench' ':(exclude,glob)**/tests/**' \
+        ':!crates/bench/src/sched.rs' ':!crates/bench/src/stream.rs' ':!src/server.rs' \
+        | xargs -0 awk 'FNR == 1 { cut = 0 } /^#\[cfg\(test\)\]/ { cut = 1 }
+            !cut && !/^[[:space:]]*\/\// && /thread::(spawn|scope|Builder)/ {
+                print FILENAME ":" FNR ": " $0
+            }')"
+    [[ -z "$found" ]] \
+        || { echo "FAIL: threads started outside sched, stream and the server:"; echo "$found"; exit 1; }
+    echo "    no other product file starts a thread"
+}
+
 case "${1:-}" in
-    vars)
-        vars_check
+    vars|threads)
+        "${1}_check"
         echo "CI green."
         exit 0
         ;;
@@ -440,6 +464,7 @@ echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 vars_check
+threads_check
 
 echo "==> perfbench: builds with its committed lock file, unit tests pass"
 CARGO_TARGET_DIR=.bench_build cargo test --offline --locked --manifest-path perfbench/Cargo.toml

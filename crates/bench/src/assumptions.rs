@@ -12,6 +12,7 @@
 //! worth, in CPI, on the SPEC92 proxies — and therefore how much caution
 //! the analytic numbers deserve on machines that violate them.
 
+use crate::fault;
 use crate::registry::{ExpReport, Experiment};
 use crate::tracestore;
 use report::Table;
@@ -53,18 +54,23 @@ fn simulate(workload: &WorkloadSpec, shared: bool, slow_writes: bool, n: usize) 
     Cpu::new(cfg).run(trace.iter().copied())
 }
 
-/// Runs the audit for every proxy: one [`crate::exec`] pool job per
-/// program runs its three variants in order, so the first materialises
-/// the shared trace and the other two hit it — no two jobs ever want
-/// the same cold trace at once.
+/// Runs the audit for every proxy: each program runs its three variants
+/// in order, so the first materialises the shared trace and the other
+/// two hit it. Each program is a cancellation point
+/// ([`fault::check_deadline`]).
 pub fn run(instructions: usize) -> Vec<AssumptionRow> {
-    let workloads: Vec<&'static WorkloadSpec> = builtins().iter().collect();
-    crate::exec::parallel_map(&workloads, |&workload| AssumptionRow {
-        workload,
-        baseline: simulate(workload, false, false, instructions),
-        shared_bus: simulate(workload, true, false, instructions),
-        slow_writes: simulate(workload, false, true, instructions),
-    })
+    builtins()
+        .iter()
+        .map(|workload| {
+            fault::check_deadline();
+            AssumptionRow {
+                workload,
+                baseline: simulate(workload, false, false, instructions),
+                shared_bus: simulate(workload, true, false, instructions),
+                slow_writes: simulate(workload, false, true, instructions),
+            }
+        })
+        .collect()
 }
 
 /// Renders the audit table.

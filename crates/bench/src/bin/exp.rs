@@ -8,6 +8,9 @@
 //! exp verify [--results-dir DIR] [--manifest FILE]
 //! ```
 //!
+//! `--jobs` defaults to the host's CPU count, as `REPRO_JOBS` does for
+//! `run_all`; `--jobs 1` runs the selection serially.
+//!
 //! `run` over the full registry also writes `run_all_report.txt` and
 //! `manifest.json` next to the artifacts; the observability footer goes
 //! to stderr so stdout stays deterministic. `verify` hash-checks the
@@ -63,7 +66,7 @@ fn list(filter: &str) {
 
 fn run(args: &[String]) -> ! {
     let mut filter = String::new();
-    let mut jobs = 1usize;
+    let mut jobs = bench::common::host_cpus();
     let mut keep_going = false;
     let mut results_dir: Option<PathBuf> = None;
     let mut it = args.iter();

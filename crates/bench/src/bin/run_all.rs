@@ -3,8 +3,9 @@
 //! CSVs, `run_all_report.txt` and the hash `manifest.json` — to the
 //! results directory.
 //!
-//! `REPRO_JOBS=N` runs up to `N` experiments concurrently; the document
-//! is byte-identical to the serial run either way. The run stops at the
+//! `REPRO_JOBS=N` runs up to `N` experiments concurrently (unset: one
+//! per CPU); the document is byte-identical to the serial run either
+//! way. The run stops at the
 //! first failed experiment; `exp run --keep-going` records failures and
 //! completes the rest. The per-experiment wall-clock and trace-store
 //! footer goes to stderr so stdout stays deterministic.

@@ -17,7 +17,7 @@
 //!
 //! Wired into tier-1 as `./ci.sh stream`.
 
-use bench::stream::{self, ChunkSink, Source};
+use bench::stream::{self, ChunkSink};
 use simcache::explore::{hit_ratio_grid_replay, GridSpec, HitRatioPoint};
 use simcache::Simulated;
 use simcpu::{Cpu, CpuConfig, MissTimeline, MissTimelineBuilder, StallFeature, TimelineCpu};
@@ -100,11 +100,7 @@ fn streamed(
     chunk: usize,
 ) -> (Vec<HitRatioPoint>, Vec<f64>, ReuseHistograms) {
     let mut timeline = MissTimelineBuilder::new(phi_cache());
-    stream::fold(
-        Source::Generated(nasa7().take(n)),
-        chunk,
-        &mut [&mut timeline],
-    );
+    stream::fold(nasa7().take(n), chunk, &mut [&mut timeline]);
     let timeline: MissTimeline = timeline.finish();
     let phis = phi_points()
         .iter()
@@ -131,7 +127,7 @@ fn streamed(
             .map(|p| p as &mut dyn ChunkSink<RefBatch>),
     );
     let cut = RefCutter::new(grid.warmup, 0);
-    stream::fold_batches(Source::Generated(nasa7().take(n)), chunk, cut, &mut sinks);
+    stream::fold_batches(nasa7().take(n), chunk, cut, &mut sinks);
     drop(sinks);
     let points = Simulated::from_sweeps(sweeps)
         .points(grid)

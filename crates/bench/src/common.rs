@@ -1,12 +1,14 @@
 //! Shared experiment plumbing.
 
 use simcache::CacheConfig;
-use simcpu::{Cpu, CpuConfig, MissTimeline, SimResult, StallFeature, TimelineCpu};
+use simcpu::{Cpu, CpuConfig, SimResult, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
 use simtrace::workload::{builtins, WorkloadSpec};
 use std::env::VarError;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
+use crate::fault;
 use crate::tracestore::{self, SPEC_SEED};
 
 /// Reads the environment setting `name`: `Ok(None)` when it is unset,
@@ -29,6 +31,14 @@ pub fn setting<T>(
             .map(Some)
             .ok_or_else(|| format!("{name}={v:?} is not {expected}")),
     }
+}
+
+/// The CPUs this process may use
+/// ([`std::thread::available_parallelism`], 1 when unknown): the
+/// default job count of `run_all` and `exp run`, and the most workers
+/// a streamed fold starts.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
 fn results_dir_setting() -> Result<Option<PathBuf>, String> {
@@ -150,10 +160,11 @@ pub type PhiPoint = (StallFeature, u64);
 
 /// Measures SPEC92-average stalling factors for a whole batch of
 /// (feature, β_m) points sharing one (line size, bus width): the six
-/// timelines are extracted once and every `points × programs` replay
-/// fans out over the [`crate::exec`] pool. This is the engine behind
-/// Figure 1 / EXP-NB class sweeps — adding a point costs `O(misses)`,
-/// not a fresh trace + cache + CPU simulation.
+/// timelines are extracted once and every point replays them. This is
+/// the engine behind Figure 1 / EXP-NB class sweeps — adding a point
+/// costs `O(misses)`, not a fresh trace + cache + CPU simulation. Each
+/// extraction and each point is a cancellation point
+/// ([`fault::check_deadline`]).
 pub fn phi_matrix(
     points: &[PhiPoint],
     line_bytes: u64,
@@ -161,24 +172,27 @@ pub fn phi_matrix(
     instructions: usize,
 ) -> Vec<f64> {
     let cache = figure1_cache(line_bytes);
-    // One cache pass per program (memoised across calls), in parallel.
-    let timelines = crate::exec::parallel_map(builtins(), |spec| {
-        tracestore::workload_timeline(spec, SPEC_SEED, instructions, &cache)
-    });
-    let jobs: Vec<(PhiPoint, &MissTimeline)> = points
+    // One cache pass per program, memoised across calls.
+    let timelines: Vec<_> = builtins()
         .iter()
-        .flat_map(|&point| timelines.iter().map(move |tl| (point, &**tl)))
+        .map(|spec| {
+            fault::check_deadline();
+            tracestore::workload_timeline(spec, SPEC_SEED, instructions, &cache)
+        })
         .collect();
-    let phis = crate::exec::parallel_map(&jobs, |&((stall, beta_m), timeline)| {
-        let cfg = spec_config(stall, line_bytes, bus_bytes, beta_m);
-        TimelineCpu::new(timeline, cfg)
-            .expect("a Figure-1 baseline replays exactly")
-            .run()
-            .phi()
-    });
-    let per_point = builtins().len();
-    phis.chunks(per_point)
-        .map(|chunk| chunk.iter().sum::<f64>() / per_point as f64)
+    points
+        .iter()
+        .map(|&(stall, beta_m)| {
+            fault::check_deadline();
+            let cfg = spec_config(stall, line_bytes, bus_bytes, beta_m);
+            let phis = timelines.iter().map(|timeline| {
+                TimelineCpu::new(timeline, cfg)
+                    .expect("a Figure-1 baseline replays exactly")
+                    .run()
+                    .phi()
+            });
+            phis.sum::<f64>() / timelines.len() as f64
+        })
         .collect()
 }
 

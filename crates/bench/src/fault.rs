@@ -45,10 +45,15 @@
 //! The scope also carries an optional deadline (the server's request
 //! budget, the scheduler's `REPRO_EXP_TIMEOUT`). Cancellation is
 //! cooperative: the work calls [`check_deadline`] at each streamed
-//! trace chunk, each [`crate::exec`] job and in a `delay` fault's
-//! sleep, which past the deadline unwinds with [`DeadlineExceeded`].
-//! Cancelled work overruns by at most one 64 K-instruction chunk or one
-//! pool job, and no thread outlives it.
+//! trace chunk (on the thread that generates it), at each item of an
+//! experiment's loop over programs or design points, and in a `delay`
+//! fault's sleep, which past the deadline unwinds with
+//! [`DeadlineExceeded`]. Cancelled work overruns by at most one
+//! 16 Ki-instruction chunk or one loop item, and no thread outlives it.
+//! The scope is thread-local and never handed to another thread: the
+//! fold consumers that [`crate::stream`] starts only fold items, and
+//! every fault site, deadline check and store lookup runs on the
+//! thread that entered the scope.
 
 use crate::error::lock_recovering;
 use std::cell::RefCell;
@@ -271,10 +276,9 @@ pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 pub struct DeadlineExceeded;
 
 /// A thread's fault scope: the experiment it runs for and the deadline
-/// its work must meet. Cloned into pool workers so both follow the
-/// work across threads.
-#[derive(Debug, Clone, Default)]
-pub struct Scope {
+/// its work must meet.
+#[derive(Debug, Default)]
+struct Scope {
     exp: Option<Arc<str>>,
     deadline: Option<Instant>,
 }
@@ -303,24 +307,13 @@ pub fn enter(id: &str) -> ExpScope {
 
 /// [`enter`] with its own `deadline` (`None` lifts any enclosing one).
 pub fn enter_until(id: &str, deadline: Option<Instant>) -> ExpScope {
-    enter_shared(Scope {
+    let scope = Scope {
         exp: Some(Arc::from(id)),
         deadline,
-    })
-}
-
-/// Enters a scope taken from another thread with [`scope`] — how
-/// [`crate::exec`] and [`crate::stream`] workers inherit their
-/// spawner's experiment and deadline.
-pub fn enter_shared(scope: Scope) -> ExpScope {
+    };
     ExpScope {
         prev: CURRENT.with(|c| c.replace(scope)),
     }
-}
-
-/// This thread's scope, for a spawned worker to [`enter_shared`].
-pub fn scope() -> Scope {
-    CURRENT.with(|c| c.borrow().clone())
 }
 
 /// The experiment this thread is currently running for, if any.

@@ -34,8 +34,7 @@ pub use tradeoff::api::{dense_best, DenseBest, DenseGrid, GridSpec, HIST_DISTANC
 
 /// Builds the simulated backend for one workload: the grid's sweeps
 /// ([`GridSpec::sweeps`]), folded side by side over shared reference
-/// batches, from the store's resident trace when it holds one and from
-/// the chunked generator otherwise
+/// batches cut from the chunked generator
 /// ([`tracestore::fold_workload_batches`]).
 ///
 /// # Panics
@@ -239,7 +238,7 @@ pub const EXP: Experiment = Experiment {
     id: "grid",
     title: "Analytic miss-ratio grid",
     tags: &["extension", "measured", "engine", "analytic"],
-    traces: &[crate::registry::traces::SWEEP7],
+    traces: &[],
     module: module_path!(),
     run: |ctx| {
         let instructions = ctx.instructions;

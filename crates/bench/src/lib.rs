@@ -31,7 +31,6 @@ pub mod context;
 pub mod cost;
 pub mod error;
 pub mod example1;
-pub mod exec;
 pub mod fault;
 pub mod fig1;
 pub mod fig2;

@@ -9,7 +9,7 @@
 //!    substrate and model.
 
 use crate::registry::{ExpReport, Experiment};
-use crate::stream::{self, Source};
+use crate::stream;
 use report::{Artifact, Table};
 use simcache::explore::GridSpec;
 use simcache::Simulated;
@@ -64,12 +64,14 @@ pub fn simulated_selection(
         assocs: vec![2],
         warmup: instructions as u64 / 5,
     };
-    // The trace comes from the shared store at the sweep seed, so this
-    // experiment and the design-space sweep share one materialisation.
+    // Materialised through the shared store at the sweep seed, whose
+    // lookups the suite's pinned store totals count. Nothing else
+    // reads it: the design-space sweep and the grid fold longer
+    // prefixes of the same stream straight from the generator.
     let trace = crate::tracestore::workload_trace(workload, crate::sweep::SWEEP_SEED, instructions);
     let mut sweeps = grid.sweeps().map_err(|e| e.to_string())?;
     stream::fold_batches(
-        Source::resident(&trace),
+        trace.iter().copied(),
         stream::chunk_instructions(),
         RefCutter::new(grid.warmup, 0),
         &mut sweeps,
@@ -157,7 +159,7 @@ pub const EXP: Experiment = Experiment {
     id: "linesize",
     title: "Line-size analysis",
     tags: &["paper", "measured", "analytic"],
-    traces: &[crate::registry::traces::SWEEP7],
+    traces: &[],
     module: module_path!(),
     run: |ctx| report(ctx.instructions.min(60_000)),
 };

@@ -104,10 +104,6 @@ pub mod traces {
     /// Timelines of the six builtin specs at the 8-byte-line variant of
     /// the Figure-1 cache.
     pub const SPEC_L8: &str = "spec@l8";
-    /// Raw compiled traces of the six builtin specs at the sweep seed
-    /// ([`crate::sweep::SWEEP_SEED`]), shared by the design-space sweep
-    /// and the line-size experiment.
-    pub const SWEEP7: &str = "sweep@7";
 }
 
 /// Every experiment, in the canonical suite (report) order.
@@ -208,7 +204,7 @@ mod tests {
 
     #[test]
     fn trace_keys_use_known_constants() {
-        let known = [traces::SPEC_L32, traces::SPEC_L8, traces::SWEEP7];
+        let known = [traces::SPEC_L32, traces::SPEC_L8];
         for e in all() {
             for key in e.traces {
                 assert!(known.contains(key), "{}: unknown trace key {key}", e.id);

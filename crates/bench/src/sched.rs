@@ -1,10 +1,10 @@
 //! Cross-experiment scheduler with fault isolation.
 //!
-//! PR 1/2 made individual experiments parallel *inside* (the
-//! [`crate::exec`] pool fans points over cores) and cheap to re-point
-//! (the [`crate::tracestore`] memoises traces and timelines). This
-//! module adds the layer above: whole experiments run concurrently on
-//! scoped threads, subject to one ordering constraint — experiments that
+//! Experiments are cheap to re-point (the [`crate::tracestore`]
+//! memoises traces and timelines) and each runs its own loop on one
+//! thread. This module is the one layer of experiment parallelism:
+//! whole experiments run concurrently on scoped threads, by default
+//! one per CPU, subject to one ordering constraint — experiments that
 //! declare the same shared trace-store working set
 //! ([`Experiment::traces`]) do not *extract* it
 //! concurrently. The first holder of a key runs to completion (warming
@@ -17,7 +17,8 @@
 //! by default) turns hangs into `timed-out` outcomes, and transient
 //! (injected or I/O) errors are retried under a bounded backoff policy.
 //! The deadline is cooperative (see [`fault`]): the experiment stops at
-//! its next trace chunk or pool job past it and leaves no thread behind.
+//! its next trace chunk or loop item past it and leaves no thread
+//! behind.
 //! A strict run stops scheduling at the first failure; `keep_going`
 //! completes every runnable experiment and records per-experiment
 //! statuses in the manifest. With no faults armed and no experiment
@@ -61,8 +62,9 @@ pub fn timeout_setting() -> Result<Option<Duration>, String> {
     Ok(limit.flatten())
 }
 
-/// `run_all`'s concurrent experiments, `REPRO_JOBS`: `1` when unset,
-/// and `0` or `1` both mean serial.
+/// `run_all`'s concurrent experiments, `REPRO_JOBS`: the host's CPU
+/// count when unset ([`crate::common::host_cpus`]), and `0` or `1`
+/// both mean serial.
 ///
 /// # Errors
 ///
@@ -72,7 +74,7 @@ pub fn jobs_setting() -> Result<usize, String> {
     let jobs = setting("REPRO_JOBS", "a job count (a non-negative integer)", |v| {
         v.parse().ok()
     })?;
-    Ok(jobs.unwrap_or(1))
+    Ok(jobs.unwrap_or_else(crate::common::host_cpus))
 }
 
 /// Bounded retry-with-backoff for transient failures (injected I/O

@@ -3,26 +3,27 @@
 //!
 //! Every fold the methodology needs — a [`StackDistSweep`] per line
 //! size, a [`MissTimelineBuilder`] per cache, multi-granularity
-//! [`ReuseHistograms`] — consumes the trace strictly in order. A
-//! [`Source`] (a resident trace slice or the chunked generator) is cut
-//! into one deterministic sequence of items, and every borrowed
-//! [`ChunkSink`] sees each item in order. [`fold`] hands out
-//! instruction chunks, which the timeline builder reads;
+//! [`ReuseHistograms`] — consumes the trace strictly in order. An
+//! instruction stream (a compiled generator, or a materialised trace's
+//! `iter().copied()`) is cut into one deterministic sequence of items,
+//! and every borrowed [`ChunkSink`] sees each item in order. [`fold`]
+//! hands out instruction chunks, which the timeline builder reads;
 //! [`fold_batches`] cuts them once more into [`RefBatch`]es (a run's
-//! data addresses and store bits, extracted once on the source's
+//! data addresses and store bits, extracted once on the stream's
 //! thread) and hands each batch to every sweep and every granularity
 //! part of a [`ReuseHistograms`]. Both run the same two loops, generic
-//! over the item: a source that is generated counts as one worker and
-//! each sink as one more; when only one can run they take the serial
-//! loop, otherwise the `std::thread::scope` loop (the source on the
-//! calling thread, one consumer per sink behind a bounded channel), so
-//! a generator pipelines into even a single sink and the sweeps and
-//! histogram parts fold side by side. Generated chunks and reference
-//! batches live in buffers allocated once and recycled once every sink
-//! has dropped them. Either way each sink sees the identical ordered
-//! item sequence, so the folded results are **bit-identical** to the
-//! monolithic whole-trace path — asserted by
-//! `tests/streaming_oracle.rs` — and peak trace-resident memory is a
+//! over the item: the stream counts as one worker and each sink as one
+//! more; when only one can run they take the serial loop, otherwise the
+//! `std::thread::scope` loop (the stream on the calling thread, one
+//! consumer per sink behind a bounded channel), so a generator
+//! pipelines into even a single sink and the sweeps and histogram parts
+//! fold side by side. The consumers only fold: cancellation
+//! ([`fault::check_deadline`]) is checked on the calling thread, once
+//! per chunk. Chunks and reference batches live in buffers allocated
+//! once and recycled once every sink has dropped them. Either way each
+//! sink sees the identical ordered item sequence, so the folded results
+//! are **bit-identical** to the monolithic whole-trace path — asserted
+//! by `tests/streaming_oracle.rs` — and peak trace-resident memory is a
 //! few buffers, not the trace length.
 //!
 //! Production folds use [`chunk_instructions`] chunks and
@@ -30,12 +31,12 @@
 //! makes any other length give the same answer is documented in
 //! `DESIGN.md` §12.
 
-use crate::{exec, fault};
+use crate::fault;
 use simcache::stackdist::StackDistSweep;
 use simcpu::MissTimelineBuilder;
 use simtrace::chunk::{ChunkedTrace, DEFAULT_CHUNK_INSTRUCTIONS};
 use simtrace::{GranularityFold, Instr, RefBatch, RefCutter};
-use std::ops::Deref;
+use std::borrow::Borrow;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -105,103 +106,34 @@ impl<C: ?Sized, S: ChunkSink<C> + ?Sized> ChunkSink<C> for &mut S {
     }
 }
 
-/// Where a fold's chunks come from.
-#[derive(Debug)]
-pub enum Source<'a, I> {
-    /// A materialised trace, folded in place: no copy, no generation.
-    Resident(&'a [Instr]),
-    /// A deterministic generator, cut into chunks as it runs.
-    Generated(I),
+/// Worker threads a fold of `sinks` sinks can use: the stream counts
+/// as one worker and every sink as one more, never more than the host
+/// has CPUs ([`crate::common::host_cpus`]).
+fn workers(sinks: usize) -> usize {
+    crate::common::host_cpus().min(sinks + 1)
 }
 
-impl<'a> Source<'a, std::iter::Empty<Instr>> {
-    /// A resident trace with no generator behind it.
-    pub fn resident(trace: &'a [Instr]) -> Self {
-        Source::Resident(trace)
-    }
-}
-
-impl<'a, I: Iterator<Item = Instr>> Source<'a, I> {
-    /// Worker threads a fold of `sinks` sinks over this source can use:
-    /// a generated source counts as one worker and every sink as one
-    /// more ([`exec::worker_count`]).
-    fn workers(&self, sinks: usize) -> usize {
-        let generator = usize::from(matches!(self, Source::Generated(_)));
-        exec::worker_count(sinks + generator)
-    }
-
-    /// The source's `chunk_len`-instruction chunks in stream order (the
-    /// last may be shorter). A resident trace and the generator it was
-    /// materialised from yield the same chunks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_len` is 0.
-    fn chunks(self, chunk_len: usize) -> Chunks<'a, I> {
-        assert!(chunk_len > 0, "chunk length must be at least 1");
-        match self {
-            Source::Resident(trace) => Chunks::Resident(trace.chunks(chunk_len)),
-            Source::Generated(gen) => Chunks::Generated {
-                chunks: ChunkedTrace::new(gen, chunk_len),
-                pool: Recycler::default(),
-                chunk_len,
-            },
-        }
-    }
-}
-
-/// A source cut into chunks ([`Source::chunks`]). Each chunk is a
-/// cancellation point ([`fault::check_deadline`]), checked on the
-/// thread that pulls it.
-enum Chunks<'a, I> {
-    Resident(std::slice::Chunks<'a, Instr>),
-    Generated {
-        chunks: ChunkedTrace<I>,
-        pool: Recycler<Vec<Instr>>,
-        chunk_len: usize,
-    },
-}
-
-impl<'a, I: Iterator<Item = Instr>> Iterator for Chunks<'a, I> {
-    type Item = Chunk<'a>;
-
-    fn next(&mut self) -> Option<Chunk<'a>> {
+/// `trace` cut into `chunk_len`-instruction chunks in stream order (the
+/// last may be shorter), each built into a recycled buffer that the
+/// consumers share. Each chunk is a cancellation point
+/// ([`fault::check_deadline`]), checked on the thread that pulls it.
+///
+/// # Panics
+///
+/// Panics if `chunk_len` is 0.
+fn chunks<I: Iterator<Item = Instr>>(
+    trace: I,
+    chunk_len: usize,
+) -> impl Iterator<Item = Arc<Vec<Instr>>> {
+    let mut chunks = ChunkedTrace::new(trace, chunk_len);
+    let mut pool = Recycler::default();
+    std::iter::from_fn(move || {
         fault::check_deadline();
-        match self {
-            Chunks::Resident(chunks) => chunks.next().map(Chunk::Resident),
-            Chunks::Generated {
-                chunks,
-                pool,
-                chunk_len,
-            } => pool
-                .next(
-                    || Vec::with_capacity(*chunk_len),
-                    |buf| chunks.next_chunk_into(buf),
-                )
-                .map(Chunk::Generated),
-        }
-    }
-}
-
-/// One chunk of a source. A resident trace outlives the fold, so its
-/// chunks are borrowed sub-slices and a resident fan-out copies
-/// nothing; a generated chunk is built into a recycled buffer that the
-/// consumers share.
-#[derive(Clone)]
-enum Chunk<'a> {
-    Resident(&'a [Instr]),
-    Generated(Arc<Vec<Instr>>),
-}
-
-impl Deref for Chunk<'_> {
-    type Target = [Instr];
-
-    fn deref(&self) -> &[Instr] {
-        match self {
-            Chunk::Resident(chunk) => chunk,
-            Chunk::Generated(chunk) => chunk,
-        }
-    }
+        pool.next(
+            || Vec::with_capacity(chunk_len),
+            |buf| chunks.next_chunk_into(buf),
+        )
+    })
 }
 
 /// Buffers shared out as `Arc`s and refilled once every holder has
@@ -243,13 +175,13 @@ impl<T> Recycler<T> {
 /// Cuts `chunks` into reference batches of at most `refs` addresses
 /// through `cut`. A batch spans chunk boundaries, so batches depend on
 /// the stream alone, not on how it was chunked.
-fn batches<'a>(
-    mut chunks: impl Iterator<Item = Chunk<'a>> + 'a,
+fn batches(
+    mut chunks: impl Iterator<Item = Arc<Vec<Instr>>>,
     mut cut: RefCutter,
     refs: usize,
-) -> impl Iterator<Item = Arc<RefBatch>> + 'a {
+) -> impl Iterator<Item = Arc<RefBatch>> {
     let mut pool = Recycler::default();
-    let (mut pending, mut at) = (None::<Chunk<'a>>, 0);
+    let (mut pending, mut at) = (None::<Arc<Vec<Instr>>>, 0);
     std::iter::from_fn(move || {
         pool.next(
             || RefBatch::with_capacity(refs),
@@ -275,37 +207,36 @@ fn batches<'a>(
     })
 }
 
-/// Folds `source` through every sink in `chunk_len`-instruction chunks.
+/// Folds `trace` through every sink in `chunk_len`-instruction chunks.
 ///
-/// When more than one worker can run ([`Source::workers`]), the source
-/// runs on the calling thread and each sink folds on its own scoped
-/// thread behind a bounded channel: generate→fold pipelining plus sink
-/// fan-out, so even one sink over a generator keeps two cores busy.
-/// Otherwise (one sink over a resident trace, or one core) everything
-/// runs serially. Both loops deliver the identical chunk sequence to
-/// every sink, so the results are independent of the schedule.
+/// When more than one worker can run ([`workers`]), the stream runs on
+/// the calling thread and each sink folds on its own scoped thread
+/// behind a bounded channel: generate→fold pipelining plus sink
+/// fan-out, so even one sink keeps two cores busy. On one core
+/// everything runs serially. Both loops deliver the identical chunk
+/// sequence to every sink, so the results are independent of the
+/// schedule.
 ///
 /// # Panics
 ///
 /// Propagates a panic from any sink, and panics if `chunk_len` is 0.
 /// Each chunk is a cancellation point ([`fault::check_deadline`]).
-pub fn fold<I, S>(source: Source<'_, I>, chunk_len: usize, sinks: &mut [S])
+pub fn fold<I, S>(trace: I, chunk_len: usize, sinks: &mut [S])
 where
     I: Iterator<Item = Instr>,
     S: ChunkSink,
 {
-    let workers = source.workers(sinks.len());
-    drive(workers, source.chunks(chunk_len), sinks);
+    drive(workers(sinks.len()), chunks(trace, chunk_len), sinks);
 }
 
-/// Folds `source` through every sink in reference batches cut by
-/// `cut`: the source's thread extracts the data addresses and store
-/// bits of each run of the stream once, into a
-/// [`RefBatch::REFS`]-reference batch, and every sink folds that batch
-/// — on its own thread when more than one worker can run, as in
-/// [`fold`]. Sweeps and histogram parts may share one pass (as
-/// `&mut dyn ChunkSink<RefBatch>`) when they share a warm-up. The
-/// result is bit-identical to [`StackDistSweep::process_slice`] and
+/// Folds `trace` through every sink in reference batches cut by `cut`:
+/// the calling thread extracts the data addresses and store bits of
+/// each run of the stream once, into a [`RefBatch::REFS`]-reference
+/// batch, and every sink folds that batch — on its own thread when more
+/// than one worker can run, as in [`fold`]. Sweeps and histogram parts
+/// may share one pass (as `&mut dyn ChunkSink<RefBatch>`) when they
+/// share a warm-up. The result is bit-identical to
+/// [`StackDistSweep::process_slice`] and
 /// `ReuseHistograms::process_slice` over the same stream, and a fold
 /// may continue sinks that already hold instructions when `cut` starts
 /// where they stopped.
@@ -314,20 +245,26 @@ where
 ///
 /// As [`fold`], and if a sink was set up for another warm-up than
 /// `cut`'s.
-pub fn fold_batches<I, S>(source: Source<'_, I>, chunk_len: usize, cut: RefCutter, sinks: &mut [S])
+pub fn fold_batches<I, S>(trace: I, chunk_len: usize, cut: RefCutter, sinks: &mut [S])
 where
     I: Iterator<Item = Instr>,
     S: ChunkSink<RefBatch>,
 {
-    let workers = source.workers(sinks.len());
-    fold_batches_on(workers, RefBatch::REFS, source, chunk_len, cut, sinks);
+    fold_batches_on(
+        workers(sinks.len()),
+        RefBatch::REFS,
+        trace,
+        chunk_len,
+        cut,
+        sinks,
+    );
 }
 
 /// [`fold_batches`] with its worker count and batch length given.
 fn fold_batches_on<I, S>(
     workers: usize,
     refs: usize,
-    source: Source<'_, I>,
+    trace: I,
     chunk_len: usize,
     cut: RefCutter,
     sinks: &mut [S],
@@ -335,23 +272,22 @@ fn fold_batches_on<I, S>(
     I: Iterator<Item = Instr>,
     S: ChunkSink<RefBatch>,
 {
-    let batches = batches(source.chunks(chunk_len), cut, refs);
-    drive(workers, batches, sinks);
+    drive(workers, batches(chunks(trace, chunk_len), cut, refs), sinks);
 }
 
 /// The two loops of every fold, generic over the item: the serial loop
 /// for one worker, the parallel loop ([`fan_out`]) for more. `items`
 /// is pulled on the calling thread either way.
-fn drive<C, T, S>(workers: usize, items: impl Iterator<Item = C>, sinks: &mut [S])
+fn drive<X, T, S>(workers: usize, items: impl Iterator<Item = Arc<X>>, sinks: &mut [S])
 where
-    C: Deref<Target = T> + Clone + Send,
+    X: Borrow<T> + Send + Sync,
     T: ?Sized,
     S: ChunkSink<T>,
 {
     if workers <= 1 {
         for item in items {
             for sink in sinks.iter_mut() {
-                sink.consume(&item);
+                sink.consume((*item).borrow());
             }
         }
     } else {
@@ -362,25 +298,20 @@ where
 /// The parallel loop: pulls `items` on the calling thread and hands
 /// each to every sink's scoped consumer thread, each behind a bounded
 /// channel.
-fn fan_out<C, T, S>(items: impl Iterator<Item = C>, sinks: &mut [S])
+fn fan_out<X, T, S>(items: impl Iterator<Item = Arc<X>>, sinks: &mut [S])
 where
-    C: Deref<Target = T> + Clone + Send,
+    X: Borrow<T> + Send + Sync,
     T: ?Sized,
     S: ChunkSink<T>,
 {
-    // Consumers inherit the spawner's fault scope (experiment and
-    // deadline) so faults and cancellation reach every fold.
-    let inherited = fault::scope();
     std::thread::scope(|scope| {
         let (senders, consumers): (Vec<_>, Vec<_>) = sinks
             .iter_mut()
             .map(|sink| {
-                let (tx, rx) = mpsc::sync_channel::<C>(IN_FLIGHT_CHUNKS);
-                let inherited = inherited.clone();
+                let (tx, rx) = mpsc::sync_channel::<Arc<X>>(IN_FLIGHT_CHUNKS);
                 let consumer = scope.spawn(move || {
-                    let _scope = fault::enter_shared(inherited);
                     for item in rx {
-                        sink.consume(&item);
+                        sink.consume((*item).borrow());
                     }
                 });
                 (tx, consumer)
@@ -392,7 +323,7 @@ where
             // below re-raises the panic.
             let mut delivered = false;
             for tx in &senders {
-                delivered |= tx.send(item.clone()).is_ok();
+                delivered |= tx.send(Arc::clone(&item)).is_ok();
             }
             if !delivered {
                 break;
@@ -425,21 +356,16 @@ mod tests {
     const LOOPS: [usize; 2] = [1, 2];
 
     /// [`fold`] with its worker count given.
-    fn fold_on<I, S>(workers: usize, source: Source<'_, I>, chunk_len: usize, sinks: &mut [S])
+    fn fold_on<I, S>(workers: usize, trace: I, chunk_len: usize, sinks: &mut [S])
     where
         I: Iterator<Item = Instr>,
         S: ChunkSink,
     {
-        drive(workers, source.chunks(chunk_len), sinks);
+        drive(workers, chunks(trace, chunk_len), sinks);
     }
 
     fn source() -> impl Iterator<Item = Instr> {
         builtin("swm256").unwrap().compile(7).take(N)
-    }
-
-    /// The same stream, resident and generated.
-    fn sources(data: &[Instr]) -> [Source<'_, impl Iterator<Item = Instr>>; 2] {
-        [Source::Resident(data), Source::Generated(source())]
     }
 
     fn sweep_sink() -> StackDistSweep {
@@ -447,23 +373,20 @@ mod tests {
     }
 
     #[test]
-    fn resident_and_generated_folds_match_the_monolithic_path() {
+    fn batched_folds_match_the_monolithic_path() {
         let mono = StackDistSweep::run(32, 6, 2, 2_000, source()).unwrap();
-        let data: Vec<Instr> = source().collect();
         for workers in LOOPS {
             for chunk in [257, 4_096, N] {
-                for source in sources(&data) {
-                    let mut sweeps = [sweep_sink(), sweep_sink()];
-                    let cut = RefCutter::new(2_000, 0);
-                    fold_batches_on(workers, 1_000, source, chunk, cut, &mut sweeps);
-                    for sweep in &sweeps {
-                        for k in 0..=6 {
-                            assert_eq!(
-                                sweep.stats(k, 2),
-                                mono.stats(k, 2),
-                                "workers={workers} chunk={chunk} k={k}"
-                            );
-                        }
+                let mut sweeps = [sweep_sink(), sweep_sink()];
+                let cut = RefCutter::new(2_000, 0);
+                fold_batches_on(workers, 1_000, source(), chunk, cut, &mut sweeps);
+                for sweep in &sweeps {
+                    for k in 0..=6 {
+                        assert_eq!(
+                            sweep.stats(k, 2),
+                            mono.stats(k, 2),
+                            "workers={workers} chunk={chunk} k={k}"
+                        );
                     }
                 }
             }
@@ -478,20 +401,13 @@ mod tests {
             let mut trace = Vec::new();
             fold_on(
                 workers,
-                Source::Generated(source()),
+                source(),
                 1_024,
                 &mut [&mut timeline as &mut dyn ChunkSink, &mut trace],
             );
             let mut sweep = sweep_sink();
             let cut = RefCutter::new(2_000, 0);
-            fold_batches_on(
-                workers,
-                1_000,
-                Source::Generated(source()),
-                1_024,
-                cut,
-                &mut [&mut sweep],
-            );
+            fold_batches_on(workers, 1_000, source(), 1_024, cut, &mut [&mut sweep]);
             assert_eq!(sweep.instructions(), N as u64);
             assert_eq!(timeline.finish(), MissTimeline::extract(cache, source()));
             assert_eq!(trace, source().collect::<Vec<_>>());
@@ -538,40 +454,34 @@ mod tests {
                     (4_096, 4_000),
                     (n, RefBatch::REFS),
                 ] {
-                    let sources = [
-                        Source::Resident(&data[..]),
-                        Source::Generated(data.iter().copied()),
-                    ];
-                    for source in sources {
-                        let mut sweeps = grid.sweeps().unwrap();
-                        let mut hists = ReuseHistograms::new(8, 128, 4_096, warmup);
-                        let mut sinks: Vec<&mut dyn ChunkSink<RefBatch>> = sweeps
+                    let mut sweeps = grid.sweeps().unwrap();
+                    let mut hists = ReuseHistograms::new(8, 128, 4_096, warmup);
+                    let mut sinks: Vec<&mut dyn ChunkSink<RefBatch>> = sweeps
+                        .iter_mut()
+                        .map(|s| s as &mut dyn ChunkSink<RefBatch>)
+                        .collect();
+                    sinks.extend(
+                        hists
+                            .parts_mut()
                             .iter_mut()
-                            .map(|s| s as &mut dyn ChunkSink<RefBatch>)
-                            .collect();
-                        sinks.extend(
-                            hists
-                                .parts_mut()
-                                .iter_mut()
-                                .map(|p| p as &mut dyn ChunkSink<RefBatch>),
+                            .map(|p| p as &mut dyn ChunkSink<RefBatch>),
+                    );
+                    let cut = RefCutter::new(warmup, 0);
+                    let trace = data.iter().copied();
+                    fold_batches_on(workers, refs, trace, chunk, cut, &mut sinks);
+                    drop(sinks);
+                    let at = format!("warmup={warmup} workers={workers} chunk={chunk} refs={refs}");
+                    let points = Simulated::from_sweeps(sweeps).points(&grid).unwrap();
+                    assert_eq!(points, replay, "{at}");
+                    assert_eq!(hists.instructions(), n as u64, "{at}");
+                    assert_eq!(hists.bytes(), serial.bytes(), "{at}");
+                    for line in serial.line_sizes() {
+                        assert_eq!(
+                            hists.profile(line),
+                            serial.profile(line),
+                            "{at} line={line}"
                         );
-                        let cut = RefCutter::new(warmup, 0);
-                        fold_batches_on(workers, refs, source, chunk, cut, &mut sinks);
-                        drop(sinks);
-                        let at =
-                            format!("warmup={warmup} workers={workers} chunk={chunk} refs={refs}");
-                        let points = Simulated::from_sweeps(sweeps).points(&grid).unwrap();
-                        assert_eq!(points, replay, "{at}");
-                        assert_eq!(hists.instructions(), n as u64, "{at}");
-                        assert_eq!(hists.bytes(), serial.bytes(), "{at}");
-                        for line in serial.line_sizes() {
-                            assert_eq!(
-                                hists.profile(line),
-                                serial.profile(line),
-                                "{at} line={line}"
-                            );
-                            assert_eq!(hists.set_mass(line), serial.set_mass(line), "{at}");
-                        }
+                        assert_eq!(hists.set_mass(line), serial.set_mass(line), "{at}");
                     }
                 }
             }
@@ -599,7 +509,7 @@ mod tests {
             fold_batches_on(
                 workers,
                 1_000,
-                Source::resident(&data[3_000..]),
+                data[3_000..].iter().copied(),
                 333,
                 RefCutter::new(5_000, 3_000),
                 &mut sinks,
@@ -620,20 +530,10 @@ mod tests {
         let cache = simcache::CacheConfig::new(8 * 1024, 32, 2).unwrap();
         for workers in LOOPS {
             let mut timeline = MissTimelineBuilder::new(cache);
-            fold_on(
-                workers,
-                Source::Generated(source()),
-                1_000,
-                &mut [&mut timeline],
-            );
+            fold_on(workers, source(), 1_000, &mut [&mut timeline]);
             assert_eq!(timeline.finish(), MissTimeline::extract(cache, source()));
             let mut trace = Vec::new();
-            fold_on(
-                workers,
-                Source::Generated(source()),
-                1_000,
-                &mut [&mut trace],
-            );
+            fold_on(workers, source(), 1_000, &mut [&mut trace]);
             assert_eq!(trace, source().collect::<Vec<_>>());
         }
     }
@@ -655,7 +555,7 @@ mod tests {
             generated.fetch_add(1, Ordering::Relaxed);
         });
         let payload = catch_unwind(AssertUnwindSafe(|| {
-            fold_on(2, Source::Generated(counted), 1_000, &mut [Exploding(0)]);
+            fold_on(2, counted, 1_000, &mut [Exploding(0)]);
         }))
         .unwrap_err();
         assert_eq!(fault::panic_text(&*payload), "sink exploded");
@@ -670,7 +570,7 @@ mod tests {
         let _scope = fault::enter_until("expired", Some(std::time::Instant::now()));
         let mut trace = Vec::new();
         let payload = catch_unwind(AssertUnwindSafe(|| {
-            fold_on(2, Source::Generated(source()), 1_000, &mut [&mut trace]);
+            fold_on(2, source(), 1_000, &mut [&mut trace]);
         }))
         .unwrap_err();
         assert!(payload.is::<fault::DeadlineExceeded>());

@@ -41,10 +41,9 @@ pub struct WorkloadSweep {
 }
 
 /// Sweeps the grid for every workload ([`grid::build_simulated`]):
-/// resident traces fold in place, cold ones stream through the
-/// generate→fold driver without ever pinning the full trace, so peak
-/// trace-resident memory is a few streamed chunks no matter
-/// how long the trace is.
+/// each trace streams through the generate→fold pipeline without ever
+/// being pinned, so peak trace-resident memory is a few streamed
+/// chunks no matter how long the trace is.
 ///
 /// # Panics
 ///
@@ -184,7 +183,7 @@ pub const EXP: Experiment = Experiment {
     id: "sweep",
     title: "Design-space sweep",
     tags: &["extension", "measured", "engine"],
-    traces: &[crate::registry::traces::SWEEP7],
+    traces: &[],
     module: module_path!(),
     run: |ctx| {
         let instructions = ctx.instructions;

@@ -28,25 +28,22 @@
 //! tier keeps the longest materialisation per (workload, seed) and
 //! hands out prefix views.
 //!
-//! Timelines, histograms and sweeps are folded *streamingly* from one
-//! source choice, between folding the resident trace in place and
-//! feeding the chunked generator straight into the fold: timelines in
-//! instruction chunks through [`fold_workload`], sweeps and histograms
-//! in reference batches through [`fold_workload_batches`]. Fold-only
-//! experiments thus keep a few chunks of instructions resident (see
-//! `DESIGN.md` §12).
-//! Only [`workload_trace`] pins full traces.
+//! Timelines, histograms and sweeps are folded *streamingly*: the
+//! chunked generator feeds the fold directly, timelines in instruction
+//! chunks through [`fold_workload`], sweeps and histograms in reference
+//! batches through [`fold_workload_batches`]. Fold-only experiments
+//! thus keep a few chunks of instructions resident (see `DESIGN.md`
+//! §12). Only [`workload_trace`] pins full traces.
 
 use crate::error::lock_recovering;
 use crate::fault::{self, Site};
-use crate::stream::{self, ChunkSink, Source};
+use crate::stream::{self, ChunkSink};
 use simcache::CacheConfig;
 use simcpu::{MissTimeline, MissTimelineBuilder};
-use simtrace::workload::{CompiledTrace, WorkloadId, WorkloadSpec};
+use simtrace::workload::{WorkloadId, WorkloadSpec};
 use simtrace::{Instr, RefBatch, RefCutter, ReuseHistograms, INSTR_BYTES};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-use std::iter::Take;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
@@ -538,17 +535,6 @@ fn store() -> &'static Store {
     })
 }
 
-/// A `len`-instruction prefix view of an already-materialised trace, if
-/// the store holds one — the zero-cost path streaming folds probe
-/// before regenerating. Counts a trace hit (and refreshes the LRU
-/// stamp) only when it returns a handle.
-pub fn resident_workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> Option<TraceHandle> {
-    let data = store()
-        .traces
-        .probe(&(spec.id(), seed), |t| t.len() >= len)?;
-    Some(TraceHandle { data, len })
-}
-
 /// The first `len` instructions of a workload, materialised at most
 /// once per (workload identity, seed) process-wide, generated chunk by
 /// chunk through [`stream::fold`] (so each chunk is a cancellation
@@ -561,7 +547,7 @@ pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle
         || {
             let mut instrs = Vec::with_capacity(len);
             stream::fold(
-                Source::Generated(spec.compile(seed).take(len)),
+                spec.compile(seed).take(len),
                 stream::chunk_instructions(),
                 &mut [&mut instrs],
             );
@@ -573,20 +559,18 @@ pub fn workload_trace(spec: &WorkloadSpec, seed: u64, len: usize) -> TraceHandle
 }
 
 /// Folds the workload's first `len` instructions through `sinks`
-/// ([`stream::fold`]) without pinning them: an already-materialised
-/// trace is folded in place (one [`resident_workload_trace`] probe), a
-/// cold one is generated chunk by chunk (a few
-/// [`stream::chunk_instructions`] blocks resident at a time).
+/// ([`stream::fold`]) without pinning them: they are generated chunk
+/// by chunk, a few [`stream::chunk_instructions`] blocks resident at a
+/// time.
 pub fn fold_workload<S: ChunkSink>(spec: &WorkloadSpec, seed: u64, len: usize, sinks: &mut [S]) {
-    with_workload_source(spec, seed, len, |source| {
-        stream::fold(source, stream::chunk_instructions(), sinks);
-    });
+    let trace = spec.compile(seed).take(len);
+    stream::fold(trace, stream::chunk_instructions(), sinks);
 }
 
 /// Folds the workload's first `len` instructions through `sinks` in
 /// reference batches cut for a `warmup`-instruction warm-up
-/// ([`stream::fold_batches`]), from the source [`fold_workload`] would
-/// pick: sweeps and histogram parts never materialise instructions.
+/// ([`stream::fold_batches`]), generated as in [`fold_workload`]:
+/// sweeps and histogram parts never materialise instructions.
 pub fn fold_workload_batches<S: ChunkSink<RefBatch>>(
     spec: &WorkloadSpec,
     seed: u64,
@@ -594,26 +578,9 @@ pub fn fold_workload_batches<S: ChunkSink<RefBatch>>(
     warmup: u64,
     sinks: &mut [S],
 ) {
-    with_workload_source(spec, seed, len, |source| {
-        let cut = RefCutter::new(warmup, 0);
-        stream::fold_batches(source, stream::chunk_instructions(), cut, sinks);
-    });
-}
-
-/// Calls `f` with the workload's first `len` instructions as a fold
-/// source: the already-materialised trace when the store holds one
-/// (one [`resident_workload_trace`] probe), otherwise the generator.
-fn with_workload_source(
-    spec: &WorkloadSpec,
-    seed: u64,
-    len: usize,
-    f: impl FnOnce(Source<'_, Take<CompiledTrace>>),
-) {
-    let resident = resident_workload_trace(spec, seed, len);
-    f(match &resident {
-        Some(trace) => Source::Resident(trace.instrs()),
-        None => Source::Generated(spec.compile(seed).take(len)),
-    });
+    let trace = spec.compile(seed).take(len);
+    let cut = RefCutter::new(warmup, 0);
+    stream::fold_batches(trace, stream::chunk_instructions(), cut, sinks);
 }
 
 /// The [`MissTimeline`] of a workload prefix under `cache`, extracted
@@ -886,20 +853,6 @@ mod tests {
     }
 
     #[test]
-    fn resident_probe_sees_only_materialised_prefixes() {
-        let seed = 0x5EED_0001; // unique to this test: no cross-test interference
-        let wave5 = builtin("wave5").unwrap();
-        assert!(resident_workload_trace(wave5, seed, 100).is_none());
-        let full = workload_trace(wave5, seed, 2_000);
-        let probe = resident_workload_trace(wave5, seed, 1_500).expect("prefix is resident");
-        assert_eq!(&full.instrs()[..1_500], probe.instrs());
-        assert!(
-            resident_workload_trace(wave5, seed, 3_000).is_none(),
-            "longer than materialised must miss"
-        );
-    }
-
-    #[test]
     fn byte_accounting_tracks_materialisations() {
         let seed = 0x5EED_0002;
         let before = stats().trace_bytes;
@@ -933,15 +886,10 @@ mod tests {
         let cache = figure1_cache(32);
         let seed = 0x5EED_0003;
         let spec = builtin("swm256").unwrap();
-        // Cold path: nothing resident, generation is chunked.
-        let cold = extract(spec, seed, 6_000, &cache);
+        let streamed = extract(spec, seed, 6_000, &cache);
         let direct =
             MissTimeline::extract(cache, builtin("swm256").unwrap().compile(seed).take(6_000));
-        assert_eq!(cold, direct);
-        // Warm path: folds the resident slice instead.
-        let _pin = workload_trace(spec, seed, 6_000);
-        let warm = extract(spec, seed, 6_000, &cache);
-        assert_eq!(warm, direct);
+        assert_eq!(streamed, direct);
     }
 
     #[test]

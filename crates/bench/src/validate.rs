@@ -3,6 +3,7 @@
 //! verified *in the simulator*.
 
 use crate::common::run_spec;
+use crate::fault;
 use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcpu::{predict_cycles, validation_error, StallFeature};
@@ -23,11 +24,11 @@ pub struct ValidationRow {
     pub rel_error: f64,
 }
 
-/// Runs the validation grid: all 24 (program × feature) rows fan out
-/// over the [`crate::exec`] pool, with each program's timeline shared by
-/// its four feature replays via the trace store.
+/// Runs the validation grid: all 24 (program × feature) rows, each a
+/// cancellation point ([`fault::check_deadline`]), with each program's
+/// timeline shared by its four feature replays via the trace store.
 pub fn run(instructions: usize) -> Vec<ValidationRow> {
-    let grid: Vec<(&'static WorkloadSpec, StallFeature)> = builtins()
+    builtins()
         .iter()
         .flat_map(|p| {
             [
@@ -39,17 +40,18 @@ pub fn run(instructions: usize) -> Vec<ValidationRow> {
             .into_iter()
             .map(move |stall| (p, stall))
         })
-        .collect();
-    crate::exec::parallel_map(&grid, |&(workload, stall)| {
-        let r = run_spec(workload, stall, 32, 4, 8, instructions);
-        ValidationRow {
-            workload,
-            stall,
-            simulated: r.cycles,
-            predicted: predict_cycles(&r),
-            rel_error: validation_error(&r),
-        }
-    })
+        .map(|(workload, stall)| {
+            fault::check_deadline();
+            let r = run_spec(workload, stall, 32, 4, 8, instructions);
+            ValidationRow {
+                workload,
+                stall,
+                simulated: r.cycles,
+                predicted: predict_cycles(&r),
+                rel_error: validation_error(&r),
+            }
+        })
+        .collect()
 }
 
 /// Renders the validation table.

@@ -63,7 +63,6 @@ fn concurrent_same_key_lookups_extract_once() {
     assert!(hists.iter().all(|h| Arc::ptr_eq(h, &hists[0])));
 
     // Traces: one generation, one materialisation every caller shares.
-    // Raced last, so the folds above never found this trace resident.
     let (traces, delta) = race(|| tracestore::workload_trace(ear, seed, 200_000));
     assert_eq!(
         delta.trace_misses, 1,

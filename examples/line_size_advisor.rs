@@ -9,7 +9,7 @@
 //!
 //! Run with `cargo run --release --example line_size_advisor`.
 
-use bench::stream::{self, Source};
+use bench::stream;
 use simcache::explore::GridSpec;
 use simtrace::RefCutter;
 use tradeoff::linesize::{
@@ -30,7 +30,7 @@ fn measured_candidates(program: &WorkloadSpec) -> Vec<LineCandidate> {
     // One streamed pass of the generated trace answers every line size.
     let mut sweeps = grid.sweeps().expect("valid geometry");
     stream::fold_batches(
-        Source::Generated(program.compile(0xBEEF).take(INSTRUCTIONS)),
+        program.compile(0xBEEF).take(INSTRUCTIONS),
         stream::chunk_instructions(),
         RefCutter::new(grid.warmup, 0),
         &mut sweeps,

@@ -36,7 +36,7 @@
 //!   overridable *downward* per request via `X-Request-Timeout-Ms`)
 //!   measured from its first byte, and is the [`bench::fault`] deadline
 //!   of the inline dispatch: the query's work stops at its next trace
-//!   chunk or pool job past it and answers `504 deadline-exceeded`, so
+//!   chunk past it and answers `504 deadline-exceeded`, so
 //!   no work outlives its answer or escapes `--max-inflight`.
 //! * **Panic containment.** Dispatch runs under `catch_unwind`: a
 //!   panicking query answers `500 internal` and the pool keeps its
@@ -705,7 +705,7 @@ impl Outcome {
 
 /// Runs `dispatch` inline under `catch_unwind`, with the request's
 /// deadline as the fault scope's: past it the work cancels itself at
-/// its next trace chunk or pool job and unwinds with
+/// its next trace chunk and unwinds with
 /// [`fault::DeadlineExceeded`], answered `504 deadline-exceeded`. Any
 /// other panic answers `500 internal`, and the pool keeps its size. A
 /// budget already spent answers `504` without dispatching. The

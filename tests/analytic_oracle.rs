@@ -6,7 +6,7 @@
 //! [`StackDistSweep`] simulator for set-associative geometries, and be
 //! invariant to how the trace was chunked on its way in.
 
-use bench::stream::{self, Source};
+use bench::stream;
 use proptest::prelude::*;
 use simcache::explore::measure_dcache;
 use simcache::hitratio::{
@@ -208,12 +208,13 @@ fn set_conflict_model_tracks_the_sweep_within_tolerance() {
 
 /// The histogram fold is chunk-invariant end to end through the
 /// streaming driver: any chunk partition, folded
-/// from the resident slice or from the generator, yields bit-identical
+/// from the materialised slice or from the generator, yields bit-identical
 /// profiles — and therefore a bit-identical analytic backend.
 #[test]
 fn chunked_histogram_folds_are_bit_identical_to_whole_trace() {
     const N: usize = 9_000;
-    let trace: Vec<Instr> = builtin("doduc").unwrap().compile(13).take(N).collect();
+    let doduc = builtin("doduc").unwrap();
+    let trace: Vec<Instr> = doduc.compile(13).take(N).collect();
     let mut whole = ReuseHistograms::new(8, 128, 4_096, 2_000);
     whole.process_slice(&trace);
     let reference = Analytic::from_histograms(&whole);
@@ -221,10 +222,10 @@ fn chunked_histogram_folds_are_bit_identical_to_whole_trace() {
     for chunk in [1usize, 117, 2_000, 4_096, N + 1] {
         let mut sliced = ReuseHistograms::new(8, 128, 4_096, 2_000);
         let cut = || RefCutter::new(2_000, 0);
-        stream::fold_batches(Source::resident(&trace), chunk, cut(), sliced.parts_mut());
+        stream::fold_batches(trace.iter().copied(), chunk, cut(), sliced.parts_mut());
         let mut streamed = ReuseHistograms::new(8, 128, 4_096, 2_000);
         stream::fold_batches(
-            Source::Generated(trace.iter().copied()),
+            doduc.compile(13).take(N),
             chunk,
             cut(),
             streamed.parts_mut(),

@@ -4,7 +4,7 @@
 //! single-pass [`StackDistSweep`] must reproduce per-configuration
 //! `Cache` replays bit for bit across whole geometry grids.
 
-use bench::stream::{self, Source};
+use bench::stream;
 use proptest::prelude::*;
 use simcache::explore::{hit_ratio_grid_replay, measure_dcache, GridSpec};
 use simcache::Simulated;
@@ -221,7 +221,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The batched driver (`stream::fold_batches`): a random spec's
-    /// trace, resident or generated, cut into random chunks whose
+    /// trace, sliced or generated, cut into random chunks whose
     /// reference batches every `GridSpec::sweeps` sweep folds side by
     /// side, answers every point exactly as a live `Cache` replay of
     /// that configuration does.
@@ -235,7 +235,7 @@ proptest! {
         assocs in powers(0..4, 4),
         warmup_pct in prop_oneof![Just(0u64), 1u64..100, 100u64..130],
         chunk_len in 1usize..5_000,
-        resident in any::<bool>(),
+        sliced in any::<bool>(),
     ) {
         let spec = WorkloadSpec::from_json(&json).expect("generated specs are valid");
         let trace: Vec<Instr> = spec.compile(seed).take(len).collect();
@@ -245,13 +245,13 @@ proptest! {
             assocs: assocs.into_iter().map(|a| a as u32).collect(),
             warmup: len as u64 * warmup_pct / 100,
         };
-        let source = if resident {
-            Source::Resident(&trace)
-        } else {
-            Source::Generated(spec.compile(seed).take(len))
-        };
         let mut sweeps = grid.sweeps().expect("valid grid");
-        stream::fold_batches(source, chunk_len, RefCutter::new(grid.warmup, 0), &mut sweeps);
+        let cut = RefCutter::new(grid.warmup, 0);
+        if sliced {
+            stream::fold_batches(trace.iter().copied(), chunk_len, cut, &mut sweeps);
+        } else {
+            stream::fold_batches(spec.compile(seed).take(len), chunk_len, cut, &mut sweeps);
+        }
         let swept = Simulated::from_sweeps(sweeps)
             .points(&grid)
             .expect("every point covered");
@@ -259,12 +259,12 @@ proptest! {
         prop_assert_eq!(
             swept,
             replayed,
-            "spec={} seed={:#x} len={} chunk_len={} resident={} grid={:?}",
+            "spec={} seed={:#x} len={} chunk_len={} sliced={} grid={:?}",
             json.render(),
             seed,
             len,
             chunk_len,
-            resident,
+            sliced,
             grid
         );
     }

@@ -21,7 +21,7 @@ const SEED_ORDER: [&str; 28] = [
     "fig6|Figure 6|paper,figure,analytic,validation|",
     "example1|Example 1|paper,analytic|",
     "xover|Crossover points|paper,analytic|",
-    "linesize|Line-size analysis|paper,measured,analytic|sweep@7",
+    "linesize|Line-size analysis|paper,measured,analytic|",
     "validate|Model validation|paper,measured,validation|spec@l32",
     "mi|Multi-issue extension|extension,measured|",
     "prefetch|Prefetch pricing|extension,measured|",
@@ -38,8 +38,8 @@ const SEED_ORDER: [&str; 28] = [
     "assumptions|Assumption audit|extension,measured,validation|",
     "nb|Non-blocking cache|extension,measured|spec@l32",
     "reuse|Reuse-distance fingerprints|extension,measured|",
-    "sweep|Design-space sweep|extension,measured,engine|sweep@7",
-    "grid|Analytic miss-ratio grid|extension,measured,engine,analytic|sweep@7",
+    "sweep|Design-space sweep|extension,measured,engine|",
+    "grid|Analytic miss-ratio grid|extension,measured,engine,analytic|",
 ];
 
 #[test]
@@ -67,7 +67,6 @@ fn every_experiment_module_is_registered_exactly_once() {
     let infra = [
         "common",
         "error",
-        "exec",
         "fault",
         "queryenv",
         "tracestore",

@@ -10,7 +10,7 @@
 //! times (the test checks both); the small arm stays at the initial
 //! capacity and compacts every thousand or so line changes.
 
-use bench::stream::{self, Source};
+use bench::stream;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use simtrace::instr::MemRef;
@@ -306,7 +306,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The batched fold (`stream::fold_batches`): a random spec's
-    /// trace, resident or generated, cut into random chunks whose
+    /// trace, sliced or generated, cut into random chunks whose
     /// reference batches every line size folds, passes [`check_fold`].
     #[test]
     fn random_specs_fold_in_reference_batches_like_a_naive_lru_stack(
@@ -316,19 +316,18 @@ proptest! {
         max_distance in prop_oneof![16usize..64, 1024usize..4096],
         warmup_pct in prop_oneof![1usize..100, Just(0), 101usize..130],
         chunk_len in 1usize..5_000,
-        resident in any::<bool>(),
+        sliced in any::<bool>(),
     ) {
         let spec = WorkloadSpec::from_json(&json).expect("generated specs are valid");
         let trace: Vec<Instr> = spec.compile(seed).take(len).collect();
         let warmup = len * warmup_pct / 100;
         let mut fold = ReuseHistograms::new(8, 128, max_distance, warmup as u64);
-        let source = if resident {
-            Source::Resident(&trace)
-        } else {
-            Source::Generated(spec.compile(seed).take(len))
-        };
         let cut = RefCutter::new(warmup as u64, 0);
-        stream::fold_batches(source, chunk_len, cut, fold.parts_mut());
+        if sliced {
+            stream::fold_batches(trace.iter().copied(), chunk_len, cut, fold.parts_mut());
+        } else {
+            stream::fold_batches(spec.compile(seed).take(len), chunk_len, cut, fold.parts_mut());
+        }
         prop_assert_eq!(fold.instructions(), len as u64);
         let (stacks, base) = oracle(&trace, max_distance, warmup);
         check_fold(&fold, &stacks, &base, max_distance)

@@ -8,7 +8,7 @@
 use bench::fault::{self, FaultKind, FaultPlan, Site};
 use bench::registry::RunCtx;
 use bench::sched::{run_suite, RetryPolicy, SuiteOptions};
-use bench::stream::{self, ChunkSink, Source};
+use bench::stream::{self, ChunkSink};
 use bench::sweep::{artifact, run_sweep, SWEEP_SEED};
 use simcache::explore::{hit_ratio_grid_replay, GridSpec};
 use simcache::stackdist::StackDistSweep;
@@ -31,36 +31,28 @@ fn opts(jobs: usize) -> SuiteOptions {
     o
 }
 
-/// The first `N` instructions of `spec`: the materialised `trace` or
-/// the generator.
-fn source_n<'a>(
-    resident: bool,
-    trace: &'a [Instr],
-    spec: &WorkloadSpec,
-) -> Source<'a, impl Iterator<Item = Instr>> {
-    if resident {
-        Source::Resident(trace)
-    } else {
-        Source::Generated(spec.compile(SWEEP_SEED).take(N))
-    }
-}
-
 /// Folds the first `N` instructions of `spec` through `sinks` in
-/// instruction chunks.
+/// instruction chunks: copied out of the materialised `trace`, or from
+/// the generator.
 fn fold_n<S: ChunkSink>(
-    resident: bool,
+    sliced: bool,
     trace: &[Instr],
     spec: &WorkloadSpec,
     chunk: usize,
     sinks: &mut [S],
 ) {
-    stream::fold(source_n(resident, trace, spec), chunk, sinks);
+    if sliced {
+        stream::fold(trace.iter().copied(), chunk, sinks);
+    } else {
+        stream::fold(spec.compile(SWEEP_SEED).take(N), chunk, sinks);
+    }
 }
 
 /// Folds the first `N` instructions of `spec` through `sinks` in
-/// reference batches cut for a `warmup`-instruction warm-up.
+/// reference batches cut for a `warmup`-instruction warm-up, from the
+/// stream [`fold_n`] would pick.
 fn fold_batches_n<S: ChunkSink<RefBatch>>(
-    resident: bool,
+    sliced: bool,
     trace: &[Instr],
     spec: &WorkloadSpec,
     chunk: usize,
@@ -68,7 +60,11 @@ fn fold_batches_n<S: ChunkSink<RefBatch>>(
     sinks: &mut [S],
 ) {
     let cut = RefCutter::new(warmup, 0);
-    stream::fold_batches(source_n(resident, trace, spec), chunk, cut, sinks);
+    if sliced {
+        stream::fold_batches(trace.iter().copied(), chunk, cut, sinks);
+    } else {
+        stream::fold_batches(spec.compile(SWEEP_SEED).take(N), chunk, cut, sinks);
+    }
 }
 
 #[test]
@@ -93,7 +89,7 @@ fn streaming_sweep_matches_per_config_replay() {
         let replay = hit_ratio_grid_replay(&two_way, || ws.workload.compile(SWEEP_SEED).take(N));
         assert_eq!(ws.points, replay.unwrap(), "{}", ws.workload.label());
     }
-    // The driver's matrix: resident slice or generator; one sink (the
+    // The matrix: materialised slice or generator; one sink (the
     // serial loop) or several (the parallel loop, given two CPUs); chunk
     // sizes from one instruction to the whole trace.
     for spec in workloads {
@@ -101,16 +97,16 @@ fn streaming_sweep_matches_per_config_replay() {
         let replay = hit_ratio_grid_replay(&grid, || trace.iter().copied()).unwrap();
         let timeline = MissTimeline::extract(cache, trace.iter().copied());
         for chunk in [1, 257, 4_096, N] {
-            for resident in [true, false] {
-                let at = format!("{} chunk={chunk} resident={resident}", spec.label());
+            for sliced in [true, false] {
+                let at = format!("{} chunk={chunk} sliced={sliced}", spec.label());
                 // Sweeps read reference batches and the timeline reads
                 // instruction chunks: one pass each.
                 let mut sweeps = grid.sweeps().unwrap();
-                fold_batches_n(resident, &trace, spec, chunk, grid.warmup, &mut sweeps);
+                fold_batches_n(sliced, &trace, spec, chunk, grid.warmup, &mut sweeps);
                 let mut builder = MissTimelineBuilder::new(cache);
                 let mut collected = Vec::new();
                 fold_n(
-                    resident,
+                    sliced,
                     &trace,
                     spec,
                     chunk,
@@ -124,12 +120,12 @@ fn streaming_sweep_matches_per_config_replay() {
                 let mut sweeps = grid.sweeps().unwrap();
                 for sweep in &mut sweeps {
                     let one = std::slice::from_mut(sweep);
-                    fold_batches_n(resident, &trace, spec, chunk, grid.warmup, one);
+                    fold_batches_n(sliced, &trace, spec, chunk, grid.warmup, one);
                 }
                 let points = Simulated::from_sweeps(sweeps).points(&grid).unwrap();
                 assert_eq!(points, replay, "{at}, one sink");
                 let mut builder = MissTimelineBuilder::new(cache);
-                fold_n(resident, &trace, spec, chunk, &mut [&mut builder]);
+                fold_n(sliced, &trace, spec, chunk, &mut [&mut builder]);
                 assert_eq!(builder.finish(), timeline, "{at}, one sink");
             }
         }
@@ -152,7 +148,7 @@ fn streaming_timeline_matches_whole_trace_extraction() {
     assert_eq!(*streamed, oracle);
     // A timeline pass beside a sweep's batched pass over the same
     // generator extracts the same timeline again.
-    let ear = || Source::Generated(builtin("ear").unwrap().compile(seed).take(N));
+    let ear = || builtin("ear").unwrap().compile(seed).take(N);
     let mut builder = MissTimelineBuilder::new(cache);
     stream::fold(ear(), 1_024, &mut [&mut builder]);
     let mut sweep = StackDistSweep::new(32, 5, 2, 1_000).unwrap();
@@ -232,7 +228,7 @@ fn folds_and_artifacts_are_chunk_size_invariant() {
     for chunk in [64, 977, N + 1] {
         let mut folded = [StackDistSweep::new_range(32, 4, 7, 2, 500).unwrap()];
         stream::fold_batches(
-            Source::Generated(builtin("nasa7").unwrap().compile(SWEEP_SEED).take(N)),
+            builtin("nasa7").unwrap().compile(SWEEP_SEED).take(N),
             chunk,
             RefCutter::new(500, 0),
             &mut folded,
