@@ -17,7 +17,8 @@
 #                    + stream (1 M-instruction streaming smoke with an
 #                    RSS ceiling and a materialised oracle comparison)
 #                    + analytic (closed-form backend bit-exact on FA LRU,
-#                    within tolerance on the comparison grid)
+#                    within tolerance on the comparison grid, cut dense
+#                    walk equal to the uncut one on the standard grid)
 #                    + serve (tradeoff-server smoke: a canned simulate
 #                    and the experiments listing over HTTP byte-match
 #                    the CLI, /stats proves memoisation
@@ -144,7 +145,10 @@ analytic_check() {
     # Cache replay (Mattson inclusion is exact, not approximate).
     # Gate 2: the binomial set-conflict model must stay within the
     # pinned tolerance of the stack-distance sweeps across the whole
-    # comparison grid, all six proxies. The binary exits nonzero on any
+    # comparison grid, all six proxies.
+    # Gate 3: the cut dense_best walk must return exactly what the uncut
+    # reference walk returns on the paper-scale dense grid, all six
+    # proxies, at four targets. The binary exits nonzero on any
     # violation.
     cargo run --release -q -p bench --bin analytic_check -- --instructions "$n"
 }

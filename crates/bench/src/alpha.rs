@@ -122,6 +122,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["paper", "analytic"],
     traces: &[],
     module: module_path!(),
+    cost: 0,
     run: |_| ExpReport::text_only(report().expect("canonical parameters valid")),
 };
 

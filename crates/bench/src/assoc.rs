@@ -12,17 +12,22 @@ use report::Table;
 use simcache::{Cache, CacheConfig, Replacement};
 use simtrace::workload::{builtins, WorkloadSpec};
 
-/// Hit ratio of one (associativity, policy) point on one workload.
+/// The 8 KB, 32-byte-line cache at one (associativity, policy) point.
+fn config(assoc: u32, replacement: Replacement) -> CacheConfig {
+    CacheConfig::new(8 * 1024, 32, assoc)
+        .expect("valid cache")
+        .with_replacement(replacement)
+}
+
+/// Hit ratio of one (associativity, policy) point on one workload: the
+/// reference [`study`]'s one-pass replay must agree with.
 pub fn hit_ratio(
     workload: &WorkloadSpec,
     assoc: u32,
     replacement: Replacement,
     instructions: usize,
 ) -> f64 {
-    let cfg = CacheConfig::new(8 * 1024, 32, assoc)
-        .expect("valid cache")
-        .with_replacement(replacement);
-    let mut cache = Cache::new(cfg);
+    let mut cache = Cache::new(config(assoc, replacement));
     for instr in workload.compile(0xA550).take(instructions) {
         if let Some(m) = instr.mem {
             cache.access(m.op, m.addr);
@@ -31,49 +36,69 @@ pub fn hit_ratio(
     cache.stats().hit_ratio()
 }
 
-/// The associativity ladder per workload (LRU).
-pub fn assoc_ladder(instructions: usize) -> Vec<(&'static WorkloadSpec, Vec<f64>)> {
-    builtins()
-        .iter()
-        .map(|p| {
-            let hrs = [1u32, 2, 4, 8]
-                .iter()
-                .map(|&a| hit_ratio(p, a, Replacement::Lru, instructions))
-                .collect();
-            (p, hrs)
-        })
-        .collect()
+/// The associativities of the LRU ladder.
+pub const LADDER: [u32; 4] = [1, 2, 4, 8];
+
+/// The policies of the 2-way spread; its LRU cache is the ladder's.
+pub const POLICIES: [Replacement; 4] = [
+    Replacement::Lru,
+    Replacement::Fifo,
+    Replacement::Random,
+    Replacement::TreePlru,
+];
+
+/// One workload's rows: LRU hit ratios at each [`LADDER`] width, and
+/// the 2-way hit ratio under each of [`POLICIES`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct AssocRow {
+    /// Workload.
+    pub workload: &'static WorkloadSpec,
+    /// LRU hit ratio at 1, 2, 4 and 8 ways.
+    pub ladder: Vec<f64>,
+    /// 2-way hit ratio under each of [`POLICIES`], in order.
+    pub spread: Vec<f64>,
 }
 
-/// The replacement-policy spread at 2-way, per workload.
-pub fn policy_spread(instructions: usize) -> Vec<(&'static WorkloadSpec, Vec<(Replacement, f64)>)> {
-    let policies = [
-        Replacement::Lru,
-        Replacement::Fifo,
-        Replacement::Random,
-        Replacement::TreePlru,
-    ];
+/// Both tables for every builtin: each workload's seven distinct
+/// caches (the four LRU widths, then FIFO, random and tree-PLRU at two
+/// ways) replay one generator pass side by side. Each value equals
+/// [`hit_ratio`] at its point.
+pub fn study(instructions: usize) -> Vec<AssocRow> {
     builtins()
         .iter()
-        .map(|p| {
-            let hrs = policies
+        .map(|workload| {
+            let mut caches: Vec<Cache> = LADDER
                 .iter()
-                .map(|&r| (r, hit_ratio(p, 2, r, instructions)))
+                .map(|&a| config(a, Replacement::Lru))
+                .chain(POLICIES[1..].iter().map(|&r| config(2, r)))
+                .map(Cache::new)
                 .collect();
-            (p, hrs)
+            for instr in workload.compile(0xA550).take(instructions) {
+                if let Some(m) = instr.mem {
+                    for cache in &mut caches {
+                        cache.access(m.op, m.addr);
+                    }
+                }
+            }
+            let hrs: Vec<f64> = caches.iter().map(|c| c.stats().hit_ratio()).collect();
+            let (ladder, others) = hrs.split_at(LADDER.len());
+            // The spread's LRU column is the ladder's 2-way cache.
+            AssocRow {
+                workload,
+                ladder: ladder.to_vec(),
+                spread: [&ladder[1..2], others].concat(),
+            }
         })
         .collect()
 }
 
 /// Renders both tables.
-pub fn render(
-    ladder: &[(&WorkloadSpec, Vec<f64>)],
-    spread: &[(&WorkloadSpec, Vec<(Replacement, f64)>)],
-) -> String {
+pub fn render(rows: &[AssocRow]) -> String {
     let mut a = Table::new(["program", "1-way", "2-way", "4-way", "8-way", "ΔHR 1→2-way"]);
-    for (p, hrs) in ladder {
+    for r in rows {
+        let hrs = &r.ladder;
         a.row([
-            p.label(),
+            r.workload.label(),
             format!("{:.2}%", 100.0 * hrs[0]),
             format!("{:.2}%", 100.0 * hrs[1]),
             format!("{:.2}%", 100.0 * hrs[2]),
@@ -82,9 +107,9 @@ pub fn render(
         ]);
     }
     let mut b = Table::new(["program", "LRU", "FIFO", "random", "tree-PLRU"]);
-    for (p, hrs) in spread {
-        let mut row = vec![p.label()];
-        row.extend(hrs.iter().map(|(_, h)| format!("{:.2}%", 100.0 * h)));
+    for r in rows {
+        let mut row = vec![r.workload.label()];
+        row.extend(r.spread.iter().map(|h| format!("{:.2}%", 100.0 * h)));
         b.row(row);
     }
     format!(
@@ -105,10 +130,8 @@ pub const EXP: Experiment = Experiment {
     tags: &["extension", "measured"],
     traces: &[],
     module: module_path!(),
-    run: |ctx| {
-        let n = ctx.instructions;
-        ExpReport::text_only(render(&assoc_ladder(n), &policy_spread(n)))
-    },
+    cost: 23,
+    run: |ctx| ExpReport::text_only(render(&study(ctx.instructions))),
 };
 
 #[cfg(test)]
@@ -123,7 +146,8 @@ mod tests {
         // genuinely lose hit ratio as ways grow. Allow that pathology a
         // bounded 3 % while requiring the direct-mapped → 2-way step to
         // help or be neutral everywhere.
-        for (p, hrs) in assoc_ladder(30_000) {
+        for r in study(30_000) {
+            let (p, hrs) = (r.workload, &r.ladder);
             assert!(
                 hrs[1] >= hrs[0] - 0.005,
                 "{}: 2-way must not lose to 1-way: {hrs:?}",
@@ -155,8 +179,21 @@ mod tests {
 
     #[test]
     fn render_contains_both_tables() {
-        let n = 10_000;
-        let text = render(&assoc_ladder(n), &policy_spread(n));
+        let text = render(&study(10_000));
         assert!(text.contains("1-way") && text.contains("tree-PLRU"));
+    }
+
+    #[test]
+    fn one_pass_rows_equal_per_point_replays() {
+        let n = 20_000;
+        for r in study(n) {
+            for (&a, &hr) in LADDER.iter().zip(&r.ladder) {
+                assert_eq!(hr, hit_ratio(r.workload, a, Replacement::Lru, n), "{a}-way");
+            }
+            assert_eq!(r.spread.len(), POLICIES.len());
+            for (&policy, &hr) in POLICIES.iter().zip(&r.spread) {
+                assert_eq!(hr, hit_ratio(r.workload, 2, policy, n), "{policy:?}");
+            }
+        }
     }
 }

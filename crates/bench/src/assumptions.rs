@@ -115,6 +115,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["extension", "measured", "validation"],
     traces: &[],
     module: module_path!(),
+    cost: 46,
     run: |ctx| ExpReport::text_only(render(&run(ctx.instructions))),
 };
 

@@ -5,7 +5,7 @@
 //! analytic_check [--instructions N]
 //! ```
 //!
-//! Two checks, across all six SPEC92 proxies:
+//! Three checks, across all six SPEC92 proxies:
 //!
 //! 1. **Fully-associative exactness** — Mattson inclusion makes the
 //!    histogram prefix an *exact* answer, so the analytic FA LRU hit
@@ -14,16 +14,22 @@
 //!    (7 capacities × 5 line sizes × associativity 1/2/4) the analytic
 //!    binomial set-conflict model must stay within
 //!    [`SET_CONFLICT_TOLERANCE`] of the stack-distance sweeps.
+//! 3. **Dense-walk exactness** — on the paper-scale
+//!    [`DenseGrid::standard`], the cut [`dense_best`] walk must return
+//!    exactly what the uncut reference walk [`dense_best_uncut`]
+//!    returns (geometry and hit-ratio bits) at targets 0.8, 0.9, 0.95
+//!    and one ulp above the proxy's fully-associative ceiling.
 //!
 //! Exit codes: `0` success, `1` tolerance or exactness violation, `2`
 //! bad usage. Wired into tier-1 as `./ci.sh analytic`.
 
-use bench::grid::{self, GridSpec};
+use bench::grid::{self, dense_best, DenseGrid, GridSpec};
 use simcache::explore::measure_dcache;
 use simcache::hitratio::SET_CONFLICT_TOLERANCE;
 use simcache::CacheConfig;
 use simtrace::workload::builtins;
 use std::process::ExitCode;
+use tradeoff::api::dense_best_uncut;
 
 fn usage() -> ExitCode {
     eprintln!("usage: analytic_check [--instructions N]");
@@ -97,6 +103,40 @@ fn main() -> ExitCode {
             failed = true;
         }
     }
+
+    // Gate 3: the cut dense walk against the uncut reference walk.
+    let dense = DenseGrid::standard();
+    let mut cases = 0;
+    for workload in builtins() {
+        let analytic = grid::build_analytic(workload, instructions, warmup);
+        let ceiling = dense
+            .line_sizes
+            .iter()
+            .map(|&line| {
+                analytic
+                    .fa_hit_ratio(line, u64::MAX)
+                    .expect("folded line size")
+            })
+            .fold(0.0, f64::max);
+        for target in [0.8, 0.9, 0.95, ceiling.next_up()] {
+            let cut = dense_best(&analytic, &dense, target);
+            let uncut = dense_best_uncut(&analytic, &dense, target);
+            if cut != uncut {
+                eprintln!(
+                    "analytic_check: FAIL: {} dense grid at target {target}: \
+                     cut walk {cut:?} != uncut walk {uncut:?}",
+                    workload.label()
+                );
+                failed = true;
+            }
+            cases += 1;
+        }
+    }
+    println!(
+        "analytic_check: dense_best equal to the uncut walk in {cases} cases \
+         on the {}-point standard grid",
+        dense.points()
+    );
 
     if failed {
         return ExitCode::FAILURE;

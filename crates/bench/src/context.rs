@@ -16,14 +16,20 @@ use simtrace::workload::{builtins, WorkloadSpec};
 use tradeoff::equiv::hit_gain_equivalent;
 use tradeoff::{HitRatio, Machine, SystemConfig, TradeoffError};
 
+/// The 8 KB two-way, 32-byte-line cache every row runs.
+fn cache() -> Cache {
+    Cache::new(CacheConfig::new(8 * 1024, 32, 2).expect("valid cache"))
+}
+
 /// Hit ratio with caches flushed every `switch_interval` instructions
-/// (`None` = no switching).
+/// (`None` = no switching): the reference [`run`]'s one-pass replay
+/// must agree with.
 pub fn hit_ratio_with_switches(
     workload: &WorkloadSpec,
     switch_interval: Option<u64>,
     instructions: usize,
 ) -> f64 {
-    let mut cache = Cache::new(CacheConfig::new(8 * 1024, 32, 2).expect("valid cache"));
+    let mut cache = cache();
     let mut since_switch = 0u64;
     for instr in workload.compile(0xC0DE).take(instructions) {
         since_switch += 1;
@@ -54,17 +60,40 @@ pub struct SwitchRow {
 /// The switch-interval grid (instructions between process switches).
 pub const INTERVALS: [u64; 3] = [100_000, 20_000, 5_000];
 
-/// Runs the study over all proxies.
+/// Runs the study over all proxies: per workload, the unswitched cache
+/// and one cache per [`INTERVALS`] entry, each with its own switch
+/// counter, replay one generator pass side by side. Each value equals
+/// [`hit_ratio_with_switches`] at its interval.
 pub fn run(instructions: usize) -> Vec<SwitchRow> {
     builtins()
         .iter()
-        .map(|workload| SwitchRow {
-            workload,
-            base_hr: hit_ratio_with_switches(workload, None, instructions),
-            switched_hr: INTERVALS
-                .iter()
-                .map(|&i| (i, hit_ratio_with_switches(workload, Some(i), instructions)))
-                .collect(),
+        .map(|workload| {
+            let mut runs: Vec<(Option<u64>, u64, Cache)> = std::iter::once(None)
+                .chain(INTERVALS.iter().copied().map(Some))
+                .map(|interval| (interval, 0u64, cache()))
+                .collect();
+            for instr in workload.compile(0xC0DE).take(instructions) {
+                for (interval, since_switch, cache) in &mut runs {
+                    *since_switch += 1;
+                    if interval.is_some_and(|i| *since_switch >= i) {
+                        *since_switch = 0;
+                        cache.invalidate_all();
+                    }
+                    if let Some(m) = instr.mem {
+                        cache.access(m.op, m.addr);
+                    }
+                }
+            }
+            let hrs: Vec<f64> = runs.iter().map(|(_, _, c)| c.stats().hit_ratio()).collect();
+            SwitchRow {
+                workload,
+                base_hr: hrs[0],
+                switched_hr: INTERVALS
+                    .iter()
+                    .copied()
+                    .zip(hrs[1..].iter().copied())
+                    .collect(),
+            }
         })
         .collect()
 }
@@ -125,6 +154,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["extension", "measured"],
     traces: &[],
     module: module_path!(),
+    cost: 16,
     run: |ctx| ExpReport::text_only(report(ctx.instructions).expect("canonical parameters valid")),
 };
 
@@ -156,6 +186,23 @@ mod tests {
         };
         // ear lives on temporal reuse; the streaming sweeps barely care.
         assert!(loss("ear") > loss("swm256"), "{rows:?}");
+    }
+
+    #[test]
+    fn one_pass_rows_equal_per_interval_replays() {
+        // 23 456 instructions: no interval divides the run length.
+        let n = 23_456;
+        for r in run(n) {
+            assert_eq!(r.base_hr, hit_ratio_with_switches(r.workload, None, n));
+            for &(interval, hr) in &r.switched_hr {
+                assert_eq!(
+                    hr,
+                    hit_ratio_with_switches(r.workload, Some(interval), n),
+                    "{} every {interval}",
+                    r.workload.label()
+                );
+            }
+        }
     }
 
     #[test]

@@ -111,6 +111,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["paper", "analytic"],
     traces: &[],
     module: module_path!(),
+    cost: 0,
     run: |_| ExpReport::text_only(render(&run(8.0, 32).expect("canonical parameters valid"))),
 };
 

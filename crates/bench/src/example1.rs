@@ -103,6 +103,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["paper", "analytic"],
     traces: &[],
     module: module_path!(),
+    cost: 0,
     run: |_| {
         let results = run(&[4.0, 8.0, 16.0, 32.0]).expect("canonical parameters valid");
         ExpReport::text_only(render(&results))

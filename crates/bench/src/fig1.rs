@@ -88,6 +88,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["paper", "figure", "measured"],
     traces: &[crate::registry::traces::SPEC_L32],
     module: module_path!(),
+    cost: 44,
     run: |ctx| {
         let curves = run(32, 4, ctx.instructions);
         ExpReport {

@@ -106,6 +106,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["paper", "figure", "analytic"],
     traces: &[],
     module: module_path!(),
+    cost: 0,
     run: |_| {
         let curves = run(&[0.98, 0.90], &default_betas()).expect("canonical parameters are valid");
         ExpReport {

@@ -89,6 +89,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["paper", "figure", "analytic", "validation"],
     traces: &[],
     module: module_path!(),
+    cost: 0,
     run: |_| report(&DesignTargetModel::default()).expect("canonical model evaluates"),
 };
 

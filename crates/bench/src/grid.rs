@@ -240,6 +240,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["extension", "measured", "engine", "analytic"],
     traces: &[],
     module: module_path!(),
+    cost: 104,
     run: |ctx| {
         let instructions = ctx.instructions;
         let warmup = instructions as u64 / 5;

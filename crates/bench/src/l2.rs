@@ -148,6 +148,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["extension", "measured"],
     traces: &[],
     module: module_path!(),
+    cost: 31,
     run: |ctx| {
         ExpReport::text_only(report(8, ctx.instructions).expect("canonical parameters valid"))
     },

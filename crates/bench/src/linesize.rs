@@ -161,6 +161,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["paper", "measured", "analytic"],
     traces: &[],
     module: module_path!(),
+    cost: 6,
     run: |ctx| report(ctx.instructions.min(60_000)),
 };
 

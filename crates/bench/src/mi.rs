@@ -91,6 +91,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["extension", "measured"],
     traces: &[],
     module: module_path!(),
+    cost: 8,
     run: |ctx| {
         let mut out = String::new();
         out.push_str("Hit ratio traded per feature vs issue width (L=32, D=4, β=8, HR=95%):\n");

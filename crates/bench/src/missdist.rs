@@ -103,6 +103,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["extension", "measured"],
     traces: &[],
     module: module_path!(),
+    cost: 29,
     run: |ctx| ExpReport::text_only(render(&run(8, ctx.instructions))),
 };
 

@@ -116,6 +116,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["extension", "measured"],
     traces: &[crate::registry::traces::SPEC_L32],
     module: module_path!(),
+    cost: 60,
     run: |ctx| ExpReport::text_only(report(ctx.instructions).expect("canonical parameters valid")),
 };
 

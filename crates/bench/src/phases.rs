@@ -155,6 +155,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["extension", "measured"],
     traces: &[],
     module: module_path!(),
+    cost: 2,
     run: |_| ExpReport::text_only(render(&run(8))),
 };
 

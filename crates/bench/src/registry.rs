@@ -82,6 +82,13 @@ pub struct Experiment {
     /// The `bench` module defining this entry (`module_path!()`), for
     /// the registry-completeness audit.
     pub module: &'static str,
+    /// Start-order weight: the experiment's serial wall time at the
+    /// default 120 000 instructions, in milliseconds as a `REPRO_JOBS=1`
+    /// footer reads it (only the ratios matter). The scheduler starts
+    /// the costliest eligible experiment first, so a long one does not
+    /// run alone at the suite's tail. It moves only the start order,
+    /// never an answer or the report order.
+    pub cost: u32,
     /// Runs the experiment, returning the rendered section and its
     /// typed artifacts. Must be deterministic for a given context.
     pub run: fn(&RunCtx) -> ExpReport,

@@ -83,6 +83,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["extension", "measured"],
     traces: &[],
     module: module_path!(),
+    cost: 12,
     run: |ctx| ExpReport::text_only(render(&run(ctx.instructions))),
 };
 

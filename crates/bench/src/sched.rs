@@ -36,6 +36,7 @@ use crate::registry::{self, ExpReport, Experiment, RunCtx};
 use crate::tracestore::{self, StoreCounts};
 use report::manifest::{Manifest, StatusEntry, MANIFEST_NAME};
 use report::Artifact;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -431,9 +432,11 @@ fn eligible(keys: &HashMap<&'static str, KeyState>, exp: &Experiment) -> bool {
 ///
 /// One loop serves every job count: the calling thread owns the
 /// bookkeeping and, while fewer than `max(jobs, 1)` experiments run,
-/// starts the lowest-index eligible one on a scoped thread. Finished
-/// outcomes come back over a channel. Experiment panics are contained
-/// by [`run_one`]; a panic outside it is re-raised on the caller.
+/// starts the costliest eligible one ([`Experiment::cost`], equal costs
+/// in input order) on a scoped thread, longest-processing-time first.
+/// Finished outcomes come back over a channel. Experiment panics are
+/// contained by [`run_one`]; a panic outside it is re-raised on the
+/// caller.
 pub fn run_suite(exps: &[&Experiment], opts: &SuiteOptions) -> SuiteRun {
     let suite_before = tracestore::counters();
     let suite_start = Instant::now();
@@ -446,7 +449,9 @@ pub fn run_suite(exps: &[&Experiment], opts: &SuiteOptions) -> SuiteRun {
         let mut stopped = false;
         loop {
             while !stopped && running < opts.jobs.max(1) {
-                let next = (0..exps.len()).find(|&i| !started[i] && eligible(&keys, exps[i]));
+                let next = (0..exps.len())
+                    .filter(|&i| !started[i] && eligible(&keys, exps[i]))
+                    .max_by_key(|&i| (exps[i].cost, Reverse(i)));
                 // Nothing unstarted is eligible: the next completion
                 // may release a warming key.
                 let Some(i) = next else { break };
@@ -630,12 +635,22 @@ mod tests {
         traces: &'static [&'static str],
         run: fn(&RunCtx) -> ExpReport,
     ) -> Experiment {
+        costed(id, traces, 0, run)
+    }
+
+    const fn costed(
+        id: &'static str,
+        traces: &'static [&'static str],
+        cost: u32,
+        run: fn(&RunCtx) -> ExpReport,
+    ) -> Experiment {
         Experiment {
             id,
             title: id,
             tags: &["fake"],
             traces,
             module: module_path!(),
+            cost,
             run,
         }
     }
@@ -717,6 +732,73 @@ mod tests {
                 "{later} started while w0 was still warming the key"
             );
         }
+    }
+
+    /// Run intervals of the [`COSTED`] fakes, in the order they ended.
+    static COSTED_RUNS: std::sync::Mutex<Vec<(&str, Instant, Instant)>> =
+        std::sync::Mutex::new(Vec::new());
+
+    fn costed_section(id: &'static str) -> ExpReport {
+        let start = Instant::now();
+        std::thread::sleep(Duration::from_millis(20));
+        COSTED_RUNS
+            .lock()
+            .unwrap()
+            .push((id, start, Instant::now()));
+        ExpReport::text_only(format!("section {id}\n"))
+    }
+
+    /// Registry order `cheap, tie1, warm, big, tie2, hot`; `warm` and
+    /// `hot` share a key, and `warm` is costlier than every free fake.
+    static COSTED: [Experiment; 6] = [
+        costed("cheap", &[], 1, |_| costed_section("cheap")),
+        costed("tie1", &[], 5, |_| costed_section("tie1")),
+        costed("warm", &["k"], 9, |_| costed_section("warm")),
+        costed("big", &[], 7, |_| costed_section("big")),
+        costed("tie2", &[], 5, |_| costed_section("tie2")),
+        costed("hot", &["k"], 20, |_| costed_section("hot")),
+    ];
+
+    /// Runs the [`COSTED`] fakes at `jobs` and returns their run
+    /// intervals sorted by start, with the outcome ids.
+    fn costed_run(jobs: usize) -> (Vec<(&'static str, Instant, Instant)>, Vec<&'static str>) {
+        COSTED_RUNS.lock().unwrap().clear();
+        let run = run_suite(&COSTED.iter().collect::<Vec<_>>(), &opts(jobs));
+        assert!(!run.has_failures());
+        let mut runs = COSTED_RUNS.lock().unwrap().clone();
+        runs.sort_by_key(|&(_, start, _)| start);
+        (runs, run.outcomes.iter().map(|o| o.id).collect())
+    }
+
+    #[test]
+    fn the_costliest_eligible_experiment_starts_first() {
+        let _armed = fault::arm(FaultPlan::new());
+        let registry_order = ["cheap", "tie1", "warm", "big", "tie2", "hot"];
+
+        // Serial: by cost, equal costs in registry order.
+        let (runs, ids) = costed_run(1);
+        let starts: Vec<_> = runs.iter().map(|r| r.0).collect();
+        assert_eq!(starts, ["hot", "warm", "big", "tie1", "tie2", "cheap"]);
+        assert_eq!(ids, registry_order);
+
+        // Two jobs: `hot` claims the key, so the costlier `warm` waits
+        // for it to end while the costliest free fake takes the other
+        // slot. (Only the first two starts are pinned, as a set: later
+        // starts depend on which sleeper ends first.)
+        let (runs, ids) = costed_run(2);
+        let of = |id| *runs.iter().find(|r| r.0 == id).expect("every fake ran");
+        let mut first_two = [runs[0].0, runs[1].0];
+        first_two.sort_unstable();
+        assert_eq!(first_two, ["big", "hot"], "{runs:?}");
+        assert!(
+            of("warm").1 >= of("hot").2,
+            "warm started while hot held the key"
+        );
+        assert!(
+            of("tie1").1 <= of("tie2").1,
+            "equal costs start in registry order"
+        );
+        assert_eq!(ids, registry_order);
     }
 
     #[test]

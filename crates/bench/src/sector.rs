@@ -179,6 +179,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["extension", "measured"],
     traces: &[],
     module: module_path!(),
+    cost: 12,
     run: |ctx| ExpReport::text_only(report(ctx.instructions).expect("canonical parameters valid")),
 };
 

@@ -185,6 +185,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["extension", "measured", "engine"],
     traces: &[],
     module: module_path!(),
+    cost: 34,
     run: |ctx| {
         let instructions = ctx.instructions;
         let grid = figure6(instructions as u64 / 5);

@@ -111,6 +111,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["paper", "table", "analytic"],
     traces: &[],
     module: module_path!(),
+    cost: 0,
     run: |_| {
         ExpReport::text_only(format!(
             "Table 2 (L/D = 8):\n{}\nTable 3 (write allocate):\n{}",

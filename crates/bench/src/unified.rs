@@ -163,6 +163,7 @@ pub const EXP3: Experiment = Experiment {
     tags: &["paper", "figure", "measured"],
     traces: &[crate::registry::traces::SPEC_L8],
     module: module_path!(),
+    cost: 51,
     run: |ctx| report(FIG3, ctx),
 };
 /// Figure 4's registry entry.
@@ -172,6 +173,7 @@ pub const EXP4: Experiment = Experiment {
     tags: &["paper", "figure", "measured"],
     traces: &[crate::registry::traces::SPEC_L32],
     module: module_path!(),
+    cost: 14,
     run: |ctx| report(FIG4, ctx),
 };
 /// Figure 5's registry entry.
@@ -181,6 +183,7 @@ pub const EXP5: Experiment = Experiment {
     tags: &["paper", "figure", "measured"],
     traces: &[crate::registry::traces::SPEC_L32],
     module: module_path!(),
+    cost: 15,
     run: |ctx| report(FIG5, ctx),
 };
 

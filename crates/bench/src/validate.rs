@@ -85,6 +85,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["paper", "measured", "validation"],
     traces: &[crate::registry::traces::SPEC_L32],
     module: module_path!(),
+    cost: 6,
     run: |ctx| ExpReport::text_only(render(&run(ctx.instructions))),
 };
 

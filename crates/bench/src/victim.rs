@@ -86,6 +86,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["extension", "measured"],
     traces: &[],
     module: module_path!(),
+    cost: 15,
     run: |ctx| ExpReport::text_only(render(&run(8 * 1024, 4, ctx.instructions))),
 };
 

@@ -93,6 +93,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["extension", "measured"],
     traces: &[],
     module: module_path!(),
+    cost: 30,
     run: |ctx| ExpReport::text_only(render(&run(8, ctx.instructions))),
 };
 

@@ -80,6 +80,7 @@ pub const EXP: Experiment = Experiment {
     tags: &["paper", "analytic"],
     traces: &[],
     module: module_path!(),
+    cost: 0,
     run: |_| {
         let rows =
             run(&[2.0, 4.0, 8.0, 16.0], &[1.0, 2.0, 4.0]).expect("canonical parameters valid");

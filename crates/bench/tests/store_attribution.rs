@@ -51,6 +51,7 @@ const fn experiment(id: &'static str, run: fn(&RunCtx) -> ExpReport) -> Experime
         tags: &["attribution"],
         traces: &[],
         module: module_path!(),
+        cost: 0,
         run,
     }
 }

@@ -435,30 +435,72 @@ impl Analytic {
         max_assoc: u32,
         resolution: Resolution,
     ) -> Result<Vec<f64>, BackendError> {
+        let mut out = Vec::new();
+        self.conflict_curve_into(line_bytes, sets, max_assoc, max_assoc, resolution, &mut out)?;
+        Ok(out)
+    }
+
+    /// The first `ways` entries of
+    /// [`conflict_curve`](Self::conflict_curve)`(line_bytes, sets,
+    /// max_assoc, resolution)`, bit-equal, written into `out` (cleared
+    /// first) so a caller walking many (line, sets) pairs reuses one
+    /// buffer. The bucketed walk evaluates only those ways; its
+    /// Chernoff skip still tests against `max_assoc`, which is what
+    /// keeps the values bit-equal to the full curve's.
+    ///
+    /// # Errors
+    ///
+    /// [`BackendError`] on an unknown granularity, `sets == 0`,
+    /// `max_assoc == 0` or `ways` outside `1..=max_assoc`.
+    pub fn conflict_curve_into(
+        &self,
+        line_bytes: u64,
+        sets: u64,
+        max_assoc: u32,
+        ways: u32,
+        resolution: Resolution,
+        out: &mut Vec<f64>,
+    ) -> Result<(), BackendError> {
         if sets == 0 || max_assoc == 0 {
             return Err(BackendError::Geometry {
                 reason: "need at least one set and one way".into(),
             });
         }
-        let line = self.line(line_bytes)?;
-        if line.total == 0 {
-            return Ok(vec![0.0; max_assoc as usize]);
+        if ways == 0 || ways > max_assoc {
+            return Err(BackendError::Geometry {
+                reason: format!("ways {ways} outside 1..={max_assoc}"),
+            });
         }
+        let line = self.line(line_bytes)?;
+        let ways = ways as usize;
+        out.clear();
+        if line.total == 0 {
+            out.resize(ways, 0.0);
+            return Ok(());
+        }
+        let total = line.total as f64;
         if sets == 1 {
             // Fully associative at every assoc: exact integer path.
-            return Ok((1..=u64::from(max_assoc))
-                .map(|a| {
-                    let k = (a as usize).min(line.prefix.len() - 1);
-                    line.prefix[k] as f64 / line.total as f64
-                })
-                .collect());
+            out.extend(
+                (1..=ways).map(|a| line.prefix[a.min(line.prefix.len() - 1)] as f64 / total),
+            );
+            return Ok(());
         }
         let eff = line.eff_sets(sets);
-        let hits = match resolution {
-            Resolution::Exact => curve_exact(line, eff, max_assoc as usize),
-            Resolution::Bucketed => curve_bucketed(line, eff, max_assoc as usize),
-        };
-        Ok(hits.into_iter().map(|h| h / line.total as f64).collect())
+        match resolution {
+            Resolution::Exact => {
+                out.extend(
+                    curve_exact(line, eff, max_assoc as usize)
+                        .into_iter()
+                        .take(ways),
+                );
+            }
+            Resolution::Bucketed => curve_bucketed(line, eff, max_assoc as usize, ways, out),
+        }
+        for h in out.iter_mut() {
+            *h /= total;
+        }
+        Ok(())
     }
 }
 
@@ -506,14 +548,22 @@ fn curve_exact(line: &AnalyticLine, eff_sets: f64, amax: usize) -> Vec<f64> {
     hits
 }
 
-/// Log-bucketed conflict walk: `O(assoc)` per bucket with a Chernoff
-/// skip for buckets whose expected conflicts already swamp the widest
-/// associativity.
-fn curve_bucketed(line: &AnalyticLine, eff_sets: f64, amax: usize) -> Vec<f64> {
+/// Log-bucketed conflict walk: `O(ways)` per bucket, hit counts for
+/// associativities `1..=ways` written into the empty `out`, with a Chernoff skip
+/// for buckets whose expected conflicts already swamp the widest
+/// associativity `amax` (tested against `amax`, not `ways`, so a
+/// shorter walk credits exactly the buckets the full one does).
+fn curve_bucketed(
+    line: &AnalyticLine,
+    eff_sets: f64,
+    amax: usize,
+    ways: usize,
+    out: &mut Vec<f64>,
+) {
     let p = (1.0 / eff_sets).min(1.0);
     let q = 1.0 - p;
     let lnq = q.ln();
-    let mut hits = vec![0.0f64; amax];
+    out.resize(ways, 0.0);
     for b in &line.buckets {
         let lam = b.mean * p;
         if lam > amax as f64 + 10.0 * lam.sqrt() + 10.0 {
@@ -523,7 +573,7 @@ fn curve_bucketed(line: &AnalyticLine, eff_sets: f64, amax: usize) -> Vec<f64> {
         }
         let mut pmf = (b.mean * lnq).exp();
         let mut cdf = pmf;
-        for (a, hit) in hits.iter_mut().enumerate() {
+        for (a, hit) in out.iter_mut().enumerate() {
             if a > 0 && q > 0.0 {
                 let trials_left = b.mean - (a as f64 - 1.0);
                 pmf = if trials_left > 0.0 {
@@ -544,7 +594,6 @@ fn curve_bucketed(line: &AnalyticLine, eff_sets: f64, amax: usize) -> Vec<f64> {
                 };
         }
     }
-    hits
 }
 
 impl HitRatioBackend for Analytic {
@@ -661,6 +710,28 @@ mod tests {
                     (e - b).abs() < 5e-3,
                     "sets={sets}: exact {e} vs bucketed {b}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn curve_prefixes_are_bit_equal_to_the_full_curve() {
+        let a = analytic(&trace(10_000), 0);
+        let mut out = Vec::new();
+        for resolution in [Resolution::Exact, Resolution::Bucketed] {
+            for sets in [1u64, 2, 64, 1 << 20] {
+                let full = a.conflict_curve(32, sets, 8, resolution).expect("covered");
+                for ways in 1..=8u32 {
+                    a.conflict_curve_into(32, sets, 8, ways, resolution, &mut out)
+                        .expect("covered");
+                    assert_eq!(out, full[..ways as usize], "sets={sets} ways={ways}");
+                }
+            }
+            for ways in [0u32, 9] {
+                assert!(matches!(
+                    a.conflict_curve_into(32, 2, 8, ways, resolution, &mut out),
+                    Err(BackendError::Geometry { .. })
+                ));
             }
         }
     }

@@ -221,36 +221,107 @@ pub struct DenseBest {
     pub hit_ratio: f64,
 }
 
-/// Walks the whole dense grid for one workload and returns the
-/// smallest-capacity geometry whose analytic hit ratio reaches
-/// `target_hr` (ties resolved by walk order: line, then sets, then
-/// assoc). Bucketed resolution: one `conflict_curve` per (line, sets)
-/// answers all `max_assoc` ways at once. A line size's walk stops at
-/// the first set count whose one-way capacity already reaches the best
-/// so far: no larger set count or associativity of that line is
-/// strictly smaller, and only a strictly smaller capacity replaces the
-/// best, so the cut keeps the answer and its tie order.
+/// The smallest-capacity geometry on the dense grid whose analytic
+/// hit ratio reaches `target_hr`, ties resolved by the order of
+/// [`dense_best_uncut`]'s walk (line position in `grid.line_sizes`,
+/// then sets, then assoc), and bit-equal to its answer.
+///
+/// The walk visits only points that can still win. Line sizes go
+/// coarsest first, since the coarse lines reach a target at the
+/// smallest capacities, so a tight bound exists early. The best so far
+/// is kept under the key `(cache_bytes, line position, sets, assoc)`,
+/// which is exactly the uncut walk's tie order. A line's walk stops at
+/// the first set count whose one-way capacity exceeds the best (an
+/// equal one can still win the tie at one way), and each (line, sets)
+/// pair evaluates only the ways whose capacity does not exceed it: one
+/// bucketed [`Analytic::conflict_curve_into`] call into a reused
+/// buffer. A line is skipped outright when `target_hr` exceeds its
+/// fully-associative ceiling `fa_hit_ratio(line, u64::MAX)`: every
+/// bucketed term is `count · min(cdf, 1) ≤ count` and rounding is
+/// monotone, so no geometry of that line scores above it.
 ///
 /// # Panics
 ///
 /// Panics when a requested line size was not folded into `analytic`.
 pub fn dense_best(analytic: &Analytic, grid: &DenseGrid, target_hr: f64) -> Option<DenseBest> {
+    let mut coarse_first: Vec<usize> = (0..grid.line_sizes.len()).collect();
+    coarse_first.sort_by_key(|&pos| std::cmp::Reverse(grid.line_sizes[pos]));
+    let mut best: Option<(usize, DenseBest)> = None;
+    let mut curve = Vec::with_capacity(grid.max_assoc as usize);
+    for pos in coarse_first {
+        let line_bytes = grid.line_sizes[pos];
+        let ceiling = analytic
+            .fa_hit_ratio(line_bytes, u64::MAX)
+            .expect("dense grid line sizes are folded");
+        if target_hr > ceiling {
+            continue;
+        }
+        for sets in 1..=grid.max_sets {
+            let one_way = sets * line_bytes;
+            let ways = match best {
+                Some((_, b)) if one_way > b.cache_bytes => break,
+                Some((_, b)) => (b.cache_bytes / one_way).min(u64::from(grid.max_assoc)) as u32,
+                None => grid.max_assoc,
+            };
+            analytic
+                .conflict_curve_into(
+                    line_bytes,
+                    sets,
+                    grid.max_assoc,
+                    ways,
+                    Resolution::Bucketed,
+                    &mut curve,
+                )
+                .expect("dense grid line sizes are folded");
+            for (ai, &hit_ratio) in curve.iter().enumerate() {
+                if hit_ratio >= target_hr {
+                    let assoc = ai as u32 + 1;
+                    let cache_bytes = one_way * u64::from(assoc);
+                    let key = (cache_bytes, pos, sets, assoc);
+                    if best.is_none_or(|(p, b)| key < (b.cache_bytes, p, b.sets, b.assoc)) {
+                        best = Some((
+                            pos,
+                            DenseBest {
+                                cache_bytes,
+                                line_bytes,
+                                sets,
+                                assoc,
+                                hit_ratio,
+                            },
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    best.map(|(_, b)| b)
+}
+
+/// The reference for [`dense_best`]: the whole dense grid, walked
+/// point by point in `grid.line_sizes` order, then sets, then assoc,
+/// with no cut, keeping the first point of the smallest capacity that
+/// reaches `target_hr`. The oracle tests and `analytic_check`'s
+/// exactness gate compare the cut walk against it; nothing else should
+/// call it.
+///
+/// # Panics
+///
+/// Panics when a requested line size was not folded into `analytic`.
+pub fn dense_best_uncut(
+    analytic: &Analytic,
+    grid: &DenseGrid,
+    target_hr: f64,
+) -> Option<DenseBest> {
     let mut best: Option<DenseBest> = None;
     for &line_bytes in &grid.line_sizes {
         for sets in 1..=grid.max_sets {
-            if best.is_some_and(|b| sets * line_bytes >= b.cache_bytes) {
-                break;
-            }
             let curve = analytic
                 .conflict_curve(line_bytes, sets, grid.max_assoc, Resolution::Bucketed)
                 .expect("dense grid line sizes are folded");
             for (ai, &hit_ratio) in curve.iter().enumerate() {
-                if hit_ratio < target_hr {
-                    continue;
-                }
                 let assoc = ai as u32 + 1;
                 let cache_bytes = sets * line_bytes * u64::from(assoc);
-                if best.is_none_or(|b| cache_bytes < b.cache_bytes) {
+                if hit_ratio >= target_hr && best.is_none_or(|b| cache_bytes < b.cache_bytes) {
                     best = Some(DenseBest {
                         cache_bytes,
                         line_bytes,

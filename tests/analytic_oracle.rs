@@ -9,16 +9,14 @@
 use bench::stream;
 use proptest::prelude::*;
 use simcache::explore::measure_dcache;
-use simcache::hitratio::{
-    Analytic, HitRatioBackend, Resolution, Simulated, SET_CONFLICT_TOLERANCE,
-};
+use simcache::hitratio::{Analytic, HitRatioBackend, Simulated, SET_CONFLICT_TOLERANCE};
 use simcache::stackdist::StackDistSweep;
 use simcache::CacheConfig;
 use simtrace::instr::MemRef;
 use simtrace::reusehist::ReuseHistograms;
 use simtrace::workload::{builtin, WorkloadSpec};
 use simtrace::{Instr, RefCutter};
-use tradeoff::api::{dense_best, DenseBest, DenseGrid, HIST_DISTANCE_CAP};
+use tradeoff::api::{dense_best, dense_best_uncut, DenseGrid, HIST_DISTANCE_CAP};
 
 mod common;
 
@@ -104,44 +102,56 @@ proptest! {
     }
 }
 
-/// The whole dense grid, walked point by point with no early stop: the
-/// reference for [`dense_best`]'s cut walk.
-fn dense_best_uncut(analytic: &Analytic, grid: &DenseGrid, target_hr: f64) -> Option<DenseBest> {
-    let mut best: Option<DenseBest> = None;
-    for &line_bytes in &grid.line_sizes {
-        for sets in 1..=grid.max_sets {
-            let curve = analytic
-                .conflict_curve(line_bytes, sets, grid.max_assoc, Resolution::Bucketed)
-                .expect("dense grid line sizes are folded");
-            for (ai, &hit_ratio) in curve.iter().enumerate() {
-                let assoc = ai as u32 + 1;
-                let cache_bytes = sets * line_bytes * u64::from(assoc);
-                if hit_ratio >= target_hr && best.is_none_or(|b| cache_bytes < b.cache_bytes) {
-                    best = Some(DenseBest {
-                        cache_bytes,
-                        line_bytes,
-                        sets,
-                        assoc,
-                        hit_ratio,
-                    });
-                }
+/// A random dense-grid shape: up to 300 sets and 16 ways over a
+/// non-empty subset of the five line sizes, in shuffled order (the
+/// position of a line in `line_sizes` breaks capacity ties).
+fn dense_grids() -> impl Strategy<Value = DenseGrid> {
+    (
+        1u64..=300,
+        1u32..=16,
+        1u32..32,
+        proptest::collection::vec(any::<u32>(), 5),
+    )
+        .prop_map(|(max_sets, max_assoc, mask, keys)| {
+            let mut lines: Vec<(u32, u64)> = [8u64, 16, 32, 64, 128]
+                .into_iter()
+                .enumerate()
+                .filter(|&(i, _)| mask & (1 << i) != 0)
+                .map(|(i, line)| (keys[i], line))
+                .collect();
+            lines.sort_unstable();
+            DenseGrid {
+                line_sizes: lines.into_iter().map(|(_, line)| line).collect(),
+                max_sets,
+                max_assoc,
             }
-        }
+        })
+}
+
+/// Targets at which the cut walk's exits are tight: each line's
+/// fully-associative ceiling and one ulp either side, beside 0 and 1.
+fn edge_targets(analytic: &Analytic, grid: &DenseGrid) -> Vec<f64> {
+    let mut targets = vec![0.0, 1.0];
+    for &line in &grid.line_sizes {
+        let ceiling = analytic.fa_hit_ratio(line, u64::MAX).expect("folded line");
+        targets.extend([ceiling.next_down(), ceiling, ceiling.next_up()]);
     }
-    best
+    targets
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// [`dense_best`] stops each line size's walk early; on analytic
-    /// backends from random workload specs it must return exactly what
-    /// the uncut walk returns, ties and misses included.
+    /// [`dense_best`] walks coarse lines first and cuts every line's
+    /// walk short; on analytic backends from random workload specs and
+    /// random grid shapes it must return exactly what the uncut
+    /// reference walk returns, ties and misses included.
     #[test]
     fn dense_best_cut_walk_matches_the_uncut_walk(
         json in common::spec_json(),
         seed in any::<u64>(),
         len in 1usize..20_001,
+        grid in dense_grids(),
         target_hr in 0.0f64..1.0,
     ) {
         let trace: Vec<Instr> = WorkloadSpec::from_json(&json)
@@ -152,15 +162,93 @@ proptest! {
         let mut fold = ReuseHistograms::new(8, 128, HIST_DISTANCE_CAP, len as u64 / 5);
         fold.process_slice(&trace);
         let analytic = Analytic::from_histograms(&fold);
-        let grid = DenseGrid::small();
-        for target in [target_hr, 0.0, 1.0] {
+        let mut targets = edge_targets(&analytic, &grid);
+        targets.push(target_hr);
+        for target in targets {
             prop_assert_eq!(
                 dense_best(&analytic, &grid, target),
                 dense_best_uncut(&analytic, &grid, target),
-                "target {}", target
+                "grid {:?} target {}", grid, target
             );
         }
     }
+}
+
+/// The analytic backend of `loads`, one 4-byte load per instruction,
+/// with the first `warmup` references excluded.
+fn analytic_of(loads: impl Iterator<Item = u64>, warmup: u64) -> Analytic {
+    let trace: Vec<Instr> = loads
+        .enumerate()
+        .map(|(i, addr)| Instr::mem(i as u64 * 4, MemRef::load(addr, 4)))
+        .collect();
+    let mut fold = ReuseHistograms::new(8, 128, HIST_DISTANCE_CAP, warmup);
+    fold.process_slice(&trace);
+    Analytic::from_histograms(&fold)
+}
+
+/// Geometries that tie on capacity across line sizes: the cut walk
+/// meets the coarse ones first, and the uncut walk's choice must still
+/// win.
+#[test]
+fn dense_best_breaks_equal_capacity_ties_like_the_uncut_walk() {
+    // A loop over 64 bytes reaches its every-reuse ceiling at 64 B of
+    // capacity at each line size up to 64 B: the first listed wins, at
+    // every order of the lines.
+    let analytic = analytic_of((0..4_000u64).map(|i| (i % 16) * 4), 400);
+    let target = analytic.fa_hit_ratio(8, u64::MAX).expect("folded line");
+    for line_sizes in [
+        vec![8u64, 16, 32, 64, 128],
+        vec![128, 64, 32, 16, 8],
+        vec![32, 8, 64, 16],
+    ] {
+        let grid = DenseGrid {
+            line_sizes,
+            max_sets: 16,
+            max_assoc: 8,
+        };
+        let first_tied = grid.line_sizes.iter().copied().find(|&line| line <= 64);
+        let want = dense_best_uncut(&analytic, &grid, target).expect("reachable");
+        assert_eq!(want.cache_bytes, 64, "{grid:?}");
+        assert_eq!(Some(want.line_bytes), first_tied, "{grid:?}");
+        assert_eq!(dense_best(&analytic, &grid, target), Some(want), "{grid:?}");
+    }
+
+    // A cycle over three 32 B lines: one 64 B line hits a third of the
+    // references, two 32 B ways none (LRU thrash), and two 32 B sets
+    // direct-mapped about a fifth under the model. Listed first, the
+    // 32 B line's two-set point ties the 64 B line's one-way point at
+    // the one-way capacity the cut walk has already reached.
+    let analytic = analytic_of((0..3_000u64).map(|i| (i % 3) * 32), 300);
+    let grid = DenseGrid {
+        line_sizes: vec![32, 64],
+        max_sets: 8,
+        max_assoc: 4,
+    };
+    let want = dense_best_uncut(&analytic, &grid, 0.15).expect("reachable");
+    assert_eq!(
+        (want.cache_bytes, want.line_bytes, want.sets, want.assoc),
+        (64, 32, 2, 1)
+    );
+    assert_eq!(dense_best(&analytic, &grid, 0.15), Some(want));
+}
+
+/// A cyclic sweep whose every reuse spans the same ~1 000 distinct
+/// lines leaves hit ratios of order `e^-130` at the smallest geometries
+/// the bucketed walk does not skip. At a target that small the answer
+/// sits where the skip's threshold bites, so the cut walk's shortened
+/// way counts must not move the threshold.
+#[test]
+fn dense_best_keeps_the_full_width_conflict_skip() {
+    let analytic = analytic_of((0..30_000u64).map(|i| (i % 1_000) * 128), 2_000);
+    let grid = DenseGrid {
+        line_sizes: vec![8, 16, 32, 64, 128],
+        max_sets: 300,
+        max_assoc: 16,
+    };
+    let target = f64::MIN_POSITIVE;
+    let want = dense_best_uncut(&analytic, &grid, target).expect("reachable");
+    assert!(want.hit_ratio < 1e-40, "{want:?}");
+    assert_eq!(dense_best(&analytic, &grid, target), Some(want));
 }
 
 /// Set-associative geometries: the binomial set-conflict model carries
