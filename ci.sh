@@ -13,7 +13,8 @@
 #                    12/9 traces, 240/12 timelines, 6/6 histograms
 #                    hit/miss, and 0 coalesced waits) + faults
 #                    (canned fault plan degrades the suite instead of
-#                    killing it)
+#                    killing it, and a 2 ms REPRO_EXP_TIMEOUT times out
+#                    every measured experiment)
 #                    + stream (1 M-instruction streaming smoke with an
 #                    RSS ceiling and a materialised oracle comparison)
 #                    + analytic (closed-form backend bit-exact on FA LRU,
@@ -135,6 +136,23 @@ faults_check() {
     grep -q "Suite failures" "$tmp/stdout.txt" \
         || { echo "FAIL: suite document missing failure section"; exit 1; }
     echo "    degraded run: exit $status, 26 ok / 1 failed / 1 timed-out"
+    rm -rf "$tmp"
+
+    # Every trace-driven experiment honours REPRO_EXP_TIMEOUT: under a
+    # 2 ms deadline each `measured` footer row must read timed-out, none
+    # may finish ok past it.
+    local rows late
+    tmp="$(mktemp -d)"
+    set +e
+    REPRO_EXP_TIMEOUT=0.002 \
+        cargo run --release -q -p bench --bin exp -- run --filter measured \
+        --keep-going --results-dir "$tmp" > /dev/null 2> "$tmp/stderr.txt"
+    set -e
+    rows="$(grep -E '^\| [a-z0-9]+ +\|' "$tmp/stderr.txt" | grep -v '^| experiment ' || true)"
+    late="$(grep -v '| timed-out |' <<< "$rows" || true)"
+    [[ -n "$rows" && -z "$late" ]] \
+        || { echo "FAIL: measured experiments ran past a 2 ms deadline:"; echo "${late:-no footer rows}"; exit 1; }
+    echo "    2 ms deadline: all $(grep -c . <<< "$rows") measured experiments timed-out"
     rm -rf "$tmp"
 }
 

@@ -7,6 +7,7 @@
 //! directly comparable to the Figure 3–5 features — and the replacement
 //! policy's effect shows how much of that worth is LRU-specific.
 
+use crate::fault;
 use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcache::{Cache, CacheConfig, Replacement};
@@ -67,6 +68,7 @@ pub fn study(instructions: usize) -> Vec<AssocRow> {
     builtins()
         .iter()
         .map(|workload| {
+            fault::check_deadline();
             let mut caches: Vec<Cache> = LADDER
                 .iter()
                 .map(|&a| config(a, Replacement::Lru))

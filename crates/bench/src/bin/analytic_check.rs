@@ -23,13 +23,13 @@
 //! Exit codes: `0` success, `1` tolerance or exactness violation, `2`
 //! bad usage. Wired into tier-1 as `./ci.sh analytic`.
 
-use bench::grid::{self, dense_best, DenseGrid, GridSpec};
+use bench::grid;
 use simcache::explore::measure_dcache;
 use simcache::hitratio::SET_CONFLICT_TOLERANCE;
 use simcache::CacheConfig;
 use simtrace::workload::builtins;
 use std::process::ExitCode;
-use tradeoff::api::dense_best_uncut;
+use tradeoff::api::{dense_best, dense_best_uncut, DenseGrid, GridSpec};
 
 fn usage() -> ExitCode {
     eprintln!("usage: analytic_check [--instructions N]");

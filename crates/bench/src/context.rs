@@ -9,6 +9,7 @@
 //! extra bus width / cache size a multiprogrammed workload effectively
 //! needs.
 
+use crate::fault;
 use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcache::{Cache, CacheConfig};
@@ -68,6 +69,7 @@ pub fn run(instructions: usize) -> Vec<SwitchRow> {
     builtins()
         .iter()
         .map(|workload| {
+            fault::check_deadline();
             let mut runs: Vec<(Option<u64>, u64, Cache)> = std::iter::once(None)
                 .chain(INTERVALS.iter().copied().map(Some))
                 .map(|interval| (interval, 0u64, cache()))

@@ -46,10 +46,13 @@
 //! budget, the scheduler's `REPRO_EXP_TIMEOUT`). Cancellation is
 //! cooperative: the work calls [`check_deadline`] at each streamed
 //! trace chunk (on the thread that generates it), at each item of an
-//! experiment's loop over programs or design points, and in a `delay`
-//! fault's sleep, which past the deadline unwinds with
-//! [`DeadlineExceeded`]. Cancelled work overruns by at most one
-//! 16 Ki-instruction chunk or one loop item, and no thread outlives it.
+//! experiment's loop over programs or design points (every `measured`
+//! experiment has such a loop; `phases`, which plays one trace, checks
+//! at each phase boundary), and in a `delay` fault's sleep, which past
+//! the deadline unwinds with [`DeadlineExceeded`]. Cancelled work
+//! overruns by at most one 16 Ki-instruction chunk or one loop item,
+//! and no thread outlives it; `crates/bench/tests/measured_deadlines.rs`
+//! and `./ci.sh faults` check that every `measured` experiment stops.
 //! The scope is thread-local and never handed to another thread: the
 //! fold consumers that [`crate::stream`] starts only fold items, and
 //! every fault site, deadline check and store lookup runs on the

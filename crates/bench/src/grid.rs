@@ -28,9 +28,8 @@ use simtrace::workload::{builtins, WorkloadSpec};
 
 // The grid shapes (and the dense-grid search) are owned by the typed
 // query API so the CLI, the query server and this experiment provably
-// answer from one definition; this module re-exports them under their
-// historical paths.
-pub use tradeoff::api::{dense_best, DenseBest, DenseGrid, GridSpec, HIST_DISTANCE_CAP};
+// answer from one definition.
+use tradeoff::api::{dense_best, DenseGrid, DenseGridRow, GridSpec, HIST_DISTANCE_CAP};
 
 /// Builds the simulated backend for one workload: the grid's sweeps
 /// ([`GridSpec::sweeps`]), folded side by side over shared reference
@@ -196,41 +195,56 @@ pub fn artifact(results: &[WorkloadGrid]) -> Artifact {
 }
 
 /// Renders the dense-grid capacity-planning table: per workload, the
-/// cheapest geometry reaching `target_hr`.
-pub fn dense_render(
-    workloads: &[&WorkloadSpec],
-    grid: &DenseGrid,
-    instructions: usize,
-    warmup: u64,
-    target_hr: f64,
-) -> String {
+/// cheapest geometry reaching `target_hr` — the one rendering this
+/// experiment and `tradeoff-cli grid --backend analytic` print.
+pub fn dense_render(rows: &[DenseGridRow], grid: &DenseGrid, target_hr: f64) -> String {
     let mut t = Table::new(["program", "cache", "geometry", "hit ratio"]);
-    for &workload in workloads {
-        let analytic = build_analytic(workload, instructions, warmup);
-        let row = match dense_best(&analytic, grid, target_hr) {
+    for row in rows {
+        t.row(match &row.best {
             Some(b) => [
-                workload.label(),
+                row.program.clone(),
                 format!("{} B", b.cache_bytes),
                 format!("{} sets × {} B × {}-way", b.sets, b.line_bytes, b.assoc),
                 format!("{:.4}", b.hit_ratio),
             ],
             None => [
-                workload.label(),
+                row.program.clone(),
                 "-".to_string(),
                 "unreachable".to_string(),
                 "-".to_string(),
             ],
-        };
-        t.row(row);
+        });
     }
     format!(
         "\nCheapest geometry reaching HR ≥ {target_hr} on the dense analytic grid \
          ({} points/workload, {} total — set counts 1..={}, closed form, no simulation):\n{}",
         grid.points(),
-        grid.points() * workloads.len(),
+        grid.points() * rows.len(),
         grid.max_sets,
         t.render()
     )
+}
+
+/// Answers the dense grid for each workload from its memoised
+/// histograms.
+pub fn dense_rows(
+    workloads: &[&WorkloadSpec],
+    grid: &DenseGrid,
+    instructions: usize,
+    warmup: u64,
+    target_hr: f64,
+) -> Vec<DenseGridRow> {
+    workloads
+        .iter()
+        .map(|&workload| DenseGridRow {
+            program: workload.label(),
+            best: dense_best(
+                &build_analytic(workload, instructions, warmup),
+                grid,
+                target_hr,
+            ),
+        })
+        .collect()
 }
 
 /// Registry entry for this experiment.
@@ -257,7 +271,8 @@ pub const EXP: Experiment = Experiment {
         } else {
             DenseGrid::small()
         };
-        out.push_str(&dense_render(&workloads, &dense, instructions, warmup, 0.9));
+        let rows = dense_rows(&workloads, &dense, instructions, warmup, 0.9);
+        out.push_str(&dense_render(&rows, &dense, 0.9));
         ExpReport {
             section: out,
             artifacts: vec![artifact(&results)],
@@ -324,7 +339,9 @@ mod tests {
         );
         // An impossible target is reported as unreachable, not panicked.
         assert!(dense_best(&analytic, &grid, 1.1).is_none());
-        let text = dense_render(&[builtin("ear").unwrap()], &grid, 6_000, 1_000, 0.5);
+        let rows = dense_rows(&[builtin("ear").unwrap()], &grid, 6_000, 1_000, 0.5);
+        assert_eq!(rows[0].best, Some(best));
+        let text = dense_render(&rows, &grid, 0.5);
         assert!(text.contains("ear"));
         assert!(text.contains("sets ×"));
     }

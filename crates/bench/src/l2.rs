@@ -11,6 +11,7 @@
 //! at the effective point.
 
 use crate::common::figure1_cache;
+use crate::fault;
 use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcache::CacheConfig;
@@ -72,6 +73,7 @@ pub fn run(beta: u64, instructions: usize) -> Vec<L2Worth> {
     builtins()
         .iter()
         .map(|workload| {
+            fault::check_deadline();
             let flat = simulate(workload, None, beta, instructions);
             let l2 = simulate(workload, Some(canonical_l2()), beta, instructions);
             L2Worth {

@@ -10,6 +10,7 @@
 //!    generalised Eq. 2, closing the loop for `w ∈ {1, 2, 4, 8}`.
 
 use crate::common::figure1_cache;
+use crate::fault;
 use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcpu::{predict_cycles_multiissue, Cpu, CpuConfig};
@@ -67,6 +68,7 @@ pub fn simulate_widths(workload: &WorkloadSpec, instructions: usize) -> Vec<Widt
     [1u32, 2, 4, 8]
         .into_iter()
         .map(|width| {
+            fault::check_deadline();
             let cfg = CpuConfig::baseline(
                 figure1_cache(32),
                 MemoryTiming::new(BusWidth::new(4).expect("valid bus"), 8),

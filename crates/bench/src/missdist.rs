@@ -12,6 +12,7 @@
 //! the measured `φ(BL)`.
 
 use crate::common::figure1_cache;
+use crate::fault;
 use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcpu::{Cpu, CpuConfig, SimResult, StallFeature};
@@ -59,6 +60,7 @@ pub fn run(beta: u64, instructions: usize) -> Vec<DistanceProfile> {
     builtins()
         .iter()
         .map(|workload| {
+            fault::check_deadline();
             let fs = simulate(workload, StallFeature::FullStall, beta, instructions);
             let bl = simulate(workload, StallFeature::BusLocked, beta, instructions);
             DistanceProfile {

@@ -8,6 +8,7 @@
 //! aggregate profile smears the phases together (it still totals
 //! correctly — the model is linear — but misattributes where time goes).
 
+use crate::fault;
 use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcache::CacheConfig;
@@ -114,6 +115,7 @@ pub fn run(beta: u64) -> Vec<PhaseWindow> {
         if instr.mem.is_some() {
             refs += 1;
             if refs >= 3 * PHASE_REFS && refs % PHASE_REFS == 0 {
+                fault::check_deadline();
                 snaps.push(cpu.snapshot());
                 if refs == 6 * PHASE_REFS {
                     break;

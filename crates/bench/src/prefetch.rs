@@ -14,6 +14,7 @@
 //! which lines up directly against the Figure 3–5 curves.
 
 use crate::common::figure1_cache;
+use crate::fault;
 use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcpu::{Cpu, CpuConfig, Prefetch, SimResult};
@@ -56,6 +57,7 @@ fn simulate(workload: &WorkloadSpec, prefetch: Prefetch, beta: u64, n: usize) ->
 pub fn run(beta: u64, instructions: usize) -> Result<Vec<PrefetchWorth>, TradeoffError> {
     let mut out = Vec::new();
     for workload in builtins() {
+        fault::check_deadline();
         let plain = simulate(workload, Prefetch::None, beta, instructions);
         let pf = simulate(workload, Prefetch::NextLine, beta, instructions);
         let machine = Machine::new(4.0, 32.0, beta as f64)?;

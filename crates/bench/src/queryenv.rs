@@ -109,7 +109,7 @@ mod tests {
             instructions,
             8,
             128,
-            grid::HIST_DISTANCE_CAP,
+            HIST_DISTANCE_CAP,
             warmup,
         );
         assert!(

@@ -6,6 +6,7 @@
 //! fully-associative capacity needed for 90 % / 95 % hit ratios, and the
 //! Mattson-predicted hit ratio at the paper's 8 KB operating point.
 
+use crate::fault;
 use crate::registry::{ExpReport, Experiment};
 use report::{chart::sparkline, Table};
 use simtrace::reuse::ReuseProfile;
@@ -34,13 +35,16 @@ pub struct ReuseRow {
 pub fn run(instructions: usize) -> Vec<ReuseRow> {
     builtins()
         .iter()
-        .map(|workload| ReuseRow {
-            workload,
-            profile: ReuseProfile::from_trace(
-                workload.compile(0x2E05E).take(instructions),
-                32,
-                4096,
-            ),
+        .map(|workload| {
+            fault::check_deadline();
+            ReuseRow {
+                workload,
+                profile: ReuseProfile::from_trace(
+                    workload.compile(0x2E05E).take(instructions),
+                    32,
+                    4096,
+                ),
+            }
         })
         .collect()
 }

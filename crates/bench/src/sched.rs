@@ -325,23 +325,16 @@ impl SuiteRun {
     }
 }
 
-/// One attempt's failure, before the retry policy decides its fate.
-enum AttemptError {
-    /// Retryable: injected I/O fault or an I/O-like unwind.
-    Transient(String),
-    /// Fatal: the experiment (or an extraction it ran) panicked.
-    Panicked(String),
-    /// Fatal: the deadline passed and cancelled the attempt.
-    TimedOut(Duration),
-}
-
 /// One contained attempt on the current thread: marks the experiment
 /// for fault targeting (under the `opts.timeout` deadline), fires the
-/// `run` injection site, and catches any unwind — a
-/// [`fault::TransientUnwind`] (injected I/O raised inside an infallible
-/// call chain) stays retryable, a [`fault::DeadlineExceeded`] is a
-/// timeout, anything else is a panic.
-fn attempt_contained(exp: &Experiment, opts: &SuiteOptions) -> Result<ExpReport, AttemptError> {
+/// `run` injection site, and catches any unwind as the failure it
+/// stands for — a [`fault::TransientUnwind`] (injected I/O raised inside
+/// an infallible call chain) is a retryable [`FailureKind::Transient`],
+/// a [`fault::DeadlineExceeded`] a timeout, anything else a panic.
+fn attempt_contained(
+    exp: &Experiment,
+    opts: &SuiteOptions,
+) -> Result<ExpReport, (FailureKind, String)> {
     let deadline = opts.timeout.map(|limit| Instant::now() + limit);
     let _scope = fault::enter_until(exp.id, deadline);
     catch_unwind(AssertUnwindSafe(|| {
@@ -353,11 +346,14 @@ fn attempt_contained(exp: &Experiment, opts: &SuiteOptions) -> Result<ExpReport,
     }))
     .map_err(
         |payload| match payload.downcast::<fault::TransientUnwind>() {
-            Ok(transient) => AttemptError::Transient(transient.0),
-            Err(p) if p.is::<fault::DeadlineExceeded>() => {
-                AttemptError::TimedOut(opts.timeout.unwrap_or_default())
-            }
-            Err(p) => AttemptError::Panicked(fault::panic_text(p.as_ref())),
+            Ok(transient) => (FailureKind::Transient, transient.0),
+            Err(p) if p.is::<fault::DeadlineExceeded>() => (
+                FailureKind::TimedOut {
+                    limit: opts.timeout.unwrap_or_default(),
+                },
+                String::new(),
+            ),
+            Err(p) => (FailureKind::Panicked, fault::panic_text(p.as_ref())),
         },
     )
 }
@@ -375,29 +371,14 @@ fn run_one(exp: &Experiment, opts: &SuiteOptions) -> ExpOutcome {
                     retries,
                 })
             }
-            Err(AttemptError::Transient(message)) => {
-                if retries < opts.retry.max_retries {
-                    retries += 1;
-                    opts.retry.pause(retries);
-                } else {
-                    break Err(ExpFailure {
-                        kind: FailureKind::Transient,
-                        message,
-                        retries,
-                    });
-                }
+            Err((FailureKind::Transient, _)) if retries < opts.retry.max_retries => {
+                retries += 1;
+                opts.retry.pause(retries);
             }
-            Err(AttemptError::Panicked(message)) => {
+            Err((kind, message)) => {
                 break Err(ExpFailure {
-                    kind: FailureKind::Panicked,
+                    kind,
                     message,
-                    retries,
-                })
-            }
-            Err(AttemptError::TimedOut(limit)) => {
-                break Err(ExpFailure {
-                    kind: FailureKind::TimedOut { limit },
-                    message: String::new(),
                     retries,
                 })
             }

@@ -9,6 +9,7 @@
 //! conventional small lines, conventional large lines, and the sector
 //! organisation — and prices their silicon with the cost model.
 
+use crate::fault;
 use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcache::{Cache, CacheConfig, SectorCache, SectorConfig};
@@ -143,6 +144,7 @@ pub fn run(workload: &WorkloadSpec, n: usize) -> Result<Vec<OrgResult>, Tradeoff
 pub fn report(n: usize) -> Result<String, TradeoffError> {
     let mut out = String::new();
     for program in ["nasa7", "doduc"] {
+        fault::check_deadline();
         let rows = run(builtin(program).expect("a builtin proxy"), n)?;
         let mut t = Table::new([
             "organisation",

@@ -10,12 +10,13 @@
 //! driver, so the sweep runs paper-scale traces without paper-scale
 //! memory.
 
-use crate::grid::{self, GridSpec};
+use crate::grid;
 use crate::registry::{ExpReport, Experiment};
 use report::{Artifact, Table};
 use simcache::explore::HitRatioPoint;
 use simtrace::workload::{builtins, WorkloadSpec};
 use smithval::TableModel;
+use tradeoff::api::GridSpec;
 
 /// Trace seed shared with the line-size experiment, so the sweep's
 /// numbers are directly comparable to `linesize.csv`.

@@ -6,6 +6,7 @@
 //! the same axis as the Figure 3–5 feature curves and as doubling the
 //! associativity.
 
+use crate::fault;
 use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcache::{Cache, CacheConfig, VictimCache};
@@ -31,6 +32,7 @@ pub fn run(cache_bytes: u64, victim_lines: usize, instructions: usize) -> Vec<Vi
     builtins()
         .iter()
         .map(|workload| {
+            fault::check_deadline();
             let dm_cfg = CacheConfig::new(cache_bytes, 32, 1).expect("valid");
             let mut dm = Cache::new(dm_cfg);
             let mut vc = VictimCache::new(dm_cfg, victim_lines);

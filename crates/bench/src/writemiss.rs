@@ -10,6 +10,7 @@
 //! exactly.
 
 use crate::common::figure1_cache;
+use crate::fault;
 use crate::registry::{ExpReport, Experiment};
 use report::Table;
 use simcache::WriteMiss;
@@ -51,10 +52,13 @@ fn simulate(workload: &WorkloadSpec, policy: WriteMiss, beta: u64, n: usize) -> 
 pub fn run(beta: u64, instructions: usize) -> Vec<PolicyComparison> {
     builtins()
         .iter()
-        .map(|workload| PolicyComparison {
-            workload,
-            allocate: simulate(workload, WriteMiss::Allocate, beta, instructions),
-            around: simulate(workload, WriteMiss::Around, beta, instructions),
+        .map(|workload| {
+            fault::check_deadline();
+            PolicyComparison {
+                workload,
+                allocate: simulate(workload, WriteMiss::Allocate, beta, instructions),
+                around: simulate(workload, WriteMiss::Around, beta, instructions),
+            }
         })
         .collect()
 }

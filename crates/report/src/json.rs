@@ -8,6 +8,8 @@
 //! insertion order, numbers render via Rust's shortest round-trip
 //! `f64` formatting — so identical values always serialise to identical
 //! bytes (the property the CLI/server byte-equality tests pin).
+//! [`Fields`] is the one strict object reader every JSON input (query
+//! requests, workload specs, the manifest) is read through.
 //!
 //! The dialect is standard JSON with two deliberate limits: numbers are
 //! `f64` (every wire quantity fits: hit ratios, byte counts, latencies)
@@ -112,14 +114,6 @@ impl Json {
         }
     }
 
-    /// The object's keys as a set (for strict unknown-key validation).
-    pub fn keys(&self) -> Vec<&str> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
-            _ => Vec::new(),
-        }
-    }
-
     /// Parses a JSON document (one value, surrounded by nothing but
     /// whitespace).
     ///
@@ -182,6 +176,136 @@ impl Json {
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
+    }
+}
+
+/// A typed read of one JSON value, as [`Fields`] getters return it.
+pub trait FromJson<'a>: Sized {
+    /// The value as `Self`, or what it must be instead (`"must be a
+    /// number"`).
+    ///
+    /// # Errors
+    ///
+    /// The static phrase a [`Fields`] error appends to the key.
+    fn from_json(v: &'a Json) -> Result<Self, &'static str>;
+}
+
+impl<'a> FromJson<'a> for &'a Json {
+    fn from_json(v: &'a Json) -> Result<Self, &'static str> {
+        Ok(v)
+    }
+}
+
+impl<'a> FromJson<'a> for &'a str {
+    fn from_json(v: &'a Json) -> Result<Self, &'static str> {
+        v.as_str().ok_or("must be a string")
+    }
+}
+
+impl<'a> FromJson<'a> for &'a [Json] {
+    fn from_json(v: &'a Json) -> Result<Self, &'static str> {
+        v.as_arr().ok_or("must be an array")
+    }
+}
+
+impl FromJson<'_> for f64 {
+    fn from_json(v: &Json) -> Result<Self, &'static str> {
+        v.as_f64()
+            .filter(|n| n.is_finite())
+            .ok_or("must be a number")
+    }
+}
+
+impl FromJson<'_> for u64 {
+    fn from_json(v: &Json) -> Result<Self, &'static str> {
+        v.as_u64().ok_or("must be a non-negative integer")
+    }
+}
+
+impl FromJson<'_> for u32 {
+    fn from_json(v: &Json) -> Result<Self, &'static str> {
+        u32::try_from(u64::from_json(v)?).map_err(|_| "must be at most 4294967295")
+    }
+}
+
+impl FromJson<'_> for u8 {
+    fn from_json(v: &Json) -> Result<Self, &'static str> {
+        u8::try_from(u64::from_json(v)?).map_err(|_| "must be at most 255")
+    }
+}
+
+/// The strict reader over one JSON object that query requests,
+/// workload specs and the manifest are all read through: keys outside
+/// an allowed list are rejected, and each typed getter's error reads
+/// `{what}: "{key}" …`, so every message names its key. Checking a key
+/// allocates nothing; only an error does.
+#[derive(Debug, Clone, Copy)]
+pub struct Fields<'a> {
+    pairs: &'a [(String, Json)],
+    what: &'a str,
+}
+
+impl<'a> Fields<'a> {
+    /// Reads `value` as an object whose keys all appear in `allowed`;
+    /// `what` names it in errors.
+    ///
+    /// # Errors
+    ///
+    /// When `value` is not an object or holds an unknown key.
+    pub fn new(value: &'a Json, what: &'a str, allowed: &[&str]) -> Result<Fields<'a>, String> {
+        let pairs = value
+            .as_obj()
+            .ok_or_else(|| format!("{what} must be a JSON object"))?;
+        match pairs.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+            Some((key, _)) => Err(format!("{what}: {key:?} is an unknown key")),
+            None => Ok(Fields { pairs, what }),
+        }
+    }
+
+    /// Reads the string discriminator `key` of the object `value`, for
+    /// objects whose allowed keys depend on it.
+    ///
+    /// # Errors
+    ///
+    /// When `value` is not an object or `key` is absent or not a string.
+    pub fn kind(value: &'a Json, what: &'a str, key: &str) -> Result<&'a str, String> {
+        let pairs = value
+            .as_obj()
+            .ok_or_else(|| format!("{what} must be a JSON object"))?;
+        Fields { pairs, what }.need(key)
+    }
+
+    /// The value under `key` as a `T`, or `None` when the key is absent.
+    ///
+    /// # Errors
+    ///
+    /// When the value is present but not a `T`.
+    pub fn opt<T: FromJson<'a>>(&self, key: &str) -> Result<Option<T>, String> {
+        match self.pairs.iter().find(|(k, _)| k == key) {
+            None => Ok(None),
+            Some((_, v)) => T::from_json(v)
+                .map(Some)
+                .map_err(|want| format!("{}: {key:?} {want}", self.what)),
+        }
+    }
+
+    /// The required value under `key` as a `T`.
+    ///
+    /// # Errors
+    ///
+    /// When the key is absent or its value is not a `T`.
+    pub fn need<T: FromJson<'a>>(&self, key: &str) -> Result<T, String> {
+        self.opt(key)?
+            .ok_or_else(|| format!("{}: {key:?} is missing", self.what))
+    }
+
+    /// The value under `key` as a `T`, or `default` when it is absent.
+    ///
+    /// # Errors
+    ///
+    /// When the value is present but not a `T`.
+    pub fn or<T: FromJson<'a>>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.opt(key)?.unwrap_or(default))
     }
 }
 
@@ -442,7 +566,6 @@ mod tests {
         assert_eq!(v.render(), "{\"zeta\":1,\"alpha\":[true,null]}");
         let parsed = Json::parse(&v.render()).unwrap();
         assert_eq!(parsed, v);
-        assert_eq!(parsed.keys(), vec!["zeta", "alpha"]);
     }
 
     #[test]
@@ -500,5 +623,77 @@ mod tests {
         let v = Json::parse("\"φ ΔHR β_m\"").unwrap();
         assert_eq!(v.as_str(), Some("φ ΔHR β_m"));
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
+    }
+
+    fn read(text: &str) -> Json {
+        Json::parse(text).unwrap()
+    }
+
+    #[test]
+    fn fields_reject_unknown_keys_and_non_objects() {
+        let v = read(r#"{"a":1,"frob":2}"#);
+        let err = Fields::new(&v, "thing", &["a"]).unwrap_err();
+        assert_eq!(err, r#"thing: "frob" is an unknown key"#);
+        assert!(Fields::new(&v, "thing", &["a", "frob"]).is_ok());
+        let err = Fields::new(&read("[1]"), "thing", &["a"]).unwrap_err();
+        assert_eq!(err, "thing must be a JSON object");
+    }
+
+    #[test]
+    fn fields_name_missing_and_mistyped_keys() {
+        let v = read(r#"{"n":"x","s":1.5,"arr":{}}"#);
+        let f = Fields::new(&v, "thing", &["n", "s", "arr", "absent"]).unwrap();
+        assert_eq!(
+            f.need::<f64>("absent").unwrap_err(),
+            r#"thing: "absent" is missing"#
+        );
+        assert_eq!(
+            f.need::<f64>("n").unwrap_err(),
+            r#"thing: "n" must be a number"#
+        );
+        assert_eq!(
+            f.need::<u64>("s").unwrap_err(),
+            r#"thing: "s" must be a non-negative integer"#
+        );
+        assert_eq!(
+            f.need::<&str>("s").unwrap_err(),
+            r#"thing: "s" must be a string"#
+        );
+        assert_eq!(
+            f.need::<&[Json]>("arr").unwrap_err(),
+            r#"thing: "arr" must be an array"#
+        );
+        assert_eq!(f.need::<&str>("n").unwrap(), "x");
+        assert_eq!(f.need::<f64>("s").unwrap(), 1.5);
+    }
+
+    #[test]
+    fn fields_refuse_narrow_overflow_instead_of_truncating() {
+        let v = read(r#"{"w":4294967297,"b":256,"ok32":4294967295,"ok8":255}"#);
+        let f = Fields::new(&v, "thing", &["w", "b", "ok32", "ok8"]).unwrap();
+        assert_eq!(
+            f.need::<u32>("w").unwrap_err(),
+            r#"thing: "w" must be at most 4294967295"#
+        );
+        assert_eq!(
+            f.need::<u8>("b").unwrap_err(),
+            r#"thing: "b" must be at most 255"#
+        );
+        assert_eq!(f.need::<u64>("w").unwrap(), 4_294_967_297);
+        assert_eq!(f.need::<u32>("ok32").unwrap(), u32::MAX);
+        assert_eq!(f.need::<u8>("ok8").unwrap(), u8::MAX);
+    }
+
+    #[test]
+    fn fields_fill_defaults_only_for_absent_keys() {
+        let v = read(r#"{"q":3}"#);
+        let f = Fields::new(&v, "thing", &["q", "alpha"]).unwrap();
+        assert_eq!(f.or("alpha", 0.5).unwrap(), 0.5);
+        assert_eq!(f.or("q", 2.0).unwrap(), 3.0);
+        assert_eq!(f.opt::<u32>("alpha").unwrap(), None);
+        // A present but mistyped key is an error, not the default.
+        let v = read(r#"{"q":"three"}"#);
+        let f = Fields::new(&v, "thing", &["q"]).unwrap();
+        assert!(f.or("q", 2.0).unwrap_err().contains(r#""q""#));
     }
 }

@@ -31,6 +31,6 @@ pub use artifact::{Artifact, ArtifactKind};
 pub use chart::Chart;
 pub use csv::{write_artifact, write_csv};
 pub use hash::sha256_hex;
-pub use json::Json;
+pub use json::{Fields, Json};
 pub use manifest::{Drift, Manifest, ManifestEntry, MANIFEST_NAME};
 pub use table::Table;

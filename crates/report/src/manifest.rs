@@ -9,6 +9,7 @@
 use crate::artifact::Artifact;
 use crate::csv::write_artifact;
 use crate::hash::sha256_hex;
+use crate::json::{Fields, Json};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -144,52 +145,41 @@ impl Manifest {
         out
     }
 
-    /// Parses a manifest previously emitted by [`Manifest::to_json`].
-    ///
-    /// The parser is deliberately line-oriented: it accepts exactly the
-    /// one-entry-per-line shape this module writes (artifact names never
-    /// contain quotes or escapes).
+    /// Parses a manifest previously emitted by [`Manifest::to_json`],
+    /// through the strict [`Fields`] reader.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the malformed line.
+    /// Returns a message naming the malformed key.
     pub fn parse(json: &str) -> Result<Manifest, String> {
-        fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-            let tag = format!("\"{key}\":");
-            let rest = &line[line.find(&tag)? + tag.len()..];
-            let rest = rest.trim_start();
-            if let Some(stripped) = rest.strip_prefix('"') {
-                stripped.split('"').next()
-            } else {
-                rest.split(|c: char| c == ',' || c == '}' || c.is_whitespace())
-                    .next()
-            }
-        }
-        let mut entries = Vec::new();
-        let mut statuses = Vec::new();
-        for line in json.lines() {
-            if line.contains("\"name\"") {
-                let name = field(line, "name").ok_or(format!("bad manifest line: {line}"))?;
-                let bytes = field(line, "bytes")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(format!("bad byte count: {line}"))?;
-                let sha256 = field(line, "sha256").ok_or(format!("bad sha256: {line}"))?;
-                entries.push(ManifestEntry {
-                    name: name.to_string(),
-                    bytes,
-                    sha256: sha256.to_string(),
-                });
-            } else if line.contains("\"id\"") {
-                let id = field(line, "id").ok_or(format!("bad status line: {line}"))?;
-                let status = field(line, "status").ok_or(format!("bad status: {line}"))?;
-                statuses.push(StatusEntry {
-                    id: id.to_string(),
-                    status: status.to_string(),
-                });
-            }
-        }
+        let doc = Json::parse(json)?;
+        let top = Fields::new(&doc, "manifest", &["version", "experiments", "artifacts"])?;
+        top.need::<u64>("version")?;
+        let mut entries = top
+            .need::<&[Json]>("artifacts")?
+            .iter()
+            .map(|a| {
+                let f = Fields::new(a, "manifest artifact", &["name", "bytes", "sha256"])?;
+                Ok(ManifestEntry {
+                    name: f.need::<&str>("name")?.to_string(),
+                    bytes: f.need("bytes")?,
+                    sha256: f.need::<&str>("sha256")?.to_string(),
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         entries.sort_by(|a, b| a.name.cmp(&b.name));
         // Statuses keep their written (suite) order.
+        let statuses = top
+            .or::<&[Json]>("experiments", &[])?
+            .iter()
+            .map(|e| {
+                let f = Fields::new(e, "manifest experiment", &["id", "status"])?;
+                Ok(StatusEntry {
+                    id: f.need::<&str>("id")?.to_string(),
+                    status: f.need::<&str>("status")?.to_string(),
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(Manifest { entries, statuses })
     }
 
@@ -315,5 +305,24 @@ mod tests {
         assert_eq!(parsed, m);
         // Suite order is preserved, not sorted.
         assert_eq!(parsed.statuses[0].id, "zeta");
+    }
+
+    #[test]
+    fn malformed_manifests_name_the_bad_key() {
+        for (bad, needle) in [
+            ("{\"version\": 1}", "\"artifacts\" is missing"),
+            (
+                "{\"version\": 1, \"artifacts\": [{\"name\": \"a\", \"bytes\": -1, \"sha256\": \"00\"}]}",
+                "\"bytes\" must be a non-negative integer",
+            ),
+            (
+                "{\"version\": 1, \"artifacts\": [], \"extra\": 0}",
+                "\"extra\" is an unknown key",
+            ),
+            ("{\"version\": 1, \"artifacts\": [", "end of input"),
+        ] {
+            let err = Manifest::parse(bad).unwrap_err();
+            assert!(err.contains(needle), "{bad} -> {err}");
+        }
     }
 }

@@ -7,9 +7,10 @@
 //! parser, so JSON is the one spec syntax; the schema is documented in
 //! `DESIGN.md` §15). A spec:
 //!
-//! * **validates** fallibly ([`WorkloadSpec::from_json`] mirrors every
-//!   constructor panic in [`crate::gen`], so a parsed spec never panics
-//!   when compiled),
+//! * **validates** fallibly, once ([`WorkloadSpec::from_json`] reads
+//!   the JSON's shape and types, then calls [`WorkloadSpec::validate`],
+//!   whose checks mirror every constructor panic in [`crate::gen`], so a
+//!   parsed spec never panics when compiled),
 //! * **compiles** ([`WorkloadSpec::compile`]) to the same
 //!   [`PatternTrace`] streaming path every generator uses, over a tree
 //!   lowered into one enum ([`CompiledPattern`]) that draws exactly as
@@ -51,7 +52,7 @@ use crate::gen::{
 use crate::instr::MemRef;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use report::{sha256_hex, Json};
+use report::{sha256_hex, Fields, Json};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -318,55 +319,14 @@ pub struct WorkloadSpec {
 // JSON codec helpers (strict: unknown keys rejected, like the query API)
 // ---------------------------------------------------------------------
 
-fn check_keys(v: &Json, allowed: &[&str], what: &str) -> Result<(), String> {
-    if v.as_obj().is_none() {
-        return Err(format!("{what} must be a JSON object"));
-    }
-    for key in v.keys() {
-        if !allowed.contains(&key) {
-            return Err(format!("{what}: unknown key {key:?}"));
-        }
-    }
-    Ok(())
-}
-
-fn need<'a>(v: &'a Json, key: &str, what: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("{what}: missing {key:?}"))
-}
-
-fn u64_field(v: &Json, key: &str, what: &str) -> Result<u64, String> {
-    need(v, key, what)?
-        .as_u64()
-        .ok_or_else(|| format!("{what}: {key:?} must be a non-negative integer"))
-}
-
-fn u32_field(v: &Json, key: &str, what: &str) -> Result<u32, String> {
-    u32::try_from(u64_field(v, key, what)?).map_err(|_| format!("{what}: {key:?} exceeds 32 bits"))
-}
-
-fn u8_field(v: &Json, key: &str, what: &str) -> Result<u8, String> {
-    u8::try_from(u64_field(v, key, what)?).map_err(|_| format!("{what}: {key:?} exceeds 8 bits"))
-}
-
-fn f64_field(v: &Json, key: &str, what: &str) -> Result<f64, String> {
-    let n = need(v, key, what)?
-        .as_f64()
-        .ok_or_else(|| format!("{what}: {key:?} must be a number"))?;
-    if !n.is_finite() {
-        return Err(format!("{what}: {key:?} must be finite"));
-    }
-    Ok(n)
-}
-
 /// 64-bit seeds exceed the codec's exact-integer range, so they are
 /// accepted as plain integers *or* strings (`"0x…"` hex or decimal);
 /// the canonical rendering is always the hex string.
 fn seed_field(v: &Json, key: &str, what: &str) -> Result<u64, String> {
-    let field = need(v, key, what)?;
-    if let Some(n) = field.as_u64() {
+    if let Some(n) = v.as_u64() {
         return Ok(n);
     }
-    let text = field
+    let text = v
         .as_str()
         .ok_or_else(|| format!("{what}: {key:?} must be an integer or a seed string"))?;
     let parsed = match text.strip_prefix("0x") {
@@ -380,11 +340,10 @@ fn seed_json(seed: u64) -> Json {
     Json::str(format!("{seed:#x}"))
 }
 
-fn exact_num(n: u64, key: &str, what: &str) -> Result<Json, String> {
-    if n >= MAX_EXACT {
-        return Err(format!("{what}: {key:?} exceeds the exact JSON range"));
-    }
-    Ok(Json::num(n as f64))
+/// An exact integer field: `validate` keeps every one below
+/// [`MAX_EXACT`], so the `f64` holds it losslessly.
+fn int_json(n: impl Into<u64>) -> Json {
+    Json::num(n.into() as f64)
 }
 
 fn fraction(x: f64, key: &str, what: &str) -> Result<f64, String> {
@@ -396,8 +355,9 @@ fn fraction(x: f64, key: &str, what: &str) -> Result<f64, String> {
 
 impl StridedParams {
     fn from_json(v: &Json, what: &str) -> Result<StridedParams, String> {
-        check_keys(
+        let f = Fields::new(
             v,
+            what,
             &[
                 "kind",
                 "base",
@@ -406,30 +366,24 @@ impl StridedParams {
                 "elem_size",
                 "store_period",
             ],
-            what,
         )?;
-        let p = StridedParams {
-            base: u64_field(v, "base", what)?,
-            region_bytes: u64_field(v, "region_bytes", what)?,
-            stride: u64_field(v, "stride", what)?,
-            elem_size: u8_field(v, "elem_size", what)?,
-            store_period: u32_field(v, "store_period", what)?,
-        };
-        p.validate(what)?;
-        Ok(p)
+        Ok(StridedParams {
+            base: f.need("base")?,
+            region_bytes: f.need("region_bytes")?,
+            stride: f.need("stride")?,
+            elem_size: f.need("elem_size")?,
+            store_period: f.need("store_period")?,
+        })
     }
 
-    fn fields(&self, what: &str) -> Result<Vec<(&'static str, Json)>, String> {
-        Ok(vec![
-            ("base", exact_num(self.base, "base", what)?),
-            (
-                "region_bytes",
-                exact_num(self.region_bytes, "region_bytes", what)?,
-            ),
-            ("stride", exact_num(self.stride, "stride", what)?),
-            ("elem_size", Json::num(f64::from(self.elem_size))),
-            ("store_period", Json::num(f64::from(self.store_period))),
-        ])
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("base", int_json(self.base)),
+            ("region_bytes", int_json(self.region_bytes)),
+            ("stride", int_json(self.stride)),
+            ("elem_size", int_json(self.elem_size)),
+            ("store_period", int_json(self.store_period)),
+        ]
     }
 
     fn validate(&self, what: &str) -> Result<(), String> {
@@ -458,28 +412,26 @@ impl StridedParams {
 
 impl WorkingSetParams {
     fn from_json(v: &Json, what: &str) -> Result<WorkingSetParams, String> {
-        check_keys(
+        let f = Fields::new(
             v,
-            &["kind", "base", "bytes", "store_fraction", "elem_size"],
             what,
+            &["kind", "base", "bytes", "store_fraction", "elem_size"],
         )?;
-        let p = WorkingSetParams {
-            base: u64_field(v, "base", what)?,
-            bytes: u64_field(v, "bytes", what)?,
-            store_fraction: f64_field(v, "store_fraction", what)?,
-            elem_size: u8_field(v, "elem_size", what)?,
-        };
-        p.validate(what)?;
-        Ok(p)
+        Ok(WorkingSetParams {
+            base: f.need("base")?,
+            bytes: f.need("bytes")?,
+            store_fraction: f.need("store_fraction")?,
+            elem_size: f.need("elem_size")?,
+        })
     }
 
-    fn fields(&self, what: &str) -> Result<Vec<(&'static str, Json)>, String> {
-        Ok(vec![
-            ("base", exact_num(self.base, "base", what)?),
-            ("bytes", exact_num(self.bytes, "bytes", what)?),
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("base", int_json(self.base)),
+            ("bytes", int_json(self.bytes)),
             ("store_fraction", Json::num(self.store_fraction)),
-            ("elem_size", Json::num(f64::from(self.elem_size))),
-        ])
+            ("elem_size", int_json(self.elem_size)),
+        ]
     }
 
     fn validate(&self, what: &str) -> Result<(), String> {
@@ -499,166 +451,109 @@ impl WorkingSetParams {
 }
 
 impl PatternNode {
-    /// Parses one pattern node from its JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending path when the object has
-    /// an unknown `kind`, unknown or missing keys, or parameter values
-    /// a generator constructor would reject.
-    pub fn from_json(v: &Json, what: &str) -> Result<PatternNode, String> {
-        if v.as_obj().is_none() {
-            return Err(format!("{what} must be a JSON object"));
-        }
-        let kind = need(v, "kind", what)?
-            .as_str()
-            .ok_or_else(|| format!("{what}: \"kind\" must be a string"))?;
-        match kind {
-            "strided" => Ok(PatternNode::Strided(StridedParams::from_json(v, what)?)),
+    /// Reads one pattern node's shape and types; its values are checked
+    /// once, by [`WorkloadSpec::validate`].
+    fn from_json(v: &Json, what: &str) -> Result<PatternNode, String> {
+        let node = |allowed: &[&str]| Fields::new(v, what, allowed);
+        let list = |key: &str| -> Result<&[Json], String> { node(&["kind", key])?.need(key) };
+        Ok(match Fields::kind(v, what, "kind")? {
+            "strided" => PatternNode::Strided(StridedParams::from_json(v, what)?),
             "chase" => {
-                check_keys(
-                    v,
-                    &[
-                        "kind",
-                        "base",
-                        "nodes",
-                        "node_bytes",
-                        "store_fraction",
-                        "seed",
-                    ],
-                    what,
-                )?;
-                let node = PatternNode::Chase {
-                    base: u64_field(v, "base", what)?,
-                    nodes: u32_field(v, "nodes", what)?,
-                    node_bytes: u64_field(v, "node_bytes", what)?,
-                    store_fraction: f64_field(v, "store_fraction", what)?,
-                    seed: seed_field(v, "seed", what)?,
-                };
-                node.validate(what)?;
-                Ok(node)
+                let f = node(&[
+                    "kind",
+                    "base",
+                    "nodes",
+                    "node_bytes",
+                    "store_fraction",
+                    "seed",
+                ])?;
+                PatternNode::Chase {
+                    base: f.need("base")?,
+                    nodes: f.need("nodes")?,
+                    node_bytes: f.need("node_bytes")?,
+                    store_fraction: f.need("store_fraction")?,
+                    seed: seed_field(f.need("seed")?, "seed", what)?,
+                }
             }
-            "working_set" => Ok(PatternNode::WorkingSet(WorkingSetParams::from_json(
-                v, what,
-            )?)),
+            "working_set" => PatternNode::WorkingSet(WorkingSetParams::from_json(v, what)?),
             "zipf" => {
-                check_keys(
-                    v,
-                    &["kind", "base", "slots", "elem_size", "s", "store_fraction"],
-                    what,
-                )?;
-                let node = PatternNode::Zipf {
-                    base: u64_field(v, "base", what)?,
-                    slots: u32_field(v, "slots", what)?,
-                    elem_size: u8_field(v, "elem_size", what)?,
-                    s: f64_field(v, "s", what)?,
-                    store_fraction: f64_field(v, "store_fraction", what)?,
-                };
-                node.validate(what)?;
-                Ok(node)
+                let f = node(&["kind", "base", "slots", "elem_size", "s", "store_fraction"])?;
+                PatternNode::Zipf {
+                    base: f.need("base")?,
+                    slots: f.need("slots")?,
+                    elem_size: f.need("elem_size")?,
+                    s: f.need("s")?,
+                    store_fraction: f.need("store_fraction")?,
+                }
             }
             "hot_cold" => {
-                check_keys(v, &["kind", "hot", "cold", "hot_fraction"], what)?;
-                let node = PatternNode::HotCold {
-                    hot: WorkingSetParams::from_json(
-                        need(v, "hot", what)?,
-                        &format!("{what}.hot"),
-                    )?,
-                    cold: WorkingSetParams::from_json(
-                        need(v, "cold", what)?,
-                        &format!("{what}.cold"),
-                    )?,
-                    hot_fraction: f64_field(v, "hot_fraction", what)?,
-                };
-                node.validate(what)?;
-                Ok(node)
+                let f = node(&["kind", "hot", "cold", "hot_fraction"])?;
+                PatternNode::HotCold {
+                    hot: WorkingSetParams::from_json(f.need("hot")?, &format!("{what}.hot"))?,
+                    cold: WorkingSetParams::from_json(f.need("cold")?, &format!("{what}.cold"))?,
+                    hot_fraction: f.need("hot_fraction")?,
+                }
             }
             "loop_nest" => {
-                check_keys(v, &["kind", "arrays", "burst"], what)?;
-                let arrays = need(v, "arrays", what)?
-                    .as_arr()
-                    .ok_or_else(|| format!("{what}: \"arrays\" must be an array"))?
-                    .iter()
-                    .enumerate()
-                    .map(|(i, a)| StridedParams::from_json(a, &format!("{what}.arrays[{i}]")))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let node = PatternNode::LoopNest {
-                    arrays,
-                    burst: u32_field(v, "burst", what)?,
-                };
-                node.validate(what)?;
-                Ok(node)
+                let f = node(&["kind", "arrays", "burst"])?;
+                PatternNode::LoopNest {
+                    arrays: f
+                        .need::<&[Json]>("arrays")?
+                        .iter()
+                        .enumerate()
+                        .map(|(i, a)| StridedParams::from_json(a, &format!("{what}.arrays[{i}]")))
+                        .collect::<Result<_, _>>()?,
+                    burst: f.need("burst")?,
+                }
             }
-            "mixture" => {
-                check_keys(v, &["kind", "components"], what)?;
-                let components = need(v, "components", what)?
-                    .as_arr()
-                    .ok_or_else(|| format!("{what}: \"components\" must be an array"))?
+            "mixture" => PatternNode::Mixture(
+                list("components")?
                     .iter()
                     .enumerate()
                     .map(|(i, c)| {
-                        let where_ = format!("{what}.components[{i}]");
-                        check_keys(c, &["weight", "pattern"], &where_)?;
+                        let at = format!("{what}.components[{i}]");
+                        let c = Fields::new(c, &at, &["weight", "pattern"])?;
                         Ok((
-                            f64_field(c, "weight", &where_)?,
-                            PatternNode::from_json(
-                                need(c, "pattern", &where_)?,
-                                &format!("{where_}.pattern"),
-                            )?,
+                            c.need("weight")?,
+                            PatternNode::from_json(c.need("pattern")?, &format!("{at}.pattern"))?,
                         ))
                     })
-                    .collect::<Result<Vec<_>, String>>()?;
-                let node = PatternNode::Mixture(components);
-                node.validate(what)?;
-                Ok(node)
-            }
-            "phases" => {
-                check_keys(v, &["kind", "phases"], what)?;
-                let phases = need(v, "phases", what)?
-                    .as_arr()
-                    .ok_or_else(|| format!("{what}: \"phases\" must be an array"))?
+                    .collect::<Result<_, String>>()?,
+            ),
+            "phases" => PatternNode::Phases(
+                list("phases")?
                     .iter()
                     .enumerate()
                     .map(|(i, p)| {
-                        let where_ = format!("{what}.phases[{i}]");
-                        check_keys(p, &["name", "refs", "pattern"], &where_)?;
+                        let at = format!("{what}.phases[{i}]");
+                        let p = Fields::new(p, &at, &["name", "refs", "pattern"])?;
                         Ok(PhaseSpec {
-                            name: need(p, "name", &where_)?
-                                .as_str()
-                                .ok_or_else(|| format!("{where_}: \"name\" must be a string"))?
-                                .to_string(),
-                            refs: u64_field(p, "refs", &where_)?,
+                            name: p.need::<&str>("name")?.to_string(),
+                            refs: p.need("refs")?,
                             pattern: PatternNode::from_json(
-                                need(p, "pattern", &where_)?,
-                                &format!("{where_}.pattern"),
+                                p.need("pattern")?,
+                                &format!("{at}.pattern"),
                             )?,
                         })
                     })
-                    .collect::<Result<Vec<_>, String>>()?;
-                let node = PatternNode::Phases(phases);
-                node.validate(what)?;
-                Ok(node)
+                    .collect::<Result<_, String>>()?,
+            ),
+            other => {
+                return Err(format!(
+                    "{what}: unknown pattern kind {other:?} (want strided, chase, working_set, \
+                     zipf, hot_cold, loop_nest, mixture or phases)"
+                ))
             }
-            other => Err(format!(
-                "{what}: unknown pattern kind {other:?} (want strided, chase, working_set, \
-                 zipf, hot_cold, loop_nest, mixture or phases)"
-            )),
-        }
+        })
     }
 
     /// Renders the node in canonical key order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when a numeric field exceeds the codec's
-    /// exact-integer range (only reachable on hand-built trees —
-    /// parsed nodes are already range-checked).
-    pub fn to_json(&self, what: &str) -> Result<Json, String> {
+    fn to_json(&self) -> Json {
         let mut fields: Vec<(&'static str, Json)> = Vec::new();
         match self {
             PatternNode::Strided(p) => {
                 fields.push(("kind", Json::str("strided")));
-                fields.extend(p.fields(what)?);
+                fields.extend(p.fields());
             }
             PatternNode::Chase {
                 base,
@@ -668,15 +563,15 @@ impl PatternNode {
                 seed,
             } => {
                 fields.push(("kind", Json::str("chase")));
-                fields.push(("base", exact_num(*base, "base", what)?));
-                fields.push(("nodes", Json::num(f64::from(*nodes))));
-                fields.push(("node_bytes", exact_num(*node_bytes, "node_bytes", what)?));
+                fields.push(("base", int_json(*base)));
+                fields.push(("nodes", int_json(*nodes)));
+                fields.push(("node_bytes", int_json(*node_bytes)));
                 fields.push(("store_fraction", Json::num(*store_fraction)));
                 fields.push(("seed", seed_json(*seed)));
             }
             PatternNode::WorkingSet(p) => {
                 fields.push(("kind", Json::str("working_set")));
-                fields.extend(p.fields(what)?);
+                fields.extend(p.fields());
             }
             PatternNode::Zipf {
                 base,
@@ -686,9 +581,9 @@ impl PatternNode {
                 store_fraction,
             } => {
                 fields.push(("kind", Json::str("zipf")));
-                fields.push(("base", exact_num(*base, "base", what)?));
-                fields.push(("slots", Json::num(f64::from(*slots))));
-                fields.push(("elem_size", Json::num(f64::from(*elem_size))));
+                fields.push(("base", int_json(*base)));
+                fields.push(("slots", int_json(*slots)));
+                fields.push(("elem_size", int_json(*elem_size)));
                 fields.push(("s", Json::num(*s)));
                 fields.push(("store_fraction", Json::num(*store_fraction)));
             }
@@ -698,30 +593,24 @@ impl PatternNode {
                 hot_fraction,
             } => {
                 fields.push(("kind", Json::str("hot_cold")));
-                fields.push(("hot", Json::obj(hot.fields(what)?)));
-                fields.push(("cold", Json::obj(cold.fields(what)?)));
+                fields.push(("hot", Json::obj(hot.fields())));
+                fields.push(("cold", Json::obj(cold.fields())));
                 fields.push(("hot_fraction", Json::num(*hot_fraction)));
             }
             PatternNode::LoopNest { arrays, burst } => {
                 fields.push(("kind", Json::str("loop_nest")));
-                let arrays = arrays
-                    .iter()
-                    .map(|a| Ok(Json::obj(a.fields(what)?)))
-                    .collect::<Result<Vec<_>, String>>()?;
+                let arrays = arrays.iter().map(|a| Json::obj(a.fields())).collect();
                 fields.push(("arrays", Json::Arr(arrays)));
-                fields.push(("burst", Json::num(f64::from(*burst))));
+                fields.push(("burst", int_json(*burst)));
             }
             PatternNode::Mixture(components) => {
                 fields.push(("kind", Json::str("mixture")));
                 let components = components
                     .iter()
                     .map(|(w, p)| {
-                        Ok(Json::obj(vec![
-                            ("weight", Json::num(*w)),
-                            ("pattern", p.to_json(what)?),
-                        ]))
+                        Json::obj(vec![("weight", Json::num(*w)), ("pattern", p.to_json())])
                     })
-                    .collect::<Result<Vec<_>, String>>()?;
+                    .collect();
                 fields.push(("components", Json::Arr(components)));
             }
             PatternNode::Phases(phases) => {
@@ -729,17 +618,17 @@ impl PatternNode {
                 let phases = phases
                     .iter()
                     .map(|p| {
-                        Ok(Json::obj(vec![
+                        Json::obj(vec![
                             ("name", Json::str(&p.name)),
-                            ("refs", exact_num(p.refs, "refs", what)?),
-                            ("pattern", p.pattern.to_json(what)?),
-                        ]))
+                            ("refs", int_json(p.refs)),
+                            ("pattern", p.pattern.to_json()),
+                        ])
                     })
-                    .collect::<Result<Vec<_>, String>>()?;
+                    .collect();
                 fields.push(("phases", Json::Arr(phases)));
             }
         }
-        Ok(Json::obj(fields))
+        Json::obj(fields)
     }
 
     /// Validates the node tree: every check mirrors a constructor panic
@@ -919,51 +808,41 @@ impl WorkloadSpec {
     ///
     /// `name` and `seed_mix` are optional (default: anonymous, 0);
     /// `shape` is optional and defaults to [`TraceShape::default`];
-    /// `pattern` is required. A returned spec always compiles without
-    /// panicking.
+    /// `pattern` is required. The JSON is read for shape and types, then
+    /// the spec is checked once by [`WorkloadSpec::validate`], so a
+    /// returned spec always compiles without panicking.
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending key or parameter.
     pub fn from_json(v: &Json) -> Result<WorkloadSpec, String> {
-        check_keys(v, &["name", "seed_mix", "shape", "pattern"], "workload")?;
-        let name = match v.get("name") {
-            None => None,
-            Some(n) => Some(
-                n.as_str()
-                    .ok_or("workload: \"name\" must be a string")?
-                    .to_string(),
-            ),
-        };
-        let seed_mix = match v.get("seed_mix") {
-            None => 0,
-            Some(_) => seed_field(v, "seed_mix", "workload")?,
-        };
-        let shape = match v.get("shape") {
+        let f = Fields::new(v, "workload", &["name", "seed_mix", "shape", "pattern"])?;
+        let shape = match f.opt("shape")? {
             None => TraceShape::default(),
             Some(s) => {
-                check_keys(
+                let s = Fields::new(
                     s,
-                    &["mem_fraction", "branch_fraction", "code_bytes"],
                     "workload.shape",
+                    &["mem_fraction", "branch_fraction", "code_bytes"],
                 )?;
                 TraceShape {
-                    mem_fraction: f64_field(s, "mem_fraction", "workload.shape")?,
-                    branch_fraction: f64_field(s, "branch_fraction", "workload.shape")?,
-                    code_bytes: u64_field(s, "code_bytes", "workload.shape")?,
+                    mem_fraction: s.need("mem_fraction")?,
+                    branch_fraction: s.need("branch_fraction")?,
+                    code_bytes: s.need("code_bytes")?,
                 }
             }
         };
-        shape
-            .validate()
-            .map_err(|e| format!("workload.shape: {e}"))?;
-        let root = PatternNode::from_json(need(v, "pattern", "workload")?, "workload.pattern")?;
-        Ok(WorkloadSpec {
-            name,
-            seed_mix,
+        let spec = WorkloadSpec {
+            name: f.opt::<&str>("name")?.map(str::to_string),
+            seed_mix: match f.opt("seed_mix")? {
+                None => 0,
+                Some(seed) => seed_field(seed, "seed_mix", "workload")?,
+            },
             shape,
-            root,
-        })
+            root: PatternNode::from_json(f.need("pattern")?, "workload.pattern")?,
+        };
+        spec.validate()?;
+        Ok(spec)
     }
 
     /// Parses a spec from JSON text — [`WorkloadSpec::from_json`] over
@@ -976,8 +855,8 @@ impl WorkloadSpec {
         WorkloadSpec::from_json(&Json::parse(text)?)
     }
 
-    /// Validates the spec; parsed specs are already valid, this is for
-    /// hand-built trees.
+    /// Validates the spec: the one check every parsed spec passes, and
+    /// the one a hand-built tree needs before it compiles.
     ///
     /// # Errors
     ///
@@ -1013,12 +892,7 @@ impl WorkloadSpec {
                     ("code_bytes", Json::num(self.shape.code_bytes as f64)),
                 ]),
             ),
-            (
-                "pattern",
-                self.root
-                    .to_json("workload.pattern")
-                    .expect("validated nodes render"),
-            ),
+            ("pattern", self.root.to_json()),
         ])
     }
 
@@ -1292,6 +1166,18 @@ mod tests {
             (
                 r#"{"shape":{"mem_fraction":1.5,"branch_fraction":0.0,"code_bytes":1024},"pattern":{"kind":"working_set","base":0,"bytes":64,"store_fraction":0.0,"elem_size":4}}"#,
                 "mem_fraction",
+            ),
+            (
+                r#"{"pattern":{"kind":"hot_cold","hot_fraction":0.9,"hot":{"base":0,"bytes":64,"store_fraction":0.0,"elem_size":4},"cold":{"base":0,"bytes":0,"store_fraction":0.0,"elem_size":4}}}"#,
+                "workload.pattern.cold: working set must be non-empty",
+            ),
+            (
+                r#"{"pattern":{"kind":"phases","phases":[{"name":"a","refs":"x","pattern":{"kind":"warp"}}]}}"#,
+                r#"workload.pattern.phases[0]: "refs" must be a non-negative integer"#,
+            ),
+            (
+                r#"{"pattern":{"kind":"zipf","base":0,"slots":64,"elem_size":300,"s":1.0,"store_fraction":0.1}}"#,
+                r#"workload.pattern: "elem_size" must be at most 255"#,
             ),
         ] {
             let err = WorkloadSpec::from_json_str(bad).unwrap_err();

@@ -27,7 +27,7 @@
 use crate::cost::PinModel;
 use crate::linesize::{optimal_line_eq19, optimal_line_smith, FillTiming, LineCandidate};
 use crate::{mean_access_time, HitRatio, Machine, SystemConfig};
-use report::Json;
+use report::{Fields, Json};
 use simcache::{Analytic, CacheConfig, Resolution, Simulated};
 use simcpu::{CpuConfig, MissTimeline, StallFeature, TimelineCpu};
 use simmem::{BusWidth, MemoryTiming};
@@ -158,7 +158,7 @@ fn bad<T>(message: impl Into<String>) -> Result<T, ApiError> {
 }
 
 // ---------------------------------------------------------------------------
-// Grid specifications (shared with `bench::grid`, which re-exports them)
+// Grid specifications (shared with `bench::grid`)
 // ---------------------------------------------------------------------------
 
 /// The (cache size × line size × associativity) grid the simulated
@@ -194,9 +194,9 @@ impl DenseGrid {
     /// A debug-friendly slice of the dense grid for short suites.
     pub fn small() -> Self {
         DenseGrid {
-            line_sizes: vec![8, 16, 32, 64, 128],
             max_sets: 64,
             max_assoc: 8,
+            ..DenseGrid::standard()
         }
     }
 
@@ -639,12 +639,13 @@ pub struct GridQuery {
 
 impl Default for GridQuery {
     fn default() -> Self {
+        let dense = DenseGrid::standard();
         GridQuery {
             backend: GridBackend::Analytic,
             instructions: 120_000,
             target: 0.9,
-            max_sets: 2084,
-            max_assoc: 16,
+            max_sets: dense.max_sets,
+            max_assoc: dense.max_assoc,
             programs: Vec::new(),
             workloads: Vec::new(),
         }
@@ -721,362 +722,167 @@ impl QueryRequest {
     ///
     /// Same conditions as [`QueryRequest::from_json_str`].
     pub fn from_json(value: &Json) -> Result<QueryRequest, ApiError> {
-        if value.as_obj().is_none() {
-            return bad("request must be a JSON object");
-        }
-        let kind = value
-            .get("query")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ApiError::bad_request("missing \"query\" discriminator"))?;
-        let p = Params { obj: value };
-        match kind {
-            "price" => {
-                p.check_keys(&["bus", "line", "beta", "hr", "alpha", "q", "width"])?;
-                let d = PriceQuery::default();
-                Ok(QueryRequest::Price(PriceQuery {
-                    bus: p.f64("bus", Some(d.bus))?,
-                    line: p.f64("line", Some(d.line))?,
-                    beta: p.f64("beta", Some(d.beta))?,
-                    hr: p.f64("hr", None)?,
-                    alpha: p.f64("alpha", Some(d.alpha))?,
-                    q: p.f64("q", Some(d.q))?,
-                    width: p.u32("width", d.width)?,
-                }))
-            }
-            "crossover" => {
-                p.check_keys(&["chunks", "q", "alpha"])?;
-                Ok(QueryRequest::Crossover(CrossoverQuery {
-                    chunks: p.f64("chunks", None)?,
-                    q: p.f64("q", Some(2.0))?,
-                    alpha: p.f64("alpha", Some(0.5))?,
-                }))
-            }
-            "linesize" => {
-                p.check_keys(&["c", "beta", "bus", "curve"])?;
-                let curve = value
-                    .get("curve")
-                    .ok_or_else(|| ApiError::bad_request("missing required \"curve\""))?;
-                let pairs = curve
-                    .as_arr()
-                    .ok_or_else(|| ApiError::bad_request("\"curve\" must be an array"))?;
-                let mut parsed = Vec::with_capacity(pairs.len());
-                for pair in pairs {
-                    let two = pair.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                        ApiError::bad_request("curve entries must be [line_bytes, hit_ratio]")
-                    })?;
-                    let line = two[0]
-                        .as_f64()
-                        .ok_or_else(|| ApiError::bad_request("bad curve line size"))?;
-                    let hr = two[1]
-                        .as_f64()
-                        .ok_or_else(|| ApiError::bad_request("bad curve hit ratio"))?;
-                    parsed.push((line, hr));
-                }
-                Ok(QueryRequest::Linesize(LinesizeQuery {
-                    c: p.f64("c", None)?,
-                    beta: p.f64("beta", None)?,
-                    bus: p.f64("bus", Some(4.0))?,
-                    curve: parsed,
-                }))
-            }
-            "design" => {
-                p.check_keys(&["hr", "target", "line", "beta", "alpha"])?;
-                Ok(QueryRequest::Design(DesignQuery {
-                    hr: p.f64("hr", None)?,
-                    target: p.f64("target", None)?,
-                    line: p.f64("line", Some(32.0))?,
-                    beta: p.f64("beta", Some(8.0))?,
-                    alpha: p.f64("alpha", Some(0.5))?,
-                }))
-            }
-            "simulate" => {
-                p.check_keys(&[
-                    "program",
-                    "workload",
-                    "instructions",
-                    "stall",
-                    "cache",
-                    "line",
-                    "bus",
-                    "beta",
-                    "seed",
-                ])?;
-                let d = SimulateQuery::default();
-                let workload = parse_workload_ref(value)?;
-                Ok(QueryRequest::Simulate(SimulateQuery {
-                    workload,
-                    instructions: p.u64("instructions", Some(d.instructions as u64))? as usize,
-                    stall: p.str_or("stall", &d.stall)?.to_string(),
-                    cache: p.u64("cache", Some(d.cache))?,
-                    line: p.u64("line", Some(d.line))?,
-                    bus: p.u64("bus", Some(d.bus))?,
-                    beta: p.u64("beta", Some(d.beta))?,
-                    seed: p.u64("seed", Some(d.seed))?,
-                }))
-            }
-            "grid" => {
-                p.check_keys(&[
-                    "backend",
-                    "instructions",
-                    "target",
-                    "sets",
-                    "assoc",
-                    "programs",
-                    "workloads",
-                ])?;
-                let d = GridQuery::default();
-                let backend = match p.str_or("backend", "analytic")? {
-                    "sim" => GridBackend::Sim,
-                    "analytic" => GridBackend::Analytic,
-                    other => {
-                        return bad(format!("unknown backend {other:?} (want sim or analytic)"))
-                    }
-                };
-                let programs = match value.get("programs") {
-                    None => Vec::new(),
-                    Some(list) => {
-                        let items = list.as_arr().ok_or_else(|| {
-                            ApiError::bad_request("\"programs\" must be an array")
-                        })?;
-                        items
-                            .iter()
-                            .map(|i| {
-                                i.as_str().map(str::to_string).ok_or_else(|| {
-                                    ApiError::bad_request("program names must be strings")
-                                })
-                            })
-                            .collect::<Result<Vec<_>, _>>()?
-                    }
-                };
-                let workloads = match value.get("workloads") {
-                    None => Vec::new(),
-                    Some(list) => {
-                        let items = list.as_arr().ok_or_else(|| {
-                            ApiError::bad_request("\"workloads\" must be an array")
-                        })?;
-                        items
-                            .iter()
-                            .map(|i| WorkloadSpec::from_json(i).map_err(ApiError::bad_request))
-                            .collect::<Result<Vec<_>, _>>()?
-                    }
-                };
-                Ok(QueryRequest::Grid(GridQuery {
-                    backend,
-                    instructions: p.u64("instructions", Some(d.instructions as u64))? as usize,
-                    target: p.f64("target", Some(d.target))?,
-                    max_sets: p.u64("sets", Some(d.max_sets))?,
-                    max_assoc: p.u32("assoc", d.max_assoc)?,
-                    programs,
-                    workloads,
-                }))
-            }
-            "experiments" => {
-                p.check_keys(&[])?;
-                Ok(QueryRequest::Experiments)
-            }
-            "workloads" => {
-                p.check_keys(&["action", "name", "workload"])?;
-                let action = p.str_or("action", "list")?;
-                match action {
-                    "list" => Ok(QueryRequest::Workloads(WorkloadsQuery::List)),
-                    "show" => Ok(QueryRequest::Workloads(WorkloadsQuery::Show {
-                        name: p.required_str("name")?.to_string(),
-                    })),
-                    "validate" => {
-                        let spec = value.get("workload").ok_or_else(|| {
-                            ApiError::bad_request("validate needs an inline \"workload\"")
-                        })?;
-                        Ok(QueryRequest::Workloads(WorkloadsQuery::Validate(
-                            WorkloadSpec::from_json(spec).map_err(ApiError::bad_request)?,
-                        )))
-                    }
-                    other => bad(format!(
-                        "unknown action {other:?} (want list, show or validate)"
-                    )),
-                }
-            }
-            other => bad(format!("unknown query {other:?}")),
-        }
-    }
-
-    /// The request's canonical wire form (every field explicit).
-    pub fn to_json(&self) -> Json {
-        let kind = ("query", Json::str(self.kind()));
-        match self {
-            QueryRequest::Price(q) => Json::obj(vec![
-                kind,
-                ("bus", Json::num(q.bus)),
-                ("line", Json::num(q.line)),
-                ("beta", Json::num(q.beta)),
-                ("hr", Json::num(q.hr)),
-                ("alpha", Json::num(q.alpha)),
-                ("q", Json::num(q.q)),
-                ("width", Json::num(q.width)),
-            ]),
-            QueryRequest::Crossover(q) => Json::obj(vec![
-                kind,
-                ("chunks", Json::num(q.chunks)),
-                ("q", Json::num(q.q)),
-                ("alpha", Json::num(q.alpha)),
-            ]),
-            QueryRequest::Linesize(q) => Json::obj(vec![
-                kind,
-                ("c", Json::num(q.c)),
-                ("beta", Json::num(q.beta)),
-                ("bus", Json::num(q.bus)),
-                (
-                    "curve",
-                    Json::Arr(
-                        q.curve
-                            .iter()
-                            .map(|&(l, h)| Json::Arr(vec![Json::num(l), Json::num(h)]))
-                            .collect(),
-                    ),
-                ),
-            ]),
-            QueryRequest::Design(q) => Json::obj(vec![
-                kind,
-                ("hr", Json::num(q.hr)),
-                ("target", Json::num(q.target)),
-                ("line", Json::num(q.line)),
-                ("beta", Json::num(q.beta)),
-                ("alpha", Json::num(q.alpha)),
-            ]),
-            QueryRequest::Simulate(q) => {
-                let workload = match &q.workload {
-                    WorkloadRef::Named(name) => ("program", Json::str(name)),
-                    WorkloadRef::Inline(spec) => ("workload", spec.to_json()),
-                };
-                Json::obj(vec![
-                    kind,
-                    workload,
-                    ("instructions", Json::num(q.instructions as f64)),
-                    ("stall", Json::str(&q.stall)),
-                    ("cache", Json::num(q.cache as f64)),
-                    ("line", Json::num(q.line as f64)),
-                    ("bus", Json::num(q.bus as f64)),
-                    ("beta", Json::num(q.beta as f64)),
-                    ("seed", Json::num(q.seed as f64)),
-                ])
-            }
-            QueryRequest::Grid(q) => {
-                let mut pairs = vec![
-                    kind,
-                    ("backend", Json::str(q.backend.name())),
-                    ("instructions", Json::num(q.instructions as f64)),
-                    ("target", Json::num(q.target)),
-                    ("sets", Json::num(q.max_sets as f64)),
-                    ("assoc", Json::num(q.max_assoc)),
-                    (
-                        "programs",
-                        Json::Arr(q.programs.iter().map(Json::str).collect()),
-                    ),
-                ];
-                if !q.workloads.is_empty() {
-                    pairs.push((
-                        "workloads",
-                        Json::Arr(q.workloads.iter().map(WorkloadSpec::to_json).collect()),
-                    ));
-                }
-                Json::obj(pairs)
-            }
-            QueryRequest::Experiments => Json::obj(vec![kind]),
-            QueryRequest::Workloads(q) => match q {
-                WorkloadsQuery::List => Json::obj(vec![kind, ("action", Json::str("list"))]),
-                WorkloadsQuery::Show { name } => Json::obj(vec![
-                    kind,
-                    ("action", Json::str("show")),
-                    ("name", Json::str(name)),
-                ]),
-                WorkloadsQuery::Validate(spec) => Json::obj(vec![
-                    kind,
-                    ("action", Json::str("validate")),
-                    ("workload", spec.to_json()),
-                ]),
-            },
-        }
+        parse_request(value).map_err(ApiError::bad_request)
     }
 }
 
-/// Extracts the workload reference of a `simulate`-style request:
-/// exactly one of `"program"` (a built-in name) or `"workload"` (an
-/// inline spec object).
-fn parse_workload_ref(value: &Json) -> Result<WorkloadRef, ApiError> {
-    match (value.get("program"), value.get("workload")) {
-        (Some(_), Some(_)) => bad("give either \"program\" or \"workload\", not both"),
-        (Some(name), None) => Ok(WorkloadRef::Named(
-            name.as_str()
-                .ok_or_else(|| ApiError::bad_request("\"program\" must be a string"))?
-                .to_string(),
-        )),
-        (None, Some(spec)) => Ok(WorkloadRef::Inline(
-            WorkloadSpec::from_json(spec).map_err(ApiError::bad_request)?,
-        )),
-        (None, None) => bad("missing required \"program\" (or inline \"workload\")"),
-    }
-}
-
-/// Strict field extraction over a request object.
-struct Params<'a> {
-    obj: &'a Json,
-}
-
-impl Params<'_> {
-    /// Rejects keys outside `allowed` (plus the discriminator).
-    fn check_keys(&self, allowed: &[&str]) -> Result<(), ApiError> {
-        for key in self.obj.keys() {
-            if key != "query" && !allowed.contains(&key) {
-                return bad(format!("unknown key {key:?}"));
-            }
+/// Reads a request through the strict [`Fields`] reader, with the query
+/// kind naming the object in every error.
+fn parse_request(value: &Json) -> Result<QueryRequest, String> {
+    let kind = Fields::kind(value, "request", "query")?;
+    let p = |allowed: &[&str]| Fields::new(value, kind, allowed);
+    Ok(match kind {
+        "price" => {
+            let p = p(&["query", "bus", "line", "beta", "hr", "alpha", "q", "width"])?;
+            let d = PriceQuery::default();
+            QueryRequest::Price(PriceQuery {
+                bus: p.or("bus", d.bus)?,
+                line: p.or("line", d.line)?,
+                beta: p.or("beta", d.beta)?,
+                hr: p.need("hr")?,
+                alpha: p.or("alpha", d.alpha)?,
+                q: p.or("q", d.q)?,
+                width: p.or("width", d.width)?,
+            })
         }
-        Ok(())
-    }
-
-    fn f64(&self, key: &str, default: Option<f64>) -> Result<f64, ApiError> {
-        match self.obj.get(key) {
-            Some(v) => v
-                .as_f64()
-                .ok_or_else(|| ApiError::bad_request(format!("\"{key}\" must be a number"))),
-            None => {
-                default.ok_or_else(|| ApiError::bad_request(format!("missing required \"{key}\"")))
-            }
+        "crossover" => {
+            let p = p(&["query", "chunks", "q", "alpha"])?;
+            QueryRequest::Crossover(CrossoverQuery {
+                chunks: p.need("chunks")?,
+                q: p.or("q", 2.0)?,
+                alpha: p.or("alpha", 0.5)?,
+            })
         }
-    }
-
-    fn u64(&self, key: &str, default: Option<u64>) -> Result<u64, ApiError> {
-        match self.obj.get(key) {
-            Some(v) => v.as_u64().ok_or_else(|| {
-                ApiError::bad_request(format!("\"{key}\" must be a non-negative integer"))
-            }),
-            None => {
-                default.ok_or_else(|| ApiError::bad_request(format!("missing required \"{key}\"")))
-            }
+        "linesize" => {
+            let p = p(&["query", "c", "beta", "bus", "curve"])?;
+            let curve = p
+                .need::<&[Json]>("curve")?
+                .iter()
+                .map(|pair| match pair.as_arr() {
+                    Some([line, hr]) => line.as_f64().zip(hr.as_f64()),
+                    _ => None,
+                })
+                .collect::<Option<_>>()
+                .ok_or("linesize: \"curve\" entries must be [line_bytes, hit_ratio]")?;
+            QueryRequest::Linesize(LinesizeQuery {
+                c: p.need("c")?,
+                beta: p.need("beta")?,
+                bus: p.or("bus", 4.0)?,
+                curve,
+            })
         }
-    }
-
-    /// [`Params::u64`], rejecting values that do not fit a `u32`
-    /// instead of truncating them.
-    fn u32(&self, key: &str, default: u32) -> Result<u32, ApiError> {
-        let v = self.u64(key, Some(u64::from(default)))?;
-        u32::try_from(v)
-            .map_err(|_| ApiError::bad_request(format!("\"{key}\" must be at most {}", u32::MAX)))
-    }
-
-    fn required_str(&self, key: &str) -> Result<&str, ApiError> {
-        self.obj
-            .get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| ApiError::bad_request(format!("missing required \"{key}\"")))
-    }
-
-    fn str_or<'s>(&'s self, key: &str, default: &'s str) -> Result<&'s str, ApiError> {
-        match self.obj.get(key) {
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| ApiError::bad_request(format!("\"{key}\" must be a string"))),
-            None => Ok(default),
+        "design" => {
+            let p = p(&["query", "hr", "target", "line", "beta", "alpha"])?;
+            QueryRequest::Design(DesignQuery {
+                hr: p.need("hr")?,
+                target: p.need("target")?,
+                line: p.or("line", 32.0)?,
+                beta: p.or("beta", 8.0)?,
+                alpha: p.or("alpha", 0.5)?,
+            })
         }
-    }
+        "simulate" => {
+            let p = p(&[
+                "query",
+                "program",
+                "workload",
+                "instructions",
+                "stall",
+                "cache",
+                "line",
+                "bus",
+                "beta",
+                "seed",
+            ])?;
+            let d = SimulateQuery::default();
+            let workload = match (p.opt::<&str>("program")?, p.opt("workload")?) {
+                (Some(_), Some(_)) => {
+                    return Err(
+                        "simulate: give either \"program\" or \"workload\", not both".into(),
+                    )
+                }
+                (Some(name), None) => WorkloadRef::Named(name.to_string()),
+                (None, Some(spec)) => WorkloadRef::Inline(WorkloadSpec::from_json(spec)?),
+                (None, None) => {
+                    return Err(
+                        "simulate: \"program\" (or an inline \"workload\") is missing".into(),
+                    )
+                }
+            };
+            QueryRequest::Simulate(SimulateQuery {
+                workload,
+                instructions: p.or("instructions", d.instructions as u64)? as usize,
+                stall: p.opt::<&str>("stall")?.map_or(d.stall, str::to_string),
+                cache: p.or("cache", d.cache)?,
+                line: p.or("line", d.line)?,
+                bus: p.or("bus", d.bus)?,
+                beta: p.or("beta", d.beta)?,
+                seed: p.or("seed", d.seed)?,
+            })
+        }
+        "grid" => {
+            let p = p(&[
+                "query",
+                "backend",
+                "instructions",
+                "target",
+                "sets",
+                "assoc",
+                "programs",
+                "workloads",
+            ])?;
+            let d = GridQuery::default();
+            let backend = match p.or("backend", "analytic")? {
+                "sim" => GridBackend::Sim,
+                "analytic" => GridBackend::Analytic,
+                other => {
+                    return Err(format!(
+                        "grid: unknown backend {other:?} (want sim or analytic)"
+                    ))
+                }
+            };
+            QueryRequest::Grid(GridQuery {
+                backend,
+                instructions: p.or("instructions", d.instructions as u64)? as usize,
+                target: p.or("target", d.target)?,
+                max_sets: p.or("sets", d.max_sets)?,
+                max_assoc: p.or("assoc", d.max_assoc)?,
+                programs: p
+                    .or::<&[Json]>("programs", &[])?
+                    .iter()
+                    .map(|name| name.as_str().map(str::to_string))
+                    .collect::<Option<_>>()
+                    .ok_or("grid: \"programs\" must hold strings")?,
+                workloads: p
+                    .or::<&[Json]>("workloads", &[])?
+                    .iter()
+                    .map(WorkloadSpec::from_json)
+                    .collect::<Result<_, _>>()?,
+            })
+        }
+        "experiments" => {
+            p(&["query"])?;
+            QueryRequest::Experiments
+        }
+        "workloads" => {
+            let p = p(&["query", "action", "name", "workload"])?;
+            QueryRequest::Workloads(match p.or("action", "list")? {
+                "list" => WorkloadsQuery::List,
+                "show" => WorkloadsQuery::Show {
+                    name: p.need::<&str>("name")?.to_string(),
+                },
+                "validate" => {
+                    WorkloadsQuery::Validate(WorkloadSpec::from_json(p.need("workload")?)?)
+                }
+                other => {
+                    return Err(format!(
+                        "workloads: unknown action {other:?} (want list, show or validate)"
+                    ))
+                }
+            })
+        }
+        other => return Err(format!("unknown query {other:?}")),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1778,9 +1584,9 @@ fn grid(q: &GridQuery, env: &dyn Workloads) -> Result<QueryResponse, ApiError> {
                 return bad(format!("\"assoc\" must be in 1..={MAX_DENSE_ASSOC}"));
             }
             let dense = DenseGrid {
-                line_sizes: vec![8, 16, 32, 64, 128],
                 max_sets: q.max_sets,
                 max_assoc: q.max_assoc,
+                ..DenseGrid::standard()
             };
             let (min_line, max_line) = HIST_LINE_RANGE;
             let mut rows = Vec::with_capacity(specs.len());
@@ -1816,11 +1622,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn price_requests_round_trip_and_dispatch() {
+    fn price_requests_parse_and_dispatch() {
         let req = QueryRequest::from_json_str("{\"query\": \"price\", \"hr\": 0.95}").unwrap();
         assert_eq!(req.kind(), "price");
-        let round = QueryRequest::from_json(&req.to_json()).unwrap();
-        assert_eq!(round, req);
+        assert_eq!(
+            req,
+            QueryRequest::Price(PriceQuery {
+                hr: 0.95,
+                ..PriceQuery::default()
+            })
+        );
         let resp = dispatch_uncached(&req).unwrap();
         let QueryResponse::Price(p) = &resp else {
             panic!("wrong response kind");
@@ -2053,53 +1864,91 @@ mod tests {
     }
 
     #[test]
-    fn every_request_shape_round_trips_through_json() {
-        let reqs = vec![
-            QueryRequest::Price(PriceQuery::default()),
-            QueryRequest::Crossover(CrossoverQuery {
-                chunks: 8.0,
-                q: 2.0,
-                alpha: 0.5,
-            }),
-            QueryRequest::Linesize(LinesizeQuery {
-                c: 7.0,
-                beta: 1.0,
-                bus: 4.0,
-                curve: vec![(8.0, 0.9), (16.0, 0.95)],
-            }),
-            QueryRequest::Design(DesignQuery {
-                hr: 0.95,
-                target: 3.5,
-                line: 32.0,
-                beta: 8.0,
-                alpha: 0.5,
-            }),
-            QueryRequest::Simulate(SimulateQuery {
-                workload: WorkloadRef::Named("ear".to_string()),
-                ..SimulateQuery::default()
-            }),
-            QueryRequest::Simulate(SimulateQuery {
-                workload: WorkloadRef::Inline(workload::builtin("ear").unwrap().clone()),
-                ..SimulateQuery::default()
-            }),
-            QueryRequest::Grid(GridQuery::default()),
-            QueryRequest::Grid(GridQuery {
-                workloads: vec![workload::builtin("doduc").unwrap().clone()],
-                ..GridQuery::default()
-            }),
-            QueryRequest::Experiments,
-            QueryRequest::Workloads(WorkloadsQuery::List),
-            QueryRequest::Workloads(WorkloadsQuery::Show {
-                name: "ear".to_string(),
-            }),
-            QueryRequest::Workloads(WorkloadsQuery::Validate(
-                workload::builtin("wave5").unwrap().clone(),
-            )),
+    fn every_request_shape_parses_from_its_wire_form() {
+        let spec = |name| workload::builtin(name).unwrap().clone();
+        let wire = |name| spec(name).to_json().render();
+        let cases = vec![
+            (
+                r#"{"query":"price","bus":4,"line":32,"beta":8,"hr":0.95,"alpha":0.5,"q":2,"width":1}"#
+                    .to_string(),
+                QueryRequest::Price(PriceQuery::default()),
+            ),
+            (
+                r#"{"query":"crossover","chunks":8}"#.to_string(),
+                QueryRequest::Crossover(CrossoverQuery {
+                    chunks: 8.0,
+                    q: 2.0,
+                    alpha: 0.5,
+                }),
+            ),
+            (
+                r#"{"query":"linesize","c":7,"beta":1,"curve":[[8,0.9],[16,0.95]]}"#.to_string(),
+                QueryRequest::Linesize(LinesizeQuery {
+                    c: 7.0,
+                    beta: 1.0,
+                    bus: 4.0,
+                    curve: vec![(8.0, 0.9), (16.0, 0.95)],
+                }),
+            ),
+            (
+                r#"{"query":"design","hr":0.95,"target":3.5}"#.to_string(),
+                QueryRequest::Design(DesignQuery {
+                    hr: 0.95,
+                    target: 3.5,
+                    line: 32.0,
+                    beta: 8.0,
+                    alpha: 0.5,
+                }),
+            ),
+            (
+                r#"{"query":"simulate","program":"ear"}"#.to_string(),
+                QueryRequest::Simulate(SimulateQuery {
+                    workload: WorkloadRef::Named("ear".to_string()),
+                    ..SimulateQuery::default()
+                }),
+            ),
+            (
+                format!(r#"{{"query":"simulate","workload":{}}}"#, wire("ear")),
+                QueryRequest::Simulate(SimulateQuery {
+                    workload: WorkloadRef::Inline(spec("ear")),
+                    ..SimulateQuery::default()
+                }),
+            ),
+            (
+                r#"{"query":"grid"}"#.to_string(),
+                QueryRequest::Grid(GridQuery::default()),
+            ),
+            (
+                format!(r#"{{"query":"grid","workloads":[{}]}}"#, wire("doduc")),
+                QueryRequest::Grid(GridQuery {
+                    workloads: vec![spec("doduc")],
+                    ..GridQuery::default()
+                }),
+            ),
+            (
+                r#"{"query":"experiments"}"#.to_string(),
+                QueryRequest::Experiments,
+            ),
+            (
+                r#"{"query":"workloads"}"#.to_string(),
+                QueryRequest::Workloads(WorkloadsQuery::List),
+            ),
+            (
+                r#"{"query":"workloads","action":"show","name":"ear"}"#.to_string(),
+                QueryRequest::Workloads(WorkloadsQuery::Show {
+                    name: "ear".to_string(),
+                }),
+            ),
+            (
+                format!(
+                    r#"{{"query":"workloads","action":"validate","workload":{}}}"#,
+                    wire("wave5")
+                ),
+                QueryRequest::Workloads(WorkloadsQuery::Validate(spec("wave5"))),
+            ),
         ];
-        for req in reqs {
-            let wire = req.to_json().render();
-            let back = QueryRequest::from_json_str(&wire).unwrap();
-            assert_eq!(back, req, "round-trip of {wire}");
+        for (wire, req) in cases {
+            assert_eq!(QueryRequest::from_json_str(&wire).unwrap(), req, "{wire}");
         }
     }
 

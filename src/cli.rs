@@ -29,6 +29,7 @@
 //! enforces — always as bad usage (exit 2), never as a failure.
 
 use crate::server;
+use bench::grid;
 use bench::queryenv::StoreWorkloads;
 use report::{Json, Table};
 use std::collections::BTreeMap;
@@ -106,8 +107,9 @@ pub enum Command {
 /// A client-mode call against a running `tradeoff-server`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientCall {
-    /// `POST /query` with a typed request.
-    Query(QueryRequest),
+    /// `POST /query` with the request text, sent as typed once it has
+    /// parsed locally.
+    Query(String),
     /// `GET /stats`.
     Stats,
     /// `GET /experiments`.
@@ -249,9 +251,12 @@ fn parse_query(args: &[String]) -> Result<Command, CliError> {
             .map_err(|_| CliError::Usage(format!("--retries: not an integer: {v:?}")))?,
         None => DEFAULT_RETRIES,
     };
+    // A request is validated here, so a bad one is usage (exit 2) before
+    // any connection; client mode then forwards the text it checked.
     let request = json
-        .map(|text| QueryRequest::from_json_str(&text).map_err(from_api))
-        .transpose()?;
+        .map(|text| QueryRequest::from_json_str(&text).map(|req| (text, req)))
+        .transpose()
+        .map_err(from_api)?;
     let call = match (shutdown, get, request) {
         (true, None, None) => ClientCall::Shutdown { token },
         (false, Some(what), None) => match what.as_str() {
@@ -263,11 +268,11 @@ fn parse_query(args: &[String]) -> Result<Command, CliError> {
                 )))
             }
         },
-        (false, None, Some(req)) => match server {
+        (false, None, Some((text, req))) => match server {
             Some(addr) => {
                 return Ok(Command::Client {
                     addr,
-                    call: ClientCall::Query(req),
+                    call: ClientCall::Query(text),
                     retries,
                 })
             }
@@ -419,7 +424,7 @@ fn retry_pause(attempt: u32, retry_after: Option<u64>) -> std::time::Duration {
 /// dispatch.
 fn client(addr: &str, call: &ClientCall, retries: u32) -> Result<String, CliError> {
     let (method, path, body) = match call {
-        ClientCall::Query(req) => ("POST", "/query", Some(req.to_json().render())),
+        ClientCall::Query(text) => ("POST", "/query", Some(text.clone())),
         ClientCall::Stats => ("GET", "/stats", None),
         ClientCall::Experiments => ("GET", "/experiments", None),
         ClientCall::Shutdown { token } => (
@@ -578,40 +583,16 @@ fn render(req: &QueryRequest, resp: &QueryResponse, secs: f64) -> String {
                         QueryRequest::Grid(gq) => gq.clone(),
                         _ => GridQuery::default(),
                     };
-                    let per_workload = DenseGrid {
-                        line_sizes: vec![8, 16, 32, 64, 128],
+                    let dense = DenseGrid {
                         max_sets: gq.max_sets,
                         max_assoc: gq.max_assoc,
-                    }
-                    .points();
-                    let mut t = Table::new(["program", "cache", "geometry", "hit ratio"]);
-                    for row in rows {
-                        t.row(match &row.best {
-                            Some(b) => [
-                                row.program.clone(),
-                                format!("{} B", b.cache_bytes),
-                                format!("{} sets × {} B × {}-way", b.sets, b.line_bytes, b.assoc),
-                                format!("{:.4}", b.hit_ratio),
-                            ],
-                            None => [
-                                row.program.clone(),
-                                "-".to_string(),
-                                "unreachable".to_string(),
-                                "-".to_string(),
-                            ],
-                        });
-                    }
+                        ..DenseGrid::standard()
+                    };
                     format!(
                         "backend analytic: {} grid points in {secs:.2}s ({rate:.0} points/s, \
-                         including one histogram fold per proxy)\n\
-                         \nCheapest geometry reaching HR ≥ {} on the dense analytic grid \
-                         ({per_workload} points/workload, {} total — set counts 1..={}, closed \
-                         form, no simulation):\n{}",
+                         including one histogram fold per proxy)\n{}",
                         r.points,
-                        r.target.unwrap_or(gq.target),
-                        r.points,
-                        gq.max_sets,
-                        t.render()
+                        grid::dense_render(rows, &dense, r.target.unwrap_or(gq.target))
                     )
                 }
             }
@@ -842,6 +823,23 @@ mod tests {
         ])
         .unwrap_err();
         assert_eq!(err.exit_code(), 2);
+        // Client mode forwards the request text it validated, verbatim,
+        // and a bad request is usage before any connection is tried.
+        let text = r#"{"query": "crossover", "chunks": 8}"#;
+        let cmd =
+            parse_args(&["query", "--server", "127.0.0.1:9", "--json", text].map(String::from))
+                .unwrap();
+        assert_eq!(
+            cmd,
+            Command::Client {
+                addr: "127.0.0.1:9".to_string(),
+                call: ClientCall::Query(text.to_string()),
+                retries: 3,
+            }
+        );
+        let err = go(r#"query --server 127.0.0.1:9 --json {"query":"price"}"#).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{}", err.message());
+        assert!(err.message().contains("\"hr\""), "{}", err.message());
         // A client call parses into a typed command.
         let cmd = parse_args(&[
             "query".to_string(),

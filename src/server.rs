@@ -1087,22 +1087,7 @@ pub fn http_request(
     path: &str,
     body: Option<&str>,
 ) -> Result<HttpReply, String> {
-    let addr: SocketAddr = addr
-        .parse()
-        .map_err(|e| format!("bad server address {addr:?}: {e}"))?;
-    let mut stream = TcpStream::connect_timeout(&addr, IO_TIMEOUT)
-        .map_err(|e| format!("connecting to {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let body = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("sending request: {e}"))?;
-    read_reply(&mut stream, &mut Vec::new())
+    HttpClient::connect(addr)?.send(method, path, body, "", "close")
 }
 
 /// A minimal HTTP/1.1 client call — what `tradeoff-cli query --server`
@@ -1120,8 +1105,9 @@ pub fn http_call(
     http_request(addr, method, path, body).map(|reply| (reply.status, reply.body))
 }
 
-/// A persistent (keep-alive) HTTP/1.1 client connection: many calls,
-/// one TCP stream. Used by the keep-alive tests.
+/// An HTTP/1.1 client connection: many keep-alive calls on one TCP
+/// stream (the keep-alive tests), or one `Connection: close` call
+/// ([`http_request`]).
 #[derive(Debug)]
 pub struct HttpClient {
     stream: TcpStream,
@@ -1180,9 +1166,20 @@ impl HttpClient {
         body: Option<&str>,
         extra_headers: &str,
     ) -> Result<HttpReply, String> {
+        self.send(method, path, body, extra_headers, "keep-alive")
+    }
+
+    fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+        extra_headers: &str,
+        connection: &str,
+    ) -> Result<HttpReply, String> {
         let body = body.unwrap_or("");
         let request = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{extra_headers}Connection: keep-alive\r\n\r\n{body}",
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{extra_headers}Connection: {connection}\r\n\r\n{body}",
             self.addr,
             body.len(),
         );
