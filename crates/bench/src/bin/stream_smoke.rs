@@ -50,10 +50,14 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
+/// Every stall feature: FS, Figure 1's measured four, and NB from one
+/// MSHR up to the most a timeline replays.
 fn phi_points() -> Vec<(StallFeature, u64)> {
-    StallFeature::MEASURED
-        .iter()
-        .flat_map(|&f| BETAS.iter().map(move |&b| (f, b)))
+    let nb = [1, 4, MissTimeline::MAX_MSHRS].map(|mshrs| StallFeature::NonBlocking { mshrs });
+    std::iter::once(StallFeature::FullStall)
+        .chain(StallFeature::MEASURED)
+        .chain(nb)
+        .flat_map(|f| BETAS.iter().map(move |&b| (f, b)))
         .collect()
 }
 

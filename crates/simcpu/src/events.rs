@@ -10,15 +10,30 @@
 //! bus width, pipelining `q` or write-buffer setting, in
 //! `O(events + conflicted hits)` instead of `O(instructions)` per point.
 //!
-//! # Why the hits must be kept
+//! # Which hits are kept, and why that is exact
 //!
 //! Timing is *not* purely a function of the misses: a hit issued while a
-//! line streams in pays a conflict stall under BL/BNL/NB (Table 2). The
-//! timeline therefore records every hit between fills (an *echo*), and
-//! the replay walks an event's echoes only while a fill is still in
-//! flight — the first echo past the fill's completion fence ends the
-//! scan, so the replayed work is `O(events)` in practice while storage
-//! stays shared across every (feature × β_m × bus) point.
+//! line streams in pays a conflict stall under BL/BNL/NB (Table 2). A
+//! hit recorded after the first fill is an *echo*, and the timeline
+//! keeps exactly the echoes that some replay could stall:
+//!
+//! * the first echo after each event — BL stalls any access while the
+//!   fill is in flight, and that first access waits the fill out, so no
+//!   later echo of the event can find it in flight;
+//! * every echo on the line of one of the last
+//!   [`MissTimeline::MAX_MSHRS`] fills — BNL1–3 stall a hit only on the
+//!   in-flight fill's line, NB only on the line of one of at most
+//!   `mshrs` outstanding fills, and those are always the most recent
+//!   ones (the memory port completes fills in FIFO order).
+//!
+//! Dropping any other echo is exact: it cannot stall, and the clock
+//! advance and fill retirement it would have done are recomputed
+//! lazily at the next access the replay processes. [`TimelineCpu::new`]
+//! refuses NB with more MSHRs than the timeline covers. The replay
+//! walks an event's kept echoes only while a fill is still in flight —
+//! the first echo past the fill's completion fence ends the scan — so
+//! storage stays shared across every (feature × β_m × bus) point and a
+//! replay costs about as much as the fills it replays.
 //!
 //! # Exactness and scope
 //!
@@ -62,16 +77,24 @@ pub struct MissEvent {
 /// builder carries the live cache state between chunks, so feeding the
 /// same stream in any chunking produces a bit-identical timeline — and
 /// a 50 M-instruction trace never needs to exist in memory; only the
-/// O(misses) events and O(conflictable hits) echoes accumulate.
+/// O(misses) events and the echoes that can stall accumulate (module
+/// docs).
 #[derive(Debug, Clone)]
 pub struct MissTimelineBuilder {
     cache: CacheConfig,
     sim: Cache,
+    line_shift: u32,
     events: Vec<MissEvent>,
-    echo_instrs: Vec<u64>,
+    echo_offsets: Vec<u32>,
     echo_addrs: Vec<Addr>,
+    /// Line indices of the last `MAX_MSHRS` fills, fill `i` in slot
+    /// `i % MAX_MSHRS`. `u64::MAX` stands for "no fill yet"; should a
+    /// real line have that index, its echoes are merely kept, which is
+    /// always exact.
+    recent_lines: [u64; MissTimeline::MAX_MSHRS as usize],
+    /// No echo has followed the last event yet.
+    first_echo_pending: bool,
     miss_distance_hist: [u64; 20],
-    last_fill_instr: Option<u64>,
     instructions: u64,
 }
 
@@ -89,11 +112,13 @@ impl MissTimelineBuilder {
         MissTimelineBuilder {
             cache,
             sim: Cache::new(cache),
+            line_shift: cache.line_bytes().trailing_zeros(),
             events: Vec::new(),
-            echo_instrs: Vec::new(),
+            echo_offsets: Vec::new(),
             echo_addrs: Vec::new(),
+            recent_lines: [u64::MAX; MissTimeline::MAX_MSHRS as usize],
+            first_echo_pending: false,
             miss_distance_hist: [0u64; 20],
-            last_fill_instr: None,
             instructions: 0,
         }
     }
@@ -102,30 +127,42 @@ impl MissTimelineBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the stream holds ≥ 2³² hit accesses (the echo index is
-    /// compact).
+    /// Panics if the timeline keeps ≥ 2³² echoes (the echo index is
+    /// compact), or if a kept echo lies 2³² or more instructions after
+    /// its event (its offset is a `u32`).
     pub fn process(&mut self, instr: &Instr) {
         self.instructions += 1;
         let Some(mref) = instr.mem else { return };
         let out = self.sim.access(mref.op, mref.addr);
         if out.filled {
-            if let Some(last) = self.last_fill_instr {
-                self.miss_distance_hist[SimResult::distance_bucket(self.instructions - last)] += 1;
+            if let Some(last) = self.events.last() {
+                self.miss_distance_hist
+                    [SimResult::distance_bucket(self.instructions - last.instr)] += 1;
             }
-            self.last_fill_instr = Some(self.instructions);
             let echo_start =
-                u32::try_from(self.echo_instrs.len()).expect("echo index fits in 32 bits");
+                u32::try_from(self.echo_offsets.len()).expect("echo index fits in 32 bits");
+            let slot = self.events.len() % self.recent_lines.len();
+            self.recent_lines[slot] = mref.addr.raw() >> self.line_shift;
             self.events.push(MissEvent {
                 instr: self.instructions,
                 addr: mref.addr,
                 writeback: out.writeback.is_some(),
                 echo_start,
             });
+            self.first_echo_pending = true;
         } else {
             debug_assert!(out.hit, "a write-allocate access either hits or fills");
-            // Hits before the first fill can never stall.
-            if !self.events.is_empty() {
-                self.echo_instrs.push(self.instructions);
+            // Hits before the first fill can never stall; nor can the
+            // echoes the module docs rule out.
+            let Some(event) = self.events.last() else {
+                return;
+            };
+            let line = mref.addr.raw() >> self.line_shift;
+            if self.first_echo_pending || self.recent_lines.contains(&line) {
+                self.first_echo_pending = false;
+                let offset = u32::try_from(self.instructions - event.instr)
+                    .expect("echo offset fits in 32 bits");
+                self.echo_offsets.push(offset);
                 self.echo_addrs.push(mref.addr);
             }
         }
@@ -148,13 +185,13 @@ impl MissTimelineBuilder {
     /// allocated).
     pub fn finish(mut self) -> MissTimeline {
         self.events.shrink_to_fit();
-        self.echo_instrs.shrink_to_fit();
+        self.echo_offsets.shrink_to_fit();
         self.echo_addrs.shrink_to_fit();
         MissTimeline {
             cache: self.cache,
             instructions: self.instructions,
             events: self.events,
-            echo_instrs: self.echo_instrs,
+            echo_offsets: self.echo_offsets,
             echo_addrs: self.echo_addrs,
             stats: *self.sim.stats(),
             miss_distance_hist: self.miss_distance_hist,
@@ -165,27 +202,41 @@ impl MissTimelineBuilder {
 /// The complete timing-relevant record of one (trace, cache config)
 /// pair: extract once, replay for every timing model.
 ///
+/// Only the echoes that can stall are kept: the first hit after each
+/// fill, and every hit on the line of one of the last
+/// [`MAX_MSHRS`](Self::MAX_MSHRS) fills. Any other hit finds no fill in
+/// flight on its line under every feature a [`TimelineCpu`] accepts,
+/// and the replay recomputes its clock advance at the next kept access,
+/// so dropping it is exact (module docs). Hits before the first fill
+/// can never stall and are not stored either.
+///
 /// Echoes are stored structure-of-arrays: the replay's fence scan reads
-/// only the sorted instruction-index array (enabling the binary-search
-/// window cut in [`TimelineCpu::run`]) and addresses are touched only
-/// for echoes that actually stall-check — 16 bytes per echo. Hits
-/// before the first fill can never stall and are not stored.
+/// only the sorted offset array (enabling the binary-search window cut
+/// in [`TimelineCpu::run`]) and addresses are touched only for echoes
+/// that actually stall-check — 12 bytes per echo.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MissTimeline {
     cache: CacheConfig,
     instructions: u64,
     events: Vec<MissEvent>,
-    /// Echo instruction indices (ascending); event `i`'s echoes occupy
-    /// `echo_instrs[events[i].echo_start .. events[i+1].echo_start]`
+    /// Echo instruction indices as offsets from their event's (ascending
+    /// within an event); event `i`'s echoes occupy
+    /// `echo_offsets[events[i].echo_start .. events[i+1].echo_start]`
     /// (through the end of the list for the last event).
-    echo_instrs: Vec<u64>,
-    /// Echo byte addresses, parallel to `echo_instrs`.
+    echo_offsets: Vec<u32>,
+    /// Echo byte addresses, parallel to `echo_offsets`.
     echo_addrs: Vec<Addr>,
     stats: CacheStats,
     miss_distance_hist: [u64; 20],
 }
 
 impl MissTimeline {
+    /// The most outstanding fills a replay may track: the timeline keeps
+    /// the echoes on the lines of this many most recent fills, so
+    /// [`TimelineCpu::new`] refuses NB with more MSHRs. It covers every
+    /// MSHR count the experiments and the query API ask for (up to 8).
+    pub const MAX_MSHRS: u32 = 8;
+
     /// Whether a cache configuration admits timing-free extraction: the
     /// hit/miss outcome of every access must be independent of when the
     /// accesses happen, which holds for write-back write-allocate caches
@@ -200,8 +251,8 @@ impl MissTimeline {
     ///
     /// # Panics
     ///
-    /// Panics if [`MissTimeline::supports_cache`] rejects `cache`, or if
-    /// the trace holds ≥ 2³² hit accesses (the echo index is compact).
+    /// Panics if [`MissTimeline::supports_cache`] rejects `cache`, or as
+    /// [`MissTimelineBuilder::process`] does.
     pub fn extract(cache: CacheConfig, trace: impl IntoIterator<Item = Instr>) -> Self {
         let mut builder = MissTimelineBuilder::new(cache);
         for instr in trace {
@@ -246,7 +297,7 @@ impl MissTimeline {
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
         self.events.capacity() * size_of::<MissEvent>()
-            + self.echo_instrs.capacity() * size_of::<u64>()
+            + self.echo_offsets.capacity() * size_of::<u32>()
             + self.echo_addrs.capacity() * size_of::<Addr>()
             + size_of::<Self>()
     }
@@ -459,36 +510,38 @@ impl ReplayState {
         self.fills.back().map_or(0, FillSchedule::complete_at)
     }
 
-    /// Walks one event's echo window, stall-checking only echoes that
-    /// can still conflict with an in-flight fill.
+    /// Walks one event's echo window (offsets from the event at
+    /// instruction `base`), stall-checking only echoes that can still
+    /// conflict with an in-flight fill.
     ///
     /// An echo stall-checks only while a fill is in flight: echo `e`
     /// stalls iff `cycle + (e.instr − instr) < fence`. Between stalls
     /// the lag (`cycle − instr`) is constant, so the whole eligible
-    /// window is one binary-search cut on the sorted echo index array;
+    /// window is one binary-search cut on the sorted offset array;
     /// a stall grows the lag, shrinking the cutoff, and the walk
     /// resumes with a fresh cut. Fills only retire during echoes, so
     /// the fence never moves.
     fn scan_echoes(
         &mut self,
         stall: StallFeature,
-        echo_instrs: &[u64],
+        base: u64,
+        echo_offsets: &[u32],
         echo_addrs: &[Addr],
-        start: usize,
-        end: usize,
     ) {
         let fence = self.fill_fence();
-        let mut j = start;
+        let end = echo_offsets.len();
+        let mut j = 0;
         while j < end && fence > self.cycle {
-            let cutoff = self.instr + (fence - self.cycle);
-            let upto = j + echo_instrs[j..end].partition_point(|&e| e < cutoff);
+            // `instr` has reached the event, so the cut is an offset.
+            let cutoff = self.instr - base + (fence - self.cycle);
+            let upto = j + echo_offsets[j..].partition_point(|&e| u64::from(e) < cutoff);
             if upto == j {
                 break;
             }
             let lag = self.cycle - self.instr;
             let mut next = upto;
             for jj in j..upto {
-                self.process_echo(stall, echo_instrs[jj], echo_addrs[jj]);
+                self.process_echo(stall, base + u64::from(echo_offsets[jj]), echo_addrs[jj]);
                 if self.cycle - self.instr != lag {
                     next = jj + 1;
                     break;
@@ -527,6 +580,14 @@ impl<'a> TimelineCpu<'a> {
         if cfg.issue_width != 1 {
             return Err("issue grouping couples base cycles to stall history".to_string());
         }
+        if let StallFeature::NonBlocking { mshrs } = cfg.stall {
+            if mshrs > MissTimeline::MAX_MSHRS {
+                return Err(format!(
+                    "timelines keep the echoes of at most {} outstanding fills",
+                    MissTimeline::MAX_MSHRS
+                ));
+            }
+        }
         cfg.validate()?;
         Ok(TimelineCpu { timeline, cfg })
     }
@@ -536,7 +597,7 @@ impl<'a> TimelineCpu<'a> {
         let start = events[index].echo_start as usize;
         let end = events
             .get(index + 1)
-            .map_or(self.timeline.echo_instrs.len(), |next| {
+            .map_or(self.timeline.echo_offsets.len(), |next| {
                 next.echo_start as usize
             });
         (start, end)
@@ -556,13 +617,18 @@ impl<'a> TimelineCpu<'a> {
         // FS never stalls an in-between hit (the fill always completed
         // at resume time), so its echoes need no walking at all.
         let scan = self.cfg.stall != StallFeature::FullStall;
-        let echo_instrs = &self.timeline.echo_instrs;
+        let echo_offsets = &self.timeline.echo_offsets;
         let echo_addrs = &self.timeline.echo_addrs;
         for (i, event) in self.timeline.events.iter().enumerate() {
             st.process_event(&self.cfg, mshrs, event);
             if scan {
                 let (start, end) = self.echo_bounds(i);
-                st.scan_echoes(self.cfg.stall, echo_instrs, echo_addrs, start, end);
+                st.scan_echoes(
+                    self.cfg.stall,
+                    event.instr,
+                    &echo_offsets[start..end],
+                    &echo_addrs[start..end],
+                );
             }
         }
         st.advance(self.timeline.instructions);
@@ -740,18 +806,68 @@ mod tests {
     }
 
     #[test]
+    fn only_echoes_that_can_stall_are_kept() {
+        // The keep rule restated naively: after the first fill, a hit is
+        // kept if it is the first since the last fill or if its line was
+        // one of the last `MAX_MSHRS` fills.
+        let trace = trace("nasa7");
+        let tl = MissTimeline::extract(cache(), trace.iter().copied());
+        let mut sim = Cache::new(cache());
+        let mut recent: VecDeque<u64> = VecDeque::new();
+        let (mut kept, mut hits_after_fill, mut first) = (Vec::new(), 0usize, false);
+        for (i, instr) in trace.iter().enumerate() {
+            let Some(mref) = instr.mem else { continue };
+            let line = mref.addr.raw() / 32;
+            if sim.access(mref.op, mref.addr).filled {
+                recent.push_back(line);
+                if recent.len() > MissTimeline::MAX_MSHRS as usize {
+                    recent.pop_front();
+                }
+                first = true;
+            } else if !recent.is_empty() {
+                hits_after_fill += 1;
+                if std::mem::take(&mut first) || recent.contains(&line) {
+                    kept.push((i as u64 + 1, mref.addr));
+                }
+            }
+        }
+        let mut stored = Vec::new();
+        for (e, event) in tl.events.iter().enumerate() {
+            let end = tl
+                .events
+                .get(e + 1)
+                .map_or(tl.echo_offsets.len(), |n| n.echo_start as usize);
+            for j in event.echo_start as usize..end {
+                stored.push((
+                    event.instr + u64::from(tl.echo_offsets[j]),
+                    tl.echo_addrs[j],
+                ));
+            }
+        }
+        assert_eq!(stored, kept);
+        assert!(
+            kept.len() < hits_after_fill && kept.len() >= tl.event_count() / 2,
+            "{} of {hits_after_fill} hits kept over {} events",
+            kept.len(),
+            tl.event_count()
+        );
+    }
+
+    #[test]
     fn byte_footprint_counts_events_and_echoes() {
         let empty = MissTimeline::extract(cache(), std::iter::empty());
         use std::mem::size_of;
         assert_eq!(empty.bytes(), size_of::<MissTimeline>());
         let tl = MissTimeline::extract(cache(), trace("ear"));
-        let echoes = tl.echo_instrs.len();
+        let echoes = tl.echo_offsets.len();
         assert!(tl.event_count() > 0 && echoes > 0);
-        // `finish` shrinks the arrays, so the footprint is exact.
+        // `finish` shrinks the arrays, so the footprint is exact: 12
+        // bytes per echo.
+        assert_eq!(size_of::<u32>() + size_of::<Addr>(), 12);
         assert_eq!(
             tl.bytes() - empty.bytes(),
             tl.event_count() * size_of::<MissEvent>()
-                + echoes * (size_of::<u64>() + size_of::<Addr>())
+                + echoes * (size_of::<u32>() + size_of::<Addr>())
         );
     }
 
@@ -762,14 +878,14 @@ mod tests {
         let shrunk = tl.bytes();
         // Arrays grown past their length, as pushing leaves them.
         tl.events.reserve_exact(tl.events.len());
-        tl.echo_instrs.reserve_exact(tl.echo_instrs.len() + 7);
+        tl.echo_offsets.reserve_exact(tl.echo_offsets.len() + 7);
         tl.echo_addrs.reserve_exact(3);
         assert!(tl.events.capacity() > tl.events.len());
         assert_eq!(
             tl.bytes(),
             size_of::<MissTimeline>()
                 + tl.events.capacity() * size_of::<MissEvent>()
-                + tl.echo_instrs.capacity() * size_of::<u64>()
+                + tl.echo_offsets.capacity() * size_of::<u32>()
                 + tl.echo_addrs.capacity() * size_of::<Addr>()
         );
         assert!(tl.bytes() > shrunk);

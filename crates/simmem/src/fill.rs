@@ -13,15 +13,23 @@ use serde::{Deserialize, Serialize};
 use simtrace::{Addr, LineAddr};
 
 /// The delivery schedule of one in-flight line fill.
+///
+/// Line and bus sizes are powers of two, so every question is a shift
+/// and a mask. The `i`-th delivered chunk arrives at
+/// `critical_at + i·step` (`step` is `β_m`, or `q` when pipelined), and
+/// the completion cycle, which the stalling features ask for on every
+/// access, is computed once at construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FillSchedule {
     line: LineAddr,
-    line_bytes: u64,
-    chunk_bytes: u64,
-    start: u64,
+    line_shift: u32,
+    chunk_shift: u32,
+    /// `chunks − 1`: the chunk count is a power of two.
+    chunk_mask: u64,
     critical_chunk: u64,
-    beta_m: u64,
-    q: Option<u64>,
+    critical_at: u64,
+    step: u64,
+    complete_at: u64,
 }
 
 impl FillSchedule {
@@ -30,18 +38,26 @@ impl FillSchedule {
     ///
     /// # Panics
     ///
-    /// Panics (debug) if `line_bytes` is not a valid line for `timing`.
+    /// Panics (debug) if `line_bytes` is not a valid power-of-two line
+    /// for `timing`.
     pub fn new(timing: &MemoryTiming, line_bytes: u64, miss_addr: Addr, start: u64) -> Self {
         debug_assert!(timing.check_line(line_bytes).is_ok());
+        debug_assert!(line_bytes.is_power_of_two());
         let chunk_bytes = timing.bus().bytes().min(line_bytes);
+        let line_shift = line_bytes.trailing_zeros();
+        let chunk_shift = chunk_bytes.trailing_zeros();
+        let chunk_mask = (line_bytes >> chunk_shift) - 1;
+        let critical_at = start + timing.beta_m();
+        let step = timing.q().unwrap_or(timing.beta_m());
         FillSchedule {
-            line: miss_addr.line(line_bytes),
-            line_bytes,
-            chunk_bytes,
-            start,
-            critical_chunk: miss_addr.chunk_in_line(line_bytes, chunk_bytes),
-            beta_m: timing.beta_m(),
-            q: timing.q(),
+            line: LineAddr::new(miss_addr.raw() >> line_shift),
+            line_shift,
+            chunk_shift,
+            chunk_mask,
+            critical_chunk: (miss_addr.raw() >> chunk_shift) & chunk_mask,
+            critical_at,
+            step,
+            complete_at: critical_at + chunk_mask * step,
         }
     }
 
@@ -52,14 +68,7 @@ impl FillSchedule {
 
     /// Number of bus chunks in the line.
     pub fn chunks(&self) -> u64 {
-        (self.line_bytes / self.chunk_bytes).max(1)
-    }
-
-    fn arrival_offset(&self, delivery_index: u64) -> u64 {
-        match self.q {
-            None => (delivery_index + 1) * self.beta_m,
-            Some(q) => self.beta_m + delivery_index * q,
-        }
+        self.chunk_mask + 1
     }
 
     /// Absolute cycle the *critical* (requested) chunk arrives.
@@ -67,17 +76,17 @@ impl FillSchedule {
     /// This is when a BL / BNL processor resumes after the triggering
     /// miss: `start + β_m`.
     pub fn critical_arrives_at(&self) -> u64 {
-        self.start + self.arrival_offset(0)
+        self.critical_at
     }
 
     /// Absolute cycle the whole line is in the cache.
     pub fn complete_at(&self) -> u64 {
-        self.start + self.arrival_offset(self.chunks() - 1)
+        self.complete_at
     }
 
     /// Returns `true` once the fill has fully completed at `cycle`.
     pub fn is_complete(&self, cycle: u64) -> bool {
-        cycle >= self.complete_at()
+        cycle >= self.complete_at
     }
 
     /// Absolute cycle the chunk containing `addr` arrives.
@@ -88,15 +97,10 @@ impl FillSchedule {
     ///
     /// Panics if `addr` is not within the line being filled.
     pub fn chunk_available_at(&self, addr: Addr) -> u64 {
-        assert_eq!(
-            addr.line(self.line_bytes),
-            self.line,
-            "address outside the in-flight line"
-        );
-        let chunk = addr.chunk_in_line(self.line_bytes, self.chunk_bytes);
-        let chunks = self.chunks();
-        let delivery_index = (chunk + chunks - self.critical_chunk) % chunks;
-        self.start + self.arrival_offset(delivery_index)
+        assert!(self.covers(addr), "address outside the in-flight line");
+        let chunk = (addr.raw() >> self.chunk_shift) & self.chunk_mask;
+        let delivery_index = chunk.wrapping_sub(self.critical_chunk) & self.chunk_mask;
+        self.critical_at + delivery_index * self.step
     }
 
     /// Returns `true` if the chunk containing `addr` has arrived by
@@ -107,7 +111,7 @@ impl FillSchedule {
 
     /// Returns `true` if `addr` falls inside the line being filled.
     pub fn covers(&self, addr: Addr) -> bool {
-        addr.line(self.line_bytes) == self.line
+        addr.raw() >> self.line_shift == self.line.raw()
     }
 }
 
@@ -173,6 +177,47 @@ mod tests {
         assert_eq!(f.chunks(), 1);
         assert_eq!(f.critical_arrives_at(), 12);
         assert_eq!(f.complete_at(), 12);
+    }
+
+    /// The shift-and-mask schedule against the plain division formulas
+    /// it replaces, for every line size and bus width, with and
+    /// without pipelining.
+    #[test]
+    fn shift_arithmetic_matches_the_division_formulas() {
+        for line in [4u64, 8, 16, 32, 64, 128] {
+            for bus in [1u64, 2, 4, 8, 16, 32, 64] {
+                for q in [None, Some(3)] {
+                    let mut t = MemoryTiming::new(BusWidth::new(bus).unwrap(), 7);
+                    if let Some(q) = q {
+                        t = t.pipelined(q);
+                    }
+                    let chunk = bus.min(line);
+                    let chunks = (line / chunk).max(1);
+                    let offset = |i: u64| match q {
+                        None => (i + 1) * 7,
+                        Some(q) => 7 + i * q,
+                    };
+                    let base = 0x3000 + 5 * line;
+                    for miss in (0..line).map(|o| Addr::new(base + o)) {
+                        let start = 11 + miss.raw() % 5;
+                        let f = FillSchedule::new(&t, line, miss, start);
+                        let critical = (miss.raw() % line) / chunk;
+                        assert_eq!(f.chunks(), chunks);
+                        assert_eq!(f.critical_arrives_at(), start + offset(0));
+                        assert_eq!(f.complete_at(), start + offset(chunks - 1));
+                        for a in (base - line..base + 2 * line).map(Addr::new) {
+                            let inside = a.raw() / line == miss.raw() / line;
+                            assert_eq!(f.covers(a), inside, "L={line} D={bus} {a}");
+                            if inside {
+                                let c = (a.raw() % line) / chunk;
+                                let at = start + offset((c + chunks - critical) % chunks);
+                                assert_eq!(f.chunk_available_at(a), at, "L={line} D={bus} {a}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

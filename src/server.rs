@@ -18,7 +18,9 @@
 //!   in-flight requests drain, workers join, `serve` returns. Guarded:
 //!   with `--shutdown-token` set every caller must present the token in
 //!   the body (`{"token": …}`); without one, only loopback peers may
-//!   stop the server. Refusals are 403 and the server keeps serving.
+//!   stop the server. A body is read strictly (malformed JSON, an
+//!   unknown key or a non-string token is a 400 naming the problem);
+//!   refusals are 403, and either way the server keeps serving.
 //!
 //! # Overload and failure policy
 //!
@@ -60,6 +62,7 @@
 use bench::fault::{self, Site};
 use bench::queryenv::StoreWorkloads;
 use bench::tracestore;
+use report::json::Fields;
 use report::Json;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -652,30 +655,30 @@ fn respond(
 /// body as `{"token": …}`, which keeps the refusal path testable end to
 /// end. Without one, only loopback peers may stop the server, so a
 /// `--addr 0.0.0.0` deployment is not stoppable by any host that can
-/// reach the port.
+/// reach the port. A body, when present, is read strictly: malformed
+/// JSON, an unknown key or a non-string token is a 400 naming the
+/// problem; a refused stop is a 403.
 fn shutdown_allowed(
     body: &str,
     peer: Option<&SocketAddr>,
     token: Option<&str>,
-) -> Result<(), String> {
+) -> Result<(), (u16, String)> {
+    let body = body.trim();
+    let presented = if body.is_empty() {
+        None
+    } else {
+        let bad = |message: String| (400, wire_error("bad-request", &message));
+        let json = Json::parse(body).map_err(|e| bad(format!("shutdown: malformed JSON: {e}")))?;
+        Fields::new(&json, "shutdown", &["token"])
+            .and_then(|f| f.opt::<&str>("token").map(|t| t.map(str::to_string)))
+            .map_err(bad)?
+    };
+    let forbidden = |message: &str| Err((403, wire_error("forbidden", message)));
     match token {
-        Some(expected) => {
-            let presented = Json::parse(body.trim())
-                .ok()
-                .and_then(|j| j.get("token").and_then(Json::as_str).map(str::to_string));
-            if presented.as_deref() == Some(expected) {
-                Ok(())
-            } else {
-                Err("shutdown requires the configured token".to_string())
-            }
-        }
-        None => {
-            if peer.is_some_and(|p| p.ip().is_loopback()) {
-                Ok(())
-            } else {
-                Err("shutdown without a configured --shutdown-token is loopback-only".to_string())
-            }
-        }
+        Some(expected) if presented.as_deref() == Some(expected) => Ok(()),
+        Some(_) => forbidden("shutdown requires the configured token"),
+        None if peer.is_some_and(|p| p.ip().is_loopback()) => Ok(()),
+        None => forbidden("shutdown without a configured --shutdown-token is loopback-only"),
     }
 }
 
@@ -799,7 +802,7 @@ fn route(
                 shutdown: true,
                 retry_after: None,
             },
-            Err(message) => Outcome::plain(403, wire_error("forbidden", &message), "shutdown"),
+            Err((status, body)) => Outcome::plain(status, body, "shutdown"),
         },
         (_, "/query" | "/experiments" | "/stats" | "/shutdown") => {
             let err =
@@ -1391,6 +1394,29 @@ mod tests {
         assert_eq!((out.status, out.shutdown), (403, false));
         let out = route_plain(&shutdown_req(r#"{"token":"s3cret"}"#), Some(&remote), token);
         assert_eq!((out.status, out.shutdown), (200, true));
+
+        // A body is read strictly: a malformed one is a 400 naming the
+        // problem, never a stop and never a misleading 403.
+        for (body, names) in [
+            (r#"{"token":"s3cret""#, "malformed JSON"),
+            (r#"{"tokn":"s3cret"}"#, r#""tokn" is an unknown key"#),
+            (r#"{"token":5}"#, r#""token" must be a string"#),
+            (r#"["s3cret"]"#, "must be a JSON object"),
+        ] {
+            for t in [token, None] {
+                let out = route_plain(&shutdown_req(body), Some(&local), t);
+                assert_eq!((out.status, out.shutdown), (400, false), "{body}");
+                let reply = Json::parse(&out.body).unwrap();
+                let error = reply.get("error").unwrap();
+                assert_eq!(
+                    error.get("kind").and_then(Json::as_str),
+                    Some("bad-request")
+                );
+                let message = error.get("message").and_then(Json::as_str).unwrap();
+                assert!(message.starts_with("shutdown"), "{message}");
+                assert!(message.contains(names), "{body}: {message}");
+            }
+        }
 
         // The guard never leaks into other endpoints.
         let req = Request {

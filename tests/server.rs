@@ -215,6 +215,21 @@ fn shutdown_token_gates_remote_stops() {
         http_call(&addr, "POST", "/shutdown", Some(r#"{"token":"wrong"}"#)).unwrap();
     assert_eq!(status, 403, "{body}");
 
+    // A malformed body is a 400 that names the problem, not a 403.
+    for (request, names) in [
+        (r#"{"token": "s3cret""#, "malformed JSON"),
+        (
+            r#"{"token": "s3cret", "force": true}"#,
+            r#"\"force\" is an unknown key"#,
+        ),
+        (r#"{"token": 5}"#, r#"\"token\" must be a string"#),
+    ] {
+        let (status, body) = http_call(&addr, "POST", "/shutdown", Some(request)).unwrap();
+        assert_eq!(status, 400, "{request}: {body}");
+        assert!(body.contains("bad-request"), "{body}");
+        assert!(body.contains(names), "{request}: {body}");
+    }
+
     // The server kept serving through all of that.
     let (status, _) = http_call(&addr, "GET", "/stats", None).unwrap();
     assert_eq!(status, 200);

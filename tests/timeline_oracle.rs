@@ -37,7 +37,7 @@ fn stalls() -> impl Strategy<Value = StallFeature> {
         Just(StallFeature::BusNotLocked1),
         Just(StallFeature::BusNotLocked2),
         Just(StallFeature::BusNotLocked3),
-        (1u32..5).prop_map(|m| StallFeature::NonBlocking { mshrs: m }),
+        (1u32..=MissTimeline::MAX_MSHRS).prop_map(|m| StallFeature::NonBlocking { mshrs: m }),
     ]
 }
 
@@ -147,7 +147,7 @@ proptest! {
         seed in any::<u64>(),
         len in 1usize..20_001,
         cfg in supported_configs(),
-        mshrs in 1u32..5,
+        mshrs in 1u32..=MissTimeline::MAX_MSHRS,
     ) {
         let spec = WorkloadSpec::from_json(&json).expect("generated specs are valid");
         let trace: Vec<Instr> = spec.compile(seed).take(len).collect();
@@ -170,10 +170,62 @@ proptest! {
 #[test]
 fn unsupported_configs_fall_back_to_the_oracle_path() {
     // The one guarantee the engine makes about configurations it cannot
-    // replay: it refuses them, so callers keep using `Cpu::run`.
+    // replay: it refuses them, so callers keep using `Cpu::run`, which
+    // answers them.
     let cache = CacheConfig::new(2 * 1024, 32, 2).unwrap();
-    let timeline = MissTimeline::extract(cache, std::iter::empty());
-    let cfg = CpuConfig::baseline(cache, MemoryTiming::new(BusWidth::new(4).unwrap(), 8))
-        .with_icache(CacheConfig::new(1024, 32, 1).unwrap());
-    assert!(TimelineCpu::new(&timeline, cfg).is_err());
+    let trace: Vec<Instr> = (0..2_000u64)
+        .map(|i| Instr::mem(i * 4, MemRef::load(((i * 97) % (16 * 1024)) & !3, 4)))
+        .collect();
+    let timeline = MissTimeline::extract(cache, trace.iter().copied());
+    let base = CpuConfig::baseline(cache, MemoryTiming::new(BusWidth::new(4).unwrap(), 8));
+    let nb = |mshrs| base.with_stall(StallFeature::NonBlocking { mshrs });
+    // A timeline keeps the echoes on the last `MAX_MSHRS` fills' lines.
+    assert!(TimelineCpu::new(&timeline, nb(MissTimeline::MAX_MSHRS)).is_ok());
+    for cfg in [
+        base.with_icache(CacheConfig::new(1024, 32, 1).unwrap()),
+        nb(MissTimeline::MAX_MSHRS + 1),
+    ] {
+        assert!(TimelineCpu::new(&timeline, cfg).is_err());
+        assert_eq!(Cpu::new(cfg).run(trace.iter().copied()).instructions, 2_000);
+    }
+}
+
+#[test]
+fn a_hit_on_any_outstanding_fill_replays_exactly() {
+    // Each round misses on `MAX_MSHRS` new lines back to back, hits a
+    // resident line (the first echo, which never stalls under NB), then
+    // hits the line of the fill `depth` back while it is still in
+    // flight, and idles until the memory port drains. That hit's stall
+    // is the round's last, so dropping its echo would change the
+    // result for every NB with at least `depth` MSHRs.
+    let k = u64::from(MissTimeline::MAX_MSHRS);
+    let pc = |t: &Vec<Instr>| t.len() as u64 * 4;
+    let mut trace = vec![Instr::mem(0, MemRef::load(0, 4))];
+    for round in 1..=32u64 {
+        let base = round * 8192;
+        for line in 1..=k {
+            trace.push(Instr::mem(pc(&trace), MemRef::load(base + line * 32, 4)));
+        }
+        trace.push(Instr::mem(pc(&trace), MemRef::load(4, 4)));
+        let depth = 1 + round % k;
+        let line = k + 1 - depth;
+        trace.push(Instr::mem(
+            pc(&trace),
+            MemRef::load(base + line * 32 + 4, 4),
+        ));
+        for _ in 0..2_000 {
+            trace.push(Instr::plain(pc(&trace)));
+        }
+    }
+    let cache = CacheConfig::new(16 * 1024, 32, 2).unwrap();
+    let timeline = MissTimeline::extract(cache, trace.iter().copied());
+    for beta in [4u64, 30] {
+        let timing = MemoryTiming::new(BusWidth::new(4).unwrap(), beta);
+        for mshrs in 1..=MissTimeline::MAX_MSHRS {
+            let cfg =
+                CpuConfig::baseline(cache, timing).with_stall(StallFeature::NonBlocking { mshrs });
+            let oracle = Cpu::new(cfg).run(trace.iter().copied());
+            assert_eq!(timeline.replay(&cfg), oracle, "NB({mshrs}) β={beta}");
+        }
+    }
 }
