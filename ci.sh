@@ -21,8 +21,9 @@
 #                    within tolerance on the comparison grid, cut dense
 #                    walk equal to the uncut one on the standard grid)
 #                    + serve (tradeoff-server smoke: a canned simulate
-#                    and the experiments listing over HTTP byte-match
-#                    the CLI, /stats proves memoisation
+#                    under each of the six stalling features and the
+#                    experiments listing over HTTP byte-match the CLI,
+#                    /stats proves memoisation
 #                    and timeline byte accounting, clean shutdown)
 #                    + chaos (armed serve-path fault plan: sheds are
 #                    deterministic and survivable, no worker dies, and
@@ -244,23 +245,31 @@ serve_check() {
     local tmp addr req local_out remote_out server_pid
     tmp="$(mktemp -d)"
     spawn_server server "$tmp/server.log"
-    req='{"query":"simulate","program":"ear","instructions":50000,"stall":"bnl3"}'
-    # The same request locally and over HTTP must be byte-identical —
-    # both are one tradeoff::api::dispatch call. Asking twice proves the
-    # store memoises across requests: one miss, then a hit.
-    local_out="$("$cli" query --json "$req")"
+    # The canned φ point under every stalling feature, locally and over
+    # HTTP, must be byte-identical — both are one tradeoff::api::dispatch
+    # call, and each feature runs its own instance of the replay loop.
+    # All six share one memoised timeline: the first request extracts
+    # it, and every further request (the six features, then a repeat)
+    # is a hit.
+    local stall requests=0
+    for stall in fs bl bnl1 bnl2 bnl3 nb; do
+        req="{\"query\":\"simulate\",\"program\":\"ear\",\"instructions\":50000,\"stall\":\"$stall\"}"
+        local_out="$("$cli" query --json "$req")"
+        remote_out="$("$cli" query --server "$addr" --json "$req")"
+        requests=$((requests + 1))
+        [[ "$local_out" == "$remote_out" ]] \
+            || { echo "FAIL: CLI and server answers differ under $stall"; exit 1; }
+    done
     remote_out="$("$cli" query --server "$addr" --json "$req")"
-    [[ "$local_out" == "$remote_out" ]] \
-        || { echo "FAIL: CLI and server answers differ"; exit 1; }
-    remote_out="$("$cli" query --server "$addr" --json "$req")"
+    requests=$((requests + 1))
     [[ "$local_out" == "$remote_out" ]] \
         || { echo "FAIL: repeated query changed its answer"; exit 1; }
     "$cli" query --server "$addr" --get stats \
         > "$tmp/stats.json"
-    grep -q '"timeline_misses":1' "$tmp/stats.json" \
+    grep -Eq '"timeline_misses":1[,}]' "$tmp/stats.json" \
         || { echo "FAIL: expected one extraction, got $(cat "$tmp/stats.json")"; exit 1; }
-    grep -q '"timeline_hits":1' "$tmp/stats.json" \
-        || { echo "FAIL: repeat query missed the memo: $(cat "$tmp/stats.json")"; exit 1; }
+    grep -Eq "\"timeline_hits\":$((requests - 1))[,}]" "$tmp/stats.json" \
+        || { echo "FAIL: expected $((requests - 1)) memo hits: $(cat "$tmp/stats.json")"; exit 1; }
     grep -Eq '"timeline_bytes":[1-9]' "$tmp/stats.json" \
         || { echo "FAIL: memoised timeline not byte-accounted: $(cat "$tmp/stats.json")"; exit 1; }
     # The registry listing must be byte-identical locally and over HTTP.
@@ -270,7 +279,7 @@ serve_check() {
     [[ "$local_out" == "$remote_out" ]] \
         || { echo "FAIL: CLI and server experiment listings differ"; exit 1; }
     stop_server server
-    echo "    serve smoke: byte parity (simulate + experiments), 1 miss + 1 hit, timeline bytes accounted, clean shutdown"
+    echo "    serve smoke: byte parity (simulate under all six stalls + experiments), 1 miss + $((requests - 1)) hits, timeline bytes accounted, clean shutdown"
     rm -rf "$tmp"
 }
 

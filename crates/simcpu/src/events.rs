@@ -29,11 +29,22 @@
 //! Dropping any other echo is exact: it cannot stall, and the clock
 //! advance and fill retirement it would have done are recomputed
 //! lazily at the next access the replay processes. [`TimelineCpu::new`]
-//! refuses NB with more MSHRs than the timeline covers. The replay
-//! walks an event's kept echoes only while a fill is still in flight —
-//! the first echo past the fill's completion fence ends the scan — so
-//! storage stays shared across every (feature × β_m × bus) point and a
-//! replay costs about as much as the fills it replays.
+//! refuses NB with more MSHRs than the timeline covers.
+//!
+//! # The replay loop
+//!
+//! [`TimelineCpu::run`] matches the stalling feature once and runs one
+//! loop instantiated for it (a const parameter), so the conflict check,
+//! the resume rule and the echo walk are compiled per feature and no
+//! access re-matches the feature. In-flight fills sit in a fixed ring of
+//! [`MissTimeline::MAX_MSHRS`] slots, and each fill's schedule is
+//! stamped from a [`FillShape`] computed once per replay. The loop walks
+//! an event's kept echoes only while a fill is still in flight — the
+//! first echo past the newest fill's completion fence ends the walk —
+//! and FS, whose fills always complete before the processor resumes,
+//! walks none. A replay therefore costs its events plus the echoes that
+//! issue while a fill is in flight; under NB some fill nearly always is,
+//! so NB's walk is bound by its stalls rather than by its events.
 //!
 //! # Exactness and scope
 //!
@@ -50,9 +61,8 @@
 use crate::config::{CpuConfig, Prefetch, StallFeature};
 use crate::result::SimResult;
 use simcache::{Cache, CacheConfig, CacheStats, WriteMiss, WritePolicy};
-use simmem::{FillSchedule, MemoryTiming, WriteBuffer};
+use simmem::{FillSchedule, FillShape, WriteBuffer};
 use simtrace::{Addr, Instr};
-use std::collections::VecDeque;
 
 /// One allocating fill: the timeline's unit of timing work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,10 +220,9 @@ impl MissTimelineBuilder {
 /// so dropping it is exact (module docs). Hits before the first fill
 /// can never stall and are not stored either.
 ///
-/// Echoes are stored structure-of-arrays: the replay's fence scan reads
-/// only the sorted offset array (enabling the binary-search window cut
-/// in [`TimelineCpu::run`]) and addresses are touched only for echoes
-/// that actually stall-check — 12 bytes per echo.
+/// Echoes are stored structure-of-arrays: the replay's fence check reads
+/// the offset array, and addresses are touched only for echoes that
+/// actually stall-check — 12 bytes per echo.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MissTimeline {
     cache: CacheConfig,
@@ -326,133 +335,178 @@ pub struct TimelineCpu<'a> {
     cfg: CpuConfig,
 }
 
-/// Scalar replay state: everything `Cpu` tracks that timing depends on.
+/// The stalling features as the replay loop's const parameter:
+/// [`TimelineCpu::run`] matches [`StallFeature`] once and runs the loop
+/// instantiated for that feature, so no access re-matches it.
+const FS: u8 = 0;
+const BL: u8 = 1;
+const BNL1: u8 = 2;
+const BNL2: u8 = 3;
+const BNL3: u8 = 4;
+const NB: u8 = 5;
+
+/// Slots in the fill ring: the most fills a replay can have
+/// outstanding.
+const RING: usize = MissTimeline::MAX_MSHRS as usize;
+
+/// The in-flight fills, oldest first, in a fixed ring. Every feature but
+/// NB holds at most one fill, and [`TimelineCpu::new`] refuses NB with
+/// more than [`RING`] MSHRs, so a push never finds the ring full.
+struct FillRing {
+    slots: [FillSchedule; RING],
+    head: usize,
+    len: usize,
+}
+
+impl FillRing {
+    /// An empty ring; `filler` only initialises the slots, none of which
+    /// is read before a push writes it.
+    fn new(filler: FillSchedule) -> Self {
+        FillRing {
+            slots: [filler; RING],
+            head: 0,
+            len: 0,
+        }
+    }
+
+    fn front(&self) -> Option<&FillSchedule> {
+        (self.len > 0).then(|| &self.slots[self.head])
+    }
+
+    fn pop_front(&mut self) {
+        debug_assert!(self.len > 0);
+        self.head = (self.head + 1) % RING;
+        self.len -= 1;
+    }
+
+    fn push_back(&mut self, fill: FillSchedule) {
+        debug_assert!(self.len < RING, "fill ring overflow");
+        self.slots[(self.head + self.len) % RING] = fill;
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &FillSchedule> {
+        (0..self.len).map(move |i| &self.slots[(self.head + i) % RING])
+    }
+
+    /// Drops completed fills from the front — the lazy equivalent of
+    /// `Cpu::retire_fills` (fills complete in FIFO order because the
+    /// memory port serialises their schedules).
+    fn retire(&mut self, now: u64) {
+        while matches!(self.front(), Some(f) if f.is_complete(now)) {
+            self.pop_front();
+        }
+    }
+
+    /// Earliest cycle from which no in-flight fill can stall anything:
+    /// the newest fill completes last.
+    fn fence(&self) -> u64 {
+        match self.len {
+            0 => 0,
+            n => self.slots[(self.head + n - 1) % RING].complete_at(),
+        }
+    }
+}
+
+/// Scalar replay state: everything `Cpu` tracks that timing depends on,
+/// plus the configuration's per-fill constants, computed once.
 struct ReplayState {
     cycle: u64,
     /// Instructions accounted into `cycle` so far.
     instr: u64,
     mem_free_at: u64,
-    fills: VecDeque<FillSchedule>,
+    fills: FillRing,
     wbuf: Option<WriteBuffer>,
     miss_stall: u64,
     flush_stall: u64,
+    shape: FillShape,
+    /// Cycles to write a dirty victim back.
+    flush_service: u64,
+    mshrs: usize,
 }
 
 impl ReplayState {
     fn new(cfg: &CpuConfig) -> Self {
+        let line_bytes = cfg.dcache.line_bytes();
+        let shape = FillShape::new(&cfg.timing, line_bytes);
         ReplayState {
             cycle: 0,
             instr: 0,
             mem_free_at: 0,
-            fills: VecDeque::new(),
+            fills: FillRing::new(shape.schedule(Addr::new(0), 0)),
             wbuf: cfg
                 .write_buffer
                 .map(|wc| WriteBuffer::new(wc.capacity, cfg.timing.beta_m(), wc.mode)),
             miss_stall: 0,
             flush_stall: 0,
+            shape,
+            flush_service: cfg.timing.line_write_time(line_bytes),
+            mshrs: match cfg.stall {
+                StallFeature::NonBlocking { mshrs } => mshrs as usize,
+                _ => 1,
+            },
         }
     }
 
     /// Advances the clock by the base cycle of every instruction up to
     /// and including `to` (one cycle each at single issue).
+    #[inline(always)]
     fn advance(&mut self, to: u64) {
         debug_assert!(to >= self.instr);
         self.cycle += to - self.instr;
         self.instr = to;
     }
 
-    /// Drops completed fills from the front — the lazy equivalent of
-    /// `Cpu::retire_fills` (fills complete in FIFO order because the
-    /// memory port serialises their schedules).
-    fn retire_fills(&mut self) {
-        let now = self.cycle;
-        while matches!(self.fills.front(), Some(f) if f.is_complete(now)) {
-            self.fills.pop_front();
+    /// `Cpu::conflict_stall` for feature `F`, with the residency
+    /// question answered by the timeline instead of the cache: an echo's
+    /// line is always resident, an event's never is. Completed fills
+    /// need no retiring first: every feature but NB holds at most one
+    /// fill, and every feature skips a completed one.
+    #[inline(always)]
+    fn conflict_stall<const F: u8>(&mut self, addr: Addr, resident: bool) {
+        if F == FS {
+            return;
         }
-    }
-
-    /// `Cpu::conflict_stall`, with the residency question answered by
-    /// the timeline instead of the cache: an echo's line is always
-    /// resident, an event's never is.
-    fn conflict_stall(&mut self, stall: StallFeature, addr: Addr, resident: bool) {
         let now = self.cycle;
-        let mut stall_until = now;
-        match stall {
-            StallFeature::FullStall => {}
-            StallFeature::BusLocked => {
-                if let Some(f) = self.fills.front() {
-                    if !f.is_complete(now) {
-                        stall_until = f.complete_at();
-                    }
-                }
+        let stall_until = if F == NB {
+            match self
+                .fills
+                .iter()
+                .find(|f| !f.is_complete(now) && f.covers(addr))
+            {
+                Some(f) => f.chunk_available_at(addr),
+                None => return,
             }
-            StallFeature::BusNotLocked1 => {
-                if let Some(f) = self.fills.front() {
-                    if !f.is_complete(now) {
-                        let second_miss = !f.covers(addr) && !resident;
-                        if f.covers(addr) || second_miss {
-                            stall_until = f.complete_at();
-                        }
-                    }
-                }
+        } else {
+            let Some(f) = self.fills.front() else { return };
+            if f.is_complete(now) {
+                return;
             }
-            StallFeature::BusNotLocked2 => {
-                if let Some(f) = self.fills.front() {
-                    if !f.is_complete(now) {
-                        if f.covers(addr) {
-                            if !f.chunk_available(addr, now) {
-                                stall_until = f.complete_at();
-                            }
-                        } else if !resident {
-                            stall_until = f.complete_at();
-                        }
-                    }
-                }
+            let covers = f.covers(addr);
+            match F {
+                BL => f.complete_at(),
+                BNL1 if covers || !resident => f.complete_at(),
+                BNL2 if covers && !f.chunk_available(addr, now) => f.complete_at(),
+                BNL3 if covers => f.chunk_available_at(addr),
+                BNL2 | BNL3 if !covers && !resident => f.complete_at(),
+                _ => return,
             }
-            StallFeature::BusNotLocked3 => {
-                if let Some(f) = self.fills.front() {
-                    if !f.is_complete(now) {
-                        if f.covers(addr) {
-                            stall_until = f.chunk_available_at(addr).max(now);
-                        } else if !resident {
-                            stall_until = f.complete_at();
-                        }
-                    }
-                }
-            }
-            StallFeature::NonBlocking { .. } => {
-                if let Some(f) = self
-                    .fills
-                    .iter()
-                    .find(|f| !f.is_complete(now) && f.covers(addr))
-                {
-                    stall_until = f.chunk_available_at(addr).max(now);
-                }
-            }
-        }
+        };
         if stall_until > now {
             self.miss_stall += stall_until - now;
             self.cycle = stall_until;
         }
     }
 
-    /// One hit access at instruction `instr`: base cycle plus any
-    /// fill-conflict stall.
-    fn process_echo(&mut self, stall: StallFeature, instr: u64, addr: Addr) {
-        self.advance(instr);
-        self.retire_fills();
-        self.conflict_stall(stall, addr, true);
-    }
-
     /// One fill event: conflict stall, MSHR wait, fill launch, resume
     /// rule and posted flush — exactly `Cpu::data_access`'s miss path.
-    fn process_event(&mut self, cfg: &CpuConfig, mshrs: usize, event: &MissEvent) {
+    #[inline(always)]
+    fn event<const F: u8>(&mut self, event: &MissEvent) {
         self.advance(event.instr);
-        self.retire_fills();
-        self.conflict_stall(cfg.stall, event.addr, false);
-        self.retire_fills();
+        self.conflict_stall::<F>(event.addr, false);
+        self.fills.retire(self.cycle);
 
-        if self.fills.len() >= mshrs {
+        if self.fills.len >= self.mshrs {
             let free_at = self.fills.front().expect("fills non-empty").complete_at();
             if free_at > self.cycle {
                 self.miss_stall += free_at - self.cycle;
@@ -461,98 +515,64 @@ impl ReplayState {
             self.fills.pop_front();
         }
 
-        let line_bytes = cfg.dcache.line_bytes();
         let issue = self.cycle - 1;
         let read_bypass_delay = self.wbuf.as_mut().map_or(0, |wb| wb.read_delay(issue));
         let start = (issue + read_bypass_delay).max(self.mem_free_at);
-        let sched = FillSchedule::new(&cfg.timing, line_bytes, event.addr, start);
+        let sched = self.shape.schedule(event.addr, start);
         self.mem_free_at = sched.complete_at();
         if let Some(wb) = &mut self.wbuf {
             wb.occupy(start, sched.complete_at() - start);
         }
 
-        let resume = match cfg.stall {
-            StallFeature::FullStall => sched.complete_at(),
-            StallFeature::BusLocked
-            | StallFeature::BusNotLocked1
-            | StallFeature::BusNotLocked2
-            | StallFeature::BusNotLocked3 => sched.critical_arrives_at(),
-            StallFeature::NonBlocking { .. } => self.cycle,
+        let resume = match F {
+            FS => sched.complete_at(),
+            NB => self.cycle,
+            _ => sched.critical_arrives_at(),
         };
         let end = resume.max(self.cycle);
         self.miss_stall += end - self.cycle + 1;
         self.cycle = end;
 
         if event.writeback {
-            self.handle_flush(&cfg.timing, line_bytes, sched.complete_at());
+            self.flush(sched.complete_at());
         }
         self.fills.push_back(sched);
     }
 
-    fn handle_flush(&mut self, timing: &MemoryTiming, line_bytes: u64, fill_complete: u64) {
-        let service = timing.line_write_time(line_bytes);
+    fn flush(&mut self, fill_complete: u64) {
         match &mut self.wbuf {
             Some(wb) => {
-                let stall = wb.enqueue(fill_complete, service);
+                let stall = wb.enqueue(fill_complete, self.flush_service);
                 self.mem_free_at += stall;
             }
             None => {
-                self.flush_stall += service;
-                self.cycle += service;
-                self.mem_free_at = self.mem_free_at.max(fill_complete) + service;
+                self.flush_stall += self.flush_service;
+                self.cycle += self.flush_service;
+                self.mem_free_at = self.mem_free_at.max(fill_complete) + self.flush_service;
             }
         }
     }
 
-    /// Earliest cycle from which no in-flight fill can stall anything:
-    /// fills complete in FIFO order, so the back completes last.
-    fn fill_fence(&self) -> u64 {
-        self.fills.back().map_or(0, FillSchedule::complete_at)
-    }
-
-    /// Walks one event's echo window (offsets from the event at
-    /// instruction `base`), stall-checking only echoes that can still
-    /// conflict with an in-flight fill.
+    /// Walks one event's echoes (offsets from the event at instruction
+    /// `base`), stall-checking each while a fill is still in flight.
     ///
-    /// An echo stall-checks only while a fill is in flight: echo `e`
-    /// stalls iff `cycle + (e.instr − instr) < fence`. Between stalls
-    /// the lag (`cycle − instr`) is constant, so the whole eligible
-    /// window is one binary-search cut on the sorted offset array;
-    /// a stall grows the lag, shrinking the cutoff, and the walk
-    /// resumes with a fresh cut. Fills only retire during echoes, so
-    /// the fence never moves.
-    fn scan_echoes(
-        &mut self,
-        stall: StallFeature,
-        base: u64,
-        echo_offsets: &[u32],
-        echo_addrs: &[Addr],
-    ) {
-        let fence = self.fill_fence();
-        let end = echo_offsets.len();
-        let mut j = 0;
-        while j < end && fence > self.cycle {
-            // `instr` has reached the event, so the cut is an offset.
-            let cutoff = self.instr - base + (fence - self.cycle);
-            let upto = j + echo_offsets[j..].partition_point(|&e| u64::from(e) < cutoff);
-            if upto == j {
+    /// Echo `e` can stall only if it issues before the fence, the
+    /// newest fill's completion: `cycle + (e.instr − instr) < fence`.
+    /// Offsets ascend and a stall only delays the clock, so the first
+    /// echo past the fence ends the walk, and the echoes after it need
+    /// no clock advance: the next access the replay processes catches
+    /// the clock up. No fill starts during the walk, so the fence never
+    /// moves.
+    #[inline(always)]
+    fn echoes<const F: u8>(&mut self, base: u64, offsets: &[u32], addrs: &[Addr]) {
+        let fence = self.fills.fence();
+        for (&offset, &addr) in offsets.iter().zip(addrs) {
+            let instr = base + u64::from(offset);
+            if self.cycle + (instr - self.instr) >= fence {
                 break;
             }
-            let lag = self.cycle - self.instr;
-            let mut next = upto;
-            for jj in j..upto {
-                self.process_echo(stall, base + u64::from(echo_offsets[jj]), echo_addrs[jj]);
-                if self.cycle - self.instr != lag {
-                    next = jj + 1;
-                    break;
-                }
-            }
-            // Lag unchanged: every echo past the cut fails the
-            // original per-echo break condition too.
-            if next == upto && self.cycle - self.instr == lag {
-                break;
-            }
-            j = next;
+            self.advance(instr);
+            self.conflict_stall::<F>(addr, true);
         }
     }
 }
@@ -592,47 +612,41 @@ impl<'a> TimelineCpu<'a> {
         Ok(TimelineCpu { timeline, cfg })
     }
 
-    fn echo_bounds(&self, index: usize) -> (usize, usize) {
-        let events = &self.timeline.events;
-        let start = events[index].echo_start as usize;
-        let end = events
-            .get(index + 1)
-            .map_or(self.timeline.echo_offsets.len(), |next| {
-                next.echo_start as usize
-            });
-        (start, end)
-    }
-
-    fn mshrs(&self) -> usize {
+    /// Replays the event stream and returns the exact final result.
+    pub fn run(&self) -> SimResult {
         match self.cfg.stall {
-            StallFeature::NonBlocking { mshrs } => mshrs as usize,
-            _ => 1,
+            StallFeature::FullStall => self.replay::<FS>(),
+            StallFeature::BusLocked => self.replay::<BL>(),
+            StallFeature::BusNotLocked1 => self.replay::<BNL1>(),
+            StallFeature::BusNotLocked2 => self.replay::<BNL2>(),
+            StallFeature::BusNotLocked3 => self.replay::<BNL3>(),
+            StallFeature::NonBlocking { .. } => self.replay::<NB>(),
         }
     }
 
-    /// Replays the event stream and returns the exact final result.
-    pub fn run(&self) -> SimResult {
+    /// The replay loop, instantiated once per stalling feature `F`.
+    fn replay<const F: u8>(&self) -> SimResult {
+        let tl = self.timeline;
         let mut st = ReplayState::new(&self.cfg);
-        let mshrs = self.mshrs();
-        // FS never stalls an in-between hit (the fill always completed
-        // at resume time), so its echoes need no walking at all.
-        let scan = self.cfg.stall != StallFeature::FullStall;
-        let echo_offsets = &self.timeline.echo_offsets;
-        let echo_addrs = &self.timeline.echo_addrs;
-        for (i, event) in self.timeline.events.iter().enumerate() {
-            st.process_event(&self.cfg, mshrs, event);
-            if scan {
-                let (start, end) = self.echo_bounds(i);
-                st.scan_echoes(
-                    self.cfg.stall,
+        for (i, event) in tl.events.iter().enumerate() {
+            st.event::<F>(event);
+            // FS never stalls an in-between hit (the fill always
+            // completed at resume time), so its echoes need no walking.
+            if F != FS {
+                let start = event.echo_start as usize;
+                let end = tl
+                    .events
+                    .get(i + 1)
+                    .map_or(tl.echo_offsets.len(), |next| next.echo_start as usize);
+                st.echoes::<F>(
                     event.instr,
-                    &echo_offsets[start..end],
-                    &echo_addrs[start..end],
+                    &tl.echo_offsets[start..end],
+                    &tl.echo_addrs[start..end],
                 );
             }
         }
-        st.advance(self.timeline.instructions);
-        let dcache = self.timeline.stats;
+        st.advance(tl.instructions);
+        let dcache = tl.stats;
         SimResult {
             cycles: st.cycle,
             instructions: st.instr,
@@ -647,7 +661,7 @@ impl<'a> TimelineCpu<'a> {
             ifetch_stall_cycles: 0,
             line_bytes: self.cfg.dcache.line_bytes(),
             beta_m: self.cfg.timing.beta_m(),
-            miss_distance_hist: self.timeline.miss_distance_hist,
+            miss_distance_hist: tl.miss_distance_hist,
         }
     }
 }
@@ -657,8 +671,9 @@ mod tests {
     use super::*;
     use crate::config::WriteBufferConfig;
     use crate::Cpu;
-    use simmem::{BusWidth, BypassMode};
+    use simmem::{BusWidth, BypassMode, MemoryTiming};
     use simtrace::workload::builtin;
+    use std::collections::VecDeque;
 
     const N: usize = 12_000;
 
@@ -734,6 +749,67 @@ mod tests {
                 let fast = tl.replay(&cfg);
                 let slow = Cpu::new(cfg).run(trace("hydro2d"));
                 assert_eq!(fast, slow, "{mode:?} cap={capacity}");
+            }
+        }
+    }
+
+    /// A stream of misses to fresh lines, each followed by a store to an
+    /// earlier fill's line (an echo that also dirties it, so evictions
+    /// write back) and a non-memory instruction. In the first half the
+    /// store hits the line missed 1–7 fills earlier, still in flight
+    /// under enough MSHRs, so NB's conflict check finds fills at every
+    /// ring position; in the second half it hits the line missed eight
+    /// fills earlier, which has always completed, so the processor runs
+    /// ahead until every MSHR is busy. 900 fills wrap an 8-slot ring's
+    /// head over 100 times.
+    fn ring_wrapping_trace() -> Vec<Instr> {
+        (0..900u64)
+            .flat_map(|k| {
+                let pc = k * 12;
+                let back = if k < 450 { 1 + k % 7 } else { 8 };
+                let echo = 0x10_0000 + k.saturating_sub(back) * 32 + (k % 8) * 4;
+                [
+                    Instr::mem(pc, simtrace::MemRef::load(0x10_0000 + k * 32 + 8, 4)),
+                    Instr::mem(pc + 4, simtrace::MemRef::store(echo, 4)),
+                    Instr::plain(pc + 8),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fill_ring_wraps_exactly_at_every_mshr_count() {
+        let trace = ring_wrapping_trace();
+        let tl = MissTimeline::extract(cache(), trace.iter().copied());
+        assert_eq!(tl.event_count(), 900);
+        let buffers = [
+            None,
+            Some(WriteBufferConfig {
+                capacity: 2,
+                mode: BypassMode::ChunkGranular,
+            }),
+        ];
+        for wbuf in buffers {
+            let mut last_cycles = u64::MAX;
+            for mshrs in 1..=MissTimeline::MAX_MSHRS {
+                // β = 40: a fill takes 320 cycles, so misses three
+                // instructions apart keep every MSHR busy.
+                let mut cfg =
+                    CpuConfig::baseline(cache(), MemoryTiming::new(BusWidth::new(4).unwrap(), 40))
+                        .with_stall(StallFeature::NonBlocking { mshrs });
+                if let Some(wb) = wbuf {
+                    cfg = cfg.with_write_buffer(wb);
+                }
+                let fast = tl.replay(&cfg);
+                assert_eq!(
+                    fast,
+                    Cpu::new(cfg).run(trace.iter().copied()),
+                    "NB({mshrs}) {wbuf:?}"
+                );
+                // Each added MSHR saves cycles, so the last slot of
+                // every ring size was outstanding.
+                assert!(fast.cycles < last_cycles, "NB({mshrs}) {wbuf:?}");
+                last_cycles = fast.cycles;
             }
         }
     }

@@ -12,6 +12,69 @@ use crate::timing::MemoryTiming;
 use serde::{Deserialize, Serialize};
 use simtrace::{Addr, LineAddr};
 
+/// The part of a fill's schedule that depends only on the memory timing
+/// and the line size: computed once per (timing, line) pair, then
+/// stamped onto each miss by [`FillShape::schedule`].
+///
+/// Line and bus sizes are powers of two, so the shape is a set of
+/// shifts and masks. A replay that launches many fills under one timing
+/// builds its shape once; [`FillSchedule::new`] is the one-shot form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FillShape {
+    line_shift: u32,
+    chunk_shift: u32,
+    /// `chunks − 1`: the chunk count is a power of two.
+    chunk_mask: u64,
+    beta_m: u64,
+    step: u64,
+    /// Cycles from the critical chunk's arrival to completion:
+    /// `chunk_mask · step`.
+    tail: u64,
+}
+
+impl FillShape {
+    /// The shape of every fill of a `line_bytes`-byte line under
+    /// `timing`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if `line_bytes` is not a valid power-of-two line
+    /// for `timing`.
+    pub fn new(timing: &MemoryTiming, line_bytes: u64) -> Self {
+        debug_assert!(timing.check_line(line_bytes).is_ok());
+        debug_assert!(line_bytes.is_power_of_two());
+        let chunk_bytes = timing.bus().bytes().min(line_bytes);
+        let chunk_shift = chunk_bytes.trailing_zeros();
+        let chunk_mask = (line_bytes >> chunk_shift) - 1;
+        let step = timing.q().unwrap_or(timing.beta_m());
+        FillShape {
+            line_shift: line_bytes.trailing_zeros(),
+            chunk_shift,
+            chunk_mask,
+            beta_m: timing.beta_m(),
+            step,
+            tail: chunk_mask * step,
+        }
+    }
+
+    /// The schedule of a fill of the line containing `miss_addr`,
+    /// starting at absolute cycle `start`.
+    #[inline]
+    pub fn schedule(&self, miss_addr: Addr, start: u64) -> FillSchedule {
+        let critical_at = start + self.beta_m;
+        FillSchedule {
+            line: LineAddr::new(miss_addr.raw() >> self.line_shift),
+            line_shift: self.line_shift,
+            chunk_shift: self.chunk_shift,
+            chunk_mask: self.chunk_mask,
+            critical_chunk: (miss_addr.raw() >> self.chunk_shift) & self.chunk_mask,
+            critical_at,
+            step: self.step,
+            complete_at: critical_at + self.tail,
+        }
+    }
+}
+
 /// The delivery schedule of one in-flight line fill.
 ///
 /// Line and bus sizes are powers of two, so every question is a shift
@@ -34,31 +97,14 @@ pub struct FillSchedule {
 
 impl FillSchedule {
     /// Starts a fill at absolute cycle `start` for the line containing
-    /// `miss_addr`.
+    /// `miss_addr`: the one-shot form of [`FillShape::schedule`].
     ///
     /// # Panics
     ///
     /// Panics (debug) if `line_bytes` is not a valid power-of-two line
     /// for `timing`.
     pub fn new(timing: &MemoryTiming, line_bytes: u64, miss_addr: Addr, start: u64) -> Self {
-        debug_assert!(timing.check_line(line_bytes).is_ok());
-        debug_assert!(line_bytes.is_power_of_two());
-        let chunk_bytes = timing.bus().bytes().min(line_bytes);
-        let line_shift = line_bytes.trailing_zeros();
-        let chunk_shift = chunk_bytes.trailing_zeros();
-        let chunk_mask = (line_bytes >> chunk_shift) - 1;
-        let critical_at = start + timing.beta_m();
-        let step = timing.q().unwrap_or(timing.beta_m());
-        FillSchedule {
-            line: LineAddr::new(miss_addr.raw() >> line_shift),
-            line_shift,
-            chunk_shift,
-            chunk_mask,
-            critical_chunk: (miss_addr.raw() >> chunk_shift) & chunk_mask,
-            critical_at,
-            step,
-            complete_at: critical_at + chunk_mask * step,
-        }
+        FillShape::new(timing, line_bytes).schedule(miss_addr, start)
     }
 
     /// The line being filled.
@@ -179,9 +225,9 @@ mod tests {
         assert_eq!(f.complete_at(), 12);
     }
 
-    /// The shift-and-mask schedule against the plain division formulas
-    /// it replaces, for every line size and bus width, with and
-    /// without pipelining.
+    /// The shift-and-mask schedule, one-shot and stamped from a
+    /// [`FillShape`], against the plain division formulas it replaces,
+    /// for every line size and bus width, with and without pipelining.
     #[test]
     fn shift_arithmetic_matches_the_division_formulas() {
         for line in [4u64, 8, 16, 32, 64, 128] {
@@ -197,10 +243,14 @@ mod tests {
                         None => (i + 1) * 7,
                         Some(q) => 7 + i * q,
                     };
+                    // One shape stamps every miss, as a replay uses it.
+                    let shape = FillShape::new(&t, line);
                     let base = 0x3000 + 5 * line;
+                    // Every byte of the line, so a miss on every chunk.
                     for miss in (0..line).map(|o| Addr::new(base + o)) {
                         let start = 11 + miss.raw() % 5;
-                        let f = FillSchedule::new(&t, line, miss, start);
+                        let f = shape.schedule(miss, start);
+                        assert_eq!(f, FillSchedule::new(&t, line, miss, start));
                         let critical = (miss.raw() % line) / chunk;
                         assert_eq!(f.chunks(), chunks);
                         assert_eq!(f.critical_arrives_at(), start + offset(0));

@@ -6,8 +6,8 @@
 //! * a memory with cycle time `β_m` per `D`-byte transfer, optionally
 //!   pipelined with issue interval `q` ([`MemoryTiming`]),
 //! * the chunk-by-chunk delivery schedule of a line fill, critical word
-//!   first ([`FillSchedule`]) — the information the BL/BNL2/BNL3 stalling
-//!   features key off,
+//!   first ([`FillSchedule`], stamped from a per-timing [`FillShape`]) —
+//!   the information the BL/BNL2/BNL3 stalling features key off,
 //! * a read-bypassing write buffer ([`WriteBuffer`]) that hides the
 //!   `α(R/D)β_m` flush term of Eq. 2.
 //!
@@ -33,6 +33,6 @@ pub mod fill;
 pub mod timing;
 pub mod wbuf;
 
-pub use fill::FillSchedule;
+pub use fill::{FillSchedule, FillShape};
 pub use timing::{BusWidth, MemoryTiming, TimingError};
 pub use wbuf::{BypassMode, WriteBuffer};
