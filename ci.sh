@@ -179,6 +179,8 @@ stream_check() {
     # then-scan oracle, and peak RSS must stay far below what the
     # materialised trace would pin (24 MB at 1 M instructions; the
     # binary checks VmHWM before its oracle pass materialises anything).
+    # The reuse fold is finished, as the trace store holds it, before
+    # it is compared with the serial fold.
     cargo run --release -q -p bench --bin stream_smoke -- \
         --instructions "$n" --rss-limit-mb 64
 }

@@ -1,9 +1,10 @@
 //! Streaming-pipeline smoke: runs a Figure-1 φ batch through the
 //! chunked generate→fold pipeline, then a Figure-6 sweep grid and the
 //! analytic backend's 8–128 B reuse histograms through one batched
-//! pass, checks peak RSS stayed bounded (the point of streaming), then
-//! verifies the folded numbers byte-identically against the
-//! materialise-then-scan oracle.
+//! pass, finishing the histograms as the trace store does, checks peak
+//! RSS stayed bounded (the point of streaming), then verifies the
+//! folded numbers byte-identically against the materialise-then-scan
+//! oracle. It also prints what the timeline and the finished fold hold.
 //!
 //! ```text
 //! stream_smoke [--instructions N] [--rss-limit-mb MB]
@@ -94,18 +95,30 @@ fn histograms(grid: &GridSpec) -> ReuseHistograms {
     )
 }
 
+/// What the streamed timeline held: events, echoes and bytes.
+struct TimelineSize {
+    events: usize,
+    echoes: usize,
+    bytes: usize,
+}
+
 /// Two streamed passes: φ values from a timeline sink's `O(misses)`
 /// replays, then grid points from five sweeps and reuse histograms
 /// from their line-size parts, all folded from shared reference
-/// batches under the grid's warm-up.
+/// batches under the grid's warm-up. The histograms come back finished.
 fn streamed(
     grid: &GridSpec,
     n: usize,
     chunk: usize,
-) -> (Vec<HitRatioPoint>, Vec<f64>, ReuseHistograms) {
+) -> (Vec<HitRatioPoint>, Vec<f64>, ReuseHistograms, TimelineSize) {
     let mut timeline = MissTimelineBuilder::new(phi_cache());
     stream::fold(nasa7().take(n), chunk, &mut [&mut timeline]);
     let timeline: MissTimeline = timeline.finish();
+    let size = TimelineSize {
+        events: timeline.event_count(),
+        echoes: timeline.echo_count(),
+        bytes: timeline.bytes(),
+    };
     let phis = phi_points()
         .iter()
         .map(|&(stall, beta)| {
@@ -133,10 +146,11 @@ fn streamed(
     let cut = RefCutter::new(grid.warmup, 0);
     stream::fold_batches(nasa7().take(n), chunk, cut, &mut sinks);
     drop(sinks);
+    hists.finish();
     let points = Simulated::from_sweeps(sweeps)
         .points(grid)
         .expect("grid covered by its sweeps");
-    (points, phis, hists)
+    (points, phis, hists, size)
 }
 
 fn main() -> ExitCode {
@@ -160,7 +174,16 @@ fn main() -> ExitCode {
 
     let grid = grid(instructions);
     let chunk = stream::chunk_instructions();
-    let (points, phis, hists) = streamed(&grid, instructions, chunk);
+    let (points, phis, hists, timeline) = streamed(&grid, instructions, chunk);
+    println!(
+        "stream_smoke: timeline of {} events × {} B and {} echoes × {} B holds {} B; finished reuse fold holds {} B",
+        timeline.events,
+        MissTimeline::EVENT_BYTES,
+        timeline.echoes,
+        MissTimeline::ECHO_BYTES,
+        timeline.bytes,
+        hists.bytes(),
+    );
 
     // RSS gate first: the oracle pass below materialises the whole
     // trace on purpose and would swamp the high-water mark.

@@ -611,7 +611,9 @@ pub fn workload_timeline(
 /// warm-up) process-wide. The fold streams the trace
 /// ([`fold_workload_batches`]) — a histogram lookup never materialises
 /// instructions — extracting each run's references once and folding
-/// the line sizes side by side.
+/// the line sizes side by side. The memo holds the fold finished
+/// ([`ReuseHistograms::finish`]): its histograms and residue counts,
+/// without the state that only folding reads.
 #[allow(clippy::too_many_arguments)]
 pub fn workload_histograms(
     spec: &WorkloadSpec,
@@ -638,6 +640,7 @@ pub fn workload_histograms(
         || {
             let mut hists = ReuseHistograms::new(min_line, max_line, max_distance, warmup);
             fold_workload_batches(spec, seed, len, warmup, hists.parts_mut());
+            hists.finish();
             hists
         },
         || room(s.traces.bytes() + s.timelines.bytes()),
@@ -877,7 +880,10 @@ mod tests {
         direct.process_slice(&trace);
         for line in [8, 16, 32, 64] {
             assert_eq!(first.profile(line), direct.profile(line), "line={line}");
+            assert_eq!(first.set_mass(line), direct.set_mass(line), "line={line}");
         }
+        assert!(first.is_finished(), "the memo holds finished folds");
+        assert!(first.bytes() < direct.bytes());
         assert!(stats().hist_bytes > 0);
     }
 

@@ -31,6 +31,27 @@
 //! lazily at the next access the replay processes. [`TimelineCpu::new`]
 //! refuses NB with more MSHRs than the timeline covers.
 //!
+//! # Encoding: 16 bytes per event, 7 per echo
+//!
+//! An event holds its full byte address (critical-word-first delivery
+//! depends on the bus width, unknown until replay), its instruction
+//! index as a `u32` gap from the previous event, and the start of its
+//! echo range with the write-back flag in the top bit.
+//!
+//! An echo holds no address. The conflict check asks of an echo only
+//! whether it touches the line of an in-flight fill, and where in that
+//! line it falls. Every in-flight fill is one of the last
+//! [`MissTimeline::MAX_MSHRS`] events' (each event launches one, and
+//! they complete in FIFO order), so an echo stores its `u32`
+//! instruction offset from its event, an 8-bit mask whose bit `j` says
+//! that its line is the line of the fill `j` events back (its own
+//! event's fill is `j = 0`), and its `u16` byte offset within the
+//! line. The replay's fill ring holds the last `len` events' fills, so
+//! ring slot `i` is the fill `len − 1 − i` events back and "covers" is
+//! one bit test. Echoes are always resident, so nothing else reads
+//! their address. The line offset bounds the line size a timeline
+//! admits to [`MissTimeline::MAX_LINE_BYTES`].
+//!
 //! # The replay loop
 //!
 //! [`TimelineCpu::run`] matches the stalling feature once and runs one
@@ -64,20 +85,34 @@ use simcache::{Cache, CacheConfig, CacheStats, WriteMiss, WritePolicy};
 use simmem::{FillSchedule, FillShape, WriteBuffer};
 use simtrace::{Addr, Instr};
 
-/// One allocating fill: the timeline's unit of timing work.
+/// One allocating fill: the timeline's unit of timing work, 16 bytes
+/// (module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MissEvent {
-    /// 1-based index of the missing instruction (ΔC follows from
-    /// consecutive events' differences).
-    pub instr: u64,
+struct MissEvent {
     /// Full byte address of the miss. The byte address (not a chunk
     /// index) must be stored because the critical-word-first delivery
     /// order depends on the bus width, which is unknown until replay.
-    pub addr: Addr,
-    /// A dirty victim must be flushed behind this fill.
-    pub writeback: bool,
-    /// Start of this event's echo range in [`MissTimeline`]'s echo list.
-    pub echo_start: u32,
+    addr: Addr,
+    /// Instructions from the previous event (from the trace's start for
+    /// the first): ΔC.
+    gap: u32,
+    /// Start of this event's echo range in [`MissTimeline`]'s echo
+    /// arrays, with [`MissEvent::WRITEBACK`] set when a dirty victim
+    /// must be flushed behind this fill.
+    echoes: u32,
+}
+
+impl MissEvent {
+    /// The write-back flag's bit in [`MissEvent::echoes`].
+    const WRITEBACK: u32 = 1 << 31;
+
+    fn echo_start(&self) -> usize {
+        (self.echoes & !Self::WRITEBACK) as usize
+    }
+
+    fn writeback(&self) -> bool {
+        self.echoes & Self::WRITEBACK != 0
+    }
 }
 
 /// Streaming timeline extraction: feed instructions (or whole chunks)
@@ -96,12 +131,16 @@ pub struct MissTimelineBuilder {
     line_shift: u32,
     events: Vec<MissEvent>,
     echo_offsets: Vec<u32>,
-    echo_addrs: Vec<Addr>,
-    /// Line indices of the last `MAX_MSHRS` fills, fill `i` in slot
-    /// `i % MAX_MSHRS`. `u64::MAX` stands for "no fill yet"; should a
-    /// real line have that index, its echoes are merely kept, which is
-    /// always exact.
-    recent_lines: [u64; MissTimeline::MAX_MSHRS as usize],
+    echo_masks: Vec<u8>,
+    echo_line_offsets: Vec<u16>,
+    /// Line indices of the last `MAX_MSHRS` fills, the most recent
+    /// first: slot `j` is the fill `j` events back. `u64::MAX` stands
+    /// for "no fill yet"; should a real line have that index, its echoes
+    /// merely carry mask bits for fills that never happened, which the
+    /// replay never reads, and are kept, which is always exact.
+    recent_lines: [u64; RING],
+    /// Instruction index of the last event (0 before the first).
+    last_event: u64,
     /// No echo has followed the last event yet.
     first_echo_pending: bool,
     miss_distance_hist: [u64; 20],
@@ -117,7 +156,8 @@ impl MissTimelineBuilder {
     pub fn new(cache: CacheConfig) -> Self {
         assert!(
             MissTimeline::supports_cache(&cache),
-            "timeline extraction needs a write-back write-allocate cache"
+            "timeline extraction needs a write-back write-allocate cache of lines up to {} bytes",
+            MissTimeline::MAX_LINE_BYTES
         );
         MissTimelineBuilder {
             cache,
@@ -125,8 +165,10 @@ impl MissTimelineBuilder {
             line_shift: cache.line_bytes().trailing_zeros(),
             events: Vec::new(),
             echo_offsets: Vec::new(),
-            echo_addrs: Vec::new(),
-            recent_lines: [u64::MAX; MissTimeline::MAX_MSHRS as usize],
+            echo_masks: Vec::new(),
+            echo_line_offsets: Vec::new(),
+            recent_lines: [u64::MAX; RING],
+            last_event: 0,
             first_echo_pending: false,
             miss_distance_hist: [0u64; 20],
             instructions: 0,
@@ -137,43 +179,62 @@ impl MissTimelineBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the timeline keeps ≥ 2³² echoes (the echo index is
-    /// compact), or if a kept echo lies 2³² or more instructions after
-    /// its event (its offset is a `u32`).
+    /// Panics if the timeline keeps ≥ 2³¹ echoes (the echo index shares
+    /// its word with the write-back flag), if a miss lies 2³² or more
+    /// instructions after the previous one, or if a kept echo lies 2³²
+    /// or more instructions after its event (gaps and offsets are
+    /// `u32`s).
     pub fn process(&mut self, instr: &Instr) {
         self.instructions += 1;
         let Some(mref) = instr.mem else { return };
         let out = self.sim.access(mref.op, mref.addr);
+        let line = mref.addr.raw() >> self.line_shift;
         if out.filled {
-            if let Some(last) = self.events.last() {
-                self.miss_distance_hist
-                    [SimResult::distance_bucket(self.instructions - last.instr)] += 1;
+            let gap = self.instructions - self.last_event;
+            if !self.events.is_empty() {
+                self.miss_distance_hist[SimResult::distance_bucket(gap)] += 1;
             }
-            let echo_start =
-                u32::try_from(self.echo_offsets.len()).expect("echo index fits in 32 bits");
-            let slot = self.events.len() % self.recent_lines.len();
-            self.recent_lines[slot] = mref.addr.raw() >> self.line_shift;
+            let echo_start = u32::try_from(self.echo_offsets.len())
+                .ok()
+                .filter(|&start| start < MissEvent::WRITEBACK)
+                .expect("echo index fits in 31 bits");
+            let writeback = if out.writeback.is_some() {
+                MissEvent::WRITEBACK
+            } else {
+                0
+            };
             self.events.push(MissEvent {
-                instr: self.instructions,
                 addr: mref.addr,
-                writeback: out.writeback.is_some(),
-                echo_start,
+                gap: u32::try_from(gap).expect("miss gap fits in 32 bits"),
+                echoes: echo_start | writeback,
             });
+            self.recent_lines.copy_within(..RING - 1, 1);
+            self.recent_lines[0] = line;
+            self.last_event = self.instructions;
             self.first_echo_pending = true;
         } else {
             debug_assert!(out.hit, "a write-allocate access either hits or fills");
             // Hits before the first fill can never stall; nor can the
             // echoes the module docs rule out.
-            let Some(event) = self.events.last() else {
+            if self.events.is_empty() {
                 return;
-            };
-            let line = mref.addr.raw() >> self.line_shift;
-            if self.first_echo_pending || self.recent_lines.contains(&line) {
+            }
+            let mask = self
+                .recent_lines
+                .iter()
+                .enumerate()
+                .fold(0u8, |mask, (j, &l)| mask | u8::from(l == line) << j);
+            if self.first_echo_pending || mask != 0 {
                 self.first_echo_pending = false;
-                let offset = u32::try_from(self.instructions - event.instr)
+                let offset = u32::try_from(self.instructions - self.last_event)
                     .expect("echo offset fits in 32 bits");
                 self.echo_offsets.push(offset);
-                self.echo_addrs.push(mref.addr);
+                self.echo_masks.push(mask);
+                let line_mask = (1u64 << self.line_shift) - 1;
+                self.echo_line_offsets.push(
+                    u16::try_from(mref.addr.raw() & line_mask)
+                        .expect("`supports_cache` bounds the line offset to 16 bits"),
+                );
             }
         }
     }
@@ -196,13 +257,15 @@ impl MissTimelineBuilder {
     pub fn finish(mut self) -> MissTimeline {
         self.events.shrink_to_fit();
         self.echo_offsets.shrink_to_fit();
-        self.echo_addrs.shrink_to_fit();
+        self.echo_masks.shrink_to_fit();
+        self.echo_line_offsets.shrink_to_fit();
         MissTimeline {
             cache: self.cache,
             instructions: self.instructions,
             events: self.events,
             echo_offsets: self.echo_offsets,
-            echo_addrs: self.echo_addrs,
+            echo_masks: self.echo_masks,
+            echo_line_offsets: self.echo_line_offsets,
             stats: *self.sim.stats(),
             miss_distance_hist: self.miss_distance_hist,
         }
@@ -220,9 +283,9 @@ impl MissTimelineBuilder {
 /// so dropping it is exact (module docs). Hits before the first fill
 /// can never stall and are not stored either.
 ///
-/// Echoes are stored structure-of-arrays: the replay's fence check reads
-/// the offset array, and addresses are touched only for echoes that
-/// actually stall-check — 12 bytes per echo.
+/// Events take 16 bytes and echoes 7, stored structure-of-arrays: the
+/// replay's fence check reads the offset array, and an echo's line mask
+/// and line offset are read only when it stall-checks (module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MissTimeline {
     cache: CacheConfig,
@@ -230,11 +293,14 @@ pub struct MissTimeline {
     events: Vec<MissEvent>,
     /// Echo instruction indices as offsets from their event's (ascending
     /// within an event); event `i`'s echoes occupy
-    /// `echo_offsets[events[i].echo_start .. events[i+1].echo_start]`
-    /// (through the end of the list for the last event).
+    /// `echo_start(i) .. echo_start(i + 1)` of every echo array
+    /// (through the end of the arrays for the last event).
     echo_offsets: Vec<u32>,
-    /// Echo byte addresses, parallel to `echo_offsets`.
-    echo_addrs: Vec<Addr>,
+    /// Bit `j`: the echo's line is the line of the fill `j` events back,
+    /// counting its own event's fill as `j = 0`.
+    echo_masks: Vec<u8>,
+    /// The echo's byte offset within its line.
+    echo_line_offsets: Vec<u16>,
     stats: CacheStats,
     miss_distance_hist: [u64; 20],
 }
@@ -246,12 +312,26 @@ impl MissTimeline {
     /// MSHR count the experiments and the query API ask for (up to 8).
     pub const MAX_MSHRS: u32 = 8;
 
+    /// The longest line a timeline admits: an echo stores its byte
+    /// offset within its line in 16 bits.
+    pub const MAX_LINE_BYTES: u64 = 1 << u16::BITS;
+
+    /// Bytes a fill event takes.
+    pub const EVENT_BYTES: usize = std::mem::size_of::<MissEvent>();
+
+    /// Bytes an echo takes across its three arrays.
+    pub const ECHO_BYTES: usize =
+        std::mem::size_of::<u32>() + std::mem::size_of::<u8>() + std::mem::size_of::<u16>();
+
     /// Whether a cache configuration admits timing-free extraction: the
     /// hit/miss outcome of every access must be independent of when the
     /// accesses happen, which holds for write-back write-allocate caches
     /// (every miss allocates; no write-around / write-through traffic).
+    /// The line must also be at most [`Self::MAX_LINE_BYTES`].
     pub fn supports_cache(cfg: &CacheConfig) -> bool {
-        cfg.write_policy == WritePolicy::WriteBack && cfg.write_miss == WriteMiss::Allocate
+        cfg.write_policy == WritePolicy::WriteBack
+            && cfg.write_miss == WriteMiss::Allocate
+            && cfg.line_bytes() <= Self::MAX_LINE_BYTES
     }
 
     /// Runs `trace` through the cache exactly once and records the
@@ -285,9 +365,9 @@ impl MissTimeline {
         self.events.len()
     }
 
-    /// The fill events, in trace order.
-    pub fn events(&self) -> &[MissEvent] {
-        &self.events
+    /// Number of echoes kept: the hits that can stall (module docs).
+    pub fn echo_count(&self) -> usize {
+        self.echo_offsets.len()
     }
 
     /// Final cache statistics of the recorded run (timing-independent,
@@ -307,7 +387,8 @@ impl MissTimeline {
         use std::mem::size_of;
         self.events.capacity() * size_of::<MissEvent>()
             + self.echo_offsets.capacity() * size_of::<u32>()
-            + self.echo_addrs.capacity() * size_of::<Addr>()
+            + self.echo_masks.capacity() * size_of::<u8>()
+            + self.echo_line_offsets.capacity() * size_of::<u16>()
             + size_of::<Self>()
     }
 
@@ -463,18 +544,20 @@ impl ReplayState {
     /// need no retiring first: every feature but NB holds at most one
     /// fill, and every feature skips a completed one.
     #[inline(always)]
-    fn conflict_stall<const F: u8>(&mut self, addr: Addr, resident: bool) {
+    fn conflict_stall<const F: u8, A: Access>(&mut self, access: A) {
         if F == FS {
             return;
         }
         let now = self.cycle;
+        let len = self.fills.len;
         let stall_until = if F == NB {
             match self
                 .fills
                 .iter()
-                .find(|f| !f.is_complete(now) && f.covers(addr))
+                .enumerate()
+                .find(|&(i, f)| !f.is_complete(now) && access.covers(f, len - 1 - i))
             {
-                Some(f) => f.chunk_available_at(addr),
+                Some((_, f)) => access.available_at(f),
                 None => return,
             }
         } else {
@@ -482,12 +565,13 @@ impl ReplayState {
             if f.is_complete(now) {
                 return;
             }
-            let covers = f.covers(addr);
+            let covers = access.covers(f, len - 1);
+            let resident = A::RESIDENT;
             match F {
                 BL => f.complete_at(),
                 BNL1 if covers || !resident => f.complete_at(),
-                BNL2 if covers && !f.chunk_available(addr, now) => f.complete_at(),
-                BNL3 if covers => f.chunk_available_at(addr),
+                BNL2 if covers && now < access.available_at(f) => f.complete_at(),
+                BNL3 if covers => access.available_at(f),
                 BNL2 | BNL3 if !covers && !resident => f.complete_at(),
                 _ => return,
             }
@@ -501,9 +585,9 @@ impl ReplayState {
     /// One fill event: conflict stall, MSHR wait, fill launch, resume
     /// rule and posted flush — exactly `Cpu::data_access`'s miss path.
     #[inline(always)]
-    fn event<const F: u8>(&mut self, event: &MissEvent) {
-        self.advance(event.instr);
-        self.conflict_stall::<F>(event.addr, false);
+    fn event<const F: u8>(&mut self, instr: u64, event: &MissEvent) {
+        self.advance(instr);
+        self.conflict_stall::<F, _>(Miss(event.addr));
         self.fills.retire(self.cycle);
 
         if self.fills.len >= self.mshrs {
@@ -533,7 +617,7 @@ impl ReplayState {
         self.miss_stall += end - self.cycle + 1;
         self.cycle = end;
 
-        if event.writeback {
+        if event.writeback() {
             self.flush(sched.complete_at());
         }
         self.fills.push_back(sched);
@@ -554,7 +638,8 @@ impl ReplayState {
     }
 
     /// Walks one event's echoes (offsets from the event at instruction
-    /// `base`), stall-checking each while a fill is still in flight.
+    /// `base`, with their line masks and line offsets), stall-checking
+    /// each while a fill is still in flight.
     ///
     /// Echo `e` can stall only if it issues before the fence, the
     /// newest fill's completion: `cycle + (e.instr − instr) < fence`.
@@ -562,18 +647,77 @@ impl ReplayState {
     /// echo past the fence ends the walk, and the echoes after it need
     /// no clock advance: the next access the replay processes catches
     /// the clock up. No fill starts during the walk, so the fence never
-    /// moves.
+    /// moves, and neither does the fill ring the masks index.
     #[inline(always)]
-    fn echoes<const F: u8>(&mut self, base: u64, offsets: &[u32], addrs: &[Addr]) {
+    fn echoes<const F: u8>(&mut self, base: u64, offsets: &[u32], masks: &[u8], lines: &[u16]) {
         let fence = self.fills.fence();
-        for (&offset, &addr) in offsets.iter().zip(addrs) {
+        let (masks, lines) = (&masks[..offsets.len()], &lines[..offsets.len()]);
+        for (k, &offset) in offsets.iter().enumerate() {
             let instr = base + u64::from(offset);
             if self.cycle + (instr - self.instr) >= fence {
                 break;
             }
             self.advance(instr);
-            self.conflict_stall::<F>(addr, true);
+            self.conflict_stall::<F, _>(Echo {
+                mask: masks[k],
+                line_offset: lines[k],
+            });
         }
+    }
+}
+
+/// An access the conflict check asks about: an event's miss or an echo.
+trait Access: Copy {
+    /// Whether the access's line is resident: an echo's always is, a
+    /// miss's never.
+    const RESIDENT: bool;
+
+    /// Whether the access touches the line of `fill`, the fill launched
+    /// `back` events before the one whose echoes are being walked.
+    fn covers(self, fill: &FillSchedule, back: usize) -> bool;
+
+    /// Cycle the access's chunk of `fill`, whose line it touches,
+    /// arrives.
+    fn available_at(self, fill: &FillSchedule) -> u64;
+}
+
+/// An event's miss, known by its byte address.
+#[derive(Clone, Copy)]
+struct Miss(Addr);
+
+impl Access for Miss {
+    const RESIDENT: bool = false;
+
+    #[inline(always)]
+    fn covers(self, fill: &FillSchedule, _back: usize) -> bool {
+        fill.covers(self.0)
+    }
+
+    #[inline(always)]
+    fn available_at(self, fill: &FillSchedule) -> u64 {
+        fill.chunk_available_at(self.0)
+    }
+}
+
+/// An echo, known by its line mask and its offset within its line
+/// (module docs).
+#[derive(Clone, Copy)]
+struct Echo {
+    mask: u8,
+    line_offset: u16,
+}
+
+impl Access for Echo {
+    const RESIDENT: bool = true;
+
+    #[inline(always)]
+    fn covers(self, _fill: &FillSchedule, back: usize) -> bool {
+        self.mask >> back & 1 != 0
+    }
+
+    #[inline(always)]
+    fn available_at(self, fill: &FillSchedule) -> u64 {
+        fill.offset_available_at(u64::from(self.line_offset))
     }
 }
 
@@ -628,20 +772,22 @@ impl<'a> TimelineCpu<'a> {
     fn replay<const F: u8>(&self) -> SimResult {
         let tl = self.timeline;
         let mut st = ReplayState::new(&self.cfg);
+        let mut instr = 0u64;
         for (i, event) in tl.events.iter().enumerate() {
-            st.event::<F>(event);
+            instr += u64::from(event.gap);
+            st.event::<F>(instr, event);
             // FS never stalls an in-between hit (the fill always
             // completed at resume time), so its echoes need no walking.
             if F != FS {
-                let start = event.echo_start as usize;
-                let end = tl
-                    .events
-                    .get(i + 1)
-                    .map_or(tl.echo_offsets.len(), |next| next.echo_start as usize);
+                let echoes = event.echo_start()
+                    ..tl.events
+                        .get(i + 1)
+                        .map_or(tl.echo_offsets.len(), MissEvent::echo_start);
                 st.echoes::<F>(
-                    event.instr,
-                    &tl.echo_offsets[start..end],
-                    &tl.echo_addrs[start..end],
+                    instr,
+                    &tl.echo_offsets[echoes.clone()],
+                    &tl.echo_masks[echoes.clone()],
+                    &tl.echo_line_offsets[echoes],
                 );
             }
         }
@@ -881,46 +1027,74 @@ mod tests {
         assert_eq!(r, Cpu::new(cfg).run(warm.iter().copied()));
     }
 
-    #[test]
-    fn only_echoes_that_can_stall_are_kept() {
-        // The keep rule restated naively: after the first fill, a hit is
-        // kept if it is the first since the last fill or if its line was
-        // one of the last `MAX_MSHRS` fills.
-        let trace = trace("nasa7");
-        let tl = MissTimeline::extract(cache(), trace.iter().copied());
-        let mut sim = Cache::new(cache());
-        let mut recent: VecDeque<u64> = VecDeque::new();
-        let (mut kept, mut hits_after_fill, mut first) = (Vec::new(), 0usize, false);
-        for (i, instr) in trace.iter().enumerate() {
-            let Some(mref) = instr.mem else { continue };
-            let line = mref.addr.raw() / 32;
-            if sim.access(mref.op, mref.addr).filled {
-                recent.push_back(line);
-                if recent.len() > MissTimeline::MAX_MSHRS as usize {
-                    recent.pop_front();
-                }
-                first = true;
-            } else if !recent.is_empty() {
-                hits_after_fill += 1;
-                if std::mem::take(&mut first) || recent.contains(&line) {
-                    kept.push((i as u64 + 1, mref.addr));
-                }
-            }
-        }
+    /// The stored events as (instruction index, address, write-back?),
+    /// decoded from their gaps and flag words.
+    fn stored_events(tl: &MissTimeline) -> Vec<(u64, Addr, bool)> {
+        let mut instr = 0u64;
+        tl.events
+            .iter()
+            .map(|e| {
+                instr += u64::from(e.gap);
+                (instr, e.addr, e.writeback())
+            })
+            .collect()
+    }
+
+    /// The stored echoes as (instruction index, line mask, line offset),
+    /// decoded from their events' gaps and echo ranges.
+    fn stored_echoes(tl: &MissTimeline) -> Vec<(u64, u8, u16)> {
         let mut stored = Vec::new();
+        let instrs = stored_events(tl);
         for (e, event) in tl.events.iter().enumerate() {
             let end = tl
                 .events
                 .get(e + 1)
-                .map_or(tl.echo_offsets.len(), |n| n.echo_start as usize);
-            for j in event.echo_start as usize..end {
+                .map_or(tl.echo_offsets.len(), MissEvent::echo_start);
+            for j in event.echo_start()..end {
                 stored.push((
-                    event.instr + u64::from(tl.echo_offsets[j]),
-                    tl.echo_addrs[j],
+                    instrs[e].0 + u64::from(tl.echo_offsets[j]),
+                    tl.echo_masks[j],
+                    tl.echo_line_offsets[j],
                 ));
             }
         }
-        assert_eq!(stored, kept);
+        stored
+    }
+
+    #[test]
+    fn only_echoes_that_can_stall_are_kept() {
+        // The keep rule restated naively: after the first fill, a hit is
+        // kept if it is the first since the last fill or if its line was
+        // one of the last `MAX_MSHRS` fills; bit `j` of its mask marks
+        // the fill `j` events back.
+        let trace = trace("nasa7");
+        let tl = MissTimeline::extract(cache(), trace.iter().copied());
+        let mut sim = Cache::new(cache());
+        let mut recent: VecDeque<u64> = VecDeque::new();
+        let (mut events, mut kept) = (Vec::new(), Vec::new());
+        let (mut hits_after_fill, mut first) = (0usize, false);
+        for (i, instr) in trace.iter().enumerate() {
+            let Some(mref) = instr.mem else { continue };
+            let line = mref.addr.raw() / 32;
+            let out = sim.access(mref.op, mref.addr);
+            if out.filled {
+                events.push((i as u64 + 1, mref.addr, out.writeback.is_some()));
+                recent.push_front(line);
+                recent.truncate(MissTimeline::MAX_MSHRS as usize);
+                first = true;
+            } else if !recent.is_empty() {
+                hits_after_fill += 1;
+                let mask: u8 = (0..recent.len())
+                    .filter(|&j| recent[j] == line)
+                    .map(|j| 1 << j)
+                    .sum();
+                if std::mem::take(&mut first) || mask != 0 {
+                    kept.push((i as u64 + 1, mask, (mref.addr.raw() % 32) as u16));
+                }
+            }
+        }
+        assert_eq!(stored_events(&tl), events);
+        assert_eq!(stored_echoes(&tl), kept);
         assert!(
             kept.len() < hits_after_fill && kept.len() >= tl.event_count() / 2,
             "{} of {hits_after_fill} hits kept over {} events",
@@ -929,21 +1103,99 @@ mod tests {
         );
     }
 
+    /// Three lines of one set of a 2-way, 4-set cache of `line`-byte
+    /// lines, taken in turn, so every turn misses and each line is
+    /// refilled six fills after its previous fill; between turns a
+    /// fresh line of another set misses too. Two hits follow each turn's
+    /// miss, on chunks spread over the line, so their masks carry two
+    /// bits: one for the line's fill in flight, one for its evicted
+    /// earlier fill, which may still be in flight as well.
+    fn refill_trace(line: u64) -> Vec<Instr> {
+        let set_stride = 4 * line;
+        let spread = |k: u64| k.wrapping_mul(0x9E37_79B9) % (line / 4) * 4;
+        (0..120u64)
+            .flat_map(|k| {
+                let pc = k * 20;
+                let turn = (k % 3) * set_stride;
+                let fresh = (3 + k) * set_stride + line * (1 + k % 3);
+                [
+                    Instr::mem(pc, simtrace::MemRef::load(turn + spread(k), 4)),
+                    Instr::mem(pc + 4, simtrace::MemRef::store(turn + spread(k + 1), 4)),
+                    Instr::plain(pc + 8),
+                    Instr::mem(pc + 12, simtrace::MemRef::load(fresh, 4)),
+                    Instr::mem(pc + 16, simtrace::MemRef::load(turn + spread(k + 2), 4)),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_line_refilled_within_eight_fills_replays_exactly() {
+        let mut line = 8;
+        while line <= MissTimeline::MAX_LINE_BYTES {
+            let cache = CacheConfig::new(8 * line, line, 2).unwrap();
+            let trace = refill_trace(line);
+            let tl = MissTimeline::extract(cache, trace.iter().copied());
+            assert!(
+                tl.echo_masks.iter().any(|m| m.count_ones() >= 2),
+                "L={line}: some echo must match two fills of its line"
+            );
+            let stalls = [
+                StallFeature::BusLocked,
+                StallFeature::BusNotLocked1,
+                StallFeature::BusNotLocked2,
+                StallFeature::BusNotLocked3,
+            ]
+            .into_iter()
+            .chain((1..=MissTimeline::MAX_MSHRS).map(|mshrs| StallFeature::NonBlocking { mshrs }));
+            for stall in stalls {
+                let cfg =
+                    CpuConfig::baseline(cache, MemoryTiming::new(BusWidth::new(4).unwrap(), 10))
+                        .with_stall(stall);
+                assert_eq!(
+                    tl.replay(&cfg),
+                    Cpu::new(cfg).run(trace.iter().copied()),
+                    "L={line} {stall}"
+                );
+            }
+            line *= 2;
+        }
+        // One line past the bound no longer fits an echo's line offset.
+        let past = 2 * MissTimeline::MAX_LINE_BYTES;
+        assert!(!MissTimeline::supports_cache(
+            &CacheConfig::new(2 * past, past, 2).unwrap()
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "miss gap fits in 32 bits")]
+    fn a_miss_gap_past_32_bits_panics() {
+        // Skipping the counter ahead stands in for 2³² hits, which the
+        // check cannot tell apart.
+        let mut builder = MissTimelineBuilder::new(cache());
+        builder.process(&Instr::mem(0, simtrace::MemRef::load(0x1000, 4)));
+        builder.instructions += 1 << 32;
+        builder.process(&Instr::mem(4, simtrace::MemRef::load(0x9000, 4)));
+    }
+
     #[test]
     fn byte_footprint_counts_events_and_echoes() {
         let empty = MissTimeline::extract(cache(), std::iter::empty());
         use std::mem::size_of;
         assert_eq!(empty.bytes(), size_of::<MissTimeline>());
         let tl = MissTimeline::extract(cache(), trace("ear"));
-        let echoes = tl.echo_offsets.len();
+        let echoes = tl.echo_count();
         assert!(tl.event_count() > 0 && echoes > 0);
-        // `finish` shrinks the arrays, so the footprint is exact: 12
-        // bytes per echo.
-        assert_eq!(size_of::<u32>() + size_of::<Addr>(), 12);
+        // `finish` shrinks the arrays, so the footprint is exact: 16
+        // bytes per event and 7 per echo.
+        assert_eq!(
+            (MissTimeline::EVENT_BYTES, MissTimeline::ECHO_BYTES),
+            (16, 7)
+        );
+        assert_eq!(size_of::<MissEvent>(), MissTimeline::EVENT_BYTES);
         assert_eq!(
             tl.bytes() - empty.bytes(),
-            tl.event_count() * size_of::<MissEvent>()
-                + echoes * (size_of::<u32>() + size_of::<Addr>())
+            tl.event_count() * MissTimeline::EVENT_BYTES + echoes * MissTimeline::ECHO_BYTES
         );
     }
 
@@ -955,14 +1207,16 @@ mod tests {
         // Arrays grown past their length, as pushing leaves them.
         tl.events.reserve_exact(tl.events.len());
         tl.echo_offsets.reserve_exact(tl.echo_offsets.len() + 7);
-        tl.echo_addrs.reserve_exact(3);
+        tl.echo_masks.reserve_exact(5);
+        tl.echo_line_offsets.reserve_exact(3);
         assert!(tl.events.capacity() > tl.events.len());
         assert_eq!(
             tl.bytes(),
             size_of::<MissTimeline>()
                 + tl.events.capacity() * size_of::<MissEvent>()
                 + tl.echo_offsets.capacity() * size_of::<u32>()
-                + tl.echo_addrs.capacity() * size_of::<Addr>()
+                + tl.echo_masks.capacity() * size_of::<u8>()
+                + tl.echo_line_offsets.capacity() * size_of::<u16>()
         );
         assert!(tl.bytes() > shrunk);
     }

@@ -144,7 +144,16 @@ impl FillSchedule {
     /// Panics if `addr` is not within the line being filled.
     pub fn chunk_available_at(&self, addr: Addr) -> u64 {
         assert!(self.covers(addr), "address outside the in-flight line");
-        let chunk = (addr.raw() >> self.chunk_shift) & self.chunk_mask;
+        self.offset_available_at(addr.raw())
+    }
+
+    /// Absolute cycle the chunk holding byte `offset` of the line
+    /// arrives: [`Self::chunk_available_at`] for a caller that knows
+    /// only where in the line the access falls. Bits above the line
+    /// offset are ignored.
+    #[inline]
+    pub fn offset_available_at(&self, offset: u64) -> u64 {
+        let chunk = (offset >> self.chunk_shift) & self.chunk_mask;
         let delivery_index = chunk.wrapping_sub(self.critical_chunk) & self.chunk_mask;
         self.critical_at + delivery_index * self.step
     }
@@ -262,6 +271,7 @@ mod tests {
                                 let c = (a.raw() % line) / chunk;
                                 let at = start + offset((c + chunks - critical) % chunks);
                                 assert_eq!(f.chunk_available_at(a), at, "L={line} D={bus} {a}");
+                                assert_eq!(f.offset_available_at(a.raw() % line), at);
                             }
                         }
                     }

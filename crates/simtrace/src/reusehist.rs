@@ -38,6 +38,13 @@
 //! (cache contents) survives, and the post-warm-up histogram is the
 //! difference — so the analytic backend built on top agrees with the
 //! simulated sweep on warmed statistics.
+//!
+//! The line map, the slot timeline and the warm-up snapshot matter only
+//! while folding, and they grow with the distinct lines seen. The
+//! analytic backend reads only each granularity's post-warm-up
+//! histogram and residue counts, so [`ReuseHistograms::finish`] keeps
+//! just those, plus `cold` and `total`: a finished 8–128 B fold at the
+//! 16 384-bucket cap holds 1.31 MB, however long its trace.
 
 use crate::instr::Instr;
 
@@ -60,6 +67,16 @@ impl LineMap {
         LineMap {
             keys: vec![0; 1024],
             vals: vec![0; 1024],
+            len: 0,
+        }
+    }
+
+    /// A map of no buckets and no allocation: what a finished counter
+    /// keeps.
+    fn empty() -> Self {
+        LineMap {
+            keys: Vec::new(),
+            vals: Vec::new(),
             len: 0,
         }
     }
@@ -145,6 +162,15 @@ impl Timeline {
         };
         t.reset(cap);
         t
+    }
+
+    /// A timeline of no slots and no allocation: what a finished
+    /// counter keeps.
+    fn empty() -> Self {
+        Timeline {
+            retired: Vec::new(),
+            words: Vec::new(),
+        }
     }
 
     fn cap(&self) -> usize {
@@ -555,10 +581,14 @@ impl RefCutter {
 #[derive(Debug, Clone)]
 pub struct GranularityFold {
     line_shift: u32,
+    /// Once finished, the counter holds the post-warm-up totals and no
+    /// line map or slot timeline.
     counter: ReuseDistCounter,
     warm_base: Option<HistTotals>,
     instrs: u64,
     warmup: u64,
+    /// [`ReuseHistograms::finish`] has run; folding now panics.
+    finished: bool,
 }
 
 impl GranularityFold {
@@ -569,6 +599,7 @@ impl GranularityFold {
             warm_base: None,
             instrs: 0,
             warmup,
+            finished: false,
         }
     }
 
@@ -582,8 +613,10 @@ impl GranularityFold {
     ///
     /// # Panics
     ///
-    /// Panics if the batch was cut for a different warm-up.
+    /// Panics if the batch was cut for a different warm-up, or if the
+    /// fold is finished.
     pub fn fold(&mut self, batch: &RefBatch) {
+        self.check_unfinished();
         assert_eq!(
             batch.warmup, self.warmup,
             "reference batch cut for another warm-up"
@@ -599,6 +632,7 @@ impl GranularityFold {
 
     /// Folds one instruction, the batch-free form of [`Self::fold`].
     fn step(&mut self, instr: &Instr) {
+        self.check_unfinished();
         if let Some(m) = instr.mem {
             self.counter.access(m.addr.raw() >> self.line_shift);
         }
@@ -624,27 +658,58 @@ impl GranularityFold {
         }
     }
 
-    /// The post-warm-up reuse profile: the warm-up snapshot (when one
-    /// was taken) subtracted from the totals.
-    fn profile(&self) -> crate::reuse::ReuseProfile {
+    fn check_unfinished(&self) {
+        assert!(!self.finished, "folding into a finished reuse histogram");
+    }
+
+    /// The post-warm-up totals: the warm-up snapshot (when one was
+    /// taken) subtracted from the counter's.
+    fn post_warmup(&self) -> HistTotals {
         let c = &self.counter;
-        let (hist, cold, total) = match &self.warm_base {
-            Some(base) => {
-                let hist = c
+        match &self.warm_base {
+            Some(base) => HistTotals {
+                hist: c
                     .hist
                     .iter()
                     .zip(&base.hist)
                     .map(|(now, then)| now - then)
-                    .collect();
-                (hist, c.cold - base.cold, c.total - base.total)
-            }
-            None => (c.hist.clone(), c.cold, c.total),
-        };
+                    .collect(),
+                cold: c.cold - base.cold,
+                total: c.total - base.total,
+            },
+            None => HistTotals {
+                hist: c.hist.clone(),
+                cold: c.cold,
+                total: c.total,
+            },
+        }
+    }
+
+    /// Keeps only what [`Self::profile`] and the residue counts read:
+    /// the counter's totals become the post-warm-up ones, and the line
+    /// map, the slot timeline and the warm-up snapshot go.
+    fn finish(&mut self) {
+        if self.finished {
+            return;
+        }
+        let HistTotals { hist, cold, total } = self.post_warmup();
+        let c = &mut self.counter;
+        (c.hist, c.cold, c.total) = (hist, cold, total);
+        c.map = LineMap::empty();
+        c.timeline = Timeline::empty();
+        self.warm_base = None;
+        self.finished = true;
+    }
+
+    /// The post-warm-up reuse profile.
+    fn profile(&self) -> crate::reuse::ReuseProfile {
+        let HistTotals { hist, cold, total } = self.post_warmup();
         crate::reuse::ReuseProfile::from_parts(self.line_bytes(), hist, cold, total)
     }
 
     /// Approximate heap footprint: the counter plus the warm-up
-    /// snapshot's histogram.
+    /// snapshot's histogram; exactly the histogram and the residue
+    /// counts once finished.
     fn bytes(&self) -> usize {
         let base = self.warm_base.as_ref().map_or(0, |b| b.hist.len());
         self.counter.bytes() + base * std::mem::size_of::<u64>()
@@ -663,6 +728,12 @@ impl GranularityFold {
 /// contract: the histogram snapshot is taken the moment the instruction
 /// count reaches `warmup`, tree state survives, and
 /// [`ReuseHistograms::profile`] reports post-warm-up counts.
+///
+/// [`ReuseHistograms::finish`] ends the fold: every part then keeps
+/// only its post-warm-up histogram, `cold`, `total` and residue counts,
+/// `(max_distance + 1 + 2^SET_CLASS_LOG2) × 8` bytes whatever the
+/// trace's length, and folding into it panics. Every reader answers
+/// as before; a memo holds finished folds.
 #[derive(Debug, Clone)]
 pub struct ReuseHistograms {
     /// One fold per granularity, ascending line size; never empty.
@@ -674,7 +745,7 @@ impl ReuseHistograms {
     /// top of its parts: a fixed figure rather than `size_of::<Self>()`,
     /// so trace-store budgets and `/stats` do not move with the
     /// struct's layout.
-    const OVERHEAD_BYTES: usize = 80;
+    pub const OVERHEAD_BYTES: usize = 80;
 
     /// Counters for every power-of-two line size in
     /// `min_line_bytes..=max_line_bytes`, each with `max_distance`
@@ -733,6 +804,22 @@ impl ReuseHistograms {
         &mut self.parts
     }
 
+    /// Ends the fold, keeping only what the readers read: each part's
+    /// line map, slot timeline and warm-up snapshot are dropped.
+    /// [`Self::profile`], [`Self::set_mass`] and the other readers
+    /// answer exactly as before; folding afterwards panics. Finishing
+    /// twice is a no-op.
+    pub fn finish(&mut self) {
+        for part in &mut self.parts {
+            part.finish();
+        }
+    }
+
+    /// Whether [`Self::finish`] has run.
+    pub fn is_finished(&self) -> bool {
+        self.parts[0].finished
+    }
+
     /// The part folding `line_bytes`, or `None` for a granularity
     /// outside the folded range.
     fn part(&self, line_bytes: u64) -> Option<&GranularityFold> {
@@ -783,7 +870,8 @@ impl ReuseHistograms {
     }
 
     /// Approximate heap footprint across all granularities, for the
-    /// trace-store byte budget.
+    /// trace-store byte budget: once finished, exactly the kept arrays
+    /// plus [`Self::OVERHEAD_BYTES`].
     pub fn bytes(&self) -> usize {
         let parts: usize = self.parts.iter().map(GranularityFold::bytes).sum();
         parts + Self::OVERHEAD_BYTES

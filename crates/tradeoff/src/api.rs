@@ -361,8 +361,9 @@ pub struct ExperimentInfo {
 /// while tests and one-shot embedders use [`Uncached`].
 pub trait Workloads: Sync {
     /// Reuse-distance histograms of a workload prefix (the analytic
-    /// backend's input). The spec's content identity plus the scalar
-    /// parameters are the memoisation key.
+    /// backend's input), finished (`ReuseHistograms::finish`). The
+    /// spec's content identity plus the scalar parameters are the
+    /// memoisation key.
     #[allow(clippy::too_many_arguments)]
     fn histograms(
         &self,
@@ -423,6 +424,7 @@ impl Workloads for Uncached {
         let mut hists = ReuseHistograms::new(min_line, max_line, max_distance, warmup);
         let trace: Vec<simtrace::Instr> = spec.compile(seed).take(len).collect();
         hists.process_slice(&trace);
+        hists.finish();
         Arc::new(hists)
     }
 
@@ -1521,8 +1523,13 @@ fn simulate(q: &SimulateQuery, env: &dyn Workloads) -> Result<QueryResponse, Api
     let bus = BusWidth::new(q.bus).map_err(|e| ApiError::bad_request(e.to_string()))?;
     let cfg = CpuConfig::baseline(cache, MemoryTiming::new(bus, q.beta)).with_stall(stall);
     cfg.validate().map_err(ApiError::bad_request)?;
+    // `CacheConfig::new` builds write-back write-allocate caches, so
+    // only the line bound can refuse one.
     if !MissTimeline::supports_cache(&cache) {
-        return bad("cache configuration does not admit timeline extraction");
+        return bad(format!(
+            "\"line\" must be at most {} bytes for a timeline replay",
+            MissTimeline::MAX_LINE_BYTES
+        ));
     }
     let timeline = env.timeline(spec, q.seed, q.instructions, &cache);
     let r = TimelineCpu::new(&timeline, cfg)
@@ -1782,6 +1789,22 @@ mod tests {
         assert_eq!(
             dispatch_uncached(&bad).unwrap_err().kind,
             ApiErrorKind::BadRequest
+        );
+        // A line past what an echo's line offset holds is refused
+        // before any generation runs.
+        let past = 2 * MissTimeline::MAX_LINE_BYTES;
+        let long_lines = QueryRequest::Simulate(SimulateQuery {
+            workload: WorkloadRef::Named("ear".to_string()),
+            cache: 2 * past,
+            line: past,
+            ..SimulateQuery::default()
+        });
+        let err = dispatch_uncached(&long_lines).unwrap_err();
+        assert_eq!(err.kind, ApiErrorKind::BadRequest);
+        assert!(
+            err.message.contains("\"line\" must be at most 65536"),
+            "{}",
+            err.message
         );
     }
 

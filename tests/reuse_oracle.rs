@@ -334,3 +334,91 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("{e}\nspec={} seed={seed:#x} len={len}", json.render())))?;
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A finished fold answers every reader as the unfinished fold does,
+    /// and holds exactly its kept arrays: per line size the post-warm-up
+    /// histogram and the residue counts, plus the fixed overhead.
+    #[test]
+    fn finished_folds_answer_as_unfinished_ones_from_their_kept_arrays(
+        json in common::spec_json(),
+        seed in any::<u64>(),
+        len in 1usize..20_001,
+        max_distance in prop_oneof![16usize..64, 1024usize..4096],
+        warmup_pct in prop_oneof![1usize..100, Just(0), 101usize..130],
+    ) {
+        let spec = WorkloadSpec::from_json(&json).expect("generated specs are valid");
+        let trace: Vec<Instr> = spec.compile(seed).take(len).collect();
+        let mut fold = ReuseHistograms::new(8, 128, max_distance, (len * warmup_pct / 100) as u64);
+        fold.process_slice(&trace);
+        let mut finished = fold.clone();
+        finished.finish();
+        prop_assert!(finished.is_finished() && !fold.is_finished());
+        prop_assert_eq!(finished.line_sizes(), fold.line_sizes());
+        prop_assert_eq!(finished.instructions(), fold.instructions());
+        prop_assert_eq!(finished.max_distance(), fold.max_distance());
+        for line in [4, 8, 16, 32, 64, 128, 256] {
+            prop_assert_eq!(finished.profile(line), fold.profile(line), "line={}", line);
+            prop_assert_eq!(finished.set_mass(line), fold.set_mass(line), "line={}", line);
+        }
+        let kept: usize = LINE_SIZES
+            .iter()
+            .map(|&line| {
+                let hist = fold.profile(line).expect("folded").histogram().len();
+                let residues = fold.set_mass(line).expect("folded").len();
+                (hist + residues) * std::mem::size_of::<u64>()
+            })
+            .sum();
+        prop_assert_eq!(finished.bytes(), kept + ReuseHistograms::OVERHEAD_BYTES);
+        prop_assert!(finished.bytes() <= fold.bytes());
+        let before = finished.bytes();
+        finished.finish();
+        prop_assert_eq!(finished.bytes(), before, "finishing twice is a no-op");
+    }
+}
+
+/// The production fold's size once finished: the 8–128 B line range at
+/// the 16 384-bucket cap holds 1.31 MB, however long its trace.
+#[test]
+fn a_finished_production_fold_holds_its_fixed_arrays() {
+    let trace: Vec<Instr> = simtrace::workload::builtin("nasa7")
+        .expect("builtin")
+        .compile(1)
+        .take(20_000)
+        .collect();
+    let mut fold = ReuseHistograms::new(8, 128, 1 << 14, 4_000);
+    fold.process_slice(&trace);
+    fold.finish();
+    let per_line = ((1 << 14) + 1 + (1 << SET_CLASS_LOG2)) * std::mem::size_of::<u64>();
+    assert_eq!(
+        fold.bytes(),
+        LINE_SIZES.len() * per_line + ReuseHistograms::OVERHEAD_BYTES
+    );
+    assert!(fold.bytes() <= 1_320_000, "{} bytes", fold.bytes());
+}
+
+#[test]
+#[should_panic(expected = "folding into a finished reuse histogram")]
+fn folding_into_a_finished_fold_panics() {
+    let trace = [Instr::mem(0, MemRef::load(0x40, 4))];
+    let mut fold = ReuseHistograms::new(8, 128, 64, 0);
+    fold.process_slice(&trace);
+    fold.finish();
+    fold.process_slice(&trace);
+}
+
+#[test]
+#[should_panic(expected = "folding into a finished reuse histogram")]
+fn folding_batches_into_a_finished_fold_panics() {
+    let trace = [Instr::mem(0, MemRef::load(0x40, 4))];
+    let mut fold = ReuseHistograms::new(8, 128, 64, 0);
+    fold.finish();
+    stream::fold_batches(
+        trace.iter().copied(),
+        1,
+        RefCutter::new(0, 0),
+        fold.parts_mut(),
+    );
+}
